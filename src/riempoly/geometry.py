@@ -54,6 +54,14 @@ class Manifold:
         """Parallel transport of x along the geodesic s -> exp(p, s*direction), s in [0,1]."""
         raise NotImplementedError
 
+    def step(self, p, v, stack):
+        """One geodesic step: (project_point(exp(p, v)), transport(p, v, stack)).
+
+        The forward integrator's per-node kernel.  Subclasses override it
+        where the endpoint and the transport can share their work.
+        """
+        return self.project_point(self.exp(p, v)), self.transport(p, v, stack)
+
     def curvature(self, p, x, y, z):
         """Curvature operator R(x, y)z at p."""
         raise NotImplementedError

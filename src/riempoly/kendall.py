@@ -5,17 +5,27 @@ A configuration of m landmarks in R^d is standardized by removing translation
 the unit sphere of dimension m*d - 1.  Shapes are equivalence classes of
 standardized configurations under rotation; we always compute with a sphere
 representative and keep tangent vectors horizontal, i.e. orthogonal to the
-rotation orbits.  Exponential map and parallel transport step along the
-sphere and re-project to the horizontal subspace; the log map is iterative.
+rotation orbits.
+
+Shapes inherit their geometry through a Riemannian submersion from the
+preshape sphere, and horizontal geodesics of a submersion are great circles.
+So the exponential map is the sphere exponential of the horizontal part of
+the velocity, for every d, and the log map is the horizontal sphere log
+toward the Procrustes-aligned target.  For planar shapes (d = 2, complex
+projective space) the complex structure J, which turns every landmark by 90
+degrees, is parallel, so parallel transport has a closed form as well.  For
+d >= 3 transport has no closed form; it steps along the sphere and
+re-projects onto the horizontal subspace after every substep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, shooting_log
+from .geometry import CutLocusError, Manifold
 from .sphere import Sphere
 
 # Gram-Schmidt drop threshold for degenerate (e.g. collinear) configurations.
@@ -122,26 +132,27 @@ class KendallShapeSpace(Manifold):
 
     Points are flat vectors of length m*d.  All tangent vectors are kept in
     the horizontal subspace; the similarity group is quotiented out by
-    Procrustes alignment wherever two shapes meet (log, dist).
+    Procrustes alignment wherever two shapes meet (log, dist).  max_step is
+    the substep of the d >= 3 transport; every other map is exact.
     """
 
     tolerance = 1e-8
 
-    def __init__(self, m: int, d: int, max_step: float = 5e-3,
-                 log_tol: float = 1e-9, log_max_iter: int = 200,
-                 log_step: float = 0.5):
+    def __init__(self, m: int, d: int, max_step: float = 5e-3):
         if m * d < 3 or m < 2 or d < 2:
             raise ValueError("need m >= 2 landmarks in dimension d >= 2 with m*d >= 3")
         self.m = m
         self.d = d
         self.max_step = max_step
-        self.log_tol = log_tol
-        self.log_max_iter = log_max_iter
-        self.log_step = log_step
         self.point_shape = (m * d,)
         self.tangent_shape = (m * d,)
         self.name = f"kendall({m},{d})"
         self._sphere = Sphere(m * d - 1)
+        # orthonormal rows spanning the translations of the configuration
+        self._centering = np.tile(np.eye(d), (1, m)) / np.sqrt(m)
+        if d == 2:
+            # x @ self._jt turns every landmark of x by 90 degrees: J x
+            self._jt = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     # -- shape helpers -------------------------------------------------------
 
@@ -155,60 +166,98 @@ class KendallShapeSpace(Manifold):
         """Orthonormal vertical frame at a single preshape point."""
         if self.d == 2:
             # the single rotation generator of a unit preshape is itself unit
-            frame = np.empty_like(p)
-            frame[0::2] = p[1::2]
-            frame[1::2] = -p[0::2]
-            return frame[None]
+            return (p @ self._jt)[None]
         return _vertical_bases(self._mat(p)[None])[0]
 
-    def _project_with_frame(self, p, x, frame):
-        xm = self._mat(np.asarray(x, dtype=float))
-        xm = xm - xm.mean(axis=-2, keepdims=True)
-        out = xm.reshape(np.shape(x))
-        out = out - np.asarray(np.sum(out * p, axis=-1))[..., None] * p
-        for b in frame:
-            coef = np.asarray(np.sum(out * b, axis=-1))
-            out = out - coef[..., None] * b
-        return out
+    def _normal_rows(self, p):
+        """Orthonormal rows spanning everything but the horizontal space at p.
+
+        The centering rows, p itself and the vertical frame at p are mutually
+        orthogonal, so one matrix product projects them all out.
+        """
+        return np.concatenate([self._centering, p[None], self._vertical_frame(p)])
+
+    @staticmethod
+    def _project_out(x, rows):
+        x = np.asarray(x, dtype=float)
+        return x - (x @ rows.T) @ rows
 
     def horizontal_project(self, p, x):
         """Remove centering, sphere-normal, and vertical components of x.
 
         Accepts stacked x with a single base point p.
         """
-        return self._project_with_frame(p, x, self._vertical_frame(p))
+        return self._project_out(x, self._normal_rows(np.asarray(p, dtype=float)))
+
+    def _planar_geodesic(self, p, v):
+        """Closed-form geodesic from p with the horizontal part of v (d = 2).
+
+        Returns None when that part is zero.  Otherwise, with theta its norm,
+        u its direction and J the landmark rotation, returns the endpoint
+        cos(theta) p + sin(theta) u before re-projection, the rows [u, Ju],
+        and the rows [(cos(theta) - 1) u - sin(theta) p,
+        (cos(theta) - 1) Ju - sin(theta) Jp].  Transport along the geodesic
+        is then x + (x @ basis.T) @ shift: the u and Ju components of x turn
+        with the geodesic because J is parallel, and the rest stays fixed.
+        """
+        rows = self._normal_rows(p)             # ends with p and Jp
+        h = self._project_out(v, rows)
+        theta = math.sqrt(float(h @ h))
+        if theta == 0.0:
+            return None
+        basis = np.array([h, h @ self._jt]) / theta
+        c, s = math.cos(theta), math.sin(theta)
+        shift = (c - 1.0) * basis - s * rows[-2:]
+        return c * p + s * basis[0], basis, shift
 
     # -- contract ------------------------------------------------------------
 
-    def _advance(self, gamma, w, h):
-        """One sphere substep of the driving velocity; shared by exp/transport."""
-        step = h * w
-        nxt = self.project_point(self._sphere.exp(gamma, step))
-        frame = self._vertical_frame(nxt)
-        return nxt, frame, step
-
     def exp(self, p, v):
-        """Stepwise sphere exponential with horizontal re-projection."""
-        speed = float(np.sqrt(np.dot(v, v)))
-        if speed == 0.0:
+        """Sphere exponential of the horizontal part of v, re-projected.
+
+        Horizontal great circles are the shape-space geodesics, so this is
+        exact for every d.
+        """
+        if np.dot(v, v) == 0.0:
             return np.array(p, dtype=float)
-        n = max(1, int(np.ceil(speed / self.max_step)))
-        h = 1.0 / n
-        gamma = np.array(p, dtype=float)
-        w = np.array(v, dtype=float)
-        for _ in range(n):
-            nxt, frame, step = self._advance(gamma, w, h)
-            w = self._project_with_frame(
-                nxt, self._sphere.transport(gamma, step, w), frame
-            )
-            gamma = nxt
-        return gamma
+        return self.project_point(self._sphere.exp(p, self.horizontal_project(p, v)))
 
     def transport(self, p, direction, x):
-        """Stepwise sphere transport with horizontal re-projection.
+        """Parallel transport of (stacked) horizontal x along exp(p, s*direction).
 
-        Accepts stacked x.  Norms are restored after each projection since
-        exact transport is an isometry; the remaining error is in direction.
+        Closed form for d = 2 (see _planar_geodesic); stepped_transport for
+        d >= 3.
+        """
+        if self.d != 2:
+            return self.stepped_transport(p, direction, x)
+        geodesic = self._planar_geodesic(np.asarray(p, dtype=float), direction)
+        x = np.array(x, dtype=float, copy=True)
+        if geodesic is None:
+            return x
+        _, basis, shift = geodesic
+        return x + (x @ basis.T) @ shift
+
+    def step(self, p, v, stack):
+        """Endpoint and transported stack from one shared frame when d = 2."""
+        if self.d != 2:
+            return super().step(p, v, stack)
+        p = np.asarray(p, dtype=float)
+        stack = np.asarray(stack, dtype=float)
+        geodesic = self._planar_geodesic(p, v)
+        if geodesic is None:
+            return self.project_point(p), stack.copy()
+        end, basis, shift = geodesic
+        return self.project_point(end), stack + (stack @ basis.T) @ shift
+
+    def stepped_transport(self, p, direction, x):
+        """Transport by sphere substeps of at most max_step, for any d.
+
+        Each substep is a sphere transport followed by a horizontal
+        re-projection at the new point.  Norms are restored after each
+        projection since exact transport is an isometry; the remaining error
+        is in direction and is first order in max_step.  This is the d >= 3
+        transport and the reference for the d = 2 closed form.  Accepts
+        stacked x.
         """
         speed = float(np.sqrt(np.dot(direction, direction)))
         out = np.array(x, dtype=float, copy=True)
@@ -220,35 +269,22 @@ class KendallShapeSpace(Manifold):
         w = np.array(direction, dtype=float)
         before = np.asarray(np.sqrt(np.sum(out * out, axis=-1)))
         for _ in range(n):
-            nxt, frame, step = self._advance(gamma, w, h)
-            out = self._project_with_frame(
-                nxt, self._sphere.transport(gamma, step, out), frame
-            )
+            step = h * w
+            nxt = self.project_point(self._sphere.exp(gamma, step))
+            rows = self._normal_rows(nxt)
+            out = self._project_out(self._sphere.transport(gamma, step, out), rows)
             after = np.asarray(np.sqrt(np.sum(out * out, axis=-1)))
             safe = np.maximum(after, 1e-300)
             ratio = np.where(after > 1e-300, before / safe, 1.0)
             out = out * ratio[..., None]
-            w = self._project_with_frame(
-                nxt, self._sphere.transport(gamma, step, w), frame
-            )
+            w = self._project_out(self._sphere.transport(gamma, step, w), rows)
             gamma = nxt
         return out
 
-    def log(self, p, q, tol: float | None = None, max_iter: int | None = None):
-        """Iterative log map: align, take the sphere log, polish by shooting."""
+    def log(self, p, q):
+        """Exact quotient log: see log_many."""
         if np.array_equal(p, q):
             return np.zeros(self.m * self.d)
-        init = self._aligned_log(p, q)
-        return shooting_log(
-            self, p, q, init,
-            step_size=self.log_step,
-            tol=self.log_tol if tol is None else tol,
-            max_iter=self.log_max_iter if max_iter is None else max_iter,
-            endpoint_gap=lambda end, target: self._aligned_log(end, target),
-        )
-
-    def _aligned_log(self, p, q):
-        """Sphere log toward the Procrustes-aligned representative of q."""
         return self.log_many(p[None], q[None])[0]
 
     def dist(self, p, q) -> float:
@@ -266,11 +302,8 @@ class KendallShapeSpace(Manifold):
         return np.sum(np.asarray(x) * y, axis=-1)
 
     def project_point(self, p):
-        pm = self._mat(np.asarray(p, dtype=float))
-        pm = pm - pm.mean(axis=-2, keepdims=True)
-        flat = pm.reshape(np.shape(p))
-        norm = np.asarray(np.sqrt(np.sum(flat * flat, axis=-1)))
-        return flat / norm[..., None] if flat.ndim > 1 else flat / float(norm)
+        flat = self._project_out(p, self._centering)
+        return flat / np.sqrt(np.sum(flat * flat, axis=-1, keepdims=True))
 
     def project_tangent(self, p, x):
         return self.horizontal_project(p, x)
@@ -310,8 +343,7 @@ class KendallShapeSpace(Manifold):
 
         Aligning the target to the base point makes the connecting sphere
         geodesic horizontal, so the horizontal projection of the sphere log
-        is the shape-space log; the iterative route in log() agrees with
-        this to its shooting tolerance and exists to certify it.
+        is the shape-space log.
         """
         points = np.asarray(points, dtype=float)
         targets = np.asarray(targets, dtype=float)

@@ -4,8 +4,8 @@ A curve of order k is driven by k tangent vectors v_1 .. v_k: the velocity is
 v_1, each v_i feeds the covariant rate of v_{i-1}, and v_k is covariantly
 constant.  One integrator step increments every vector inside the current
 tangent space, parallel transports the results along the small geodesic step,
-and moves the base point with the exponential map.  First order by design;
-the step count is the accuracy knob.
+and moves the base point with the exponential map, in one Manifold.step call.
+First order by design; the step count is the accuracy knob.
 """
 
 from __future__ import annotations
@@ -121,13 +121,10 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
     for n in range(steps):
         try:
             if k:
-                w = stack[0]
-                step_vec = dt * w
                 incremented = stack.copy()
                 if k > 1:
                     incremented[:-1] += dt * stack[1:]
-                stack = manifold.transport(gamma, step_vec, incremented)
-                gamma = manifold.project_point(manifold.exp(gamma, step_vec))
+                gamma, stack = manifold.step(gamma, dt * stack[0], incremented)
             # order zero: constant curve
         except GeometryError as exc:
             raise IntegrationError(

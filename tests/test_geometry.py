@@ -8,9 +8,7 @@ from conftest import MANIFOLD_NAMES, make_manifold, tangent_basis, unit_tangent
 
 
 def isometry_manifold(name):
-    # transport drift scales with the substep; only this bound needs fine steps
-    if name == "kendall":
-        return rp.KendallShapeSpace(3, 2, max_step=1e-5)
+    # so3 transport drift scales with the substep; only this bound needs fine steps
     if name == "so3":
         return rp.RotationGroup(max_step=1e-4)
     if name == "so3_general":
@@ -90,6 +88,56 @@ class TestContract:
         m = make_manifold(name)
         point = rp.ManifoldPoint(m.random_point(rng), m)
         assert rp.validate_point(point).ok
+
+
+def step_manifold(name):
+    if name == "kendall_3d":
+        return rp.KendallShapeSpace(5, 3)
+    return make_manifold(name)
+
+
+def tangent_stack(m, rng, p, count=3):
+    return np.stack([unit_tangent(m, rng, p) for _ in range(count)])
+
+
+@pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general", "kendall_3d"])
+def test_step_is_exp_then_transport(name, rng):
+    m = step_manifold(name)
+    p = m.random_point(rng)
+    v = unit_tangent(m, rng, p, 0.3)
+    stack = tangent_stack(m, rng, p)
+    end, moved = m.step(p, v, stack)
+    assert np.abs(end - m.project_point(m.exp(p, v))).max() < 1e-12
+    assert np.abs(moved - m.transport(p, v, stack)).max() < 1e-12
+
+
+class TestPlanarKendallStep:
+    """Properties of the d = 2 closed-form step on kendall(8,2)."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        m = rp.KendallShapeSpace(8, 2)
+        p = m.random_point(rng)
+        v = unit_tangent(m, rng, p, 0.7)
+        stack = tangent_stack(m, rng, p, count=4)
+        q, moved = m.step(p, v, stack)
+        return m, p, v, stack, q, moved
+
+    def test_stack_horizontal_at_endpoint(self, setup):
+        m, _, _, _, q, moved = setup
+        for x in moved:
+            assert max(m.tangent_residuals(q, x).values()) < 1e-12
+
+    def test_inner_products_preserved(self, setup):
+        _, _, _, stack, _, moved = setup
+        assert np.abs(moved @ moved.T - stack @ stack.T).max() < 1e-12
+
+    def test_reversed_step_returns(self, setup):
+        m, p, v, stack, q, moved = setup
+        v_end = m.transport(p, v, v)
+        back, returned = m.step(q, -v_end, moved)
+        assert np.abs(returned - stack).max() < 1e-12
+        assert np.abs(back - p).max() < 1e-12
 
 
 class TestEuclidean:
