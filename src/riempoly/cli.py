@@ -113,6 +113,7 @@ def _fit_payload(result: FitResult) -> dict:
         "collinearity": result.collinearity,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "grad_norm": result.grad_norm,
         "objective_trace": result.objective_trace,
         "time_mapping": {

@@ -8,6 +8,17 @@ negative gradients with respect to the initial conditions.  A descent loop
 with a monotone line search updates the base point through the exponential
 map and the vectors through parallel transport.
 
+Descent is preconditioned with the normal-equation metric of the time
+design.  With phi_i(n) = dt^i C(n, i), the falling-factorial basis of the
+discrete integrator, and n_j the node of observation j, the objective in
+flat space is a quadratic with Hessian G (x) I, G = (2/N) sum_j phi(n_j)
+phi(n_j)^T.  Every step rule moves along -P g, with P = G^-1 acting on the
+stack axis of the gradient, so a unit step is exact in flat space and the
+badly scaled t^i/i! blocks are balanced on a curved one.  When the design
+has fewer distinct nodes than k+1, G is singular and P keeps the identity
+on its null space.  The stopping test stays on the unpreconditioned metric
+norm of the gradient.
+
 Observation times are snapped to the nearest trajectory node once, up front;
 the time axis is affinely rescaled to [0, 1] internally and every reported
 quantity carries the mapping back to original units.
@@ -130,6 +141,7 @@ class FitResult:
     iterations: int
     converged: bool
     grad_norm: float
+    stop_reason: str                     # "tolerance" | "line_search" | "max_iters"
     objective_trace: list = field(default_factory=list)
     collinearity: float = None
     time_offset: float = 0.0
@@ -296,9 +308,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         return traj, _sse_at_nodes(manifold, traj, nodes, internal.points)
 
     traj, value = evaluate(state)
+    gram, precond = _design_metric(nodes, traj.dt, k)
     trace = [value]
     eta = config.step_size
     converged = False
+    stop_reason = "max_iters"
     grad_norm = np.inf
     prev_grad = prev_direction = None
     prev_move = None
@@ -307,33 +321,32 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     for iteration in range(config.max_iters):
         grads = integrate_adjoint(manifold, traj, internal)
         grad = np.stack(grads.stacked())            # (k+1, *tangent_shape)
-        grad_norm = float(np.sqrt(sum(
-            manifold.inner(state.gamma, g, g) for g in grad
-        )))
+        grad_norm = float(np.sqrt(_stack_inner(manifold, state.gamma, grad, grad)))
         if grad_norm <= config.tol:
             converged = True
+            stop_reason = "tolerance"
             break
 
-        direction = -grad
+        pgrad = _along_stack(precond, grad)
+        direction = -pgrad
         if config.step_rule == "cg" and prev_grad is not None:
-            beta = _polak_ribiere(manifold, state.gamma, grad, prev_grad,
-                                  prev_direction)
-            direction = -grad + beta * prev_direction
+            beta = _polak_ribiere(manifold, state.gamma, grad, pgrad, prev_grad,
+                                  precond)
+            direction = -pgrad + beta * prev_direction
         elif config.step_rule == "bb" and prev_grad is not None:
             eta = _barzilai_borwein(manifold, state.gamma, grad, prev_grad,
-                                    prev_move, eta, iteration)
+                                    prev_move, eta, iteration, gram, precond)
 
-        slope = sum(
-            manifold.inner(state.gamma, g, d) for g, d in zip(grad, direction)
-        )
+        slope = _stack_inner(manifold, state.gamma, grad, direction)
         if slope >= 0.0:
-            # conjugate direction lost descent; restart from the gradient
-            direction = -grad
-            slope = -grad_norm * grad_norm
+            # conjugate direction lost descent; restart from -P g
+            direction = -pgrad
+            slope = -_stack_inner(manifold, state.gamma, grad, pgrad)
         accepted, state_new, traj_new, value_new, eta_used = _line_search(
             manifold, state, direction, slope, eta, value, evaluate, config
         )
         if not accepted:
+            stop_reason = "line_search"
             break
         iterations = iteration + 1
         if config.validate_every and iterations % config.validate_every == 0:
@@ -381,6 +394,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         iterations=iterations,
         converged=converged,
         grad_norm=grad_norm,
+        stop_reason=stop_reason,
         objective_trace=trace,
         collinearity=collinearity,
         time_offset=t0,
@@ -451,24 +465,56 @@ def _retract_state(manifold, state, direction, eta):
     return PolynomialState(new_gamma, ())
 
 
-def _polak_ribiere(manifold, gamma, grad, prev_grad, prev_direction):
-    num = sum(
-        manifold.inner(gamma, g, g - pg) for g, pg in zip(grad, prev_grad)
-    )
-    den = sum(manifold.inner(gamma, pg, pg) for pg in prev_grad)
+def _design_metric(nodes, dt, order):
+    """Normal-equation metric G of the time design and its preconditioner P.
+
+    G = (2/N) sum_j phi(n_j) phi(n_j)^T with phi_i(n) = dt^i C(n, i).  The
+    falling factorials are a polynomial basis, so G has rank min(k+1, number
+    of distinct nodes).  P inverts G on its range and is the identity on the
+    null space: pinv(G) plus the projector onto ker G.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    phi = np.ones((order + 1, len(nodes)))
+    for i in range(1, order + 1):
+        phi[i] = phi[i - 1] * (nodes - (i - 1)) * dt / i
+    gram = (2.0 / len(nodes)) * phi @ phi.T
+    rank = min(order + 1, len(np.unique(nodes)))
+    vals, vecs = np.linalg.eigh(gram)             # ascending
+    scale = np.ones(order + 1)
+    scale[order + 1 - rank:] = 1.0 / vals[order + 1 - rank:]
+    return gram, (vecs * scale) @ vecs.T
+
+
+def _along_stack(matrix, stack):
+    """Apply a (k+1) x (k+1) matrix to the stack axis of (k+1, *tangent)."""
+    return np.tensordot(matrix, stack, axes=1)
+
+
+def _stack_inner(manifold, gamma, a, b) -> float:
+    """Metric inner product of two stacks of tangents at gamma."""
+    return float(np.sum(manifold.inner(gamma, a, b)))
+
+
+def _polak_ribiere(manifold, gamma, grad, pgrad, prev_grad, precond):
+    """Preconditioned PR+: <g, P(g - g_prev)> / <g_prev, P g_prev>, floored at 0."""
+    pprev = _along_stack(precond, prev_grad)
+    num = _stack_inner(manifold, gamma, grad, pgrad - pprev)
+    den = _stack_inner(manifold, gamma, prev_grad, pprev)
     if den <= 0:
         return 0.0
     return max(0.0, num / den)
 
 
-def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration):
+def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration,
+                      gram, precond):
+    """Alternating BB steps in the design metric: <s,Gs>/<s,y>, <s,y>/<y,Py>."""
     s = prev_move
     y = np.asarray(grad) - np.asarray(prev_grad)
-    sy = sum(manifold.inner(gamma, a, b) for a, b in zip(s, y))
+    sy = _stack_inner(manifold, gamma, s, y)
     if sy <= 0:
         return eta
     if iteration % 2:
-        yy = sum(manifold.inner(gamma, b, b) for b in y)
+        yy = _stack_inner(manifold, gamma, y, _along_stack(precond, y))
         return sy / yy if yy > 0 else eta
-    ss = sum(manifold.inner(gamma, a, a) for a in s)
+    ss = _stack_inner(manifold, gamma, s, _along_stack(gram, s))
     return ss / sy

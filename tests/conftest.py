@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import riempoly as rp
 from riempoly.regress import integrate_adjoint, objective_sse
+
+# deterministic examples and no per-example deadline: the suite must give
+# the same verdict on every run, however loaded the machine
+settings.register_profile("riempoly", derandomize=True, deadline=None)
+settings.load_profile("riempoly")
 
 
 def make_manifold(name):

@@ -93,17 +93,16 @@ def test_criterion_2_reparametrized_geodesic_recovery():
 
 
 def test_criterion_3_gradient_oracle():
-    # relative mismatch between the reverse pass and central differences;
-    # the shape-space spread is kept small because its curvature coupling is
-    # the documented horizontal-projection approximation
-    scales = {"euclidean": 0.1, "sphere": 0.1, "so3": 0.1, "kendall": 0.02}
+    # relative mismatch between the reverse pass and central differences,
+    # at one data spread on every manifold: the shape-space curvature
+    # carries the O'Neill terms of the quotient, so it needs no smaller one
     started = time.perf_counter()
     worst = {}
     for name in MANIFOLD_NAMES:
         manifold = make_manifold(name)
         rng = np.random.default_rng(7)
         worst[name] = max(
-            adjoint_vs_fd(manifold, k, rng, scale=scales[name], steps=1000)
+            adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000)
             for k in (1, 2, 3)
         )
     elapsed = time.perf_counter() - started

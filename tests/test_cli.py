@@ -47,6 +47,7 @@ class TestFitCommand:
         fit1 = payload["fits"]["1"]
         assert fit1["r_squared"] > 0.99
         assert fit1["converged"]
+        assert fit1["stop_reason"] == "tolerance"
         assert fit1["time_mapping"]["scale"] == 1.0
         curves = (out / "curves.csv").read_text().splitlines()
         assert curves[0].startswith("order,time,")
@@ -91,6 +92,8 @@ class TestFitCommand:
             "--no-plot-data",
         )
         assert code == 2
+        payload = json.loads((tmp_path / "o" / "fit.json").read_text())
+        assert payload["fits"]["1"]["stop_reason"] == "max_iters"
 
     def test_euclidean_manifold_accepted(self, small_kendall_csv, tmp_path):
         code = run_cli(

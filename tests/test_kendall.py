@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly.geometry import CutLocusError, ShootingError, shooting_log
@@ -11,7 +13,7 @@ from riempoly.kendall import (
     to_preshape,
     vertical_basis,
 )
-from conftest import unit_tangent
+from conftest import adjoint_vs_fd, unit_tangent
 
 
 def rotation2(theta):
@@ -309,3 +311,86 @@ class TestClosedFormTransport:
         assert gaps[0] < 1e-5
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine / coarse == pytest.approx(0.5, abs=0.05)
+
+
+class TestONeillCurvature:
+    def test_planar_closed_form_matches_sylvester_solution(self, rng):
+        # the d = 2 closed form of the A-terms is the general Sylvester
+        # solution specialised to one rotation generator
+        for m in (3, 5, 8):
+            space = rp.KendallShapeSpace(m, 2)
+            p = random_preshape(space, rng)
+            x, y, z = (np.stack([unit_tangent(space, rng, p) for _ in range(3)])
+                       for _ in range(3))
+            planar = space._planar_oneill(p, x, y, z[0])
+            general = space._oneill(p, x, y, z[0])
+            assert np.abs(planar - general).max() < 1e-12
+
+    def test_collinear_shape_in_3d_stays_finite(self, rng):
+        # rotations about the line fix a collinear shape: their eigenvalue
+        # sums vanish and the Sylvester solve must skip them
+        space = rp.KendallShapeSpace(4, 3)
+        line = np.outer(np.arange(4.0), np.array([1.0, 2.0, -0.5]))
+        p = space.from_landmarks(line)
+        x, y, z = (unit_tangent(space, rng, p) for _ in range(3))
+        out = space.curvature(p, x, y, z)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out + space.curvature(p, y, x, z)).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_adjoint_matches_finite_differences_in_3d(self, k):
+        # what remains on d = 3 is the first-order error of the stepped
+        # transport; without the A-terms the mismatch is ~3e-3
+        rng = np.random.default_rng(7)
+        rel = adjoint_vs_fd(rp.KendallShapeSpace(5, 3), k, rng, scale=0.1,
+                            steps=100)
+        assert rel < 1e-3
+
+
+def _curvature_frame(space, seed, count):
+    """A random preshape point and `count` unit horizontal tangents there."""
+    gen = np.random.default_rng(seed)
+    p = random_preshape(space, gen)
+    return p, [unit_tangent(space, gen, p) for _ in range(count)]
+
+
+curvature_cases = st.tuples(
+    st.sampled_from([(3, 2), (4, 2), (6, 2), (8, 2), (5, 3)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestCurvatureProperties:
+    @given(curvature_cases)
+    def test_tensor_symmetries(self, case):
+        (m, d), seed = case
+        space = rp.KendallShapeSpace(m, d)
+        p, (x, y, z, w) = _curvature_frame(space, seed, 4)
+
+        def r(a, b, c):
+            return space.curvature(p, a, b, c)
+
+        # skew in the first pair
+        assert np.abs(r(x, y, z) + r(y, x, z)).max() < 1e-10
+        # pair symmetry <R(X,Y)Z, W> = <R(Z,W)X, Y>
+        assert abs(np.dot(r(x, y, z), w) - np.dot(r(z, w, x), y)) < 1e-10
+        # first Bianchi identity
+        assert np.abs(r(x, y, z) + r(y, z, x) + r(z, x, y)).max() < 1e-10
+        # the output is horizontal
+        out = r(x, y, z)
+        assert np.abs(space.horizontal_project(p, out) - out).max() < 1e-10
+
+    @given(curvature_cases)
+    def test_sectional_curvature(self, case):
+        (m, d), seed = case
+        space = rp.KendallShapeSpace(m, d)
+        p, (x, y) = _curvature_frame(space, seed, 2)
+        y = y - np.dot(x, y) * x
+        y = y / np.linalg.norm(y)
+        sectional = float(np.dot(space.curvature(p, x, y, y), x))
+        if d == 2:
+            jx_y = float(np.dot(x @ space._jt, y))
+            assert sectional == pytest.approx(1.0 + 3.0 * jx_y ** 2, abs=1e-10)
+            assert 1.0 - 1e-10 <= sectional <= 4.0 + 1e-10
+        else:
+            assert sectional >= 1.0 - 1e-10

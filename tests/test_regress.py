@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import riempoly as rp
-from riempoly.regress import ZeroVarianceError, integrate_adjoint
+from riempoly.regress import ZeroVarianceError, _design_metric, integrate_adjoint
 from conftest import adjoint_vs_fd, make_manifold, random_fit_problem, unit_tangent
 
 
@@ -22,6 +22,40 @@ def falling_factorial_to_monomial(k, dt):
         poly -= (j - 1) * dt * prev
         out[:, j] = poly / math.factorial(j)
     return out
+
+
+def polyfit_data(k, rng):
+    """20 noisy samples of a degree-k polynomial on [0, 1], on the line."""
+    line = rp.Euclidean(1)
+    t = np.linspace(0.0, 1.0, 20)
+    coeffs = np.array([0.3, -1.2, 2.0, 1.5])[: k + 1]
+    y = sum(c * t**j for j, c in enumerate(coeffs))
+    y = y + 0.02 * rng.standard_normal(20)
+    return rp.TimedDataset(line, t, y[:, None])
+
+
+class TestDesignMetric:
+    def test_full_rank_inverse(self):
+        nodes = np.array([0, 13, 40, 77, 120, 200])
+        gram, precond = _design_metric(nodes, 1.0 / 200, 3)
+        assert np.abs(precond @ gram - np.eye(4)).max() < 1e-9
+
+    def test_matches_falling_factorial_design(self):
+        # phi_i(n) = dt^i C(n, i): the discrete curve's monomial map applied
+        # to the node times
+        dt, nodes = 1.0 / 50, np.array([0, 7, 25, 50])
+        gram, _ = _design_metric(nodes, dt, 3)
+        phi = np.array([[dt ** i * math.comb(int(n), i) for n in nodes]
+                        for i in range(4)])
+        assert np.abs(gram - 0.5 * phi @ phi.T).max() < 1e-14
+
+    def test_rank_deficient_design(self):
+        # two distinct nodes for three blocks: pinv on the range, identity
+        # on the null space
+        gram, precond = _design_metric(np.array([0, 50, 50]), 1.0 / 50, 2)
+        pinv = np.linalg.pinv(gram)
+        expected = pinv + np.eye(3) - gram @ pinv
+        assert np.abs(precond - expected).max() < 1e-9
 
 
 class TestObjective:
@@ -153,12 +187,9 @@ class TestFitPolynomial:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_flat_space_matches_polyfit(self, k, rng):
-        line = rp.Euclidean(1)
-        t = np.linspace(0.0, 1.0, 20)
-        coeffs = np.array([0.3, -1.2, 2.0, 1.5])[: k + 1]
-        y = sum(c * t**j for j, c in enumerate(coeffs))
-        y = y + 0.02 * rng.standard_normal(20)
-        data = rp.TimedDataset(line, t, y[:, None])
+        data = polyfit_data(k, rng)
+        t, y = data.times, data.points[:, 0]
+        line = data.manifold
         cfg = rp.FitConfig(order=k, steps=200, max_iters=20000, tol=1e-11,
                            step_rule="cg")
         res = rp.fit_polynomial(line, data, cfg)
@@ -170,6 +201,28 @@ class TestFitPolynomial:
             [res.params.gamma[0]] + [v[0] for v in res.params.vels]
         )
         assert np.abs(fitted - ref).max() < 1e-6
+
+    @pytest.mark.parametrize("rule", ["bb", "cg", "fixed"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_space_converges_in_one_iteration(self, k, rule, rng):
+        # the design metric is the flat objective's Hessian, so the first
+        # preconditioned unit step lands on the least-squares solution
+        data = polyfit_data(k, rng)
+        cfg = rp.FitConfig(order=k, steps=200, max_iters=50, tol=1e-11,
+                           step_rule=rule)
+        res = rp.fit_polynomial(data.manifold, data, cfg)
+        assert res.converged
+        assert res.stop_reason == "tolerance"
+        assert res.iterations == 1
+
+    def test_line_search_exhaustion_reported(self, rng):
+        # below round-off no step decreases the objective any more
+        data = polyfit_data(2, rng)
+        cfg = rp.FitConfig(order=2, steps=200, max_iters=200, tol=1e-300)
+        res = rp.fit_polynomial(data.manifold, data, cfg)
+        assert not res.converged
+        assert res.stop_reason == "line_search"
+        assert res.iterations < cfg.max_iters
 
     def test_exact_interpolation_of_generating_polynomial(self, rng):
         # k+1 points from a random order-k curve are interpolated
@@ -224,7 +277,12 @@ class TestFitPolynomial:
         data = rp.TimedDataset(sphere, np.array([0.0, 1.0]),
                                np.stack([p, sphere.exp(p, unit_tangent(sphere, rng, p, 0.3))]))
         with pytest.warns(UserWarning, match="underdetermined"):
-            rp.fit_polynomial(sphere, data, rp.FitConfig(order=2, steps=50, max_iters=5))
+            res = rp.fit_polynomial(sphere, data,
+                                    rp.FitConfig(order=2, steps=50, max_iters=5))
+        # the design metric has rank 2 < 3; its null space keeps unit scaling
+        for v in (res.params.gamma,) + res.params.vels:
+            assert np.all(np.isfinite(v))
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
 
     def test_nonconverged_result_returned(self, rng):
         sphere = rp.Sphere(2)
@@ -233,6 +291,7 @@ class TestFitPolynomial:
             sphere, data, rp.FitConfig(order=1, steps=50, max_iters=1, tol=1e-16)
         )
         assert not res.converged
+        assert res.stop_reason == "max_iters"
         assert res.iterations <= 1
         assert len(res.objective_trace) >= 1
 
