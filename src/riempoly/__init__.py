@@ -15,11 +15,7 @@ from .geometry import (
     Euclidean,
     GeometryError,
     Manifold,
-    ManifoldPoint,
-    PointDiagnostics,
     ShootingError,
-    TangentVector,
-    validate_point,
 )
 from .kendall import (
     KendallShapeSpace,
@@ -62,11 +58,7 @@ __all__ = [
     "Euclidean",
     "GeometryError",
     "Manifold",
-    "ManifoldPoint",
-    "PointDiagnostics",
     "ShootingError",
-    "TangentVector",
-    "validate_point",
     "KendallShapeSpace",
     "LandmarkConfig",
     "procrustes_align",

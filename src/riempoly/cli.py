@@ -41,8 +41,6 @@ class RunConfig:
     steps: int = 100
     max_iters: int = 2000
     tol: float = 1e-6
-    step_size: float = 1.0
-    step_rule: str = "bb"
     samples: int = 100
     warm_start: bool = True
 
@@ -53,6 +51,8 @@ class RunConfig:
             raise ValueError("orders must be non-negative")
         if self.manifold not in MANIFOLD_CHOICES:
             raise ValueError(f"manifold must be one of {MANIFOLD_CHOICES}")
+        if self.samples < 2:
+            raise ValueError("samples must be at least 2")
 
 
 def build_dataset(manifold_name: str, records: list):
@@ -143,14 +143,8 @@ def run_regression(cfg: RunConfig):
     records = parse_landmarks(cfg.input_path)
     manifold, data, ids = build_dataset(cfg.manifold, records)
 
-    fit_cfg = FitConfig(
-        order=0,
-        steps=cfg.steps,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        step_size=cfg.step_size,
-        step_rule=cfg.step_rule,
-    )
+    fit_cfg = FitConfig(order=0, steps=cfg.steps, max_iters=cfg.max_iters,
+                        tol=cfg.tol)
     started = _time.perf_counter()
     results = fit_orders(manifold, data, cfg.orders, fit_cfg,
                          warm_start=cfg.warm_start)
@@ -168,8 +162,6 @@ def run_regression(cfg: RunConfig):
             "steps": cfg.steps,
             "max_iters": cfg.max_iters,
             "tol": cfg.tol,
-            "step_size": cfg.step_size,
-            "step_rule": cfg.step_rule,
             "warm_start": cfg.warm_start,
         },
         "elapsed_seconds": elapsed,
@@ -284,17 +276,14 @@ def cli():
               help="Trajectory steps per unit of (rescaled) time.")
 @click.option("--max-iters", default=2000, show_default=True)
 @click.option("--tol", default=1e-6, show_default=True)
-@click.option("--step-size", default=1.0, show_default=True)
-@click.option("--step-rule", type=click.Choice(["bb", "cg", "fixed"]), default="bb",
-              show_default=True)
 @click.option("--samples", default=100, show_default=True,
-              help="Points per fitted curve in curves.csv.")
+              help="Points per fitted curve in curves.csv (at least 2).")
 @click.option("--cold-start", is_flag=True,
               help="Start every order from the mean instead of cascading.")
 @click.option("--plot-data/--no-plot-data", default=True, show_default=True,
               help="Also write plot_data.csv for the highest converged order.")
 def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
-                step_size, step_rule, samples, cold_start, plot_data):
+                samples, cold_start, plot_data):
     """Fit polynomial trends to a timed landmark dataset."""
     try:
         order_list = tuple(int(tok) for tok in orders.split(",") if tok.strip())
@@ -306,8 +295,6 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             steps=steps,
             max_iters=max_iters,
             tol=tol,
-            step_size=step_size,
-            step_rule=step_rule,
             samples=samples,
             warm_start=not cold_start,
         )

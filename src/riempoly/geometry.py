@@ -8,8 +8,6 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -95,9 +93,6 @@ class Manifold:
     def injectivity_radius(self, p) -> float:
         raise NotImplementedError
 
-    def zero_tangent(self):
-        return np.zeros(self.tangent_shape)
-
     def random_point(self, rng):
         raise NotImplementedError
 
@@ -115,56 +110,6 @@ class Manifold:
 
     def __repr__(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """A point on a tagged manifold, in ambient coordinates."""
-
-    coords: np.ndarray
-    manifold: Manifold
-
-    def diagnostics(self) -> "PointDiagnostics":
-        return validate_point(self)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector attached to a base point."""
-
-    base: ManifoldPoint
-    components: np.ndarray
-
-    def diagnostics(self) -> dict:
-        m = self.base.manifold
-        return m.tangent_residuals(self.base.coords, self.components)
-
-
-@dataclass(frozen=True)
-class PointDiagnostics:
-    """Per-invariant residuals for a point, with the pass/fail verdict."""
-
-    manifold: str
-    residuals: dict = field(default_factory=dict)
-    tolerance: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals.values())
-
-    @property
-    def worst(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
-
-def validate_point(point: ManifoldPoint) -> PointDiagnostics:
-    """Report each constraint residual of a point; never raises."""
-    m = point.manifold
-    return PointDiagnostics(
-        manifold=m.name,
-        residuals=m.point_residuals(point.coords),
-        tolerance=m.tolerance,
-    )
 
 
 class Euclidean(Manifold):

@@ -5,19 +5,20 @@ integrated backward along the fitted curve: multiplier vectors start at zero
 at the final time, pick up a jump from every observation they pass, couple to
 the state through the curvature operator, and arrive at t = 0 carrying the
 negative gradients with respect to the initial conditions.  A descent loop
-with a monotone line search updates the base point through the exponential
-map and the vectors through parallel transport.
+with a monotone backtracking line search updates the base point through the
+exponential map and the vectors through parallel transport.
 
 Descent is preconditioned with the normal-equation metric of the time
 design.  With phi_i(n) = dt^i C(n, i), the falling-factorial basis of the
 discrete integrator, and n_j the node of observation j, the objective in
 flat space is a quadratic with Hessian G (x) I, G = (2/N) sum_j phi(n_j)
-phi(n_j)^T.  Every step rule moves along -P g, with P = G^-1 acting on the
-stack axis of the gradient, so a unit step is exact in flat space and the
-badly scaled t^i/i! blocks are balanced on a curved one.  When the design
-has fewer distinct nodes than k+1, G is singular and P keeps the identity
-on its null space.  The stopping test stays on the unpreconditioned metric
-norm of the gradient.
+phi(n_j)^T.  Every iteration moves along -P g, with P = G^-1 acting on the
+stack axis of the gradient, so the first (unit) step is exact in flat space
+and the badly scaled t^i/i! blocks are balanced on a curved one.  Later step
+lengths are Barzilai-Borwein steps measured in the same metric.  When the
+design has fewer distinct nodes than k+1, G is singular and P keeps the
+identity on its null space.  The stopping test stays on the unpreconditioned
+metric norm of the gradient.
 
 Observation times are snapped to the nearest trajectory node once, up front;
 the time axis is affinely rescaled to [0, 1] internally and every reported
@@ -27,7 +28,7 @@ quantity carries the mapping back to original units.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .polyflow import (
 
 _MAX_ORDER = 6          # guard against runaway stiffness
 _MIN_LINE_STEP = 1e-14
+_SHRINK = 0.5           # backtracking factor of the line search
+_DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
 
 
 class ZeroVarianceError(ValueError):
@@ -94,27 +97,22 @@ class TimedDataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of one regression run."""
+    """One regression run: curve order, integration grid and stopping rule.
+
+    The descent itself has no knobs: it is preconditioned Barzilai-Borwein
+    with a unit first step and halving backtracking.
+    """
 
     order: int
     steps: int = 100              # trajectory nodes per unit of internal time
     max_iters: int = 2000
-    step_size: float = 1.0
     tol: float = 1e-6             # on the metric norm of the stacked gradient
-    shrink: float = 0.5
-    grow: float = 1.2
-    step_rule: str = "bb"         # "bb" | "cg" | "fixed"
-    validate_every: int = 1
 
     def __post_init__(self):
         if not (0 <= self.order <= _MAX_ORDER):
             raise ValueError(f"order must be between 0 and {_MAX_ORDER}")
-        if min(self.steps, self.max_iters) < 1 or self.step_size <= 0 or self.tol <= 0:
-            raise ValueError("steps, max_iters, step_size and tol must be positive")
-        if not (0 < self.shrink < 1) or self.grow < 1:
-            raise ValueError("need 0 < shrink < 1 and grow >= 1")
-        if self.step_rule not in ("bb", "cg", "fixed"):
-            raise ValueError("step_rule must be 'bb', 'cg' or 'fixed'")
+        if min(self.steps, self.max_iters) < 1 or self.tol <= 0:
+            raise ValueError("steps, max_iters and tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
 
     Starts from the mean of the data with zero vectors unless an explicit
     initial state (in internal [0, 1] time units) is supplied.  Accepted
-    iterations never increase the objective.
+    iterations strictly decrease the objective; parameters that drift more
+    than 1e-6 off the manifold raise GeometryError.
     """
     k = config.order
     if data.size < k + 1:
@@ -310,12 +309,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     traj, value = evaluate(state)
     gram, precond = _design_metric(nodes, traj.dt, k)
     trace = [value]
-    eta = config.step_size
+    eta = 1.0
     converged = False
     stop_reason = "max_iters"
     grad_norm = np.inf
-    prev_grad = prev_direction = None
-    prev_move = None
+    prev_grad = prev_move = None
     iterations = 0
 
     for iteration in range(config.max_iters):
@@ -327,49 +325,32 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             stop_reason = "tolerance"
             break
 
-        pgrad = _along_stack(precond, grad)
-        direction = -pgrad
-        if config.step_rule == "cg" and prev_grad is not None:
-            beta = _polak_ribiere(manifold, state.gamma, grad, pgrad, prev_grad,
-                                  precond)
-            direction = -pgrad + beta * prev_direction
-        elif config.step_rule == "bb" and prev_grad is not None:
+        if prev_grad is not None:
             eta = _barzilai_borwein(manifold, state.gamma, grad, prev_grad,
                                     prev_move, eta, iteration, gram, precond)
-
-        slope = _stack_inner(manifold, state.gamma, grad, direction)
-        if slope >= 0.0:
-            # conjugate direction lost descent; restart from -P g
-            direction = -pgrad
-            slope = -_stack_inner(manifold, state.gamma, grad, pgrad)
-        accepted, state_new, traj_new, value_new, eta_used = _line_search(
-            manifold, state, direction, slope, eta, value, evaluate, config
-        )
-        if not accepted:
+        # P is positive definite, so -P g is always a descent direction
+        direction = -_along_stack(precond, grad)
+        found = _line_search(manifold, state, direction, eta, value, evaluate)
+        if found is None:
             stop_reason = "line_search"
             break
+        state_new, traj_new, value_new, eta_used = found
         iterations = iteration + 1
-        if config.validate_every and iterations % config.validate_every == 0:
-            worst = max(state_new.residuals(manifold).values(), default=0.0)
-            if worst > 1e-6:
-                raise GeometryError(
-                    f"parameters drifted off the manifold (residual {worst:.3e})"
-                )
+        worst = max(state_new.residuals(manifold).values(), default=0.0)
+        if worst > _DRIFT_TOL:
+            raise GeometryError(
+                f"parameters drifted off the manifold (residual {worst:.3e})"
+            )
 
         move = eta_used * direction[0]
         prev_grad = manifold.project_tangent(
             state_new.gamma, manifold.transport(state.gamma, move, grad)
         )
-        prev_direction = manifold.project_tangent(
+        prev_move = eta_used * np.asarray(manifold.project_tangent(
             state_new.gamma, manifold.transport(state.gamma, move, direction)
-        )
-        prev_move = eta_used * np.asarray(prev_direction)
+        ))
         state, traj, value = state_new, traj_new, value_new
         trace.append(value)
-        if config.step_rule == "fixed":
-            eta = eta_used * config.grow
-        elif config.step_rule == "cg":
-            eta = eta_used
 
     sse = value
     if k == 0:
@@ -413,7 +394,7 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     results = {}
     previous = None
     for k in sorted(orders):
-        cfg = FitConfig(**{**config.__dict__, "order": k})
+        cfg = replace(config, order=k)
         initial = None
         if warm_start and previous is not None and previous.params.order < k:
             pad = tuple(
@@ -427,29 +408,20 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     return results
 
 
-def _line_search(manifold, state, direction, slope, eta, value, evaluate, config):
-    """Backtracking on a strict decrease, with one parabolic refinement."""
+def _line_search(manifold, state, direction, eta, value, evaluate):
+    """Halve the step from eta until the objective strictly decreases.
 
-    def try_step(e):
-        candidate = _retract_state(manifold, state, direction, e)
-        traj, val = evaluate(candidate)
-        return candidate, traj, val
-
+    Returns (state, trajectory, objective, step), or None once the step falls
+    below _MIN_LINE_STEP.
+    """
     e = eta
     while e >= _MIN_LINE_STEP:
-        cand, traj, val = try_step(e)
+        candidate = _retract_state(manifold, state, direction, e)
+        traj, val = evaluate(candidate)
         if val < value:
-            if config.step_rule == "cg" and slope < 0:
-                denom = 2.0 * (val - value - slope * e)
-                if denom > 0:
-                    refined = -slope * e * e / denom
-                    if 0 < refined:
-                        cand2, traj2, val2 = try_step(refined)
-                        if val2 < val:
-                            return True, cand2, traj2, val2, refined
-            return True, cand, traj, val, e
-        e *= config.shrink
-    return False, state, None, value, 0.0
+            return candidate, traj, val, e
+        e *= _SHRINK
+    return None
 
 
 def _retract_state(manifold, state, direction, eta):
@@ -493,16 +465,6 @@ def _along_stack(matrix, stack):
 def _stack_inner(manifold, gamma, a, b) -> float:
     """Metric inner product of two stacks of tangents at gamma."""
     return float(np.sum(manifold.inner(gamma, a, b)))
-
-
-def _polak_ribiere(manifold, gamma, grad, pgrad, prev_grad, precond):
-    """Preconditioned PR+: <g, P(g - g_prev)> / <g_prev, P g_prev>, floored at 0."""
-    pprev = _along_stack(precond, prev_grad)
-    num = _stack_inner(manifold, gamma, grad, pgrad - pprev)
-    den = _stack_inner(manifold, gamma, prev_grad, pprev)
-    if den <= 0:
-        return 0.0
-    return max(0.0, num / den)
 
 
 def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration,

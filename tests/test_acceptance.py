@@ -41,8 +41,7 @@ def rat_results():
     """Warm-started fits of orders 0..3 on the bundled dataset, timed."""
     records = parse_landmarks(RAT_FIXTURE)
     manifold, data, _ = build_dataset("kendall", records)
-    cfg = rp.FitConfig(order=0, steps=200, max_iters=2000, tol=2e-6,
-                       step_rule="bb")
+    cfg = rp.FitConfig(order=0, steps=200, max_iters=2000, tol=2e-6)
     started = time.perf_counter()
     results = rp.fit_orders(manifold, data, (0, 1, 2, 3), cfg, warm_start=True)
     elapsed = time.perf_counter() - started
@@ -78,8 +77,7 @@ def test_criterion_2_reparametrized_geodesic_recovery():
     pts = np.stack([traj.points[traj.node_index(t)] for t in times])
     data = rp.TimedDataset(space, times, pts)
 
-    cfg = rp.FitConfig(order=0, steps=100, max_iters=1500, tol=1e-6,
-                       step_rule="bb")
+    cfg = rp.FitConfig(order=0, steps=100, max_iters=1500, tol=1e-6)
     results = rp.fit_orders(space, data, (1, 3), cfg, warm_start=True)
     r2_low, fit3 = results[1].r_squared, results[3]
     ok = (fit3.r_squared >= 0.95 and fit3.collinearity > 0.99
@@ -138,8 +136,7 @@ def test_criterion_4_flat_space_equivalence():
         y = sum(c * t**j for j, c in enumerate(coeffs))
         y = y + 0.02 * rng.standard_normal(20)
         data = rp.TimedDataset(line, t, y[:, None])
-        cfg = rp.FitConfig(order=k, steps=steps, max_iters=20000, tol=1e-11,
-                           step_rule="cg")
+        cfg = rp.FitConfig(order=k, steps=steps, max_iters=20000, tol=1e-11)
         res = rp.fit_polynomial(line, data, cfg)
         # monomial coefficients of the fitted discrete curve vs classical
         # least squares on the same (grid-snapped) sample times

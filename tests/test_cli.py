@@ -44,6 +44,7 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads((out / "fit.json").read_text())
         assert set(payload["fits"]) == {"0", "1"}
+        assert set(payload["config"]) == {"steps", "max_iters", "tol", "warm_start"}
         fit1 = payload["fits"]["1"]
         assert fit1["r_squared"] > 0.99
         assert fit1["converged"]
@@ -100,9 +101,20 @@ class TestFitCommand:
             "fit", "--manifold", "euclidean", "--orders", "1",
             "--input", str(small_kendall_csv), "--out", str(tmp_path / "o"),
             "--steps", "50", "--max-iters", "400", "--tol", "1e-8",
-            "--step-rule", "cg",
         )
         assert code == 0
+
+    def test_single_sample_rejected_before_fitting(self, small_kendall_csv, tmp_path):
+        # a curve needs two samples; the check must come before any report
+        # file is written, not from the plot bundle after the fit
+        out = tmp_path / "o"
+        code = run_cli(
+            "fit", "--manifold", "kendall", "--orders", "0,1",
+            "--input", str(small_kendall_csv), "--out", str(out),
+            "--steps", "30", "--samples", "1",
+        )
+        assert code == 1
+        assert not (out / "fit.json").exists()
 
     def test_similarity_invariance_end_to_end(self, small_kendall_csv, tmp_path, rng):
         records = parse_landmarks(small_kendall_csv)

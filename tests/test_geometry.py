@@ -17,6 +17,10 @@ def isometry_manifold(name):
     return make_manifold(name)
 
 
+def within_tolerance(m, residuals):
+    return all(r <= m.tolerance for r in residuals.values())
+
+
 @pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general"])
 class TestContract:
     def test_exp_of_zero_is_identity(self, name, rng):
@@ -84,10 +88,9 @@ class TestContract:
             rhs = -m.inner(p, b, m.curvature(p, d, a, c))
             assert abs(lhs - rhs) < 1e-8
 
-    def test_validate_point_passes_on_manifold(self, name, rng):
+    def test_random_point_residuals_within_tolerance(self, name, rng):
         m = make_manifold(name)
-        point = rp.ManifoldPoint(m.random_point(rng), m)
-        assert rp.validate_point(point).ok
+        assert within_tolerance(m, m.point_residuals(m.random_point(rng)))
 
 
 def step_manifold(name):
@@ -172,11 +175,10 @@ class TestEuclidean:
 class TestValidatePoint:
     def test_sphere_pass_and_fail(self):
         sphere = rp.Sphere(2)
-        good = rp.validate_point(rp.ManifoldPoint(np.array([1.0, 0, 0]), sphere))
-        assert good.ok
-        bad = rp.validate_point(rp.ManifoldPoint(np.array([1.1, 0, 0]), sphere))
-        assert not bad.ok
-        assert bad.residuals["unit_norm"] == pytest.approx(0.1, abs=1e-12)
+        assert within_tolerance(sphere, sphere.point_residuals(np.array([1.0, 0, 0])))
+        bad = sphere.point_residuals(np.array([1.1, 0, 0]))
+        assert not within_tolerance(sphere, bad)
+        assert bad["unit_norm"] == pytest.approx(0.1, abs=1e-12)
 
     def test_kendall_centering_violation(self):
         space = rp.KendallShapeSpace(3, 2)
@@ -184,25 +186,25 @@ class TestValidatePoint:
         pts = pts / np.linalg.norm(pts)
         pts[:, 0] += 1e-3
         pts = pts / np.linalg.norm(pts)
-        diag = rp.validate_point(rp.ManifoldPoint(pts.reshape(-1), space))
-        assert not diag.ok
-        assert diag.residuals["centered"] > space.tolerance
+        residuals = space.point_residuals(pts.reshape(-1))
+        assert not within_tolerance(space, residuals)
+        assert residuals["centered"] > space.tolerance
 
     def test_rotation_diagnostics(self, rng):
         group = rp.RotationGroup()
         r = group.random_point(rng)
-        assert rp.validate_point(rp.ManifoldPoint(r, group)).ok
-        assert not rp.validate_point(rp.ManifoldPoint(1.01 * r, group)).ok
+        assert within_tolerance(group, group.point_residuals(r))
+        assert not within_tolerance(group, group.point_residuals(1.01 * r))
 
 
 class TestTangentVector:
     def test_sphere_tangency_residual(self):
         sphere = rp.Sphere(2)
-        base = rp.ManifoldPoint(np.array([1.0, 0, 0]), sphere)
-        good = rp.TangentVector(base, np.array([0.0, 1.0, 0.0]))
-        assert good.diagnostics()["orthogonal_to_base"] < 1e-9
-        bad = rp.TangentVector(base, np.array([0.5, 1.0, 0.0]))
-        assert bad.diagnostics()["orthogonal_to_base"] == pytest.approx(0.5)
+        base = np.array([1.0, 0, 0])
+        good = sphere.tangent_residuals(base, np.array([0.0, 1.0, 0.0]))
+        assert good["orthogonal_to_base"] < 1e-9
+        bad = sphere.tangent_residuals(base, np.array([0.5, 1.0, 0.0]))
+        assert bad["orthogonal_to_base"] == pytest.approx(0.5)
 
 
 class TestShootingLog:

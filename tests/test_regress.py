@@ -190,8 +190,7 @@ class TestFitPolynomial:
         data = polyfit_data(k, rng)
         t, y = data.times, data.points[:, 0]
         line = data.manifold
-        cfg = rp.FitConfig(order=k, steps=200, max_iters=20000, tol=1e-11,
-                           step_rule="cg")
+        cfg = rp.FitConfig(order=k, steps=200, max_iters=20000, tol=1e-11)
         res = rp.fit_polynomial(line, data, cfg)
         dt = 1.0 / 200
         snapped = np.round(t * 200) / 200
@@ -202,14 +201,12 @@ class TestFitPolynomial:
         )
         assert np.abs(fitted - ref).max() < 1e-6
 
-    @pytest.mark.parametrize("rule", ["bb", "cg", "fixed"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_flat_space_converges_in_one_iteration(self, k, rule, rng):
+    def test_flat_space_converges_in_one_iteration(self, k, rng):
         # the design metric is the flat objective's Hessian, so the first
         # preconditioned unit step lands on the least-squares solution
         data = polyfit_data(k, rng)
-        cfg = rp.FitConfig(order=k, steps=200, max_iters=50, tol=1e-11,
-                           step_rule=rule)
+        cfg = rp.FitConfig(order=k, steps=200, max_iters=50, tol=1e-11)
         res = rp.fit_polynomial(data.manifold, data, cfg)
         assert res.converged
         assert res.stop_reason == "tolerance"
@@ -236,8 +233,7 @@ class TestFitPolynomial:
         times = np.linspace(0.0, 1.0, k + 1)
         pts = np.stack([traj.points[traj.node_index(t)] for t in times])
         data = rp.TimedDataset(line, times, pts)
-        cfg = rp.FitConfig(order=k, steps=steps, max_iters=30000, tol=1e-12,
-                           step_rule="cg")
+        cfg = rp.FitConfig(order=k, steps=steps, max_iters=30000, tol=1e-12)
         res = rp.fit_polynomial(line, data, cfg)
         assert res.sse < 1e-8
 
@@ -301,8 +297,7 @@ class TestFitPolynomial:
         y = 0.01 * ages
         data = rp.TimedDataset(line, ages, y[:, None])
         res = rp.fit_polynomial(
-            line, data, rp.FitConfig(order=1, steps=2000, step_rule="cg", tol=1e-12,
-                                     max_iters=500)
+            line, data, rp.FitConfig(order=1, steps=2000, tol=1e-12, max_iters=500)
         )
         assert res.time_offset == 7.0
         assert res.time_scale == 143.0
@@ -386,16 +381,6 @@ class TestConfigAndInputGuards:
             rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50),
                               initial=bad)
 
-    def test_bad_step_rule(self):
-        with pytest.raises(ValueError):
-            rp.FitConfig(order=1, step_rule="newton")
-
-    def test_bad_shrink_grow(self):
-        with pytest.raises(ValueError):
-            rp.FitConfig(order=1, shrink=1.5)
-        with pytest.raises(ValueError):
-            rp.FitConfig(order=1, grow=0.5)
-
     def test_dataset_shape_mismatch(self):
         sphere = rp.Sphere(2)
         with pytest.raises(ValueError):
@@ -413,7 +398,7 @@ class TestOriginalUnitParameters:
         shifted = rp.TimedDataset(manifold, times, data.points)
         res = rp.fit_polynomial(
             manifold, shifted,
-            rp.FitConfig(order=2, steps=100, max_iters=150, step_rule="bb"),
+            rp.FitConfig(order=2, steps=100, max_iters=150),
         )
         steps = 100
         internal = rp.integrate_polynomial(manifold, res.params, 1.0, steps)
