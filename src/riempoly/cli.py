@@ -121,16 +121,14 @@ def _fit_payload(result: FitResult) -> dict:
             "scale": result.time_scale,
             "note": "internal time s in [0, 1]; original time t = offset + scale * s",
         },
-        "steps_per_unit_time": result.steps,
+        "steps_per_unit_time": len(result.trajectory) - 1,
     }
 
 
-def _curve_rows(manifold, result: FitResult, samples: int):
-    """Sampled fitted curve in original time units."""
-    steps = max(result.steps, 1)
-    traj = integrate_polynomial(manifold, result.params, 1.0, steps)
+def _curve_rows(result: FitResult, samples: int):
+    """The fit's own curve sampled in original time units."""
     s_values = np.linspace(0.0, 1.0, samples)
-    points = sample_curve(traj, s_values)
+    points = sample_curve(result.trajectory, s_values)
     times = result.time_offset + result.time_scale * s_values
     return times, points
 
@@ -138,7 +136,8 @@ def _curve_rows(manifold, result: FitResult, samples: int):
 def run_regression(cfg: RunConfig):
     """Fit every requested order and write the report files.
 
-    Returns (results, exit_code); exit code 2 flags any non-converged fit.
+    Returns (results, data, exit_code): data is the dataset that was fitted,
+    and exit code 2 flags any non-converged fit.
     """
     records = parse_landmarks(cfg.input_path)
     manifold, data, ids = build_dataset(cfg.manifold, records)
@@ -175,7 +174,7 @@ def run_regression(cfg: RunConfig):
     _write_residuals(outdir / "residuals.csv", manifold, results, data, ids)
 
     code = 0 if all(r.converged for r in results.values()) else 2
-    return results, code
+    return results, data, code
 
 
 def _coord_header(dim: int) -> list:
@@ -186,7 +185,7 @@ def _write_curves(path, manifold, results: dict, samples: int) -> None:
     dim = int(np.prod(manifold.point_shape))
     rows = [",".join(["order", "time"] + _coord_header(dim))]
     for k, result in sorted(results.items()):
-        times, points = _curve_rows(manifold, result, samples)
+        times, points = _curve_rows(result, samples)
         for t, p in zip(times, points):
             cells = [str(k), repr(float(t))]
             cells += [repr(float(v)) for v in np.asarray(p).reshape(-1)]
@@ -197,10 +196,8 @@ def _write_curves(path, manifold, results: dict, samples: int) -> None:
 def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> None:
     rows = ["order,id,time,distance"]
     for k, result in sorted(results.items()):
-        steps = max(result.steps, 1)
-        traj = integrate_polynomial(manifold, result.params, 1.0, steps)
-        span = result.time_scale if result.time_scale else 1.0
-        internal_times = (data.times - result.time_offset) / span
+        traj = result.trajectory
+        internal_times = (data.times - result.time_offset) / result.time_scale
         nodes = [traj.node_index(float(s)) for s in internal_times]
         dists = manifold.dist_many(traj.points[nodes], data.points)
         for rec_id, t, dist in zip(ids, data.times, dists):
@@ -221,17 +218,16 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
         raise ValueError("refusing to plot a non-converged fit")
     if samples < 2:
         raise ValueError("need at least two samples")
-    times, points = _curve_rows(manifold, result, samples)
+    times, points = _curve_rows(result, samples)
     curve_rows = [
         [float(t)] + [float(v) for v in np.asarray(p).reshape(-1)]
         for t, p in zip(times, points)
     ]
     obs_points = data.points
     if isinstance(manifold, KendallShapeSpace):
-        span = result.time_scale or 1.0
         obs_points = []
         for t, y in zip(data.times, data.points):
-            s = min(max((t - result.time_offset) / span, 0.0), 1.0)
+            s = min(max((t - result.time_offset) / result.time_scale, 0.0), 1.0)
             anchor = points[int(round(s * (samples - 1)))]
             aligned = procrustes_align(y.reshape(manifold.m, manifold.d),
                                        anchor.reshape(manifold.m, manifold.d))
@@ -298,7 +294,7 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             samples=samples,
             warm_start=not cold_start,
         )
-        results, code = run_regression(cfg)
+        results, data, code = run_regression(cfg)
     except (ValueError, OSError, LandmarkFormatError, GeometryError) as exc:
         raise click.ClickException(str(exc))
 
@@ -312,9 +308,7 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             (k for k, r in results.items() if r.converged), default=None
         )
         if best is not None:
-            records = parse_landmarks(cfg.input_path)
-            manifold_obj, data, _ = build_dataset(cfg.manifold, records)
-            bundle = emit_plot_data(manifold_obj, results[best], data, cfg.samples)
+            bundle = emit_plot_data(data.manifold, results[best], data, cfg.samples)
             write_plot_bundle(Path(output_dir) / "plot_data.csv", bundle)
     return code
 

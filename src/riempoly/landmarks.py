@@ -91,12 +91,16 @@ def _parse_csv(path) -> list:
 
 
 def _coord_dim(coords, path) -> int:
-    names = [re.sub(r"\d+$", "", c) for c in coords]
-    if names[:2] == ["x", "y"]:
-        return 3 if len(names) > 2 and names[2] == "z" else 2
-    raise LandmarkFormatError(
-        f"{path}:1: coordinate columns must be x1,y1[,z1],x2,... got {coords[:3]}"
-    )
+    """Landmark dimension d of the columns x1,y1[,z1],x2,y2[,z2],... in order."""
+    d = 3 if len(coords) > 2 and coords[2] == "z1" else 2
+    expected = (f"{axis}{i + 1}" for i in range(len(coords)) for axis in "xyz"[:d])
+    for col, want in zip(coords, expected):
+        if col != want:
+            raise LandmarkFormatError(
+                f"{path}:1: coordinate columns must be x1,y1[,z1],x2,y2[,z2],... "
+                f"in order; expected {want!r}, got {col!r}"
+            )
+    return d
 
 
 _TPS_KEY = re.compile(r"^\s*([A-Za-z_]+)\s*=\s*(.*?)\s*$")

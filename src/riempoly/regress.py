@@ -57,7 +57,6 @@ class TimedDataset:
     manifold: Manifold
     times: np.ndarray            # (n,)
     points: np.ndarray           # (n, *point_shape)
-    horizon: float = None        # defaults to the last observation time
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -69,12 +68,6 @@ class TimedDataset:
         order = np.argsort(times, kind="stable")
         object.__setattr__(self, "times", times[order])
         object.__setattr__(self, "points", points[order])
-        horizon = self.horizon
-        if horizon is None:
-            horizon = float(self.times[-1])
-        if horizon < self.times[-1]:
-            raise ValueError("horizon precedes the last observation")
-        object.__setattr__(self, "horizon", float(horizon))
 
     @property
     def size(self) -> int:
@@ -85,14 +78,10 @@ class TimedDataset:
         t0 = float(self.times[0])
         span = float(self.times[-1] - self.times[0])
         if span <= 0.0:
-            return (
-                TimedDataset(self.manifold, np.zeros_like(self.times), self.points,
-                             horizon=0.0),
-                t0,
-                1.0,
-            )
+            return (TimedDataset(self.manifold, np.zeros_like(self.times), self.points),
+                    t0, 1.0)
         times = (self.times - t0) / span
-        return TimedDataset(self.manifold, times, self.points, horizon=1.0), t0, span
+        return TimedDataset(self.manifold, times, self.points), t0, span
 
 
 @dataclass(frozen=True)
@@ -133,6 +122,7 @@ class FitResult:
     manifold_name: str
     params: PolynomialState              # internal time units on [0, 1]
     params_original: PolynomialState     # velocities per original time unit
+    trajectory: Trajectory               # params integrated over [0, 1]; gives sse
     sse: float
     frechet_variance: float
     r_squared: float
@@ -144,7 +134,6 @@ class FitResult:
     collinearity: float = None
     time_offset: float = 0.0
     time_scale: float = 1.0
-    steps: int = 0
 
 
 def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
@@ -168,26 +157,23 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
                       data: TimedDataset) -> AdjointGradients:
     """Backward pass along a stored trajectory.
 
-    Walks the trajectory from its final node to the first.  At each node the
-    order-zero multiplier absorbs the curvature coupling and any observation
-    jump, every multiplier is incremented by its predecessor and the whole
-    stack is transported one node backward.  Returns the negated multipliers,
-    i.e. the gradients.
+    The observation jumps (2/N) log_{gamma(n_j)} y_j come from one batched
+    log_many call over all observations at their snapped nodes, summed per
+    node.  The pass then walks the trajectory from its final node to the
+    first.  At each node the order-zero multiplier absorbs the curvature
+    coupling and, at an observed node, its jump; every multiplier is
+    incremented by its predecessor and the whole stack is transported one
+    node backward.  Returns the negated multipliers, i.e. the gradients.
     """
     k = traj.order
     n_steps = len(traj) - 1
     dt = traj.dt
-    n_obs = data.size
 
     nodes = _snap_nodes(traj, data)
-    jumps = {}
-    for idx in np.unique(nodes):
-        sel = nodes == idx
-        logs = manifold.log_many(
-            np.broadcast_to(traj.points[idx], (int(sel.sum()),) + manifold.point_shape),
-            data.points[sel],
-        )
-        jumps[int(idx)] = (2.0 / n_obs) * logs.sum(axis=0)
+    observed = set(nodes.tolist())
+    jumps = np.zeros((len(traj),) + manifold.tangent_shape)
+    np.add.at(jumps, nodes, manifold.log_many(traj.points[nodes], data.points))
+    jumps *= 2.0 / data.size
 
     lam = np.zeros((k + 1,) + manifold.tangent_shape)
     for n in range(n_steps, 0, -1):
@@ -200,7 +186,7 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
             )
         else:
             w = np.zeros(manifold.tangent_shape)
-        if n in jumps:
+        if n in observed:
             lam[0] += jumps[n]
         back = -dt * w
         incremented = lam.copy()
@@ -209,7 +195,7 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
         lam = np.asarray(
             manifold.project_tangent(traj.points[n - 1], lam), dtype=float
         )
-    if 0 in jumps:
+    if 0 in observed:
         lam[0] += jumps[0]
     return AdjointGradients(base=-lam[0], vels=tuple(-lam[1:]))
 
@@ -268,7 +254,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     Starts from the mean of the data with zero vectors unless an explicit
     initial state (in internal [0, 1] time units) is supplied.  Accepted
     iterations strictly decrease the objective; parameters that drift more
-    than 1e-6 off the manifold raise GeometryError.
+    than 1e-6 off the manifold raise GeometryError.  The result keeps the
+    trajectory of the accepted parameters, the one its SSE was measured on.
     """
     k = config.order
     if data.size < k + 1:
@@ -277,10 +264,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             stacklevel=2,
         )
     internal, t0, span = data.rescaled()
-    if internal.horizon == 0.0 and k > 0:
+    one_time = internal.times[-1] == 0.0
+    if one_time and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
 
-    steps = config.steps if internal.horizon > 0 else 1
+    steps = 1 if one_time else config.steps
     variance_mean = frechet_mean(manifold, internal.points)
     variance = frechet_variance(manifold, internal.points, mean=variance_mean)
 
@@ -296,12 +284,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             variance_mean, tuple(np.zeros(manifold.tangent_shape) for _ in range(k))
         )
 
-    horizon = internal.horizon or 1.0
     nodes = None
 
     def evaluate(s: PolynomialState):
         nonlocal nodes
-        traj = integrate_polynomial(manifold, s, horizon, steps)
+        traj = integrate_polynomial(manifold, s, 1.0, steps)
         if nodes is None:
             nodes = _snap_nodes(traj, internal)
         return traj, _sse_at_nodes(manifold, traj, nodes, internal.points)
@@ -369,6 +356,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         manifold_name=manifold.name,
         params=state,
         params_original=PolynomialState(state.gamma, vels_original),
+        trajectory=traj,
         sse=sse,
         frechet_variance=variance,
         r_squared=r2,
@@ -380,7 +368,6 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         collinearity=collinearity,
         time_offset=t0,
         time_scale=span,
-        steps=steps,
     )
 
 

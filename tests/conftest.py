@@ -123,10 +123,11 @@ def fd_gradient(manifold, data, state, duration, steps, h=1e-5):
     return np.array(rows), basis
 
 
-def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000):
+def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
+                  times=(0.0, 0.33, 0.71, 1.0)):
     """Relative mismatch between the reverse pass and finite differences."""
     state, traj, data = random_fit_problem(manifold, k, rng, scale=scale,
-                                           steps=steps)
+                                           steps=steps, times=times)
     grads = integrate_adjoint(manifold, traj, data)
     fd, basis = fd_gradient(manifold, data, state, 1.0, steps)
     adj = np.array([

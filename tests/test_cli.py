@@ -1,11 +1,14 @@
 """Command-line workflow: conversion, fitting, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riempoly as rp
+import riempoly.cli
+import riempoly.regress
 from riempoly.cli import build_dataset, emit_plot_data, main
 from riempoly.landmarks import parse_landmarks
 from conftest import unit_tangent
@@ -140,6 +143,49 @@ class TestFitCommand:
             ) == 0
             r2[name] = json.loads((out / "fit.json").read_text())["fits"]["1"]["r_squared"]
         assert r2["orig"] == pytest.approx(r2["moved"], abs=1e-6)
+
+
+RAT_FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data"
+               / "rat_calvaria_synthetic.csv")
+
+
+class TestReportsReuseTheFit:
+    def test_one_parse_and_no_reintegration(self, tmp_path, monkeypatch):
+        # every report file is drawn from the dataset and the trajectories
+        # the fit already built
+        calls = {"parse": 0, "after_fit": 0}
+        fitted = []
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse_landmarks(*args, **kwargs)
+
+        def marking_fit_orders(*args, **kwargs):
+            results = rp.fit_orders(*args, **kwargs)
+            fitted.append(True)
+            return results
+
+        def counting_integrate(*args, **kwargs):
+            if fitted:
+                calls["after_fit"] += 1
+            return rp.integrate_polynomial(*args, **kwargs)
+
+        monkeypatch.setattr(riempoly.cli, "parse_landmarks", counting_parse)
+        monkeypatch.setattr(riempoly.cli, "fit_orders", marking_fit_orders)
+        for module in (riempoly.cli, riempoly.regress):
+            monkeypatch.setattr(module, "integrate_polynomial", counting_integrate)
+        out = tmp_path / "out"
+        code = run_cli(
+            "fit", "--manifold", "kendall", "--orders", "0,1",
+            "--input", str(RAT_FIXTURE), "--out", str(out),
+            "--steps", "100", "--tol", "2e-6", "--samples", "11",
+        )
+        assert code == 0
+        assert fitted
+        assert (out / "plot_data.csv").exists()
+        assert calls == {"parse": 1, "after_fit": 0}
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["fits"]["1"]["steps_per_unit_time"] == 100
 
 
 class TestConvertTps:

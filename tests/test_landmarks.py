@@ -58,6 +58,20 @@ class TestCsv:
         with pytest.raises(LandmarkFormatError, match=":1:"):
             parse_landmarks(path)
 
+    @pytest.mark.parametrize("coords", [
+        "x1,y1,y2,x2",          # swapped axes
+        "x1,y1,x2,z2",          # z in place of y
+        "x1,y1,x3,y3",          # skipped landmark number
+        "x1,y1,z1,x2,z2,y2",    # swapped axes in 3-D
+        "x,y,x,y",              # unnumbered
+    ])
+    def test_coordinate_columns_must_be_in_order(self, tmp_path, coords):
+        n = coords.count(",") + 1
+        path = write(tmp_path, "bad.csv",
+                     f"id,time,{coords}\nr1,1.0,{','.join(['0'] * n)}\n")
+        with pytest.raises(LandmarkFormatError, match=":1:.*in order"):
+            parse_landmarks(path)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.csv",
                      "id,time,x1,y1\nr1,1.0,0,0\nr2,2.0,0\n")

@@ -117,6 +117,15 @@ class TestAdjoint:
         rel = adjoint_vs_fd(make_manifold(name), k, rng, steps=400)
         assert rel < 1e-3
 
+    @pytest.mark.parametrize("name", ["sphere", "kendall"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_shared_nodes_match_finite_differences(self, name, k, rng):
+        # several observations on the first node, on one interior node and
+        # on the last one: their jumps are summed per node
+        times = (0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
+        rel = adjoint_vs_fd(make_manifold(name), k, rng, steps=400, times=times)
+        assert rel < 1e-3
+
     def test_gradients_are_tangent(self, rng):
         sphere = rp.Sphere(2)
         state, traj, data = random_fit_problem(sphere, 2, rng, steps=300)
@@ -291,6 +300,29 @@ class TestFitPolynomial:
         assert res.iterations <= 1
         assert len(res.objective_trace) >= 1
 
+    @pytest.mark.parametrize("max_iters,tol,reason", [
+        (200, 1e-6, "tolerance"),
+        (2, 1e-16, "max_iters"),
+        (200, 1e-300, "line_search"),
+    ])
+    def test_trajectory_is_the_fitted_curve(self, max_iters, tol, reason, rng):
+        # the stored trajectory belongs to the returned parameters and gives
+        # the returned SSE, however the descent stopped
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=100)
+        cfg = rp.FitConfig(order=2, steps=80, max_iters=max_iters, tol=tol)
+        res = rp.fit_polynomial(sphere, data, cfg)
+        assert res.stop_reason == reason
+        steps = len(res.trajectory) - 1
+        assert steps == cfg.steps
+        fresh = rp.integrate_polynomial(sphere, res.params, 1.0, steps)
+        assert np.array_equal(res.trajectory.times, fresh.times)
+        assert np.array_equal(res.trajectory.points, fresh.points)
+        assert np.array_equal(res.trajectory.vels, fresh.vels)
+        internal, _, _ = data.rescaled()
+        assert rp.objective_sse(sphere, res.trajectory, internal) == res.sse
+        assert res.objective_trace[-1] == res.sse
+
     def test_time_rescaling_reported(self, rng):
         line = rp.Euclidean(1)
         ages = np.array([7.0, 30.0, 90.0, 150.0])
@@ -315,6 +347,9 @@ class TestFitPolynomial:
             rp.fit_polynomial(sphere, data, rp.FitConfig(order=1))
         res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=0))
         assert res.converged
+        # a one-step curve over [0, 1], every observation on its first node
+        assert len(res.trajectory) == 2
+        assert res.trajectory.duration == 1.0
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -365,11 +400,6 @@ class TestDatasetType:
         line = rp.Euclidean(1)
         with pytest.raises(ValueError):
             rp.TimedDataset(line, np.array([]), np.zeros((0, 1)))
-
-    def test_bad_horizon_rejected(self):
-        line = rp.Euclidean(1)
-        with pytest.raises(ValueError):
-            rp.TimedDataset(line, np.array([1.0]), np.array([[0.0]]), horizon=0.5)
 
 
 class TestConfigAndInputGuards:
