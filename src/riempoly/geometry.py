@@ -183,12 +183,16 @@ class Euclidean(Manifold):
         return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def shooting_log(manifold, p, q, initial, *, step_size=0.5, tol=1e-9, max_iter=200,
-                 endpoint_gap=None):
+# Fraction of the pulled-back endpoint gap added to the velocity per shot.
+_SHOOTING_STEP = 0.5
+
+
+def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_gap=None):
     """Iterative log map: shoot the exponential, pull the endpoint gap back.
 
-    Repeatedly integrates exp(p, v) forward, measures the remaining gap to q
-    as a tangent vector at the endpoint, parallel transports that gap back
+    Repeatedly takes one geodesic step from p with velocity v, which yields
+    the endpoint and the velocity there, measures the remaining gap to q as
+    a tangent vector at the endpoint, parallel transports that gap back
     along the reversed geodesic, and takes a descent step on v.  The step is
     halved whenever the endpoint error increases.
 
@@ -199,23 +203,22 @@ def shooting_log(manifold, p, q, initial, *, step_size=0.5, tol=1e-9, max_iter=2
         endpoint_gap = lambda end, target: manifold.project_tangent(end, target - end)
 
     def miss(vec):
-        end = manifold.exp(p, vec)
+        end, moved = manifold.step(p, vec, vec[None])
         gap = endpoint_gap(end, q)
-        return end, gap, manifold.norm(end, gap)
+        return end, moved[0], gap, manifold.norm(end, gap)
 
     v = manifold.project_tangent(p, np.array(initial, dtype=float))
-    end, gap, err = miss(v)
-    step = step_size
+    end, v_end, gap, err = miss(v)
+    step = _SHOOTING_STEP
     for _ in range(max_iter):
         if err <= tol:
             return v
         # ride the reversed geodesic to bring the endpoint gap back to p
-        v_end = manifold.transport(p, v, v)
         pulled = manifold.transport(end, -v_end, gap)
         trial = manifold.project_tangent(p, v + step * pulled)
-        t_end, t_gap, t_err = miss(trial)
+        t_end, t_v_end, t_gap, t_err = miss(trial)
         if t_err < err:
-            v, end, gap, err = trial, t_end, t_gap, t_err
+            v, end, v_end, gap, err = trial, t_end, t_v_end, t_gap, t_err
         else:
             step *= 0.5
             if step < 1e-12:

@@ -399,11 +399,15 @@ def _line_search(manifold, state, direction, eta, value, evaluate):
     """Halve the step from eta until the objective strictly decreases.
 
     Returns (state, trajectory, objective, step), or None once the step falls
-    below _MIN_LINE_STEP.
+    below _MIN_LINE_STEP or no longer moves the state by a single bit.
     """
     e = eta
     while e >= _MIN_LINE_STEP:
         candidate = _retract_state(manifold, state, direction, e)
+        if np.array_equal(candidate.gamma, state.gamma) and all(
+            np.array_equal(a, b) for a, b in zip(candidate.vels, state.vels)
+        ):
+            return None
         traj, val = evaluate(candidate)
         if val < value:
             return candidate, traj, val, e

@@ -44,23 +44,11 @@ class Sphere(Manifold):
         return out / np.sqrt(np.dot(out, out))
 
     def log(self, p, q):
-        c = float(np.dot(p, q))
-        if c <= -1.0 + _ANTIPODAL_MARGIN:
-            raise CutLocusError(
-                f"log undefined for (nearly) antipodal points: p.q = {c:.12f}"
-            )
-        w = q - c * p
-        wn = np.sqrt(np.dot(w, w))
-        # chord-based angle is uniformly accurate, unlike arccos near 0
-        chord = q - p
-        theta = 2.0 * np.arcsin(min(0.5 * np.sqrt(np.dot(chord, chord)), 1.0))
-        if wn < _TINY_ANGLE:
-            return w
-        return (theta / wn) * w
+        """Exact log; see log_many."""
+        return self.log_many(np.asarray(p)[None], np.asarray(q)[None])[0]
 
     def dist(self, p, q) -> float:
-        chord = np.asarray(q) - np.asarray(p)
-        return 2.0 * float(np.arcsin(min(0.5 * np.sqrt(np.dot(chord, chord)), 1.0)))
+        return float(self.dist_many(np.asarray(p)[None], np.asarray(q)[None])[0])
 
     def transport(self, p, direction, x):
         """Parallel transport along exp(p, s*direction).
@@ -125,9 +113,13 @@ class Sphere(Manifold):
         c = np.sum(points * targets, axis=-1)
         if np.any(c <= -1.0 + _ANTIPODAL_MARGIN):
             bad = int(np.argmin(c))
-            raise CutLocusError(f"antipodal pair at batch index {bad}")
+            raise CutLocusError(
+                f"log undefined for (nearly) antipodal points at batch index {bad}: "
+                f"p.q = {np.ravel(c)[bad]:.12f}"
+            )
         w = targets - c[..., None] * points
         wn = np.sqrt(np.sum(w * w, axis=-1))
+        # chord-based angle is uniformly accurate, unlike arccos near 0
         chord = targets - points
         theta = 2.0 * np.arcsin(
             np.minimum(0.5 * np.sqrt(np.sum(chord * chord, axis=-1)), 1.0)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import riempoly.regress
 import riempoly as rp
 from riempoly.regress import ZeroVarianceError, _design_metric, integrate_adjoint
 from conftest import adjoint_vs_fd, make_manifold, random_fit_problem, unit_tangent
@@ -229,6 +230,29 @@ class TestFitPolynomial:
         assert not res.converged
         assert res.stop_reason == "line_search"
         assert res.iterations < cfg.max_iters
+
+    def test_line_search_stops_once_the_state_stops_moving(self, rng, monkeypatch):
+        # a step too small to change a single bit must not be integrated: the
+        # returned parameters are integrated once, when they were accepted
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=100)
+        integrated = []
+
+        def recording_integrate(manifold, state, *args, **kwargs):
+            integrated.append(state)
+            return rp.integrate_polynomial(manifold, state, *args, **kwargs)
+
+        monkeypatch.setattr(riempoly.regress, "integrate_polynomial",
+                            recording_integrate)
+        cfg = rp.FitConfig(order=2, steps=80, max_iters=200, tol=1e-300)
+        res = rp.fit_polynomial(sphere, data, cfg)
+        assert res.stop_reason == "line_search"
+        same = [
+            s for s in integrated
+            if np.array_equal(s.gamma, res.params.gamma)
+            and all(np.array_equal(a, b) for a, b in zip(s.vels, res.params.vels))
+        ]
+        assert len(same) == 1
 
     def test_exact_interpolation_of_generating_polynomial(self, rng):
         # k+1 points from a random order-k curve are interpolated

@@ -2,12 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly import so3
-from conftest import log_log_slope, unit_tangent
+from conftest import integrate_geodesic, log_log_slope, unit_tangent
 
 E1, E2, E3 = np.eye(3)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def ad_transpose(x, y, metric):
+    """Metric adjoint of the bracket: the operator with
+    <cross(x, u), z>_A == <u, ad_transpose(x, z)>_A for all u."""
+    return -(np.cross(x, y @ metric.matrix) @ metric.inverse)
+
+
+def geodesic_rate(omega, metric):
+    """Time derivative of the body velocity along a geodesic (Euler-Poincare)."""
+    return -so3.connection(omega, omega, metric)
+
+
+def transport_rate(x, omega, metric):
+    """Rate of change of a field x parallel along a geodesic with velocity omega."""
+    return -so3.connection(omega, x, metric)
 
 
 @pytest.fixture
@@ -53,14 +73,14 @@ class TestMetricSpec:
 
 class TestAdTranspose:
     def test_identity_metric_basis(self, identity_metric):
-        assert np.abs(so3.ad_transpose(E1, E2, identity_metric) + E3).max() < 1e-15
+        assert np.abs(ad_transpose(E1, E2, identity_metric) + E3).max() < 1e-15
 
     def test_parallel_arguments_vanish(self, identity_metric, rng):
         x = rng.standard_normal(3)
-        assert np.abs(so3.ad_transpose(x, x, identity_metric)).max() < 1e-15
+        assert np.abs(ad_transpose(x, x, identity_metric)).max() < 1e-15
 
     def test_general_metric_value(self, inertia_metric):
-        got = so3.ad_transpose(E1, E2, inertia_metric)
+        got = ad_transpose(E1, E2, inertia_metric)
         assert np.abs(got - np.array([0.0, 0.0, -2.0 / 3.0])).max() < 1e-15
 
     def test_defining_adjoint_property(self, inertia_metric, rng):
@@ -68,38 +88,93 @@ class TestAdTranspose:
         for _ in range(10):
             x, y, z = rng.standard_normal((3, 3))
             lhs = inertia_metric.inner(np.cross(x, y), z)
-            rhs = inertia_metric.inner(y, so3.ad_transpose(x, z, inertia_metric))
+            rhs = inertia_metric.inner(y, ad_transpose(x, z, inertia_metric))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
+class TestConnectionProperties:
+    @given(seeds)
+    def test_metric_compatible(self, diagonal, seed):
+        metric = so3.MetricSpec(np.diag(diagonal))
+        x, y, z = np.random.default_rng(seed).standard_normal((3, 3))
+        lhs = (metric.inner(so3.connection(x, y, metric), z)
+               + metric.inner(y, so3.connection(x, z, metric)))
+        assert abs(lhs) < 1e-12
+
+    @given(seeds)
+    def test_torsion_free(self, diagonal, seed):
+        metric = so3.MetricSpec(np.diag(diagonal))
+        x, y = np.random.default_rng(seed).standard_normal((2, 3))
+        torsion = (so3.connection(x, y, metric) - so3.connection(y, x, metric)
+                   - np.cross(x, y))
+        assert np.abs(torsion).max() < 1e-12
+
+    @given(seeds)
+    def test_matches_bracket_and_adjoints(self, diagonal, seed):
+        metric = so3.MetricSpec(np.diag(diagonal))
+        x, y = np.random.default_rng(seed).standard_normal((2, 3))
+        expected = 0.5 * (np.cross(x, y) - ad_transpose(x, y, metric)
+                          - ad_transpose(y, x, metric))
+        assert np.abs(so3.connection(x, y, metric) - expected).max() < 1e-12
+
+    @given(seeds)
+    def test_curvature_symmetries(self, diagonal, seed):
+        metric = so3.MetricSpec(np.diag(diagonal))
+        x, y, z, w = np.random.default_rng(seed).standard_normal((4, 3))
+
+        def r(a, b, c):
+            return so3.curvature(a, b, c, metric)
+
+        # skew in the first pair, and metric-skew in the last pair
+        assert np.abs(r(x, y, z) + r(y, x, z)).max() < 1e-12
+        assert abs(metric.inner(r(x, y, z), w) + metric.inner(r(x, y, w), z)) < 1e-12
+        # pair symmetry <R(X,Y)Z, W> = <R(Z,W)X, Y>
+        assert abs(metric.inner(r(x, y, z), w) - metric.inner(r(z, w, x), y)) < 1e-12
+        # first Bianchi identity
+        assert np.abs(r(x, y, z) + r(y, z, x) + r(z, x, y)).max() < 1e-12
+
+    @given(seeds)
+    def test_curvature_broadcasts_over_stacked_pairs(self, diagonal, seed):
+        # the reverse pass feeds stacked vectors and multipliers in one call
+        metric = so3.MetricSpec(np.diag(diagonal))
+        gen = np.random.default_rng(seed)
+        xs, ys = gen.standard_normal((2, 4, 3))
+        z = gen.standard_normal(3)
+        stacked = so3.curvature(xs, ys, z, metric)
+        rows = np.stack([so3.curvature(a, b, z, metric) for a, b in zip(xs, ys)])
+        assert stacked.shape == (4, 3)
+        assert np.abs(stacked - rows).max() < 1e-12
 
 
 class TestGeodesicEquation:
     def test_bi_invariant_rhs_vanishes(self, identity_metric, rng):
         w = rng.standard_normal(3)
-        assert np.abs(so3.euler_poincare_rhs(w, identity_metric)).max() < 1e-15
+        assert np.abs(geodesic_rate(w, identity_metric)).max() < 1e-15
 
     def test_principal_axis_stationary(self, inertia_metric):
-        assert np.abs(so3.euler_poincare_rhs(E1, inertia_metric)).max() < 1e-15
+        assert np.abs(geodesic_rate(E1, inertia_metric)).max() < 1e-15
 
     def test_direct_substitution(self, inertia_metric):
-        got = so3.euler_poincare_rhs(np.array([1.0, 1.0, 0.0]), inertia_metric)
+        got = geodesic_rate(np.array([1.0, 1.0, 0.0]), inertia_metric)
         assert np.abs(got - np.array([0.0, 0.0, -1.0 / 3.0])).max() < 1e-15
 
 
 class TestTransportRate:
     def test_velocity_is_parallel_along_itself(self, identity_metric, rng):
         w = rng.standard_normal(3)
-        assert np.abs(so3.transport_rhs(w, w, identity_metric)).max() < 1e-15
+        assert np.abs(transport_rate(w, w, identity_metric)).max() < 1e-15
 
     def test_direct_substitution(self, identity_metric):
         # bi-invariant transport rate is -cross(omega, x)/2
-        got = so3.transport_rhs(E1, E3, identity_metric)
+        got = transport_rate(E1, E3, identity_metric)
         assert np.abs(got - np.array([0.0, -0.5, 0.0])).max() < 1e-15
 
     def test_rate_is_metric_skew(self, inertia_metric, rng):
         # d<X,X>_A/dt = 0 exactly, so the rate is A-orthogonal to X
         for _ in range(10):
             x, w = rng.standard_normal((2, 3))
-            rate = so3.transport_rhs(x, w, inertia_metric)
+            rate = transport_rate(x, w, inertia_metric)
             assert inertia_metric.inner(rate, x) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -107,12 +182,12 @@ class TestGeodesicIntegrator:
     def test_zero_velocity_fixes_point(self, rng):
         group = rp.RotationGroup()
         r = group.random_point(rng)
-        out, _ = so3.integrate_geodesic(r, np.zeros(3), 1.0, 1e-2)
+        out, _ = integrate_geodesic(r, np.zeros(3), 1.0, 1e-2)
         assert np.abs(out - r).max() < 1e-12
 
     def test_quarter_turn_about_z(self):
-        out, _ = so3.integrate_geodesic(np.eye(3), np.array([0, 0, np.pi / 2]),
-                                        1.0, 1e-3)
+        out, _ = integrate_geodesic(np.eye(3), np.array([0, 0, np.pi / 2]),
+                                    1.0, 1e-3)
         expected = np.array([[0.0, -1.0, 0], [1.0, 0, 0], [0, 0, 1.0]])
         assert np.abs(out - expected).max() < 1e-9
 
@@ -121,16 +196,16 @@ class TestGeodesicIntegrator:
         w = rng.standard_normal(3)
         r0 = rp.RotationGroup().random_point(rng)
         for dt in (0.1, 0.01):
-            out, _ = so3.integrate_geodesic(r0, w, 1.0, dt)
+            out, _ = integrate_geodesic(r0, w, 1.0, dt)
             assert np.abs(out - r0 @ so3.rodrigues(w)).max() < 1e-12
 
     def test_general_metric_first_order_slope(self, inertia_metric):
         # self-convergence against a much finer run
         w = np.array([1.0, 1.0, 1.0])
-        ref, _ = so3.integrate_geodesic(np.eye(3), w, 1.0, 1e-5, inertia_metric)
+        ref, _ = integrate_geodesic(np.eye(3), w, 1.0, 1e-5, inertia_metric)
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         errs = [
-            np.abs(so3.integrate_geodesic(np.eye(3), w, 1.0, dt, inertia_metric)[0]
+            np.abs(integrate_geodesic(np.eye(3), w, 1.0, dt, inertia_metric)[0]
                    - ref).max()
             for dt in dts
         ]
@@ -139,15 +214,14 @@ class TestGeodesicIntegrator:
 
     def test_kinetic_energy_conserved(self, inertia_metric):
         w0 = np.array([0.9, -0.5, 0.7])
-        group = rp.RotationGroup(inertia_metric, max_step=1e-4)
         e0 = inertia_metric.inner(w0, w0)
         # midpoint stepping keeps the metric norm of the velocity
         w = w0.copy()
         n = 10000
         h = 1.0 / n
         for _ in range(n):
-            w_mid = w + 0.5 * h * so3.euler_poincare_rhs(w, inertia_metric)
-            w = w + h * so3.euler_poincare_rhs(w_mid, inertia_metric)
+            w_mid = w + 0.5 * h * geodesic_rate(w, inertia_metric)
+            w = w + h * geodesic_rate(w_mid, inertia_metric)
         assert abs(inertia_metric.inner(w, w) - e0) < 1e-6
 
     def test_manifold_exp_self_convergence(self, inertia_metric, rng):
