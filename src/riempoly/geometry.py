@@ -183,18 +183,16 @@ class Euclidean(Manifold):
         return np.sqrt(np.sum(d * d, axis=-1))
 
 
-# Fraction of the pulled-back endpoint gap added to the velocity per shot.
-_SHOOTING_STEP = 0.5
-
-
 def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_gap=None):
     """Iterative log map: shoot the exponential, pull the endpoint gap back.
 
     Repeatedly takes one geodesic step from p with velocity v, which yields
     the endpoint and the velocity there, measures the remaining gap to q as
     a tangent vector at the endpoint, parallel transports that gap back
-    along the reversed geodesic, and takes a descent step on v.  The step is
-    halved whenever the endpoint error increases.
+    along the reversed geodesic, and adds it to v.  Transport differs from
+    the inverse differential of the exponential by a term of order curvature
+    times squared length, so full shots shrink the error by about that
+    factor each; the step is halved whenever a shot fails to reduce it.
 
     endpoint_gap(end, q) must return a tangent at end pointing toward q and
     only needs to be first-order accurate; the fixed point is exact.
@@ -209,7 +207,7 @@ def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_ga
 
     v = manifold.project_tangent(p, np.array(initial, dtype=float))
     end, v_end, gap, err = miss(v)
-    step = _SHOOTING_STEP
+    step = 1.0
     for _ in range(max_iter):
         if err <= tol:
             return v

@@ -200,9 +200,12 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     return AdjointGradients(base=-lam[0], vels=tuple(-lam[1:]))
 
 
-def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
-                 max_iter: int = 200) -> np.ndarray:
-    """Minimizer of the mean squared distance, by gradient fixed-point steps."""
+def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
+    """Frechet mean and the mean squared distance to it, from one iteration.
+
+    Every accepted step already evaluates the variance at the new mean, so
+    the pair costs no more than the mean.
+    """
     points = np.asarray(points, dtype=float)
     mean = np.array(points[0], dtype=float)
     step = 1.0
@@ -212,7 +215,7 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
         logs = manifold.log_many(np.broadcast_to(mean, points.shape), points)
         grad = logs.mean(axis=0)
         if manifold.norm(mean, grad) <= tol:
-            return mean
+            return mean, value
         while step >= 1e-12:
             candidate = manifold.project_point(manifold.exp(mean, step * grad))
             cand_value = float(np.mean(np.square(manifold.dist_many(
@@ -227,13 +230,19 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
     logs = manifold.log_many(np.broadcast_to(mean, points.shape), points)
     if manifold.norm(mean, logs.mean(axis=0)) > max(tol, 1e-6):
         raise GeometryError("mean iteration did not converge")
-    return mean
+    return mean, value
+
+
+def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
+                 max_iter: int = 200) -> np.ndarray:
+    """Minimizer of the mean squared distance, by gradient fixed-point steps."""
+    return _frechet_mean_and_variance(manifold, points, tol, max_iter)[0]
 
 
 def frechet_variance(manifold: Manifold, points, mean=None) -> float:
     points = np.asarray(points, dtype=float)
     if mean is None:
-        mean = frechet_mean(manifold, points)
+        return _frechet_mean_and_variance(manifold, points)[1]
     d = manifold.dist_many(np.broadcast_to(mean, points.shape), points)
     return float(np.mean(np.square(d)))
 
@@ -248,7 +257,8 @@ def r_squared(sse: float, variance: float) -> float:
 
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
-                   initial: PolynomialState | None = None) -> FitResult:
+                   initial: PolynomialState | None = None, *,
+                   _frechet=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
     Starts from the mean of the data with zero vectors unless an explicit
@@ -256,6 +266,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     iterations strictly decrease the objective; parameters that drift more
     than 1e-6 off the manifold raise GeometryError.  The result keeps the
     trajectory of the accepted parameters, the one its SSE was measured on.
+    ``_frechet`` is private to ``fit_orders``: the data's Frechet mean and
+    variance, computed once for all orders.
     """
     k = config.order
     if data.size < k + 1:
@@ -269,8 +281,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         raise ValueError("all observations share one time; only order 0 is defined")
 
     steps = 1 if one_time else config.steps
-    variance_mean = frechet_mean(manifold, internal.points)
-    variance = frechet_variance(manifold, internal.points, mean=variance_mean)
+    if _frechet is None:
+        _frechet = _frechet_mean_and_variance(manifold, internal.points)
+    variance_mean, variance = _frechet
 
     if initial is not None:
         if initial.order != k:
@@ -376,10 +389,12 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     """Fit several orders, optionally seeding each from the previous result.
 
     Warm starting pads the previous optimum with one zero vector, so the
-    objective can only improve with the order.
+    objective can only improve with the order.  Every order reuses the
+    dataset's one Frechet mean and variance.
     """
     results = {}
     previous = None
+    frechet = _frechet_mean_and_variance(manifold, data.points)
     for k in sorted(orders):
         cfg = replace(config, order=k)
         initial = None
@@ -390,7 +405,8 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
             )
             initial = PolynomialState(previous.params.gamma,
                                       previous.params.vels + pad)
-        results[k] = fit_polynomial(manifold, data, cfg, initial=initial)
+        results[k] = fit_polynomial(manifold, data, cfg, initial=initial,
+                                    _frechet=frechet)
         previous = results[k]
     return results
 

@@ -7,10 +7,12 @@ bi-invariant case where geodesics are one-parameter subgroups.
 
 Every rate comes from one Levi-Civita connection of left-invariant fields
 (``connection``): the geodesic velocity, parallel transport and the
-curvature operator.  One midpoint flow (``RotationGroup._flow``) integrates
-the velocity and any stack of transported fields together, and serves
-``exp`` (under a general metric), ``transport`` and ``step``.  For A = I the
-endpoint is the exact rotation exponential.
+curvature operator.  Under a general metric one midpoint flow
+(``RotationGroup._flow``) integrates the velocity and any stack of
+transported fields together and serves ``exp``, ``transport`` and ``step``;
+only ``exp`` and ``step`` compose the rotation from its substeps, since no
+rate depends on it.  For A = I both are closed forms: the endpoint is the
+exact rotation exponential, and transport rotates a field by rodrigues(-w/2).
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ def _reorthonormalize(r):
     return r @ (1.5 * np.eye(3) - 0.5 * (r.T @ r))
 
 
+def _compose(p, turns):
+    """p times the exact rotation of each turn in order, kept orthonormal."""
+    r = np.array(p, dtype=float)
+    for turn in turns:
+        r = _reorthonormalize(r @ rodrigues(turn))
+    return r
+
+
 class RotationGroup(Manifold):
     """SO(3) under a left-invariant metric; see the module docstring."""
 
@@ -158,32 +168,35 @@ class RotationGroup(Manifold):
     def _substeps(self, speed: float) -> int:
         return max(1, int(np.ceil(speed / self.max_step)))
 
-    def _flow(self, p, v, stack):
-        """Midpoint flow along the geodesic from p with velocity v.
+    def _flow(self, v, stack):
+        """Midpoint flow of the velocity v and the fields of stack.
 
-        Returns the endpoint and the (stacked) fields of stack transported to
-        it.  The velocity is parallel along its own geodesic, so it rides as
-        row 0 of the one array f whose rows all obey f' = -nabla_w f.
+        Returns the (stacked) transported fields and each substep's turn, the
+        step times its midpoint velocity.  No rate reads the rotation, so the
+        flow never forms it: ``_compose`` builds the endpoint from the turns
+        for the callers that need it (``exp`` and ``step``).  The velocity is
+        parallel along its own geodesic, so it rides as row 0 of the one
+        array f whose rows all obey f' = -nabla_w f.
         """
         w = np.asarray(v, dtype=float)
         stack = np.asarray(stack, dtype=float)
-        r = np.array(p, dtype=float)
         speed = float(np.sqrt(np.dot(w, w)))
         if speed == 0.0:
-            return r, stack.copy()
+            return stack.copy(), []
         f = np.concatenate([w[None], stack.reshape(-1, 3)])
         n = self._substeps(speed)
         h = 1.0 / n
+        turns = []
         for _ in range(n):
             mid = f - 0.5 * h * connection(f[0], f, self.metric)
-            r = _reorthonormalize(r @ rodrigues(h * mid[0]))
+            turns.append(h * mid[0])
             f = f - h * connection(mid[0], mid, self.metric)
-        return r, f[1:].reshape(stack.shape)
+        return f[1:].reshape(stack.shape), turns
 
     def exp(self, p, v):
         """Midpoint-integrated geodesic flow; exact when A = I."""
         if not self.metric.is_identity:
-            return self._flow(p, v, np.empty((0, 3)))[0]
+            return _compose(p, self._flow(v, np.empty((0, 3)))[1])
         w = np.asarray(v, dtype=float)
         if np.dot(w, w) == 0.0:
             return np.array(p, dtype=float)
@@ -203,15 +216,22 @@ class RotationGroup(Manifold):
         )
 
     def transport(self, p, direction, x):
-        """Transport along exp(p, s*direction); accepts stacked x."""
-        return self._flow(p, direction, x)[1]
+        """Transport along exp(p, s*direction); accepts stacked x.
+
+        For A = I a parallel field obeys x' = -cross(w, x)/2 with w constant,
+        so the transport is the exact rotation rodrigues(-w/2) of x.
+        """
+        if self.metric.is_identity:
+            half_turn = rodrigues(-0.5 * np.asarray(direction, dtype=float))
+            return np.asarray(x, dtype=float) @ half_turn.T
+        return self._flow(direction, x)[0]
 
     def step(self, p, v, stack):
-        """Endpoint and transported stack from one flow (exact endpoint when A = I)."""
+        """Endpoint and transported stack from one flow (exact when A = I)."""
         if self.metric.is_identity:
             return super().step(p, v, stack)
-        end, moved = self._flow(p, v, stack)
-        return self.project_point(end), moved
+        moved, turns = self._flow(v, stack)
+        return self.project_point(_compose(p, turns)), moved
 
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)

@@ -165,3 +165,23 @@ def integrate_geodesic(rotation, omega, duration, dt, metric=None):
         r = so3._reorthonormalize(r @ so3.rodrigues(h * w))
         w = w - h * so3.connection(w, w, metric)
     return r, w
+
+
+def transport_along_geodesic(omega, fields, duration, dt, metric=None):
+    """First-order oracle for SO(3) parallel transport, stepped like
+    integrate_geodesic.
+
+    Each Euler step moves the fields by their rate -connection(omega, x) and
+    the body velocity by -connection(omega, omega).  Returns the transported
+    fields; error is O(dt).
+    """
+    if metric is None:
+        metric = so3.MetricSpec(np.eye(3))
+    w = np.array(omega, dtype=float)
+    x = np.array(fields, dtype=float)
+    steps = max(1, int(round(duration / dt)))
+    h = duration / steps
+    for _ in range(steps):
+        x = x - h * so3.connection(w, x, metric)
+        w = w - h * so3.connection(w, w, metric)
+    return x

@@ -300,6 +300,28 @@ class TestFitPolynomial:
         assert results[2].sse <= results[1].sse + 1e-9
         assert results[3].sse <= results[2].sse + 1e-9
 
+    def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
+        # the mean and variance depend on the points alone: one computation
+        # serves every order, with the bits of the public functions
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
+        calls = {"frechet": 0}
+        stats = riempoly.regress._frechet_mean_and_variance
+
+        def counting_stats(*args, **kwargs):
+            calls["frechet"] += 1
+            return stats(*args, **kwargs)
+
+        monkeypatch.setattr(riempoly.regress, "_frechet_mean_and_variance",
+                            counting_stats)
+        results = rp.fit_orders(sphere, data, (0, 1, 2),
+                                rp.FitConfig(order=0, steps=50, max_iters=50))
+        assert calls["frechet"] == 1
+        mean = rp.frechet_mean(sphere, data.points)
+        variance = rp.frechet_variance(sphere, data.points, mean=mean)
+        assert results[1].frechet_variance == variance
+        assert results[2].frechet_variance == variance
+
     def test_underdetermined_warns(self, rng):
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly import so3
-from conftest import integrate_geodesic, log_log_slope, unit_tangent
+from riempoly.geometry import ShootingError
+from conftest import (
+    integrate_geodesic,
+    log_log_slope,
+    transport_along_geodesic,
+    unit_tangent,
+)
 
 E1, E2, E3 = np.eye(3)
 
@@ -248,6 +254,46 @@ class TestLogMap:
         v = unit_tangent(group, rng, p, 0.6)
         assert np.abs(group.log(p, group.exp(p, v)) - v).max() < 1e-7
 
+    @pytest.mark.parametrize("radius", [0.05, 0.5, 1.5, 2.5])
+    def test_general_metric_sweep_converges(self, inertia_metric, radius):
+        # seeded pairs up to 0.8 of the injectivity radius pi: every log
+        # reaches its tolerance and recovers the shooting velocity
+        group = rp.RotationGroup(inertia_metric)
+        gen = np.random.default_rng(int(radius * 1000))
+        for _ in range(3):
+            p = group.random_point(gen)
+            v = unit_tangent(group, gen, p, radius)
+            q = group.exp(p, v)
+            try:
+                u = group.log(p, q)
+            except ShootingError as exc:
+                pytest.fail(f"log stalled at radius {radius}: {exc}")
+            # the endpoint the log measured its residual on
+            end = group.project_point(group.exp(p, u))
+            assert group.norm(end, so3.rotation_log(end.T @ q)) <= 1e-10
+            assert np.abs(u - v).max() < 1e-8
+
+    def test_general_metric_log_needs_few_flows(self, inertia_metric, monkeypatch):
+        # full shots converge in a handful of flows on nearby pairs; half
+        # shots needed ~47
+        calls = {"flow": 0}
+        flow = rp.RotationGroup._flow
+
+        def counting_flow(self, *args):
+            calls["flow"] += 1
+            return flow(self, *args)
+
+        group = rp.RotationGroup(inertia_metric)
+        gen = np.random.default_rng(50)
+        pairs = []
+        for _ in range(10):
+            p = group.random_point(gen)
+            pairs.append((p, group.exp(p, unit_tangent(group, gen, p, 0.05))))
+        monkeypatch.setattr(rp.RotationGroup, "_flow", counting_flow)
+        for p, q in pairs:
+            group.log(p, q)
+        assert calls["flow"] / len(pairs) <= 10
+
     def test_antipodal_rotation_rejected(self):
         from riempoly.geometry import CutLocusError
 
@@ -276,6 +322,53 @@ class TestTransport:
         xt = group.transport(p, v, x)
         assert abs(inertia_metric.inner(xt, xt)
                    - inertia_metric.inner(x, x)) < 1e-6
+
+    def test_general_metric_transport_forms_no_rotation(self, inertia_metric,
+                                                        rng, monkeypatch):
+        # no rate reads the rotation, so transport never composes one
+        calls = {"rodrigues": 0}
+        rodrigues = so3.rodrigues
+
+        def counting_rodrigues(w):
+            calls["rodrigues"] += 1
+            return rodrigues(w)
+
+        group = rp.RotationGroup(inertia_metric)
+        p = group.random_point(rng)
+        v = unit_tangent(group, rng, p, 0.7)
+        x = rng.standard_normal((4, 3))
+        monkeypatch.setattr(so3, "rodrigues", counting_rodrigues)
+        moved = group.transport(p, v, x)
+        assert calls["rodrigues"] == 0
+        assert np.array_equal(moved, group.step(p, v, x)[1])
+
+    def test_bi_invariant_closed_form_matches_oracle(self, identity_metric, rng):
+        group = rp.RotationGroup()
+        p = group.random_point(rng)
+        v = unit_tangent(group, rng, p, 1.2)
+        x = rng.standard_normal((4, 3))
+        closed = group.transport(p, v, x)
+        dts = [1e-3, 5e-4, 2.5e-4]
+        runs = [transport_along_geodesic(v, x, 1.0, dt, identity_metric)
+                for dt in dts]
+        errs = [np.abs(run - closed).max() for run in runs]
+        # the oracle's first-order error shrinks onto the closed form, and
+        # its Richardson extrapolation meets it to second order (~2e-8); the
+        # stepped midpoint flow at the default max_step misses by ~1.4e-6
+        assert 0.95 <= log_log_slope(dts, errs) <= 1.05
+        assert np.abs(2.0 * runs[2] - runs[1] - closed).max() < 1e-7
+
+    def test_bi_invariant_exact_reversibility_and_norm(self, rng):
+        group = rp.RotationGroup()
+        p = group.random_point(rng)
+        v = unit_tangent(group, rng, p, 1.5)
+        x = rng.standard_normal((4, 3))
+        q, moved = group.step(p, v, x)
+        v_end = group.transport(p, v, v)
+        back = group.transport(q, -v_end, moved)
+        assert np.abs(back - x).max() < 1e-12
+        norms = np.linalg.norm(x, axis=1)
+        assert np.abs(np.linalg.norm(moved, axis=1) - norms).max() < 1e-12
 
 
 class TestCurvature:
