@@ -35,7 +35,6 @@ from .polyflow import (
     sample_curve,
 )
 from .regress import (
-    AdjointGradients,
     FitConfig,
     FitResult,
     TimedDataset,
@@ -74,7 +73,6 @@ __all__ = [
     "collinearity_diagnostic",
     "integrate_polynomial",
     "sample_curve",
-    "AdjointGradients",
     "FitConfig",
     "FitResult",
     "TimedDataset",

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .geometry import Euclidean, GeometryError
-from .kendall import KendallShapeSpace, procrustes_align, to_preshape
+from .kendall import KendallShapeSpace, _optimal_rotations, to_preshape
 from .landmarks import (
     LandmarkFileRecord,
     LandmarkFormatError,
@@ -197,8 +197,7 @@ def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> 
     rows = ["order,id,time,distance"]
     for k, result in sorted(results.items()):
         traj = result.trajectory
-        internal_times = (data.times - result.time_offset) / result.time_scale
-        nodes = [traj.node_index(float(s)) for s in internal_times]
+        nodes = traj.node_index((data.times - result.time_offset) / result.time_scale)
         dists = manifold.dist_many(traj.points[nodes], data.points)
         for rec_id, t, dist in zip(ids, data.times, dists):
             rows.append(f"{k},{rec_id},{repr(float(t))},{repr(float(dist))}")
@@ -219,29 +218,25 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
     if samples < 2:
         raise ValueError("need at least two samples")
     times, points = _curve_rows(result, samples)
-    curve_rows = [
-        [float(t)] + [float(v) for v in np.asarray(p).reshape(-1)]
-        for t, p in zip(times, points)
-    ]
     obs_points = data.points
     if isinstance(manifold, KendallShapeSpace):
-        obs_points = []
-        for t, y in zip(data.times, data.points):
-            s = min(max((t - result.time_offset) / result.time_scale, 0.0), 1.0)
-            anchor = points[int(round(s * (samples - 1)))]
-            aligned = procrustes_align(y.reshape(manifold.m, manifold.d),
-                                       anchor.reshape(manifold.m, manifold.d))
-            obs_points.append(aligned.reshape(-1))
-    obs_rows = [
-        [float(t)] + [float(v) for v in np.asarray(p).reshape(-1)]
-        for t, p in zip(data.times, obs_points)
-    ]
+        s = np.clip((data.times - result.time_offset) / result.time_scale, 0.0, 1.0)
+        anchors = points[np.round(s * (samples - 1)).astype(int)]
+        shape = (data.size, manifold.m, manifold.d)
+        targets = data.points.reshape(shape)
+        rots = _optimal_rotations(targets, anchors.reshape(shape))
+        obs_points = targets @ np.swapaxes(rots, -1, -2)
     dim = int(np.prod(manifold.point_shape))
     return {
         "header": ["kind", "time"] + _coord_header(dim),
-        "curve": curve_rows,
-        "observations": obs_rows,
+        "curve": _table(times, points),
+        "observations": _table(data.times, obs_points),
     }
+
+
+def _table(times, points) -> list:
+    """One row of plain floats per point: its time, then its coordinates."""
+    return np.column_stack([times, np.reshape(points, (len(times), -1))]).tolist()
 
 
 def write_plot_bundle(path, bundle: dict) -> None:
@@ -374,9 +369,8 @@ def simulate_command(manifold, order, output_path, steps):
             seed_vels.append(np.roll(seed_vels[-1], 1) * 0.5)
         rows = ["order,time,x,y,z"]
         for k in range(1, order + 1):
-            state = PolynomialState(base, tuple(
-                sphere.project_tangent(base, v) for v in seed_vels[:k]
-            ))
+            state = PolynomialState(
+                base, sphere.project_tangent(base, np.array(seed_vels[:k])))
             traj = integrate_polynomial(sphere, state, 1.0, steps)
             for t, p in zip(traj.times, traj.points):
                 rows.append(

@@ -55,8 +55,9 @@ class Manifold:
     def step(self, p, v, stack):
         """One geodesic step: (project_point(exp(p, v)), transport(p, v, stack)).
 
-        The forward integrator's per-node kernel.  Subclasses override it
-        where the endpoint and the transport can share their work.
+        The forward integrator's per-node kernel and the descent's move of
+        one line-search candidate.  Subclasses override it where the
+        endpoint and the transport can share their work.
         """
         return self.project_point(self.exp(p, v)), self.transport(p, v, stack)
 

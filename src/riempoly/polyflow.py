@@ -6,11 +6,13 @@ constant.  One integrator step increments every vector inside the current
 tangent space, parallel transports the results along the small geodesic step,
 and moves the base point with the exponential map, in one Manifold.step call.
 First order by design; the step count is the accuracy knob.
+
+The k vectors travel as one (k, *tangent_shape) array, in PolynomialState and
+at every Trajectory node alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +30,17 @@ class IntegrationError(GeometryError):
 
 @dataclass(frozen=True)
 class PolynomialState:
-    """Initial (or nodal) data of an order-k curve: base point plus k vectors."""
+    """Initial (or nodal) data of an order-k curve: base point plus k vectors.
+
+    The vectors are kept as one float array; () is an order-zero state.
+    """
 
     gamma: np.ndarray
-    vels: tuple
+    vels: np.ndarray             # (k, *tangent_shape)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        object.__setattr__(
-            self, "vels", tuple(np.asarray(v, dtype=float) for v in self.vels)
-        )
+        object.__setattr__(self, "vels", np.asarray(self.vels, dtype=float))
 
     @property
     def order(self) -> int:
@@ -81,24 +84,24 @@ class Trajectory:
         return len(self.times)
 
     def state(self, index: int) -> PolynomialState:
-        return PolynomialState(self.points[index], tuple(self.vels[index]))
+        return PolynomialState(self.points[index], self.vels[index])
 
-    def node_index(self, t: float) -> int:
-        """Nearest grid node; exact midpoints resolve to the earlier node."""
+    def node_index(self, t):
+        """Nearest grid node of a time, or of each time in an array.
+
+        Exact midpoints resolve to the earlier node.  Times more than half a
+        step off the grid (1e-9 off a zero-length one) or NaN raise ValueError.
+        """
+        t = np.asarray(t, dtype=float)
         if self.dt == 0.0:
-            if abs(t - self.times[0]) > 1e-9:
-                raise ValueError(f"time {t} outside the trajectory")
-            return 0
-        x = t / self.dt
-        idx = math.ceil(x - 0.5)          # round half down
-        if idx < 0 or idx >= len(self.times):
-            if -1e-9 <= x <= len(self.times) - 1 + 1e-9:
-                idx = min(max(idx, 0), len(self.times) - 1)
-            else:
-                raise ValueError(
-                    f"time {t} outside [0, {self.duration}]"
-                )
-        return idx
+            x = np.where(np.abs(t - self.times[0]) <= 1e-9, 0.0, np.nan)
+        else:
+            x = t / self.dt
+        idx = np.ceil(x - 0.5)            # round half down
+        outside = ~((idx >= 0) & (idx < len(self.times)))
+        if np.any(outside):
+            raise ValueError(f"time {t[outside][0]} outside [0, {self.duration}]")
+        return idx.astype(int) if t.ndim else int(idx)
 
 
 def integrate_polynomial(manifold: Manifold, state: PolynomialState,
@@ -113,8 +116,8 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
 
     points = np.empty((steps + 1,) + manifold.point_shape)
     vels = np.empty((steps + 1, k) + manifold.tangent_shape)
-    gamma = np.asarray(state.gamma, dtype=float)
-    stack = np.stack(state.vels) if k else np.empty((0,) + manifold.tangent_shape)
+    gamma = state.gamma
+    stack = state.vels.reshape((k,) + manifold.tangent_shape)
     points[0] = gamma
     vels[0] = stack
 
@@ -122,8 +125,7 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
         try:
             if k:
                 incremented = stack.copy()
-                if k > 1:
-                    incremented[:-1] += dt * stack[1:]
+                incremented[:-1] += dt * stack[1:]
                 gamma, stack = manifold.step(gamma, dt * stack[0], incremented)
             # order zero: constant curve
         except GeometryError as exc:
@@ -139,8 +141,7 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
 
 def sample_curve(traj: Trajectory, times) -> np.ndarray:
     """Curve points at the requested times, snapped to the nearest grid node."""
-    idx = [traj.node_index(float(t)) for t in np.atleast_1d(times)]
-    return traj.points[idx]
+    return traj.points[traj.node_index(np.atleast_1d(times))]
 
 
 def collinearity_diagnostic(manifold: Manifold, state: PolynomialState) -> float:

@@ -5,8 +5,11 @@ integrated backward along the fitted curve: multiplier vectors start at zero
 at the final time, pick up a jump from every observation they pass, couple to
 the state through the curvature operator, and arrive at t = 0 carrying the
 negative gradients with respect to the initial conditions.  A descent loop
-with a monotone backtracking line search updates the base point through the
-exponential map and the vectors through parallel transport.
+with a monotone backtracking line search moves every candidate with one
+Manifold.step: the base point along the geodesic, and the incremented
+vectors, the gradient and the direction by parallel transport to the new
+point.  The gradient and the vectors are single arrays with the order on the
+first axis: (k+1, *tangent_shape) and (k, *tangent_shape).
 
 Descent is preconditioned with the normal-equation metric of the time
 design.  With phi_i(n) = dt^i C(n, i), the falling-factorial basis of the
@@ -20,9 +23,10 @@ design has fewer distinct nodes than k+1, G is singular and P keeps the
 identity on its null space.  The stopping test stays on the unpreconditioned
 metric norm of the gradient.
 
-Observation times are snapped to the nearest trajectory node once, up front;
-the time axis is affinely rescaled to [0, 1] internally and every reported
-quantity carries the mapping back to original units.
+Observation times are snapped to the nearest trajectory node by one
+vectorized Trajectory.node_index call; the time axis is affinely rescaled to
+[0, 1] internally and every reported quantity carries the mapping back to
+original units.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ class TimedDataset:
             raise ValueError("need at least one observation")
         if points.shape != (len(times),) + self.manifold.point_shape:
             raise ValueError("points do not match the manifold point shape")
+        finite = np.isfinite(points.reshape(len(times), -1)).all(axis=1)
+        finite &= np.isfinite(times)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"observation {bad} (time {times[bad]}) has a non-finite value"
+            )
         order = np.argsort(times, kind="stable")
         object.__setattr__(self, "times", times[order])
         object.__setattr__(self, "points", points[order])
@@ -104,17 +115,6 @@ class FitConfig:
             raise ValueError("steps, max_iters and tol must be positive")
 
 
-@dataclass(frozen=True)
-class AdjointGradients:
-    """Gradients of the objective at t = 0: base point and one per vector."""
-
-    base: np.ndarray
-    vels: tuple
-
-    def stacked(self):
-        return (self.base,) + tuple(self.vels)
-
-
 @dataclass
 class FitResult:
     """Estimated initial conditions with fit statistics and the descent trace."""
@@ -138,39 +138,33 @@ class FitResult:
 
 def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
     """Mean squared geodesic distance from the curve to the observations."""
-    return _sse_at_nodes(manifold, traj, _snap_nodes(traj, data), data.points)
-
-
-def _sse_at_nodes(manifold, traj, nodes, points) -> float:
     try:
-        dists = manifold.dist_many(traj.points[nodes], points)
+        dists = manifold.dist_many(traj.points[traj.node_index(data.times)],
+                                   data.points)
     except GeometryError as exc:
         raise GeometryError(f"objective failed on an observation: {exc}") from exc
     return float(np.mean(np.square(dists)))
 
 
-def _snap_nodes(traj: Trajectory, data: TimedDataset) -> np.ndarray:
-    return np.array([traj.node_index(float(t)) for t in data.times], dtype=int)
-
-
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
-                      data: TimedDataset) -> AdjointGradients:
+                      data: TimedDataset) -> np.ndarray:
     """Backward pass along a stored trajectory.
 
     The observation jumps (2/N) log_{gamma(n_j)} y_j come from one batched
     log_many call over all observations at their snapped nodes, summed per
-    node.  The pass then walks the trajectory from its final node to the
-    first.  At each node the order-zero multiplier absorbs the curvature
-    coupling and, at an observed node, its jump; every multiplier is
-    incremented by its predecessor and the whole stack is transported one
-    node backward.  Returns the negated multipliers, i.e. the gradients.
+    node (zero where nothing is observed).  The pass then walks the
+    trajectory from its final node to the first.  At each node the
+    order-zero multiplier absorbs the curvature coupling and the node's
+    jump; every multiplier is incremented by its predecessor and the whole
+    stack is transported one node backward.  Returns the negated
+    multipliers, i.e. the (k+1, *tangent_shape) gradient: base point first,
+    then one row per vector.
     """
     k = traj.order
     n_steps = len(traj) - 1
     dt = traj.dt
 
-    nodes = _snap_nodes(traj, data)
-    observed = set(nodes.tolist())
+    nodes = traj.node_index(data.times)
     jumps = np.zeros((len(traj),) + manifold.tangent_shape)
     np.add.at(jumps, nodes, manifold.log_many(traj.points[nodes], data.points))
     jumps *= 2.0 / data.size
@@ -186,8 +180,7 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
             )
         else:
             w = np.zeros(manifold.tangent_shape)
-        if n in observed:
-            lam[0] += jumps[n]
+        lam[0] += jumps[n]
         back = -dt * w
         incremented = lam.copy()
         incremented[1:] += dt * lam[:-1]
@@ -195,9 +188,8 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
         lam = np.asarray(
             manifold.project_tangent(traj.points[n - 1], lam), dtype=float
         )
-    if 0 in observed:
-        lam[0] += jumps[0]
-    return AdjointGradients(base=-lam[0], vels=tuple(-lam[1:]))
+    lam[0] += jumps[0]
+    return -lam
 
 
 def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
@@ -285,71 +277,56 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         _frechet = _frechet_mean_and_variance(manifold, internal.points)
     variance_mean, variance = _frechet
 
-    if initial is not None:
-        if initial.order != k:
-            raise ValueError("initial state order does not match the configuration")
-        state = PolynomialState(
-            np.asarray(initial.gamma, dtype=float),
-            tuple(np.asarray(v, dtype=float) for v in initial.vels),
-        )
+    shape = (k,) + manifold.tangent_shape
+    if initial is None:
+        state = PolynomialState(variance_mean, np.zeros(shape))
+    elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
+        state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
     else:
-        state = PolynomialState(
-            variance_mean, tuple(np.zeros(manifold.tangent_shape) for _ in range(k))
+        raise ValueError(
+            f"initial vectors have shape {initial.vels.shape}; order {k} "
+            f"on {manifold.name} needs {shape}"
         )
-
-    nodes = None
 
     def evaluate(s: PolynomialState):
-        nonlocal nodes
         traj = integrate_polynomial(manifold, s, 1.0, steps)
-        if nodes is None:
-            nodes = _snap_nodes(traj, internal)
-        return traj, _sse_at_nodes(manifold, traj, nodes, internal.points)
+        return traj, objective_sse(manifold, traj, internal)
 
     traj, value = evaluate(state)
-    gram, precond = _design_metric(nodes, traj.dt, k)
+    gram, precond = _design_metric(traj.node_index(internal.times), traj.dt, k)
     trace = [value]
     eta = 1.0
     converged = False
     stop_reason = "max_iters"
     grad_norm = np.inf
-    prev_grad = prev_move = None
+    memory = None
     iterations = 0
 
     for iteration in range(config.max_iters):
-        grads = integrate_adjoint(manifold, traj, internal)
-        grad = np.stack(grads.stacked())            # (k+1, *tangent_shape)
+        grad = integrate_adjoint(manifold, traj, internal)
         grad_norm = float(np.sqrt(_stack_inner(manifold, state.gamma, grad, grad)))
         if grad_norm <= config.tol:
             converged = True
             stop_reason = "tolerance"
             break
 
-        if prev_grad is not None:
-            eta = _barzilai_borwein(manifold, state.gamma, grad, prev_grad,
-                                    prev_move, eta, iteration, gram, precond)
+        if memory is not None:
+            eta = _barzilai_borwein(manifold, state.gamma, grad, *memory,
+                                    eta, iteration, gram, precond)
         # P is positive definite, so -P g is always a descent direction
         direction = -_along_stack(precond, grad)
-        found = _line_search(manifold, state, direction, eta, value, evaluate)
+        found = _line_search(manifold, state, grad, direction, eta, value,
+                             evaluate)
         if found is None:
             stop_reason = "line_search"
             break
-        state_new, traj_new, value_new, eta_used = found
+        state, traj, value, memory = found
         iterations = iteration + 1
-        worst = max(state_new.residuals(manifold).values(), default=0.0)
+        worst = max(state.residuals(manifold).values(), default=0.0)
         if worst > _DRIFT_TOL:
             raise GeometryError(
                 f"parameters drifted off the manifold (residual {worst:.3e})"
             )
-
-        move = eta_used * direction[0]
-        prev_grad = manifold.project_tangent(
-            state_new.gamma, manifold.transport(state.gamma, move, grad)
-        )
-        prev_move = eta_used * np.asarray(manifold.project_tangent(
-            state_new.gamma, manifold.transport(state.gamma, move, direction)
-        ))
-        state, traj, value = state_new, traj_new, value_new
         trace.append(value)
 
     sse = value
@@ -358,9 +335,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         variance = sse
     r2 = r_squared(sse, variance)
 
-    vels_original = tuple(
-        v / span ** i for i, v in enumerate(state.vels, start=1)
-    ) if span != 1.0 else state.vels
+    # scalar powers: numpy's array power can differ from them in the last bit
+    powers = np.array([span ** i for i in range(1, k + 1)])
+    vels_original = state.vels / powers.reshape((k,) + (1,) * (state.vels.ndim - 1))
     collinearity = None
     if k >= 2 and manifold.norm(state.gamma, state.vels[0]) > 0:
         collinearity = collinearity_diagnostic(manifold, state)
@@ -399,49 +376,39 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
         cfg = replace(config, order=k)
         initial = None
         if warm_start and previous is not None and previous.params.order < k:
-            pad = tuple(
-                np.zeros(manifold.tangent_shape)
-                for _ in range(k - previous.params.order)
-            )
+            pad = np.zeros((k - previous.params.order,) + manifold.tangent_shape)
             initial = PolynomialState(previous.params.gamma,
-                                      previous.params.vels + pad)
+                                      np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, cfg, initial=initial,
                                     _frechet=frechet)
         previous = results[k]
     return results
 
 
-def _line_search(manifold, state, direction, eta, value, evaluate):
+def _line_search(manifold, state, grad, direction, eta, value, evaluate):
     """Halve the step from eta until the objective strictly decreases.
 
-    Returns (state, trajectory, objective, step), or None once the step falls
-    below _MIN_LINE_STEP or no longer moves the state by a single bit.
+    A candidate with step e is one Manifold.step along e * direction[0] that
+    carries the rows [vels + e * direction[1:], grad, direction] to the new
+    base point.  Returns (state, trajectory, objective, memory), where memory
+    is the Barzilai-Borwein pair (grad, e * direction) at the accepted point,
+    or None once the step falls below _MIN_LINE_STEP or no longer moves the
+    state by a single bit.
     """
+    k = state.order
     e = eta
     while e >= _MIN_LINE_STEP:
-        candidate = _retract_state(manifold, state, direction, e)
-        if np.array_equal(candidate.gamma, state.gamma) and all(
-            np.array_equal(a, b) for a, b in zip(candidate.vels, state.vels)
-        ):
+        rows = np.concatenate([state.vels + e * direction[1:], grad, direction])
+        gamma, moved = manifold.step(state.gamma, e * direction[0], rows)
+        moved = np.asarray(manifold.project_tangent(gamma, moved), dtype=float)
+        if np.array_equal(gamma, state.gamma) and np.array_equal(moved[:k], state.vels):
             return None
+        candidate = PolynomialState(gamma, moved[:k])
         traj, val = evaluate(candidate)
         if val < value:
-            return candidate, traj, val, e
+            return candidate, traj, val, (moved[k:2 * k + 1], e * moved[2 * k + 1:])
         e *= _SHRINK
     return None
-
-
-def _retract_state(manifold, state, direction, eta):
-    move = eta * direction[0]
-    new_gamma = manifold.project_point(manifold.exp(state.gamma, move))
-    if state.order:
-        stacked = np.stack([
-            v + eta * d for v, d in zip(state.vels, direction[1:])
-        ])
-        moved = manifold.transport(state.gamma, move, stacked)
-        moved = np.asarray(manifold.project_tangent(new_gamma, moved), dtype=float)
-        return PolynomialState(new_gamma, tuple(moved))
-    return PolynomialState(new_gamma, ())
 
 
 def _design_metric(nodes, dt, order):
@@ -478,7 +445,7 @@ def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteratio
                       gram, precond):
     """Alternating BB steps in the design metric: <s,Gs>/<s,y>, <s,y>/<y,Py>."""
     s = prev_move
-    y = np.asarray(grad) - np.asarray(prev_grad)
+    y = grad - prev_grad
     sy = _stack_inner(manifold, gamma, s, y)
     if sy <= 0:
         return eta

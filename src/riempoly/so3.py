@@ -63,10 +63,8 @@ class MetricSpec:
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "inverse", np.linalg.inv(a))
         object.__setattr__(self, "eigenvalues", eigs)
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.abs(self.matrix - np.eye(3)).max() < 1e-14)
+        object.__setattr__(self, "is_identity",
+                           bool(np.abs(a - np.eye(3)).max() < 1e-14))
 
     def inner(self, x, y):
         return np.sum((np.asarray(x) @ self.matrix) * y, axis=-1)

@@ -133,7 +133,7 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
     fd, basis = fd_gradient(manifold, data, state, 1.0, steps)
     adj = np.array([
         [manifold.inner(state.gamma, g, b) for b in basis]
-        for g in grads.stacked()
+        for g in grads
     ])
     num = float(np.sqrt(np.sum((adj - fd) ** 2)))
     den = float(np.sqrt(np.sum(fd ** 2)))

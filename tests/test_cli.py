@@ -344,12 +344,17 @@ class TestPlotAlignment:
         bundle, data = bundle_and_data(records)
         obs = np.array(bundle["observations"])[:, 1:]
         curve = {row[0]: np.array(row[1:]) for row in bundle["curve"]}
-        for raw, row in zip(data.points, bundle["observations"]):
+        for t, raw, row in zip(data.times, data.points, bundle["observations"]):
             aligned = np.array(row[1:])
             # display alignment only rotates: same shape, same norm
             assert abs(np.linalg.norm(aligned) - np.linalg.norm(raw)) < 1e-12
             space = rp.KendallShapeSpace(4, 2)
             assert space.dist(raw, aligned) < 1e-9
+            # all observations are aligned at once, with the bits of aligning
+            # each alone onto its nearest curve sample
+            anchor = curve[bundle["curve"][int(round(t * 8))][0]]
+            alone = rp.procrustes_align(raw.reshape(4, 2), anchor.reshape(4, 2))
+            assert np.array_equal(aligned, alone.reshape(-1))
 
         # the residual profile is unchanged when every input is rotated
         from riempoly.landmarks import LandmarkFileRecord

@@ -157,6 +157,19 @@ class TestTrajectoryAndSampling:
         assert traj.node_index(0.24) == 2
         # exact midpoint resolves to the earlier node
         assert traj.node_index(0.25) == 2
+        # times within round-off of the ends snap to them
+        assert traj.node_index(-1e-10) == 0
+        assert traj.node_index(1.0 + 1e-10) == 10
+        # an array of times gives the scalar answers
+        times = np.array([0.26, 0.24, 0.25, -1e-10, 1.0 + 1e-10])
+        nodes = traj.node_index(times)
+        assert nodes.tolist() == [traj.node_index(t) for t in times.tolist()]
+        assert nodes.tolist() == [3, 2, 2, 0, 10]
+        for bad in (1.5, -0.2, np.nan):
+            with pytest.raises(ValueError):
+                traj.node_index(bad)
+            with pytest.raises(ValueError):
+                traj.node_index(np.array([0.5, bad]))
 
     def test_out_of_range_rejected(self):
         line = rp.Euclidean(1)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestAdjoint:
         pts = np.stack([traj.points[traj.node_index(t)] for t in times])
         data = rp.TimedDataset(sphere, times, pts)
         grads = integrate_adjoint(sphere, traj, data)
-        assert max(np.abs(g).max() for g in grads.stacked()) < 1e-8
+        assert max(np.abs(g).max() for g in grads) < 1e-8
 
     def test_order_zero_reduces_to_mean_of_logs(self, rng):
         sphere = rp.Sphere(2)
@@ -111,7 +112,7 @@ class TestAdjoint:
         grads = integrate_adjoint(sphere, traj, data)
         logs = sphere.log_many(np.broadcast_to(p, pts.shape), pts)
         expected = -(2.0 / 5.0) * logs.sum(axis=0)
-        assert np.abs(grads.base - expected).max() < 1e-12
+        assert np.abs(grads[0] - expected).max() < 1e-12
 
     @pytest.mark.parametrize("name,k", [("euclidean", 3), ("sphere", 2)])
     def test_matches_finite_differences(self, name, k, rng):
@@ -131,7 +132,7 @@ class TestAdjoint:
         sphere = rp.Sphere(2)
         state, traj, data = random_fit_problem(sphere, 2, rng, steps=300)
         grads = integrate_adjoint(sphere, traj, data)
-        for g in grads.stacked():
+        for g in grads:
             assert abs(np.dot(g, state.gamma)) < 1e-10
 
 
@@ -254,6 +255,38 @@ class TestFitPolynomial:
         ]
         assert len(same) == 1
 
+    def test_one_step_per_candidate(self, rng, monkeypatch):
+        # outside the forward and reverse passes, a line-search candidate is
+        # one Manifold.step, which also carries the Barzilai-Borwein memory;
+        # no transport runs on its own
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=50)
+        outside = Counter()
+        active = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if not active:
+                    outside[name] += 1
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return wrapper
+
+        for name in ("integrate_polynomial", "integrate_adjoint"):
+            monkeypatch.setattr(riempoly.regress, name,
+                                counted(name, getattr(riempoly.regress, name)))
+        monkeypatch.setattr(rp.Sphere, "step", counted("step", rp.Manifold.step))
+        monkeypatch.setattr(rp.Sphere, "transport",
+                            counted("transport", rp.Sphere.transport))
+        res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=2, steps=50))
+        assert res.converged and res.iterations > 1
+        # every candidate is integrated once, after the starting point
+        assert outside["step"] == outside["integrate_polynomial"] - 1
+        assert outside["transport"] == 0
+
     def test_exact_interpolation_of_generating_polynomial(self, rng):
         # k+1 points from a random order-k curve are interpolated
         line = rp.Euclidean(2)
@@ -331,7 +364,7 @@ class TestFitPolynomial:
             res = rp.fit_polynomial(sphere, data,
                                     rp.FitConfig(order=2, steps=50, max_iters=5))
         # the design metric has rank 2 < 3; its null space keeps unit scaling
-        for v in (res.params.gamma,) + res.params.vels:
+        for v in (res.params.gamma, *res.params.vels):
             assert np.all(np.isfinite(v))
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
@@ -447,6 +480,20 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             rp.TimedDataset(line, np.array([]), np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        sphere = rp.Sphere(2)
+        points = np.tile([1.0, 0.0, 0.0], (3, 1))
+        with pytest.raises(ValueError, match="observation 1 "):
+            rp.TimedDataset(sphere, np.array([0.0, bad, 1.0]), points)
+
+    def test_non_finite_coordinate_rejected(self):
+        sphere = rp.Sphere(2)
+        points = np.tile([1.0, 0.0, 0.0], (3, 1))
+        points[2, 1] = np.nan
+        with pytest.raises(ValueError, match="observation 2 "):
+            rp.TimedDataset(sphere, np.array([0.0, 0.5, 1.0]), points)
+
 
 class TestConfigAndInputGuards:
     def test_initial_state_order_mismatch(self, rng):
@@ -456,6 +503,20 @@ class TestConfigAndInputGuards:
         with pytest.raises(ValueError):
             rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50),
                               initial=bad)
+        # right order, vectors of the wrong shape
+        bad = rp.PolynomialState(data.points[0], np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50),
+                              initial=bad)
+
+    def test_order_zero_accepts_empty_initial(self, rng):
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, steps=50)
+        start = rp.PolynomialState(data.points[0], ())
+        res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=0, steps=50),
+                                initial=start)
+        assert res.converged
+        assert res.params.vels.shape == (0, 3)
 
     def test_dataset_shape_mismatch(self):
         sphere = rp.Sphere(2)
