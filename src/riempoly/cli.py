@@ -122,6 +122,7 @@ def _fit_payload(result: FitResult) -> dict:
             "note": "internal time s in [0, 1]; original time t = offset + scale * s",
         },
         "steps_per_unit_time": len(result.trajectory) - 1,
+        "elapsed_seconds": result.elapsed_seconds,
     }
 
 

@@ -65,6 +65,43 @@ class Manifold:
         """Curvature operator R(x, y)z at p."""
         raise NotImplementedError
 
+    def backward_operators(self, points, vels, dt):
+        """The adjoint's per-node linear maps, as matrices acting on rows.
+
+        points and vels hold B + 1 consecutive trajectory nodes, vels with
+        shape (B + 1, k, *tangent_shape).  For each node pair (n - 1, n),
+        n = 1..B, returns with D the flat tangent size:
+
+        - Q[n - 1], (D, D): lam @ Q is
+          project_tangent(gamma_{n-1}, transport(gamma_n, -dt v_{n,1}, lam));
+        - C[n - 1, i], (D, D): y @ C is curvature(gamma_n, v_{n,i}, y, v_{n,1}).
+
+        This default applies those maps node by node to the rows of
+        project_tangent(gamma_n, I), which is exact for tangent rows wherever
+        the transport is linear on the tangent space.  The stepped transport
+        of Kendall d >= 3 restores each row's norm, so it is not linear: Q is
+        then the linear map that agrees with it on the projector rows, and
+        differs from it on other rows by the size of its own step error.
+        Subclasses override it with closed forms batched over the nodes.
+        """
+        points = np.asarray(points, dtype=float)
+        vels = np.asarray(vels, dtype=float)
+        k = vels.shape[1]
+        dim = int(np.prod(self.tangent_shape))
+        eye = np.eye(dim).reshape((dim,) + self.tangent_shape)
+        still = np.zeros(self.tangent_shape)
+        q = np.empty((len(points) - 1, dim, dim))
+        c = np.empty((len(points) - 1, k, dim, dim))
+        for n in range(1, len(points)):
+            gamma, v = points[n], vels[n]
+            rows = np.asarray(self.project_tangent(gamma, eye), dtype=float)
+            moved = self.transport(gamma, -dt * v[0] if k else still, rows)
+            q[n - 1] = np.reshape(self.project_tangent(points[n - 1], moved), (dim, dim))
+            if k:
+                curv = self.curvature(gamma, v[:, None], rows[None], v[0])
+                c[n - 1] = np.reshape(curv, (k, dim, dim))
+        return q, c
+
     def inner(self, p, x, y):
         """Metric inner product of tangents x, y at p."""
         raise NotImplementedError
@@ -147,6 +184,12 @@ class Euclidean(Manifold):
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
+
+    def backward_operators(self, points, vels, dt):
+        """Flat space: transport is the identity and curvature vanishes."""
+        count, k = len(points) - 1, np.shape(vels)[1]
+        q = np.broadcast_to(np.eye(self.dim), (count, self.dim, self.dim))
+        return q, np.zeros((count, k, self.dim, self.dim))
 
     def inner(self, p, x, y):
         return float(np.dot(x, y)) if np.ndim(x) == 1 and np.ndim(y) == 1 else np.sum(x * y, axis=-1)

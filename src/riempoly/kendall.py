@@ -318,6 +318,50 @@ class KendallShapeSpace(Manifold):
             p, self._sphere.curvature(p, x, y, z) + oneill(p, x, y, z)
         )
 
+    def backward_operators(self, points, vels, dt):
+        """The adjoint's per-node maps, batched over nodes when d = 2.
+
+        With R the normal rows of a node (centering, the point p, Jp), the
+        horizontal projector there is P = I - R^T R.  Transport along
+        -dt v_1 is I + B^T S in the frame of _planar_geodesic, so
+        Q = P_prev + B^T (S P_prev).  Curvature is linear in its second
+        argument: the sphere term z^T x - (x.z) I plus O'Neill's A-terms
+        -(Jz)^T Jx - (Jx.z) J - 2 (Jx)^T Jz, each followed by P, with x = v_i
+        and z = v_1.  d >= 3 keeps the node-by-node default (see Manifold).
+        """
+        if self.d != 2:
+            return super().backward_operators(points, vels, dt)
+        points = np.asarray(points, dtype=float)
+        vels = np.asarray(vels, dtype=float)
+        turned = points @ self._jt
+        normal = np.concatenate([
+            np.broadcast_to(self._centering, (len(points),) + self._centering.shape),
+            points[:, None], turned[:, None],
+        ], axis=1)
+        proj = np.eye(self.m * self.d) - np.swapaxes(normal, 1, 2) @ normal
+        p, rows, here, v = points[1:], normal[1:], proj[1:], vels[1:]
+        w = v[:, 0] if v.shape[1] else np.zeros_like(p)
+
+        # _planar_geodesic of every node along -dt w; a zero frame gives Q = P_prev
+        back = -dt * w
+        h = back - np.einsum("nr,nrd->nd", np.einsum("nd,nrd->nr", back, rows), rows)
+        theta = np.sqrt(np.sum(h * h, axis=-1))
+        basis = np.stack([h, h @ self._jt], axis=1)
+        basis /= np.where(theta > 0.0, theta, 1.0)[:, None, None]
+        shift = ((np.cos(theta) - 1.0)[:, None, None] * basis
+                 - np.sin(theta)[:, None, None] * rows[:, -2:])
+        q = proj[:-1] + np.swapaxes(basis, 1, 2) @ (shift @ proj[:-1])
+
+        jx, jz = v @ self._jt, w @ self._jt
+        xz = np.sum(v * w[:, None], axis=-1)[:, :, None, None]
+        jxz = np.sum(jx * w[:, None], axis=-1)[:, :, None, None]
+        jzp = np.einsum("nd,nde->ne", jz, here)
+        c = (w[:, None, :, None] * (v @ here)[:, :, None, :]
+             - jz[:, None, :, None] * (jx @ here)[:, :, None, :]
+             - 2.0 * jx[:, :, :, None] * jzp[:, None, None, :]
+             - xz * here[:, None] - jxz * (self._jt @ here)[:, None])
+        return q, c
+
     def _planar_oneill(self, p, x, y, z):
         """The A-terms of curvature for d = 2: S(X,Y)Z = <X,JY>JZ in _oneill."""
         jx, jy, jz = x @ self._jt, y @ self._jt, z @ self._jt

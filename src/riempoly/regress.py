@@ -4,7 +4,11 @@ The squared-distance objective is differentiated with an adjoint system
 integrated backward along the fitted curve: multiplier vectors start at zero
 at the final time, pick up a jump from every observation they pass, couple to
 the state through the curvature operator, and arrive at t = 0 carrying the
-negative gradients with respect to the initial conditions.  A descent loop
+negative gradients with respect to the initial conditions.  That pass is a
+linear recursion: at every node the multipliers are multiplied by two fixed
+matrices, the curvature coupling C and the backward transport-and-project Q,
+which Manifold.backward_operators builds for a block of nodes in a few
+batched calls before the recursion walks them.  A descent loop
 with a monotone backtracking line search moves every candidate with one
 Manifold.step: the base point along the geodesic, and the incremented
 vectors, the gradient and the direction by parallel transport to the new
@@ -31,6 +35,7 @@ original units.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +53,7 @@ _MAX_ORDER = 6          # guard against runaway stiffness
 _MIN_LINE_STEP = 1e-14
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
+_BLOCK = 16             # nodes per batch of backward operators in the adjoint
 
 
 class ZeroVarianceError(ValueError):
@@ -134,6 +140,7 @@ class FitResult:
     collinearity: float = None
     time_offset: float = 0.0
     time_scale: float = 1.0
+    elapsed_seconds: float = 0.0         # wall time of this fit_polynomial call
 
 
 def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
@@ -148,48 +155,56 @@ def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> f
 
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
                       data: TimedDataset) -> np.ndarray:
-    """Backward pass along a stored trajectory.
+    """Backward pass along a stored trajectory, as a linear recursion.
 
     The observation jumps (2/N) log_{gamma(n_j)} y_j come from one batched
     log_many call over all observations at their snapped nodes, summed per
-    node (zero where nothing is observed).  The pass then walks the
-    trajectory from its final node to the first.  At each node the
-    order-zero multiplier absorbs the curvature coupling and the node's
-    jump; every multiplier is incremented by its predecessor and the whole
-    stack is transported one node backward.  Returns the negated
-    multipliers, i.e. the (k+1, *tangent_shape) gradient: base point first,
-    then one row per vector.
+    node (zero where nothing is observed).  The multipliers lam, one row per
+    initial condition, start at zero after the final node.  Every step of
+    the pass is linear in them, so each node n is two fixed matrices from
+    Manifold.backward_operators: C[n], the curvature coupling of the vector
+    rows into the base row, and Q[n], transport one node backward followed
+    by projection onto the earlier tangent space.  Walking from the final
+    node to the first, each node then costs
+
+        lam[0] += lam[1:] . dt C[n] + jump[n];  lam[1:] += dt lam[:-1];
+        lam = lam Q[n],
+
+    with the operators built for _BLOCK nodes at a time, so memory stays
+    flat in the step count.  Returns the negated multipliers, i.e. the
+    (k+1, *tangent_shape) gradient: base point first, then one row per
+    vector.
     """
     k = traj.order
-    n_steps = len(traj) - 1
     dt = traj.dt
+    dim = int(np.prod(manifold.tangent_shape))
 
-    nodes = traj.node_index(data.times)
-    jumps = np.zeros((len(traj),) + manifold.tangent_shape)
-    np.add.at(jumps, nodes, manifold.log_many(traj.points[nodes], data.points))
-    jumps *= 2.0 / data.size
+    nodes = traj.node_index(data.times)     # nondecreasing: data is sorted
+    logs = manifold.log_many(traj.points[nodes], data.points).reshape(-1, dim)
 
-    lam = np.zeros((k + 1,) + manifold.tangent_shape)
-    for n in range(n_steps, 0, -1):
-        gamma = traj.points[n]
-        vels = traj.vels[n]
-        if k:
-            w = vels[0]
-            lam[0] += dt * np.sum(
-                manifold.curvature(gamma, vels, lam[1:], vels[0]), axis=0
-            )
-        else:
-            w = np.zeros(manifold.tangent_shape)
-        lam[0] += jumps[n]
-        back = -dt * w
-        incremented = lam.copy()
-        incremented[1:] += dt * lam[:-1]
-        lam = manifold.transport(gamma, back, incremented)
-        lam = np.asarray(
-            manifold.project_tangent(traj.points[n - 1], lam), dtype=float
+    def jumps(first, last):
+        """Summed jumps of the nodes first..last, one row per node."""
+        lo, hi = np.searchsorted(nodes, [first, last + 1])
+        out = np.zeros((last - first + 1, dim))
+        np.add.at(out, nodes[lo:hi] - first, logs[lo:hi])
+        return out * (2.0 / data.size)
+
+    lam = np.zeros((k + 1, dim))
+    end = len(traj) - 1
+    while end > 0:
+        start = max(end - _BLOCK, 0)
+        q, c = manifold.backward_operators(
+            traj.points[start:end + 1], traj.vels[start:end + 1], dt
         )
-    lam[0] += jumps[0]
-    return -lam
+        c = (dt * c).reshape(end - start, k * dim, dim)
+        jump = jumps(start + 1, end)
+        for j in range(end - start - 1, -1, -1):
+            lam[0] += lam[1:].ravel() @ c[j] + jump[j]
+            lam[1:] += dt * lam[:-1]
+            lam = lam @ q[j]
+        end = start
+    lam[0] += jumps(0, 0)[0]
+    return -lam.reshape((k + 1,) + manifold.tangent_shape)
 
 
 def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
@@ -261,6 +276,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     ``_frechet`` is private to ``fit_orders``: the data's Frechet mean and
     variance, computed once for all orders.
     """
+    started = time.perf_counter()
     k = config.order
     if data.size < k + 1:
         warnings.warn(
@@ -358,6 +374,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         collinearity=collinearity,
         time_offset=t0,
         time_scale=span,
+        elapsed_seconds=time.perf_counter() - started,
     )
 
 

@@ -234,6 +234,18 @@ class RotationGroup(Manifold):
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)
 
+    def backward_operators(self, points, vels, dt):
+        """The adjoint's per-node maps (see Manifold), tangents unprojected.
+
+        Curvature does not read the rotation, so one broadcast call gives C
+        for every node of the block; transport runs node by node.
+        """
+        v = np.asarray(vels, dtype=float)[1:]
+        eye = np.eye(3)
+        w = v[:, 0] if v.shape[1] else np.zeros((len(v), 3))
+        q = np.stack([self.transport(p, -dt * u, eye) for p, u in zip(points[1:], w)])
+        return q, curvature(v[:, :, None], eye, w[:, None, None], self.metric)
+
     def inner(self, p, x, y):
         val = self.metric.inner(x, y)
         return float(val) if np.ndim(val) == 0 else val

@@ -140,6 +140,47 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
     return num / max(den, 1e-300)
 
 
+def adjoint_reference(manifold, traj, data):
+    """Per-node oracle for integrate_adjoint: the same pass, map by map.
+
+    The jumps come from one log_many call, summed per node.  Walking from
+    the final node to the first, the order-zero multiplier absorbs the
+    curvature coupling and the node's jump, every multiplier is incremented
+    by its predecessor, and curvature, transport and project_tangent act on
+    the multipliers themselves.  Returns the (k+1, *tangent_shape) gradient.
+    """
+    k = traj.order
+    n_steps = len(traj) - 1
+    dt = traj.dt
+
+    nodes = traj.node_index(data.times)
+    jumps = np.zeros((len(traj),) + manifold.tangent_shape)
+    np.add.at(jumps, nodes, manifold.log_many(traj.points[nodes], data.points))
+    jumps *= 2.0 / data.size
+
+    lam = np.zeros((k + 1,) + manifold.tangent_shape)
+    for n in range(n_steps, 0, -1):
+        gamma = traj.points[n]
+        vels = traj.vels[n]
+        if k:
+            w = vels[0]
+            lam[0] += dt * np.sum(
+                manifold.curvature(gamma, vels, lam[1:], vels[0]), axis=0
+            )
+        else:
+            w = np.zeros(manifold.tangent_shape)
+        lam[0] += jumps[n]
+        back = -dt * w
+        incremented = lam.copy()
+        incremented[1:] += dt * lam[:-1]
+        lam = manifold.transport(gamma, back, incremented)
+        lam = np.asarray(
+            manifold.project_tangent(traj.points[n - 1], lam), dtype=float
+        )
+    lam[0] += jumps[0]
+    return -lam
+
+
 def log_log_slope(hs, errs):
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)

@@ -48,6 +48,8 @@ class TestFitCommand:
         payload = json.loads((out / "fit.json").read_text())
         assert set(payload["fits"]) == {"0", "1"}
         assert set(payload["config"]) == {"steps", "max_iters", "tol", "warm_start"}
+        for fit in payload["fits"].values():
+            assert 0.0 < fit["elapsed_seconds"] <= payload["elapsed_seconds"]
         fit1 = payload["fits"]["1"]
         assert fit1["r_squared"] > 0.99
         assert fit1["converged"]
@@ -73,6 +75,8 @@ class TestFitCommand:
             assert code == 0
             payload = json.loads((out / "fit.json").read_text())
             del payload["elapsed_seconds"]
+            for fit in payload["fits"].values():
+                del fit["elapsed_seconds"]
             del payload["input"]
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]

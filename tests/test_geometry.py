@@ -114,6 +114,39 @@ def test_step_is_exp_then_transport(name, rng):
     assert np.abs(moved - m.transport(p, v, stack)).max() < 1e-12
 
 
+def operator_manifold(name):
+    if name == "kendall_8_2":
+        return rp.KendallShapeSpace(8, 2)
+    return make_manifold(name)
+
+
+@pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general", "kendall_8_2"])
+@pytest.mark.parametrize("order", [0, 2])
+def test_backward_operators_apply_the_maps(name, order, rng):
+    # rows pushed through Q and C equal transport + project_tangent and
+    # curvature applied to the same rows; node 2 has zero velocity
+    m = operator_manifold(name)
+    p = m.random_point(rng)
+    vels = 0.5 * tangent_stack(m, rng, p, order) if order else ()
+    traj = rp.integrate_polynomial(m, rp.PolynomialState(p, vels), 1.0, 5)
+    node_vels = traj.vels.copy()
+    node_vels[2, :1] = 0.0
+    dt = traj.dt
+    q, c = m.backward_operators(traj.points, node_vels, dt)
+    dim = m.tangent_shape[0]
+    assert q.shape == (5, dim, dim) and c.shape == (5, order, dim, dim)
+    for n in range(1, 6):
+        gamma, v = traj.points[n], node_vels[n]
+        rows = tangent_stack(m, rng, gamma)
+        w = v[0] if order else np.zeros(m.tangent_shape)
+        moved = m.transport(gamma, -dt * w, rows)
+        expected = m.project_tangent(traj.points[n - 1], moved)
+        assert np.abs(rows @ q[n - 1] - expected).max() < 1e-12
+        for i in range(order):
+            expected = m.curvature(gamma, v[i], rows, v[0])
+            assert np.abs(rows @ c[n - 1, i] - expected).max() < 1e-12
+
+
 class TestPlanarKendallStep:
     """Properties of the d = 2 closed-form step on kendall(8,2)."""
 

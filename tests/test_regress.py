@@ -1,6 +1,7 @@
 """Estimation machinery: objective, reverse pass, descent, statistics."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -10,7 +11,13 @@ import pytest
 import riempoly.regress
 import riempoly as rp
 from riempoly.regress import ZeroVarianceError, _design_metric, integrate_adjoint
-from conftest import adjoint_vs_fd, make_manifold, random_fit_problem, unit_tangent
+from conftest import (
+    adjoint_reference,
+    adjoint_vs_fd,
+    make_manifold,
+    random_fit_problem,
+    unit_tangent,
+)
 
 
 def falling_factorial_to_monomial(k, dt):
@@ -134,6 +141,55 @@ class TestAdjoint:
         grads = integrate_adjoint(sphere, traj, data)
         for g in grads:
             assert abs(np.dot(g, state.gamma)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere", "so3", "so3_general",
+                                      "kendall", "kendall_8_2"])
+    @pytest.mark.parametrize("times", [(0.0, 0.33, 0.71, 1.0),
+                                       (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)],
+                             ids=["distinct", "shared"])
+    def test_operator_recursion_matches_reference(self, name, times, rng):
+        # 70 steps: several full operator blocks and a partial one
+        m = rp.KendallShapeSpace(8, 2) if name == "kendall_8_2" else make_manifold(name)
+        for k in range(4):
+            _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
+                                               times=times)
+            expected = adjoint_reference(m, traj, data)
+            got = integrate_adjoint(m, traj, data)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("manifold", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)],
+                             ids=["sphere", "kendall_8_2"])
+    def test_closed_form_operators_call_no_per_node_maps(self, manifold, rng,
+                                                         monkeypatch):
+        _, traj, data = random_fit_problem(manifold, 2, rng, steps=50)
+        calls = Counter()
+        cls = type(manifold)
+        for name in ("transport", "curvature", "project_tangent"):
+            def counted(*args, _name=name, _fn=getattr(cls, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        integrate_adjoint(manifold, traj, data)
+        assert sum(calls.values()) == 0
+
+    def test_memory_is_flat_in_the_step_count(self, rng):
+        # operators are built a block of nodes at a time, so ten times the
+        # nodes must not raise the pass's peak allocation
+        space = rp.KendallShapeSpace(8, 2)
+        state, _, data = random_fit_problem(space, 2, rng, scale=0.3, steps=200,
+                                            times=tuple(np.linspace(0.0, 1.0, 24)))
+        peaks = []
+        for steps in (200, 2000):
+            traj = rp.integrate_polynomial(space, state, 1.0, steps)
+            integrate_adjoint(space, traj, data)      # one-time set-up untraced
+            tracemalloc.start()
+            try:
+                integrate_adjoint(space, traj, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestFrechetMean:
