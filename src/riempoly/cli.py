@@ -42,7 +42,6 @@ class RunConfig:
     max_iters: int = 2000
     tol: float = 1e-6
     samples: int = 100
-    warm_start: bool = True
 
     def __post_init__(self):
         if not self.orders:
@@ -146,8 +145,7 @@ def run_regression(cfg: RunConfig):
     fit_cfg = FitConfig(order=0, steps=cfg.steps, max_iters=cfg.max_iters,
                         tol=cfg.tol)
     started = _time.perf_counter()
-    results = fit_orders(manifold, data, cfg.orders, fit_cfg,
-                         warm_start=cfg.warm_start)
+    results = fit_orders(manifold, data, cfg.orders, fit_cfg)
     elapsed = _time.perf_counter() - started
 
     outdir = Path(cfg.output_dir)
@@ -162,7 +160,6 @@ def run_regression(cfg: RunConfig):
             "steps": cfg.steps,
             "max_iters": cfg.max_iters,
             "tol": cfg.tol,
-            "warm_start": cfg.warm_start,
         },
         "elapsed_seconds": elapsed,
         "fits": {str(k): _fit_payload(r) for k, r in sorted(results.items())},
@@ -270,12 +267,10 @@ def cli():
 @click.option("--tol", default=1e-6, show_default=True)
 @click.option("--samples", default=100, show_default=True,
               help="Points per fitted curve in curves.csv (at least 2).")
-@click.option("--cold-start", is_flag=True,
-              help="Start every order from the mean instead of cascading.")
 @click.option("--plot-data/--no-plot-data", default=True, show_default=True,
               help="Also write plot_data.csv for the highest converged order.")
 def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
-                samples, cold_start, plot_data):
+                samples, plot_data):
     """Fit polynomial trends to a timed landmark dataset."""
     try:
         order_list = tuple(int(tok) for tok in orders.split(",") if tok.strip())
@@ -288,7 +283,6 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             max_iters=max_iters,
             tol=tol,
             samples=samples,
-            warm_start=not cold_start,
         )
         results, data, code = run_regression(cfg)
     except (ValueError, OSError, LandmarkFormatError, GeometryError) as exc:

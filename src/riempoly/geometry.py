@@ -32,7 +32,9 @@ class Manifold:
 
     Points and tangents are plain ndarrays.  Tangent-valued operations accept
     stacked inputs: any leading axes broadcast, the trailing axes are one
-    tangent vector.
+    tangent vector.  A geometry writes its geodesic once, in step, and its
+    log once, in log_many and dist_many; exp, transport, log and dist are
+    derived from them here.
     """
 
     name: str = "manifold"
@@ -40,26 +42,43 @@ class Manifold:
     tangent_shape: tuple = ()
     tolerance: float = 1e-10
 
-    def exp(self, p, v):
-        """Point reached at time 1 along the geodesic from p with velocity v."""
+    def step(self, p, v, stack):
+        """One geodesic step: the endpoint exp(p, v) and stack transported there.
+
+        The one routine in which a geometry writes its geodesic; exp and
+        transport are views of it.  The endpoint lies on the manifold and is
+        p itself when v is zero.  It is the forward integrator's per-node
+        kernel and the descent's move of one line-search candidate.
+        """
         raise NotImplementedError
 
-    def log(self, p, q):
-        """Minimal tangent vector at p mapping to q under exp."""
-        raise NotImplementedError
+    def exp(self, p, v):
+        """Point reached at time 1 along the geodesic from p with velocity v."""
+        return self.step(p, v, np.empty((0,) + self.tangent_shape))[0]
 
     def transport(self, p, direction, x):
         """Parallel transport of x along the geodesic s -> exp(p, s*direction), s in [0,1]."""
+        return self.step(p, direction, x)[1]
+
+    def log_many(self, points, targets):
+        """log(p, q) of each matching row pair."""
         raise NotImplementedError
 
-    def step(self, p, v, stack):
-        """One geodesic step: (project_point(exp(p, v)), transport(p, v, stack)).
+    def dist_many(self, points, targets):
+        """dist(p, q) of each matching row pair."""
+        raise NotImplementedError
 
-        The forward integrator's per-node kernel and the descent's move of
-        one line-search candidate.  Subclasses override it where the
-        endpoint and the transport can share their work.
-        """
-        return self.project_point(self.exp(p, v)), self.transport(p, v, stack)
+    def log(self, p, q):
+        """Minimal tangent vector at p mapping to q under exp; zero when q is p."""
+        if np.array_equal(p, q):
+            return np.zeros(self.tangent_shape)
+        return self.log_many(np.asarray(p)[None], np.asarray(q)[None])[0]
+
+    def dist(self, p, q) -> float:
+        """Geodesic distance from p to q; zero when q is p."""
+        if np.array_equal(p, q):
+            return 0.0
+        return float(self.dist_many(np.asarray(p)[None], np.asarray(q)[None])[0])
 
     def curvature(self, p, x, y, z):
         """Curvature operator R(x, y)z at p."""
@@ -109,9 +128,6 @@ class Manifold:
     def norm(self, p, x) -> float:
         return float(np.sqrt(max(self.inner(p, x, x), 0.0)))
 
-    def dist(self, p, q) -> float:
-        return self.norm(p, self.log(p, q))
-
     def project_point(self, p):
         """Nearest representative on the constraint set (drift cleanup)."""
         raise NotImplementedError
@@ -137,15 +153,6 @@ class Manifold:
     def random_tangent(self, rng, p):
         raise NotImplementedError
 
-    # Batched conveniences.  Subclasses override where a vectorized or
-    # structurally cheaper path exists; the defaults just loop.
-
-    def log_many(self, points, targets):
-        return np.stack([self.log(p, q) for p, q in zip(points, targets)])
-
-    def dist_many(self, points, targets):
-        return np.array([self.dist(p, q) for p, q in zip(points, targets)])
-
     def __repr__(self) -> str:
         return self.name
 
@@ -170,17 +177,9 @@ class Euclidean(Manifold):
                     f"expected trailing dimension {self.dim}, got {np.shape(a)}"
                 )
 
-    def exp(self, p, v):
-        self._check(p, v)
-        return p + v
-
-    def log(self, p, q):
-        self._check(p, q)
-        return q - p
-
-    def transport(self, p, direction, x):
-        self._check(p, direction, x)
-        return np.array(x, dtype=float, copy=True)
+    def step(self, p, v, stack):
+        self._check(p, v, stack)
+        return p + v, np.array(stack, dtype=float, copy=True)
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
@@ -193,10 +192,6 @@ class Euclidean(Manifold):
 
     def inner(self, p, x, y):
         return float(np.dot(x, y)) if np.ndim(x) == 1 and np.ndim(y) == 1 else np.sum(x * y, axis=-1)
-
-    def dist(self, p, q) -> float:
-        d = np.asarray(q) - np.asarray(p)
-        return float(np.sqrt(np.dot(d, d)))
 
     def project_point(self, p):
         return np.asarray(p, dtype=float)
@@ -220,6 +215,7 @@ class Euclidean(Manifold):
         return rng.standard_normal(self.dim)
 
     def log_many(self, points, targets):
+        self._check(points, targets)
         return np.asarray(targets) - np.asarray(points)
 
     def dist_many(self, points, targets):

@@ -9,15 +9,15 @@ rotation orbits.
 
 Shapes inherit their geometry through a Riemannian submersion from the
 preshape sphere, and horizontal geodesics of a submersion are great circles.
-So the exponential map is the sphere exponential of the horizontal part of
-the velocity, for every d, and the log map is the horizontal sphere log
-toward the Procrustes-aligned target.  For planar shapes (d = 2, complex
-projective space) the complex structure J, which turns every landmark by 90
-degrees, is parallel, so parallel transport has a closed form as well.  For
-d >= 3 transport has no closed form; it steps along the sphere and
-re-projects onto the horizontal subspace after every substep.  The curvature
-is exact for every d: the horizontal sphere curvature plus O'Neill's
-A-tensor terms of the submersion.
+So one step, for every d, moves along the great circle of the horizontal
+part of the velocity, and the log map is the horizontal sphere log toward
+the Procrustes-aligned target.  For planar shapes (d = 2, complex projective
+space) the complex structure J, which turns every landmark by 90 degrees, is
+parallel, so the step's transport has a closed form as well.  For d >= 3
+transport has no closed form; it takes sphere steps and re-projects onto the
+horizontal subspace after every substep.  The curvature is exact for every
+d: the horizontal sphere curvature plus O'Neill's A-tensor terms of the
+submersion.
 """
 
 from __future__ import annotations
@@ -196,109 +196,65 @@ class KendallShapeSpace(Manifold):
         """
         return self._project_out(x, self._normal_rows(np.asarray(p, dtype=float)))
 
-    def _planar_geodesic(self, p, v):
-        """Closed-form geodesic from p with the horizontal part of v (d = 2).
+    # -- contract ------------------------------------------------------------
 
-        Returns None when that part is zero.  Otherwise, with theta its norm,
-        u its direction and J the landmark rotation, returns the endpoint
-        cos(theta) p + sin(theta) u before re-projection, the rows [u, Ju],
-        and the rows [(cos(theta) - 1) u - sin(theta) p,
-        (cos(theta) - 1) Ju - sin(theta) Jp].  Transport along the geodesic
-        is then x + (x @ basis.T) @ shift: the u and Ju components of x turn
-        with the geodesic because J is parallel, and the rest stays fixed.
+    def step(self, p, v, stack):
+        """Horizontal great-circle step from p, carrying a (stacked) field.
+
+        With h the horizontal part of v, theta its norm and u its direction,
+        the endpoint is cos(theta) p + sin(theta) u, re-projected: horizontal
+        great circles are the shape-space geodesics, so this is exact for
+        every d.  For d = 2, with J the landmark rotation, the u and Ju
+        components of each row turn with the geodesic, into
+        cos(theta) u - sin(theta) p and cos(theta) Ju - sin(theta) Jp, because
+        J is parallel, and the rest of the row stays fixed.  For d >= 3 the
+        stack goes through stepped_transport.
         """
-        rows = self._normal_rows(p)             # ends with p and Jp
+        p = np.asarray(p, dtype=float)
+        stack = np.asarray(stack, dtype=float)
+        rows = self._normal_rows(p)             # ends with p, and Jp when d = 2
         h = self._project_out(v, rows)
         theta = math.sqrt(float(h @ h))
         if theta == 0.0:
-            return None
-        basis = np.array([h, h @ self._jt]) / theta
+            return p, stack.copy()
         c, s = math.cos(theta), math.sin(theta)
+        u = h / theta
+        end = self.project_point(c * p + s * u)
+        if self.d != 2:
+            return end, self.stepped_transport(p, h, stack)
+        basis = np.array([u, (h @ self._jt) / theta])
         shift = (c - 1.0) * basis - s * rows[-2:]
-        return c * p + s * basis[0], basis, shift
-
-    # -- contract ------------------------------------------------------------
-
-    def exp(self, p, v):
-        """Sphere exponential of the horizontal part of v, re-projected.
-
-        Horizontal great circles are the shape-space geodesics, so this is
-        exact for every d.
-        """
-        if np.dot(v, v) == 0.0:
-            return np.array(p, dtype=float)
-        return self.project_point(self._sphere.exp(p, self.horizontal_project(p, v)))
-
-    def transport(self, p, direction, x):
-        """Parallel transport of (stacked) horizontal x along exp(p, s*direction).
-
-        Closed form for d = 2 (see _planar_geodesic); stepped_transport for
-        d >= 3.
-        """
-        if self.d != 2:
-            return self.stepped_transport(p, direction, x)
-        geodesic = self._planar_geodesic(np.asarray(p, dtype=float), direction)
-        x = np.array(x, dtype=float, copy=True)
-        if geodesic is None:
-            return x
-        _, basis, shift = geodesic
-        return x + (x @ basis.T) @ shift
-
-    def step(self, p, v, stack):
-        """Endpoint and transported stack from one shared frame when d = 2."""
-        if self.d != 2:
-            return super().step(p, v, stack)
-        p = np.asarray(p, dtype=float)
-        stack = np.asarray(stack, dtype=float)
-        geodesic = self._planar_geodesic(p, v)
-        if geodesic is None:
-            return self.project_point(p), stack.copy()
-        end, basis, shift = geodesic
-        return self.project_point(end), stack + (stack @ basis.T) @ shift
+        return end, stack + (stack @ basis.T) @ shift
 
     def stepped_transport(self, p, direction, x):
         """Transport by sphere substeps of at most max_step, for any d.
 
-        Each substep is a sphere transport followed by a horizontal
-        re-projection at the new point.  Norms are restored after each
-        projection since exact transport is an isometry; the remaining error
-        is in direction and is first order in max_step.  This is the d >= 3
-        transport and the reference for the d = 2 closed form.  With the
-        curvature exact, this step error is what remains of the adjoint
-        gradient's mismatch on d >= 3.  Accepts stacked x.
+        Each substep is one sphere step that carries x and the direction
+        together, followed by a horizontal re-projection at the new point.
+        Norms are restored after each projection since exact transport is an
+        isometry; the remaining error is in direction and is first order in
+        max_step.  This is the d >= 3 transport and the reference for the
+        d = 2 closed form.  With the curvature exact, this step error is what
+        remains of the adjoint gradient's mismatch on d >= 3.  Accepts
+        stacked x; an empty stack returns at once.
         """
+        x = np.asarray(x, dtype=float)
         speed = float(np.sqrt(np.dot(direction, direction)))
-        out = np.array(x, dtype=float, copy=True)
-        if speed == 0.0:
-            return out
+        if speed == 0.0 or x.size == 0:
+            return x.copy()
         n = max(1, int(np.ceil(speed / self.max_step)))
-        h = 1.0 / n
         gamma = np.array(p, dtype=float)
-        w = np.array(direction, dtype=float)
-        before = np.asarray(np.sqrt(np.sum(out * out, axis=-1)))
+        w = np.array(direction, dtype=float) / n
+        out = x.reshape(-1, x.shape[-1])
+        before = np.sqrt(np.sum(out * out, axis=-1))
         for _ in range(n):
-            step = h * w
-            nxt = self.project_point(self._sphere.exp(gamma, step))
-            rows = self._normal_rows(nxt)
-            out = self._project_out(self._sphere.transport(gamma, step, out), rows)
-            after = np.asarray(np.sqrt(np.sum(out * out, axis=-1)))
-            safe = np.maximum(after, 1e-300)
-            ratio = np.where(after > 1e-300, before / safe, 1.0)
-            out = out * ratio[..., None]
-            w = self._project_out(self._sphere.transport(gamma, step, w), rows)
-            gamma = nxt
-        return out
-
-    def log(self, p, q):
-        """Exact quotient log: see log_many."""
-        if np.array_equal(p, q):
-            return np.zeros(self.m * self.d)
-        return self.log_many(p[None], q[None])[0]
-
-    def dist(self, p, q) -> float:
-        if np.array_equal(p, q):
-            return 0.0
-        return float(self.dist_many(p[None], q[None])[0])
+            end, moved = self._sphere.step(gamma, w, np.concatenate([out, w[None]]))
+            gamma = self.project_point(end)
+            moved = self._project_out(moved, self._normal_rows(gamma))
+            after = np.sqrt(np.sum(moved[:-1] * moved[:-1], axis=-1))
+            ratio = np.where(after > 1e-300, before / np.maximum(after, 1e-300), 1.0)
+            out, w = moved[:-1] * ratio[:, None], moved[-1]
+        return out.reshape(x.shape)
 
     def curvature(self, p, x, y, z):
         """Curvature R(x, y)z of shape space for horizontal x, y, z at p.
@@ -323,7 +279,8 @@ class KendallShapeSpace(Manifold):
 
         With R the normal rows of a node (centering, the point p, Jp), the
         horizontal projector there is P = I - R^T R.  Transport along
-        -dt v_1 is I + B^T S in the frame of _planar_geodesic, so
+        -dt v_1 is I + B^T S in the frame of step, with B the rows [u, Ju]
+        and S the rows they turn by, so
         Q = P_prev + B^T (S P_prev).  Curvature is linear in its second
         argument: the sphere term z^T x - (x.z) I plus O'Neill's A-terms
         -(Jz)^T Jx - (Jx.z) J - 2 (Jx)^T Jz, each followed by P, with x = v_i
@@ -342,7 +299,7 @@ class KendallShapeSpace(Manifold):
         p, rows, here, v = points[1:], normal[1:], proj[1:], vels[1:]
         w = v[:, 0] if v.shape[1] else np.zeros_like(p)
 
-        # _planar_geodesic of every node along -dt w; a zero frame gives Q = P_prev
+        # step's frame at every node along -dt w; a zero frame gives Q = P_prev
         back = -dt * w
         h = back - np.einsum("nr,nrd->nd", np.einsum("nd,nrd->nr", back, rows), rows)
         theta = np.sqrt(np.sum(h * h, axis=-1))

@@ -50,7 +50,6 @@ from .polyflow import (
 )
 
 _MAX_ORDER = 6          # guard against runaway stiffness
-_MIN_LINE_STEP = 1e-14
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
 _BLOCK = 16             # nodes per batch of backward operators in the adjoint
@@ -224,7 +223,7 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
         if manifold.norm(mean, grad) <= tol:
             return mean, value
         while step >= 1e-12:
-            candidate = manifold.project_point(manifold.exp(mean, step * grad))
+            candidate = manifold.exp(mean, step * grad)
             cand_value = float(np.mean(np.square(manifold.dist_many(
                 np.broadcast_to(candidate, points.shape), points))))
             if cand_value <= value:
@@ -378,13 +377,12 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     )
 
 
-def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig,
-               warm_start: bool = True) -> dict:
-    """Fit several orders, optionally seeding each from the previous result.
+def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig) -> dict:
+    """Fit several orders, each seeded from the previous result.
 
-    Warm starting pads the previous optimum with one zero vector, so the
-    objective can only improve with the order.  Every order reuses the
-    dataset's one Frechet mean and variance.
+    The previous optimum is padded with zero vectors, so the objective can
+    only improve with the order.  Every order reuses the dataset's one
+    Frechet mean and variance.
     """
     results = {}
     previous = None
@@ -392,7 +390,7 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     for k in sorted(orders):
         cfg = replace(config, order=k)
         initial = None
-        if warm_start and previous is not None and previous.params.order < k:
+        if previous is not None and previous.params.order < k:
             pad = np.zeros((k - previous.params.order,) + manifold.tangent_shape)
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
@@ -409,17 +407,17 @@ def _line_search(manifold, state, grad, direction, eta, value, evaluate):
     carries the rows [vels + e * direction[1:], grad, direction] to the new
     base point.  Returns (state, trajectory, objective, memory), where memory
     is the Barzilai-Borwein pair (grad, e * direction) at the accepted point,
-    or None once the step falls below _MIN_LINE_STEP or no longer moves the
-    state by a single bit.
+    or None once the predicted decrease e <g, P g> falls below the rounding
+    unit of the objective, np.spacing(value): a smaller decrease cannot be
+    told from rounding.
     """
     k = state.order
     e = eta
-    while e >= _MIN_LINE_STEP:
+    slope = -_stack_inner(manifold, state.gamma, grad, direction)   # <g, P g>
+    while e * slope >= np.spacing(value):
         rows = np.concatenate([state.vels + e * direction[1:], grad, direction])
         gamma, moved = manifold.step(state.gamma, e * direction[0], rows)
         moved = np.asarray(manifold.project_tangent(gamma, moved), dtype=float)
-        if np.array_equal(gamma, state.gamma) and np.array_equal(moved[:k], state.vels):
-            return None
         candidate = PolynomialState(gamma, moved[:k])
         traj, val = evaluate(candidate)
         if val < value:

@@ -9,10 +9,12 @@ Every rate comes from one Levi-Civita connection of left-invariant fields
 (``connection``): the geodesic velocity, parallel transport and the
 curvature operator.  Under a general metric one midpoint flow
 (``RotationGroup._flow``) integrates the velocity and any stack of
-transported fields together and serves ``exp``, ``transport`` and ``step``;
-only ``exp`` and ``step`` compose the rotation from its substeps, since no
-rate depends on it.  For A = I both are closed forms: the endpoint is the
-exact rotation exponential, and transport rotates a field by rodrigues(-w/2).
+transported fields together and serves ``step`` and ``transport``; only
+``step`` composes the rotation from its substeps, since no rate depends on
+it.  For A = I both are closed forms: the endpoint is the exact rotation
+exponential, and transport rotates a field by rodrigues(-w/2).  The log of
+each pair, in ``log_many``, is the principal rotation vector, shot onto the
+metric's geodesic under a general metric.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class RotationGroup(Manifold):
         Returns the (stacked) transported fields and each substep's turn, the
         step times its midpoint velocity.  No rate reads the rotation, so the
         flow never forms it: ``_compose`` builds the endpoint from the turns
-        for the callers that need it (``exp`` and ``step``).  The velocity is
+        for the caller that needs it (``step``).  The velocity is
         parallel along its own geodesic, so it rides as row 0 of the one
         array f whose rows all obey f' = -nabla_w f.
         """
@@ -191,30 +193,18 @@ class RotationGroup(Manifold):
             f = f - h * connection(mid[0], mid, self.metric)
         return f[1:].reshape(stack.shape), turns
 
-    def exp(self, p, v):
-        """Midpoint-integrated geodesic flow; exact when A = I."""
-        if not self.metric.is_identity:
-            return _compose(p, self._flow(v, np.empty((0, 3)))[1])
+    def step(self, p, v, stack):
+        """Endpoint and transported stack: closed forms when A = I, else one flow."""
         w = np.asarray(v, dtype=float)
         if np.dot(w, w) == 0.0:
-            return np.array(p, dtype=float)
-        return _reorthonormalize(p @ rodrigues(w))
-
-    def log(self, p, q):
-        rel = rotation_log(np.asarray(p).T @ q)
-        angle = np.sqrt(np.dot(rel, rel))
-        if angle > np.pi - 1e-9:
-            raise CutLocusError("rotations are (nearly) antipodal")
+            return p, np.array(stack, dtype=float, copy=True)
         if self.metric.is_identity:
-            return rel
-        return shooting_log(
-            self, p, q, rel,
-            tol=1e-10, max_iter=200,
-            endpoint_gap=lambda end, target: rotation_log(np.asarray(end).T @ target),
-        )
+            return self.project_point(_compose(p, [w])), self.transport(p, w, stack)
+        moved, turns = self._flow(w, stack)
+        return self.project_point(_compose(p, turns)), moved
 
     def transport(self, p, direction, x):
-        """Transport along exp(p, s*direction); accepts stacked x.
+        """Transport along exp(p, s*direction) that never forms the rotation.
 
         For A = I a parallel field obeys x' = -cross(w, x)/2 with w constant,
         so the transport is the exact rotation rodrigues(-w/2) of x.
@@ -224,12 +214,24 @@ class RotationGroup(Manifold):
             return np.asarray(x, dtype=float) @ half_turn.T
         return self._flow(direction, x)[0]
 
-    def step(self, p, v, stack):
-        """Endpoint and transported stack from one flow (exact when A = I)."""
-        if self.metric.is_identity:
-            return super().step(p, v, stack)
-        moved, turns = self._flow(v, stack)
-        return self.project_point(_compose(p, turns)), moved
+    def log_many(self, points, targets):
+        """Per-pair log: the principal rotation vector, shot to the metric's geodesic."""
+        logs = []
+        for p, q in zip(points, targets):
+            rel = rotation_log(np.asarray(p).T @ q)
+            if np.sqrt(np.dot(rel, rel)) > np.pi - 1e-9:
+                raise CutLocusError("rotations are (nearly) antipodal")
+            if not self.metric.is_identity:
+                rel = shooting_log(
+                    self, p, q, rel, tol=1e-10, max_iter=200,
+                    endpoint_gap=lambda end, target: rotation_log(np.asarray(end).T @ target),
+                )
+            logs.append(rel)
+        return np.stack(logs)
+
+    def dist_many(self, points, targets):
+        logs = self.log_many(points, targets)
+        return np.sqrt(np.maximum(self.metric.inner(logs, logs), 0.0))
 
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)

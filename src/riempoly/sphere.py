@@ -1,10 +1,14 @@
 """Unit n-sphere embedded in R^{n+1}: closed-form geodesic toolkit.
 
 Geodesics are great circles, so every contract operation has an exact
-expression; no time stepping is involved anywhere in this module.
+expression; no time stepping is involved anywhere in this module.  One
+closed-form step finds the angle once and gives both the endpoint and the
+transport; the log and distance are batched, chord-based closed forms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,37 +36,27 @@ class Sphere(Manifold):
 
     # -- contract ----------------------------------------------------------
 
-    def exp(self, p, v):
-        """Great-circle point cos(|v|) p + sin(|v|) v/|v|, renormalized."""
-        theta = np.sqrt(np.dot(v, v))
-        if theta == 0.0:
-            return np.array(p, dtype=float)
-        if theta < _TINY_ANGLE:
-            out = p + v
-        else:
-            out = np.cos(theta) * p + (np.sin(theta) / theta) * v
-        return out / np.sqrt(np.dot(out, out))
+    def step(self, p, v, stack):
+        """Great-circle step from p with velocity v, carrying a (stacked) field.
 
-    def log(self, p, q):
-        """Exact log; see log_many."""
-        return self.log_many(np.asarray(p)[None], np.asarray(q)[None])[0]
-
-    def dist(self, p, q) -> float:
-        return float(self.dist_many(np.asarray(p)[None], np.asarray(q)[None])[0])
-
-    def transport(self, p, direction, x):
-        """Parallel transport along exp(p, s*direction).
-
-        The component of x orthogonal to the direction is untouched; the
-        parallel component rotates with the geodesic.  Accepts stacked x.
+        With theta = |v| and u = v/theta the endpoint is
+        cos(theta) p + sin(theta) u, renormalized.  Transport turns the u
+        component of each row into cos(theta) u - sin(theta) p, the parallel
+        direction at the endpoint, and leaves the rest of the row untouched.
         """
-        theta = np.sqrt(np.dot(direction, direction))
+        p = np.asarray(p, dtype=float)
+        stack = np.asarray(stack, dtype=float)
+        theta = math.sqrt(np.dot(v, v))
+        if theta == 0.0:
+            return p, stack.copy()
+        c, s = math.cos(theta), math.sin(theta)
+        end = p + v if theta < _TINY_ANGLE else c * p + (s / theta) * v
+        end = end / math.sqrt(np.dot(end, end))
         if theta < 1e-14:
-            return np.array(x, dtype=float, copy=True)
-        u = direction / theta
-        a = np.dot(x, u)                      # scalar or (...,) stack
-        rotated = np.cos(theta) * u - np.sin(theta) * p
-        return x - np.multiply.outer(a, u) + np.multiply.outer(a, rotated)
+            return end, stack.copy()
+        u = v / theta
+        a = np.dot(stack, u)                  # scalar or (...,) stack
+        return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
     def curvature(self, p, x, y, z):
         """R(x, y)z = (y.z) x - (x.z) y; batches over leading axes.

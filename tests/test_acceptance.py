@@ -44,7 +44,7 @@ def rat_results():
     manifold, data, _ = build_dataset("kendall", records)
     cfg = rp.FitConfig(order=0, steps=200, max_iters=2000, tol=2e-6)
     started = time.perf_counter()
-    results = rp.fit_orders(manifold, data, (0, 1, 2, 3), cfg, warm_start=True)
+    results = rp.fit_orders(manifold, data, (0, 1, 2, 3), cfg)
     elapsed = time.perf_counter() - started
     return results, elapsed, data
 
@@ -79,7 +79,7 @@ def test_criterion_2_reparametrized_geodesic_recovery():
     data = rp.TimedDataset(space, times, pts)
 
     cfg = rp.FitConfig(order=0, steps=100, max_iters=1500, tol=1e-6)
-    results = rp.fit_orders(space, data, (1, 3), cfg, warm_start=True)
+    results = rp.fit_orders(space, data, (1, 3), cfg)
     r2_low, fit3 = results[1].r_squared, results[3]
     ok = (fit3.r_squared >= 0.95 and fit3.collinearity > 0.99
           and r2_low < fit3.r_squared)

@@ -47,7 +47,7 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads((out / "fit.json").read_text())
         assert set(payload["fits"]) == {"0", "1"}
-        assert set(payload["config"]) == {"steps", "max_iters", "tol", "warm_start"}
+        assert set(payload["config"]) == {"steps", "max_iters", "tol"}
         for fit in payload["fits"].values():
             assert 0.0 < fit["elapsed_seconds"] <= payload["elapsed_seconds"]
         fit1 = payload["fits"]["1"]

@@ -28,11 +28,22 @@ class TestContract:
         p = m.random_point(rng)
         q = m.exp(p, np.zeros(m.tangent_shape))
         assert np.array_equal(q, p)
+        # the zero step leaves p and the carried stack untouched, bit for bit
+        for _ in range(20):
+            p = m.random_point(rng)
+            stack = np.stack([m.random_tangent(rng, p) for _ in range(3)])
+            end, moved = m.step(p, np.zeros(m.tangent_shape), stack)
+            assert np.array_equal(end, p)
+            assert np.array_equal(moved, stack)
 
     def test_log_at_base_is_zero(self, name, rng):
         m = make_manifold(name)
         p = m.random_point(rng)
         assert m.norm(p, m.log(p, p)) < 1e-12
+        for _ in range(20):
+            p = m.random_point(rng)
+            assert not np.any(m.log(p, p))
+            assert m.dist(p, p) == 0.0
 
     def test_exp_log_roundtrip(self, name, rng):
         m = make_manifold(name)

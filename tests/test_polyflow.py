@@ -183,11 +183,11 @@ class TestTrajectoryAndSampling:
     def test_integration_error_carries_step(self, rng):
         # a cut-locus failure mid-flight surfaces with its time index
         class Broken(rp.Euclidean):
-            def exp(self, p, v):
+            def step(self, p, v, stack):
                 if p[0] > 0.5:
                     from riempoly.geometry import GeometryError
                     raise GeometryError("boom")
-                return super().exp(p, v)
+                return super().step(p, v, stack)
 
         line = Broken(1)
         state = rp.PolynomialState(np.zeros(1), (np.ones(1),))

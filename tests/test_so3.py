@@ -341,6 +341,9 @@ class TestTransport:
         moved = group.transport(p, v, x)
         assert calls["rodrigues"] == 0
         assert np.array_equal(moved, group.step(p, v, x)[1])
+        # the closed form for A = I is the transport half of its step too
+        identity = rp.RotationGroup()
+        assert np.array_equal(identity.transport(p, v, x), identity.step(p, v, x)[1])
 
     def test_bi_invariant_closed_form_matches_oracle(self, identity_metric, rng):
         group = rp.RotationGroup()
