@@ -33,8 +33,10 @@ class Manifold:
     Points and tangents are plain ndarrays.  Tangent-valued operations accept
     stacked inputs: any leading axes broadcast, the trailing axes are one
     tangent vector.  A geometry writes its geodesic once, in step, and its
-    log once, in log_many and dist_many; exp, transport, log and dist are
-    derived from them here.
+    log once, in log_many; exp, transport, log, dist_many and dist are
+    derived from them here.  The fit takes no distance: its objective is the
+    mean squared metric norm of the residual logs, which are also the
+    adjoint's jumps, so dist_many serves the reports.
     """
 
     name: str = "manifold"
@@ -65,8 +67,9 @@ class Manifold:
         raise NotImplementedError
 
     def dist_many(self, points, targets):
-        """dist(p, q) of each matching row pair."""
-        raise NotImplementedError
+        """dist(p, q) of each matching row pair: the metric norm of its log."""
+        logs = self.log_many(points, targets)
+        return np.sqrt(np.maximum(self.inner(points, logs, logs), 0.0))
 
     def log(self, p, q):
         """Minimal tangent vector at p mapping to q under exp; zero when q is p."""
@@ -144,9 +147,6 @@ class Manifold:
         """Constraint residuals of a tangent vector x at p."""
         raise NotImplementedError
 
-    def injectivity_radius(self, p) -> float:
-        raise NotImplementedError
-
     def random_point(self, rng):
         raise NotImplementedError
 
@@ -205,9 +205,6 @@ class Euclidean(Manifold):
     def tangent_residuals(self, p, x) -> dict:
         return {}
 
-    def injectivity_radius(self, p) -> float:
-        return np.inf
-
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
 
@@ -217,10 +214,6 @@ class Euclidean(Manifold):
     def log_many(self, points, targets):
         self._check(points, targets)
         return np.asarray(targets) - np.asarray(points)
-
-    def dist_many(self, points, targets):
-        d = np.asarray(targets) - np.asarray(points)
-        return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_gap=None):

@@ -381,9 +381,6 @@ class KendallShapeSpace(Manifold):
             "horizontal": vertical,
         }
 
-    def injectivity_radius(self, p) -> float:
-        return np.pi / 2.0
-
     def random_point(self, rng):
         return self.from_landmarks(rng.standard_normal((self.m, self.d)))
 
@@ -410,13 +407,6 @@ class KendallShapeSpace(Manifold):
         bases = _vertical_bases(self._mat(points))
         coef = np.einsum("nd,nrd->nr", logs, bases)
         return logs - np.einsum("nr,nrd->nd", coef, bases)
-
-    def dist_many(self, points, targets):
-        points = np.asarray(points, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        aligned = _align_many(self._mat(targets), self._mat(points))
-        aligned = aligned.reshape(targets.shape)
-        return self._sphere.dist_many(points, aligned)
 
 
 def shape_distance(p_config, q_config) -> float:

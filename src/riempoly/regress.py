@@ -1,6 +1,12 @@
 """Parameter estimation for intrinsic polynomial regression.
 
-The squared-distance objective is differentiated with an adjoint system
+The fit computes one thing per candidate curve: the residual logs
+log_{gamma(n_j)} y_j, one batched Manifold.log_many call over the
+observations at their snapped nodes.  The objective is their mean squared
+metric norm, and the accepted candidate's logs are the jumps of the adjoint
+system, so no (node, observation) pair is logged twice.
+
+The objective is differentiated with an adjoint system
 integrated backward along the fitted curve: multiplier vectors start at zero
 at the final time, pick up a jump from every observation they pass, couple to
 the state through the curvature operator, and arrive at t = 0 carrying the
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import GeometryError, Manifold
+from .geometry import CutLocusError, GeometryError, Manifold
 from .polyflow import (
     PolynomialState,
     Trajectory,
@@ -142,24 +148,44 @@ class FitResult:
     elapsed_seconds: float = 0.0         # wall time of this fit_polynomial call
 
 
-def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
-    """Mean squared geodesic distance from the curve to the observations."""
+def _residuals(manifold: Manifold, bases, targets):
+    """Logs from each base row to its target row, and their mean squared norm.
+
+    One batched log_many call.  The mean squared metric norm of the logs is
+    the one definition of the objective and of the Frechet variance.
+    """
+    logs = manifold.log_many(bases, targets)
+    return logs, float(np.mean(manifold.inner(bases, logs, logs)))
+
+
+def _objective(manifold: Manifold, traj: Trajectory, data: TimedDataset):
+    """Residual logs of traj and the objective, a failed log reported as such."""
     try:
-        dists = manifold.dist_many(traj.points[traj.node_index(data.times)],
-                                   data.points)
+        return _residuals(manifold, traj.points[traj.node_index(data.times)],
+                          data.points)
     except GeometryError as exc:
         raise GeometryError(f"objective failed on an observation: {exc}") from exc
-    return float(np.mean(np.square(dists)))
+
+
+def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
+    """Mean squared geodesic distance from the curve to the observations.
+
+    Each squared distance is the squared metric norm of the residual log
+    log_{gamma(n_j)} y_j at the observation's snapped node.
+    """
+    return _objective(manifold, traj, data)[1]
 
 
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
-                      data: TimedDataset) -> np.ndarray:
+                      data: TimedDataset, logs) -> np.ndarray:
     """Backward pass along a stored trajectory, as a linear recursion.
 
-    The observation jumps (2/N) log_{gamma(n_j)} y_j come from one batched
-    log_many call over all observations at their snapped nodes, summed per
-    node (zero where nothing is observed).  The multipliers lam, one row per
-    initial condition, start at zero after the final node.  Every step of
+    logs holds the residual logs log_{gamma(n_j)} y_j of traj, one row per
+    observation at its snapped node, as the objective computed them.  The
+    observation jumps are (2/N) times those rows, summed per node (zero
+    where nothing is observed), so the pass itself takes no log.  The
+    multipliers lam, one row per initial condition, start at zero after
+    the final node.  Every step of
     the pass is linear in them, so each node n is two fixed matrices from
     Manifold.backward_operators: C[n], the curvature coupling of the vector
     rows into the base row, and Q[n], transport one node backward followed
@@ -179,7 +205,7 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     dim = int(np.prod(manifold.tangent_shape))
 
     nodes = traj.node_index(data.times)     # nondecreasing: data is sorted
-    logs = manifold.log_many(traj.points[nodes], data.points).reshape(-1, dim)
+    logs = np.reshape(logs, (-1, dim))
 
     def jumps(first, last):
         """Summed jumps of the nodes first..last, one row per node."""
@@ -206,37 +232,58 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     return -lam.reshape((k + 1,) + manifold.tangent_shape)
 
 
-def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
-    """Frechet mean and the mean squared distance to it, from one iteration.
+_TIE_ULPS = 4           # variances this close are told apart by the gradient
 
-    Every accepted step already evaluates the variance at the new mean, so
-    the pair costs no more than the mean.
+
+def _mean_step_accepted(value, grad_norm, cand_value, cand_grad_norm) -> bool:
+    """A lower variance wins; within _TIE_ULPS ulps, a lower gradient norm."""
+    gap = cand_value - value
+    if abs(gap) <= _TIE_ULPS * np.spacing(value):
+        return cand_grad_norm < grad_norm
+    return gap < 0.0
+
+
+def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
+    """Frechet mean, the mean squared distance to it, and the logs there.
+
+    Every candidate is one log_many call: its logs give the variance that
+    scores it and, once accepted, the next gradient, their mean.  Near the
+    optimum the variance stops resolving a decrease, so a candidate whose
+    variance is within _TIE_ULPS units in the last place of the current one
+    is accepted only if it lowers the gradient norm.  A candidate at the cut
+    locus of an observation is rejected like one that does not descend.
+    Returns (mean, variance, logs), the logs' rows matching points.
     """
     points = np.asarray(points, dtype=float)
-    mean = np.array(points[0], dtype=float)
-    step = 1.0
-    value = float(np.mean(np.square(manifold.dist_many(
-        np.broadcast_to(mean, points.shape), points))))
-    for _ in range(max_iter):
-        logs = manifold.log_many(np.broadcast_to(mean, points.shape), points)
+
+    def evaluate(mean):
+        logs, value = _residuals(manifold, np.broadcast_to(mean, points.shape), points)
         grad = logs.mean(axis=0)
-        if manifold.norm(mean, grad) <= tol:
-            return mean, value
+        return mean, logs, value, grad, manifold.norm(mean, grad)
+
+    current = evaluate(np.array(points[0], dtype=float))
+    step = 1.0
+    for _ in range(max_iter):
+        mean, _, value, grad, grad_norm = current
+        if grad_norm <= tol:
+            break
         while step >= 1e-12:
-            candidate = manifold.exp(mean, step * grad)
-            cand_value = float(np.mean(np.square(manifold.dist_many(
-                np.broadcast_to(candidate, points.shape), points))))
-            if cand_value <= value:
-                mean, value = candidate, cand_value
+            try:
+                candidate = evaluate(manifold.exp(mean, step * grad))
+            except CutLocusError:
+                candidate = None
+            if candidate is not None and _mean_step_accepted(
+                    value, grad_norm, candidate[2], candidate[4]):
+                current = candidate
                 step = min(1.0, step * 2.0)
                 break
             step *= 0.5
         else:
             break
-    logs = manifold.log_many(np.broadcast_to(mean, points.shape), points)
-    if manifold.norm(mean, logs.mean(axis=0)) > max(tol, 1e-6):
+    mean, logs, value, _, grad_norm = current
+    if grad_norm > max(tol, 1e-6):
         raise GeometryError("mean iteration did not converge")
-    return mean, value
+    return mean, value, logs
 
 
 def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
@@ -246,11 +293,11 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
 
 
 def frechet_variance(manifold: Manifold, points, mean=None) -> float:
+    """Mean squared distance from points to their Frechet mean (or to mean)."""
     points = np.asarray(points, dtype=float)
     if mean is None:
         return _frechet_mean_and_variance(manifold, points)[1]
-    d = manifold.dist_many(np.broadcast_to(mean, points.shape), points)
-    return float(np.mean(np.square(d)))
+    return _residuals(manifold, np.broadcast_to(mean, points.shape), points)[1]
 
 
 def r_squared(sse: float, variance: float) -> float:
@@ -268,12 +315,15 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     """Estimate initial conditions of an order-k curve by descent.
 
     Starts from the mean of the data with zero vectors unless an explicit
-    initial state (in internal [0, 1] time units) is supplied.  Accepted
-    iterations strictly decrease the objective; parameters that drift more
-    than 1e-6 off the manifold raise GeometryError.  The result keeps the
-    trajectory of the accepted parameters, the one its SSE was measured on.
-    ``_frechet`` is private to ``fit_orders``: the data's Frechet mean and
-    variance, computed once for all orders.
+    initial state (in internal [0, 1] time units) is supplied; the mean's
+    logs and variance are then the starting curve's residual logs and
+    objective.  Accepted iterations strictly decrease the objective; a
+    candidate at the cut locus of an observation counts as rejected.
+    Parameters that drift more than 1e-6 off the manifold raise
+    GeometryError.  The result keeps the trajectory of the accepted
+    parameters, the one its SSE was measured on.
+    ``_frechet`` is private to ``fit_orders``: the data's Frechet mean,
+    variance and logs, computed once for all orders.
     """
     started = time.perf_counter()
     k = config.order
@@ -290,7 +340,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     steps = 1 if one_time else config.steps
     if _frechet is None:
         _frechet = _frechet_mean_and_variance(manifold, internal.points)
-    variance_mean, variance = _frechet
+    variance_mean, variance, mean_logs = _frechet
 
     shape = (k,) + manifold.tangent_shape
     if initial is None:
@@ -303,12 +353,21 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"on {manifold.name} needs {shape}"
         )
 
-    def evaluate(s: PolynomialState):
-        traj = integrate_polynomial(manifold, s, 1.0, steps)
-        return traj, objective_sse(manifold, traj, internal)
+    traj = integrate_polynomial(manifold, state, 1.0, steps)
+    nodes = traj.node_index(internal.times)
+    if initial is None:
+        # every node of the constant curve is the mean, bit for bit: its
+        # residual logs and objective are the mean's logs and variance
+        logs, value = mean_logs, variance
+    else:
+        logs, value = _objective(manifold, traj, internal)
 
-    traj, value = evaluate(state)
-    gram, precond = _design_metric(traj.node_index(internal.times), traj.dt, k)
+    def evaluate(s: PolynomialState):
+        """Integrate a candidate; its residual logs and objective in one log_many."""
+        traj = integrate_polynomial(manifold, s, 1.0, steps)
+        return (traj,) + _residuals(manifold, traj.points[nodes], internal.points)
+
+    gram, precond = _design_metric(nodes, traj.dt, k)
     trace = [value]
     eta = 1.0
     converged = False
@@ -318,7 +377,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     iterations = 0
 
     for iteration in range(config.max_iters):
-        grad = integrate_adjoint(manifold, traj, internal)
+        grad = integrate_adjoint(manifold, traj, internal, logs)
         grad_norm = float(np.sqrt(_stack_inner(manifold, state.gamma, grad, grad)))
         if grad_norm <= config.tol:
             converged = True
@@ -335,7 +394,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         if found is None:
             stop_reason = "line_search"
             break
-        state, traj, value, memory = found
+        state, traj, logs, value, memory = found
         iterations = iteration + 1
         worst = max(state.residuals(manifold).values(), default=0.0)
         if worst > _DRIFT_TOL:
@@ -405,7 +464,9 @@ def _line_search(manifold, state, grad, direction, eta, value, evaluate):
 
     A candidate with step e is one Manifold.step along e * direction[0] that
     carries the rows [vels + e * direction[1:], grad, direction] to the new
-    base point.  Returns (state, trajectory, objective, memory), where memory
+    base point.  A candidate at the cut locus of an observation, where its
+    residual log is undefined, is rejected like one that does not descend.
+    Returns (state, trajectory, logs, objective, memory), where memory
     is the Barzilai-Borwein pair (grad, e * direction) at the accepted point,
     or None once the predicted decrease e <g, P g> falls below the rounding
     unit of the objective, np.spacing(value): a smaller decrease cannot be
@@ -419,9 +480,13 @@ def _line_search(manifold, state, grad, direction, eta, value, evaluate):
         gamma, moved = manifold.step(state.gamma, e * direction[0], rows)
         moved = np.asarray(manifold.project_tangent(gamma, moved), dtype=float)
         candidate = PolynomialState(gamma, moved[:k])
-        traj, val = evaluate(candidate)
+        try:
+            traj, logs, val = evaluate(candidate)
+        except CutLocusError:
+            val = np.inf                    # rejected: the step shrinks
         if val < value:
-            return candidate, traj, val, (moved[k:2 * k + 1], e * moved[2 * k + 1:])
+            return (candidate, traj, logs, val,
+                    (moved[k:2 * k + 1], e * moved[2 * k + 1:]))
         e *= _SHRINK
     return None
 

@@ -25,8 +25,6 @@ import numpy as np
 
 from .geometry import CutLocusError, Manifold, shooting_log
 
-_SKEW_TOL = 1e-9
-
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -36,15 +34,6 @@ def hat(x):
     """Skew matrix of x, so that hat(x) @ y == cross(x, y)."""
     a, b, c = x
     return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]])
-
-
-def vee(w):
-    """Inverse of hat; rejects matrices that are not skew-symmetric."""
-    w = np.asarray(w, dtype=float)
-    sym = np.abs(w + w.T).max()
-    if sym > _SKEW_TOL:
-        raise ValueError(f"matrix is not skew-symmetric (residual {sym:.3e})")
-    return np.array([w[2, 1], w[0, 2], w[1, 0]])
 
 
 @dataclass(frozen=True)
@@ -229,10 +218,6 @@ class RotationGroup(Manifold):
             logs.append(rel)
         return np.stack(logs)
 
-    def dist_many(self, points, targets):
-        logs = self.log_many(points, targets)
-        return np.sqrt(np.maximum(self.metric.inner(logs, logs), 0.0))
-
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)
 
@@ -273,9 +258,6 @@ class RotationGroup(Manifold):
 
     def tangent_residuals(self, p, x) -> dict:
         return {}
-
-    def injectivity_radius(self, p) -> float:
-        return np.pi * np.sqrt(self.metric.eigenvalues[0])
 
     def random_point(self, rng):
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))

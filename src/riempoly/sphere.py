@@ -3,7 +3,7 @@
 Geodesics are great circles, so every contract operation has an exact
 expression; no time stepping is involved anywhere in this module.  One
 closed-form step finds the angle once and gives both the endpoint and the
-transport; the log and distance are batched, chord-based closed forms.
+transport; the log is a batched, chord-based closed form.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class Sphere(Manifold):
     def tangent_residuals(self, p, x) -> dict:
         return {"orthogonal_to_base": abs(float(np.dot(p, x)))}
 
-    def injectivity_radius(self, p) -> float:
-        return np.pi
-
     def random_point(self, rng):
         p = rng.standard_normal(self.dim + 1)
         return p / np.sqrt(np.dot(p, p))
@@ -145,9 +142,3 @@ class Sphere(Manifold):
         )
         scale = np.where(wn < _TINY_ANGLE, 1.0, theta / np.where(wn == 0.0, 1.0, wn))
         return scale[..., None] * w
-
-    def dist_many(self, points, targets):
-        chord = np.asarray(targets, dtype=float) - np.asarray(points, dtype=float)
-        return 2.0 * np.arcsin(
-            np.minimum(0.5 * np.sqrt(np.sum(chord * chord, axis=-1)), 1.0)
-        )

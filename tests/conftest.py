@@ -31,6 +31,28 @@ def make_manifold(name):
 MANIFOLD_NAMES = ["euclidean", "sphere", "so3", "kendall"]
 
 
+def injectivity_radius(manifold, p):
+    """Injectivity radius at p: tangents shorter than it are recovered by log."""
+    if isinstance(manifold, rp.Euclidean):
+        return np.inf
+    if isinstance(manifold, rp.Sphere):
+        return np.pi
+    if isinstance(manifold, rp.KendallShapeSpace):
+        return np.pi / 2.0
+    if isinstance(manifold, rp.RotationGroup):
+        return np.pi * np.sqrt(manifold.metric.eigenvalues[0])
+    raise TypeError(f"no injectivity radius for {manifold.name}")
+
+
+def vee(w, tol=1e-9):
+    """Inverse of so3.hat; rejects matrices that are not skew-symmetric."""
+    w = np.asarray(w, dtype=float)
+    sym = np.abs(w + w.T).max()
+    if sym > tol:
+        raise ValueError(f"matrix is not skew-symmetric (residual {sym:.3e})")
+    return np.array([w[2, 1], w[0, 2], w[1, 0]])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -89,6 +111,11 @@ def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
     return state, traj, data
 
 
+def residual_logs(manifold, traj, data):
+    """log_{gamma(n_j)} y_j of every observation at its snapped node."""
+    return manifold.log_many(traj.points[traj.node_index(data.times)], data.points)
+
+
 def fd_gradient(manifold, data, state, duration, steps, h=1e-5):
     """Central finite differences of the objective in an orthonormal frame.
 
@@ -129,7 +156,7 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
     """Relative mismatch between the reverse pass and finite differences."""
     state, traj, data = random_fit_problem(manifold, k, rng, scale=scale,
                                            steps=steps, times=times)
-    grads = integrate_adjoint(manifold, traj, data)
+    grads = integrate_adjoint(manifold, traj, data, residual_logs(manifold, traj, data))
     fd, basis = fd_gradient(manifold, data, state, 1.0, steps)
     adj = np.array([
         [manifold.inner(state.gamma, g, b) for b in basis]

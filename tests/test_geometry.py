@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import riempoly as rp
-from conftest import MANIFOLD_NAMES, make_manifold, tangent_basis, unit_tangent
+from conftest import (
+    MANIFOLD_NAMES,
+    injectivity_radius,
+    make_manifold,
+    tangent_basis,
+    unit_tangent,
+)
 
 
 def isometry_manifold(name):
@@ -49,7 +55,7 @@ class TestContract:
         m = make_manifold(name)
         for _ in range(5):
             p = m.random_point(rng)
-            radius = m.injectivity_radius(p)
+            radius = injectivity_radius(m, p)
             scale = 0.4 * min(radius, 1.0)
             v = unit_tangent(m, rng, p, scale)
             w = m.log(p, m.exp(p, v))
@@ -64,7 +70,7 @@ class TestContract:
             scale = 0.08
         else:
             m = make_manifold(name)
-            scale = 0.3 * min(m.injectivity_radius(m.random_point(rng)), 1.0)
+            scale = 0.3 * min(injectivity_radius(m, m.random_point(rng)), 1.0)
         p = m.random_point(rng)
         v = unit_tangent(m, rng, p, scale)
         q = m.exp(p, v)
@@ -123,6 +129,16 @@ def test_step_is_exp_then_transport(name, rng):
     end, moved = m.step(p, v, stack)
     assert np.abs(end - m.project_point(m.exp(p, v))).max() < 1e-12
     assert np.abs(moved - m.transport(p, v, stack)).max() < 1e-12
+
+
+@pytest.mark.parametrize("cls", [rp.Euclidean, rp.Sphere, rp.KendallShapeSpace,
+                                 rp.RotationGroup])
+def test_distances_are_derived_from_the_log(cls):
+    # each geometry writes its log once, in log_many; the base class takes
+    # every distance from it
+    assert "log_many" in vars(cls)
+    for derived in ("log", "dist", "dist_many"):
+        assert derived not in vars(cls)
 
 
 def operator_manifold(name):

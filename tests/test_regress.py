@@ -10,12 +10,14 @@ import pytest
 
 import riempoly.regress
 import riempoly as rp
+from riempoly.geometry import CutLocusError
 from riempoly.regress import ZeroVarianceError, _design_metric, integrate_adjoint
 from conftest import (
     adjoint_reference,
     adjoint_vs_fd,
     make_manifold,
     random_fit_problem,
+    residual_logs,
     unit_tangent,
 )
 
@@ -105,7 +107,7 @@ class TestAdjoint:
         times = np.array([0.0, 0.25, 0.75, 1.0])
         pts = np.stack([traj.points[traj.node_index(t)] for t in times])
         data = rp.TimedDataset(sphere, times, pts)
-        grads = integrate_adjoint(sphere, traj, data)
+        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
         assert max(np.abs(g).max() for g in grads) < 1e-8
 
     def test_order_zero_reduces_to_mean_of_logs(self, rng):
@@ -116,7 +118,7 @@ class TestAdjoint:
             sphere.exp(p, unit_tangent(sphere, rng, p, 0.4)) for _ in range(5)
         ])
         data = rp.TimedDataset(sphere, np.linspace(0, 1, 5), pts)
-        grads = integrate_adjoint(sphere, traj, data)
+        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
         logs = sphere.log_many(np.broadcast_to(p, pts.shape), pts)
         expected = -(2.0 / 5.0) * logs.sum(axis=0)
         assert np.abs(grads[0] - expected).max() < 1e-12
@@ -138,7 +140,7 @@ class TestAdjoint:
     def test_gradients_are_tangent(self, rng):
         sphere = rp.Sphere(2)
         state, traj, data = random_fit_problem(sphere, 2, rng, steps=300)
-        grads = integrate_adjoint(sphere, traj, data)
+        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
         for g in grads:
             assert abs(np.dot(g, state.gamma)) < 1e-10
 
@@ -154,7 +156,7 @@ class TestAdjoint:
             _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
                                                times=times)
             expected = adjoint_reference(m, traj, data)
-            got = integrate_adjoint(m, traj, data)
+            got = integrate_adjoint(m, traj, data, residual_logs(m, traj, data))
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -163,6 +165,7 @@ class TestAdjoint:
     def test_closed_form_operators_call_no_per_node_maps(self, manifold, rng,
                                                          monkeypatch):
         _, traj, data = random_fit_problem(manifold, 2, rng, steps=50)
+        logs = residual_logs(manifold, traj, data)
         calls = Counter()
         cls = type(manifold)
         for name in ("transport", "curvature", "project_tangent"):
@@ -170,7 +173,7 @@ class TestAdjoint:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
-        integrate_adjoint(manifold, traj, data)
+        integrate_adjoint(manifold, traj, data, logs)
         assert sum(calls.values()) == 0
 
     def test_memory_is_flat_in_the_step_count(self, rng):
@@ -182,14 +185,46 @@ class TestAdjoint:
         peaks = []
         for steps in (200, 2000):
             traj = rp.integrate_polynomial(space, state, 1.0, steps)
-            integrate_adjoint(space, traj, data)      # one-time set-up untraced
+            logs = residual_logs(space, traj, data)
+            integrate_adjoint(space, traj, data, logs)  # one-time set-up untraced
             tracemalloc.start()
             try:
-                integrate_adjoint(space, traj, data)
+                integrate_adjoint(space, traj, data, logs)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+
+def sphere_cubic_points(i, seed):
+    """Observations of fit i of the sphere-cubic benchmark workload at a seed.
+
+    A noisy cubic on S^2, drawn from the fixed design seed 2012, turned by
+    the (i + 1)-th Haar-random rotation drawn from the seed.
+    """
+    rng = np.random.default_rng([2012, i])
+    p = rng.standard_normal(3)
+    p /= np.linalg.norm(p)
+    v = rng.standard_normal((3, 3))
+    v -= np.outer(v @ p, p)
+    v *= (np.array([1.0, 1.5, 2.0]) / np.linalg.norm(v, axis=1))[:, None]
+    inner = np.sort(rng.choice(np.arange(1, 50), 30, replace=False))
+    t = np.concatenate([[0], inner, [50]]) / 50
+    w = np.outer(t, v[0]) + np.outer(t ** 2 / 2, v[1]) + np.outer(t ** 3 / 6, v[2])
+    theta = np.linalg.norm(w, axis=1)[:, None]
+    x = np.cos(theta) * p + np.sinc(theta / np.pi) * w
+    e = rng.standard_normal(x.shape)
+    e -= np.sum(e * x, axis=1)[:, None] * x
+    e *= 0.05 / np.linalg.norm(e, axis=1, keepdims=True)
+    y = np.cos(0.05) * x + (np.sin(0.05) / 0.05) * e
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    turns = np.random.default_rng(seed)
+    for _ in range(i + 1):
+        q, r = np.linalg.qr(turns.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+    return y @ q.T
 
 
 class TestFrechetMean:
@@ -217,6 +252,25 @@ class TestFrechetMean:
         mean = rp.frechet_mean(sphere, pts, tol=1e-11)
         logs = sphere.log_many(np.broadcast_to(mean, pts.shape), pts)
         assert np.linalg.norm(logs.mean(axis=0)) < 1e-10
+
+    def test_does_not_grind_at_its_tolerance(self, monkeypatch):
+        # near the optimum the variance cannot resolve a decrease; ties are
+        # broken by the gradient norm, so this mean, which once ran all 200
+        # iterations and stopped just above its tolerance, takes a few
+        sphere = rp.Sphere(2)
+        pts = sphere_cubic_points(14, 9901)
+        calls = Counter()
+        log_many = rp.Sphere.log_many
+
+        def counted(self, points, targets):
+            calls["log_many"] += 1
+            return log_many(self, points, targets)
+
+        monkeypatch.setattr(rp.Sphere, "log_many", counted)
+        mean = rp.frechet_mean(sphere, pts, tol=1e-9)
+        assert calls["log_many"] <= 12
+        logs = log_many(sphere, np.broadcast_to(mean, pts.shape), pts)
+        assert np.linalg.norm(logs.mean(axis=0)) <= 1e-9
 
 
 class TestRSquared:
@@ -355,6 +409,68 @@ class TestFitPolynomial:
         # every candidate is integrated once, after the starting point
         assert outside["step"] == outside["integrate_polynomial"] - 1
         assert outside["transport"] == 0
+
+    @pytest.mark.parametrize("case", ["so3_general", "sphere"])
+    def test_each_pair_is_logged_once(self, case, rng, monkeypatch):
+        # the residual logs of a candidate are its objective and, once it is
+        # accepted, the adjoint's jumps; the mean's logs are the constant
+        # starting curve's: no (point, target) pair is logged twice
+        if case == "so3_general":
+            space = rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0])))
+            _, _, data = random_fit_problem(space, 1, rng, steps=50)
+            cfg = rp.FitConfig(order=1, steps=50)
+        else:
+            space = rp.Sphere(2)
+            _, _, data = random_fit_problem(space, 2, rng, scale=0.5, steps=50)
+            cfg = rp.FitConfig(order=2, steps=50)
+        seen = Counter()
+        log_many = type(space).log_many
+
+        def recording(self, points, targets):
+            for p, q in zip(points, targets):
+                seen[np.asarray(p).tobytes(), np.asarray(q).tobytes()] += 1
+            return log_many(self, points, targets)
+
+        monkeypatch.setattr(type(space), "log_many", recording)
+        res = rp.fit_polynomial(space, data, cfg)
+        assert res.converged and res.iterations >= 1
+        assert max(seen.values()) == 1
+
+    def test_cut_locus_candidate_is_rejected(self, rng, monkeypatch):
+        # a candidate whose residual log is undefined fails like one that
+        # does not descend: the step halves and the fit goes on
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
+        moves = []
+        failed = []
+        step, log_many = rp.Sphere.step, rp.Sphere.log_many
+
+        def recording_step(self, p, v, stack):
+            if len(stack) == 5:         # a line-search candidate of order 1
+                moves.append(np.array(v))
+            return step(self, p, v, stack)
+
+        def failing_log_many(self, points, targets):
+            if len(moves) == 1 and not failed:
+                failed.append(True)
+                raise CutLocusError("first candidate at the cut locus")
+            return log_many(self, points, targets)
+
+        monkeypatch.setattr(rp.Sphere, "step", recording_step)
+        monkeypatch.setattr(rp.Sphere, "log_many", failing_log_many)
+        res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50))
+        assert failed
+        assert np.array_equal(moves[1], 0.5 * moves[0])
+        assert res.converged and res.iterations >= 1
+
+    def test_initial_objective_failure_reported(self, rng):
+        # the starting curve sits at the antipode of the first observation
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, steps=50)
+        start = rp.PolynomialState(-data.points[0], np.zeros((1, 3)))
+        with pytest.raises(rp.GeometryError, match="objective failed on an observation"):
+            rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50),
+                              initial=start)
 
     def test_exact_interpolation_of_generating_polynomial(self, rng):
         # k+1 points from a random order-k curve are interpolated
