@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .geometry import Euclidean, GeometryError
-from .kendall import KendallShapeSpace, _optimal_rotations, to_preshape
+from .kendall import KendallShapeSpace, _align_many, to_preshape
 from .landmarks import (
     LandmarkFileRecord,
     LandmarkFormatError,
@@ -222,8 +222,7 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
         anchors = points[np.round(s * (samples - 1)).astype(int)]
         shape = (data.size, manifold.m, manifold.d)
         targets = data.points.reshape(shape)
-        rots = _optimal_rotations(targets, anchors.reshape(shape))
-        obs_points = targets @ np.swapaxes(rots, -1, -2)
+        obs_points = _align_many(targets, anchors.reshape(shape))
     dim = int(np.prod(manifold.point_shape))
     return {
         "header": ["kind", "time"] + _coord_header(dim),

@@ -12,9 +12,13 @@ preshape sphere, and horizontal geodesics of a submersion are great circles.
 So one step, for every d, moves along the great circle of the horizontal
 part of the velocity, and the log map is the horizontal sphere log toward
 the Procrustes-aligned target.  For planar shapes (d = 2, complex projective
-space) the complex structure J, which turns every landmark by 90 degrees, is
-parallel, so the step's transport has a closed form as well.  For d >= 3
-transport has no closed form; it takes sphere steps and re-projects onto the
+space) the Procrustes rotation is the phase of w = sum_j conj(p_j) q_j, the
+landmarks read as complex numbers (Kendall 1984, "Shape manifolds,
+Procrustean metrics, and complex projective spaces"; Dryden & Mardia,
+"Statistical Shape Analysis", ch. 4), and the complex structure J, which
+turns every landmark by 90 degrees, is parallel, so the step's transport has
+a closed form as well.  For d >= 3 alignment takes an SVD, and transport
+has no closed form; it takes sphere steps and re-projects onto the
 horizontal subspace after every substep.  The curvature is exact for every
 d: the horizontal sphere curvature plus O'Neill's A-tensor terms of the
 submersion.
@@ -77,32 +81,43 @@ def _dots(a, b):
 def procrustes_align(target, base):
     """Rotate target (m x d rows) to minimize Frobenius distance to base.
 
-    Reflections are excluded: the optimal rotation is forced into SO(d) by a
-    sign correction on the smallest singular value.
+    Reflections are excluded (see _optimal_rotations).
     """
     t = np.asarray(target, dtype=float)
     b = np.asarray(base, dtype=float)
     if t.shape != b.shape:
         raise ValueError("configurations must share m and d")
-    rot = _optimal_rotations(t[None], b[None])[0]
-    return t @ rot.T
+    return _align_many(t[None], b[None])[0]
 
 
 def _optimal_rotations(targets, bases):
-    """Batched Kabsch rotations aligning each target onto its base."""
-    m = np.einsum("nmj,nmk->njk", bases, targets)
+    """Batched rotations R in SO(d), acting on landmark rows as x -> R x,
+    that align each (m, d) target onto its base.
+
+    For d = 2, with the landmarks of base and target read as complex numbers
+    p_j and q_j, the target turns by minus the phase of w = sum_j conj(p_j)
+    q_j: cos and sin are Re w / |w| and -Im w / |w| (Kendall 1984; Dryden &
+    Mardia, ch. 4).  Where w = 0 the shapes are maximally remote, every
+    rotation is optimal, and the identity is returned.  For d >= 3 it is the
+    Kabsch rotation from the SVD of B^T T, with a sign on the smallest
+    singular value that excludes reflections.
+    """
+    m = np.swapaxes(bases, -1, -2) @ targets
+    if targets.shape[-1] == 2:
+        cos, sin = m[:, 0, 0] + m[:, 1, 1], m[:, 1, 0] - m[:, 0, 1]
+        norm = np.hypot(cos, sin)
+        cos, norm = np.where(norm > 0.0, cos, 1.0), np.where(norm > 0.0, norm, 1.0)
+        rots = np.stack([cos, -sin, sin, cos], axis=-1) / norm[:, None]
+        return rots.reshape(-1, 2, 2)
     u, _, vt = np.linalg.svd(m)
-    det = np.linalg.det(u @ vt)
-    d = np.shape(targets)[-1]
-    signs = np.ones((targets.shape[0], d))
-    signs[:, -1] = np.sign(det)
-    # rotation acting on landmark rows as x -> R x
-    return np.einsum("nij,nj,njk->nik", u, signs, vt)
+    signs = np.ones(m.shape[:2])
+    signs[:, -1] = np.sign(np.linalg.det(u @ vt))
+    return (u * signs[:, None]) @ vt
 
 
 def _align_many(targets, bases):
-    rots = _optimal_rotations(targets, bases)
-    return np.einsum("nmj,nkj->nmk", targets, rots)
+    """Each (m, d) target rotated onto its base."""
+    return targets @ np.swapaxes(_optimal_rotations(targets, bases), -1, -2)
 
 
 def vertical_basis(points):
@@ -170,11 +185,12 @@ class KendallShapeSpace(Manifold):
         return to_preshape(raw).flat()
 
     def _vertical_frame(self, p):
-        """Orthonormal vertical frame at a single preshape point."""
+        """Orthonormal vertical frame (rows) at a preshape point or a stack."""
         if self.d == 2:
             # the single rotation generator of a unit preshape is itself unit
-            return (p @ self._jt)[None]
-        return _vertical_bases(self._mat(p)[None])[0]
+            return (p @ self._jt)[..., None, :]
+        frames = _vertical_bases(self._mat(p).reshape(-1, self.m, self.d))
+        return frames.reshape(np.shape(p)[:-1] + frames.shape[1:])
 
     def _normal_rows(self, p):
         """Orthonormal rows spanning everything but the horizontal space at p.
@@ -213,16 +229,18 @@ class KendallShapeSpace(Manifold):
         p = np.asarray(p, dtype=float)
         stack = np.asarray(stack, dtype=float)
         rows = self._normal_rows(p)             # ends with p, and Jp when d = 2
-        h = self._project_out(v, rows)
-        theta = math.sqrt(float(h @ h))
+        h = v - (v @ rows.T) @ rows
+        theta = math.sqrt(h @ h)
         if theta == 0.0:
             return p, stack.copy()
         c, s = math.cos(theta), math.sin(theta)
         u = h / theta
-        end = self.project_point(c * p + s * u)
+        end = c * p + s * u
+        end = end - (end @ self._centering.T) @ self._centering
+        end = end / math.sqrt((end * end).sum())
         if self.d != 2:
             return end, self.stepped_transport(p, h, stack)
-        basis = np.array([u, (h @ self._jt) / theta])
+        basis = np.array([u, u @ self._jt])
         shift = (c - 1.0) * basis - s * rows[-2:]
         return end, stack + (stack @ basis.T) @ shift
 
@@ -370,15 +388,11 @@ class KendallShapeSpace(Manifold):
         }
 
     def tangent_residuals(self, p, x) -> dict:
-        xm = self._mat(np.asarray(x, dtype=float))
-        basis = vertical_basis(self._mat(p))
-        vertical = 0.0
-        for b in basis:
-            vertical = max(vertical, abs(float(np.dot(np.asarray(x), b))))
+        x = np.asarray(x, dtype=float)
         return {
-            "centered": float(np.abs(xm.mean(axis=0)).max()),
-            "sphere_tangent": abs(float(np.dot(np.asarray(x), p))),
-            "horizontal": vertical,
+            "centered": float(np.abs(self._mat(x).mean(axis=0)).max()),
+            "sphere_tangent": abs(float(np.dot(x, p))),
+            "horizontal": float(np.abs(self._vertical_frame(p) @ x).max()),
         }
 
     def random_point(self, rng):
@@ -404,9 +418,9 @@ class KendallShapeSpace(Manifold):
         if np.any(c <= 1e-12):
             raise CutLocusError("shapes are (nearly) maximally remote")
         logs = self._sphere.log_many(points, aligned)
-        bases = _vertical_bases(self._mat(points))
-        coef = np.einsum("nd,nrd->nr", logs, bases)
-        return logs - np.einsum("nr,nrd->nd", coef, bases)
+        frames = self._vertical_frame(points)
+        coef = np.sum(frames * logs[:, None], axis=-1)
+        return logs - np.sum(coef[..., None] * frames, axis=-2)
 
 
 def shape_distance(p_config, q_config) -> float:

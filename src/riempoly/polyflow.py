@@ -73,18 +73,11 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def order(self) -> int:
         return self.vels.shape[1]
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, index: int) -> PolynomialState:
-        return PolynomialState(self.points[index], self.vels[index])
 
     def node_index(self, t):
         """Nearest grid node of a time, or of each time in an array.
@@ -100,7 +93,7 @@ class Trajectory:
         idx = np.ceil(x - 0.5)            # round half down
         outside = ~((idx >= 0) & (idx < len(self.times)))
         if np.any(outside):
-            raise ValueError(f"time {t[outside][0]} outside [0, {self.duration}]")
+            raise ValueError(f"time {t[outside][0]} outside [0, {self.times[-1]}]")
         return idx.astype(int) if t.ndim else int(idx)
 
 

@@ -252,6 +252,7 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
     variance is within _TIE_ULPS units in the last place of the current one
     is accepted only if it lowers the gradient norm.  A candidate at the cut
     locus of an observation is rejected like one that does not descend.
+    A final gradient norm above tol warns; above max(tol, 1e-6) it raises.
     Returns (mean, variance, logs), the logs' rows matching points.
     """
     points = np.asarray(points, dtype=float)
@@ -283,6 +284,9 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
     mean, logs, value, _, grad_norm = current
     if grad_norm > max(tol, 1e-6):
         raise GeometryError("mean iteration did not converge")
+    if grad_norm > tol:
+        warnings.warn(f"Frechet mean stopped at gradient norm {grad_norm:.3g}, "
+                      f"above its tol {tol:g}", RuntimeWarning, stacklevel=3)
     return mean, value, logs
 
 

@@ -53,6 +53,17 @@ def vee(w, tol=1e-9):
     return np.array([w[2, 1], w[0, 2], w[1, 0]])
 
 
+def kabsch_rotations(targets, bases):
+    """SVD (Kabsch) rotations in SO(d), acting on landmark rows as x -> R x,
+    that align each (m, d) target onto its base: the oracle for the planar
+    closed form."""
+    m = np.einsum("nmj,nmk->njk", bases, targets)
+    u, _, vt = np.linalg.svd(m)
+    signs = np.ones(m.shape[:2])
+    signs[:, -1] = np.sign(np.linalg.det(u @ vt))
+    return np.einsum("nij,nj,njk->nik", u, signs, vt)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -109,6 +120,11 @@ def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
         pts.append(manifold.project_point(manifold.exp(g, w)))
     data = rp.TimedDataset(manifold, t_obs, np.stack(pts))
     return state, traj, data
+
+
+def node_state(traj, index):
+    """The curve's point and vectors at one trajectory node, as a state."""
+    return rp.PolynomialState(traj.points[index], traj.vels[index])
 
 
 def residual_logs(manifold, traj, data):

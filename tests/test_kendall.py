@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import riempoly as rp
 from riempoly.geometry import CutLocusError, ShootingError, shooting_log
 from riempoly.kendall import (
+    _optimal_rotations,
     procrustes_align,
     shape_distance,
     to_preshape,
     vertical_basis,
 )
-from conftest import adjoint_vs_fd, unit_tangent
+from conftest import adjoint_vs_fd, kabsch_rotations, unit_tangent
 
 
 def rotation2(theta):
@@ -311,6 +312,65 @@ class TestClosedFormTransport:
         assert gaps[0] < 1e-5
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine / coarse == pytest.approx(0.5, abs=0.05)
+
+
+class TestPlanarClosedForms:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rotations_match_kabsch_oracle(self, d, rng):
+        bases = rng.standard_normal((500, 8, d))
+        targets = rng.standard_normal((500, 8, d))
+        rots = _optimal_rotations(targets, bases)
+        assert np.abs(rots - kabsch_rotations(targets, bases)).max() < 1e-13
+        assert np.abs(np.linalg.det(rots) - 1.0).max() < 1e-14
+
+    def test_remote_shapes_get_the_identity(self):
+        # w = sum conj(p_j) q_j is exactly zero: every rotation is optimal
+        base = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        target = base[[2, 3, 0, 1]]
+        assert np.array_equal(_optimal_rotations(target[None], base[None])[0], np.eye(2))
+        space = rp.KendallShapeSpace(4, 2)
+        with pytest.raises(CutLocusError):
+            space.log(space.from_landmarks(base), space.from_landmarks(target))
+
+    def test_log_matches_aligned_sphere_log(self, rng):
+        space = rp.KendallShapeSpace(8, 2)
+        sphere = rp.Sphere(15)
+        p = np.stack([random_preshape(space, rng) for _ in range(50)])
+        q = np.stack([random_preshape(space, rng) for _ in range(50)])
+        pm, qm = p.reshape(-1, 8, 2), q.reshape(-1, 8, 2)
+        aligned = (qm @ np.swapaxes(kabsch_rotations(qm, pm), 1, 2)).reshape(p.shape)
+        logs = sphere.log_many(p, aligned)
+        oracle = np.stack([space.horizontal_project(a, b) for a, b in zip(p, logs)])
+        assert np.abs(space.log_many(p, q) - oracle).max() < 1e-14
+
+    def test_alignment_takes_no_svd(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("planar alignment called np.linalg.svd")
+
+        space = rp.KendallShapeSpace(8, 2)
+        p = np.stack([random_preshape(space, rng) for _ in range(4)])
+        q = np.stack([random_preshape(space, rng) for _ in range(4)])
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        space.log_many(p, q)
+        procrustes_align(q[0].reshape(8, 2), p[0].reshape(8, 2))
+
+    def test_step_matches_textbook_formula(self, rng):
+        # endpoint cos(theta) p + sin(theta) u re-projected; each row turns
+        # its u and Ju components with the geodesic and keeps the rest
+        space = rp.KendallShapeSpace(8, 2)
+        p = random_preshape(space, rng)
+        v = 0.3 * rng.standard_normal(16)
+        stack = np.stack([unit_tangent(space, rng, p) for _ in range(3)])
+        end, moved = space.step(p, v, stack)
+        h = space.horizontal_project(p, v)
+        theta = np.linalg.norm(h)
+        u = h / theta
+        ju, jp = u @ space._jt, p @ space._jt
+        c, s = np.cos(theta), np.sin(theta)
+        assert np.abs(end - space.project_point(c * p + s * u)).max() < 1e-15
+        turned = (stack + np.outer(stack @ u, (c - 1.0) * u - s * p)
+                  + np.outer(stack @ ju, (c - 1.0) * ju - s * jp))
+        assert np.abs(moved - turned).max() < 1e-15
 
 
 class TestONeillCurvature:

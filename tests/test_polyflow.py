@@ -5,7 +5,7 @@ import pytest
 
 import riempoly as rp
 from riempoly.polyflow import IntegrationError
-from conftest import log_log_slope, unit_tangent
+from conftest import log_log_slope, node_state, unit_tangent
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -139,7 +139,7 @@ class TestTrajectoryAndSampling:
         )
         traj = rp.integrate_polynomial(sphere, state, 1.0, 50)
         for i in (0, 25, 50):
-            assert max(traj.state(i).residuals(sphere).values()) < 1e-9
+            assert max(node_state(traj, i).residuals(sphere).values()) < 1e-9
 
     def test_sample_endpoints(self, rng):
         sphere = rp.Sphere(2)

@@ -253,6 +253,13 @@ class TestFrechetMean:
         logs = sphere.log_many(np.broadcast_to(mean, pts.shape), pts)
         assert np.linalg.norm(logs.mean(axis=0)) < 1e-10
 
+    def test_missed_tolerance_warns(self, rng):
+        sphere = rp.Sphere(2)
+        pts = np.stack([sphere.random_point(rng) for _ in range(3)])
+        pts = np.stack([p if p[0] > 0 else -p for p in pts])
+        with pytest.warns(RuntimeWarning, match=r"above its tol 1e-20"):
+            rp.frechet_mean(sphere, pts, tol=1e-20)
+
     def test_does_not_grind_at_its_tolerance(self, monkeypatch):
         # near the optimum the variance cannot resolve a decrease; ties are
         # broken by the gradient norm, so this mean, which once ran all 200
@@ -613,7 +620,7 @@ class TestFitPolynomial:
         assert res.converged
         # a one-step curve over [0, 1], every observation on its first node
         assert len(res.trajectory) == 2
-        assert res.trajectory.duration == 1.0
+        assert res.trajectory.times[-1] == 1.0
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
