@@ -14,6 +14,7 @@ from .geometry import (
     CutLocusError,
     Euclidean,
     GeometryError,
+    IntegrationError,
     Manifold,
     ShootingError,
 )
@@ -27,7 +28,6 @@ from .kendall import (
 )
 from .landmarks import LandmarkFileRecord, LandmarkFormatError, parse_landmarks
 from .polyflow import (
-    IntegrationError,
     PolynomialState,
     Trajectory,
     collinearity_diagnostic,

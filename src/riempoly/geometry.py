@@ -19,6 +19,14 @@ class CutLocusError(GeometryError):
     """Log map requested at or beyond the cut locus."""
 
 
+class IntegrationError(GeometryError):
+    """Manifold operation failed mid-trajectory; carries the step index."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
+        self.step = step
+
+
 class ShootingError(GeometryError):
     """Iterative log map failed to converge; carries the final residual."""
 
@@ -49,10 +57,37 @@ class Manifold:
 
         The one routine in which a geometry writes its geodesic; exp and
         transport are views of it.  The endpoint lies on the manifold and is
-        p itself when v is zero.  It is the forward integrator's per-node
-        kernel and the descent's move of one line-search candidate.
+        p itself when v is zero.  It is the node-by-node kernel of the
+        default integrate and the descent's move of one line-search candidate.
         """
         raise NotImplementedError
+
+    def integrate(self, p, stack, dt, steps):
+        """Every node of the forward flow of an order-k curve, k >= 1.
+
+        At each node the vectors are incremented inside the tangent space,
+        v_i += dt v_{i+1}, and one step along dt v_1 moves the point and
+        carries them to the next node.  Returns the points, (steps + 1,
+        *point_shape), and the vectors, (steps + 1, k, *tangent_shape),
+        initial node first.  This default takes one step per node and raises
+        IntegrationError with the index of a failed step; geometries whose
+        step is a rotation override it with roll.
+        """
+        stack = np.asarray(stack, dtype=float)
+        points = np.empty((steps + 1,) + self.point_shape)
+        vels = np.empty((steps + 1,) + stack.shape)
+        points[0], vels[0] = p, stack
+        for n in range(steps):
+            incremented = stack.copy()
+            incremented[:-1] += dt * stack[1:]
+            try:
+                p, stack = self.step(p, dt * stack[0], incremented)
+            except GeometryError as exc:
+                raise IntegrationError(
+                    f"integration failed at step {n} (t = {n * dt:g}): {exc}", step=n
+                ) from exc
+            points[n + 1], vels[n + 1] = p, stack
+        return points, vels
 
     def exp(self, p, v):
         """Point reached at time 1 along the geodesic from p with velocity v."""
@@ -214,6 +249,89 @@ class Euclidean(Manifold):
     def log_many(self, points, targets):
         self._check(points, targets)
         return np.asarray(targets) - np.asarray(points)
+
+
+def falling_factorials(nodes, dt, order):
+    """phi_i(n) = dt^i C(n, i), i = 0..order, at each node: (order + 1, len(nodes)).
+
+    The falling-factorial basis of the forward scheme: in flat space, node n
+    of the order-k flow is sum_i phi_i(n) v_i, and the vectors there are
+    v_i(n) = sum_j phi_j(n) v_{i+j}.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    phi = np.ones((order + 1, len(nodes)))
+    for i in range(1, order + 1):
+        phi[i] = phi[i - 1] * (nodes - (i - 1)) * dt / i
+    return phi
+
+
+def roll(p, stack, dt, steps, settle):
+    """Manifold.integrate in closed form, where each step is a rotation.
+
+    On the sphere, and on planar shape space read as complex m-vectors (J
+    is multiplication by i), step(p, v, .) turns the real or complex plane
+    {p, v} by the angle |v| and fixes everything orthogonal to it.  In the
+    frame that moves with these turns the vectors form a flat polynomial,
+    b_i(n) = sum_j phi_j(n) b_{i+j}(0) (falling_factorials), and step n
+    turns the plane {p, b_1(n)} by dt |b_1(n)|: the curve is that polynomial
+    rolled onto the manifold.  Every turn acts in the span of p and the
+    initial vectors, so turns and frames are small matrices in one
+    orthonormal basis of it (a QR), whatever the ambient size, and the frame
+    of node n is the product of the first n turns.
+
+    p and the k >= 1 rows of stack are real or complex, the rows tangent at
+    p.  settle maps a batch of raw points back onto the manifold.  Nodes
+    before the first nonzero turn are p itself, bit for bit.  Returns the
+    points and vectors of every node, as Manifold.integrate does.
+    """
+    k = len(stack)
+    basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
+    size = basis.shape[1]                       # min(ambient size, k + 1)
+    # body-frame coordinates of every node's vectors: (steps + 1, k, size)
+    vecs = np.concatenate([coef[:, 1:].T, np.zeros((k - 1, size), coef.dtype)])
+    ahead = vecs[np.add.outer(np.arange(k), np.arange(k))]      # [j, i]: b_{i+j}(0)
+    phi = falling_factorials(np.arange(steps + 1), dt, k - 1)
+    body = np.einsum("jn,jik->nik", phi, ahead)
+
+    # the turn of step n: plane {e, w} at the angle dt |b_1(n)|
+    e = coef[:, 0] / abs(coef[0, 0])
+    w = body[:-1, 0]
+    speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
+    turning = speed > 0.0
+    w = w / np.where(turning, speed, 1.0)[:, None]
+    theta = (dt * speed)[:, None, None]
+    plane = np.multiply.outer(e, e.conj()) + w[:, :, None] * w.conj()[:, None, :]
+    spin = w[:, :, None] * e.conj() - e[:, None] * w.conj()[:, None, :]
+    turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
+
+    frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
+    moved = np.concatenate([[False], np.logical_or.accumulate(turning)])
+    points = np.repeat(p[None], steps + 1, axis=0)
+    points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
+    vels = (body @ np.swapaxes(frames, -1, -2)) @ basis.T
+    vels[0] = stack
+    return points, vels
+
+
+def _running_products(mats):
+    """mats[0] @ ... @ mats[n] for every n, in log depth.
+
+    Complex matrices are multiplied in their real form [[A, -B], [B, A]],
+    which numpy's batched product handles several times faster.
+    """
+    if np.iscomplexobj(mats):
+        size = mats.shape[-1]
+        a, b = mats.real, mats.imag
+        real = _running_products(np.concatenate([
+            np.concatenate([a, -b], axis=-1), np.concatenate([b, a], axis=-1),
+        ], axis=-2))
+        return real[:, :size, :size] + 1j * real[:, size:, :size]
+    out = mats.copy()
+    span = 1
+    while span < len(out):
+        out[span:] = out[:-span] @ out[span:]
+        span *= 2
+    return out
 
 
 def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_gap=None):

@@ -17,7 +17,9 @@ landmarks read as complex numbers (Kendall 1984, "Shape manifolds,
 Procrustean metrics, and complex projective spaces"; Dryden & Mardia,
 "Statistical Shape Analysis", ch. 4), and the complex structure J, which
 turns every landmark by 90 degrees, is parallel, so the step's transport has
-a closed form as well.  For d >= 3 alignment takes an SVD, and transport
+a closed form as well: the step is a unitary rotation of the landmarks read
+as a complex m-vector, and a whole forward pass rolls in one batched closed
+form.  For d >= 3 alignment takes an SVD, and transport
 has no closed form; it takes sphere steps and re-projects onto the
 horizontal subspace after every substep.  The curvature is exact for every
 d: the horizontal sphere curvature plus O'Neill's A-tensor terms of the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold
+from .geometry import CutLocusError, Manifold, roll
 from .sphere import Sphere
 
 # Gram-Schmidt drop threshold for degenerate (e.g. collinear) configurations.
@@ -243,6 +245,24 @@ class KendallShapeSpace(Manifold):
         basis = np.array([u, u @ self._jt])
         shift = (c - 1.0) * basis - s * rows[-2:]
         return end, stack + (stack @ basis.T) @ shift
+
+    def integrate(self, p, stack, dt, steps):
+        """The forward flow; for d = 2 in one closed form (see geometry.roll).
+
+        Read as a complex m-vector, with J multiplication by i, the planar
+        step turns the complex plane {p, u} by theta, so the flow rolls with
+        complex frames; the points are re-centered and normalized in one
+        project_point call.  The stack is taken as horizontal at p, as every
+        fitted state's is.  d >= 3 takes one step per node.
+        """
+        if self.d != 2:
+            return super().integrate(p, stack, dt, steps)
+        points, vels = roll(
+            np.ascontiguousarray(p, dtype=float).view(complex),
+            np.ascontiguousarray(stack, dtype=float).view(complex),
+            dt, steps, lambda z: self.project_point(z.view(float)).view(complex),
+        )
+        return points.view(float), vels.view(float)
 
     def stepped_transport(self, p, direction, x):
         """Transport by sphere substeps of at most max_step, for any d.

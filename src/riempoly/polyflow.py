@@ -4,8 +4,13 @@ A curve of order k is driven by k tangent vectors v_1 .. v_k: the velocity is
 v_1, each v_i feeds the covariant rate of v_{i-1}, and v_k is covariantly
 constant.  One integrator step increments every vector inside the current
 tangent space, parallel transports the results along the small geodesic step,
-and moves the base point with the exponential map, in one Manifold.step call.
-First order by design; the step count is the accuracy knob.
+and moves the base point with the exponential map.  First order by design;
+the step count is the accuracy knob.  The whole pass is one
+Manifold.integrate call: by default one Manifold.step per node, and on the
+sphere and planar shape space, where every step is a rotation, one batched
+closed form (geometry.roll): in the frame that moves with the curve the
+vectors form a flat polynomial, and the curve is that polynomial rolled onto
+the manifold (Jupp & Kent 1987, "Fitting smooth paths to spherical data").
 
 The k vectors travel as one (k, *tangent_shape) array, in PolynomialState and
 at every Trajectory node alike.
@@ -17,15 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, Manifold
-
-
-class IntegrationError(GeometryError):
-    """Manifold operation failed mid-trajectory; carries the step index."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+from .geometry import IntegrationError, Manifold  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -99,34 +96,23 @@ class Trajectory:
 
 def integrate_polynomial(manifold: Manifold, state: PolynomialState,
                          duration: float, steps: int) -> Trajectory:
-    """Integrate an order-k curve over [0, duration] with the given step count."""
+    """Integrate an order-k curve over [0, duration] with the given step count.
+
+    A failed step raises IntegrationError carrying its index.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if duration < 0:
         raise ValueError("duration must be non-negative")
     k = state.order
     dt = duration / steps
-
-    points = np.empty((steps + 1,) + manifold.point_shape)
-    vels = np.empty((steps + 1, k) + manifold.tangent_shape)
-    gamma = state.gamma
-    stack = state.vels.reshape((k,) + manifold.tangent_shape)
-    points[0] = gamma
-    vels[0] = stack
-
-    for n in range(steps):
-        try:
-            if k:
-                incremented = stack.copy()
-                incremented[:-1] += dt * stack[1:]
-                gamma, stack = manifold.step(gamma, dt * stack[0], incremented)
-            # order zero: constant curve
-        except GeometryError as exc:
-            raise IntegrationError(
-                f"integration failed at step {n} (t = {n * dt:g}): {exc}", step=n
-            ) from exc
-        points[n + 1] = gamma
-        vels[n + 1] = stack
+    if k:
+        points, vels = manifold.integrate(
+            state.gamma, state.vels.reshape((k,) + manifold.tangent_shape), dt, steps)
+    else:
+        # order zero: the constant curve
+        points = np.repeat(state.gamma[None], steps + 1, axis=0)
+        vels = np.empty((steps + 1, 0) + manifold.tangent_shape)
 
     times = np.linspace(0.0, duration, steps + 1)
     return Trajectory(manifold=manifold, times=times, points=points, vels=vels)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CutLocusError, GeometryError, Manifold
+from .geometry import CutLocusError, GeometryError, Manifold, falling_factorials
 from .polyflow import (
     PolynomialState,
     Trajectory,
@@ -503,10 +503,7 @@ def _design_metric(nodes, dt, order):
     of distinct nodes).  P inverts G on its range and is the identity on the
     null space: pinv(G) plus the projector onto ker G.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    phi = np.ones((order + 1, len(nodes)))
-    for i in range(1, order + 1):
-        phi[i] = phi[i - 1] * (nodes - (i - 1)) * dt / i
+    phi = falling_factorials(nodes, dt, order)
     gram = (2.0 / len(nodes)) * phi @ phi.T
     rank = min(order + 1, len(np.unique(nodes)))
     vals, vecs = np.linalg.eigh(gram)             # ascending

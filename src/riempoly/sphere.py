@@ -3,7 +3,8 @@
 Geodesics are great circles, so every contract operation has an exact
 expression; no time stepping is involved anywhere in this module.  One
 closed-form step finds the angle once and gives both the endpoint and the
-transport; the log is a batched, chord-based closed form.
+transport; that step is a rotation, so a whole forward pass rolls in one
+batched closed form; the log is a batched, chord-based closed form.
 """
 
 from __future__ import annotations
@@ -12,13 +13,18 @@ import math
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold
+from .geometry import CutLocusError, Manifold, roll
 
 # Below this angle the closed forms divide by ~0; switch to series branches.
 _TINY_ANGLE = 1e-8
 
 # Antipodal guard: log is undefined where p.q <= -1 + this margin.
 _ANTIPODAL_MARGIN = 1e-9
+
+
+def _unit_rows(x):
+    """Each row of x scaled to unit norm."""
+    return x / np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
 
 
 class Sphere(Manifold):
@@ -57,6 +63,11 @@ class Sphere(Manifold):
         u = v / theta
         a = np.dot(stack, u)                  # scalar or (...,) stack
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
+
+    def integrate(self, p, stack, dt, steps):
+        """The forward flow in one closed form: each step turns the plane {p, v}."""
+        return roll(np.asarray(p, dtype=float), np.asarray(stack, dtype=float),
+                    dt, steps, _unit_rows)
 
     def curvature(self, p, x, y, z):
         """R(x, y)z = (y.z) x - (x.z) y; batches over leading axes.

@@ -1,9 +1,12 @@
 """Forward integrator: convergence laws, exact cases, bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
 import riempoly as rp
+from riempoly.geometry import Manifold, falling_factorials
 from riempoly.polyflow import IntegrationError
 from conftest import log_log_slope, node_state, unit_tangent
 
@@ -33,6 +36,17 @@ class TestFlatSpace:
         ]
         slope = log_log_slope(1.0 / steps, errs)
         assert 0.8 <= slope <= 1.2
+
+    def test_nodes_are_falling_factorial_sums(self, rng):
+        # node n of the flat flow is sum_i phi_i(n) v_i, phi_i(n) = dt^i C(n, i)
+        space = rp.Euclidean(3)
+        gamma, vels = rng.standard_normal(3), rng.standard_normal((3, 3))
+        steps = 40
+        traj = rp.integrate_polynomial(space, rp.PolynomialState(gamma, vels), 1.0, steps)
+        phi = falling_factorials(np.arange(steps + 1), 1.0 / steps, 3)
+        assert phi[2, 7] == pytest.approx(math.comb(7, 2) / steps**2, rel=1e-14)
+        expected = phi.T @ np.concatenate([gamma[None], vels])
+        assert np.abs(traj.points - expected).max() < 1e-12
 
     def test_exact_polynomial_limit(self, rng):
         # rich random cubic, fine grid: converges to the Taylor curve
@@ -111,6 +125,86 @@ class TestHigherOrderOnSphere:
         lower = rp.integrate_polynomial(sphere, rp.PolynomialState(p, (v1,)), 1.0, 200)
         higher = rp.integrate_polynomial(sphere, rp.PolynomialState(p, (v1, v2)), 1.0, 200)
         assert np.abs(lower.points[-1] - higher.points[-1]).max() > 1e-2
+
+
+ROLLED_SPACES = {
+    "sphere1": lambda: rp.Sphere(1),
+    "sphere2": lambda: rp.Sphere(2),
+    "sphere100": lambda: rp.Sphere(100),
+    "kendall3": lambda: rp.KendallShapeSpace(3, 2),
+    "kendall8": lambda: rp.KendallShapeSpace(8, 2),
+    "kendall64": lambda: rp.KendallShapeSpace(64, 2),
+}
+
+
+def _vectors(space, rng, p, k, case):
+    """k unit tangents at p, shaped by one of the rolled-flow test cases."""
+    vels = np.array([unit_tangent(space, rng, p) for _ in range(k)])
+    if case == "pad":                   # the warm start's zero last vector
+        vels[-1] = 0.0
+    elif case == "zero_v1":
+        vels[0] = 0.0
+    elif case == "collinear":
+        vels = np.array([(i + 1.5) * vels[0] for i in range(k)])
+    elif case == "zero":
+        vels[:] = 0.0
+    elif case == "tiny":
+        vels *= 1e-10
+    return vels
+
+
+class TestRolledFlow:
+    """Sphere and planar shape space integrate in one closed form."""
+
+    @pytest.mark.parametrize("case", ["random", "pad", "zero_v1", "collinear", "zero", "tiny"])
+    @pytest.mark.parametrize("name", sorted(ROLLED_SPACES))
+    def test_matches_step_loop(self, name, case, rng):
+        space = ROLLED_SPACES[name]()
+        for k in (1, 2, 3):
+            for steps in (1, 7, 200):
+                p = space.random_point(rng)
+                vels = _vectors(space, rng, p, k, case)
+                dt = 1.0 / steps
+                ref_points, ref_vels = Manifold.integrate(space, p, vels, dt, steps)
+                points, rolled = space.integrate(p, vels, dt, steps)
+                where = f"order {k}, {steps} steps"
+                assert points.shape == ref_points.shape and rolled.shape == ref_vels.shape
+                assert np.abs(points - ref_points).max() <= 1e-12, where
+                assert np.abs(rolled - ref_vels).max() <= 1e-12, where
+                # the initial node is the input itself
+                assert np.array_equal(points[0], p) and np.array_equal(rolled[0], vels)
+                if case == "zero":
+                    assert np.array_equal(points, np.tile(p, (steps + 1, 1))), where
+
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)], ids=str)
+    def test_takes_no_step(self, space, rng, monkeypatch):
+        calls = []
+        original = type(space).step
+
+        def counted(self, p, v, stack):
+            calls.append(1)
+            return original(self, p, v, stack)
+
+        monkeypatch.setattr(type(space), "step", counted)
+        p = space.random_point(rng)
+        state = rp.PolynomialState(p, [unit_tangent(space, rng, p) for _ in range(3)])
+        rp.integrate_polynomial(space, state, 1.0, 50)
+        assert calls == []
+        # the counter works: the default integrate steps node by node
+        Manifold.integrate(space, state.gamma, state.vels, 0.02, 50)
+        assert len(calls) == 50
+
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)], ids=str)
+    def test_no_drift_over_long_flows(self, space, rng):
+        p = space.random_point(rng)
+        vels = [unit_tangent(space, rng, p, scale) for scale in (0.8, 0.9, 1.1)]
+        traj = rp.integrate_polynomial(space, rp.PolynomialState(p, vels), 1.0, 20000)
+        for n in list(range(0, 20001, 1000)):
+            point = max(space.point_residuals(traj.points[n]).values())
+            tangent = max(max(space.tangent_residuals(traj.points[n], v).values())
+                          for v in traj.vels[n])
+            assert point <= 1e-15, n
+            assert tangent <= 1e-12, n
 
 
 class TestReparametrization:
