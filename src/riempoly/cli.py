@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -28,30 +27,6 @@ from .so3 import MetricSpec, RotationGroup
 from .sphere import Sphere
 
 MANIFOLD_CHOICES = ("kendall", "euclidean", "sphere", "so3")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one regression run needs."""
-
-    manifold: str
-    orders: tuple
-    input_path: str
-    output_dir: str
-    steps: int = 100
-    max_iters: int = 2000
-    tol: float = 1e-6
-    samples: int = 100
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ValueError("need at least one order")
-        if any(k < 0 for k in self.orders):
-            raise ValueError("orders must be non-negative")
-        if self.manifold not in MANIFOLD_CHOICES:
-            raise ValueError(f"manifold must be one of {MANIFOLD_CHOICES}")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
 
 
 def build_dataset(manifold_name: str, records: list):
@@ -133,33 +108,33 @@ def _curve_rows(result: FitResult, samples: int):
     return times, points
 
 
-def run_regression(cfg: RunConfig):
+def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
+                   config: FitConfig, samples: int):
     """Fit every requested order and write the report files.
 
-    Returns (results, data, exit_code): data is the dataset that was fitted,
-    and exit code 2 flags any non-converged fit.
+    config gives the grid and the stopping rule of every order.  Returns
+    (results, data, exit_code): data is the dataset that was fitted, and
+    exit code 2 flags any non-converged fit.
     """
-    records = parse_landmarks(cfg.input_path)
-    manifold, data, ids = build_dataset(cfg.manifold, records)
+    records = parse_landmarks(input_path)
+    manifold, data, ids = build_dataset(manifold_name, records)
 
-    fit_cfg = FitConfig(order=0, steps=cfg.steps, max_iters=cfg.max_iters,
-                        tol=cfg.tol)
     started = _time.perf_counter()
-    results = fit_orders(manifold, data, cfg.orders, fit_cfg)
+    results = fit_orders(manifold, data, orders, config)
     elapsed = _time.perf_counter() - started
 
-    outdir = Path(cfg.output_dir)
+    outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     payload = {
-        "input": str(cfg.input_path),
-        "manifold": cfg.manifold,
+        "input": str(input_path),
+        "manifold": manifold_name,
         "observations": data.size,
-        "orders": list(cfg.orders),
+        "orders": list(orders),
         "config": {
-            "steps": cfg.steps,
-            "max_iters": cfg.max_iters,
-            "tol": cfg.tol,
+            "steps": config.steps,
+            "max_iters": config.max_iters,
+            "tol": config.tol,
         },
         "elapsed_seconds": elapsed,
         "fits": {str(k): _fit_payload(r) for k, r in sorted(results.items())},
@@ -168,7 +143,7 @@ def run_regression(cfg: RunConfig):
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    _write_curves(outdir / "curves.csv", manifold, results, cfg.samples)
+    _write_curves(outdir / "curves.csv", manifold, results, samples)
     _write_residuals(outdir / "residuals.csv", manifold, results, data, ids)
 
     code = 0 if all(r.converged for r in results.values()) else 2
@@ -264,7 +239,7 @@ def cli():
               help="Trajectory steps per unit of (rescaled) time.")
 @click.option("--max-iters", default=2000, show_default=True)
 @click.option("--tol", default=1e-6, show_default=True)
-@click.option("--samples", default=100, show_default=True,
+@click.option("--samples", default=100, show_default=True, type=click.IntRange(min=2),
               help="Points per fitted curve in curves.csv (at least 2).")
 @click.option("--plot-data/--no-plot-data", default=True, show_default=True,
               help="Also write plot_data.csv for the highest converged order.")
@@ -273,17 +248,11 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
     """Fit polynomial trends to a timed landmark dataset."""
     try:
         order_list = tuple(int(tok) for tok in orders.split(",") if tok.strip())
-        cfg = RunConfig(
-            manifold=manifold,
-            orders=order_list,
-            input_path=input_path,
-            output_dir=output_dir,
-            steps=steps,
-            max_iters=max_iters,
-            tol=tol,
-            samples=samples,
-        )
-        results, data, code = run_regression(cfg)
+        if not order_list:
+            raise ValueError("need at least one order")
+        config = FitConfig(order=0, steps=steps, max_iters=max_iters, tol=tol)
+        results, data, code = run_regression(manifold, order_list, input_path,
+                                             output_dir, config, samples)
     except (ValueError, OSError, LandmarkFormatError, GeometryError) as exc:
         raise click.ClickException(str(exc))
 
@@ -297,7 +266,7 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             (k for k, r in results.items() if r.converged), default=None
         )
         if best is not None:
-            bundle = emit_plot_data(data.manifold, results[best], data, cfg.samples)
+            bundle = emit_plot_data(data.manifold, results[best], data, samples)
             write_plot_bundle(Path(output_dir) / "plot_data.csv", bundle)
     return code
 

@@ -40,9 +40,12 @@ class Manifold:
 
     Points and tangents are plain ndarrays.  Tangent-valued operations accept
     stacked inputs: any leading axes broadcast, the trailing axes are one
-    tangent vector.  A geometry writes its geodesic once, in step, and its
-    log once, in log_many; exp, transport, log, dist_many and dist are
-    derived from them here.  The fit takes no distance: its objective is the
+    tangent vector.  A geometry writes seven methods: its geodesic once, in
+    step, its log once, in log_many, its curvature, the two projections and
+    the two residual checks.  exp, transport, log, dist_many and dist are
+    derived from step and log_many here; inner is the ambient dot product
+    unless the geometry has another metric; random points and tangents
+    project a Gaussian draw.  The fit takes no distance: its objective is the
     mean squared metric norm of the residual logs, which are also the
     adjoint's jumps, so dist_many serves the reports.
     """
@@ -160,8 +163,10 @@ class Manifold:
         return q, c
 
     def inner(self, p, x, y):
-        """Metric inner product of tangents x, y at p."""
-        raise NotImplementedError
+        """Metric inner product of tangents x, y at p: the ambient dot product."""
+        if np.ndim(x) == 1 and np.ndim(y) == 1:
+            return float(np.dot(x, y))
+        return np.sum(np.asarray(x) * y, axis=-1)
 
     def norm(self, p, x) -> float:
         return float(np.sqrt(max(self.inner(p, x, x), 0.0)))
@@ -183,10 +188,12 @@ class Manifold:
         raise NotImplementedError
 
     def random_point(self, rng):
-        raise NotImplementedError
+        """A Gaussian draw in the ambient space, projected onto the manifold."""
+        return self.project_point(rng.standard_normal(self.point_shape))
 
     def random_tangent(self, rng, p):
-        raise NotImplementedError
+        """A Gaussian draw in the ambient space, projected onto the tangent space at p."""
+        return self.project_tangent(p, rng.standard_normal(self.tangent_shape))
 
     def __repr__(self) -> str:
         return self.name
@@ -225,9 +232,6 @@ class Euclidean(Manifold):
         q = np.broadcast_to(np.eye(self.dim), (count, self.dim, self.dim))
         return q, np.zeros((count, k, self.dim, self.dim))
 
-    def inner(self, p, x, y):
-        return float(np.dot(x, y)) if np.ndim(x) == 1 and np.ndim(y) == 1 else np.sum(x * y, axis=-1)
-
     def project_point(self, p):
         return np.asarray(p, dtype=float)
 
@@ -239,12 +243,6 @@ class Euclidean(Manifold):
 
     def tangent_residuals(self, p, x) -> dict:
         return {}
-
-    def random_point(self, rng):
-        return rng.standard_normal(self.dim)
-
-    def random_tangent(self, rng, p):
-        return rng.standard_normal(self.dim)
 
     def log_many(self, points, targets):
         self._check(points, targets)

@@ -75,11 +75,6 @@ def to_preshape(raw) -> LandmarkConfig:
     return LandmarkConfig(points=centered / scale, centroid=centroid, scale=scale)
 
 
-def _dots(a, b):
-    """Row-wise inner products of stacked vectors, kept as a trailing axis."""
-    return np.sum(a * b, axis=-1)[..., None]
-
-
 def procrustes_align(target, base):
     """Rotate target (m x d rows) to minimize Frobenius distance to base.
 
@@ -242,9 +237,11 @@ class KendallShapeSpace(Manifold):
         end = end / math.sqrt((end * end).sum())
         if self.d != 2:
             return end, self.stepped_transport(p, h, stack)
-        basis = np.array([u, u @ self._jt])
-        shift = (c - 1.0) * basis - s * rows[-2:]
-        return end, stack + (stack @ basis.T) @ shift
+        ju = u @ self._jt
+        shift = (c - 1.0) * np.array([u, ju]) - s * rows[-2:]
+        # per-row sums, so a row moves the same whatever the stack size
+        a, b = np.sum(stack * u, axis=-1), np.sum(stack * ju, axis=-1)
+        return end, stack + np.multiply.outer(a, shift[0]) + np.multiply.outer(b, shift[1])
 
     def integrate(self, p, stack, dt, steps):
         """The forward flow; for d = 2 in one closed form (see geometry.roll).
@@ -300,16 +297,17 @@ class KendallShapeSpace(Manifold):
         O'Neill's formula for the Riemannian submersion from the preshape
         sphere: R(X,Y)Z = H[R~(X,Y)Z + 2 A_Z A_X Y - A_X A_Y Z - A_Y A_Z X],
         with R~ the sphere curvature, H the horizontal projection and A the
-        submersion's A-tensor (see _oneill).  For d = 2 (complex projective
-        space) the A-terms close to <JY,Z>JX - <JX,Z>JY + 2<X,JY>JZ, and the
-        sectional curvature of orthonormal X, Y is 1 + 3<JX,Y>^2, in [1, 4];
-        for d >= 3 it is at least 1.  Batches over leading axes.
+        submersion's A-tensor (see _oneill), for every d.  For d = 2 (complex
+        projective space) the A-terms close to <JY,Z>JX - <JX,Z>JY +
+        2<X,JY>JZ, and the sectional curvature of orthonormal X, Y is
+        1 + 3<JX,Y>^2, in [1, 4]; the fit uses that planar closed form,
+        batched over nodes, in backward_operators.  For d >= 3 the sectional
+        curvature is at least 1.  Batches over leading axes.
         """
         p = np.asarray(p, dtype=float)
         x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-        oneill = self._planar_oneill if self.d == 2 else self._oneill
         return self.horizontal_project(
-            p, self._sphere.curvature(p, x, y, z) + oneill(p, x, y, z)
+            p, self._sphere.curvature(p, x, y, z) + self._oneill(p, x, y, z)
         )
 
     def backward_operators(self, points, vels, dt):
@@ -357,11 +355,6 @@ class KendallShapeSpace(Manifold):
              - xz * here[:, None] - jxz * (self._jt @ here)[:, None])
         return q, c
 
-    def _planar_oneill(self, p, x, y, z):
-        """The A-terms of curvature for d = 2: S(X,Y)Z = <X,JY>JZ in _oneill."""
-        jx, jy, jz = x @ self._jt, y @ self._jt, z @ self._jt
-        return _dots(jy, z) * jx - _dots(jx, z) * jy + 2.0 * _dots(x, jy) * jz
-
     def _oneill(self, p, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.
 
@@ -388,11 +381,6 @@ class KendallShapeSpace(Manifold):
         terms = 2.0 * zm @ skew(xm, ym) - xm @ skew(ym, zm) - ym @ skew(zm, xm)
         return terms.reshape(np.broadcast_shapes(x.shape, y.shape, z.shape))
 
-    def inner(self, p, x, y):
-        if np.ndim(x) == 1 and np.ndim(y) == 1:
-            return float(np.dot(x, y))
-        return np.sum(np.asarray(x) * y, axis=-1)
-
     def project_point(self, p):
         flat = self._project_out(p, self._centering)
         return flat / np.sqrt(np.sum(flat * flat, axis=-1, keepdims=True))
@@ -414,14 +402,6 @@ class KendallShapeSpace(Manifold):
             "sphere_tangent": abs(float(np.dot(x, p))),
             "horizontal": float(np.abs(self._vertical_frame(p) @ x).max()),
         }
-
-    def random_point(self, rng):
-        return self.from_landmarks(rng.standard_normal((self.m, self.d)))
-
-    def random_tangent(self, rng, p):
-        return self.horizontal_project(p, rng.standard_normal(self.m * self.d))
-
-    # -- batched fast paths ----------------------------------------------------
 
     def log_many(self, points, targets):
         """Exact quotient log via alignment, batched over matching rows.

@@ -321,11 +321,12 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     Starts from the mean of the data with zero vectors unless an explicit
     initial state (in internal [0, 1] time units) is supplied; the mean's
     logs and variance are then the starting curve's residual logs and
-    objective.  Accepted iterations strictly decrease the objective; a
-    candidate at the cut locus of an observation counts as rejected.
-    Parameters that drift more than 1e-6 off the manifold raise
-    GeometryError.  The result keeps the trajectory of the accepted
-    parameters, the one its SSE was measured on.
+    objective.  An initial state more than 1e-6 off the manifold (its point
+    or its vectors' tangency) raises ValueError.  Accepted iterations
+    strictly decrease the objective; a candidate at the cut locus of an
+    observation counts as rejected.  Parameters that drift more than 1e-6
+    off the manifold raise GeometryError.  The result keeps the trajectory
+    of the accepted parameters, the one its SSE was measured on.
     ``_frechet`` is private to ``fit_orders``: the data's Frechet mean,
     variance and logs, computed once for all orders.
     """
@@ -351,6 +352,13 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         state = PolynomialState(variance_mean, np.zeros(shape))
     elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
         state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
+        residuals = state.residuals(manifold)
+        worst = max(residuals, key=residuals.get, default=None)
+        if worst is not None and residuals[worst] > _DRIFT_TOL:
+            raise ValueError(
+                f"initial state is off the manifold: {worst} residual "
+                f"{residuals[worst]:.3e} exceeds {_DRIFT_TOL:g}"
+            )
     else:
         raise ValueError(
             f"initial vectors have shape {initial.vels.shape}; order {k} "

@@ -258,13 +258,3 @@ class RotationGroup(Manifold):
 
     def tangent_residuals(self, p, x) -> dict:
         return {}
-
-    def random_point(self, rng):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        q = q @ np.diag(np.sign(np.diag(r)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return q
-
-    def random_tangent(self, rng, p):
-        return rng.standard_normal(3)

@@ -15,16 +15,11 @@ import numpy as np
 
 from .geometry import CutLocusError, Manifold, roll
 
-# Below this angle the closed forms divide by ~0; switch to series branches.
+# Below this norm the log's scale theta / |w| divides by ~0 and is taken as 1.
 _TINY_ANGLE = 1e-8
 
 # Antipodal guard: log is undefined where p.q <= -1 + this margin.
 _ANTIPODAL_MARGIN = 1e-9
-
-
-def _unit_rows(x):
-    """Each row of x scaled to unit norm."""
-    return x / np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
 
 
 class Sphere(Manifold):
@@ -56,18 +51,18 @@ class Sphere(Manifold):
         if theta == 0.0:
             return p, stack.copy()
         c, s = math.cos(theta), math.sin(theta)
-        end = p + v if theta < _TINY_ANGLE else c * p + (s / theta) * v
+        end = c * p + (s / theta) * v
         end = end / math.sqrt(np.dot(end, end))
         if theta < 1e-14:
             return end, stack.copy()
         u = v / theta
-        a = np.dot(stack, u)                  # scalar or (...,) stack
+        a = np.sum(stack * u, axis=-1)        # per row, whatever the stack size
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
     def integrate(self, p, stack, dt, steps):
         """The forward flow in one closed form: each step turns the plane {p, v}."""
         return roll(np.asarray(p, dtype=float), np.asarray(stack, dtype=float),
-                    dt, steps, _unit_rows)
+                    dt, steps, self.project_point)
 
     def curvature(self, p, x, y, z):
         """R(x, y)z = (y.z) x - (x.z) y; batches over leading axes.
@@ -105,13 +100,9 @@ class Sphere(Manifold):
         c = w[:, None, :, None] * v[:, :, None, :] - vw[:, :, None, None] * eye
         return q, c
 
-    def inner(self, p, x, y):
-        if np.ndim(x) == 1 and np.ndim(y) == 1:
-            return float(np.dot(x, y))
-        return np.sum(np.asarray(x) * y, axis=-1)
-
     def project_point(self, p):
-        return p / np.sqrt(np.dot(p, p))
+        """p, or each row of a stack, scaled to unit norm."""
+        return p / np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
 
     def project_tangent(self, p, x):
         a = np.asarray(np.sum(np.asarray(x) * p, axis=-1))
@@ -122,17 +113,6 @@ class Sphere(Manifold):
 
     def tangent_residuals(self, p, x) -> dict:
         return {"orthogonal_to_base": abs(float(np.dot(p, x)))}
-
-    def random_point(self, rng):
-        p = rng.standard_normal(self.dim + 1)
-        return p / np.sqrt(np.dot(p, p))
-
-    def random_tangent(self, rng, p):
-        v = rng.standard_normal(self.dim + 1)
-        v -= np.dot(v, p) * p
-        return v
-
-    # -- batched fast paths --------------------------------------------------
 
     def log_many(self, points, targets):
         points = np.asarray(points, dtype=float)

@@ -25,6 +25,8 @@ def make_manifold(name):
         return rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0])))
     if name == "kendall":
         return rp.KendallShapeSpace(3, 2)
+    if name == "kendall_3d":
+        return rp.KendallShapeSpace(5, 3)
     raise ValueError(name)
 
 

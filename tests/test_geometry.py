@@ -106,14 +106,22 @@ class TestContract:
             assert abs(lhs - rhs) < 1e-8
 
     def test_random_point_residuals_within_tolerance(self, name, rng):
-        m = make_manifold(name)
-        assert within_tolerance(m, m.point_residuals(m.random_point(rng)))
+        assert_random_samples_within_tolerance(make_manifold(name), rng)
 
 
-def step_manifold(name):
-    if name == "kendall_3d":
-        return rp.KendallShapeSpace(5, 3)
-    return make_manifold(name)
+def assert_random_samples_within_tolerance(m, rng):
+    # the base class samples by projecting Gaussian draws; both projections
+    # must land within the geometry's own tolerance
+    for _ in range(20):
+        p = m.random_point(rng)
+        assert within_tolerance(m, m.point_residuals(p))
+        assert within_tolerance(m, m.tangent_residuals(p, m.random_tangent(rng, p)))
+
+
+def test_random_samples_within_tolerance_on_kendall_3d(rng):
+    # the d >= 3 shape space stays out of TestContract: its stepped transport
+    # is an isometry only to first order in max_step
+    assert_random_samples_within_tolerance(make_manifold("kendall_3d"), rng)
 
 
 def tangent_stack(m, rng, p, count=3):
@@ -122,7 +130,7 @@ def tangent_stack(m, rng, p, count=3):
 
 @pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general", "kendall_3d"])
 def test_step_is_exp_then_transport(name, rng):
-    m = step_manifold(name)
+    m = make_manifold(name)
     p = m.random_point(rng)
     v = unit_tangent(m, rng, p, 0.3)
     stack = tangent_stack(m, rng, p)
@@ -139,6 +147,22 @@ def test_distances_are_derived_from_the_log(cls):
     assert "log_many" in vars(cls)
     for derived in ("log", "dist", "dist_many"):
         assert derived not in vars(cls)
+
+
+CONTRACT = ("step", "log_many", "curvature", "project_point", "project_tangent",
+            "point_residuals", "tangent_residuals")
+
+
+@pytest.mark.parametrize("cls", [rp.Euclidean, rp.Sphere, rp.KendallShapeSpace,
+                                 rp.RotationGroup])
+def test_geometries_write_only_the_contract(cls):
+    # the seven required methods are each geometry's own; the ambient metric
+    # and random sampling come from the base class, and only the rotation
+    # group's left-invariant metric replaces the ambient inner product
+    for required in CONTRACT:
+        assert required in vars(cls)
+    for derived in ("inner", "random_point", "random_tangent"):
+        assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
 
 
 def operator_manifold(name):
@@ -172,6 +196,22 @@ def test_backward_operators_apply_the_maps(name, order, rng):
         for i in range(order):
             expected = m.curvature(gamma, v[i], rows, v[0])
             assert np.abs(rows @ c[n - 1, i] - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [rp.Sphere(2), rp.Sphere(15), rp.KendallShapeSpace(8, 2)],
+                         ids=["sphere_2", "sphere_15", "kendall_8_2"])
+def test_transported_row_is_independent_of_the_stack(m, rng):
+    # every row takes its own dot products, so the first rows of a stack,
+    # stepped as a shorter stack or as a single vector, move exactly as in
+    # the stacked call
+    for _ in range(300):
+        p = m.random_point(rng)
+        v = m.random_tangent(rng, p)
+        stack = np.stack([m.random_tangent(rng, p) for _ in range(8)])
+        moved = m.step(p, v, stack)[1]
+        for rows in (1, 2, 3):
+            assert np.array_equal(m.step(p, v, stack[:rows])[1], moved[:rows])
+        assert np.array_equal(m.step(p, v, stack[0])[1], moved[0])
 
 
 class TestPlanarKendallStep:

@@ -374,18 +374,6 @@ class TestPlanarClosedForms:
 
 
 class TestONeillCurvature:
-    def test_planar_closed_form_matches_sylvester_solution(self, rng):
-        # the d = 2 closed form of the A-terms is the general Sylvester
-        # solution specialised to one rotation generator
-        for m in (3, 5, 8):
-            space = rp.KendallShapeSpace(m, 2)
-            p = random_preshape(space, rng)
-            x, y, z = (np.stack([unit_tangent(space, rng, p) for _ in range(3)])
-                       for _ in range(3))
-            planar = space._planar_oneill(p, x, y, z[0])
-            general = space._oneill(p, x, y, z[0])
-            assert np.abs(planar - general).max() < 1e-12
-
     def test_collinear_shape_in_3d_stays_finite(self, rng):
         # rotations about the line fix a collinear shape: their eigenvalue
         # sums vanish and the Sylvester solve must skip them

@@ -701,6 +701,23 @@ class TestConfigAndInputGuards:
             rp.fit_polynomial(sphere, data, rp.FitConfig(order=1, steps=50),
                               initial=bad)
 
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)],
+                             ids=["sphere", "kendall_8_2"])
+    def test_off_manifold_initial_state_rejected(self, space, rng):
+        # a normal part in a vector, or a point off the unit sphere, is
+        # refused before integration, with the worst residual named
+        state, _, data = random_fit_problem(space, 2, rng, steps=50)
+        config = rp.FitConfig(order=2, steps=50, max_iters=1)
+        vels = state.vels.copy()
+        vels[1] += 0.05 * state.gamma
+        bad = rp.PolynomialState(state.gamma, vels)
+        with pytest.raises(ValueError, match=r"v2_\w+ residual 5\.000e-02"):
+            rp.fit_polynomial(space, data, config, initial=bad)
+        bad = rp.PolynomialState(1.01 * state.gamma, state.vels)
+        with pytest.raises(ValueError, match="unit_norm residual"):
+            rp.fit_polynomial(space, data, config, initial=bad)
+        rp.fit_polynomial(space, data, config, initial=state)
+
     def test_order_zero_accepts_empty_initial(self, rng):
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, steps=50)
