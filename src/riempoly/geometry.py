@@ -53,7 +53,6 @@ class Manifold:
     name: str = "manifold"
     point_shape: tuple = ()
     tangent_shape: tuple = ()
-    tolerance: float = 1e-10
 
     def step(self, p, v, stack):
         """One geodesic step: the endpoint exp(p, v) and stack transported there.
@@ -201,8 +200,6 @@ class Manifold:
 
 class Euclidean(Manifold):
     """Flat space R^n.  Exact closed forms; used as the correctness oracle."""
-
-    tolerance = 1e-12
 
     def __init__(self, dim: int):
         if dim < 1:

@@ -155,8 +155,6 @@ class KendallShapeSpace(Manifold):
     the substep of the d >= 3 transport; every other map is exact.
     """
 
-    tolerance = 1e-8
-
     def __init__(self, m: int, d: int, max_step: float = 5e-3):
         if m * d < 3 or m < 2 or d < 2:
             raise ValueError("need m >= 2 landmarks in dimension d >= 2 with m*d >= 3")
@@ -314,24 +312,33 @@ class KendallShapeSpace(Manifold):
         """The adjoint's per-node maps, batched over nodes when d = 2.
 
         With R the normal rows of a node (centering, the point p, Jp), the
-        horizontal projector there is P = I - R^T R.  Transport along
-        -dt v_1 is I + B^T S in the frame of step, with B the rows [u, Ju]
-        and S the rows they turn by, so
-        Q = P_prev + B^T (S P_prev).  Curvature is linear in its second
-        argument: the sphere term z^T x - (x.z) I plus O'Neill's A-terms
-        -(Jz)^T Jx - (Jx.z) J - 2 (Jx)^T Jz, each followed by P, with x = v_i
-        and z = v_1.  d >= 3 keeps the node-by-node default (see Manifold).
+        horizontal projector there is P = I - R^T R: the constant centering
+        projector minus p^T p and (Jp)^T Jp.  Transport along -dt v_1 is
+        I + B^T S in the frame of step, with B the rows [u, Ju] and S the
+        rows they turn by, so Q = P_prev + B^T (S P_prev).  Curvature is
+        linear in its second argument, and every one of its terms ends in P,
+        so with x = v_i and z = v_1 it factors as C_i = E_i P, where
+
+            E_i = z^T x - (Jz)^T Jx - 2 (Jx)^T Jz - (x.z) I - (Jx.z) J
+
+        holds the sphere term and O'Neill's A-terms: a rank-3 product plus
+        the diagonal and the landmark rotation J, whose entries are
+        +-1 just off the diagonal of every landmark's 2 x 2 block.  d >= 3
+        keeps the node-by-node default (see Manifold).
         """
         if self.d != 2:
             return super().backward_operators(points, vels, dt)
         points = np.asarray(points, dtype=float)
         vels = np.asarray(vels, dtype=float)
+        dim = self.m * self.d
         turned = points @ self._jt
         normal = np.concatenate([
             np.broadcast_to(self._centering, (len(points),) + self._centering.shape),
             points[:, None], turned[:, None],
         ], axis=1)
-        proj = np.eye(self.m * self.d) - np.swapaxes(normal, 1, 2) @ normal
+        proj = (np.eye(dim) - self._centering.T @ self._centering
+                - points[:, :, None] * points[:, None, :]
+                - turned[:, :, None] * turned[:, None, :])
         p, rows, here, v = points[1:], normal[1:], proj[1:], vels[1:]
         w = v[:, 0] if v.shape[1] else np.zeros_like(p)
 
@@ -346,14 +353,16 @@ class KendallShapeSpace(Manifold):
         q = proj[:-1] + np.swapaxes(basis, 1, 2) @ (shift @ proj[:-1])
 
         jx, jz = v @ self._jt, w @ self._jt
-        xz = np.sum(v * w[:, None], axis=-1)[:, :, None, None]
-        jxz = np.sum(jx * w[:, None], axis=-1)[:, :, None, None]
-        jzp = np.einsum("nd,nde->ne", jz, here)
-        c = (w[:, None, :, None] * (v @ here)[:, :, None, :]
-             - jz[:, None, :, None] * (jx @ here)[:, :, None, :]
-             - 2.0 * jx[:, :, :, None] * jzp[:, None, None, :]
-             - xz * here[:, None] - jxz * (self._jt @ here)[:, None])
-        return q, c
+        wide = np.broadcast_to(w[:, None], v.shape)
+        jwide = np.broadcast_to(jz[:, None], v.shape)
+        e = (np.stack([wide, -jwide, -2.0 * jx], axis=-1)
+             @ np.stack([v, jx, jwide], axis=-2))
+        flat = e.reshape(e.shape[:2] + (dim * dim,))
+        flat[..., ::dim + 1] -= np.sum(v * w[:, None], axis=-1)[..., None]
+        jxz = np.sum(jx * w[:, None], axis=-1)[..., None]
+        flat[..., 1::2 * dim + 2] -= jxz         # J[2j, 2j + 1] = 1
+        flat[..., dim::2 * dim + 2] += jxz       # J[2j + 1, 2j] = -1
+        return q, e @ here[:, None]
 
     def _oneill(self, p, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.

@@ -13,8 +13,11 @@ the state through the curvature operator, and arrive at t = 0 carrying the
 negative gradients with respect to the initial conditions.  That pass is a
 linear recursion: at every node the multipliers are multiplied by two fixed
 matrices, the curvature coupling C and the backward transport-and-project Q,
-which Manifold.backward_operators builds for a block of nodes in a few
-batched calls before the recursion walks them.  A descent loop
+which Manifold.backward_operators builds for a batch of nodes in a few
+batched calls before the recursion walks them.  A batch holds as many nodes
+as fit their k + 1 operators of D x D doubles into _BLOCK_BYTES, so a pass
+on a small space builds its operators at once and memory stays flat in the
+step count on a large one.  A descent loop
 with a monotone backtracking line search moves every candidate with one
 Manifold.step: the base point along the geodesic, and the incremented
 vectors, the gradient and the direction by parallel transport to the new
@@ -58,7 +61,7 @@ from .polyflow import (
 _MAX_ORDER = 6          # guard against runaway stiffness
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
-_BLOCK = 16             # nodes per batch of backward operators in the adjoint
+_BLOCK_BYTES = 1 << 18  # bytes of one batch of backward operators in the adjoint
 
 
 class ZeroVarianceError(ValueError):
@@ -195,10 +198,12 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
         lam[0] += lam[1:] . dt C[n] + jump[n];  lam[1:] += dt lam[:-1];
         lam = lam Q[n],
 
-    with the operators built for _BLOCK nodes at a time, so memory stays
-    flat in the step count.  Returns the negated multipliers, i.e. the
-    (k+1, *tangent_shape) gradient: base point first, then one row per
-    vector.
+    with the operators built a batch at a time: as many nodes as fit their
+    (k+1) D x D operators into _BLOCK_BYTES, at least one, so memory stays
+    flat in the step count.  A node's operators do not depend on its batch,
+    so the gradient is the same, bit for bit, whatever the budget.  Returns
+    the negated multipliers, i.e. the (k+1, *tangent_shape) gradient: base
+    point first, then one row per vector.
     """
     k = traj.order
     dt = traj.dt
@@ -214,10 +219,11 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
         np.add.at(out, nodes[lo:hi] - first, logs[lo:hi])
         return out * (2.0 / data.size)
 
+    batch = max(1, _BLOCK_BYTES // (8 * (k + 1) * dim * dim))
     lam = np.zeros((k + 1, dim))
     end = len(traj) - 1
     while end > 0:
-        start = max(end - _BLOCK, 0)
+        start = max(end - batch, 0)
         q, c = manifold.backward_operators(
             traj.points[start:end + 1], traj.vels[start:end + 1], dt
         )

@@ -145,8 +145,6 @@ def _compose(p, turns):
 class RotationGroup(Manifold):
     """SO(3) under a left-invariant metric; see the module docstring."""
 
-    tolerance = 1e-8
-
     def __init__(self, metric: MetricSpec | None = None, max_step: float = 5e-3):
         self.metric = metric if metric is not None else MetricSpec(np.eye(3))
         self.max_step = max_step
@@ -225,7 +223,7 @@ class RotationGroup(Manifold):
         """The adjoint's per-node maps (see Manifold), tangents unprojected.
 
         Curvature does not read the rotation, so one broadcast call gives C
-        for every node of the block; transport runs node by node.
+        for every node of the batch; transport runs node by node.
         """
         v = np.asarray(vels, dtype=float)[1:]
         eye = np.eye(3)

@@ -25,8 +25,6 @@ _ANTIPODAL_MARGIN = 1e-9
 class Sphere(Manifold):
     """S^n with the round metric induced from R^{n+1}."""
 
-    tolerance = 1e-10
-
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("sphere dimension must be >= 1")

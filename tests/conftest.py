@@ -46,6 +46,15 @@ def injectivity_radius(manifold, p):
     raise TypeError(f"no injectivity radius for {manifold.name}")
 
 
+# largest constraint residual a sampled point or tangent may carry, per space
+TOLERANCES = {
+    rp.Euclidean: 1e-12,
+    rp.Sphere: 1e-10,
+    rp.KendallShapeSpace: 1e-8,
+    rp.RotationGroup: 1e-8,
+}
+
+
 def vee(w, tol=1e-9):
     """Inverse of so3.hat; rejects matrices that are not skew-symmetric."""
     w = np.asarray(w, dtype=float)

@@ -150,7 +150,8 @@ class TestAdjoint:
                                        (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)],
                              ids=["distinct", "shared"])
     def test_operator_recursion_matches_reference(self, name, times, rng):
-        # 70 steps: several full operator blocks and a partial one
+        # 70 steps: on kendall(8,2) at k >= 1, full operator batches and a
+        # partial one
         m = rp.KendallShapeSpace(8, 2) if name == "kendall_8_2" else make_manifold(name)
         for k in range(4):
             _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
@@ -177,13 +178,14 @@ class TestAdjoint:
         assert sum(calls.values()) == 0
 
     def test_memory_is_flat_in_the_step_count(self, rng):
-        # operators are built a block of nodes at a time, so ten times the
-        # nodes must not raise the pass's peak allocation
+        # operators are built a byte-budgeted batch of nodes at a time, so
+        # twenty times the nodes leave the pass's peak allocation where it
+        # was, a few budgets at most
         space = rp.KendallShapeSpace(8, 2)
-        state, _, data = random_fit_problem(space, 2, rng, scale=0.3, steps=200,
+        state, _, data = random_fit_problem(space, 3, rng, scale=0.3, steps=200,
                                             times=tuple(np.linspace(0.0, 1.0, 24)))
         peaks = []
-        for steps in (200, 2000):
+        for steps in (200, 4000):
             traj = rp.integrate_polynomial(space, state, 1.0, steps)
             logs = residual_logs(space, traj, data)
             integrate_adjoint(space, traj, data, logs)  # one-time set-up untraced
@@ -193,7 +195,25 @@ class TestAdjoint:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+        assert max(peaks) < 4 * riempoly.regress._BLOCK_BYTES
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere_2", "sphere_15",
+                                      "kendall_8_2", "kendall_5_3", "so3_general"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_gradient_is_independent_of_the_batch_budget(self, name, k, rng,
+                                                         monkeypatch):
+        # a node's operators do not depend on the batch it is built in: one
+        # node per batch gives the default budget's gradient, bit for bit
+        m = {"euclidean": rp.Euclidean(2), "sphere_2": rp.Sphere(2),
+             "sphere_15": rp.Sphere(15), "kendall_8_2": rp.KendallShapeSpace(8, 2),
+             "kendall_5_3": rp.KendallShapeSpace(5, 3),
+             "so3_general": make_manifold("so3_general")}[name]
+        _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=80)
+        logs = residual_logs(m, traj, data)
+        expected = integrate_adjoint(m, traj, data, logs)
+        monkeypatch.setattr(riempoly.regress, "_BLOCK_BYTES", 1)
+        assert np.array_equal(integrate_adjoint(m, traj, data, logs), expected)
 
 
 def sphere_cubic_points(i, seed):
