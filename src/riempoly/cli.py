@@ -167,11 +167,12 @@ def _write_curves(path, manifold, results: dict, samples: int) -> None:
 
 
 def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> None:
+    """Each observation's distance to its fitted curve: its residual log's norm."""
     rows = ["order,id,time,distance"]
     for k, result in sorted(results.items()):
-        traj = result.trajectory
+        traj, logs = result.trajectory, result.logs
         nodes = traj.node_index((data.times - result.time_offset) / result.time_scale)
-        dists = manifold.dist_many(traj.points[nodes], data.points)
+        dists = np.sqrt(np.maximum(manifold.inner(traj.points[nodes], logs, logs), 0.0))
         for rec_id, t, dist in zip(ids, data.times, dists):
             rows.append(f"{k},{rec_id},{repr(float(t))},{repr(float(dist))}")
     # one row per observation and order, distances in shape/metric units

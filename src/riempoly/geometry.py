@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_BLOCK_BYTES = 1 << 18  # bytes of one batch of operators in the default pullback
+
 
 class GeometryError(Exception):
     """Base class for geometric failures."""
@@ -46,8 +48,14 @@ class Manifold:
     derived from step and log_many here; inner is the ambient dot product
     unless the geometry has another metric; random points and tangents
     project a Gaussian draw.  The fit takes no distance: its objective is the
-    mean squared metric norm of the residual logs, which are also the
-    adjoint's jumps, so dist_many serves the reports.
+    mean squared metric norm of the residual logs, which also give its
+    gradient and the reported distances.
+
+    The reverse of integrate is pullback, the gradient at the initial
+    conditions from cotangents at the nodes.  Its default discretizes the
+    continuous adjoint, first order in dt, from the per-node matrices of
+    backward_operators; a geometry whose integrate rolls overrides
+    integrate and pullback with roll and its exact reverse, unroll.
     """
 
     name: str = "manifold"
@@ -124,8 +132,63 @@ class Manifold:
         """Curvature operator R(x, y)z at p."""
         raise NotImplementedError
 
+    def pullback(self, traj, nodes, cotangents):
+        """The gradient at traj's initial conditions of sum_n <G_n, x_n>.
+
+        The reverse of integrate, over the whole pass.  x_n are the points of
+        traj, nodes the distinct nodes that carry a cotangent G_n, in
+        increasing order, and cotangents the rows G_n, each tangent at x_n.
+        Returns the (k + 1, *tangent_shape) gradient, base point first: the
+        base point moves along exp with the vectors carried by transport.
+
+        This default discretizes the continuous adjoint system, so it is
+        first order in dt, not the exact gradient of the discrete flow.  The
+        multipliers lam, one row per initial condition, start at zero after
+        the final node, and every step is linear in them: backward_operators
+        gives each node n two matrices, C[n], the curvature coupling of the
+        vector rows into the base row, and Q[n], transport one node back
+        followed by projection.  Walking from the final node to the first,
+
+            lam[0] += lam[1:] . dt C[n] + G_n;  lam[1:] += dt lam[:-1];
+            lam = lam Q[n],
+
+        with the operators built a batch at a time: as many nodes as fit
+        their (k+1) D x D operators into _BLOCK_BYTES, at least one, so memory
+        stays flat in the step count.  A node's operators do not depend on
+        its batch, so the gradient is the same, bit for bit, whatever the
+        budget.  Geometries whose integrate rolls override this with unroll.
+        """
+        k, dt = traj.order, traj.dt
+        dim = int(np.prod(self.tangent_shape))
+        cotangents = np.reshape(cotangents, (-1, dim))
+
+        def jumps(first, last):
+            """The cotangents of the nodes first..last, one row per node."""
+            lo, hi = np.searchsorted(nodes, [first, last + 1])
+            out = np.zeros((last - first + 1, dim))
+            out[nodes[lo:hi] - first] = cotangents[lo:hi]
+            return out
+
+        batch = max(1, _BLOCK_BYTES // (8 * (k + 1) * dim * dim))
+        lam = np.zeros((k + 1, dim))
+        end = len(traj) - 1
+        while end > 0:
+            start = max(end - batch, 0)
+            q, c = self.backward_operators(
+                traj.points[start:end + 1], traj.vels[start:end + 1], dt
+            )
+            c = (dt * c).reshape(end - start, k * dim, dim)
+            jump = jumps(start + 1, end)
+            for j in range(end - start - 1, -1, -1):
+                lam[0] += lam[1:].ravel() @ c[j] + jump[j]
+                lam[1:] += dt * lam[:-1]
+                lam = lam @ q[j]
+            end = start
+        lam[0] += jumps(0, 0)[0]
+        return lam.reshape((k + 1,) + self.tangent_shape)
+
     def backward_operators(self, points, vels, dt):
-        """The adjoint's per-node linear maps, as matrices acting on rows.
+        """The recursion's per-node linear maps, as matrices acting on rows.
 
         points and vels hold B + 1 consecutive trajectory nodes, vels with
         shape (B + 1, k, *tangent_shape).  For each node pair (n - 1, n),
@@ -141,7 +204,8 @@ class Manifold:
         of Kendall d >= 3 restores each row's norm, so it is not linear: Q is
         then the linear map that agrees with it on the projector rows, and
         differs from it on other rows by the size of its own step error.
-        Subclasses override it with closed forms batched over the nodes.
+        The flat space and the rotation group override it with closed forms
+        batched over the nodes.
         """
         points = np.asarray(points, dtype=float)
         vels = np.asarray(vels, dtype=float)
@@ -224,7 +288,10 @@ class Euclidean(Manifold):
         return np.zeros(np.broadcast(x, y, z).shape)
 
     def backward_operators(self, points, vels, dt):
-        """Flat space: transport is the identity and curvature vanishes."""
+        """Flat space: transport is the identity and curvature vanishes.
+
+        The default pullback is then exact, not first order in dt.
+        """
         count, k = len(points) - 1, np.shape(vels)[1]
         q = np.broadcast_to(np.eye(self.dim), (count, self.dim, self.dim))
         return q, np.zeros((count, k, self.dim, self.dim))
@@ -260,6 +327,37 @@ def falling_factorials(nodes, dt, order):
     return phi
 
 
+def _rolling(p, stack, dt, steps):
+    """What roll and unroll share: the span's basis, phi, the turns and frames.
+
+    Returns the orthonormal basis of span{p, stack} (a QR), the coordinates
+    of p and of the rows in it, phi (falling_factorials), the body-frame
+    vectors of every node, the unit direction e of p and, for every step,
+    the turn's unit direction u (zero where b_1 is), its speed |b_1| and
+    the frames F_0 = I, F_n = T_0 ... T_{n-1}.
+    """
+    k = len(stack)
+    basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
+    size = basis.shape[1]                       # min(ambient size, k + 1)
+    # body-frame coordinates of every node's vectors: (steps + 1, k, size)
+    vecs = np.concatenate([coef[:, 1:].T, np.zeros((k - 1, size), coef.dtype)])
+    ahead = vecs[np.add.outer(np.arange(k), np.arange(k))]      # [j, i]: b_{i+j}(0)
+    phi = falling_factorials(np.arange(steps + 1), dt, k - 1)
+    body = np.einsum("jn,jik->nik", phi, ahead)
+
+    # the turn of step n: plane {e, u} at the angle dt |b_1(n)|
+    e = coef[:, 0] / abs(coef[0, 0])
+    w = body[:-1, 0]
+    speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
+    u = w / np.where(speed > 0.0, speed, 1.0)[:, None]
+    theta = (dt * speed)[:, None, None]
+    plane = np.multiply.outer(e, e.conj()) + u[:, :, None] * u.conj()[:, None, :]
+    spin = u[:, :, None] * e.conj() - e[:, None] * u.conj()[:, None, :]
+    turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
+    frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
+    return basis, coef, phi, body, e, u, speed, frames
+
+
 def roll(p, stack, dt, steps, settle):
     """Manifold.integrate in closed form, where each step is a rotation.
 
@@ -279,33 +377,77 @@ def roll(p, stack, dt, steps, settle):
     before the first nonzero turn are p itself, bit for bit.  Returns the
     points and vectors of every node, as Manifold.integrate does.
     """
-    k = len(stack)
-    basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
-    size = basis.shape[1]                       # min(ambient size, k + 1)
-    # body-frame coordinates of every node's vectors: (steps + 1, k, size)
-    vecs = np.concatenate([coef[:, 1:].T, np.zeros((k - 1, size), coef.dtype)])
-    ahead = vecs[np.add.outer(np.arange(k), np.arange(k))]      # [j, i]: b_{i+j}(0)
-    phi = falling_factorials(np.arange(steps + 1), dt, k - 1)
-    body = np.einsum("jn,jik->nik", phi, ahead)
-
-    # the turn of step n: plane {e, w} at the angle dt |b_1(n)|
-    e = coef[:, 0] / abs(coef[0, 0])
-    w = body[:-1, 0]
-    speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
-    turning = speed > 0.0
-    w = w / np.where(turning, speed, 1.0)[:, None]
-    theta = (dt * speed)[:, None, None]
-    plane = np.multiply.outer(e, e.conj()) + w[:, :, None] * w.conj()[:, None, :]
-    spin = w[:, :, None] * e.conj() - e[:, None] * w.conj()[:, None, :]
-    turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
-
-    frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
-    moved = np.concatenate([[False], np.logical_or.accumulate(turning)])
+    basis, coef, _, body, _, _, speed, frames = _rolling(p, stack, dt, steps)
+    moved = np.concatenate([[False], np.logical_or.accumulate(speed > 0.0)])
     points = np.repeat(p[None], steps + 1, axis=0)
     points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
     vels = (body @ np.swapaxes(frames, -1, -2)) @ basis.T
     vels[0] = stack
     return points, vels
+
+
+def unroll(p, stack, dt, steps, nodes, cotangents):
+    """The reverse of roll: the exact gradient of sum_n <G_n, x_n>.
+
+    nodes are distinct node indices, cotangents the gradients G_n of the
+    objective at those nodes' points x_n, real or complex like p and stack.
+    Node n is x_n = F_n p in the basis of roll, so the objective's derivative
+    with respect to turn m is M_m = F_m^H S_{m+1} F_{m+1}, with S_n the
+    reverse cumulative sum of g_n x_n^H (g the cotangents' part in the
+    span).  The turn's closed form takes M_m to b_1(m), and phi takes that to
+    the vectors.  A vector's part outside the span turns the out-of-span
+    part of x_n only, by sum_{m<n} phi(m) <x_n, F_{m+1} r_m> with r_m =
+    ((cos - 1) u + sin e) / |b_1(m)| (dt e where b_1(m) = 0): prefix sums of
+    vectors of the span's size, paired with the cotangents outside the span.
+    The base point moves along exp with the vectors carried by transport,
+    which is the rotation X = d p^H - p d^H of the whole flow, so its row is
+    the tangent part of sum_n (x_n^H p) G_n - (G_n^H p) x_n.  Returns the
+    (k + 1, len(p)) gradient, base point first; no recursion, nothing of
+    size D x D.  At order zero every x_n is p, and the gradient the sum of
+    the cotangents.
+    """
+    if not len(stack):
+        base = np.sum(cotangents, axis=0)
+        return (base - (p.conj() @ base) * p)[None]
+    basis, coef, phi, _, e, u, speed, frames = _rolling(p, stack, dt, steps)
+    turning = speed > 0.0
+    theta = dt * speed
+    safe = np.where(turning, speed, 1.0)
+    cos_over = np.where(turning, (np.cos(theta) - 1.0) / safe, 0.0)[:, None]
+    sin_over = np.where(turning, np.sin(theta) / safe, dt)[:, None]
+
+    xi = frames[nodes] @ coef[:, 0]             # the nodes' points in the span
+    inside = cotangents @ basis.conj()
+    outside = cotangents - inside @ basis.T
+    # M_m, m < steps: reverse cumulative sums of g_n x_n^H between turns
+    outer = np.zeros(frames.shape, frames.dtype)
+    outer[nodes] = inside[:, :, None] * xi.conj()[:, None, :]
+    rest = np.cumsum(outer[:0:-1], axis=0)[::-1]
+    m = np.swapaxes(frames[:-1].conj(), -1, -2) @ rest @ frames[1:]
+
+    # T = I + (cos - 1)(e e^H + u u^H) + sin (u e^H - e u^H) at the angle
+    # dt |b_1|, so the gradient at b_1 is dt kappa u + (h - Re<u, h> u) / |b_1|
+    # with h = (cos - 1)(M + M^H) u + sin (M - M^H) e and
+    # kappa = cos Re(<u, M e> - <e, M u>) - sin Re(<e, M e> + <u, M u>)
+    me, mu = m @ e, (m @ u[:, :, None])[..., 0]
+    he, hu = (e.conj() @ m).conj(), (u.conj()[:, None] @ m)[:, 0].conj()
+    kappa = (np.cos(theta) * (np.sum(u.conj() * me, axis=-1) - mu @ e.conj()).real
+             - np.sin(theta) * (np.sum(u.conj() * mu, axis=-1) + me @ e.conj()).real)
+    grad_w = cos_over * (mu + hu) + sin_over * (me - he)
+    grad_w += (dt * kappa - np.sum(u.conj() * grad_w, axis=-1).real)[:, None] * u
+    rows = phi[:, :-1] @ grad_w
+    rows -= (rows @ e.conj())[:, None] * e
+
+    # out of the span: prefix sums sum_{m<n} phi_j(m) F_{m+1} r_m at the nodes
+    r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
+    prefix = np.zeros((len(phi), steps + 1, len(e)), r.dtype)
+    np.cumsum(phi[:, :-1, None] * r, axis=1, out=prefix[:, 1:])
+    coupling = np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes])
+
+    points = xi @ basis.T
+    base = (points.conj() @ p) @ cotangents - (cotangents.conj() @ p) @ points
+    base -= (p.conj() @ base) * p
+    return np.concatenate([base[None], rows @ basis.T + coupling @ outside])
 
 
 def _running_products(mats):

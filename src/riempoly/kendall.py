@@ -19,11 +19,12 @@ Procrustean metrics, and complex projective spaces"; Dryden & Mardia,
 turns every landmark by 90 degrees, is parallel, so the step's transport has
 a closed form as well: the step is a unitary rotation of the landmarks read
 as a complex m-vector, and a whole forward pass rolls in one batched closed
-form.  For d >= 3 alignment takes an SVD, and transport
-has no closed form; it takes sphere steps and re-projects onto the
-horizontal subspace after every substep.  The curvature is exact for every
-d: the horizontal sphere curvature plus O'Neill's A-tensor terms of the
-submersion.
+form, whose exact reverse gives the fit's gradient with no curvature and no
+D x D matrix.  For d >= 3 alignment takes an SVD, and transport has no
+closed form; it takes sphere steps and re-projects onto the horizontal
+subspace after every substep.  The curvature is exact for every d: the
+horizontal sphere curvature plus O'Neill's A-tensor terms of the
+submersion; the d >= 3 gradient, the default recursion, couples through it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, roll
+from .geometry import CutLocusError, Manifold, roll, unroll
 from .sphere import Sphere
 
 # Gram-Schmidt drop threshold for degenerate (e.g. collinear) configurations.
@@ -267,9 +268,9 @@ class KendallShapeSpace(Manifold):
         Norms are restored after each projection since exact transport is an
         isometry; the remaining error is in direction and is first order in
         max_step.  This is the d >= 3 transport and the reference for the
-        d = 2 closed form.  With the curvature exact, this step error is what
-        remains of the adjoint gradient's mismatch on d >= 3.  Accepts
-        stacked x; an empty stack returns at once.
+        d = 2 closed form.  With the curvature exact, this step error adds
+        to the first-order mismatch of the d >= 3 gradient, the default
+        recursion.  Accepts stacked x; an empty stack returns at once.
         """
         x = np.asarray(x, dtype=float)
         speed = float(np.sqrt(np.dot(direction, direction)))
@@ -298,9 +299,10 @@ class KendallShapeSpace(Manifold):
         submersion's A-tensor (see _oneill), for every d.  For d = 2 (complex
         projective space) the A-terms close to <JY,Z>JX - <JX,Z>JY +
         2<X,JY>JZ, and the sectional curvature of orthonormal X, Y is
-        1 + 3<JX,Y>^2, in [1, 4]; the fit uses that planar closed form,
-        batched over nodes, in backward_operators.  For d >= 3 the sectional
-        curvature is at least 1.  Batches over leading axes.
+        1 + 3<JX,Y>^2, in [1, 4].  For d >= 3 the sectional curvature is at
+        least 1, and the fit's gradient couples through it; on d = 2 the
+        gradient reverses the roll and takes none.  Batches over leading
+        axes.
         """
         p = np.asarray(p, dtype=float)
         x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
@@ -308,61 +310,18 @@ class KendallShapeSpace(Manifold):
             p, self._sphere.curvature(p, x, y, z) + self._oneill(p, x, y, z)
         )
 
-    def backward_operators(self, points, vels, dt):
-        """The adjoint's per-node maps, batched over nodes when d = 2.
+    def pullback(self, traj, nodes, cotangents):
+        """For d = 2, the exact reverse of the rolled flow in complex form.
 
-        With R the normal rows of a node (centering, the point p, Jp), the
-        horizontal projector there is P = I - R^T R: the constant centering
-        projector minus p^T p and (Jp)^T Jp.  Transport along -dt v_1 is
-        I + B^T S in the frame of step, with B the rows [u, Ju] and S the
-        rows they turn by, so Q = P_prev + B^T (S P_prev).  Curvature is
-        linear in its second argument, and every one of its terms ends in P,
-        so with x = v_i and z = v_1 it factors as C_i = E_i P, where
-
-            E_i = z^T x - (Jz)^T Jx - 2 (Jx)^T Jz - (x.z) I - (Jx.z) J
-
-        holds the sphere term and O'Neill's A-terms: a rank-3 product plus
-        the diagonal and the landmark rotation J, whose entries are
-        +-1 just off the diagonal of every landmark's 2 x 2 block.  d >= 3
-        keeps the node-by-node default (see Manifold).
+        geometry.unroll on the landmarks read as complex m-vectors, as in
+        integrate.  d >= 3 keeps the default recursion, first order in dt
+        (see Manifold).
         """
         if self.d != 2:
-            return super().backward_operators(points, vels, dt)
-        points = np.asarray(points, dtype=float)
-        vels = np.asarray(vels, dtype=float)
-        dim = self.m * self.d
-        turned = points @ self._jt
-        normal = np.concatenate([
-            np.broadcast_to(self._centering, (len(points),) + self._centering.shape),
-            points[:, None], turned[:, None],
-        ], axis=1)
-        proj = (np.eye(dim) - self._centering.T @ self._centering
-                - points[:, :, None] * points[:, None, :]
-                - turned[:, :, None] * turned[:, None, :])
-        p, rows, here, v = points[1:], normal[1:], proj[1:], vels[1:]
-        w = v[:, 0] if v.shape[1] else np.zeros_like(p)
-
-        # step's frame at every node along -dt w; a zero frame gives Q = P_prev
-        back = -dt * w
-        h = back - np.einsum("nr,nrd->nd", np.einsum("nd,nrd->nr", back, rows), rows)
-        theta = np.sqrt(np.sum(h * h, axis=-1))
-        basis = np.stack([h, h @ self._jt], axis=1)
-        basis /= np.where(theta > 0.0, theta, 1.0)[:, None, None]
-        shift = ((np.cos(theta) - 1.0)[:, None, None] * basis
-                 - np.sin(theta)[:, None, None] * rows[:, -2:])
-        q = proj[:-1] + np.swapaxes(basis, 1, 2) @ (shift @ proj[:-1])
-
-        jx, jz = v @ self._jt, w @ self._jt
-        wide = np.broadcast_to(w[:, None], v.shape)
-        jwide = np.broadcast_to(jz[:, None], v.shape)
-        e = (np.stack([wide, -jwide, -2.0 * jx], axis=-1)
-             @ np.stack([v, jx, jwide], axis=-2))
-        flat = e.reshape(e.shape[:2] + (dim * dim,))
-        flat[..., ::dim + 1] -= np.sum(v * w[:, None], axis=-1)[..., None]
-        jxz = np.sum(jx * w[:, None], axis=-1)[..., None]
-        flat[..., 1::2 * dim + 2] -= jxz         # J[2j, 2j + 1] = 1
-        flat[..., dim::2 * dim + 2] += jxz       # J[2j + 1, 2j] = -1
-        return q, e @ here[:, None]
+            return super().pullback(traj, nodes, cotangents)
+        p, stack, cotangents = (np.ascontiguousarray(a).view(complex) for a in
+                                (traj.points[0], traj.vels[0], cotangents))
+        return unroll(p, stack, traj.dt, len(traj) - 1, nodes, cotangents).view(float)
 
     def _oneill(self, p, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.

@@ -56,8 +56,9 @@ class PolynomialState:
 class Trajectory:
     """Uniform-grid record of an integrated curve, velocities included.
 
-    The full stack of per-node vectors is kept because the reverse
-    (gradient) pass needs them at every node.
+    The full stack of per-node vectors is kept for the default reverse
+    (gradient) pass, the recursion, which needs them at every node; the
+    reverse of a rolled pass needs only the first node's.
     """
 
     manifold: Manifold

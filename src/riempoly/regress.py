@@ -3,26 +3,29 @@
 The fit computes one thing per candidate curve: the residual logs
 log_{gamma(n_j)} y_j, one batched Manifold.log_many call over the
 observations at their snapped nodes.  The objective is their mean squared
-metric norm, and the accepted candidate's logs are the jumps of the adjoint
-system, so no (node, observation) pair is logged twice.
+metric norm, and the accepted candidate's logs give the gradient and the
+reported distances, so no (node, observation) pair is logged twice.
 
-The objective is differentiated with an adjoint system
-integrated backward along the fitted curve: multiplier vectors start at zero
-at the final time, pick up a jump from every observation they pass, couple to
-the state through the curvature operator, and arrive at t = 0 carrying the
-negative gradients with respect to the initial conditions.  That pass is a
-linear recursion: at every node the multipliers are multiplied by two fixed
-matrices, the curvature coupling C and the backward transport-and-project Q,
-which Manifold.backward_operators builds for a batch of nodes in a few
-batched calls before the recursion walks them.  A batch holds as many nodes
-as fit their k + 1 operators of D x D doubles into _BLOCK_BYTES, so a pass
-on a small space builds its operators at once and memory stays flat in the
-step count on a large one.  A descent loop
-with a monotone backtracking line search moves every candidate with one
-Manifold.step: the base point along the geodesic, and the incremented
-vectors, the gradient and the direction by parallel transport to the new
-point.  The gradient and the vectors are single arrays with the order on the
-first axis: (k+1, *tangent_shape) and (k, *tangent_shape).
+The objective is differentiated by one Manifold.pullback call: the
+gradient of the objective at every observed node, -(2/N) times the logs
+observed there, is carried back to the initial conditions over the whole
+pass, the reverse of the one Manifold.integrate call of the forward pass.
+On the sphere and planar shape space, whose forward pass rolls, that is
+the exact reverse of the roll (geometry.unroll), a cumulative sum rather
+than a recursion, so the gradient is that of the discrete objective the
+descent minimizes.  Elsewhere it is the default, the continuous adjoint
+system discretized backward along the fitted curve, first order in dt:
+multipliers start at zero at the final time, pick up a jump from every
+observation they pass, couple to the state through the curvature operator,
+and arrive at t = 0 carrying the gradients, by two fixed matrices per node
+from Manifold.backward_operators.
+
+A descent loop with a monotone backtracking line search moves every
+candidate with one Manifold.step: the base point along the geodesic, and
+the incremented vectors, the gradient and the direction by parallel
+transport to the new point.  The gradient and the vectors are single arrays
+with the order on the first axis: (k+1, *tangent_shape) and
+(k, *tangent_shape).
 
 Descent is preconditioned with the normal-equation metric of the time
 design.  With phi_i(n) = dt^i C(n, i), the falling-factorial basis of the
@@ -61,7 +64,6 @@ from .polyflow import (
 _MAX_ORDER = 6          # guard against runaway stiffness
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
-_BLOCK_BYTES = 1 << 18  # bytes of one batch of backward operators in the adjoint
 
 
 class ZeroVarianceError(ValueError):
@@ -137,6 +139,7 @@ class FitResult:
     params: PolynomialState              # internal time units on [0, 1]
     params_original: PolynomialState     # velocities per original time unit
     trajectory: Trajectory               # params integrated over [0, 1]; gives sse
+    logs: np.ndarray                     # its residual logs, one row per observation
     sse: float
     frechet_variance: float
     r_squared: float
@@ -181,61 +184,20 @@ def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> f
 
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
                       data: TimedDataset, logs) -> np.ndarray:
-    """Backward pass along a stored trajectory, as a linear recursion.
+    """The objective's gradient at traj's initial conditions.
 
     logs holds the residual logs log_{gamma(n_j)} y_j of traj, one row per
-    observation at its snapped node, as the objective computed them.  The
-    observation jumps are (2/N) times those rows, summed per node (zero
-    where nothing is observed), so the pass itself takes no log.  The
-    multipliers lam, one row per initial condition, start at zero after
-    the final node.  Every step of
-    the pass is linear in them, so each node n is two fixed matrices from
-    Manifold.backward_operators: C[n], the curvature coupling of the vector
-    rows into the base row, and Q[n], transport one node backward followed
-    by projection onto the earlier tangent space.  Walking from the final
-    node to the first, each node then costs
-
-        lam[0] += lam[1:] . dt C[n] + jump[n];  lam[1:] += dt lam[:-1];
-        lam = lam Q[n],
-
-    with the operators built a batch at a time: as many nodes as fit their
-    (k+1) D x D operators into _BLOCK_BYTES, at least one, so memory stays
-    flat in the step count.  A node's operators do not depend on its batch,
-    so the gradient is the same, bit for bit, whatever the budget.  Returns
-    the negated multipliers, i.e. the (k+1, *tangent_shape) gradient: base
-    point first, then one row per vector.
+    observation at its snapped node, as the objective computed them, so
+    the pass itself takes no log.  The objective's gradient at the point of
+    an observed node is -(2/N) times the sum of the logs observed there;
+    Manifold.pullback carries those cotangents back to the initial
+    conditions.  Returns the (k+1, *tangent_shape) gradient: base point
+    first, then one row per vector.
     """
-    k = traj.order
-    dt = traj.dt
-    dim = int(np.prod(manifold.tangent_shape))
-
-    nodes = traj.node_index(data.times)     # nondecreasing: data is sorted
-    logs = np.reshape(logs, (-1, dim))
-
-    def jumps(first, last):
-        """Summed jumps of the nodes first..last, one row per node."""
-        lo, hi = np.searchsorted(nodes, [first, last + 1])
-        out = np.zeros((last - first + 1, dim))
-        np.add.at(out, nodes[lo:hi] - first, logs[lo:hi])
-        return out * (2.0 / data.size)
-
-    batch = max(1, _BLOCK_BYTES // (8 * (k + 1) * dim * dim))
-    lam = np.zeros((k + 1, dim))
-    end = len(traj) - 1
-    while end > 0:
-        start = max(end - batch, 0)
-        q, c = manifold.backward_operators(
-            traj.points[start:end + 1], traj.vels[start:end + 1], dt
-        )
-        c = (dt * c).reshape(end - start, k * dim, dim)
-        jump = jumps(start + 1, end)
-        for j in range(end - start - 1, -1, -1):
-            lam[0] += lam[1:].ravel() @ c[j] + jump[j]
-            lam[1:] += dt * lam[:-1]
-            lam = lam @ q[j]
-        end = start
-    lam[0] += jumps(0, 0)[0]
-    return -lam.reshape((k + 1,) + manifold.tangent_shape)
+    nodes, where = np.unique(traj.node_index(data.times), return_inverse=True)
+    cotangents = np.zeros((len(nodes),) + manifold.tangent_shape)
+    np.add.at(cotangents, where, logs)
+    return manifold.pullback(traj, nodes, cotangents * (-2.0 / data.size))
 
 
 _TIE_ULPS = 4           # variances this close are told apart by the gradient
@@ -332,7 +294,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     strictly decrease the objective; a candidate at the cut locus of an
     observation counts as rejected.  Parameters that drift more than 1e-6
     off the manifold raise GeometryError.  The result keeps the trajectory
-    of the accepted parameters, the one its SSE was measured on.
+    of the accepted parameters, the one its SSE was measured on, and its
+    residual logs, so reports take no log of their own.
     ``_frechet`` is private to ``fit_orders``: the data's Frechet mean,
     variance and logs, computed once for all orders.
     """
@@ -439,6 +402,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         params=state,
         params_original=PolynomialState(state.gamma, vels_original),
         trajectory=traj,
+        logs=logs,
         sse=sse,
         frechet_variance=variance,
         r_squared=r2,

@@ -220,10 +220,11 @@ class RotationGroup(Manifold):
         return curvature(x, y, z, self.metric)
 
     def backward_operators(self, points, vels, dt):
-        """The adjoint's per-node maps (see Manifold), tangents unprojected.
+        """The recursion's per-node maps (see Manifold), tangents unprojected.
 
         Curvature does not read the rotation, so one broadcast call gives C
-        for every node of the batch; transport runs node by node.
+        for every node of the batch; transport runs node by node.  SO(3)
+        takes the default pullback, so its gradient is first order in dt.
         """
         v = np.asarray(vels, dtype=float)[1:]
         eye = np.eye(3)

@@ -4,7 +4,8 @@ Geodesics are great circles, so every contract operation has an exact
 expression; no time stepping is involved anywhere in this module.  One
 closed-form step finds the angle once and gives both the endpoint and the
 transport; that step is a rotation, so a whole forward pass rolls in one
-batched closed form; the log is a batched, chord-based closed form.
+batched closed form, and the fit's gradient is its exact reverse; the log is
+a batched, chord-based closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, roll
+from .geometry import CutLocusError, Manifold, roll, unroll
 
 # Below this norm the log's scale theta / |w| divides by ~0 and is taken as 1.
 _TINY_ANGLE = 1e-8
@@ -73,30 +74,10 @@ class Sphere(Manifold):
         yz = np.asarray(np.sum(np.asarray(y) * z, axis=-1))
         return yz[..., None] * x - xz[..., None] * y
 
-    def backward_operators(self, points, vels, dt):
-        """The adjoint's per-node maps in closed form, batched over nodes.
-
-        Transport along d = -dt v_1 at p is I + u^T s, with u = d/|d| and
-        s = cos|d| u - sin|d| p - u; projecting at the earlier node q gives
-        Q = I - q^T q + u^T (s - (s.q) q).  Curvature y -> (y.w) v_i - (v_i.w) y
-        with w = v_1 is C_i = w^T v_i - (v_i.w) I.  See Manifold.
-        """
-        points = np.asarray(points, dtype=float)
-        vels = np.asarray(vels, dtype=float)
-        p, prev, v = points[1:], points[:-1], vels[1:]
-        k, dim = v.shape[1], p.shape[-1]
-        w = v[:, 0] if k else np.zeros_like(p)
-        d = -dt * w
-        theta = np.sqrt(np.sum(d * d, axis=-1))
-        moving = theta >= 1e-14               # below it, transport is the identity
-        u = np.where(moving[:, None], d, 0.0) / np.where(moving, theta, 1.0)[:, None]
-        s = np.cos(theta)[:, None] * u - np.sin(theta)[:, None] * p - u
-        s -= np.sum(s * prev, axis=-1)[:, None] * prev
-        eye = np.eye(dim)
-        q = eye - prev[:, :, None] * prev[:, None, :] + u[:, :, None] * s[:, None, :]
-        vw = np.sum(v * w[:, None], axis=-1)
-        c = w[:, None, :, None] * v[:, :, None, :] - vw[:, :, None, None] * eye
-        return q, c
+    def pullback(self, traj, nodes, cotangents):
+        """The exact reverse of the rolled flow (geometry.unroll)."""
+        return unroll(traj.points[0], traj.vels[0], traj.dt, len(traj) - 1,
+                      nodes, cotangents)
 
     def project_point(self, p):
         """p, or each row of a stack, scaled to unit norm."""

@@ -27,6 +27,10 @@ def make_manifold(name):
         return rp.KendallShapeSpace(3, 2)
     if name == "kendall_3d":
         return rp.KendallShapeSpace(5, 3)
+    if name == "sphere_15":
+        return rp.Sphere(15)
+    if name == "kendall_8_2":
+        return rp.KendallShapeSpace(8, 2)
     raise ValueError(name)
 
 
@@ -117,11 +121,17 @@ def shifted_state(manifold, state, move):
 
 
 def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
-                       steps=1000, times=(0.0, 0.33, 0.71, 1.0)):
-    """A small regression instance: smooth state plus nearby observations."""
+                       steps=1000, times=(0.0, 0.33, 0.71, 1.0), vectors=None):
+    """A small regression instance: smooth state plus nearby observations.
+
+    vectors, if given, maps the drawn (k, *tangent_shape) vectors to the
+    state's, for instance to zero or align some of them.
+    """
     p = manifold.random_point(rng)
-    vels = tuple(unit_tangent(manifold, rng, p, scale) for _ in range(k))
-    state = rp.PolynomialState(p, vels)
+    vels = np.array([unit_tangent(manifold, rng, p, scale) for _ in range(k)])
+    if vectors is not None:
+        vels = vectors(vels)
+    state = rp.PolynomialState(p, vels.reshape((k,) + manifold.tangent_shape))
     traj = rp.integrate_polynomial(manifold, state, 1.0, steps)
     t_obs = np.array(times)
     pts = []
@@ -179,10 +189,11 @@ def fd_gradient(manifold, data, state, duration, steps, h=1e-5):
 
 
 def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
-                  times=(0.0, 0.33, 0.71, 1.0)):
+                  times=(0.0, 0.33, 0.71, 1.0), vectors=None):
     """Relative mismatch between the reverse pass and finite differences."""
     state, traj, data = random_fit_problem(manifold, k, rng, scale=scale,
-                                           steps=steps, times=times)
+                                           steps=steps, times=times,
+                                           vectors=vectors)
     grads = integrate_adjoint(manifold, traj, data, residual_logs(manifold, traj, data))
     fd, basis = fd_gradient(manifold, data, state, 1.0, steps)
     adj = np.array([
@@ -195,7 +206,7 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
 
 
 def adjoint_reference(manifold, traj, data):
-    """Per-node oracle for integrate_adjoint: the same pass, map by map.
+    """Per-node oracle for the default pullback: the same recursion, map by map.
 
     The jumps come from one log_many call, summed per node.  Walking from
     the final node to the first, the order-zero multiplier absorbs the
@@ -233,6 +244,78 @@ def adjoint_reference(manifold, traj, data):
         )
     lam[0] += jumps[0]
     return -lam
+
+
+def expm(a):
+    """Matrix exponential: scaling by 2^s, a Taylor series, s squarings."""
+    s = max(0, int(np.ceil(np.log2(max(np.abs(a).sum(axis=1).max(), 1e-300)))) + 1)
+    a = a / 2.0 ** s
+    out = term = np.eye(len(a), dtype=a.dtype)
+    for i in range(1, 20):
+        term = term @ a / i
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def expm_frechet_adjoint(x, m):
+    """The gradient at x of Re <m, expm(x)>: the Frechet derivative of expm
+    at x^H in the direction m, the corner of one block exponential."""
+    n = len(x)
+    block = np.zeros((2 * n, 2 * n), np.result_type(x, m))
+    block[:n, :n] = block[n:, n:] = x.conj().T
+    block[:n, n:] = m
+    return expm(block)[:n, n:]
+
+
+def rolled_gradient_reference(manifold, traj, data):
+    """Ambient-coordinate oracle for the rolled reverse pass (geometry.unroll).
+
+    On the sphere, and on planar shape space in complex coordinates, node n
+    is x_n = A_n p with D x D frames A_n = T_0 ... T_{n-1}, and the turn
+    T_m = expm(dt (W_m p^H - p W_m^H)) rotates the plane {p, W_m} by
+    dt |W_m|, with W_m = sum_j phi_j(m) v_{1+j}.  The objective's derivative
+    with respect to T_m is M_m = A_m^H (sum_{n>m} G_n x_n^H) A_{m+1}; the
+    adjoint Frechet derivative of expm takes it to the generator, whose
+    chain rule gives W_m, and so the vectors, and p.  Base-point rows move p
+    along exp and carry the vectors by transport:
+    grad_p - sum_i (grad_v_i^H p) v_i, projected.  No span, no QR, no
+    special case for a zero W_m.  Returns the (k+1, *tangent_shape) gradient.
+    """
+    planar = isinstance(manifold, rp.KendallShapeSpace)
+    as_ambient = (lambda a: np.ascontiguousarray(a).view(complex)) if planar else np.asarray
+    k, dt, steps = traj.order, traj.dt, len(traj) - 1
+    p, vels = as_ambient(traj.points[0]), as_ambient(traj.vels[0])
+    nodes = traj.node_index(data.times)
+    cot = np.zeros((len(traj),) + manifold.tangent_shape)
+    np.add.at(cot, nodes, manifold.log_many(traj.points[nodes], data.points))
+    cot = as_ambient(cot * (-2.0 / data.size))
+
+    phi = rp.geometry.falling_factorials(np.arange(steps + 1), dt, k - 1)
+    size = len(p)
+    gens = [dt * (np.outer(w, p.conj()) - np.outer(p, w.conj()))
+            for w in phi[:, :-1].T @ vels]
+    frames = [np.eye(size, dtype=p.dtype)]
+    for x in gens:
+        frames.append(frames[-1] @ expm(x))
+    points = np.array([a @ p for a in frames])
+
+    grad_p = sum(a.conj().T @ g for a, g in zip(frames, cot))
+    grad_w = []
+    rest = np.zeros((size, size), p.dtype)
+    for m in range(steps - 1, -1, -1):
+        rest += np.outer(cot[m + 1], points[m + 1].conj())
+        turn = frames[m].conj().T @ rest @ frames[m + 1]
+        g = expm_frechet_adjoint(gens[m], turn)
+        w = phi[:, m] @ vels
+        grad_w.append(dt * (g - g.conj().T) @ p)
+        grad_p = grad_p + dt * (g.conj().T @ w - g @ w)
+    grad_v = phi[:, :-1] @ np.array(grad_w[::-1])
+    grad_p = grad_p - sum((g.conj() @ p) * v for g, v in zip(grad_v, vels))
+    rows = np.concatenate([grad_p[None], grad_v])
+    rows = rows.view(float) if planar else rows.real
+    return np.array(manifold.project_tangent(traj.points[0], rows))
 
 
 def log_log_slope(hs, errs):

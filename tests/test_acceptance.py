@@ -94,24 +94,27 @@ def test_criterion_2_reparametrized_geodesic_recovery():
 
 def test_criterion_3_gradient_oracle():
     # relative mismatch between the reverse pass and central differences,
-    # at one data spread on every manifold: the shape-space curvature
-    # carries the O'Neill terms of the quotient, so it needs no smaller one
+    # at one data spread on every manifold.  The flat space, the sphere and
+    # shape space, whose passes roll, get the gradient of the discrete
+    # objective itself, so a 25-step grid must match to the differences'
+    # noise; SO(3) discretizes the continuous adjoint, first order in dt
     started = time.perf_counter()
-    worst = {}
+    worst, bound = {}, {}
     for name in MANIFOLD_NAMES:
         manifold = make_manifold(name)
         rng = np.random.default_rng(7)
+        steps, bound[name] = (1000, 1e-3) if name == "so3" else (25, 1e-7)
         worst[name] = max(
-            adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000)
+            adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=steps)
             for k in (1, 2, 3)
         )
     elapsed = time.perf_counter() - started
-    ok = max(worst.values()) < 1e-3 and elapsed < 60.0
-    detail = ", ".join(f"{n}: {v:.2e}" for n, v in worst.items())
+    ok = all(worst[n] < bound[n] for n in worst) and elapsed < 60.0
+    detail = ", ".join(f"{n}: {v:.2e} (< {bound[n]:g})" for n, v in worst.items())
     report(3, "adjoint gradient oracle", ok, detail + f", {elapsed:.0f}s")
     assert elapsed < 60.0
     for name, value in worst.items():
-        assert value < 1e-3, name
+        assert value < bound[name], name
 
 
 def _falling_factorial_to_monomial(k, dt):

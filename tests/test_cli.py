@@ -156,8 +156,8 @@ RAT_FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data"
 class TestReportsReuseTheFit:
     def test_one_parse_and_no_reintegration(self, tmp_path, monkeypatch):
         # every report file is drawn from the dataset and the trajectories
-        # the fit already built
-        calls = {"parse": 0, "after_fit": 0}
+        # and residual logs the fit already built
+        calls = {"parse": 0, "after_fit": 0, "logs_after_fit": 0}
         fitted = []
 
         def counting_parse(*args, **kwargs):
@@ -174,10 +174,18 @@ class TestReportsReuseTheFit:
                 calls["after_fit"] += 1
             return rp.integrate_polynomial(*args, **kwargs)
 
+        log_many = rp.KendallShapeSpace.log_many
+
+        def counting_log_many(*args, **kwargs):
+            if fitted:
+                calls["logs_after_fit"] += 1
+            return log_many(*args, **kwargs)
+
         monkeypatch.setattr(riempoly.cli, "parse_landmarks", counting_parse)
         monkeypatch.setattr(riempoly.cli, "fit_orders", marking_fit_orders)
         for module in (riempoly.cli, riempoly.regress):
             monkeypatch.setattr(module, "integrate_polynomial", counting_integrate)
+        monkeypatch.setattr(rp.KendallShapeSpace, "log_many", counting_log_many)
         out = tmp_path / "out"
         code = run_cli(
             "fit", "--manifold", "kendall", "--orders", "0,1",
@@ -187,7 +195,7 @@ class TestReportsReuseTheFit:
         assert code == 0
         assert fitted
         assert (out / "plot_data.csv").exists()
-        assert calls == {"parse": 1, "after_fit": 0}
+        assert calls == {"parse": 1, "after_fit": 0, "logs_after_fit": 0}
         payload = json.loads((out / "fit.json").read_text())
         assert payload["fits"]["1"]["steps_per_unit_time"] == 100
 

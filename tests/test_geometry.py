@@ -164,6 +164,11 @@ def test_geometries_write_only_the_contract(cls):
         assert required in vars(cls)
     for derived in ("inner", "random_point", "random_tangent"):
         assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
+    # the rolled geometries write the reverse of their roll, which needs no
+    # per-node matrices; the others keep the default pullback
+    rolled = cls in (rp.Sphere, rp.KendallShapeSpace)
+    assert ("pullback" in vars(cls)) == rolled
+    assert ("backward_operators" in vars(cls)) == (not rolled)
 
 
 def operator_manifold(name):
@@ -178,7 +183,9 @@ def operator_manifold(name):
 def test_backward_operators_apply_the_maps(name, order, rng):
     # rows pushed through Q and C equal transport + project_tangent and
     # curvature applied to the same rows; node 2 has zero velocity.  The
-    # 70-node planar trajectory is longer than an order-3 adjoint batch
+    # sphere and planar shape space roll their gradient, so on them this
+    # checks the base class's node-by-node default, which Kendall d >= 3
+    # uses, where a transport is linear
     steps = 69 if name.endswith("70_nodes") else 5
     m = operator_manifold(name)
     p = m.random_point(rng)
