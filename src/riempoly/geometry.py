@@ -78,10 +78,12 @@ class Manifold:
         At each node the vectors are incremented inside the tangent space,
         v_i += dt v_{i+1}, and one step along dt v_1 moves the point and
         carries them to the next node.  Returns the points, (steps + 1,
-        *point_shape), and the vectors, (steps + 1, k, *tangent_shape),
-        initial node first.  This default takes one step per node and raises
+        *point_shape), the vectors, (steps + 1, k, *tangent_shape), initial
+        node first, and the flow record: what the geometry's own pullback
+        needs from this pass, so that the reverse builds none of it again.
+        This default takes one step per node, records None and raises
         IntegrationError with the index of a failed step; geometries whose
-        step is a rotation override it with roll.
+        step is a rotation override it with roll, whose record is its set-up.
         """
         stack = np.asarray(stack, dtype=float)
         points = np.empty((steps + 1,) + self.point_shape)
@@ -97,7 +99,7 @@ class Manifold:
                     f"integration failed at step {n} (t = {n * dt:g}): {exc}", step=n
                 ) from exc
             points[n + 1], vels[n + 1] = p, stack
-        return points, vels
+        return points, vels, None
 
     def exp(self, p, v):
         """Point reached at time 1 along the geodesic from p with velocity v."""
@@ -330,11 +332,13 @@ def falling_factorials(nodes, dt, order):
 def _rolling(p, stack, dt, steps):
     """What roll and unroll share: the span's basis, phi, the turns and frames.
 
-    Returns the orthonormal basis of span{p, stack} (a QR), the coordinates
-    of p and of the rows in it, phi (falling_factorials), the body-frame
-    vectors of every node, the unit direction e of p and, for every step,
-    the turn's unit direction u (zero where b_1 is), its speed |b_1| and
-    the frames F_0 = I, F_n = T_0 ... T_{n-1}.
+    roll builds it once per pass and returns it as the flow record, which
+    unroll reads and never writes.  Returns the orthonormal basis of
+    span{p, stack} (a QR), the coordinates of p and of the rows in it, phi
+    (falling_factorials), the body-frame vectors of every node, the unit
+    direction e of p and, for every step, the turn's unit direction u (zero
+    where b_1 is), its speed |b_1| and the frames F_0 = I,
+    F_n = T_0 ... T_{n-1}.
     """
     k = len(stack)
     basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
@@ -375,22 +379,27 @@ def roll(p, stack, dt, steps, settle):
     p and the k >= 1 rows of stack are real or complex, the rows tangent at
     p.  settle maps a batch of raw points back onto the manifold.  Nodes
     before the first nonzero turn are p itself, bit for bit.  Returns the
-    points and vectors of every node, as Manifold.integrate does.
+    points and vectors of every node, as Manifold.integrate does, and the
+    flow record: the set-up (_rolling) that unroll takes instead of
+    rebuilding it.
     """
-    basis, coef, _, body, _, _, speed, frames = _rolling(p, stack, dt, steps)
+    flow = _rolling(p, stack, dt, steps)
+    basis, coef, _, body, _, _, speed, frames = flow
     moved = np.concatenate([[False], np.logical_or.accumulate(speed > 0.0)])
     points = np.repeat(p[None], steps + 1, axis=0)
     points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
     vels = (body @ np.swapaxes(frames, -1, -2)) @ basis.T
     vels[0] = stack
-    return points, vels
+    return points, vels, flow
 
 
-def unroll(p, stack, dt, steps, nodes, cotangents):
+def unroll(p, flow, dt, nodes, cotangents):
     """The reverse of roll: the exact gradient of sum_n <G_n, x_n>.
 
-    nodes are distinct node indices, cotangents the gradients G_n of the
-    objective at those nodes' points x_n, real or complex like p and stack.
+    p is the base point and flow roll's record of the pass, None at order
+    zero, where nothing rolls.  nodes are distinct node indices, cotangents
+    the gradients G_n of the objective at those nodes' points x_n, real or
+    complex like p.
     Node n is x_n = F_n p in the basis of roll, so the objective's derivative
     with respect to turn m is M_m = F_m^H S_{m+1} F_{m+1}, with S_n the
     reverse cumulative sum of g_n x_n^H (g the cotangents' part in the
@@ -406,10 +415,10 @@ def unroll(p, stack, dt, steps, nodes, cotangents):
     size D x D.  At order zero every x_n is p, and the gradient the sum of
     the cotangents.
     """
-    if not len(stack):
+    if flow is None:
         base = np.sum(cotangents, axis=0)
         return (base - (p.conj() @ base) * p)[None]
-    basis, coef, phi, _, e, u, speed, frames = _rolling(p, stack, dt, steps)
+    basis, coef, phi, _, e, u, speed, frames = flow
     turning = speed > 0.0
     theta = dt * speed
     safe = np.where(turning, speed, 1.0)
@@ -440,7 +449,7 @@ def unroll(p, stack, dt, steps, nodes, cotangents):
 
     # out of the span: prefix sums sum_{m<n} phi_j(m) F_{m+1} r_m at the nodes
     r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
-    prefix = np.zeros((len(phi), steps + 1, len(e)), r.dtype)
+    prefix = np.zeros((len(phi), len(frames), len(e)), r.dtype)
     np.cumsum(phi[:, :-1, None] * r, axis=1, out=prefix[:, 1:])
     coupling = np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes])
 

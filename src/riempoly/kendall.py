@@ -249,16 +249,17 @@ class KendallShapeSpace(Manifold):
         step turns the complex plane {p, u} by theta, so the flow rolls with
         complex frames; the points are re-centered and normalized in one
         project_point call.  The stack is taken as horizontal at p, as every
-        fitted state's is.  d >= 3 takes one step per node.
+        fitted state's is.  The flow record is roll's complex set-up, for
+        pullback.  d >= 3 takes one step per node.
         """
         if self.d != 2:
             return super().integrate(p, stack, dt, steps)
-        points, vels = roll(
+        points, vels, flow = roll(
             np.ascontiguousarray(p, dtype=float).view(complex),
             np.ascontiguousarray(stack, dtype=float).view(complex),
             dt, steps, lambda z: self.project_point(z.view(float)).view(complex),
         )
-        return points.view(float), vels.view(float)
+        return points.view(float), vels.view(float), flow
 
     def stepped_transport(self, p, direction, x):
         """Transport by sphere substeps of at most max_step, for any d.
@@ -313,15 +314,15 @@ class KendallShapeSpace(Manifold):
     def pullback(self, traj, nodes, cotangents):
         """For d = 2, the exact reverse of the rolled flow in complex form.
 
-        geometry.unroll on the landmarks read as complex m-vectors, as in
-        integrate.  d >= 3 keeps the default recursion, first order in dt
-        (see Manifold).
+        geometry.unroll of integrate's flow record, on the landmarks read
+        as complex m-vectors.  d >= 3 keeps the default recursion, first
+        order in dt (see Manifold).
         """
         if self.d != 2:
             return super().pullback(traj, nodes, cotangents)
-        p, stack, cotangents = (np.ascontiguousarray(a).view(complex) for a in
-                                (traj.points[0], traj.vels[0], cotangents))
-        return unroll(p, stack, traj.dt, len(traj) - 1, nodes, cotangents).view(float)
+        p, cotangents = (np.ascontiguousarray(a).view(complex)
+                         for a in (traj.points[0], cotangents))
+        return unroll(p, traj.flow, traj.dt, nodes, cotangents).view(float)
 
     def _oneill(self, p, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.

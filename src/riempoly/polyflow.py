@@ -57,14 +57,17 @@ class Trajectory:
     """Uniform-grid record of an integrated curve, velocities included.
 
     The full stack of per-node vectors is kept for the default reverse
-    (gradient) pass, the recursion, which needs them at every node; the
-    reverse of a rolled pass needs only the first node's.
+    (gradient) pass, the recursion, which needs them at every node.  flow
+    is the record Manifold.integrate returned for the geometry's own
+    pullback: on a rolled pass the roll's set-up, which the reverse reads
+    instead of rebuilding; None for the step loop and at order zero.
     """
 
     manifold: Manifold
     times: np.ndarray            # (n_nodes,)
     points: np.ndarray           # (n_nodes, *point_shape)
     vels: np.ndarray             # (n_nodes, order, *tangent_shape)
+    flow: object                 # Manifold.integrate's record, or None
 
     @property
     def dt(self) -> float:
@@ -108,15 +111,17 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
     k = state.order
     dt = duration / steps
     if k:
-        points, vels = manifold.integrate(
+        points, vels, flow = manifold.integrate(
             state.gamma, state.vels.reshape((k,) + manifold.tangent_shape), dt, steps)
     else:
         # order zero: the constant curve
         points = np.repeat(state.gamma[None], steps + 1, axis=0)
         vels = np.empty((steps + 1, 0) + manifold.tangent_shape)
+        flow = None
 
     times = np.linspace(0.0, duration, steps + 1)
-    return Trajectory(manifold=manifold, times=times, points=points, vels=vels)
+    return Trajectory(manifold=manifold, times=times, points=points, vels=vels,
+                      flow=flow)
 
 
 def sample_curve(traj: Trajectory, times) -> np.ndarray:

@@ -7,7 +7,9 @@ bi-invariant case where geodesics are one-parameter subgroups.
 
 Every rate comes from one Levi-Civita connection of left-invariant fields
 (``connection``): the geodesic velocity, parallel transport and the
-curvature operator.  Under a general metric one midpoint flow
+curvature operator.  In the algebra it is a fixed bilinear form, so
+MetricSpec builds its tensor once per metric and every call is one
+contraction with it.  Under a general metric one midpoint flow
 (``RotationGroup._flow``) integrates the velocity and any stack of
 transported fields together and serves ``step`` and ``transport``; only
 ``step`` composes the rotation from its substeps, since no rate depends on
@@ -56,6 +58,12 @@ class MetricSpec:
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "is_identity",
                            bool(np.abs(a - np.eye(3)).max() < 1e-14))
+        # Gamma[i, j] = nabla_{e_i} e_j, the formula of ``connection`` on the
+        # basis, kept as (3, 9) rows for one product with a stack of x
+        x, y = np.eye(3)[:, None], np.eye(3)
+        gamma = 0.5 * (_cross(x, y)
+                       + (_cross(x, a) + _cross(y, a[:, None])) @ self.inverse)
+        object.__setattr__(self, "christoffel", gamma.reshape(3, 9))
 
     def inner(self, x, y):
         return np.sum((np.asarray(x) @ self.matrix) * y, axis=-1)
@@ -70,15 +78,17 @@ def connection(x, y, metric: MetricSpec):
     """Levi-Civita connection of left-invariant fields, in the algebra.
 
     nabla_x y = (cross(x, y) - ad*_x y - ad*_y x) / 2, with the metric adjoint
-    of the bracket ad*_x y = -cross(x, y A) A^-1.  Every rate of this module
-    is built from it: a geodesic velocity w obeys w' = -nabla_w w, and a field
+    of the bracket ad*_x y = -cross(x, y A) A^-1.  That is a fixed bilinear
+    form, nabla_x y = sum_ij x_i y_j Gamma_ij with Gamma_ij = nabla_{e_i} e_j
+    (the Euler-Arnold reduction), so MetricSpec builds Gamma once per metric
+    and each call is one contraction with it.  Every rate of this module is
+    built from it: a geodesic velocity w obeys w' = -nabla_w w, and a field
     x parallel along the geodesic obeys x' = -nabla_w x.  Broadcasts over
     stacked x and y.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = metric.matrix
-    return 0.5 * (_cross(x, y) + (_cross(x, y @ a) + _cross(y, x @ a)) @ metric.inverse)
+    rates = (x @ metric.christoffel).reshape(x.shape[:-1] + (3, 3))
+    return (np.asarray(y, dtype=float)[..., None, :] @ rates)[..., 0, :]
 
 
 def curvature(x, y, z, metric: MetricSpec):

@@ -59,7 +59,10 @@ class Sphere(Manifold):
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
     def integrate(self, p, stack, dt, steps):
-        """The forward flow in one closed form: each step turns the plane {p, v}."""
+        """The forward flow in one closed form: each step turns the plane {p, v}.
+
+        The flow record is roll's set-up, which pullback hands to unroll.
+        """
         return roll(np.asarray(p, dtype=float), np.asarray(stack, dtype=float),
                     dt, steps, self.project_point)
 
@@ -75,9 +78,8 @@ class Sphere(Manifold):
         return yz[..., None] * x - xz[..., None] * y
 
     def pullback(self, traj, nodes, cotangents):
-        """The exact reverse of the rolled flow (geometry.unroll)."""
-        return unroll(traj.points[0], traj.vels[0], traj.dt, len(traj) - 1,
-                      nodes, cotangents)
+        """The exact reverse of the rolled flow (geometry.unroll) from its record."""
+        return unroll(traj.points[0], traj.flow, traj.dt, nodes, cotangents)
 
     def project_point(self, p):
         """p, or each row of a stack, scaled to unit norm."""

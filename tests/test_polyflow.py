@@ -165,8 +165,11 @@ class TestRolledFlow:
                 p = space.random_point(rng)
                 vels = _vectors(space, rng, p, k, case)
                 dt = 1.0 / steps
-                ref_points, ref_vels = Manifold.integrate(space, p, vels, dt, steps)
-                points, rolled = space.integrate(p, vels, dt, steps)
+                ref_points, ref_vels, loop_flow = Manifold.integrate(space, p, vels,
+                                                                     dt, steps)
+                points, rolled, flow = space.integrate(p, vels, dt, steps)
+                # the step loop records nothing; the roll records its set-up
+                assert loop_flow is None and flow is not None
                 where = f"order {k}, {steps} steps"
                 assert points.shape == ref_points.shape and rolled.shape == ref_vels.shape
                 assert np.abs(points - ref_points).max() <= 1e-12, where

@@ -268,6 +268,50 @@ class TestAdjoint:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
 
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)],
+                             ids=["sphere", "kendall_8_2"])
+    def test_roll_is_set_up_once_per_pass(self, space, rng, monkeypatch):
+        # the forward pass records its set-up in the trajectory, and the
+        # reverse pass reads it: one build per order >= 1 integration
+        builds, passes = [], []
+        rolling = riempoly.geometry._rolling
+        integrate = riempoly.regress.integrate_polynomial
+
+        def counted_rolling(*args):
+            builds.append(1)
+            return rolling(*args)
+
+        def counted_integrate(manifold, state, *args):
+            if state.order:
+                passes.append(state)
+            return integrate(manifold, state, *args)
+
+        _, _, data = random_fit_problem(space, 2, rng, scale=0.5, steps=50)
+        monkeypatch.setattr(riempoly.geometry, "_rolling", counted_rolling)
+        monkeypatch.setattr(riempoly.regress, "integrate_polynomial", counted_integrate)
+        res = rp.fit_polynomial(space, data, rp.FitConfig(order=2, steps=50))
+        assert res.iterations > 1
+        assert len(passes) > res.iterations and len(builds) == len(passes)
+
+    @pytest.mark.parametrize("name", ROLLED)
+    def test_pullback_leaves_the_flow_record_as_built(self, name, rng):
+        # the set-up is shared by every reverse pass of a trajectory: two
+        # passes give the bytes of a pass on a freshly built set-up, and the
+        # record's arrays are left as they were
+        space = make_manifold(name)
+        for k in (1, 3):
+            state, traj, _ = random_fit_problem(space, k, rng, scale=0.4, steps=40)
+            nodes = np.array([0, 9, 23, 40])
+            cotangents = np.array([unit_tangent(space, rng, traj.points[n])
+                                   for n in nodes])
+            record = [np.copy(a) for a in traj.flow]
+            first = space.pullback(traj, nodes, cotangents)
+            second = space.pullback(traj, nodes, cotangents)
+            fresh = rp.integrate_polynomial(space, state, 1.0, 40)
+            expected = space.pullback(fresh, nodes, cotangents)
+            assert first.tobytes() == expected.tobytes() == second.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(traj.flow, record))
+
     @pytest.mark.parametrize("name", ["euclidean", "sphere_2", "sphere_15",
                                       "kendall_8_2", "kendall_5_3", "so3_general"])
     @pytest.mark.parametrize("k", [0, 1, 3])

@@ -100,35 +100,60 @@ class TestAdTranspose:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-@pytest.mark.parametrize("diagonal", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
+# Q diag(1, 2, 3) Q^T for a fixed rotation Q: a metric whose principal axes
+# are not the basis, so the connection tensor has no zero pattern to lean on
+_AXES = so3.rodrigues(np.array([0.3, -0.7, 0.5]))
+_ROTATED = _AXES @ np.diag([1.0, 2.0, 3.0]) @ _AXES.T
+_ROTATED = (_ROTATED + _ROTATED.T) / 2
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0]), _ROTATED],
+                         ids=["diagonal0", "diagonal1", "rotated"])
 class TestConnectionProperties:
     @given(seeds)
-    def test_metric_compatible(self, diagonal, seed):
-        metric = so3.MetricSpec(np.diag(diagonal))
+    def test_metric_compatible(self, matrix, seed):
+        metric = so3.MetricSpec(matrix)
         x, y, z = np.random.default_rng(seed).standard_normal((3, 3))
         lhs = (metric.inner(so3.connection(x, y, metric), z)
                + metric.inner(y, so3.connection(x, z, metric)))
         assert abs(lhs) < 1e-12
 
     @given(seeds)
-    def test_torsion_free(self, diagonal, seed):
-        metric = so3.MetricSpec(np.diag(diagonal))
+    def test_torsion_free(self, matrix, seed):
+        metric = so3.MetricSpec(matrix)
         x, y = np.random.default_rng(seed).standard_normal((2, 3))
         torsion = (so3.connection(x, y, metric) - so3.connection(y, x, metric)
                    - np.cross(x, y))
         assert np.abs(torsion).max() < 1e-12
 
     @given(seeds)
-    def test_matches_bracket_and_adjoints(self, diagonal, seed):
-        metric = so3.MetricSpec(np.diag(diagonal))
+    def test_matches_bracket_and_adjoints(self, matrix, seed):
+        metric = so3.MetricSpec(matrix)
         x, y = np.random.default_rng(seed).standard_normal((2, 3))
         expected = 0.5 * (np.cross(x, y) - ad_transpose(x, y, metric)
                           - ad_transpose(y, x, metric))
-        assert np.abs(so3.connection(x, y, metric) - expected).max() < 1e-12
+        # relative to |x| |y|, the scale of a bilinear form: the value itself
+        # can be far smaller where the bracket and the adjoints cancel
+        err = np.abs(so3.connection(x, y, metric) - expected).max()
+        assert err < 1e-12 and err <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
 
     @given(seeds)
-    def test_curvature_symmetries(self, diagonal, seed):
-        metric = so3.MetricSpec(np.diag(diagonal))
+    def test_broadcasts_over_stacked_fields(self, matrix, seed):
+        # x of shape (5, 1, 3) against y of shape (4, 3): every pair, as the
+        # bracket-and-adjoints oracle broadcasts it
+        metric = so3.MetricSpec(matrix)
+        gen = np.random.default_rng(seed)
+        x, y = gen.standard_normal((5, 1, 3)), gen.standard_normal((4, 3))
+        expected = 0.5 * (np.cross(x, y) - ad_transpose(x, y, metric)
+                          - ad_transpose(y, x, metric))
+        got = so3.connection(x, y, metric)
+        assert got.shape == (5, 4, 3)
+        scale = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+        assert np.all(np.abs(got - expected).max(axis=-1) <= 1e-14 * scale)
+
+    @given(seeds)
+    def test_curvature_symmetries(self, matrix, seed):
+        metric = so3.MetricSpec(matrix)
         x, y, z, w = np.random.default_rng(seed).standard_normal((4, 3))
 
         def r(a, b, c):
@@ -143,9 +168,9 @@ class TestConnectionProperties:
         assert np.abs(r(x, y, z) + r(y, z, x) + r(z, x, y)).max() < 1e-12
 
     @given(seeds)
-    def test_curvature_broadcasts_over_stacked_pairs(self, diagonal, seed):
+    def test_curvature_broadcasts_over_stacked_pairs(self, matrix, seed):
         # the reverse pass feeds stacked vectors and multipliers in one call
-        metric = so3.MetricSpec(np.diag(diagonal))
+        metric = so3.MetricSpec(matrix)
         gen = np.random.default_rng(seed)
         xs, ys = gen.standard_normal((2, 4, 3))
         z = gen.standard_normal(3)
