@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK_BYTES = 1 << 18  # bytes of one batch of operators in the default pullback
-
 
 class GeometryError(Exception):
     """Base class for geometric failures."""
@@ -52,10 +50,11 @@ class Manifold:
     gradient and the reported distances.
 
     The reverse of integrate is pullback, the gradient at the initial
-    conditions from cotangents at the nodes.  Its default discretizes the
-    continuous adjoint, first order in dt, from the per-node matrices of
-    backward_operators; a geometry whose integrate rolls overrides
-    integrate and pullback with roll and its exact reverse, unroll.
+    conditions from cotangents at the nodes, and the contract's one reverse
+    hook.  Its default discretizes the continuous adjoint, first order in
+    dt, as one recursion on the multipliers through curvature, transport and
+    project_tangent, node by node; a geometry whose integrate rolls
+    overrides integrate and pullback with roll and its exact reverse, unroll.
     """
 
     name: str = "manifold"
@@ -146,86 +145,34 @@ class Manifold:
         This default discretizes the continuous adjoint system, so it is
         first order in dt, not the exact gradient of the discrete flow.  The
         multipliers lam, one row per initial condition, start at zero after
-        the final node, and every step is linear in them: backward_operators
-        gives each node n two matrices, C[n], the curvature coupling of the
-        vector rows into the base row, and Q[n], transport one node back
-        followed by projection.  Walking from the final node to the first,
+        the final node.  Walking from the final node n to the first,
 
-            lam[0] += lam[1:] . dt C[n] + G_n;  lam[1:] += dt lam[:-1];
-            lam = lam Q[n],
+            lam[0] += dt sum_i curvature(x_n, v_{n,i}, lam[i], v_{n,1}) + G_n;
+            lam[1:] += dt lam[:-1];
+            lam = project_tangent(x_{n-1}, transport(x_n, -dt v_{n,1}, lam)),
 
-        with the operators built a batch at a time: as many nodes as fit
-        their (k+1) D x D operators into _BLOCK_BYTES, at least one, so memory
-        stays flat in the step count.  A node's operators do not depend on
-        its batch, so the gradient is the same, bit for bit, whatever the
-        budget.  Geometries whose integrate rolls override this with unroll.
+        and finally lam[0] += G_0.  The maps act on the k + 1 rows themselves,
+        node by node, and the cotangents are read from the end of nodes, so
+        memory stays flat in the step count.  Geometries whose integrate
+        rolls override this with unroll.
         """
         k, dt = traj.order, traj.dt
-        dim = int(np.prod(self.tangent_shape))
-        cotangents = np.reshape(cotangents, (-1, dim))
-
-        def jumps(first, last):
-            """The cotangents of the nodes first..last, one row per node."""
-            lo, hi = np.searchsorted(nodes, [first, last + 1])
-            out = np.zeros((last - first + 1, dim))
-            out[nodes[lo:hi] - first] = cotangents[lo:hi]
-            return out
-
-        batch = max(1, _BLOCK_BYTES // (8 * (k + 1) * dim * dim))
-        lam = np.zeros((k + 1, dim))
-        end = len(traj) - 1
-        while end > 0:
-            start = max(end - batch, 0)
-            q, c = self.backward_operators(
-                traj.points[start:end + 1], traj.vels[start:end + 1], dt
-            )
-            c = (dt * c).reshape(end - start, k * dim, dim)
-            jump = jumps(start + 1, end)
-            for j in range(end - start - 1, -1, -1):
-                lam[0] += lam[1:].ravel() @ c[j] + jump[j]
-                lam[1:] += dt * lam[:-1]
-                lam = lam @ q[j]
-            end = start
-        lam[0] += jumps(0, 0)[0]
-        return lam.reshape((k + 1,) + self.tangent_shape)
-
-    def backward_operators(self, points, vels, dt):
-        """The recursion's per-node linear maps, as matrices acting on rows.
-
-        points and vels hold B + 1 consecutive trajectory nodes, vels with
-        shape (B + 1, k, *tangent_shape).  For each node pair (n - 1, n),
-        n = 1..B, returns with D the flat tangent size:
-
-        - Q[n - 1], (D, D): lam @ Q is
-          project_tangent(gamma_{n-1}, transport(gamma_n, -dt v_{n,1}, lam));
-        - C[n - 1, i], (D, D): y @ C is curvature(gamma_n, v_{n,i}, y, v_{n,1}).
-
-        This default applies those maps node by node to the rows of
-        project_tangent(gamma_n, I), which is exact for tangent rows wherever
-        the transport is linear on the tangent space.  The stepped transport
-        of Kendall d >= 3 restores each row's norm, so it is not linear: Q is
-        then the linear map that agrees with it on the projector rows, and
-        differs from it on other rows by the size of its own step error.
-        The flat space and the rotation group override it with closed forms
-        batched over the nodes.
-        """
-        points = np.asarray(points, dtype=float)
-        vels = np.asarray(vels, dtype=float)
-        k = vels.shape[1]
-        dim = int(np.prod(self.tangent_shape))
-        eye = np.eye(dim).reshape((dim,) + self.tangent_shape)
+        lam = np.zeros((k + 1,) + self.tangent_shape)
         still = np.zeros(self.tangent_shape)
-        q = np.empty((len(points) - 1, dim, dim))
-        c = np.empty((len(points) - 1, k, dim, dim))
-        for n in range(1, len(points)):
-            gamma, v = points[n], vels[n]
-            rows = np.asarray(self.project_tangent(gamma, eye), dtype=float)
-            moved = self.transport(gamma, -dt * v[0] if k else still, rows)
-            q[n - 1] = np.reshape(self.project_tangent(points[n - 1], moved), (dim, dim))
+        j = len(nodes) - 1
+        for n in range(len(traj) - 1, 0, -1):
+            gamma, v = traj.points[n], traj.vels[n]
             if k:
-                curv = self.curvature(gamma, v[:, None], rows[None], v[0])
-                c[n - 1] = np.reshape(curv, (k, dim, dim))
-        return q, c
+                lam[0] += dt * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
+            if j >= 0 and nodes[j] == n:
+                lam[0] += cotangents[j]
+                j -= 1
+            lam[1:] += dt * lam[:-1]
+            moved = self.transport(gamma, -dt * v[0] if k else still, lam)
+            lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
+        if j >= 0:
+            lam[0] += cotangents[j]
+        return lam
 
     def inner(self, p, x, y):
         """Metric inner product of tangents x, y at p: the ambient dot product."""
@@ -288,15 +235,6 @@ class Euclidean(Manifold):
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
-
-    def backward_operators(self, points, vels, dt):
-        """Flat space: transport is the identity and curvature vanishes.
-
-        The default pullback is then exact, not first order in dt.
-        """
-        count, k = len(points) - 1, np.shape(vels)[1]
-        q = np.broadcast_to(np.eye(self.dim), (count, self.dim, self.dim))
-        return q, np.zeros((count, k, self.dim, self.dim))
 
     def project_point(self, p):
         return np.asarray(p, dtype=float)

@@ -316,7 +316,8 @@ class KendallShapeSpace(Manifold):
 
         geometry.unroll of integrate's flow record, on the landmarks read
         as complex m-vectors.  d >= 3 keeps the default recursion, first
-        order in dt (see Manifold).
+        order in dt, which carries the multipliers themselves node by node
+        with the stepped transport (see Manifold).
         """
         if self.d != 2:
             return super().pullback(traj, nodes, cotangents)

@@ -17,8 +17,8 @@ descent minimizes.  Elsewhere it is the default, the continuous adjoint
 system discretized backward along the fitted curve, first order in dt:
 multipliers start at zero at the final time, pick up a jump from every
 observation they pass, couple to the state through the curvature operator,
-and arrive at t = 0 carrying the gradients, by two fixed matrices per node
-from Manifold.backward_operators.
+and are carried back by parallel transport, node by node, arriving at
+t = 0 carrying the gradients.
 
 A descent loop with a monotone backtracking line search moves every
 candidate with one Manifold.step: the base point along the geodesic, and

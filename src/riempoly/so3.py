@@ -7,9 +7,11 @@ bi-invariant case where geodesics are one-parameter subgroups.
 
 Every rate comes from one Levi-Civita connection of left-invariant fields
 (``connection``): the geodesic velocity, parallel transport and the
-curvature operator.  In the algebra it is a fixed bilinear form, so
-MetricSpec builds its tensor once per metric and every call is one
-contraction with it.  Under a general metric one midpoint flow
+curvature operator.  In the algebra the connection is a fixed bilinear form
+and the curvature a fixed trilinear one, so MetricSpec builds both tensors
+once per metric and every call is one contraction with one of them.  The
+fit's gradient is the base class's recursion, which takes one curvature
+and one transport per node.  Under a general metric one midpoint flow
 (``RotationGroup._flow``) integrates the velocity and any stack of
 transported fields together and serves ``step`` and ``transport``; only
 ``step`` composes the rotation from its substeps, since no rate depends on
@@ -64,6 +66,13 @@ class MetricSpec:
         gamma = 0.5 * (_cross(x, y)
                        + (_cross(x, a) + _cross(y, a[:, None])) @ self.inverse)
         object.__setattr__(self, "christoffel", gamma.reshape(3, 9))
+        # R[i, j, l] = R(e_i, e_j) e_l from the nested connection, kept as
+        # (3, 27) rows for ``curvature``
+        x, y, z = np.eye(3)[:, None, None], np.eye(3)[:, None], np.eye(3)
+        riemann = (connection(x, connection(y, z, self), self)
+                   - connection(y, connection(x, z, self), self)
+                   - connection(_cross(x, y), z, self))
+        object.__setattr__(self, "riemann", riemann.reshape(3, 27))
 
     def inner(self, x, y):
         return np.sum((np.asarray(x) @ self.matrix) * y, axis=-1)
@@ -94,16 +103,17 @@ def connection(x, y, metric: MetricSpec):
 def curvature(x, y, z, metric: MetricSpec):
     """Curvature operator R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z.
 
-    Broadcasts over stacked x and y.  For the bi-invariant metric this
-    collapses to cross(z, cross(x, y)) / 4.
+    Left-invariant fields make it a fixed trilinear form in the algebra,
+    R(x, y)z = sum_ijl x_i y_j z_l R(e_i, e_j)e_l, so MetricSpec builds that
+    tensor once per metric from the connection and each call is one
+    contraction with it.  Broadcasts over stacked x, y and z.  For the
+    bi-invariant metric this collapses to cross(z, cross(x, y)) / 4.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (
-        connection(x, connection(y, z, metric), metric)
-        - connection(y, connection(x, z, metric), metric)
-        - connection(_cross(x, y), z, metric)
-    )
+    rates = (x @ metric.riemann).reshape(x.shape[:-1] + (3, 9))
+    rates = np.asarray(y, dtype=float)[..., None, :] @ rates
+    rates = rates.reshape(rates.shape[:-2] + (3, 3))
+    return (np.asarray(z, dtype=float)[..., None, :] @ rates)[..., 0, :]
 
 
 def rodrigues(w):
@@ -139,16 +149,15 @@ def rotation_log(r):
     return (theta / (2.0 * np.sin(theta))) * skew
 
 
-def _reorthonormalize(r):
-    # one Newton step toward the polar factor; exact for small drift
-    return r @ (1.5 * np.eye(3) - 0.5 * (r.T @ r))
-
-
 def _compose(p, turns):
-    """p times the exact rotation of each turn in order, kept orthonormal."""
+    """p times the exact rotation of each turn in order.
+
+    Left unprojected: its one caller, ``step``, takes the polar factor of
+    the product.
+    """
     r = np.array(p, dtype=float)
     for turn in turns:
-        r = _reorthonormalize(r @ rodrigues(turn))
+        r = r @ rodrigues(turn)
     return r
 
 
@@ -228,19 +237,6 @@ class RotationGroup(Manifold):
 
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)
-
-    def backward_operators(self, points, vels, dt):
-        """The recursion's per-node maps (see Manifold), tangents unprojected.
-
-        Curvature does not read the rotation, so one broadcast call gives C
-        for every node of the batch; transport runs node by node.  SO(3)
-        takes the default pullback, so its gradient is first order in dt.
-        """
-        v = np.asarray(vels, dtype=float)[1:]
-        eye = np.eye(3)
-        w = v[:, 0] if v.shape[1] else np.zeros((len(v), 3))
-        q = np.stack([self.transport(p, -dt * u, eye) for p, u in zip(points[1:], w)])
-        return q, curvature(v[:, :, None], eye, w[:, None, None], self.metric)
 
     def inner(self, p, x, y):
         val = self.metric.inner(x, y)

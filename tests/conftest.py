@@ -340,7 +340,8 @@ def integrate_geodesic(rotation, omega, duration, dt, metric=None):
     h = duration / steps
     r = np.array(rotation, dtype=float)
     for _ in range(steps):
-        r = so3._reorthonormalize(r @ so3.rodrigues(h * w))
+        r = r @ so3.rodrigues(h * w)
+        r = r @ (1.5 * np.eye(3) - 0.5 * (r.T @ r))    # one Newton step to the polar factor
         w = w - h * so3.connection(w, w, metric)
     return r, w
 

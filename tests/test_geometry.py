@@ -164,49 +164,14 @@ def test_geometries_write_only_the_contract(cls):
         assert required in vars(cls)
     for derived in ("inner", "random_point", "random_tangent"):
         assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
-    # the rolled geometries write the reverse of their roll, which needs no
-    # per-node matrices; the others keep the default pullback
+    # pullback is the contract's one reverse hook: the rolled geometries
+    # write the reverse of their roll, the others keep the default, and no
+    # geometry writes a hook of its own for it, such as per-node matrices;
+    # the only public methods beyond the base class's are shape space's
     rolled = cls in (rp.Sphere, rp.KendallShapeSpace)
     assert ("pullback" in vars(cls)) == rolled
-    assert ("backward_operators" in vars(cls)) == (not rolled)
-
-
-def operator_manifold(name):
-    if name.startswith("kendall_8_2"):
-        return rp.KendallShapeSpace(8, 2)
-    return make_manifold(name)
-
-
-@pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general", "kendall_8_2",
-                                                   "kendall_8_2_70_nodes"])
-@pytest.mark.parametrize("order", [0, 2, 3])
-def test_backward_operators_apply_the_maps(name, order, rng):
-    # rows pushed through Q and C equal transport + project_tangent and
-    # curvature applied to the same rows; node 2 has zero velocity.  The
-    # sphere and planar shape space roll their gradient, so on them this
-    # checks the base class's node-by-node default, which Kendall d >= 3
-    # uses, where a transport is linear
-    steps = 69 if name.endswith("70_nodes") else 5
-    m = operator_manifold(name)
-    p = m.random_point(rng)
-    vels = 0.5 * tangent_stack(m, rng, p, order) if order else ()
-    traj = rp.integrate_polynomial(m, rp.PolynomialState(p, vels), 1.0, steps)
-    node_vels = traj.vels.copy()
-    node_vels[2, :1] = 0.0
-    dt = traj.dt
-    q, c = m.backward_operators(traj.points, node_vels, dt)
-    dim = m.tangent_shape[0]
-    assert q.shape == (steps, dim, dim) and c.shape == (steps, order, dim, dim)
-    for n in range(1, steps + 1):
-        gamma, v = traj.points[n], node_vels[n]
-        rows = tangent_stack(m, rng, gamma)
-        w = v[0] if order else np.zeros(m.tangent_shape)
-        moved = m.transport(gamma, -dt * w, rows)
-        expected = m.project_tangent(traj.points[n - 1], moved)
-        assert np.abs(rows @ q[n - 1] - expected).max() < 1e-12
-        for i in range(order):
-            expected = m.curvature(gamma, v[i], rows, v[0])
-            assert np.abs(rows @ c[n - 1, i] - expected).max() < 1e-12
+    own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
+    assert own <= {"from_landmarks", "horizontal_project", "stepped_transport"}
 
 
 @pytest.mark.parametrize("m", [rp.Sphere(2), rp.Sphere(15), rp.KendallShapeSpace(8, 2)],

@@ -172,16 +172,13 @@ class TestAdjoint:
             assert abs(np.dot(g, state.gamma)) < 1e-10
 
     @pytest.mark.parametrize("name", ["euclidean", "sphere", "so3", "so3_general",
-                                      "kendall", "kendall_8_2"])
+                                      "kendall", "kendall_8_2", "kendall_3d"])
     @pytest.mark.parametrize("times", [(0.0, 0.33, 0.71, 1.0),
                                        (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)],
                              ids=["distinct", "shared"])
     def test_operator_recursion_matches_reference(self, name, times, rng, monkeypatch):
         # the default pullback, map by map; the rolled geometries override
-        # it, so on them it is called as the base class's.  Kendall d >= 3
-        # cannot take part: its stepped transport restores each row's norm,
-        # so it is not the linear map Q.  70 steps: on kendall(8,2) at
-        # k >= 1, full operator batches and a partial one
+        # it, so on them it is called as the base class's
         m = make_manifold(name)
         monkeypatch.setattr(type(m), "pullback", rp.Manifold.pullback)
         for k in range(4):
@@ -227,25 +224,23 @@ class TestAdjoint:
         assert sum(calls.values()) == 0
 
     def test_memory_is_flat_in_the_step_count(self, rng):
-        # the default pullback builds its operators a byte-budgeted batch of
-        # nodes at a time, so twenty times the nodes leave the pass's peak
-        # allocation where it was, a few budgets at most
-        space = rp.Euclidean(16)
-        state, _, data = random_fit_problem(space, 3, rng, scale=0.3, steps=200,
-                                            times=tuple(np.linspace(0.0, 1.0, 24)))
-        peaks = []
-        for steps in (200, 4000):
-            traj = rp.integrate_polynomial(space, state, 1.0, steps)
-            logs = residual_logs(space, traj, data)
-            integrate_adjoint(space, traj, data, logs)  # one-time set-up untraced
-            tracemalloc.start()
-            try:
-                integrate_adjoint(space, traj, data, logs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
-        assert max(peaks) < 4 * riempoly.geometry._BLOCK_BYTES
+        # the default pullback carries k + 1 multiplier rows node by node and
+        # reads each cotangent as it passes, so twenty times the nodes leave
+        # the pass's peak allocation where it was, far below 64 KiB
+        for space in (rp.Euclidean(16), make_manifold("so3_general")):
+            state, _, data = random_fit_problem(space, 3, rng, scale=0.3, steps=200,
+                                                times=tuple(np.linspace(0.0, 1.0, 24)))
+            for steps in (200, 4000):
+                traj = rp.integrate_polynomial(space, state, 1.0, steps)
+                logs = residual_logs(space, traj, data)
+                integrate_adjoint(space, traj, data, logs)  # one-time set-up untraced
+                tracemalloc.start()
+                try:
+                    integrate_adjoint(space, traj, data, logs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 64 * 1024, (space.name, steps, peak)
 
     @pytest.mark.parametrize("name", ROLLED)
     def test_rolled_pass_needs_no_more_memory_than_the_roll(self, name, rng):
@@ -311,20 +306,6 @@ class TestAdjoint:
             expected = space.pullback(fresh, nodes, cotangents)
             assert first.tobytes() == expected.tobytes() == second.tobytes()
             assert all(np.array_equal(a, b) for a, b in zip(traj.flow, record))
-
-    @pytest.mark.parametrize("name", ["euclidean", "sphere_2", "sphere_15",
-                                      "kendall_8_2", "kendall_5_3", "so3_general"])
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_gradient_is_independent_of_the_batch_budget(self, name, k, rng,
-                                                         monkeypatch):
-        # a node's operators do not depend on the batch it is built in: one
-        # node per batch gives the default budget's gradient, bit for bit
-        m = make_manifold({"sphere_2": "sphere", "kendall_5_3": "kendall_3d"}.get(name, name))
-        _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=80)
-        logs = residual_logs(m, traj, data)
-        expected = integrate_adjoint(m, traj, data, logs)
-        monkeypatch.setattr(riempoly.geometry, "_BLOCK_BYTES", 1)
-        assert np.array_equal(integrate_adjoint(m, traj, data, logs), expected)
 
 
 def sphere_cubic_points(i, seed):

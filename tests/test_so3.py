@@ -179,6 +179,25 @@ class TestConnectionProperties:
         assert stacked.shape == (4, 3)
         assert np.abs(stacked - rows).max() < 1e-12
 
+    @given(seeds)
+    def test_curvature_contracts_the_nested_connection(self, matrix, seed):
+        # the tensor MetricSpec builds, contracted, against
+        # nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z for every pair
+        # of x of shape (5, 1, 3) and y of shape (4, 3)
+        metric = so3.MetricSpec(matrix)
+        gen = np.random.default_rng(seed)
+        x, y, z = gen.standard_normal((5, 1, 3)), *gen.standard_normal((2, 4, 3))
+
+        def nabla(a, b):
+            return so3.connection(a, b, metric)
+
+        expected = nabla(x, nabla(y, z)) - nabla(y, nabla(x, z)) - nabla(np.cross(x, y), z)
+        got = so3.curvature(x, y, z, metric)
+        assert got.shape == (5, 4, 3)
+        scale = (np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+                 * np.linalg.norm(z, axis=-1))
+        assert np.all(np.abs(got - expected).max(axis=-1) <= 1e-15 * scale)
+
 
 class TestGeodesicEquation:
     def test_bi_invariant_rhs_vanishes(self, identity_metric, rng):
