@@ -49,12 +49,16 @@ class Manifold:
     mean squared metric norm of the residual logs, which also give its
     gradient and the reported distances.
 
-    The reverse of integrate is pullback, the gradient at the initial
-    conditions from cotangents at the nodes, and the contract's one reverse
-    hook.  Its default discretizes the continuous adjoint, first order in
-    dt, as one recursion on the multipliers through curvature, transport and
-    project_tangent, node by node; a geometry whose integrate rolls
-    overrides integrate and pullback with roll and its exact reverse, unroll.
+    integrate returns every node's point and a flow record, exactly what
+    the geometry's own pullback reads.  The reverse of integrate is
+    pullback, the gradient at the initial conditions from cotangents at the
+    nodes, and the contract's one reverse hook, for orders k >= 1.  Its
+    default discretizes the continuous adjoint, first order in dt, as one
+    recursion on the multipliers through curvature, transport and
+    project_tangent, node by node, reading every node's vectors from the
+    step loop's record; a geometry whose integrate rolls overrides
+    integrate and pullback with roll, whose record is its set-up, and its
+    exact reverse, unroll.
     """
 
     name: str = "manifold"
@@ -72,15 +76,15 @@ class Manifold:
         raise NotImplementedError
 
     def integrate(self, p, stack, dt, steps):
-        """Every node of the forward flow of an order-k curve, k >= 1.
+        """The forward flow of an order-k curve, k >= 1: every node's point.
 
         At each node the vectors are incremented inside the tangent space,
         v_i += dt v_{i+1}, and one step along dt v_1 moves the point and
         carries them to the next node.  Returns the points, (steps + 1,
-        *point_shape), the vectors, (steps + 1, k, *tangent_shape), initial
-        node first, and the flow record: what the geometry's own pullback
-        needs from this pass, so that the reverse builds none of it again.
-        This default takes one step per node, records None and raises
+        *point_shape), initial node first, and the flow record: exactly what
+        the geometry's own pullback reads, so that the reverse builds none of
+        it again.  This default takes one step per node, records the vectors
+        of every node, (steps + 1, k, *tangent_shape), and raises
         IntegrationError with the index of a failed step; geometries whose
         step is a rotation override it with roll, whose record is its set-up.
         """
@@ -98,7 +102,7 @@ class Manifold:
                     f"integration failed at step {n} (t = {n * dt:g}): {exc}", step=n
                 ) from exc
             points[n + 1], vels[n + 1] = p, stack
-        return points, vels, None
+        return points, vels
 
     def exp(self, p, v):
         """Point reached at time 1 along the geodesic from p with velocity v."""
@@ -134,18 +138,21 @@ class Manifold:
         raise NotImplementedError
 
     def pullback(self, traj, nodes, cotangents):
-        """The gradient at traj's initial conditions of sum_n <G_n, x_n>.
+        """The gradient at traj's initial conditions of sum_n <G_n, x_n>, k >= 1.
 
         The reverse of integrate, over the whole pass.  x_n are the points of
         traj, nodes the distinct nodes that carry a cotangent G_n, in
         increasing order, and cotangents the rows G_n, each tangent at x_n.
         Returns the (k + 1, *tangent_shape) gradient, base point first: the
         base point moves along exp with the vectors carried by transport.
+        Order zero takes no reverse pass (regress.integrate_adjoint).
 
         This default discretizes the continuous adjoint system, so it is
-        first order in dt, not the exact gradient of the discrete flow.  The
-        multipliers lam, one row per initial condition, start at zero after
-        the final node.  Walking from the final node n to the first,
+        first order in dt, not the exact gradient of the discrete flow.  It
+        reads the vectors v_n of every node from traj.flow, the record of
+        the default integrate.  The multipliers lam, one row per initial
+        condition, start at zero after the final node.  Walking from the
+        final node n to the first,
 
             lam[0] += dt sum_i curvature(x_n, v_{n,i}, lam[i], v_{n,1}) + G_n;
             lam[1:] += dt lam[:-1];
@@ -156,19 +163,17 @@ class Manifold:
         memory stays flat in the step count.  Geometries whose integrate
         rolls override this with unroll.
         """
-        k, dt = traj.order, traj.dt
-        lam = np.zeros((k + 1,) + self.tangent_shape)
-        still = np.zeros(self.tangent_shape)
+        vels, dt = traj.flow, traj.dt
+        lam = np.zeros((vels.shape[1] + 1,) + self.tangent_shape)
         j = len(nodes) - 1
         for n in range(len(traj) - 1, 0, -1):
-            gamma, v = traj.points[n], traj.vels[n]
-            if k:
-                lam[0] += dt * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
+            gamma, v = traj.points[n], vels[n]
+            lam[0] += dt * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
             if j >= 0 and nodes[j] == n:
                 lam[0] += cotangents[j]
                 j -= 1
             lam[1:] += dt * lam[:-1]
-            moved = self.transport(gamma, -dt * v[0] if k else still, lam)
+            moved = self.transport(gamma, -dt * v[0], lam)
             lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
         if j >= 0:
             lam[0] += cotangents[j]
@@ -273,23 +278,17 @@ def _rolling(p, stack, dt, steps):
     roll builds it once per pass and returns it as the flow record, which
     unroll reads and never writes.  Returns the orthonormal basis of
     span{p, stack} (a QR), the coordinates of p and of the rows in it, phi
-    (falling_factorials), the body-frame vectors of every node, the unit
-    direction e of p and, for every step, the turn's unit direction u (zero
-    where b_1 is), its speed |b_1| and the frames F_0 = I,
-    F_n = T_0 ... T_{n-1}.
+    (falling_factorials), the unit direction e of p and, for every step,
+    the turn's unit direction u (zero where b_1 is), its speed |b_1| and the
+    frames F_0 = I, F_n = T_0 ... T_{n-1}.
     """
-    k = len(stack)
     basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
-    size = basis.shape[1]                       # min(ambient size, k + 1)
-    # body-frame coordinates of every node's vectors: (steps + 1, k, size)
-    vecs = np.concatenate([coef[:, 1:].T, np.zeros((k - 1, size), coef.dtype)])
-    ahead = vecs[np.add.outer(np.arange(k), np.arange(k))]      # [j, i]: b_{i+j}(0)
-    phi = falling_factorials(np.arange(steps + 1), dt, k - 1)
-    body = np.einsum("jn,jik->nik", phi, ahead)
-
-    # the turn of step n: plane {e, u} at the angle dt |b_1(n)|
+    size = basis.shape[1]                       # min(ambient size, len(stack) + 1)
+    phi = falling_factorials(np.arange(steps + 1), dt, len(stack) - 1)
+    # the turn of step n: plane {e, u} at the angle dt |b_1(n)|, with
+    # b_1(n) = sum_j phi_j(n) b_{1+j}(0) in body-frame coordinates
     e = coef[:, 0] / abs(coef[0, 0])
-    w = body[:-1, 0]
+    w = np.einsum("jn,jk->nk", phi[:, :-1], coef[:, 1:].T)
     speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
     u = w / np.where(speed > 0.0, speed, 1.0)[:, None]
     theta = (dt * speed)[:, None, None]
@@ -297,7 +296,7 @@ def _rolling(p, stack, dt, steps):
     spin = u[:, :, None] * e.conj() - e[:, None] * u.conj()[:, None, :]
     turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
     frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
-    return basis, coef, phi, body, e, u, speed, frames
+    return basis, coef, phi, e, u, speed, frames
 
 
 def roll(p, stack, dt, steps, settle):
@@ -317,27 +316,24 @@ def roll(p, stack, dt, steps, settle):
     p and the k >= 1 rows of stack are real or complex, the rows tangent at
     p.  settle maps a batch of raw points back onto the manifold.  Nodes
     before the first nonzero turn are p itself, bit for bit.  Returns the
-    points and vectors of every node, as Manifold.integrate does, and the
-    flow record: the set-up (_rolling) that unroll takes instead of
-    rebuilding it.
+    points of every node and the flow record, as Manifold.integrate does:
+    the set-up (_rolling) that unroll takes instead of rebuilding it.  No
+    node's vectors are formed; only the turns' b_1 are.
     """
     flow = _rolling(p, stack, dt, steps)
-    basis, coef, _, body, _, _, speed, frames = flow
+    basis, coef, _, _, _, speed, frames = flow
     moved = np.concatenate([[False], np.logical_or.accumulate(speed > 0.0)])
     points = np.repeat(p[None], steps + 1, axis=0)
     points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
-    vels = (body @ np.swapaxes(frames, -1, -2)) @ basis.T
-    vels[0] = stack
-    return points, vels, flow
+    return points, flow
 
 
 def unroll(p, flow, dt, nodes, cotangents):
     """The reverse of roll: the exact gradient of sum_n <G_n, x_n>.
 
-    p is the base point and flow roll's record of the pass, None at order
-    zero, where nothing rolls.  nodes are distinct node indices, cotangents
-    the gradients G_n of the objective at those nodes' points x_n, real or
-    complex like p.
+    p is the base point and flow roll's record of the pass.  nodes are
+    distinct node indices, cotangents the gradients G_n of the objective at
+    those nodes' points x_n, real or complex like p.
     Node n is x_n = F_n p in the basis of roll, so the objective's derivative
     with respect to turn m is M_m = F_m^H S_{m+1} F_{m+1}, with S_n the
     reverse cumulative sum of g_n x_n^H (g the cotangents' part in the
@@ -350,13 +346,9 @@ def unroll(p, flow, dt, nodes, cotangents):
     which is the rotation X = d p^H - p d^H of the whole flow, so its row is
     the tangent part of sum_n (x_n^H p) G_n - (G_n^H p) x_n.  Returns the
     (k + 1, len(p)) gradient, base point first; no recursion, nothing of
-    size D x D.  At order zero every x_n is p, and the gradient the sum of
-    the cotangents.
+    size D x D.
     """
-    if flow is None:
-        base = np.sum(cotangents, axis=0)
-        return (base - (p.conj() @ base) * p)[None]
-    basis, coef, phi, _, e, u, speed, frames = flow
+    basis, coef, phi, e, u, speed, frames = flow
     turning = speed > 0.0
     theta = dt * speed
     safe = np.where(turning, speed, 1.0)

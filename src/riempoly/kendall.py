@@ -249,17 +249,18 @@ class KendallShapeSpace(Manifold):
         step turns the complex plane {p, u} by theta, so the flow rolls with
         complex frames; the points are re-centered and normalized in one
         project_point call.  The stack is taken as horizontal at p, as every
-        fitted state's is.  The flow record is roll's complex set-up, for
-        pullback.  d >= 3 takes one step per node.
+        fitted state's is.  Returns the points and roll's complex set-up
+        as the flow record, for pullback; no node's vectors are formed.
+        d >= 3 takes one step per node and records every node's vectors.
         """
         if self.d != 2:
             return super().integrate(p, stack, dt, steps)
-        points, vels, flow = roll(
+        points, flow = roll(
             np.ascontiguousarray(p, dtype=float).view(complex),
             np.ascontiguousarray(stack, dtype=float).view(complex),
             dt, steps, lambda z: self.project_point(z.view(float)).view(complex),
         )
-        return points.view(float), vels.view(float), flow
+        return points.view(float), flow
 
     def stepped_transport(self, p, direction, x):
         """Transport by sphere substeps of at most max_step, for any d.
@@ -314,10 +315,11 @@ class KendallShapeSpace(Manifold):
     def pullback(self, traj, nodes, cotangents):
         """For d = 2, the exact reverse of the rolled flow in complex form.
 
-        geometry.unroll of integrate's flow record, on the landmarks read
-        as complex m-vectors.  d >= 3 keeps the default recursion, first
-        order in dt, which carries the multipliers themselves node by node
-        with the stepped transport (see Manifold).
+        geometry.unroll of integrate's flow record, roll's set-up, on the
+        landmarks read as complex m-vectors.  d >= 3 keeps the default
+        recursion, first order in dt, which reads every node's vectors from
+        the step loop's record and carries the multipliers themselves node
+        by node with the stepped transport (see Manifold).  Order k >= 1.
         """
         if self.d != 2:
             return super().pullback(traj, nodes, cotangents)

@@ -12,8 +12,11 @@ closed form (geometry.roll): in the frame that moves with the curve the
 vectors form a flat polynomial, and the curve is that polynomial rolled onto
 the manifold (Jupp & Kent 1987, "Fitting smooth paths to spherical data").
 
-The k vectors travel as one (k, *tangent_shape) array, in PolynomialState and
-at every Trajectory node alike.
+The k vectors travel as one (k, *tangent_shape) array in PolynomialState.  A
+Trajectory keeps the nodes' times and points and the pass's flow record,
+exactly what the geometry's own reverse reads: every node's vectors from the
+step loop, the set-up from the roll, and nothing at order zero, the constant
+curve, which takes no reverse pass.
 """
 
 from __future__ import annotations
@@ -54,28 +57,21 @@ class PolynomialState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid record of an integrated curve, velocities included.
+    """Uniform-grid record of an integrated curve.
 
-    The full stack of per-node vectors is kept for the default reverse
-    (gradient) pass, the recursion, which needs them at every node.  flow
-    is the record Manifold.integrate returned for the geometry's own
-    pullback: on a rolled pass the roll's set-up, which the reverse reads
-    instead of rebuilding; None for the step loop and at order zero.
+    flow is the record Manifold.integrate returned for the geometry's own
+    pullback: every node's vectors, (n_nodes, order, *tangent_shape), from
+    the step loop, and the roll's set-up on a rolled pass, which the reverse
+    reads instead of rebuilding.  It is None at order zero only.
     """
 
-    manifold: Manifold
     times: np.ndarray            # (n_nodes,)
     points: np.ndarray           # (n_nodes, *point_shape)
-    vels: np.ndarray             # (n_nodes, order, *tangent_shape)
     flow: object                 # Manifold.integrate's record, or None
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    @property
-    def order(self) -> int:
-        return self.vels.shape[1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -111,16 +107,12 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
     k = state.order
     dt = duration / steps
     if k:
-        points, vels, flow = manifold.integrate(
+        points, flow = manifold.integrate(
             state.gamma, state.vels.reshape((k,) + manifold.tangent_shape), dt, steps)
     else:
-        # order zero: the constant curve
-        points = np.repeat(state.gamma[None], steps + 1, axis=0)
-        vels = np.empty((steps + 1, 0) + manifold.tangent_shape)
-        flow = None
-
-    times = np.linspace(0.0, duration, steps + 1)
-    return Trajectory(manifold=manifold, times=times, points=points, vels=vels,
+        # order zero: the constant curve, with nothing to reverse
+        points, flow = np.repeat(state.gamma[None], steps + 1, axis=0), None
+    return Trajectory(times=np.linspace(0.0, duration, steps + 1), points=points,
                       flow=flow)
 
 

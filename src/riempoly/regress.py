@@ -18,7 +18,9 @@ system discretized backward along the fitted curve, first order in dt:
 multipliers start at zero at the final time, pick up a jump from every
 observation they pass, couple to the state through the curvature operator,
 and are carried back by parallel transport, node by node, arriving at
-t = 0 carrying the gradients.
+t = 0 carrying the gradients.  At order zero the curve is its base point,
+and the gradient is the tangent part of the summed cotangents: nothing is
+carried back.
 
 A descent loop with a monotone backtracking line search moves every
 candidate with one Manifold.step: the base point along the geodesic, and
@@ -191,13 +193,19 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     the pass itself takes no log.  The objective's gradient at the point of
     an observed node is -(2/N) times the sum of the logs observed there;
     Manifold.pullback carries those cotangents back to the initial
-    conditions.  Returns the (k+1, *tangent_shape) gradient: base point
-    first, then one row per vector.
+    conditions.  At order zero, the one trajectory without a flow record,
+    every node is the base point and the gradient is the tangent part of
+    the cotangents' sum, with no reverse pass.  Returns the
+    (k+1, *tangent_shape) gradient: base point first, then one row per
+    vector.
     """
     nodes, where = np.unique(traj.node_index(data.times), return_inverse=True)
     cotangents = np.zeros((len(nodes),) + manifold.tangent_shape)
     np.add.at(cotangents, where, logs)
-    return manifold.pullback(traj, nodes, cotangents * (-2.0 / data.size))
+    cotangents *= -2.0 / data.size
+    if traj.flow is None:
+        return manifold.project_tangent(traj.points[0], np.sum(cotangents, axis=0))[None]
+    return manifold.pullback(traj, nodes, cotangents)
 
 
 _TIE_ULPS = 4           # variances this close are told apart by the gradient

@@ -61,7 +61,8 @@ class Sphere(Manifold):
     def integrate(self, p, stack, dt, steps):
         """The forward flow in one closed form: each step turns the plane {p, v}.
 
-        The flow record is roll's set-up, which pullback hands to unroll.
+        Returns the points and roll's set-up as the flow record, which
+        pullback hands to unroll; no node's vectors are formed.
         """
         return roll(np.asarray(p, dtype=float), np.asarray(stack, dtype=float),
                     dt, steps, self.project_point)

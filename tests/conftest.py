@@ -144,8 +144,9 @@ def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
 
 
 def node_state(traj, index):
-    """The curve's point and vectors at one trajectory node, as a state."""
-    return rp.PolynomialState(traj.points[index], traj.vels[index])
+    """The curve's point and vectors at one node of a step-loop trajectory,
+    whose flow record holds every node's vectors, as a state."""
+    return rp.PolynomialState(traj.points[index], traj.flow[index])
 
 
 def residual_logs(manifold, traj, data):
@@ -212,9 +213,11 @@ def adjoint_reference(manifold, traj, data):
     the final node to the first, the order-zero multiplier absorbs the
     curvature coupling and the node's jump, every multiplier is incremented
     by its predecessor, and curvature, transport and project_tangent act on
-    the multipliers themselves.  Returns the (k+1, *tangent_shape) gradient.
+    the multipliers themselves.  The vectors of every node are the step
+    loop's flow record, which is None at order zero.  Returns the
+    (k+1, *tangent_shape) gradient.
     """
-    k = traj.order
+    k = 0 if traj.flow is None else traj.flow.shape[1]
     n_steps = len(traj) - 1
     dt = traj.dt
 
@@ -226,8 +229,8 @@ def adjoint_reference(manifold, traj, data):
     lam = np.zeros((k + 1,) + manifold.tangent_shape)
     for n in range(n_steps, 0, -1):
         gamma = traj.points[n]
-        vels = traj.vels[n]
         if k:
+            vels = traj.flow[n]
             w = vels[0]
             lam[0] += dt * np.sum(
                 manifold.curvature(gamma, vels, lam[1:], vels[0]), axis=0
@@ -269,7 +272,7 @@ def expm_frechet_adjoint(x, m):
     return expm(block)[:n, n:]
 
 
-def rolled_gradient_reference(manifold, traj, data):
+def rolled_gradient_reference(manifold, state, traj, data):
     """Ambient-coordinate oracle for the rolled reverse pass (geometry.unroll).
 
     On the sphere, and on planar shape space in complex coordinates, node n
@@ -281,12 +284,14 @@ def rolled_gradient_reference(manifold, traj, data):
     chain rule gives W_m, and so the vectors, and p.  Base-point rows move p
     along exp and carry the vectors by transport:
     grad_p - sum_i (grad_v_i^H p) v_i, projected.  No span, no QR, no
-    special case for a zero W_m.  Returns the (k+1, *tangent_shape) gradient.
+    special case for a zero W_m.  The initial vectors are the state's, as
+    traj integrated them.  Returns the (k+1, *tangent_shape) gradient.
     """
     planar = isinstance(manifold, rp.KendallShapeSpace)
     as_ambient = (lambda a: np.ascontiguousarray(a).view(complex)) if planar else np.asarray
-    k, dt, steps = traj.order, traj.dt, len(traj) - 1
-    p, vels = as_ambient(traj.points[0]), as_ambient(traj.vels[0])
+    k, dt, steps = state.order, traj.dt, len(traj) - 1
+    p = as_ambient(traj.points[0])
+    vels = as_ambient(state.vels.reshape((k,) + manifold.tangent_shape))
     nodes = traj.node_index(data.times)
     cot = np.zeros((len(traj),) + manifold.tangent_shape)
     np.add.at(cot, nodes, manifold.log_many(traj.points[nodes], data.points))

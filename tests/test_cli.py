@@ -111,6 +111,46 @@ class TestFitCommand:
         )
         assert code == 0
 
+    def test_sphere_fit_from_unit_vectors(self, tmp_path, rng):
+        # one landmark with x1,y1,z1 columns is a point of S^2
+        sphere = rp.Sphere(2)
+        base = sphere.random_point(rng)
+        u = unit_tangent(sphere, rng, base, 0.8)
+        rows = ["id,time,x1,y1,z1"]
+        for i, t in enumerate(np.linspace(0.0, 1.0, 8)):
+            q = sphere.exp(base, t * u + unit_tangent(sphere, rng, base, 0.01))
+            rows.append(",".join([f"s{i}", repr(float(t))] + [repr(float(v)) for v in q]))
+        good = tmp_path / "sphere.csv"
+        good.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("fit", "--manifold", "sphere", "--orders", "0,1",
+                       "--input", str(good), "--out", str(out), "--steps", "40")
+        assert code == 0
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["fits"]["1"]["manifold"] == "sphere(2)"
+        assert payload["fits"]["1"]["r_squared"] > 0.99
+        # a row that is not a unit vector is refused before any fit
+        rows[3] = ",".join(rows[3].split(",")[:2] + ["0.5", "0.5", "0.5"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run_cli("fit", "--manifold", "sphere", "--input", str(bad),
+                       "--out", str(tmp_path / "o2")) == 1
+        assert not (tmp_path / "o2" / "fit.json").exists()
+
+    def test_no_orders_rejected(self, small_kendall_csv, tmp_path):
+        code = run_cli("fit", "--orders", ",", "--input", str(small_kendall_csv),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_times_rejected(self, tmp_path):
+        # a TPS file without AGE gives records with no time, which no fit takes
+        tps = tmp_path / "in.tps"
+        tps.write_text("LM=2\n0 0\n1 1\nID=a\nLM=2\n1 0\n0 1\nID=b\n",
+                       encoding="utf-8")
+        assert run_cli("fit", "--input", str(tps), "--out", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_single_sample_rejected_before_fitting(self, small_kendall_csv, tmp_path):
         # a curve needs two samples; the check must come before any report
         # file is written, not from the plot bundle after the fit
@@ -290,6 +330,22 @@ class TestBuildDataset:
 
         records = [LandmarkFileRecord("a", 0.0, np.ones((3, 3)))]
         with pytest.raises(ValueError):
+            build_dataset("so3", records)
+
+    def test_non_finite_times_rejected(self):
+        from riempoly.landmarks import LandmarkFileRecord
+
+        for bad in (np.nan, np.inf):
+            records = [LandmarkFileRecord("a", 0.0, np.eye(2)),
+                       LandmarkFileRecord("b", bad, np.eye(2))]
+            with pytest.raises(ValueError, match="non-finite times"):
+                build_dataset("euclidean", records)
+
+    def test_so3_requires_nine_coordinates(self, rng):
+        from riempoly.landmarks import LandmarkFileRecord
+
+        records = [LandmarkFileRecord("a", 0.0, np.eye(2))]
+        with pytest.raises(ValueError, match="nine coordinates"):
             build_dataset("so3", records)
 
     def test_so3_accepts_rotations(self, rng):

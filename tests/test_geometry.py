@@ -303,3 +303,38 @@ class TestShootingLog:
         with pytest.raises(ShootingError) as err:
             shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, max_iter=1)
         assert err.value.residual > 0
+
+    def test_halves_the_step_until_it_gives_up(self, monkeypatch):
+        # from a zero initial vector toward a point 2.5 rad away the first
+        # pulled-back gap, sin(2.5) long, never lowers the endpoint error:
+        # the step halves 40 times, to 2^-40 < 1e-12, and the error carries
+        # the first gap's length
+        from riempoly.geometry import ShootingError, shooting_log
+
+        sphere = rp.Sphere(2)
+        shots = []
+        original = rp.Sphere.step
+
+        def counted(self, p, v, stack):
+            shots.append(1)
+            return original(self, p, v, stack)
+
+        monkeypatch.setattr(rp.Sphere, "step", counted)
+        p = np.array([1.0, 0.0, 0.0])
+        q = np.array([np.cos(2.5), np.sin(2.5), 0.0])
+        with pytest.raises(ShootingError) as err:
+            shooting_log(sphere, p, q, np.zeros(3))
+        assert err.value.residual == pytest.approx(np.sin(2.5), rel=1e-12)
+        # the first shot, then a transport and a shot per halved step
+        assert len(shots) == 1 + 2 * 40
+
+    def test_last_allowed_shot_within_tolerance_returns(self):
+        # max_iter=1: the one shot lands within tol, and the check after the
+        # loop returns it
+        from riempoly.geometry import shooting_log
+
+        sphere = rp.Sphere(2)
+        p = np.array([1.0, 0.0, 0.0])
+        q = np.array([np.cos(1e-4), np.sin(1e-4), 0.0])
+        got = shooting_log(sphere, p, q, np.zeros(3), max_iter=1)
+        assert np.abs(got - np.array([0.0, 1e-4, 0.0])).max() < 1e-9

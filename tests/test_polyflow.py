@@ -1,5 +1,6 @@
 """Forward integrator: convergence laws, exact cases, bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import riempoly as rp
 from riempoly.geometry import Manifold, falling_factorials
 from riempoly.polyflow import IntegrationError
-from conftest import log_log_slope, node_state, unit_tangent
+from conftest import log_log_slope, make_manifold, node_state, unit_tangent
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -79,11 +80,12 @@ class TestOrderZeroAndOne:
         assert np.abs(traj.points[-1] - E2).max() < 1e-12
 
     def test_velocity_norm_constant_on_sphere(self, rng):
+        # the step loop's record holds every node's vectors
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
-        state = rp.PolynomialState(p, (unit_tangent(sphere, rng, p, 0.8),))
-        traj = rp.integrate_polynomial(sphere, state, 1.0, 300)
-        norms = np.linalg.norm(traj.vels[:, 0, :], axis=1)
+        _, vels = Manifold.integrate(sphere, p, unit_tangent(sphere, rng, p, 0.8)[None],
+                                     1.0 / 300, 300)
+        norms = np.linalg.norm(vels[:, 0, :], axis=1)
         assert np.ptp(norms) < 1e-9
 
 
@@ -165,17 +167,17 @@ class TestRolledFlow:
                 p = space.random_point(rng)
                 vels = _vectors(space, rng, p, k, case)
                 dt = 1.0 / steps
-                ref_points, ref_vels, loop_flow = Manifold.integrate(space, p, vels,
-                                                                     dt, steps)
-                points, rolled, flow = space.integrate(p, vels, dt, steps)
-                # the step loop records nothing; the roll records its set-up
-                assert loop_flow is None and flow is not None
+                ref_points, loop_vels = Manifold.integrate(space, p, vels, dt, steps)
+                points, flow = space.integrate(p, vels, dt, steps)
+                # the step loop records every node's vectors; the roll records
+                # its set-up and forms no node's vectors
+                assert loop_vels.shape == (steps + 1,) + vels.shape
+                assert isinstance(flow, tuple)
                 where = f"order {k}, {steps} steps"
-                assert points.shape == ref_points.shape and rolled.shape == ref_vels.shape
+                assert points.shape == ref_points.shape
                 assert np.abs(points - ref_points).max() <= 1e-12, where
-                assert np.abs(rolled - ref_vels).max() <= 1e-12, where
                 # the initial node is the input itself
-                assert np.array_equal(points[0], p) and np.array_equal(rolled[0], vels)
+                assert np.array_equal(points[0], p)
                 if case == "zero":
                     assert np.array_equal(points, np.tile(p, (steps + 1, 1))), where
 
@@ -201,13 +203,49 @@ class TestRolledFlow:
     def test_no_drift_over_long_flows(self, space, rng):
         p = space.random_point(rng)
         vels = [unit_tangent(space, rng, p, scale) for scale in (0.8, 0.9, 1.1)]
+        # the roll's points, and the vectors of the step loop's record
         traj = rp.integrate_polynomial(space, rp.PolynomialState(p, vels), 1.0, 20000)
+        loop_points, loop_vels = Manifold.integrate(space, p, vels, 1.0 / 20000, 20000)
         for n in list(range(0, 20001, 1000)):
             point = max(space.point_residuals(traj.points[n]).values())
-            tangent = max(max(space.tangent_residuals(traj.points[n], v).values())
-                          for v in traj.vels[n])
+            tangent = max(max(space.tangent_residuals(loop_points[n], v).values())
+                          for v in loop_vels[n])
             assert point <= 1e-15, n
             assert tangent <= 1e-12, n
+
+
+class TestFlowRecord:
+    """integrate returns the points and exactly what its pullback reads."""
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere", "so3", "so3_general",
+                                      "kendall", "kendall_8_2", "kendall_3d"])
+    def test_integrate_returns_points_and_record(self, name, rng):
+        space = make_manifold(name)
+        p = space.random_point(rng)
+        vels = np.array([unit_tangent(space, rng, p) for _ in range(2)])
+        out = space.integrate(p, vels, 0.1, 10)
+        assert len(out) == 2
+        points, flow = out
+        assert points.shape == (11,) + space.point_shape
+        if name in ("sphere", "kendall", "kendall_8_2"):
+            # the roll's set-up, no node's vectors
+            assert isinstance(flow, tuple)
+        else:
+            # the step loop's vectors of every node
+            assert flow.shape == (11, 2) + space.tangent_shape
+            assert np.array_equal(flow[0], vels)
+
+    def test_trajectory_keeps_times_points_and_record(self, rng):
+        fields = [f.name for f in dataclasses.fields(rp.Trajectory)]
+        assert fields == ["times", "points", "flow"]
+        sphere = rp.Sphere(2)
+        p = sphere.random_point(rng)
+        for vels in ((), (unit_tangent(sphere, rng, p),)):
+            traj = rp.integrate_polynomial(sphere, rp.PolynomialState(p, vels), 1.0, 10)
+            for gone in ("vels", "order", "manifold"):
+                assert not hasattr(traj, gone)
+            # order zero, the constant curve, is the one trajectory without a record
+            assert (traj.flow is None) == (len(vels) == 0)
 
 
 class TestReparametrization:
@@ -228,7 +266,9 @@ class TestReparametrization:
 
 
 class TestTrajectoryAndSampling:
-    def test_states_pass_validation(self, rng):
+    def test_states_pass_validation(self, rng, monkeypatch):
+        # every node's vectors are the step loop's record
+        monkeypatch.setattr(rp.Sphere, "integrate", Manifold.integrate)
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
         state = rp.PolynomialState(
@@ -267,6 +307,16 @@ class TestTrajectoryAndSampling:
                 traj.node_index(bad)
             with pytest.raises(ValueError):
                 traj.node_index(np.array([0.5, bad]))
+
+    def test_zero_length_grid_snaps_within_1e9(self):
+        line = rp.Euclidean(1)
+        state = rp.PolynomialState(np.zeros(1), (np.ones(1),))
+        traj = rp.integrate_polynomial(line, state, 0.0, 10)
+        assert traj.dt == 0.0
+        assert traj.node_index(0.0) == 0 and traj.node_index(5e-10) == 0
+        assert traj.node_index(np.array([0.0, 5e-10])).tolist() == [0, 0]
+        with pytest.raises(ValueError):
+            traj.node_index(1e-6)
 
     def test_out_of_range_rejected(self):
         line = rp.Euclidean(1)

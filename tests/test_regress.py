@@ -178,8 +178,10 @@ class TestAdjoint:
                              ids=["distinct", "shared"])
     def test_operator_recursion_matches_reference(self, name, times, rng, monkeypatch):
         # the default pullback, map by map; the rolled geometries override
-        # it, so on them it is called as the base class's
+        # it and integrate, so on them both are called as the base class's,
+        # whose record holds every node's vectors
         m = make_manifold(name)
+        monkeypatch.setattr(type(m), "integrate", rp.Manifold.integrate)
         monkeypatch.setattr(type(m), "pullback", rp.Manifold.pullback)
         for k in range(4):
             _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
@@ -188,6 +190,27 @@ class TestAdjoint:
             got = integrate_adjoint(m, traj, data, residual_logs(m, traj, data))
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere", "so3", "so3_general",
+                                      "kendall", "kendall_8_2", "kendall_3d"])
+    def test_order_zero_takes_no_reverse_pass(self, name, rng, monkeypatch):
+        # every node of the constant curve is its base point, so the gradient
+        # is the tangent part of the summed cotangents, with no pullback
+        m = make_manifold(name)
+
+        def refused(*args):
+            raise AssertionError("pullback called at order zero")
+
+        for cls in {type(m), rp.Manifold}:
+            monkeypatch.setattr(cls, "pullback", refused)
+        _, traj, data = random_fit_problem(m, 0, rng, scale=0.4, steps=70)
+        assert traj.flow is None
+        logs = residual_logs(m, traj, data)
+        got = integrate_adjoint(m, traj, data, logs)
+        expected = m.project_tangent(traj.points[0],
+                                     np.sum(logs, axis=0) * (-2.0 / data.size))
+        assert got.shape == (1,) + m.tangent_shape
+        assert np.abs(got[0] - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("name", ROLLED)
     @pytest.mark.parametrize("times", [(0.0, 0.33, 0.71, 1.0),
@@ -200,9 +223,9 @@ class TestAdjoint:
         m = make_manifold(name)
         for k in range(4):
             for vectors in (None, lambda v: v * (np.arange(len(v)) > 0)[:, None]):
-                _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=30,
-                                                   times=times, vectors=vectors)
-                expected = rolled_gradient_reference(m, traj, data)
+                state, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=30,
+                                                       times=times, vectors=vectors)
+                expected = rolled_gradient_reference(m, state, traj, data)
                 got = integrate_adjoint(m, traj, data, residual_logs(m, traj, data))
                 assert got.shape == expected.shape
                 assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -364,6 +387,34 @@ class TestFrechetMean:
         mean = rp.frechet_mean(sphere, pts, tol=1e-11)
         logs = sphere.log_many(np.broadcast_to(mean, pts.shape), pts)
         assert np.linalg.norm(logs.mean(axis=0)) < 1e-10
+
+    def test_unconverged_mean_raises(self):
+        sphere = rp.Sphere(2)
+        rng = np.random.default_rng(3)
+        pts = np.stack([sphere.random_point(rng) for _ in range(10)])
+        with pytest.raises(rp.GeometryError, match="mean iteration did not converge"):
+            rp.frechet_mean(sphere, pts, max_iter=1)
+
+    def test_candidate_at_the_cut_locus_is_rejected(self, rng):
+        # the first candidate's log raises CutLocusError: it is rejected like
+        # one that does not descend, the step halves, and the mean is found
+        bases = []
+
+        class Guarded(rp.Sphere):
+            def log_many(self, points, targets):
+                bases.append(np.array(points[0]))
+                if len(bases) == 2:
+                    raise CutLocusError("candidate at the cut locus")
+                return super().log_many(points, targets)
+
+        sphere = rp.Sphere(2)
+        pts = np.stack([sphere.random_point(rng) for _ in range(3)])
+        pts = np.stack([p if p[0] > 0 else -p for p in pts])
+        mean = rp.frechet_mean(Guarded(2), pts, tol=1e-11)
+        assert np.abs(mean - rp.frechet_mean(sphere, pts, tol=1e-11)).max() < 1e-9
+        grad = sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts).mean(axis=0)
+        assert np.array_equal(bases[1], sphere.exp(pts[0], grad))
+        assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * grad))
 
     def test_missed_tolerance_warns(self, rng):
         sphere = rp.Sphere(2)
@@ -725,7 +776,8 @@ class TestFitPolynomial:
         fresh = rp.integrate_polynomial(sphere, res.params, 1.0, steps)
         assert np.array_equal(res.trajectory.times, fresh.times)
         assert np.array_equal(res.trajectory.points, fresh.points)
-        assert np.array_equal(res.trajectory.vels, fresh.vels)
+        assert len(res.trajectory.flow) == len(fresh.flow)
+        assert all(np.array_equal(a, b) for a, b in zip(res.trajectory.flow, fresh.flow))
         internal, _, _ = data.rescaled()
         assert rp.objective_sse(sphere, res.trajectory, internal) == res.sse
         assert res.objective_trace[-1] == res.sse
@@ -824,6 +876,20 @@ class TestDatasetType:
 
 
 class TestConfigAndInputGuards:
+    def test_parameters_drifting_off_the_manifold_raise(self, rng):
+        # a step whose endpoint leaves the sphere by 1e-5, more than the
+        # 1e-6 the fit allows, is caught once its candidate is accepted;
+        # the mean's exp, a step with no stack, stays on the sphere
+        class Drifting(rp.Sphere):
+            def step(self, p, v, stack):
+                end, moved = super().step(p, v, stack)
+                return (end * (1.0 + 1e-5) if len(stack) else end), moved
+
+        space = Drifting(2)
+        _, _, data = random_fit_problem(space, 1, rng, scale=0.5, steps=50)
+        with pytest.raises(rp.GeometryError, match="drifted off the manifold"):
+            rp.fit_polynomial(space, data, rp.FitConfig(order=1, steps=50))
+
     def test_initial_state_order_mismatch(self, rng):
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, steps=50)
