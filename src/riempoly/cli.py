@@ -1,5 +1,10 @@
 """Command-line front end: dataset ingestion, fitting, and report files.
 
+The input is parsed once into one array, and every Kendall record is
+standardized in one batched call.  Each report is one float table written
+by landmarks.csv_lines: Python's shortest round-trip repr, formatted once
+per distinct value, so the files re-parse to the same doubles.
+
 Exit codes: 0 on success, 1 on usage or file errors, 2 when any requested
 fit stopped before reaching its convergence tolerance.
 """
@@ -14,10 +19,11 @@ import click
 import numpy as np
 
 from .geometry import Euclidean, GeometryError
-from .kendall import KendallShapeSpace, _align_many, to_preshape
+from .kendall import KendallShapeSpace, _align_many, _preshapes
 from .landmarks import (
     LandmarkFileRecord,
     LandmarkFormatError,
+    csv_lines,
     parse_landmarks,
     write_landmarks_csv,
 )
@@ -40,7 +46,8 @@ def build_dataset(manifold_name: str, records: list):
 
     if manifold_name == "kendall":
         manifold = KendallShapeSpace(m, d)
-        points = np.stack([to_preshape(r.landmarks).flat() for r in records])
+        points = _preshapes(np.stack([r.landmarks for r in records]))[0]
+        points = points.reshape(len(records), -1)
     elif manifold_name == "euclidean":
         manifold = Euclidean(m * d)
         points = np.stack([r.landmarks.reshape(-1) for r in records])
@@ -155,27 +162,28 @@ def _coord_header(dim: int) -> list:
 
 
 def _write_curves(path, manifold, results: dict, samples: int) -> None:
+    """Every order's sampled curve, formatted as one table."""
     dim = int(np.prod(manifold.point_shape))
+    orders = sorted(results)
+    table = np.concatenate([_table(*_curve_rows(results[k], samples)) for k in orders])
     rows = [",".join(["order", "time"] + _coord_header(dim))]
-    for k, result in sorted(results.items()):
-        times, points = _curve_rows(result, samples)
-        for t, p in zip(times, points):
-            cells = [str(k), repr(float(t))]
-            cells += [repr(float(v)) for v in np.asarray(p).reshape(-1)]
-            rows.append(",".join(cells))
+    rows += csv_lines([str(k) for k in orders for _ in range(samples)], table)
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> None:
     """Each observation's distance to its fitted curve: its residual log's norm."""
-    rows = ["order,id,time,distance"]
-    for k, result in sorted(results.items()):
+    orders = sorted(results)
+    dists = []
+    for k in orders:
+        result = results[k]
         traj, logs = result.trajectory, result.logs
         nodes = traj.node_index((data.times - result.time_offset) / result.time_scale)
-        dists = np.sqrt(np.maximum(manifold.inner(traj.points[nodes], logs, logs), 0.0))
-        for rec_id, t, dist in zip(ids, data.times, dists):
-            rows.append(f"{k},{rec_id},{repr(float(t))},{repr(float(dist))}")
+        dists.append(np.sqrt(np.maximum(manifold.inner(traj.points[nodes], logs, logs), 0.0)))
     # one row per observation and order, distances in shape/metric units
+    table = np.column_stack([np.tile(data.times, len(orders)), np.concatenate(dists)])
+    rows = ["order,id,time,distance"]
+    rows += csv_lines([f"{k},{rec_id}" for k in orders for rec_id in ids], table)
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -183,9 +191,10 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
                    samples: int) -> dict:
     """Plot-ready bundle: fitted polylines plus the observation scatter.
 
-    Rows are plain lists ready for CSV; the time column doubles as the
-    age-color key.  Shape-space observations are rotated onto the fitted
-    curve for display (the fit itself never pre-aligns).
+    Each of the two tables is a float array, one row per point: its time,
+    then its coordinates; the time column doubles as the age-color key.
+    Shape-space observations are rotated onto the fitted curve for display
+    (the fit itself never pre-aligns).
     """
     if not result.converged:
         raise ValueError("refusing to plot a non-converged fit")
@@ -207,16 +216,16 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
     }
 
 
-def _table(times, points) -> list:
-    """One row of plain floats per point: its time, then its coordinates."""
-    return np.column_stack([times, np.reshape(points, (len(times), -1))]).tolist()
+def _table(times, points) -> np.ndarray:
+    """One row per point: its time, then its coordinates."""
+    return np.column_stack([times, np.reshape(points, (len(times), -1))])
 
 
 def write_plot_bundle(path, bundle: dict) -> None:
+    kinds = ("curve", "observations")
+    prefixes = [kind for kind in kinds for _ in range(len(bundle[kind]))]
     rows = [",".join(bundle["header"])]
-    for kind in ("curve", "observations"):
-        for row in bundle[kind]:
-            rows.append(",".join([kind] + [repr(v) for v in row]))
+    rows += csv_lines(prefixes, np.concatenate([bundle[kind] for kind in kinds]))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -331,15 +340,14 @@ def simulate_command(manifold, order, output_path, steps):
         ]
         while len(seed_vels) < order:
             seed_vels.append(np.roll(seed_vels[-1], 1) * 0.5)
-        rows = ["order,time,x,y,z"]
+        tables = []
         for k in range(1, order + 1):
             state = PolynomialState(
                 base, sphere.project_tangent(base, np.array(seed_vels[:k])))
             traj = integrate_polynomial(sphere, state, 1.0, steps)
-            for t, p in zip(traj.times, traj.points):
-                rows.append(
-                    ",".join([str(k), repr(float(t))] + [repr(float(v)) for v in p])
-                )
+            tables.append(_table(traj.times, traj.points))
+        prefixes = [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))]
+        rows = ["order,time,x,y,z"] + csv_lines(prefixes, np.concatenate(tables))
         Path(output_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))

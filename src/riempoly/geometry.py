@@ -422,10 +422,17 @@ def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_ga
     factor each; the step is halved whenever a shot fails to reduce it.
 
     endpoint_gap(end, q) must return a tangent at end pointing toward q and
-    only needs to be first-order accurate; the fixed point is exact.
+    only needs to be first-order accurate; the fixed point is exact.  The
+    default takes the tangent part of q - end as its direction and the
+    chord |q - end| as its length, which rises steadily with the distance
+    up to the antipode (the tangent part's own length, a sine, falls past
+    pi/2, so shots toward a farther target would never lower it).
     """
     if endpoint_gap is None:
-        endpoint_gap = lambda end, target: manifold.project_tangent(end, target - end)
+        def endpoint_gap(end, target):
+            gap = manifold.project_tangent(end, target - end)
+            length = manifold.norm(end, gap)
+            return gap * (np.sqrt(np.sum((target - end) ** 2)) / length) if length else gap
 
     def miss(vec):
         end, moved = manifold.step(p, vec, vec[None])

@@ -62,18 +62,34 @@ class LandmarkConfig:
 
 
 def to_preshape(raw) -> LandmarkConfig:
-    """Center and rescale a raw m x d configuration onto the preshape sphere."""
-    pts = np.asarray(raw, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("expected an (m, d) array with at least two landmarks")
-    if pts.shape[0] * pts.shape[1] < 3:
+    """Center and rescale a raw m x d configuration onto the preshape sphere.
+
+    The centroid is subtracted and the result divided by its Frobenius
+    norm, by the same routine that standardizes a whole stack of records
+    (bit for bit the same per configuration).
+    """
+    points, centroids, scales = _preshapes(np.asarray(raw, dtype=float)[None])
+    return LandmarkConfig(points=points[0], centroid=centroids[0], scale=float(scales[0]))
+
+
+def _preshapes(stack):
+    """Center and rescale an (n, m, d) stack: (points, centroids, scales).
+
+    A configuration whose landmarks all coincide raises ValueError naming
+    its index in the stack.
+    """
+    if stack.ndim != 3 or stack.shape[1] < 2:
+        raise ValueError("expected (m, d) configurations with at least two landmarks")
+    if stack.shape[1] * stack.shape[2] < 3:
         raise ValueError("m*d must be at least 3")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    scale = float(np.sqrt(np.sum(centered * centered)))
-    if scale < 1e-14:
-        raise ValueError("degenerate configuration: all landmarks coincide")
-    return LandmarkConfig(points=centered / scale, centroid=centroid, scale=scale)
+    centroids = stack.mean(axis=1)
+    centered = stack - centroids[:, None]
+    scales = np.sqrt(np.sum(centered * centered, axis=(1, 2)))
+    degenerate = scales < 1e-14
+    if degenerate.any():
+        raise ValueError(f"record {np.argmax(degenerate)} is a degenerate configuration: "
+                         "all landmarks coincide")
+    return centered / scales[:, None, None], centroids, scales
 
 
 def procrustes_align(target, base):

@@ -5,6 +5,12 @@ CSV is the canonical interchange format: a header row
 followed by one record per row.  TPS files are import only; blocks start with
 ``LM=m``, carry m whitespace-separated coordinate lines and end with
 key=value attribute lines (``ID=``, and ``AGE=`` or ``TIME=`` for the time).
+
+A CSV file is read into one float array: each line's field count is checked
+and its cells converted with Python's float, then one finiteness check runs
+over the whole table, and every record takes its row from it.  An error
+names the first bad line in file order, whatever its fault; blank lines are
+skipped but counted.  Writers format their floats with csv_lines.
 """
 
 from __future__ import annotations
@@ -66,28 +72,33 @@ def _parse_csv(path) -> list:
     if rem or m < 1:
         raise LandmarkFormatError(f"{path}:1: inconsistent coordinate columns")
 
-    records = []
+    width = 2 + m * d
+    ids, linenos, rows, fault = [], [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2 + m * d:
-            raise LandmarkFormatError(
-                f"{path}:{lineno}: expected {2 + m * d} fields, got {len(cells)}"
-            )
+        cells = line.split(",")
+        if len(cells) != width:
+            fault = f"{path}:{lineno}: expected {width} fields, got {len(cells)}"
+            break
         try:
-            time = float(cells[1])
-            values = np.array([float(c) for c in cells[2:]], dtype=float)
+            rows.append(list(map(float, cells[1:])))
         except ValueError as exc:
-            raise LandmarkFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
-        if not np.isfinite(time) or not np.all(np.isfinite(values)):
-            raise LandmarkFormatError(f"{path}:{lineno}: non-finite value")
-        records.append(
-            LandmarkFileRecord(id=cells[0], time=time, landmarks=values.reshape(m, d))
-        )
-    if not records:
+            fault = f"{path}:{lineno}: non-numeric field ({exc})"
+            break
+        ids.append(cells[0].strip())
+        linenos.append(lineno)
+    # the lines before a fault all converted, so a non-finite one comes first
+    table = np.array(rows, dtype=float).reshape(len(rows), width - 1)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        fault = f"{path}:{linenos[np.argmin(finite)]}: non-finite value"
+    if fault:
+        raise LandmarkFormatError(fault)
+    if not rows:
         raise LandmarkFormatError(f"{path}: no records")
-    return records
+    return [LandmarkFileRecord(id=rec_id, time=time, landmarks=values.reshape(m, d))
+            for rec_id, time, values in zip(ids, table[:, 0].tolist(), table[:, 1:])]
 
 
 def _coord_dim(coords, path) -> int:
@@ -201,12 +212,25 @@ def write_landmarks_csv(records, path) -> None:
     m, d = records[0].m, records[0].d
     axes = "xyz"[:d]
     header = ["id", "time"] + [f"{axes[j]}{i + 1}" for i in range(m) for j in range(d)]
-    rows = [",".join(header)]
-    for rec in records:
-        if (rec.m, rec.d) != (m, d):
-            raise ValueError("records disagree on landmark count or dimension")
-        cells = [rec.id, repr(float(rec.time))]
-        cells += [repr(float(v)) for v in rec.landmarks.reshape(-1)]
-        rows.append(",".join(cells))
+    if any((rec.m, rec.d) != (m, d) for rec in records):
+        raise ValueError("records disagree on landmark count or dimension")
+    landmarks = np.reshape([rec.landmarks for rec in records], (len(records), -1))
+    table = np.column_stack([[rec.time for rec in records], landmarks])
+    rows = [",".join(header)] + csv_lines([rec.id for rec in records], table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
+
+
+def csv_lines(prefixes, table) -> list:
+    """One CSV line per row of a float table, each after its row's prefix.
+
+    Floats are written as repr, Python's shortest round-trip form, so the
+    text re-parses to the same doubles.  repr runs once per distinct bit
+    pattern of the table (-0.0 and 0.0 stay apart), and the values are read
+    through one tolist, not one numpy scalar at a time.
+    """
+    table = np.ascontiguousarray(table, dtype=float)
+    distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    cells = text[where.reshape(table.shape)].tolist()
+    return [f"{prefix},{','.join(row)}" for prefix, row in zip(prefixes, cells)]

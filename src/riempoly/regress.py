@@ -291,7 +291,7 @@ def r_squared(sse: float, variance: float) -> float:
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
                    initial: PolynomialState | None = None, *,
-                   _frechet=None) -> FitResult:
+                   _frechet=None, _previous=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
     Starts from the mean of the data with zero vectors unless an explicit
@@ -304,8 +304,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     off the manifold raise GeometryError.  The result keeps the trajectory
     of the accepted parameters, the one its SSE was measured on, and its
     residual logs, so reports take no log of their own.
-    ``_frechet`` is private to ``fit_orders``: the data's Frechet mean,
-    variance and logs, computed once for all orders.
+    ``_frechet`` and ``_previous`` are private to ``fit_orders``: the data's
+    Frechet mean, variance and logs, computed once for all orders, and the
+    lower order's result that ``initial`` pads.  When the padded curve meets
+    the observed nodes at the lower optimum's points bit for bit, that
+    result's logs and SSE are the starting logs and objective.
     """
     started = time.perf_counter()
     k = config.order
@@ -348,6 +351,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         # every node of the constant curve is the mean, bit for bit: its
         # residual logs and objective are the mean's logs and variance
         logs, value = mean_logs, variance
+    elif (_previous is not None and traj.points[nodes].tobytes()
+            == _previous.trajectory.points[nodes].tobytes()):
+        logs, value = _previous.logs, _previous.sse
     else:
         logs, value = _objective(manifold, traj, internal)
 
@@ -430,7 +436,9 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     """Fit several orders, each seeded from the previous result.
 
     The previous optimum is padded with zero vectors, so the objective can
-    only improve with the order.  Every order reuses the dataset's one
+    only improve with the order; where the padded curve passes the previous
+    curve's observed points bit for bit, it starts from the previous logs
+    and SSE without a log of its own.  Every order reuses the dataset's one
     Frechet mean and variance.
     """
     results = {}
@@ -444,7 +452,7 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, cfg, initial=initial,
-                                    _frechet=frechet)
+                                    _frechet=frechet, _previous=previous)
         previous = results[k]
     return results
 

@@ -341,6 +341,15 @@ class TestBuildDataset:
             with pytest.raises(ValueError, match="non-finite times"):
                 build_dataset("euclidean", records)
 
+    def test_degenerate_kendall_record_named(self, rng):
+        from riempoly.landmarks import LandmarkFileRecord
+
+        records = [LandmarkFileRecord(str(i), float(i), rng.standard_normal((4, 2)))
+                   for i in range(3)]
+        records[1] = LandmarkFileRecord("1", 1.0, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="record 1 is a degenerate"):
+            build_dataset("kendall", records)
+
     def test_so3_requires_nine_coordinates(self, rng):
         from riempoly.landmarks import LandmarkFileRecord
 

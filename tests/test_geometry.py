@@ -304,11 +304,21 @@ class TestShootingLog:
             shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, max_iter=1)
         assert err.value.residual > 0
 
+    def test_reaches_a_target_past_a_right_angle(self):
+        # the default gap's length is the chord to the target, which falls
+        # with every shot toward it, even from 2.5 rad away
+        from riempoly.geometry import shooting_log
+
+        sphere = rp.Sphere(2)
+        p = np.array([1.0, 0.0, 0.0])
+        v = np.array([0.0, 2.5, 0.0])
+        got = shooting_log(sphere, p, sphere.exp(p, v), np.zeros(3), tol=1e-12)
+        assert np.abs(got - v).max() < 1e-12
+
     def test_halves_the_step_until_it_gives_up(self, monkeypatch):
-        # from a zero initial vector toward a point 2.5 rad away the first
-        # pulled-back gap, sin(2.5) long, never lowers the endpoint error:
-        # the step halves 40 times, to 2^-40 < 1e-12, and the error carries
-        # the first gap's length
+        # a fixed unit endpoint gap, tangent at p, is one no shot lowers: the
+        # step halves 40 times, to 2^-40 < 1e-12, and the error carries the
+        # gap's unit length
         from riempoly.geometry import ShootingError, shooting_log
 
         sphere = rp.Sphere(2)
@@ -323,8 +333,9 @@ class TestShootingLog:
         p = np.array([1.0, 0.0, 0.0])
         q = np.array([np.cos(2.5), np.sin(2.5), 0.0])
         with pytest.raises(ShootingError) as err:
-            shooting_log(sphere, p, q, np.zeros(3))
-        assert err.value.residual == pytest.approx(np.sin(2.5), rel=1e-12)
+            shooting_log(sphere, p, q, np.zeros(3),
+                         endpoint_gap=lambda end, target: np.array([0.0, 0.0, 1.0]))
+        assert err.value.residual == 1.0
         # the first shot, then a transport and a shot per halved step
         assert len(shots) == 1 + 2 * 40
 

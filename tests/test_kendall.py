@@ -9,6 +9,7 @@ import riempoly as rp
 from riempoly.geometry import CutLocusError, ShootingError, shooting_log
 from riempoly.kendall import (
     _optimal_rotations,
+    _preshapes,
     procrustes_align,
     shape_distance,
     to_preshape,
@@ -52,6 +53,30 @@ class TestPreshape:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             to_preshape(np.ones((4, 2)))
+
+    @pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (8, 2), (17, 2), (100, 2),
+                                      (2, 3), (5, 3), (64, 3)])
+    def test_stack_matches_one_at_a_time(self, rng, m, d):
+        # the stack routine standardizes each configuration bit for bit as
+        # the one-configuration formula does, at any offset and scale
+        stack = rng.standard_normal((12, m, d)) * 10.0 ** rng.integers(-4, 5, (12, 1, 1))
+        stack += rng.standard_normal((12, 1, d)) * 50.0
+        points, centroids, scales = _preshapes(stack)
+        for raw, p, c, scale in zip(stack, points, centroids, scales):
+            centroid = raw.mean(axis=0)
+            centered = raw - centroid
+            norm = float(np.sqrt(np.sum(centered * centered)))
+            cfg = to_preshape(raw)
+            for want in ((centered / norm).tobytes(), cfg.points.tobytes()):
+                assert p.tobytes() == want
+            assert c.tobytes() == centroid.tobytes() == cfg.centroid.tobytes()
+            assert scale == norm == cfg.scale
+
+    def test_degenerate_record_in_a_stack_is_named(self, rng):
+        stack = rng.standard_normal((4, 5, 2))
+        stack[2] = 3.0
+        with pytest.raises(ValueError, match="record 2 is a degenerate"):
+            _preshapes(stack)
 
     def test_preshape_invariants(self, rng):
         cfg = to_preshape(rng.standard_normal((7, 3)))

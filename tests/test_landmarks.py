@@ -1,14 +1,20 @@
 """Landmark file parsing, serialization, and error reporting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from riempoly.landmarks import (
     LandmarkFileRecord,
     LandmarkFormatError,
+    csv_lines,
     parse_landmarks,
     write_landmarks_csv,
 )
+
+RAT_FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data"
+               / "rat_calvaria_synthetic.csv")
 
 
 def write(tmp_path, name, text):
@@ -83,6 +89,33 @@ class TestCsv:
         with pytest.raises(LandmarkFormatError, match=":2:"):
             parse_landmarks(path)
 
+    GOOD = "r1,1.0,0,0\n"
+
+    @pytest.mark.parametrize("body, line, fault", [
+        # one fault on a later line names that line; blank lines count
+        (GOOD + "\n" + GOOD + "r3,3.0,0,zero\n", 5, "non-numeric"),
+        (GOOD + "\n" + GOOD + "r3,3.0,0,inf\n", 5, "non-finite"),
+        (GOOD + "r2,nan,0,0\n" + GOOD, 3, "non-finite"),
+        # two faults: the first line in the file is named, whatever its fault
+        (GOOD + "r2,2.0,0,nan\nr3,3.0,0,abc\n", 3, "non-finite"),
+        (GOOD + "r2,2.0,0,abc\nr3,3.0,0,nan\n", 3, "non-numeric"),
+        (GOOD + "r2,2.0,inf,0\nr3,3.0,0\n", 3, "non-finite"),
+        (GOOD + "r2,2.0,0\nr3,3.0,inf,0\n", 3, "expected 4 fields"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, body, line, fault):
+        path = write(tmp_path, "bad.csv", "id,time,x1,y1\n" + body)
+        with pytest.raises(LandmarkFormatError, match=f":{line}: {fault}"):
+            parse_landmarks(path)
+
+    def test_padded_cells_parse_as_before(self, tmp_path):
+        path = write(tmp_path, "pad.csv",
+                     "id,time,x1,y1\n r1 , 7.5 ,\t-0.25 , 1e-3\t\n\nr2,8,2,3\n")
+        records = parse_landmarks(path)
+        assert [r.id for r in records] == ["r1", "r2"]
+        assert [r.time for r in records] == [7.5, 8.0]
+        assert np.array_equal(records[0].landmarks, [[-0.25, 1e-3]])
+        assert np.array_equal(records[1].landmarks, [[2.0, 3.0]])
+
 
 class TestTps:
     def test_block_matches_csv_equivalent(self, tmp_path):
@@ -129,6 +162,29 @@ class TestTps:
             parse_landmarks(path)
 
 
+class TestCsvLines:
+    def test_matches_repr_of_every_float(self):
+        # repeated values, both zeros, the least subnormal, and the values
+        # where repr switches between fixed and exponent notation
+        table = np.array([
+            [-0.0, 0.0, 5e-324, 1e-05, 1e16],
+            [0.0, -0.0, 1e16, 1e-05, 0.1 + 0.2],
+            [1e-4, 1e15, 123456789.125, -5e-324, 0.1 + 0.2],
+        ])
+        got = csv_lines(["a", "b,c", ""], table)
+        want = [prefix + "," + ",".join(repr(float(v)) for v in row)
+                for prefix, row in zip(["a", "b,c", ""], table)]
+        assert got == want
+        assert got[0] == "a,-0.0,0.0,5e-324,1e-05,1e+16"
+
+    def test_random_table_re_parses_to_the_same_doubles(self, rng):
+        table = rng.standard_normal((20, 6)) * 10.0 ** rng.integers(-30, 30, (20, 6))
+        table[::3] = table[0]
+        lines = csv_lines(["p"] * 20, table)
+        back = np.array([[float(c) for c in line.split(",")[1:]] for line in lines])
+        assert back.tobytes() == table.tobytes()
+
+
 class TestWriter:
     def test_rejects_mixed_shapes(self, rng):
         records = [
@@ -145,14 +201,15 @@ class TestWriter:
 
 class TestBundledFixture:
     def test_rat_fixture_design(self):
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
-            / "rat_calvaria_synthetic.csv"
-        records = parse_landmarks(path)
+        records = parse_landmarks(RAT_FIXTURE)
         assert len(records) == 144
         assert {r.m for r in records} == {8}
         assert {r.d for r in records} == {2}
         ages = sorted({r.time for r in records})
         assert ages == [7.0, 14.0, 21.0, 30.0, 40.0, 60.0, 90.0, 150.0]
         assert len({r.id for r in records}) == 18
+
+    def test_written_back_byte_for_byte(self, tmp_path):
+        path = tmp_path / "back.csv"
+        write_landmarks_csv(parse_landmarks(RAT_FIXTURE), path)
+        assert path.read_bytes() == RAT_FIXTURE.read_bytes()

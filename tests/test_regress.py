@@ -4,10 +4,12 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import riempoly.cli
 import riempoly.geometry
 import riempoly.regress
 import riempoly as rp
@@ -733,6 +735,50 @@ class TestFitPolynomial:
         variance = rp.frechet_variance(sphere, data.points, mean=mean)
         assert results[1].frechet_variance == variance
         assert results[2].frechet_variance == variance
+
+    def test_padded_order_starts_from_the_lower_logs(self, monkeypatch):
+        # on the rat fit the padded curve meets the observed nodes at the
+        # lower optimum's points bit for bit, so orders 1 and 2 take no log
+        # of their own at the start: 14 log_many calls, not 16, and every
+        # result as when each order logs its padded start
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
+            / "rat_calvaria_synthetic.csv"
+        space, data, _ = riempoly.cli.build_dataset("kendall", rp.parse_landmarks(path))
+        config = rp.FitConfig(order=0, steps=200, tol=2e-6)
+        calls = Counter()
+        log_many = rp.KendallShapeSpace.log_many
+
+        def counting(self, points, targets):
+            calls["log_many"] += 1
+            return log_many(self, points, targets)
+
+        monkeypatch.setattr(rp.KendallShapeSpace, "log_many", counting)
+        results = rp.fit_orders(space, data, (0, 1, 2), config)
+        assert calls["log_many"] == 14
+
+        calls.clear()
+        frechet = riempoly.regress._frechet_mean_and_variance(space, data.points)
+        previous = None
+        for k in (0, 1, 2):
+            initial = None
+            if previous is not None:
+                pad = np.zeros((1,) + space.tangent_shape)
+                initial = rp.PolynomialState(previous.params.gamma,
+                                             np.concatenate([previous.params.vels, pad]))
+            previous = rp.fit_polynomial(space, data, replace(config, order=k),
+                                         initial=initial, _frechet=frechet)
+            got = results[k]
+            for a, b in [(got.params.gamma, previous.params.gamma),
+                         (got.params.vels, previous.params.vels),
+                         (got.logs, previous.logs),
+                         (got.trajectory.points, previous.trajectory.points)]:
+                assert a.tobytes() == b.tobytes()
+            assert (got.sse, got.iterations, got.objective_trace, got.grad_norm) == \
+                (previous.sse, previous.iterations, previous.objective_trace,
+                 previous.grad_norm)
+        assert calls["log_many"] == 16
 
     def test_underdetermined_warns(self, rng):
         sphere = rp.Sphere(2)
