@@ -14,7 +14,6 @@ from .geometry import (
     CutLocusError,
     Euclidean,
     GeometryError,
-    IntegrationError,
     Manifold,
     ShootingError,
 )
@@ -33,6 +32,7 @@ from .polyflow import (
     collinearity_diagnostic,
     integrate_polynomial,
     sample_curve,
+    time_grid,
 )
 from .regress import (
     FitConfig,
@@ -67,12 +67,12 @@ __all__ = [
     "LandmarkFileRecord",
     "LandmarkFormatError",
     "parse_landmarks",
-    "IntegrationError",
     "PolynomialState",
     "Trajectory",
     "collinearity_diagnostic",
     "integrate_polynomial",
     "sample_curve",
+    "time_grid",
     "FitConfig",
     "FitResult",
     "TimedDataset",

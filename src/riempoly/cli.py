@@ -27,7 +27,7 @@ from .landmarks import (
     parse_landmarks,
     write_landmarks_csv,
 )
-from .polyflow import PolynomialState, integrate_polynomial, sample_curve
+from .polyflow import PolynomialState, integrate_polynomial, sample_curve, time_grid
 from .regress import FitConfig, FitResult, TimedDataset, fit_orders
 from .so3 import MetricSpec, RotationGroup
 from .sphere import Sphere
@@ -83,7 +83,7 @@ def _state_payload(state: PolynomialState) -> dict:
     }
 
 
-def _fit_payload(result: FitResult) -> dict:
+def _fit_payload(result: FitResult, steps: int) -> dict:
     return {
         "manifold": result.manifold_name,
         "params_internal": _state_payload(result.params),
@@ -102,7 +102,7 @@ def _fit_payload(result: FitResult) -> dict:
             "scale": result.time_scale,
             "note": "internal time s in [0, 1]; original time t = offset + scale * s",
         },
-        "steps_per_unit_time": len(result.trajectory) - 1,
+        "steps_per_unit_time": steps,
         "elapsed_seconds": result.elapsed_seconds,
     }
 
@@ -144,7 +144,7 @@ def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
             "tol": config.tol,
         },
         "elapsed_seconds": elapsed,
-        "fits": {str(k): _fit_payload(r) for k, r in sorted(results.items())},
+        "fits": {str(k): _fit_payload(r, config.steps) for k, r in sorted(results.items())},
     }
     (outdir / "fit.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -171,15 +171,19 @@ def _write_curves(path, manifold, results: dict, samples: int) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _observed_points(result: FitResult, data: TimedDataset) -> np.ndarray:
+    """The fitted curve at each observation's own node."""
+    traj = result.trajectory
+    return traj.points[traj.node_index((data.times - result.time_offset) / result.time_scale)]
+
+
 def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> None:
     """Each observation's distance to its fitted curve: its residual log's norm."""
     orders = sorted(results)
     dists = []
     for k in orders:
-        result = results[k]
-        traj, logs = result.trajectory, result.logs
-        nodes = traj.node_index((data.times - result.time_offset) / result.time_scale)
-        dists.append(np.sqrt(np.maximum(manifold.inner(traj.points[nodes], logs, logs), 0.0)))
+        points, logs = _observed_points(results[k], data), results[k].logs
+        dists.append(np.sqrt(np.maximum(manifold.inner(points, logs, logs), 0.0)))
     # one row per observation and order, distances in shape/metric units
     table = np.column_stack([np.tile(data.times, len(orders)), np.concatenate(dists)])
     rows = ["order,id,time,distance"]
@@ -193,8 +197,8 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
 
     Each of the two tables is a float array, one row per point: its time,
     then its coordinates; the time column doubles as the age-color key.
-    Shape-space observations are rotated onto the fitted curve for display
-    (the fit itself never pre-aligns).
+    Shape-space observations are rotated for display onto the fitted curve
+    at their own nodes (the fit itself never pre-aligns).
     """
     if not result.converged:
         raise ValueError("refusing to plot a non-converged fit")
@@ -203,11 +207,9 @@ def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
     times, points = _curve_rows(result, samples)
     obs_points = data.points
     if isinstance(manifold, KendallShapeSpace):
-        s = np.clip((data.times - result.time_offset) / result.time_scale, 0.0, 1.0)
-        anchors = points[np.round(s * (samples - 1)).astype(int)]
         shape = (data.size, manifold.m, manifold.d)
         targets = data.points.reshape(shape)
-        obs_points = _align_many(targets, anchors.reshape(shape))
+        obs_points = _align_many(targets, _observed_points(result, data).reshape(shape))
     dim = int(np.prod(manifold.point_shape))
     return {
         "header": ["kind", "time"] + _coord_header(dim),
@@ -246,7 +248,8 @@ def cli():
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "output_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--steps", default=100, show_default=True,
-              help="Trajectory steps per unit of (rescaled) time.")
+              help="Densest trajectory steps per unit of (rescaled) time; "
+                   "every observation time is a node as well.")
 @click.option("--max-iters", default=2000, show_default=True)
 @click.option("--tol", default=1e-6, show_default=True)
 @click.option("--samples", default=100, show_default=True, type=click.IntRange(min=2),
@@ -344,7 +347,7 @@ def simulate_command(manifold, order, output_path, steps):
         for k in range(1, order + 1):
             state = PolynomialState(
                 base, sphere.project_tangent(base, np.array(seed_vels[:k])))
-            traj = integrate_polynomial(sphere, state, 1.0, steps)
+            traj = integrate_polynomial(sphere, state, time_grid(1.0, steps))
             tables.append(_table(traj.times, traj.points))
         prefixes = [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))]
         rows = ["order,time,x,y,z"] + csv_lines(prefixes, np.concatenate(tables))

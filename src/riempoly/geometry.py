@@ -19,14 +19,6 @@ class CutLocusError(GeometryError):
     """Log map requested at or beyond the cut locus."""
 
 
-class IntegrationError(GeometryError):
-    """Manifold operation failed mid-trajectory; carries the step index."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
-
-
 class ShootingError(GeometryError):
     """Iterative log map failed to converge; carries the final residual."""
 
@@ -49,16 +41,20 @@ class Manifold:
     mean squared metric norm of the residual logs, which also give its
     gradient and the reported distances.
 
-    integrate returns every node's point and a flow record, exactly what
-    the geometry's own pullback reads.  The reverse of integrate is
-    pullback, the gradient at the initial conditions from cotangents at the
-    nodes, and the contract's one reverse hook, for orders k >= 1.  Its
-    default discretizes the continuous adjoint, first order in dt, as one
-    recursion on the multipliers through curvature, transport and
-    project_tangent, node by node, reading every node's vectors from the
-    step loop's record; a geometry whose integrate rolls overrides
-    integrate and pullback with roll, whose record is its set-up, and its
-    exact reverse, unroll.
+    integrate returns the point of every node of a time grid and a flow
+    record, exactly what the geometry's own pullback reads.  Each step of
+    the grid follows the flat polynomial's exact move over that step, so
+    the scheme is second order and exact in flat space.  The reverse of
+    integrate is pullback, the gradient at the initial conditions from
+    cotangents at the nodes, and the contract's one reverse hook, for
+    orders k >= 1.  Its default discretizes the continuous adjoint, first
+    order in the spacing, as one recursion on the multipliers through
+    curvature, transport and project_tangent, node by node, reading every
+    node's vectors from the step loop's record; a geometry whose integrate
+    rolls overrides integrate and pullback with roll, whose record is its
+    set-up, and its exact reverse, unroll.  The default step loop and
+    recursion serve the geometries that write only the seven methods above
+    (flat space, SO(3) and shape space of d >= 3 dimensions).
     """
 
     name: str = "manifold"
@@ -75,34 +71,31 @@ class Manifold:
         """
         raise NotImplementedError
 
-    def integrate(self, p, stack, dt, steps):
+    def integrate(self, p, stack, times):
         """The forward flow of an order-k curve, k >= 1: every node's point.
 
-        At each node the vectors are incremented inside the tangent space,
-        v_i += dt v_{i+1}, and one step along dt v_1 moves the point and
-        carries them to the next node.  Returns the points, (steps + 1,
-        *point_shape), initial node first, and the flow record: exactly what
-        the geometry's own pullback reads, so that the reverse builds none of
-        it again.  This default takes one step per node, records the vectors
-        of every node, (steps + 1, k, *tangent_shape), and raises
-        IntegrationError with the index of a failed step; geometries whose
-        step is a rotation override it with roll, whose record is its set-up.
+        times is the increasing grid of nodes, the state given at the first.
+        Over a step of length h the curve follows the flat polynomial's
+        chord, sum_j h^(j+1)/(j+1)! v_(1+j), and the vectors become
+        sum_j h^j/j! v_(i+j) (flat_flow); one step along the chord moves the
+        point and carries them to the next node.  Returns the points,
+        (len(times), *point_shape), initial node first, and the flow record:
+        exactly what the geometry's own pullback reads, so that the reverse
+        builds none of it again.  This default takes one step per node and
+        records the vectors of every node, (len(times), k, *tangent_shape),
+        and every step's flat_flow matrix; geometries whose step is a
+        rotation override it with roll, whose record is its set-up.
         """
         stack = np.asarray(stack, dtype=float)
-        points = np.empty((steps + 1,) + self.point_shape)
-        vels = np.empty((steps + 1,) + stack.shape)
+        flats = flat_flow(np.diff(times), len(stack))
+        points = np.empty((len(times),) + self.point_shape)
+        vels = np.empty((len(times),) + stack.shape)
         points[0], vels[0] = p, stack
-        for n in range(steps):
-            incremented = stack.copy()
-            incremented[:-1] += dt * stack[1:]
-            try:
-                p, stack = self.step(p, dt * stack[0], incremented)
-            except GeometryError as exc:
-                raise IntegrationError(
-                    f"integration failed at step {n} (t = {n * dt:g}): {exc}", step=n
-                ) from exc
-            points[n + 1], vels[n + 1] = p, stack
-        return points, vels
+        for n, flat in enumerate(flats, start=1):
+            moved = flat @ stack
+            p, stack = self.step(p, moved[0], moved[1:])
+            points[n], vels[n] = p, stack
+        return points, (vels, flats)
 
     def exp(self, p, v):
         """Point reached at time 1 along the geodesic from p with velocity v."""
@@ -148,32 +141,34 @@ class Manifold:
         Order zero takes no reverse pass (regress.integrate_adjoint).
 
         This default discretizes the continuous adjoint system, so it is
-        first order in dt, not the exact gradient of the discrete flow.  It
-        reads the vectors v_n of every node from traj.flow, the record of
-        the default integrate.  The multipliers lam, one row per initial
-        condition, start at zero after the final node.  Walking from the
-        final node n to the first,
+        first order in the spacing, not the exact gradient of the discrete
+        flow.  It reads the vectors v_n of every node and the flat_flow
+        matrix of every step from traj.flow, the record of the default
+        integrate.  The multipliers lam, one row per initial condition,
+        start at zero after the final node.  Walking from the final node n
+        to the first, with h the length and F the matrix of the step that
+        ends at node n,
 
-            lam[0] += dt sum_i curvature(x_n, v_{n,i}, lam[i], v_{n,1}) + G_n;
-            lam[1:] += dt lam[:-1];
-            lam = project_tangent(x_{n-1}, transport(x_n, -dt v_{n,1}, lam)),
+            lam[0] += h sum_i curvature(x_n, v_{n,i}, lam[i], v_{n,1}) + G_n;
+            lam[1:] = F^T lam;
+            lam = project_tangent(x_{n-1}, transport(x_n, -h v_{n,1}, lam)),
 
-        and finally lam[0] += G_0.  The maps act on the k + 1 rows themselves,
-        node by node, and the cotangents are read from the end of nodes, so
-        memory stays flat in the step count.  Geometries whose integrate
-        rolls override this with unroll.
+        and finally lam[0] += G_0.  F^T keeps flat space exact.  The maps act
+        on the k + 1 rows themselves, node by node, and the cotangents are
+        read from the end of nodes, so memory stays flat in the step count.
+        Geometries whose integrate rolls override this with unroll.
         """
-        vels, dt = traj.flow, traj.dt
+        vels, flats = traj.flow
         lam = np.zeros((vels.shape[1] + 1,) + self.tangent_shape)
         j = len(nodes) - 1
         for n in range(len(traj) - 1, 0, -1):
-            gamma, v = traj.points[n], vels[n]
-            lam[0] += dt * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
+            gamma, v, h = traj.points[n], vels[n], traj.times[n] - traj.times[n - 1]
+            lam[0] += h * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
             if j >= 0 and nodes[j] == n:
                 lam[0] += cotangents[j]
                 j -= 1
-            lam[1:] += dt * lam[:-1]
-            moved = self.transport(gamma, -dt * v[0], lam)
+            lam[1:] = flats[n - 1].T @ lam
+            moved = self.transport(gamma, -h * v[0], lam)
             lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
         if j >= 0:
             lam[0] += cotangents[j]
@@ -258,77 +253,91 @@ class Euclidean(Manifold):
         return np.asarray(targets) - np.asarray(points)
 
 
-def falling_factorials(nodes, dt, order):
-    """phi_i(n) = dt^i C(n, i), i = 0..order, at each node: (order + 1, len(nodes)).
+def monomials(times, order):
+    """phi_i(t) = t^i / i!, i = 0..order, at each time: (order + 1, len(times)).
 
-    The falling-factorial basis of the forward scheme: in flat space, node n
-    of the order-k flow is sum_i phi_i(n) v_i, and the vectors there are
-    v_i(n) = sum_j phi_j(n) v_{i+j}.
+    In flat space the order-k curve is sum_i phi_i(t) v_i.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    phi = np.ones((order + 1, len(nodes)))
+    times = np.asarray(times, dtype=float)
+    phi = np.ones((order + 1, len(times)))
     for i in range(1, order + 1):
-        phi[i] = phi[i - 1] * (nodes - (i - 1)) * dt / i
+        phi[i] = phi[i - 1] * times / i
     return phi
 
 
-def _rolling(p, stack, dt, steps):
-    """What roll and unroll share: the span's basis, phi, the turns and frames.
+def flat_flow(spans, order):
+    """The flat polynomial's exact move over steps of the given lengths.
+
+    Returns one (order + 1, order) matrix per step.  Applied to the vectors
+    v_1 .. v_k at the step's start, row 0 gives the chord, sum_j
+    h^(j+1)/(j+1)! v_(1+j), and row i the vector v_i at its end, sum_j
+    h^j/j! v_(i+j): entry (r, c) is h^(c-r+1)/(c-r+1)!, zero below.
+    """
+    taylor = monomials(spans, order).T          # h^i / i!, i = 0..order
+    power = np.arange(order)[None] - np.arange(order + 1)[:, None] + 1
+    return np.where(power >= 0, taylor[:, np.maximum(power, 0)], 0.0)
+
+
+def _rolling(p, stack, times):
+    """What roll and unroll share: the span's basis, the chords, turns and frames.
 
     roll builds it once per pass and returns it as the flow record, which
     unroll reads and never writes.  Returns the orthonormal basis of
-    span{p, stack} (a QR), the coordinates of p and of the rows in it, phi
-    (falling_factorials), the unit direction e of p and, for every step,
-    the turn's unit direction u (zero where b_1 is), its speed |b_1| and the
-    frames F_0 = I, F_n = T_0 ... T_{n-1}.
+    span{p, stack} (a QR), the coordinates of p and of the rows in it, the
+    chord coefficients c_i(n) = (t_{n+1}^i - t_n^i) / i! (times counted
+    from the first node), the unit direction e of p and, for every step,
+    the turn's unit direction u (zero where the chord is), the chord's
+    length |m_n| and the frames F_0 = I, F_n = T_0 ... T_{n-1}.
     """
     basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
     size = basis.shape[1]                       # min(ambient size, len(stack) + 1)
-    phi = falling_factorials(np.arange(steps + 1), dt, len(stack) - 1)
-    # the turn of step n: plane {e, u} at the angle dt |b_1(n)|, with
-    # b_1(n) = sum_j phi_j(n) b_{1+j}(0) in body-frame coordinates
+    chords = np.diff(monomials(times - times[0], len(stack)), axis=1)[1:]
+    # the turn of step n: plane {e, u} at the angle |m_n|, with the chord
+    # m_n = sum_i c_i(n) b_i(0) in body-frame coordinates
     e = coef[:, 0] / abs(coef[0, 0])
-    w = np.einsum("jn,jk->nk", phi[:, :-1], coef[:, 1:].T)
+    w = chords.T @ coef[:, 1:].T
     speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
     u = w / np.where(speed > 0.0, speed, 1.0)[:, None]
-    theta = (dt * speed)[:, None, None]
+    theta = speed[:, None, None]
     plane = np.multiply.outer(e, e.conj()) + u[:, :, None] * u.conj()[:, None, :]
     spin = u[:, :, None] * e.conj() - e[:, None] * u.conj()[:, None, :]
     turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
     frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
-    return basis, coef, phi, e, u, speed, frames
+    return basis, coef, chords, e, u, speed, frames
 
 
-def roll(p, stack, dt, steps, settle):
+def roll(p, stack, times, settle):
     """Manifold.integrate in closed form, where each step is a rotation.
 
     On the sphere, and on planar shape space read as complex m-vectors (J
     is multiplication by i), step(p, v, .) turns the real or complex plane
     {p, v} by the angle |v| and fixes everything orthogonal to it.  In the
     frame that moves with these turns the vectors form a flat polynomial,
-    b_i(n) = sum_j phi_j(n) b_{i+j}(0) (falling_factorials), and step n
-    turns the plane {p, b_1(n)} by dt |b_1(n)|: the curve is that polynomial
-    rolled onto the manifold.  Every turn acts in the span of p and the
-    initial vectors, so turns and frames are small matrices in one
-    orthonormal basis of it (a QR), whatever the ambient size, and the frame
-    of node n is the product of the first n turns.
+    b_i(t) = sum_j t^j/j! b_{i+j}(0), and the step from t_n to t_{n+1}
+    turns the plane {p, m_n} by |m_n|, with m_n = sum_i (t_{n+1}^i -
+    t_n^i)/i! b_i(0) the flat chord: the curve is that polynomial rolled
+    onto the manifold (Jupp & Kent 1987, "Fitting smooth paths to spherical
+    data").  Every turn acts in the span of p and the initial vectors, so
+    turns and frames are small matrices in one orthonormal basis of it (a
+    QR), whatever the ambient size, and the frame of node n is the product
+    of the first n turns.
 
     p and the k >= 1 rows of stack are real or complex, the rows tangent at
-    p.  settle maps a batch of raw points back onto the manifold.  Nodes
-    before the first nonzero turn are p itself, bit for bit.  Returns the
-    points of every node and the flow record, as Manifold.integrate does:
-    the set-up (_rolling) that unroll takes instead of rebuilding it.  No
-    node's vectors are formed; only the turns' b_1 are.
+    p, and times the increasing grid of nodes.  settle maps a batch of raw
+    points back onto the manifold.  Nodes before the first nonzero turn are
+    p itself, bit for bit.  Returns the points of every node and the flow
+    record, as Manifold.integrate does: the set-up (_rolling) that unroll
+    takes instead of rebuilding it.  No node's vectors are formed.
     """
-    flow = _rolling(p, stack, dt, steps)
+    flow = _rolling(p, stack, times)
     basis, coef, _, _, _, speed, frames = flow
     moved = np.concatenate([[False], np.logical_or.accumulate(speed > 0.0)])
-    points = np.repeat(p[None], steps + 1, axis=0)
+    points = np.repeat(p[None], len(times), axis=0)
     points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
     return points, flow
 
 
-def unroll(p, flow, dt, nodes, cotangents):
+def unroll(p, flow, nodes, cotangents):
     """The reverse of roll: the exact gradient of sum_n <G_n, x_n>.
 
     p is the base point and flow roll's record of the pass.  nodes are
@@ -337,23 +346,22 @@ def unroll(p, flow, dt, nodes, cotangents):
     Node n is x_n = F_n p in the basis of roll, so the objective's derivative
     with respect to turn m is M_m = F_m^H S_{m+1} F_{m+1}, with S_n the
     reverse cumulative sum of g_n x_n^H (g the cotangents' part in the
-    span).  The turn's closed form takes M_m to b_1(m), and phi takes that to
-    the vectors.  A vector's part outside the span turns the out-of-span
-    part of x_n only, by sum_{m<n} phi(m) <x_n, F_{m+1} r_m> with r_m =
-    ((cos - 1) u + sin e) / |b_1(m)| (dt e where b_1(m) = 0): prefix sums of
-    vectors of the span's size, paired with the cotangents outside the span.
-    The base point moves along exp with the vectors carried by transport,
-    which is the rotation X = d p^H - p d^H of the whole flow, so its row is
-    the tangent part of sum_n (x_n^H p) G_n - (G_n^H p) x_n.  Returns the
-    (k + 1, len(p)) gradient, base point first; no recursion, nothing of
-    size D x D.
+    span).  The turn's closed form takes M_m to the chord m_m, and the
+    chord coefficients c take that to the vectors.  A vector's part outside
+    the span turns the out-of-span part of x_n only, by sum_{m<n} c(m)
+    <x_n, F_{m+1} r_m> with r_m = ((cos - 1) u + sin e) / |m_m| (e where
+    the chord is zero): prefix sums of vectors of the span's size, paired
+    with the cotangents outside the span.  The base point moves along exp
+    with the vectors carried by transport, which is the rotation X = d p^H
+    - p d^H of the whole flow, so its row is the tangent part of sum_n
+    (x_n^H p) G_n - (G_n^H p) x_n.  Returns the (k + 1, len(p)) gradient,
+    base point first; no recursion, nothing of size D x D.
     """
-    basis, coef, phi, e, u, speed, frames = flow
+    basis, coef, chords, e, u, speed, frames = flow
     turning = speed > 0.0
-    theta = dt * speed
     safe = np.where(turning, speed, 1.0)
-    cos_over = np.where(turning, (np.cos(theta) - 1.0) / safe, 0.0)[:, None]
-    sin_over = np.where(turning, np.sin(theta) / safe, dt)[:, None]
+    cos_over = np.where(turning, (np.cos(speed) - 1.0) / safe, 0.0)[:, None]
+    sin_over = np.where(turning, np.sin(speed) / safe, 1.0)[:, None]
 
     xi = frames[nodes] @ coef[:, 0]             # the nodes' points in the span
     inside = cotangents @ basis.conj()
@@ -365,22 +373,22 @@ def unroll(p, flow, dt, nodes, cotangents):
     m = np.swapaxes(frames[:-1].conj(), -1, -2) @ rest @ frames[1:]
 
     # T = I + (cos - 1)(e e^H + u u^H) + sin (u e^H - e u^H) at the angle
-    # dt |b_1|, so the gradient at b_1 is dt kappa u + (h - Re<u, h> u) / |b_1|
+    # |m|, so the gradient at the chord m is kappa u + (h - Re<u, h> u) / |m|
     # with h = (cos - 1)(M + M^H) u + sin (M - M^H) e and
     # kappa = cos Re(<u, M e> - <e, M u>) - sin Re(<e, M e> + <u, M u>)
     me, mu = m @ e, (m @ u[:, :, None])[..., 0]
     he, hu = (e.conj() @ m).conj(), (u.conj()[:, None] @ m)[:, 0].conj()
-    kappa = (np.cos(theta) * (np.sum(u.conj() * me, axis=-1) - mu @ e.conj()).real
-             - np.sin(theta) * (np.sum(u.conj() * mu, axis=-1) + me @ e.conj()).real)
+    kappa = (np.cos(speed) * (np.sum(u.conj() * me, axis=-1) - mu @ e.conj()).real
+             - np.sin(speed) * (np.sum(u.conj() * mu, axis=-1) + me @ e.conj()).real)
     grad_w = cos_over * (mu + hu) + sin_over * (me - he)
-    grad_w += (dt * kappa - np.sum(u.conj() * grad_w, axis=-1).real)[:, None] * u
-    rows = phi[:, :-1] @ grad_w
+    grad_w += (kappa - np.sum(u.conj() * grad_w, axis=-1).real)[:, None] * u
+    rows = chords @ grad_w
     rows -= (rows @ e.conj())[:, None] * e
 
-    # out of the span: prefix sums sum_{m<n} phi_j(m) F_{m+1} r_m at the nodes
+    # out of the span: prefix sums sum_{m<n} c_j(m) F_{m+1} r_m at the nodes
     r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
-    prefix = np.zeros((len(phi), len(frames), len(e)), r.dtype)
-    np.cumsum(phi[:, :-1, None] * r, axis=1, out=prefix[:, 1:])
+    prefix = np.zeros((len(chords), len(frames), len(e)), r.dtype)
+    np.cumsum(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
     coupling = np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes])
 
     points = xi @ basis.T
@@ -410,7 +418,7 @@ def _running_products(mats):
     return out
 
 
-def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_gap=None):
+def shooting_log(manifold, p, q, initial, *, endpoint_gap, tol=1e-9, max_iter=200):
     """Iterative log map: shoot the exponential, pull the endpoint gap back.
 
     Repeatedly takes one geodesic step from p with velocity v, which yields
@@ -422,18 +430,9 @@ def shooting_log(manifold, p, q, initial, *, tol=1e-9, max_iter=200, endpoint_ga
     factor each; the step is halved whenever a shot fails to reduce it.
 
     endpoint_gap(end, q) must return a tangent at end pointing toward q and
-    only needs to be first-order accurate; the fixed point is exact.  The
-    default takes the tangent part of q - end as its direction and the
-    chord |q - end| as its length, which rises steadily with the distance
-    up to the antipode (the tangent part's own length, a sine, falls past
-    pi/2, so shots toward a farther target would never lower it).
+    only needs to be first-order accurate; the fixed point is exact.  Its
+    errors, such as a CutLocusError, propagate.
     """
-    if endpoint_gap is None:
-        def endpoint_gap(end, target):
-            gap = manifold.project_tangent(end, target - end)
-            length = manifold.norm(end, gap)
-            return gap * (np.sqrt(np.sum((target - end) ** 2)) / length) if length else gap
-
     def miss(vec):
         end, moved = manifold.step(p, vec, vec[None])
         gap = endpoint_gap(end, q)

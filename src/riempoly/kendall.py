@@ -258,7 +258,7 @@ class KendallShapeSpace(Manifold):
         a, b = np.sum(stack * u, axis=-1), np.sum(stack * ju, axis=-1)
         return end, stack + np.multiply.outer(a, shift[0]) + np.multiply.outer(b, shift[1])
 
-    def integrate(self, p, stack, dt, steps):
+    def integrate(self, p, stack, times):
         """The forward flow; for d = 2 in one closed form (see geometry.roll).
 
         Read as a complex m-vector, with J multiplication by i, the planar
@@ -270,11 +270,11 @@ class KendallShapeSpace(Manifold):
         d >= 3 takes one step per node and records every node's vectors.
         """
         if self.d != 2:
-            return super().integrate(p, stack, dt, steps)
+            return super().integrate(p, stack, times)
         points, flow = roll(
             np.ascontiguousarray(p, dtype=float).view(complex),
             np.ascontiguousarray(stack, dtype=float).view(complex),
-            dt, steps, lambda z: self.project_point(z.view(float)).view(complex),
+            times, lambda z: self.project_point(z.view(float)).view(complex),
         )
         return points.view(float), flow
 
@@ -333,15 +333,16 @@ class KendallShapeSpace(Manifold):
 
         geometry.unroll of integrate's flow record, roll's set-up, on the
         landmarks read as complex m-vectors.  d >= 3 keeps the default
-        recursion, first order in dt, which reads every node's vectors from
-        the step loop's record and carries the multipliers themselves node
-        by node with the stepped transport (see Manifold).  Order k >= 1.
+        recursion, first order in the spacing, which reads every node's
+        vectors from the step loop's record and carries the multipliers
+        themselves node by node with the stepped transport (see Manifold).
+        Order k >= 1.
         """
         if self.d != 2:
             return super().pullback(traj, nodes, cotangents)
         p, cotangents = (np.ascontiguousarray(a).view(complex)
                          for a in (traj.points[0], cotangents))
-        return unroll(p, traj.flow, traj.dt, nodes, cotangents).view(float)
+        return unroll(p, traj.flow, nodes, cotangents).view(float)
 
     def _oneill(self, p, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.

@@ -2,10 +2,13 @@
 
 A curve of order k is driven by k tangent vectors v_1 .. v_k: the velocity is
 v_1, each v_i feeds the covariant rate of v_{i-1}, and v_k is covariantly
-constant.  One integrator step increments every vector inside the current
-tangent space, parallel transports the results along the small geodesic step,
-and moves the base point with the exponential map.  First order by design;
-the step count is the accuracy knob.  The whole pass is one
+constant.  It is integrated on a time grid (time_grid) whose nodes include
+every time the caller asks about, so no time is ever snapped.  Each step
+follows the flat polynomial's exact move over it: the vectors take their
+Taylor increment inside the current tangent space, and one geodesic step
+along the flat chord moves the base point and carries them by parallel
+transport.  The scheme is exact in flat space and second order elsewhere;
+the densest spacing is the accuracy knob.  The whole pass is one
 Manifold.integrate call: by default one Manifold.step per node, and on the
 sphere and planar shape space, where every step is a rotation, one batched
 closed form (geometry.roll): in the frame that moves with the curve the
@@ -14,9 +17,9 @@ the manifold (Jupp & Kent 1987, "Fitting smooth paths to spherical data").
 
 The k vectors travel as one (k, *tangent_shape) array in PolynomialState.  A
 Trajectory keeps the nodes' times and points and the pass's flow record,
-exactly what the geometry's own reverse reads: every node's vectors from the
-step loop, the set-up from the roll, and nothing at order zero, the constant
-curve, which takes no reverse pass.
+exactly what the geometry's own reverse reads: every node's vectors and
+every step's matrix from the step loop, the set-up from the roll, and
+nothing at order zero, the constant curve, which takes no reverse pass.
 """
 
 from __future__ import annotations
@@ -25,7 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntegrationError, Manifold  # noqa: F401  (re-exported)
+from .geometry import Manifold
+
+
+def time_grid(duration: float, steps: int, at=()) -> np.ndarray:
+    """Nodes on [0, duration] that include every time of at, bit for bit.
+
+    The knots are 0, duration and the times of at.  Each gap between knots
+    is split evenly into ceil(gap * steps / duration) steps, at least one,
+    so no step is longer than duration / steps; the ratio is rounded to 9
+    decimals first, so that a gap of a whole number of steps is not split
+    once more for rounding.  duration = 0 gives the single node 0.
+    """
+    knots = np.unique(np.concatenate([[0.0, duration], np.asarray(at, dtype=float)]))
+    if steps < 1 or not (knots[0] >= 0.0 and knots[-1] <= duration):
+        raise ValueError(f"need steps >= 1, duration >= 0 and times in [0, {duration}]")
+    gaps = np.diff(knots)
+    counts = np.maximum(np.ceil(np.round(gaps * steps / duration, 9)), 1).astype(int)
+    gap = np.repeat(np.arange(len(gaps)), counts)           # each node's gap
+    offset = np.arange(len(gap)) - (np.cumsum(counts) - counts)[gap]
+    return np.append(knots[gap] + offset * (gaps / counts)[gap], knots[-1])
 
 
 @dataclass(frozen=True)
@@ -57,68 +79,66 @@ class PolynomialState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid record of an integrated curve.
+    """Record of an integrated curve on its time grid.
 
     flow is the record Manifold.integrate returned for the geometry's own
-    pullback: every node's vectors, (n_nodes, order, *tangent_shape), from
-    the step loop, and the roll's set-up on a rolled pass, which the reverse
-    reads instead of rebuilding.  It is None at order zero only.
+    pullback: from the step loop, every node's vectors, (n_nodes, order,
+    *tangent_shape), and every step's flat_flow matrix, and on a rolled
+    pass the roll's set-up, which the reverse reads instead of rebuilding.
+    It is None at order zero only.
     """
 
-    times: np.ndarray            # (n_nodes,)
+    times: np.ndarray            # (n_nodes,), increasing
     points: np.ndarray           # (n_nodes, *point_shape)
     flow: object                 # Manifold.integrate's record, or None
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def __len__(self) -> int:
         return len(self.times)
 
     def node_index(self, t):
-        """Nearest grid node of a time, or of each time in an array.
+        """Index of the node at a time, or of each time in an array.
 
-        Exact midpoints resolve to the earlier node.  Times more than half a
-        step off the grid (1e-9 off a zero-length one) or NaN raise ValueError.
+        A time that is not a node of the grid, bit for bit, raises ValueError.
         """
         t = np.asarray(t, dtype=float)
-        if self.dt == 0.0:
-            x = np.where(np.abs(t - self.times[0]) <= 1e-9, 0.0, np.nan)
-        else:
-            x = t / self.dt
-        idx = np.ceil(x - 0.5)            # round half down
-        outside = ~((idx >= 0) & (idx < len(self.times)))
-        if np.any(outside):
-            raise ValueError(f"time {t[outside][0]} outside [0, {self.times[-1]}]")
-        return idx.astype(int) if t.ndim else int(idx)
+        idx = np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
+        missing = self.times[idx] != t
+        if np.any(missing):
+            raise ValueError(f"time {np.atleast_1d(t)[np.atleast_1d(missing)][0]} "
+                             "is not a node of the grid")
+        return idx if t.ndim else int(idx)
 
 
 def integrate_polynomial(manifold: Manifold, state: PolynomialState,
-                         duration: float, steps: int) -> Trajectory:
-    """Integrate an order-k curve over [0, duration] with the given step count.
+                         times) -> Trajectory:
+    """Integrate an order-k curve over the nodes times, the state at the first.
 
-    A failed step raises IntegrationError carrying its index.
+    times must be increasing; time_grid builds one that holds given times.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times) or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be a non-empty increasing grid")
     k = state.order
-    dt = duration / steps
     if k:
         points, flow = manifold.integrate(
-            state.gamma, state.vels.reshape((k,) + manifold.tangent_shape), dt, steps)
+            state.gamma, state.vels.reshape((k,) + manifold.tangent_shape), times)
     else:
         # order zero: the constant curve, with nothing to reverse
-        points, flow = np.repeat(state.gamma[None], steps + 1, axis=0), None
-    return Trajectory(times=np.linspace(0.0, duration, steps + 1), points=points,
-                      flow=flow)
+        points, flow = np.repeat(state.gamma[None], len(times), axis=0), None
+    return Trajectory(times=times, points=points, flow=flow)
 
 
 def sample_curve(traj: Trajectory, times) -> np.ndarray:
-    """Curve points at the requested times, snapped to the nearest grid node."""
-    return traj.points[traj.node_index(np.atleast_1d(times))]
+    """Curve points at the requested times, for display: each at its nearest node.
+
+    A time midway between two nodes takes the earlier one.  NaN and times
+    outside the grid raise ValueError.
+    """
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    grid = traj.times
+    if not np.all((t >= grid[0]) & (t <= grid[-1])):
+        raise ValueError(f"times must lie in [{grid[0]}, {grid[-1]}]")
+    return traj.points[np.searchsorted((grid[:-1] + grid[1:]) / 2, t)]
 
 
 def collinearity_diagnostic(manifold: Manifold, state: PolynomialState) -> float:

@@ -1,10 +1,12 @@
 """Parameter estimation for intrinsic polynomial regression.
 
 The fit computes one thing per candidate curve: the residual logs
-log_{gamma(n_j)} y_j, one batched Manifold.log_many call over the
-observations at their snapped nodes.  The objective is their mean squared
-metric norm, and the accepted candidate's logs give the gradient and the
-reported distances, so no (node, observation) pair is logged twice.
+log_{gamma(t_j)} y_j, one batched Manifold.log_many call over the
+observations at their own nodes: the fit's time grid, built once per fit
+(polyflow.time_grid), holds every observation time as a node.  The
+objective is their mean squared metric norm, and the accepted candidate's
+logs give the gradient and the reported distances, so no (node,
+observation) pair is logged twice.
 
 The objective is differentiated by one Manifold.pullback call: the
 gradient of the objective at every observed node, -(2/N) times the logs
@@ -14,13 +16,13 @@ On the sphere and planar shape space, whose forward pass rolls, that is
 the exact reverse of the roll (geometry.unroll), a cumulative sum rather
 than a recursion, so the gradient is that of the discrete objective the
 descent minimizes.  Elsewhere it is the default, the continuous adjoint
-system discretized backward along the fitted curve, first order in dt:
-multipliers start at zero at the final time, pick up a jump from every
-observation they pass, couple to the state through the curvature operator,
-and are carried back by parallel transport, node by node, arriving at
-t = 0 carrying the gradients.  At order zero the curve is its base point,
-and the gradient is the tangent part of the summed cotangents: nothing is
-carried back.
+system discretized backward along the fitted curve, first order in the
+spacing: multipliers start at zero at the final time, pick up a jump from
+every observation they pass, couple to the state through the curvature
+operator, and are carried back by parallel transport, node by node,
+arriving at t = 0 carrying the gradients.  At order zero the curve is its
+base point, and the gradient is the tangent part of the summed cotangents:
+nothing is carried back.
 
 A descent loop with a monotone backtracking line search moves every
 candidate with one Manifold.step: the base point along the geodesic, and
@@ -30,21 +32,21 @@ with the order on the first axis: (k+1, *tangent_shape) and
 (k, *tangent_shape).
 
 Descent is preconditioned with the normal-equation metric of the time
-design.  With phi_i(n) = dt^i C(n, i), the falling-factorial basis of the
-discrete integrator, and n_j the node of observation j, the objective in
-flat space is a quadratic with Hessian G (x) I, G = (2/N) sum_j phi(n_j)
-phi(n_j)^T.  Every iteration moves along -P g, with P = G^-1 acting on the
-stack axis of the gradient, so the first (unit) step is exact in flat space
-and the badly scaled t^i/i! blocks are balanced on a curved one.  Later step
-lengths are Barzilai-Borwein steps measured in the same metric.  When the
-design has fewer distinct nodes than k+1, G is singular and P keeps the
-identity on its null space.  The stopping test stays on the unpreconditioned
-metric norm of the gradient.
+design.  With phi_i(t) = t^i / i!, the flat curve's monomial basis, the
+objective in flat space is a quadratic with Hessian G (x) I, G = (2/N)
+sum_j phi(t_j) phi(t_j)^T over the observation times t_j.  Every
+iteration moves along -P g, with P = G^-1 acting on the stack axis of the
+gradient, so the first (unit) step is exact in flat space and the badly
+scaled t^i/i! blocks are balanced on a curved one.  Later step lengths are
+Barzilai-Borwein steps measured in the same metric.  When the design has
+fewer distinct times than k+1, G is singular and P keeps the identity on
+its null space.  The stopping test stays on the unpreconditioned metric
+norm of the gradient.
 
-Observation times are snapped to the nearest trajectory node by one
-vectorized Trajectory.node_index call; the time axis is affinely rescaled to
-[0, 1] internally and every reported quantity carries the mapping back to
-original units.
+Each observation's node is found once per fit by one exact
+Trajectory.node_index lookup; the time axis is affinely rescaled to [0, 1]
+internally and every reported quantity carries the mapping back to original
+units.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CutLocusError, GeometryError, Manifold, falling_factorials
+from .geometry import CutLocusError, GeometryError, Manifold, monomials
 from .polyflow import (
     PolynomialState,
     Trajectory,
     collinearity_diagnostic,
     integrate_polynomial,
+    time_grid,
 )
 
 _MAX_ORDER = 6          # guard against runaway stiffness
@@ -122,7 +125,7 @@ class FitConfig:
     """
 
     order: int
-    steps: int = 100              # trajectory nodes per unit of internal time
+    steps: int = 100              # densest steps per unit of internal time
     max_iters: int = 2000
     tol: float = 1e-6             # on the metric norm of the stacked gradient
 
@@ -179,7 +182,8 @@ def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> f
     """Mean squared geodesic distance from the curve to the observations.
 
     Each squared distance is the squared metric norm of the residual log
-    log_{gamma(n_j)} y_j at the observation's snapped node.
+    log_{gamma(t_j)} y_j at the observation's node; every observation time
+    must be a node of traj.
     """
     return _objective(manifold, traj, data)[1]
 
@@ -188,8 +192,8 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
                       data: TimedDataset, logs) -> np.ndarray:
     """The objective's gradient at traj's initial conditions.
 
-    logs holds the residual logs log_{gamma(n_j)} y_j of traj, one row per
-    observation at its snapped node, as the objective computed them, so
+    logs holds the residual logs log_{gamma(t_j)} y_j of traj, one row per
+    observation at its node, as the objective computed them, so
     the pass itself takes no log.  The objective's gradient at the point of
     an observed node is -(2/N) times the sum of the logs observed there;
     Manifold.pullback carries those cotangents back to the initial
@@ -322,7 +326,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     if one_time and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
 
-    steps = 1 if one_time else config.steps
+    grid = time_grid(1.0, 1 if one_time else config.steps, internal.times)
     if _frechet is None:
         _frechet = _frechet_mean_and_variance(manifold, internal.points)
     variance_mean, variance, mean_logs = _frechet
@@ -345,7 +349,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"on {manifold.name} needs {shape}"
         )
 
-    traj = integrate_polynomial(manifold, state, 1.0, steps)
+    traj = integrate_polynomial(manifold, state, grid)
     nodes = traj.node_index(internal.times)
     if initial is None:
         # every node of the constant curve is the mean, bit for bit: its
@@ -359,10 +363,10 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
 
     def evaluate(s: PolynomialState):
         """Integrate a candidate; its residual logs and objective in one log_many."""
-        traj = integrate_polynomial(manifold, s, 1.0, steps)
+        traj = integrate_polynomial(manifold, s, grid)
         return (traj,) + _residuals(manifold, traj.points[nodes], internal.points)
 
-    gram, precond = _design_metric(nodes, traj.dt, k)
+    gram, precond = _design_metric(internal.times, k)
     trace = [value]
     eta = 1.0
     converged = False
@@ -489,17 +493,17 @@ def _line_search(manifold, state, grad, direction, eta, value, evaluate):
     return None
 
 
-def _design_metric(nodes, dt, order):
+def _design_metric(times, order):
     """Normal-equation metric G of the time design and its preconditioner P.
 
-    G = (2/N) sum_j phi(n_j) phi(n_j)^T with phi_i(n) = dt^i C(n, i).  The
-    falling factorials are a polynomial basis, so G has rank min(k+1, number
-    of distinct nodes).  P inverts G on its range and is the identity on the
-    null space: pinv(G) plus the projector onto ker G.
+    G = (2/N) sum_j phi(t_j) phi(t_j)^T with phi_i(t) = t^i / i! at the
+    observation times, so G has rank min(k+1, number of distinct times).
+    P inverts G on its range and is the identity on the null space: pinv(G)
+    plus the projector onto ker G.
     """
-    phi = falling_factorials(nodes, dt, order)
-    gram = (2.0 / len(nodes)) * phi @ phi.T
-    rank = min(order + 1, len(np.unique(nodes)))
+    phi = monomials(times, order)
+    gram = (2.0 / len(times)) * phi @ phi.T
+    rank = min(order + 1, len(np.unique(times)))
     vals, vecs = np.linalg.eigh(gram)             # ascending
     scale = np.ones(order + 1)
     scale[order + 1 - rank:] = 1.0 / vals[order + 1 - rank:]

@@ -58,14 +58,14 @@ class Sphere(Manifold):
         a = np.sum(stack * u, axis=-1)        # per row, whatever the stack size
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
-    def integrate(self, p, stack, dt, steps):
+    def integrate(self, p, stack, times):
         """The forward flow in one closed form: each step turns the plane {p, v}.
 
         Returns the points and roll's set-up as the flow record, which
         pullback hands to unroll; no node's vectors are formed.
         """
         return roll(np.asarray(p, dtype=float), np.asarray(stack, dtype=float),
-                    dt, steps, self.project_point)
+                    times, self.project_point)
 
     def curvature(self, p, x, y, z):
         """R(x, y)z = (y.z) x - (x.z) y; batches over leading axes.
@@ -80,7 +80,7 @@ class Sphere(Manifold):
 
     def pullback(self, traj, nodes, cotangents):
         """The exact reverse of the rolled flow (geometry.unroll) from its record."""
-        return unroll(traj.points[0], traj.flow, traj.dt, nodes, cotangents)
+        return unroll(traj.points[0], traj.flow, nodes, cotangents)
 
     def project_point(self, p):
         """p, or each row of a stack, scaled to unit norm."""

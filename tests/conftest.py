@@ -1,5 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -124,16 +126,18 @@ def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
                        steps=1000, times=(0.0, 0.33, 0.71, 1.0), vectors=None):
     """A small regression instance: smooth state plus nearby observations.
 
-    vectors, if given, maps the drawn (k, *tangent_shape) vectors to the
-    state's, for instance to zero or align some of them.
+    The curve is integrated on time_grid(1, steps, times), so every
+    observation time is a node.  vectors, if given, maps the drawn
+    (k, *tangent_shape) vectors to the state's, for instance to zero or
+    align some of them.
     """
     p = manifold.random_point(rng)
     vels = np.array([unit_tangent(manifold, rng, p, scale) for _ in range(k)])
     if vectors is not None:
         vels = vectors(vels)
     state = rp.PolynomialState(p, vels.reshape((k,) + manifold.tangent_shape))
-    traj = rp.integrate_polynomial(manifold, state, 1.0, steps)
     t_obs = np.array(times)
+    traj = rp.integrate_polynomial(manifold, state, rp.time_grid(1.0, steps, t_obs))
     pts = []
     for t in t_obs:
         g = traj.points[traj.node_index(float(t))]
@@ -146,16 +150,18 @@ def random_fit_problem(manifold, k, rng, scale=0.1, obs_scale_factor=0.3,
 def node_state(traj, index):
     """The curve's point and vectors at one node of a step-loop trajectory,
     whose flow record holds every node's vectors, as a state."""
-    return rp.PolynomialState(traj.points[index], traj.flow[index])
+    return rp.PolynomialState(traj.points[index], traj.flow[0][index])
 
 
 def residual_logs(manifold, traj, data):
-    """log_{gamma(n_j)} y_j of every observation at its snapped node."""
+    """log_{gamma(t_j)} y_j of every observation at its node."""
     return manifold.log_many(traj.points[traj.node_index(data.times)], data.points)
 
 
-def fd_gradient(manifold, data, state, duration, steps, h=1e-5):
+def fd_gradient(manifold, data, state, times, h=1e-5):
     """Central finite differences of the objective in an orthonormal frame.
+
+    Every candidate is integrated on the grid times.
 
     Base-point differences move along the exponential map with the vectors
     carried by parallel transport, matching the variation the reverse pass
@@ -163,7 +169,7 @@ def fd_gradient(manifold, data, state, duration, steps, h=1e-5):
     """
 
     def energy(s):
-        traj = rp.integrate_polynomial(manifold, s, duration, steps)
+        traj = rp.integrate_polynomial(manifold, s, times)
         return objective_sse(manifold, traj, data)
 
     k = state.order
@@ -196,7 +202,7 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
                                            steps=steps, times=times,
                                            vectors=vectors)
     grads = integrate_adjoint(manifold, traj, data, residual_logs(manifold, traj, data))
-    fd, basis = fd_gradient(manifold, data, state, 1.0, steps)
+    fd, basis = fd_gradient(manifold, data, state, traj.times)
     adj = np.array([
         [manifold.inner(state.gamma, g, b) for b in basis]
         for g in grads
@@ -206,20 +212,34 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
     return num / max(den, 1e-300)
 
 
+def taylor_step(h, k):
+    """The flat polynomial's move over a step of length h, entry by entry.
+
+    Row 0 maps v_1 .. v_k to the chord sum_j h^(j+1)/(j+1)! v_(1+j), and
+    row i to the vector sum_j h^j/j! v_(i+j) at the step's end.
+    """
+    out = np.zeros((k + 1, k))
+    for j in range(k):
+        out[0, j] = h ** (j + 1) / math.factorial(j + 1)
+        for i in range(1, j + 2):
+            out[i, j] = h ** (j + 1 - i) / math.factorial(j + 1 - i)
+    return out
+
+
 def adjoint_reference(manifold, traj, data):
     """Per-node oracle for the default pullback: the same recursion, map by map.
 
     The jumps come from one log_many call, summed per node.  Walking from
-    the final node to the first, the order-zero multiplier absorbs the
-    curvature coupling and the node's jump, every multiplier is incremented
-    by its predecessor, and curvature, transport and project_tangent act on
-    the multipliers themselves.  The vectors of every node are the step
-    loop's flow record, which is None at order zero.  Returns the
+    the final node to the first, with h the length of the step that ends
+    there, the order-zero multiplier absorbs the curvature coupling and the
+    node's jump, the multipliers go through the transpose of the step's
+    Taylor map (taylor_step), and curvature, transport and project_tangent
+    act on the multipliers themselves.  The vectors of every node are the
+    step loop's flow record, which is None at order zero.  Returns the
     (k+1, *tangent_shape) gradient.
     """
-    k = 0 if traj.flow is None else traj.flow.shape[1]
+    k = 0 if traj.flow is None else traj.flow[0].shape[1]
     n_steps = len(traj) - 1
-    dt = traj.dt
 
     nodes = traj.node_index(data.times)
     jumps = np.zeros((len(traj),) + manifold.tangent_shape)
@@ -229,18 +249,19 @@ def adjoint_reference(manifold, traj, data):
     lam = np.zeros((k + 1,) + manifold.tangent_shape)
     for n in range(n_steps, 0, -1):
         gamma = traj.points[n]
+        h = traj.times[n] - traj.times[n - 1]
         if k:
-            vels = traj.flow[n]
+            vels = traj.flow[0][n]
             w = vels[0]
-            lam[0] += dt * np.sum(
+            lam[0] += h * np.sum(
                 manifold.curvature(gamma, vels, lam[1:], vels[0]), axis=0
             )
         else:
             w = np.zeros(manifold.tangent_shape)
         lam[0] += jumps[n]
-        back = -dt * w
+        back = -h * w
         incremented = lam.copy()
-        incremented[1:] += dt * lam[:-1]
+        incremented[1:] = np.einsum("ri,r...->i...", taylor_step(h, k), lam)
         lam = manifold.transport(gamma, back, incremented)
         lam = np.asarray(
             manifold.project_tangent(traj.points[n - 1], lam), dtype=float
@@ -277,19 +298,19 @@ def rolled_gradient_reference(manifold, state, traj, data):
 
     On the sphere, and on planar shape space in complex coordinates, node n
     is x_n = A_n p with D x D frames A_n = T_0 ... T_{n-1}, and the turn
-    T_m = expm(dt (W_m p^H - p W_m^H)) rotates the plane {p, W_m} by
-    dt |W_m|, with W_m = sum_j phi_j(m) v_{1+j}.  The objective's derivative
-    with respect to T_m is M_m = A_m^H (sum_{n>m} G_n x_n^H) A_{m+1}; the
-    adjoint Frechet derivative of expm takes it to the generator, whose
-    chain rule gives W_m, and so the vectors, and p.  Base-point rows move p
-    along exp and carry the vectors by transport:
+    T_m = expm(W_m p^H - p W_m^H) rotates the plane {p, W_m} by |W_m|, with
+    W_m = sum_i (t_{m+1}^i - t_m^i)/i! v_i the flat chord of step m.  The
+    objective's derivative with respect to T_m is M_m = A_m^H (sum_{n>m}
+    G_n x_n^H) A_{m+1}; the adjoint Frechet derivative of expm takes it to
+    the generator, whose chain rule gives W_m, and so the vectors, and p.
+    Base-point rows move p along exp and carry the vectors by transport:
     grad_p - sum_i (grad_v_i^H p) v_i, projected.  No span, no QR, no
     special case for a zero W_m.  The initial vectors are the state's, as
     traj integrated them.  Returns the (k+1, *tangent_shape) gradient.
     """
     planar = isinstance(manifold, rp.KendallShapeSpace)
     as_ambient = (lambda a: np.ascontiguousarray(a).view(complex)) if planar else np.asarray
-    k, dt, steps = state.order, traj.dt, len(traj) - 1
+    k, steps = state.order, len(traj) - 1
     p = as_ambient(traj.points[0])
     vels = as_ambient(state.vels.reshape((k,) + manifold.tangent_shape))
     nodes = traj.node_index(data.times)
@@ -297,10 +318,12 @@ def rolled_gradient_reference(manifold, state, traj, data):
     np.add.at(cot, nodes, manifold.log_many(traj.points[nodes], data.points))
     cot = as_ambient(cot * (-2.0 / data.size))
 
-    phi = rp.geometry.falling_factorials(np.arange(steps + 1), dt, k - 1)
+    t = traj.times - traj.times[0]
+    chords = np.array([[(t[m + 1] ** i - t[m] ** i) / math.factorial(i)
+                        for m in range(steps)] for i in range(1, k + 1)]).reshape(k, steps)
     size = len(p)
-    gens = [dt * (np.outer(w, p.conj()) - np.outer(p, w.conj()))
-            for w in phi[:, :-1].T @ vels]
+    walks = chords.T @ vels
+    gens = [np.outer(w, p.conj()) - np.outer(p, w.conj()) for w in walks]
     frames = [np.eye(size, dtype=p.dtype)]
     for x in gens:
         frames.append(frames[-1] @ expm(x))
@@ -313,10 +336,9 @@ def rolled_gradient_reference(manifold, state, traj, data):
         rest += np.outer(cot[m + 1], points[m + 1].conj())
         turn = frames[m].conj().T @ rest @ frames[m + 1]
         g = expm_frechet_adjoint(gens[m], turn)
-        w = phi[:, m] @ vels
-        grad_w.append(dt * (g - g.conj().T) @ p)
-        grad_p = grad_p + dt * (g.conj().T @ w - g @ w)
-    grad_v = phi[:, :-1] @ np.array(grad_w[::-1])
+        grad_w.append((g - g.conj().T) @ p)
+        grad_p = grad_p + (g.conj().T @ walks[m] - g @ walks[m])
+    grad_v = chords @ np.array(grad_w[::-1])
     grad_p = grad_p - sum((g.conj() @ p) * v for g, v in zip(grad_v, vels))
     rows = np.concatenate([grad_p[None], grad_v])
     rows = rows.view(float) if planar else rows.real

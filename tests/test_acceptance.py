@@ -74,8 +74,8 @@ def test_criterion_2_reparametrized_geodesic_recovery():
     u = unit_tangent(space, rng, base, 1.0)
     v1 = 0.22 * u
     state = rp.PolynomialState(base, (v1, 3.0 * v1, 7.0 * v1))
-    traj = rp.integrate_polynomial(space, state, 1.0, 400)
     times = np.linspace(0.0, 1.0, 12)
+    traj = rp.integrate_polynomial(space, state, rp.time_grid(1.0, 400, times))
     pts = np.stack([traj.points[traj.node_index(t)] for t in times])
     data = rp.TimedDataset(space, times, pts)
 
@@ -94,16 +94,17 @@ def test_criterion_2_reparametrized_geodesic_recovery():
 
 def test_criterion_3_gradient_oracle():
     # relative mismatch between the reverse pass and central differences,
-    # at one data spread on every manifold.  The flat space, the sphere and
-    # shape space, whose passes roll, get the gradient of the discrete
-    # objective itself, so a 25-step grid must match to the differences'
-    # noise; SO(3) discretizes the continuous adjoint, first order in dt
+    # at one data spread on every manifold, observation times off the
+    # uniform grid.  The flat space, the sphere and shape space, whose
+    # passes roll, get the gradient of the discrete objective itself, so a
+    # 25-step grid must match to the differences' noise; SO(3) discretizes
+    # the continuous adjoint, first order in the spacing
     started = time.perf_counter()
     worst, bound = {}, {}
     for name in MANIFOLD_NAMES:
         manifold = make_manifold(name)
         rng = np.random.default_rng(7)
-        steps, bound[name] = (1000, 1e-3) if name == "so3" else (25, 1e-7)
+        steps, bound[name] = (1000, 1e-4) if name == "so3" else (25, 1e-9)
         worst[name] = max(
             adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=steps)
             for k in (1, 2, 3)
@@ -117,24 +118,11 @@ def test_criterion_3_gradient_oracle():
         assert value < bound[name], name
 
 
-def _falling_factorial_to_monomial(k, dt):
-    out = np.zeros((k + 1, k + 1))
-    out[0, 0] = 1.0
-    for j in range(1, k + 1):
-        prev = out[:, j - 1] * math.factorial(j - 1)
-        poly = np.zeros(k + 1)
-        poly[1:] += prev[:-1]
-        poly -= (j - 1) * dt * prev
-        out[:, j] = poly / math.factorial(j)
-    return out
-
-
 def test_criterion_4_flat_space_equivalence():
     rng = np.random.default_rng(7)
     line = rp.Euclidean(1)
     steps = 200
     t = np.linspace(0.0, 1.0, 20)
-    snapped = np.round(t * steps) / steps
     worst = 0.0
     for k in (1, 2, 3):
         coeffs = np.array([0.3, -1.2, 2.0, 1.5])[: k + 1]
@@ -143,16 +131,15 @@ def test_criterion_4_flat_space_equivalence():
         data = rp.TimedDataset(line, t, y[:, None])
         cfg = rp.FitConfig(order=k, steps=steps, max_iters=20000, tol=1e-11)
         res = rp.fit_polynomial(line, data, cfg)
-        # monomial coefficients of the fitted discrete curve vs classical
-        # least squares on the same (grid-snapped) sample times
-        ref = np.polyfit(snapped, y, k)[::-1]
-        fitted = _falling_factorial_to_monomial(k, 1.0 / steps) @ np.array(
-            [res.params.gamma[0]] + [v[0] for v in res.params.vels]
-        )
+        # the fitted curve's monomial coefficients v_i / i! vs classical
+        # least squares on the same sample times
+        ref = np.polyfit(t, y, k)[::-1]
+        fitted = np.array([res.params.gamma[0]] + [
+            v[0] / math.factorial(i) for i, v in enumerate(res.params.vels, start=1)])
         worst = max(worst, float(np.abs(fitted - ref).max()))
-    ok = worst < 1e-6
+    ok = worst < 1e-10
     report(4, "flat-space equivalence", ok, f"max coefficient deviation {worst:.2e}")
-    assert worst < 1e-6
+    assert worst < 1e-10
 
 
 def test_criterion_5_geometry_suite():
@@ -253,7 +240,7 @@ def test_criterion_7_reparametrization_property(order):
     coeffs = [0.8, 1.3, -1.1][:order]
     state = rp.PolynomialState(p, tuple(c * u for c in coeffs))
     steps = 500
-    traj = rp.integrate_polynomial(sphere, state, 1.0, steps)
+    traj = rp.integrate_polynomial(sphere, state, rp.time_grid(1.0, steps))
     worst = 0.0
     for point in traj.points:
         in_plane = np.dot(point, p) ** 2 + np.dot(point, u) ** 2

@@ -410,26 +410,29 @@ class TestPlotAlignment:
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
 
-        def bundle_and_data(recs):
+        def bundle_and_fit(recs):
             manifold, data, _ = build_dataset("kendall", recs)
             res = rp.fit_polynomial(
                 manifold, data,
                 rp.FitConfig(order=1, steps=60, max_iters=200, tol=1e-5),
             )
-            return emit_plot_data(manifold, res, data, samples=9), data
+            return emit_plot_data(manifold, res, data, samples=9), data, res
 
-        bundle, data = bundle_and_data(records)
-        obs = np.array(bundle["observations"])[:, 1:]
-        curve = {row[0]: np.array(row[1:]) for row in bundle["curve"]}
-        for t, raw, row in zip(data.times, data.points, bundle["observations"]):
+        def anchors(res, times):
+            # the fitted curve at each observation's own node
+            traj = res.trajectory
+            return traj.points[traj.node_index((times - res.time_offset) / res.time_scale)]
+
+        bundle, data, res = bundle_and_fit(records)
+        for anchor, raw, row in zip(anchors(res, data.times), data.points,
+                                    bundle["observations"]):
             aligned = np.array(row[1:])
             # display alignment only rotates: same shape, same norm
             assert abs(np.linalg.norm(aligned) - np.linalg.norm(raw)) < 1e-12
             space = rp.KendallShapeSpace(4, 2)
             assert space.dist(raw, aligned) < 1e-9
             # all observations are aligned at once, with the bits of aligning
-            # each alone onto its nearest curve sample
-            anchor = curve[bundle["curve"][int(round(t * 8))][0]]
+            # each alone onto the fitted curve at its own time
             alone = rp.procrustes_align(raw.reshape(4, 2), anchor.reshape(4, 2))
             assert np.array_equal(aligned, alone.reshape(-1))
 
@@ -440,15 +443,10 @@ class TestPlotAlignment:
             LandmarkFileRecord(r.id, r.time, r.landmarks @ rot.T)
             for r in records
         ]
-        bundle_rot, _ = bundle_and_data(rotated)
+        bundle_rot, _, res_rot = bundle_and_fit(rotated)
 
-        def residuals(b):
-            curve_pts = np.array([row[1:] for row in b["curve"]])
-            out = []
-            for row in b["observations"]:
-                t = row[0]
-                anchor = curve_pts[int(round(t * 8))]
-                out.append(np.linalg.norm(np.array(row[1:]) - anchor))
-            return np.array(out)
+        def residuals(b, res):
+            obs = np.array([row[1:] for row in b["observations"]])
+            return np.linalg.norm(obs - anchors(res, data.times), axis=1)
 
-        assert np.abs(residuals(bundle) - residuals(bundle_rot)).max() < 1e-6
+        assert np.abs(residuals(bundle, res) - residuals(bundle_rot, res_rot)).max() < 1e-6

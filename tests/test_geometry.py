@@ -291,7 +291,7 @@ class TestShootingLog:
         p = sphere.random_point(rng)
         v = unit_tangent(sphere, rng, p, 0.8)
         q = sphere.exp(p, v)
-        got = shooting_log(sphere, p, q, np.zeros(3), tol=1e-10)
+        got = shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, endpoint_gap=sphere.log)
         assert sphere.norm(p, got - v) < 1e-8
 
     def test_reports_residual_on_failure(self, rng):
@@ -300,20 +300,21 @@ class TestShootingLog:
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
         q = sphere.exp(p, unit_tangent(sphere, rng, p, 0.8))
+        # no shot allowed: the residual is the first gap, the whole distance
         with pytest.raises(ShootingError) as err:
-            shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, max_iter=1)
-        assert err.value.residual > 0
+            shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, max_iter=0,
+                         endpoint_gap=sphere.log)
+        assert err.value.residual == pytest.approx(0.8, rel=1e-12)
 
-    def test_reaches_a_target_past_a_right_angle(self):
-        # the default gap's length is the chord to the target, which falls
-        # with every shot toward it, even from 2.5 rad away
+    def test_antipodal_target_raises_cut_locus(self, rng):
+        # the gap's own failure propagates: the log toward the antipode is
+        # undefined
         from riempoly.geometry import shooting_log
 
         sphere = rp.Sphere(2)
-        p = np.array([1.0, 0.0, 0.0])
-        v = np.array([0.0, 2.5, 0.0])
-        got = shooting_log(sphere, p, sphere.exp(p, v), np.zeros(3), tol=1e-12)
-        assert np.abs(got - v).max() < 1e-12
+        p = sphere.random_point(rng)
+        with pytest.raises(rp.CutLocusError):
+            shooting_log(sphere, p, -p, np.zeros(3), endpoint_gap=sphere.log)
 
     def test_halves_the_step_until_it_gives_up(self, monkeypatch):
         # a fixed unit endpoint gap, tangent at p, is one no shot lowers: the
@@ -347,5 +348,5 @@ class TestShootingLog:
         sphere = rp.Sphere(2)
         p = np.array([1.0, 0.0, 0.0])
         q = np.array([np.cos(1e-4), np.sin(1e-4), 0.0])
-        got = shooting_log(sphere, p, q, np.zeros(3), max_iter=1)
+        got = shooting_log(sphere, p, q, np.zeros(3), max_iter=1, endpoint_gap=sphere.log)
         assert np.abs(got - np.array([0.0, 1e-4, 0.0])).max() < 1e-9
