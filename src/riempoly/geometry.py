@@ -52,9 +52,10 @@ class Manifold:
     curvature, transport and project_tangent, node by node, reading every
     node's vectors from the step loop's record; a geometry whose integrate
     rolls overrides integrate and pullback with roll, whose record is its
-    set-up, and its exact reverse, unroll.  The default step loop and
-    recursion serve the geometries that write only the seven methods above
-    (flat space, SO(3) and shape space of d >= 3 dimensions).
+    set-up, and its exact reverse, unroll, and flat space overrides both
+    with its closed form.  The default step loop and recursion serve SO(3),
+    shape space of d >= 3 dimensions and any geometry that writes only the
+    seven methods above.
     """
 
     name: str = "manifold"
@@ -233,6 +234,15 @@ class Euclidean(Manifold):
         self._check(p, v, stack)
         return p + v, np.array(stack, dtype=float, copy=True)
 
+    def integrate(self, p, stack, times):
+        """p + sum_i phi_i(t_n) v_i at every node; the record is the table phi."""
+        phi = monomials(times - times[0], len(stack))
+        return phi.T @ np.concatenate([np.asarray(p, dtype=float)[None], stack]), phi
+
+    def pullback(self, traj, nodes, cotangents):
+        """The exact gradient: the record's columns at the nodes times the cotangents."""
+        return flat_pullback(traj.flow[:, nodes], cotangents)
+
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
 
@@ -263,6 +273,16 @@ def monomials(times, order):
     for i in range(1, order + 1):
         phi[i] = phi[i - 1] * times / i
     return phi
+
+
+def flat_pullback(phi, cotangents):
+    """Row i is sum_n phi_i(t_n) G_n: the gradient of sum_n <G_n, x_n> in flat space.
+
+    phi is monomials at the cotangents' times.  Vectors dv added to zero
+    vectors move node n by sum_i phi_i(t_n) dv_i to first order on every
+    geometry, so this is also the gradient at a constant curve.
+    """
+    return np.tensordot(phi, cotangents, axes=1)
 
 
 def flat_flow(spans, order):
@@ -351,7 +371,8 @@ def unroll(p, flow, nodes, cotangents):
     the span turns the out-of-span part of x_n only, by sum_{m<n} c(m)
     <x_n, F_{m+1} r_m> with r_m = ((cos - 1) u + sin e) / |m_m| (e where
     the chord is zero): prefix sums of vectors of the span's size, paired
-    with the cotangents outside the span.  The base point moves along exp
+    with the cotangents outside the span, taken only when the span is
+    narrower than the ambient space.  The base point moves along exp
     with the vectors carried by transport, which is the rotation X = d p^H
     - p d^H of the whole flow, so its row is the tangent part of sum_n
     (x_n^H p) G_n - (G_n^H p) x_n.  Returns the (k + 1, len(p)) gradient,
@@ -365,7 +386,6 @@ def unroll(p, flow, nodes, cotangents):
 
     xi = frames[nodes] @ coef[:, 0]             # the nodes' points in the span
     inside = cotangents @ basis.conj()
-    outside = cotangents - inside @ basis.T
     # M_m, m < steps: reverse cumulative sums of g_n x_n^H between turns
     outer = np.zeros(frames.shape, frames.dtype)
     outer[nodes] = inside[:, :, None] * xi.conj()[:, None, :]
@@ -383,18 +403,20 @@ def unroll(p, flow, nodes, cotangents):
     grad_w = cos_over * (mu + hu) + sin_over * (me - he)
     grad_w += (kappa - np.sum(u.conj() * grad_w, axis=-1).real)[:, None] * u
     rows = chords @ grad_w
-    rows -= (rows @ e.conj())[:, None] * e
+    rows = (rows - (rows @ e.conj())[:, None] * e) @ basis.T
 
-    # out of the span: prefix sums sum_{m<n} c_j(m) F_{m+1} r_m at the nodes
-    r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
-    prefix = np.zeros((len(chords), len(frames), len(e)), r.dtype)
-    np.cumsum(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
-    coupling = np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes])
+    if basis.shape[1] < len(p):
+        # out of the span: prefix sums sum_{m<n} c_j(m) F_{m+1} r_m at the nodes
+        outside = cotangents - inside @ basis.T
+        r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
+        prefix = np.zeros((len(chords), len(frames), len(e)), r.dtype)
+        np.cumsum(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
+        rows += np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes]) @ outside
 
     points = xi @ basis.T
     base = (points.conj() @ p) @ cotangents - (cotangents.conj() @ p) @ points
     base -= (p.conj() @ base) * p
-    return np.concatenate([base[None], rows @ basis.T + coupling @ outside])
+    return np.concatenate([base[None], rows])
 
 
 def _running_products(mats):

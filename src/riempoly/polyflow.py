@@ -9,17 +9,19 @@ Taylor increment inside the current tangent space, and one geodesic step
 along the flat chord moves the base point and carries them by parallel
 transport.  The scheme is exact in flat space and second order elsewhere;
 the densest spacing is the accuracy knob.  The whole pass is one
-Manifold.integrate call: by default one Manifold.step per node, and on the
-sphere and planar shape space, where every step is a rotation, one batched
-closed form (geometry.roll): in the frame that moves with the curve the
-vectors form a flat polynomial, and the curve is that polynomial rolled onto
-the manifold (Jupp & Kent 1987, "Fitting smooth paths to spherical data").
+Manifold.integrate call: by default one Manifold.step per node, in flat
+space the flat polynomial itself, and on the sphere and planar shape space,
+where every step is a rotation, one batched closed form (geometry.roll): in
+the frame that moves with the curve the vectors form a flat polynomial, and
+the curve is that polynomial rolled onto the manifold (Jupp & Kent 1987,
+"Fitting smooth paths to spherical data").
 
 The k vectors travel as one (k, *tangent_shape) array in PolynomialState.  A
 Trajectory keeps the nodes' times and points and the pass's flow record,
 exactly what the geometry's own reverse reads: every node's vectors and
-every step's matrix from the step loop, the set-up from the roll, and
-nothing at order zero, the constant curve, which takes no reverse pass.
+every step's matrix from the step loop, the set-up from the roll, the
+monomial table in flat space, and nothing at order zero, the constant
+curve, which takes no reverse pass.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class Trajectory:
 
     flow is the record Manifold.integrate returned for the geometry's own
     pullback: from the step loop, every node's vectors, (n_nodes, order,
-    *tangent_shape), and every step's flat_flow matrix, and on a rolled
-    pass the roll's set-up, which the reverse reads instead of rebuilding.
-    It is None at order zero only.
+    *tangent_shape), and every step's flat_flow matrix; on a rolled pass
+    the roll's set-up, which the reverse reads instead of rebuilding; in
+    flat space the monomial table.  It is None at order zero only.
     """
 
     times: np.ndarray            # (n_nodes,), increasing
@@ -150,16 +152,9 @@ def collinearity_diagnostic(manifold: Manifold, state: PolynomialState) -> float
     """
     if state.order < 2:
         raise ValueError("diagnostic needs at least two vectors (order >= 2)")
-    p = state.gamma
-    v1 = state.vels[0]
+    p, (v1, *rest) = state.gamma, state.vels
     n1 = manifold.norm(p, v1)
     if n1 == 0.0:
         raise ValueError("diagnostic undefined for zero initial velocity")
-    score = 1.0
-    for v in state.vels[1:]:
-        nv = manifold.norm(p, v)
-        if nv == 0.0:
-            continue
-        cosine = abs(manifold.inner(p, v, v1)) / (nv * n1)
-        score = min(score, cosine)
-    return score
+    return min([1.0] + [abs(manifold.inner(p, v, v1)) / (nv * n1) for v in rest
+                        if (nv := manifold.norm(p, v)) != 0.0])

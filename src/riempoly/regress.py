@@ -12,17 +12,22 @@ The objective is differentiated by one Manifold.pullback call: the
 gradient of the objective at every observed node, -(2/N) times the logs
 observed there, is carried back to the initial conditions over the whole
 pass, the reverse of the one Manifold.integrate call of the forward pass.
-On the sphere and planar shape space, whose forward pass rolls, that is
-the exact reverse of the roll (geometry.unroll), a cumulative sum rather
-than a recursion, so the gradient is that of the discrete objective the
-descent minimizes.  Elsewhere it is the default, the continuous adjoint
-system discretized backward along the fitted curve, first order in the
-spacing: multipliers start at zero at the final time, pick up a jump from
-every observation they pass, couple to the state through the curvature
-operator, and are carried back by parallel transport, node by node,
-arriving at t = 0 carrying the gradients.  At order zero the curve is its
-base point, and the gradient is the tangent part of the summed cotangents:
-nothing is carried back.
+The data are sorted by time, so each node's logs are one run of rows and
+one reduceat sums them.  On the sphere and planar shape space, whose
+forward pass rolls, the pullback is the exact reverse of the roll
+(geometry.unroll), a cumulative sum rather than a recursion, so the
+gradient is that of the discrete objective the descent minimizes; flat
+space has its closed form.  Elsewhere it is the default, the continuous
+adjoint system discretized backward along the fitted curve, first order in
+the spacing: multipliers start at zero at the final time, pick up a jump
+from every observation they pass, couple to the state through the
+curvature operator, and are carried back by parallel transport, node by
+node, arriving at t = 0 carrying the gradients.
+
+A start with zero vectors, as from the mean or padded from order zero, is
+the constant curve, flat to first order (Jupp & Kent 1987): its gradient is
+the time design times the residual logs, row i the tangent part of -(2/N)
+sum_j phi_i(t_j) log_j, and it takes neither a forward nor a reverse pass.
 
 A descent loop with a monotone backtracking line search moves every
 candidate with one Manifold.step: the base point along the geodesic, and
@@ -43,10 +48,10 @@ fewer distinct times than k+1, G is singular and P keeps the identity on
 its null space.  The stopping test stays on the unpreconditioned metric
 norm of the gradient.
 
-Each observation's node is found once per fit by one exact
-Trajectory.node_index lookup; the time axis is affinely rescaled to [0, 1]
-internally and every reported quantity carries the mapping back to original
-units.
+Each observation's node is found once per fit on its grid, which holds
+every observation time bit for bit; the time axis is affinely rescaled to
+[0, 1] internally and every reported quantity carries the mapping back to
+original units.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CutLocusError, GeometryError, Manifold, monomials
+from .geometry import CutLocusError, GeometryError, Manifold, flat_pullback, monomials
 from .polyflow import (
     PolynomialState,
     Trajectory,
@@ -169,11 +174,10 @@ def _residuals(manifold: Manifold, bases, targets):
     return logs, float(np.mean(manifold.inner(bases, logs, logs)))
 
 
-def _objective(manifold: Manifold, traj: Trajectory, data: TimedDataset):
-    """Residual logs of traj and the objective, a failed log reported as such."""
+def _objective(manifold: Manifold, observed, data: TimedDataset):
+    """Residual logs from the curve's observed points, a failed log reported as such."""
     try:
-        return _residuals(manifold, traj.points[traj.node_index(data.times)],
-                          data.points)
+        return _residuals(manifold, observed, data.points)
     except GeometryError as exc:
         raise GeometryError(f"objective failed on an observation: {exc}") from exc
 
@@ -185,7 +189,7 @@ def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> f
     log_{gamma(t_j)} y_j at the observation's node; every observation time
     must be a node of traj.
     """
-    return _objective(manifold, traj, data)[1]
+    return _objective(manifold, traj.points[traj.node_index(data.times)], data)[1]
 
 
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
@@ -197,19 +201,29 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     the pass itself takes no log.  The objective's gradient at the point of
     an observed node is -(2/N) times the sum of the logs observed there;
     Manifold.pullback carries those cotangents back to the initial
-    conditions.  At order zero, the one trajectory without a flow record,
-    every node is the base point and the gradient is the tangent part of
-    the cotangents' sum, with no reverse pass.  Returns the
-    (k+1, *tangent_shape) gradient: base point first, then one row per
-    vector.
+    conditions.  The data are sorted by time, so each node's logs are one
+    run of rows, summed by one reduceat.  At order zero, the one trajectory
+    without a flow record, the gradient is the tangent part of the logs'
+    sum (_constant_gradient), with no reverse pass.  The fit takes that
+    closed form at any start with zero vectors, and this pass for every
+    later gradient.  Returns the (k+1, *tangent_shape) gradient: base point
+    first, then one row per vector.
     """
-    nodes, where = np.unique(traj.node_index(data.times), return_inverse=True)
-    cotangents = np.zeros((len(nodes),) + manifold.tangent_shape)
-    np.add.at(cotangents, where, logs)
-    cotangents *= -2.0 / data.size
     if traj.flow is None:
-        return manifold.project_tangent(traj.points[0], np.sum(cotangents, axis=0))[None]
-    return manifold.pullback(traj, nodes, cotangents)
+        return _constant_gradient(manifold, traj.points[0], data.times, logs, 0)
+    nodes = traj.node_index(data.times)
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1))     # each node's first row
+    cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / data.size)
+    return manifold.pullback(traj, nodes[starts], cotangents)
+
+
+def _constant_gradient(manifold: Manifold, p, times, logs, order: int) -> np.ndarray:
+    """The gradient at the constant curve at p, whose residual logs are logs.
+
+    Row i is the tangent part of -(2/N) sum_j phi_i(t_j) log_j (flat_pullback).
+    """
+    return manifold.project_tangent(
+        p, flat_pullback(monomials(times, order), (-2.0 / len(times)) * logs))
 
 
 _TIE_ULPS = 4           # variances this close are told apart by the gradient
@@ -301,9 +315,10 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     Starts from the mean of the data with zero vectors unless an explicit
     initial state (in internal [0, 1] time units) is supplied; the mean's
     logs and variance are then the starting curve's residual logs and
-    objective.  An initial state more than 1e-6 off the manifold (its point
-    or its vectors' tangency) raises ValueError.  Accepted iterations
-    strictly decrease the objective; a candidate at the cut locus of an
+    objective.  A start with zero vectors takes no pass (see the module).
+    An initial state more than 1e-6 off the manifold (its point or its
+    vectors' tangency) raises ValueError.  Accepted iterations strictly
+    decrease the objective; a candidate at the cut locus of an
     observation counts as rejected.  Parameters that drift more than 1e-6
     off the manifold raise GeometryError.  The result keeps the trajectory
     of the accepted parameters, the one its SSE was measured on, and its
@@ -349,17 +364,21 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"on {manifold.name} needs {shape}"
         )
 
-    traj = integrate_polynomial(manifold, state, grid)
-    nodes = traj.node_index(internal.times)
+    # the constant start is its base point at every node and takes no pass;
+    # it is integrated for the result only if no step is accepted
+    traj = integrate_polynomial(manifold, state, grid) if state.vels.any() else None
+    nodes = np.searchsorted(grid, internal.times)       # every time is a node
+    observed = (np.broadcast_to(state.gamma, internal.points.shape) if traj is None
+                else traj.points[nodes])
     if initial is None:
-        # every node of the constant curve is the mean, bit for bit: its
-        # residual logs and objective are the mean's logs and variance
+        # the constant curve at the mean: its residual logs and objective
+        # are the mean's logs and variance
         logs, value = mean_logs, variance
-    elif (_previous is not None and traj.points[nodes].tobytes()
+    elif (_previous is not None and observed.tobytes()
             == _previous.trajectory.points[nodes].tobytes()):
         logs, value = _previous.logs, _previous.sse
     else:
-        logs, value = _objective(manifold, traj, internal)
+        logs, value = _objective(manifold, observed, internal)
 
     def evaluate(s: PolynomialState):
         """Integrate a candidate; its residual logs and objective in one log_many."""
@@ -369,17 +388,16 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     gram, precond = _design_metric(internal.times, k)
     trace = [value]
     eta = 1.0
-    converged = False
     stop_reason = "max_iters"
     grad_norm = np.inf
     memory = None
     iterations = 0
 
     for iteration in range(config.max_iters):
-        grad = integrate_adjoint(manifold, traj, internal, logs)
+        grad = (_constant_gradient(manifold, state.gamma, internal.times, logs, k)
+                if traj is None else integrate_adjoint(manifold, traj, internal, logs))
         grad_norm = float(np.sqrt(_stack_inner(manifold, state.gamma, grad, grad)))
         if grad_norm <= config.tol:
-            converged = True
             stop_reason = "tolerance"
             break
 
@@ -402,11 +420,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             )
         trace.append(value)
 
-    sse = value
+    if traj is None:
+        traj = integrate_polynomial(manifold, state, grid)
     if k == 0:
         # the order-zero fit is itself the variance-defining mean
-        variance = sse
-    r2 = r_squared(sse, variance)
+        variance = value
 
     # scalar powers: numpy's array power can differ from them in the last bit
     powers = np.array([span ** i for i in range(1, k + 1)])
@@ -421,11 +439,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         params_original=PolynomialState(state.gamma, vels_original),
         trajectory=traj,
         logs=logs,
-        sse=sse,
+        sse=value,
         frechet_variance=variance,
-        r_squared=r2,
+        r_squared=r_squared(value, variance),
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "tolerance",
         grad_norm=grad_norm,
         stop_reason=stop_reason,
         objective_trace=trace,
@@ -449,14 +467,13 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     previous = None
     frechet = _frechet_mean_and_variance(manifold, data.points)
     for k in sorted(orders):
-        cfg = replace(config, order=k)
         initial = None
         if previous is not None and previous.params.order < k:
             pad = np.zeros((k - previous.params.order,) + manifold.tangent_shape)
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
-        results[k] = fit_polynomial(manifold, data, cfg, initial=initial,
-                                    _frechet=frechet, _previous=previous)
+        results[k] = fit_polynomial(manifold, data, replace(config, order=k),
+                                    initial=initial, _frechet=frechet, _previous=previous)
         previous = results[k]
     return results
 

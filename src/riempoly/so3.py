@@ -23,6 +23,7 @@ metric's geodesic under a general metric.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,15 @@ from .geometry import CutLocusError, Manifold, shooting_log
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+# I and hat(e_i) as rows, hat(w) = w @ _HATS, as literals: no import-time numpy calls
+_EYE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_HATS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
 
 
 def hat(x):
-    """Skew matrix of x, so that hat(x) @ y == cross(x, y)."""
-    a, b, c = x
-    return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]])
+    """Skew matrix of x, so that hat(x) @ y == cross(x, y); batches over leading axes."""
+    return (np.asarray(x, dtype=float) @ _HATS).reshape(np.shape(x)[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -117,18 +121,19 @@ def curvature(x, y, z, metric: MetricSpec):
 
 
 def rodrigues(w):
-    """Exact 3x3 rotation exponential of hat(w)."""
-    theta2 = float(np.dot(w, w))
-    theta = np.sqrt(theta2)
+    """Exact 3x3 rotation exponential of hat(w); batches over leading axes of w."""
     k = hat(w)
-    if theta < 1e-6:
-        # series keeps full precision where sin/theta would cancel
-        s = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
-        c = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
-    else:
-        s = np.sin(theta) / theta
-        c = (1.0 - np.cos(theta)) / theta2
-    return np.eye(3) + s * k + c * (k @ k)
+    theta2 = np.add.reduce(np.square(w), axis=-1)[..., None, None]
+    small = theta2 < 1e-12                      # angles below 1e-6
+    safe2 = np.where(small, 1.0, theta2)
+    theta = np.sqrt(safe2)
+    s, c = np.sin(theta) / theta, (1.0 - np.cos(theta)) / safe2
+    if small.any():
+        # the series keeps full precision where sin/theta would cancel
+        t2 = theta2[small]
+        s[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        c[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    return _EYE + s * k + c * (k @ k)
 
 
 def rotation_log(r):
@@ -152,13 +157,11 @@ def rotation_log(r):
 def _compose(p, turns):
     """p times the exact rotation of each turn in order.
 
-    Left unprojected: its one caller, ``step``, takes the polar factor of
-    the product.
+    The rotations of all the turns come from one batched rodrigues.  Left
+    unprojected: its one caller, ``step``, takes the polar factor of the
+    product.
     """
-    r = np.array(p, dtype=float)
-    for turn in turns:
-        r = r @ rodrigues(turn)
-    return r
+    return functools.reduce(np.matmul, rodrigues(turns), np.asarray(p, dtype=float))
 
 
 class RotationGroup(Manifold):
@@ -170,9 +173,6 @@ class RotationGroup(Manifold):
         self.point_shape = (3, 3)
         self.tangent_shape = (3,)
         self.name = "so3" if self.metric.is_identity else "so3(A)"
-
-    def _substeps(self, speed: float) -> int:
-        return max(1, int(np.ceil(speed / self.max_step)))
 
     def _flow(self, v, stack):
         """Midpoint flow of the velocity v and the fields of stack.
@@ -190,7 +190,7 @@ class RotationGroup(Manifold):
         if speed == 0.0:
             return stack.copy(), []
         f = np.concatenate([w[None], stack.reshape(-1, 3)])
-        n = self._substeps(speed)
+        n = max(1, int(np.ceil(speed / self.max_step)))
         h = 1.0 / n
         turns = []
         for _ in range(n):
@@ -216,8 +216,7 @@ class RotationGroup(Manifold):
         so the transport is the exact rotation rodrigues(-w/2) of x.
         """
         if self.metric.is_identity:
-            half_turn = rodrigues(-0.5 * np.asarray(direction, dtype=float))
-            return np.asarray(x, dtype=float) @ half_turn.T
+            return np.asarray(x, dtype=float) @ rodrigues(np.multiply(direction, -0.5)).T
         return self._flow(direction, x)[0]
 
     def log_many(self, points, targets):

@@ -165,11 +165,12 @@ def test_geometries_write_only_the_contract(cls):
     for derived in ("inner", "random_point", "random_tangent"):
         assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
     # pullback is the contract's one reverse hook: the rolled geometries
-    # write the reverse of their roll, the others keep the default, and no
+    # write the reverse of their roll and flat space its closed form, each
+    # beside its own integrate, the others keep the default pair, and no
     # geometry writes a hook of its own for it, such as per-node matrices;
     # the only public methods beyond the base class's are shape space's
-    rolled = cls in (rp.Sphere, rp.KendallShapeSpace)
-    assert ("pullback" in vars(cls)) == rolled
+    closed_form = cls in (rp.Euclidean, rp.Sphere, rp.KendallShapeSpace)
+    assert ("pullback" in vars(cls)) == ("integrate" in vars(cls)) == closed_form
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
     assert own <= {"from_landmarks", "horizontal_project", "stepped_transport"}
 

@@ -284,10 +284,15 @@ class TestFlowRecord:
         space = make_manifold(name)
         p = space.random_point(rng)
         vels = np.array([unit_tangent(space, rng, p) for _ in range(2)])
-        out = space.integrate(p, vels, rp.time_grid(1.0, 10))
+        grid = rp.time_grid(1.0, 10)
+        out = space.integrate(p, vels, grid)
         assert len(out) == 2
         points, flow = out
         assert points.shape == (11,) + space.point_shape
+        if name == "euclidean":
+            # the closed form's monomial table, phi_i(t_n)
+            assert np.array_equal(flow, monomials(grid, 2))
+            return
         assert isinstance(flow, tuple)
         if name in ("sphere", "kendall", "kendall_8_2"):
             # the roll's set-up, no node's vectors

@@ -14,7 +14,12 @@ import riempoly.geometry
 import riempoly.regress
 import riempoly as rp
 from riempoly.geometry import CutLocusError
-from riempoly.regress import ZeroVarianceError, _design_metric, integrate_adjoint
+from riempoly.regress import (
+    ZeroVarianceError,
+    _constant_gradient,
+    _design_metric,
+    integrate_adjoint,
+)
 from conftest import (
     adjoint_reference,
     adjoint_vs_fd,
@@ -248,10 +253,13 @@ class TestAdjoint:
         integrate_adjoint(manifold, traj, data, logs)
         assert sum(calls.values()) == 0
 
-    def test_memory_is_flat_in_the_step_count(self, rng):
+    def test_memory_is_flat_in_the_step_count(self, rng, monkeypatch):
         # the default pullback carries k + 1 multiplier rows node by node and
         # reads each cotangent as it passes, so twenty times the nodes leave
-        # the pass's peak allocation where it was, far below 64 KiB
+        # the pass's peak allocation where it was, far below 64 KiB; flat
+        # space has its closed form, so it is called as the base class's
+        monkeypatch.setattr(rp.Euclidean, "integrate", rp.Manifold.integrate)
+        monkeypatch.setattr(rp.Euclidean, "pullback", rp.Manifold.pullback)
         for space in (rp.Euclidean(16), make_manifold("so3_general")):
             state, _, data = random_fit_problem(space, 3, rng, scale=0.3, steps=200,
                                                 times=tuple(np.linspace(0.0, 1.0, 24)))
@@ -313,7 +321,10 @@ class TestAdjoint:
         monkeypatch.setattr(riempoly.regress, "integrate_polynomial", counted_integrate)
         res = rp.fit_polynomial(space, data, rp.FitConfig(order=2, steps=50))
         assert res.iterations > 1
-        assert len(passes) > res.iterations and len(builds) == len(passes)
+        # the passes are the line search's candidates: the constant start
+        # from the mean takes none
+        assert len(passes) >= res.iterations and len(builds) == len(passes)
+        assert all(state.vels.any() for state in passes)
 
     @pytest.mark.parametrize("name", ROLLED)
     def test_pullback_leaves_the_flow_record_as_built(self, name, rng):
@@ -364,6 +375,85 @@ def sphere_cubic_points(i, seed):
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
     return t, y @ q.T
+
+
+class TestConstantStart:
+    """A start with zero vectors is the constant curve: no forward or reverse pass."""
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere", "sphere_15", "so3",
+                                      "so3_general", "kendall", "kendall_8_2",
+                                      "kendall_3d"])
+    @pytest.mark.parametrize("times", [(0.0, 0.33, 0.71, 1.0),
+                                       (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)],
+                             ids=["distinct", "shared"])
+    def test_closed_form_matches_every_pullback(self, name, times, rng):
+        # at zero vectors each vector moves the point of time t by
+        # sum_i phi_i(t) v_i to first order, on every geometry
+        m = make_manifold(name)
+        for k in (1, 2, 3):
+            _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
+                                               times=times, vectors=lambda v: 0.0 * v)
+            logs = residual_logs(m, traj, data)
+            expected = integrate_adjoint(m, traj, data, logs)
+            got = _constant_gradient(m, traj.points[0], data.times, logs, k)
+            assert got.shape == expected.shape == (k + 1,) + m.tangent_shape
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def _count_passes(self, monkeypatch):
+        """Count pullbacks and integrations of a constant start of order >= 1."""
+        calls = Counter()
+        integrate = riempoly.regress.integrate_polynomial
+
+        def counted_integrate(manifold, state, *args):
+            if state.order and not state.vels.any():
+                calls["constant_integrate"] += 1
+            return integrate(manifold, state, *args)
+
+        monkeypatch.setattr(riempoly.regress, "integrate_polynomial", counted_integrate)
+        for cls in (rp.Manifold, rp.Sphere, rp.KendallShapeSpace):
+            def counted(self, *args, _fn=cls.pullback):
+                calls["pullback"] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, "pullback", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["sphere", "kendall_8_2", "so3_general"])
+    def test_fit_from_the_mean_takes_one_pullback_per_iteration(self, name, rng,
+                                                                monkeypatch):
+        m = make_manifold(name)
+        _, _, data = random_fit_problem(m, 1, rng, steps=50)
+        calls = self._count_passes(monkeypatch)
+        res = rp.fit_polynomial(m, data, rp.FitConfig(order=1, steps=50))
+        assert res.converged and res.iterations >= 1
+        assert calls == Counter(pullback=res.iterations)
+
+        calls.clear()
+        results = rp.fit_orders(m, data, (0, 1), rp.FitConfig(order=0, steps=50))
+        assert results[1].converged and results[1].iterations >= 1
+        # order zero takes no pullback, and order 1 starts from its optimum
+        # padded with a zero vector: a constant start
+        assert calls == Counter(pullback=results[1].iterations)
+
+    @pytest.mark.parametrize("name", ["euclidean", "sphere", "kendall_8_2",
+                                      "so3_general"])
+    def test_at_once_converged_fit_keeps_the_integrated_start(self, name, rng):
+        m = make_manifold(name)
+        _, _, data = random_fit_problem(m, 2, rng, scale=0.5, steps=50)
+        cfg = rp.FitConfig(order=2, steps=50, tol=1e3)
+        res = rp.fit_polynomial(m, data, cfg)
+        assert res.iterations == 0 and res.stop_reason == "tolerance"
+        assert not res.params.vels.any()
+        internal, _, _ = data.rescaled()
+        fresh = rp.integrate_polynomial(m, res.params,
+                                        rp.time_grid(1.0, cfg.steps, internal.times))
+        assert np.array_equal(res.trajectory.times, fresh.times)
+        assert np.array_equal(res.trajectory.points, fresh.points)
+        got, expected = (f if isinstance(f, tuple) else (f,)
+                         for f in (res.trajectory.flow, fresh.flow))
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert rp.objective_sse(m, res.trajectory, internal) == pytest.approx(res.sse,
+                                                                              rel=1e-12)
 
 
 class TestFrechetMean:
@@ -577,8 +667,8 @@ class TestFitPolynomial:
                             counted("transport", rp.Sphere.transport))
         res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=2, steps=50))
         assert res.converged and res.iterations > 1
-        # every candidate is integrated once, after the starting point
-        assert outside["step"] == outside["integrate_polynomial"] - 1
+        # every candidate is integrated once, and the constant start not at all
+        assert outside["step"] == outside["integrate_polynomial"]
         assert outside["transport"] == 0
 
     @pytest.mark.parametrize("case", ["so3_general", "sphere"])

@@ -286,6 +286,43 @@ class TestGeodesicIntegrator:
             assert err < 10.0 * max_step ** 2 + 1e-10
 
 
+def turn_rotation(w):
+    """One turn's exact rotation, the series below 1e-6 rad: the per-turn oracle."""
+    theta2 = float(np.dot(w, w))
+    theta = np.sqrt(theta2)
+    k = so3.hat(w)
+    if theta < 1e-6:
+        s = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
+        c = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
+    else:
+        s, c = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta2
+    return np.eye(3) + s * k + c * (k @ k)
+
+
+class TestComposedTurns:
+    @pytest.mark.parametrize("scales", [(0.3,), (1e-3,) * 10, (1e-8, 2.0, 1e-7),
+                                        (0.0, 1e-7, 0.5), (5e-3,) * 200],
+                             ids=["one", "ten", "mixed", "zero_turn", "long"])
+    def test_one_batched_rodrigues_matches_the_turn_loop(self, scales, rng):
+        # every turn of a step in one rodrigues call, the small-angle series
+        # kept per turn: the endpoint stays within 1e-15 of composing each
+        # turn's own rotation in order
+        turns = rng.standard_normal((len(scales), 3)) * np.array(scales)[:, None]
+        p = rp.RotationGroup().random_point(rng)
+        expected = p
+        for w in turns:
+            expected = expected @ turn_rotation(w)
+        assert np.abs(so3.rodrigues(turns)
+                      - np.array([turn_rotation(w) for w in turns])).max() <= 1e-15
+        assert np.abs(so3._compose(p, turns) - expected).max() <= 1e-15
+
+    def test_single_vector_gives_one_matrix(self, rng):
+        w = rng.standard_normal(3)
+        assert so3.rodrigues(w).shape == (3, 3)
+        assert np.abs(so3.rodrigues(w) - turn_rotation(w)).max() <= 1e-15
+        assert np.array_equal(so3.rodrigues(np.zeros(3)), np.eye(3))
+
+
 class TestLogMap:
     def test_bi_invariant_closed_form(self, rng):
         group = rp.RotationGroup()
