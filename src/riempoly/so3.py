@@ -13,22 +13,26 @@ once per metric and every call is one contraction with one of them.  The
 fit's gradient is the base class's recursion, which takes one curvature
 and one transport per node.  Under a general metric one midpoint flow
 (``RotationGroup._flow``) integrates the velocity and any stack of
-transported fields together and serves ``step`` and ``transport``; only
-``step`` composes the rotation from its substeps, since no rate depends on
-it.  For A = I both are closed forms: the endpoint is the exact rotation
-exponential, and transport rotates a field by rodrigues(-w/2).  The log of
-each pair, in ``log_many``, is the principal rotation vector, shot onto the
-metric's geodesic under a general metric.
+transported fields together and serves ``step``, ``transport`` and the
+log; only ``step`` and the log compose the rotation from its substeps,
+since no rate depends on it.  For A = I step and transport are closed
+forms: the endpoint is the exact rotation exponential, and transport
+rotates a field by rodrigues(-w/2).  The log of each pair, in ``log_many``, is the principal
+rotation vector, shot onto the metric's geodesic under a general metric.
+The shooting runs every pair in lockstep, so the flow, ``rotation_log``,
+``_compose`` and ``project_point`` all batch over a leading pair axis, and a
+row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, shooting_log
+from .geometry import CutLocusError, Manifold, ShootingError
 
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
@@ -104,6 +108,14 @@ def connection(x, y, metric: MetricSpec):
     return (np.asarray(y, dtype=float)[..., None, :] @ rates)[..., 0, :]
 
 
+def _along(f, metric: MetricSpec):
+    """connection(f_0, f_i, metric) for every row f_i of each stack f, f_0 its first.
+
+    One product of the stacked rows with the rates of their own row 0.
+    """
+    return f @ (f[..., :1, :] @ metric.christoffel).reshape(f.shape[:-2] + (3, 3))
+
+
 def curvature(x, y, z, metric: MetricSpec):
     """Curvature operator R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z.
 
@@ -137,31 +149,38 @@ def rodrigues(w):
 
 
 def rotation_log(r):
-    """Principal rotation vector w with rodrigues(w) == r."""
-    tr = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(tr)
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < 1e-6:
-        return 0.5 * skew * (1.0 + theta * theta / 6.0)
-    if theta > np.pi - 1e-6:
+    """Principal rotation vector w with rodrigues(w) == r; batches over leading axes."""
+    r = np.asarray(r, dtype=float)
+    theta = np.arccos(np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    skew = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                     r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    small = theta < 1e-6                        # the series: theta / sin would cancel
+    scale = np.where(small, 0.5 + theta * theta / 12.0,
+                     theta / (2.0 * np.sin(np.where(small, 1.0, theta))))
+    w = scale[..., None] * skew
+    flat = theta > np.pi - 1e-6
+    if flat.any():
         # axis from the dominant column of (r + I)/2; sign from the skew part
-        b = (r + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diag(b)))
-        axis = b[:, i] / np.sqrt(max(b[i, i], 1e-300))
-        if np.dot(axis, skew) < 0:
-            axis = -axis
-        return theta * axis
-    return (theta / (2.0 * np.sin(theta))) * skew
+        b = (r[flat] + _EYE) / 2.0
+        diag = np.diagonal(b, axis1=-2, axis2=-1)
+        rows, i = np.arange(len(b)), np.argmax(diag, axis=-1)
+        axis = b[rows, :, i] / np.sqrt(np.maximum(diag[rows, i], 1e-300))[:, None]
+        sign = np.where(np.sum(axis * skew[flat], axis=-1) < 0, -1.0, 1.0)
+        w[flat] = (sign * theta[flat])[:, None] * axis
+    return w
 
 
 def _compose(p, turns):
-    """p times the exact rotation of each turn in order.
+    """p times the exact rotation of each turn in order; batches over p's leading axes.
 
-    The rotations of all the turns come from one batched rodrigues.  Left
-    unprojected: its one caller, ``step``, takes the polar factor of the
-    product.
+    turns stacks the turns along its first axis, each of p's shape less one
+    axis: row b of every turn acts on p[b].  The rotations of all the turns
+    come from one batched rodrigues, and a zero turn is I bit for bit, so a
+    row that takes fewer turns than the others holds still.  Left
+    unprojected: its callers take the polar factor of the product.
     """
-    return functools.reduce(np.matmul, rodrigues(turns), np.asarray(p, dtype=float))
+    p = np.asarray(p, dtype=float)
+    return functools.reduce(np.matmul, rodrigues(np.reshape(turns, (-1,) + p.shape[:-1])), p)
 
 
 class RotationGroup(Manifold):
@@ -175,29 +194,41 @@ class RotationGroup(Manifold):
         self.name = "so3" if self.metric.is_identity else "so3(A)"
 
     def _flow(self, v, stack):
-        """Midpoint flow of the velocity v and the fields of stack.
+        """Midpoint flow of the velocities v and the fields of stack.
 
-        Returns the (stacked) transported fields and each substep's turn, the
-        step times its midpoint velocity.  No rate reads the rotation, so the
-        flow never forms it: ``_compose`` builds the endpoint from the turns
-        for the caller that needs it (``step``).  The velocity is
-        parallel along its own geodesic, so it rides as row 0 of the one
+        v is one velocity or a stack of them, and stack carries v's leading
+        axes first: the fields of row b ride along v[b].  Row b takes
+        ceil(|v[b]| / max_step) equal substeps, none when v[b] is zero, and
+        holds still once it has taken them.  Returns the transported fields,
+        shaped like stack, and each substep's turns, the step times the
+        midpoint velocity, zero for a row that holds still.  No rate reads
+        the rotation, so the flow never forms it: ``_compose`` builds the
+        endpoint from the turns for the callers that need it.  The velocity
+        is parallel along its own geodesic, so it rides as row 0 of the one
         array f whose rows all obey f' = -nabla_w f.
         """
         w = np.asarray(v, dtype=float)
         stack = np.asarray(stack, dtype=float)
-        speed = float(np.sqrt(np.dot(w, w)))
-        if speed == 0.0:
-            return stack.copy(), []
-        f = np.concatenate([w[None], stack.reshape(-1, 3)])
-        n = max(1, int(np.ceil(speed / self.max_step)))
-        h = 1.0 / n
+        f = np.concatenate([w[..., None, :], stack.reshape(w.shape[:-1] + (-1, 3))], axis=-2)
+        # substep counts as Python numbers, so that a one-velocity call costs
+        # what scalar bookkeeping does, and a count every row shares keeps h
+        # a float
+        counts = [math.ceil(math.sqrt(a * a + b * b + c * c) / self.max_step)
+                  for a, b, c in w.reshape(-1, 3).tolist()]
+        most = max(counts, default=0)
+        if min(counts, default=0) == most:
+            h, ends = 1.0 / max(most, 1), ()
+        else:
+            n = np.reshape(counts, w.shape[:-1] + (1, 1))
+            h, ends = 1.0 / np.maximum(n, 1), set(counts)
         turns = []
-        for _ in range(n):
-            mid = f - 0.5 * h * connection(f[0], f, self.metric)
-            turns.append(h * mid[0])
-            f = f - h * connection(mid[0], mid, self.metric)
-        return f[1:].reshape(stack.shape), turns
+        for i in range(most):
+            if i in ends:                       # rows that are done hold still
+                h = np.where(n > i, h, 0.0)
+            mid = f - 0.5 * h * _along(f, self.metric)
+            turns.append((h * mid[..., :1, :])[..., 0, :])
+            f = f - h * _along(mid, self.metric)
+        return f[..., 1:, :].reshape(stack.shape), turns
 
     def step(self, p, v, stack):
         """Endpoint and transported stack: closed forms when A = I, else one flow."""
@@ -220,19 +251,63 @@ class RotationGroup(Manifold):
         return self._flow(direction, x)[0]
 
     def log_many(self, points, targets):
-        """Per-pair log: the principal rotation vector, shot to the metric's geodesic."""
-        logs = []
-        for p, q in zip(points, targets):
-            rel = rotation_log(np.asarray(p).T @ q)
-            if np.sqrt(np.dot(rel, rel)) > np.pi - 1e-9:
-                raise CutLocusError("rotations are (nearly) antipodal")
-            if not self.metric.is_identity:
-                rel = shooting_log(
-                    self, p, q, rel, tol=1e-10, max_iter=200,
-                    endpoint_gap=lambda end, target: rotation_log(np.asarray(end).T @ target),
-                )
-            logs.append(rel)
-        return np.stack(logs)
+        """Each pair's log: the principal rotation vector, shot to the metric's geodesic."""
+        points = np.asarray(points, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        rel = rotation_log(np.swapaxes(points, -1, -2) @ targets)
+        angle = np.sqrt(np.add.reduce(rel * rel, axis=-1))
+        far = angle > np.pi - 1e-9
+        if far.any():
+            bad = int(np.argmax(far))
+            raise CutLocusError(
+                f"log undefined for (nearly) antipodal rotations at batch index {bad}: "
+                f"angle {np.ravel(angle)[bad]:.12f} rad"
+            )
+        return rel if self.metric.is_identity else self._shoot(points, targets, rel)
+
+    def _shoot(self, points, targets, v):
+        """The logs under a general metric: every pair shot in lockstep.
+
+        A shot from p with velocity v is one flow of v and the basis
+        e_1..e_3, whose rows E are then the transports of the basis.  Its
+        endpoint gap, rotation_log(end^T q), is tangent at the end, and the
+        inverse of the shot's own transport pulls it back to p as gap E^-1.
+        Transport differs from the inverse differential of exp by a term of
+        order curvature times squared length, so full shots shrink the gap
+        by about that factor each; the fixed point, a zero gap, is exact.
+        Each pair adds its pulled gap times its own step, 1 at first and
+        halved whenever a shot fails to reduce the gap's metric norm, and
+        leaves the batch once that norm is at most 1e-10.  A pair gives up
+        after 200 shots or once its step falls below 1e-12.
+        """
+        def shot(rows, vel):
+            frame, turns = self._flow(vel, np.broadcast_to(_EYE, vel.shape + (3,)))
+            end = self.project_point(_compose(points[rows], turns))
+            gap = rotation_log(np.swapaxes(end, -1, -2) @ targets[rows])
+            pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
+            return pulled, np.sqrt(self.metric.inner(gap, gap))
+
+        v = v.copy()
+        pulled, err = shot(slice(None), v)
+        step = np.ones(len(v))
+        live = np.flatnonzero(~(err <= 1e-10))     # a NaN gap stays open
+        for _ in range(200):
+            if not live.size:
+                break
+            trial = v[live] + step[live, None] * pulled[live]
+            t_pulled, t_err = shot(live, trial)
+            better = t_err < err[live]
+            won = live[better]
+            v[won], pulled[won], err[won] = trial[better], t_pulled[better], t_err[better]
+            step[live[~better]] *= 0.5
+            live = live[~(err[live] <= 1e-10) & (step[live] >= 1e-12)]
+        worst = int(np.argmax(err))
+        if err[worst] <= 1e-10:
+            return v
+        raise ShootingError(
+            f"log map did not reach tolerance 1e-10 on {self.name}: pair {worst} "
+            f"of {len(v)} left at residual {err[worst]:.3e}", residual=float(err[worst]),
+        )
 
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)
@@ -242,11 +317,12 @@ class RotationGroup(Manifold):
         return float(val) if np.ndim(val) == 0 else val
 
     def project_point(self, p):
+        """Nearest rotation (polar factor); batches over leading axes."""
         u, _, vt = np.linalg.svd(np.asarray(p, dtype=float))
         r = u @ vt
-        if np.linalg.det(r) < 0:
-            u = u.copy()
-            u[:, -1] = -u[:, -1]
+        flip = np.linalg.det(r) < 0
+        if flip.ndim or flip:                   # a stack takes the fix row by row
+            u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
             r = u @ vt
         return r
 

@@ -287,10 +287,10 @@ class TestDistance:
         p = space.from_landmarks(rng.standard_normal((3, 2)))
         q = space.from_landmarks(rng.standard_normal((3, 2)))
         angles = np.linspace(0.0, 2.0 * np.pi, 200001)
-        best = min(
-            sphere.dist(p, (q.reshape(3, 2) @ rotation2(a).T).reshape(-1))
-            for a in angles
-        )
+        # every rotated copy of q at once: rotation2 stacks its angles last
+        turned = q.reshape(3, 2) @ np.moveaxis(rotation2(angles), -1, 0).swapaxes(-1, -2)
+        copies = turned.reshape(len(angles), -1)
+        best = sphere.dist_many(np.broadcast_to(p, copies.shape), copies).min()
         assert space.dist(p, q) == pytest.approx(best, abs=1e-5)
 
     def test_shape_distance_api(self, rng):

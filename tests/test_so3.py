@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly import so3
-from riempoly.geometry import ShootingError
+from riempoly.geometry import CutLocusError, ShootingError
 from conftest import (
     injectivity_radius,
     integrate_geodesic,
@@ -384,6 +384,108 @@ class TestLogMap:
         half_turn = so3.rodrigues(np.array([0.0, 0.0, np.pi]))
         with pytest.raises(CutLocusError):
             group.log(np.eye(3), half_turn)
+
+
+class TestLogErrors:
+    """A failed log names the pair of the batch it failed on."""
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+                             ids=["identity", "inertia"])
+    def test_cut_locus_error_names_the_first_pair(self, matrix, rng):
+        # pairs 1 and 3 are exact half turns apart (a cyclic permutation and
+        # diagonal sign flips multiply without rounding); the error names
+        # pair 1 and its angle
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        cycle = np.eye(3)[[1, 2, 0]]
+        points = np.stack([group.random_point(rng), cycle, group.random_point(rng), cycle])
+        targets = np.stack([points[0] @ so3.rodrigues(0.3 * E1),
+                            cycle @ np.diag([-1.0, 1.0, -1.0]),
+                            points[2] @ so3.rodrigues(0.5 * E3),
+                            cycle @ np.diag([1.0, -1.0, -1.0])])
+        with pytest.raises(CutLocusError, match=r"batch index 1: angle 3\.14159"):
+            group.log_many(points, targets)
+
+    def test_shooting_error_names_the_worst_pair(self, inertia_metric, rng, monkeypatch):
+        # a flow whose transported basis points the wrong way never reduces a
+        # gap, so every pair halves its step until it gives up; the error
+        # names the pair left farthest from its target and keeps its residual
+        group = rp.RotationGroup(inertia_metric)
+        points = np.stack([group.random_point(rng) for _ in range(3)])
+        targets = np.stack([group.exp(p, unit_tangent(group, rng, p, r))
+                            for p, r in zip(points, (0.2, 0.6, 0.4))])
+        # each pair's first residual: the endpoint of its principal rotation vector
+        first = []
+        for p, q in zip(points, targets):
+            end = group.exp(p, so3.rotation_log(p.T @ q))
+            first.append(group.norm(end, so3.rotation_log(end.T @ q)))
+        flow = rp.RotationGroup._flow
+
+        def reversed_flow(self, v, stack):
+            moved, turns = flow(self, v, stack)
+            return -moved, turns
+
+        monkeypatch.setattr(rp.RotationGroup, "_flow", reversed_flow)
+        with pytest.raises(ShootingError, match="pair 1 of 3") as caught:
+            group.log_many(points, targets)
+        assert int(np.argmax(first)) == 1
+        assert caught.value.residual == pytest.approx(first[1], rel=1e-12)
+
+
+class TestBatchedKernels:
+    """The log shoots every pair at once: each kernel batches over a leading
+    pair axis, and a row's result does not depend on the batch around it."""
+
+    def test_log_of_a_pair_does_not_depend_on_its_batch(self, inertia_metric):
+        group = rp.RotationGroup(inertia_metric)
+        gen = np.random.default_rng(23)
+        points, targets = [], []
+        for radius in np.linspace(0.05, 2.5, 8):
+            p = group.random_point(gen)
+            points.append(p)
+            targets.append(group.exp(p, unit_tangent(group, gen, p, radius)))
+        lockstep = group.log_many(np.stack(points), np.stack(targets))
+        for log, p, q in zip(lockstep, points, targets):
+            assert np.abs(log - group.log(p, q)).max() <= 1e-14
+
+    def test_flow_rows_take_their_own_substeps(self, inertia_metric, rng):
+        # speeds of 0, 1, 3 and 40 substeps: each row moves as it does alone,
+        # and a row that is done holds still, its turns zero
+        group = rp.RotationGroup(inertia_metric)
+        speeds = np.array([0.0, 4e-3, 0.012, 0.2])
+        v = rng.standard_normal((4, 3))
+        v *= (speeds / np.linalg.norm(v, axis=1))[:, None]
+        stack = rng.standard_normal((4, 2, 3))
+        moved, turns = group._flow(v, stack)
+        assert len(turns) == 40
+        points = np.stack([group.random_point(rng) for _ in range(4)])
+        ends = so3._compose(points, turns)
+        for b in range(4):
+            alone, own = group._flow(v[b], stack[b])
+            assert len(own) == [0, 1, 3, 40][b]
+            assert np.abs(moved[b] - alone).max() <= 1e-15
+            assert np.abs(ends[b] - so3._compose(points[b], own)).max() <= 1e-15
+            assert not np.any(np.stack(turns)[len(own):, b])
+
+    def test_rotation_log_rows_match_on_every_branch(self, rng):
+        # zero, the series below 1e-6 rad, the generic angle, and the axis
+        # branch near pi with either sign of the skew part
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        angles = [0.0, 1e-8, 1.0, np.pi - 1e-7, -(np.pi - 1e-7)]
+        rots = np.stack([so3.rodrigues(a * axis) for a in angles])
+        stacked = so3.rotation_log(rots)
+        for a, r, w in zip(angles, rots, stacked):
+            assert np.array_equal(w, so3.rotation_log(r))
+            assert np.abs(w - a * axis).max() <= 1e-6 * max(abs(a), 1e-8)
+
+    def test_project_point_rows_match_on_a_reflection(self, rng):
+        group = rp.RotationGroup()
+        mats = rng.standard_normal((4, 3, 3))
+        mats[2] = -np.stack([group.random_point(rng)])[0]      # det -1
+        stacked = group.project_point(mats)
+        for m, r in zip(mats, stacked):
+            assert np.array_equal(r, group.project_point(m))
+        assert np.abs(np.linalg.det(stacked) - 1.0).max() < 1e-12
 
 
 class TestTransport:
