@@ -53,23 +53,22 @@ def build_dataset(manifold_name: str, records: list):
         points = np.stack([r.landmarks.reshape(-1) for r in records])
     elif manifold_name == "sphere":
         manifold = Sphere(m * d - 1)
-        points = np.stack([r.landmarks.reshape(-1) for r in records])
-        norms = np.sqrt(np.sum(points * points, axis=-1))
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("sphere data must be unit vectors")
-        points /= norms[:, None]
     elif manifold_name == "so3":
         if m * d != 9:
             raise ValueError("so3 data needs nine coordinates per record")
         manifold = RotationGroup(MetricSpec(np.eye(3)))
-        points = np.stack([r.landmarks.reshape(3, 3) for r in records])
-        for i, p in enumerate(points):
-            res = manifold.point_residuals(p)
-            if max(res.values()) > 1e-6:
-                raise ValueError(f"record {i} is not a rotation matrix")
-            points[i] = manifold.project_point(p)
     else:
         raise ValueError(f"unknown manifold {manifold_name!r}")
+    if manifold_name in ("sphere", "so3"):
+        # records must lie on the manifold to 1e-6; project_point cleans them
+        points = np.reshape([r.landmarks for r in records],
+                            (len(records),) + manifold.point_shape)
+        drift = manifold.point_residual(points)
+        i = int(np.argmax(~(drift <= 1e-6)))    # the first record off it, or 0
+        if not drift[i] <= 1e-6:
+            raise ValueError(f"record {i} (id {records[i].id!r}) is off {manifold.name}: "
+                             f"residual {drift[i]:.3e} exceeds 1e-6")
+        points = manifold.project_point(points)
 
     data = TimedDataset(manifold, times, points)
     ids = [r.id for r in np.array(records, dtype=object)[np.argsort(times, kind="stable")]]

@@ -32,14 +32,15 @@ class Manifold:
 
     Points and tangents are plain ndarrays.  Tangent-valued operations accept
     stacked inputs: any leading axes broadcast, the trailing axes are one
-    tangent vector.  A geometry writes seven methods: its geodesic once, in
-    step, its log once, in log_many, its curvature, the two projections and
-    the two residual checks.  exp, transport, log, dist_many and dist are
-    derived from step and log_many here; inner is the ambient dot product
-    unless the geometry has another metric; random points and tangents
-    project a Gaussian draw.  The fit takes no distance: its objective is the
-    mean squared metric norm of the residual logs, which also give its
-    gradient and the reported distances.
+    tangent vector.  A geometry writes five methods: its geodesic once, in
+    step, its log once, in log_many, its curvature and the two projections.
+    exp, transport, log, dist_many and dist are derived from step and
+    log_many here; inner is the ambient dot product unless the geometry has
+    another metric; random points and tangents project a Gaussian draw, and
+    the residuals measure drift as the distance to the two projections.  The
+    fit takes no distance: its objective is the mean squared metric norm of
+    the residual logs, which also give its gradient and the reported
+    distances.
 
     integrate returns the point of every node of a time grid and a flow
     record, exactly what the geometry's own pullback reads.  Each step of
@@ -55,7 +56,7 @@ class Manifold:
     set-up, and its exact reverse, unroll, and flat space overrides both
     with its closed form.  The default step loop and recursion serve SO(3),
     shape space of d >= 3 dimensions and any geometry that writes only the
-    seven methods above.
+    five methods above.
     """
 
     name: str = "manifold"
@@ -192,13 +193,21 @@ class Manifold:
         """Projection of an ambient vector onto the tangent space at p."""
         raise NotImplementedError
 
-    def point_residuals(self, p) -> dict:
-        """Constraint residuals of p, keyed by invariant name."""
-        raise NotImplementedError
+    def point_residual(self, p):
+        """How far p lies off the manifold: the ambient norm of p - project_point(p).
 
-    def tangent_residuals(self, p, x) -> dict:
-        """Constraint residuals of a tangent vector x at p."""
-        raise NotImplementedError
+        Batches over leading axes; NaN where the projection is undefined.
+        """
+        p = np.asarray(p, dtype=float)
+        return _ambient_norm(p - self.project_point(p), len(self.point_shape))
+
+    def tangent_residual(self, p, x):
+        """How far x lies off the tangent space at p: the norm of x - project_tangent(p, x).
+
+        Batches over the leading axes of x, one norm per row.
+        """
+        x = np.asarray(x, dtype=float)
+        return _ambient_norm(x - self.project_tangent(p, x), len(self.tangent_shape))
 
     def random_point(self, rng):
         """A Gaussian draw in the ambient space, projected onto the manifold."""
@@ -252,15 +261,14 @@ class Euclidean(Manifold):
     def project_tangent(self, p, x):
         return np.asarray(x, dtype=float)
 
-    def point_residuals(self, p) -> dict:
-        return {}
-
-    def tangent_residuals(self, p, x) -> dict:
-        return {}
-
     def log_many(self, points, targets):
         self._check(points, targets)
         return np.asarray(targets) - np.asarray(points)
+
+
+def _ambient_norm(gap, axes):
+    """The Euclidean norm of gap over its last axes."""
+    return np.sqrt(np.add.reduce(gap * gap, axis=tuple(range(-axes, 0))))
 
 
 def monomials(times, order):

@@ -377,21 +377,6 @@ class KendallShapeSpace(Manifold):
     def project_tangent(self, p, x):
         return self.horizontal_project(p, x)
 
-    def point_residuals(self, p) -> dict:
-        pm = self._mat(np.asarray(p, dtype=float))
-        return {
-            "centered": float(np.abs(pm.mean(axis=0)).max()),
-            "unit_norm": abs(float(np.sqrt(np.sum(pm * pm))) - 1.0),
-        }
-
-    def tangent_residuals(self, p, x) -> dict:
-        x = np.asarray(x, dtype=float)
-        return {
-            "centered": float(np.abs(self._mat(x).mean(axis=0)).max()),
-            "sphere_tangent": abs(float(np.dot(x, p))),
-            "horizontal": float(np.abs(self._vertical_frame(p) @ x).max()),
-        }
-
     def log_many(self, points, targets):
         """Exact quotient log via alignment, batched over matching rows.
 

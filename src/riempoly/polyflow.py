@@ -71,11 +71,11 @@ class PolynomialState:
         return len(self.vels)
 
     def residuals(self, manifold: Manifold) -> dict:
-        """Worst constraint residuals of the base point and every vector."""
-        out = dict(manifold.point_residuals(self.gamma))
-        for i, v in enumerate(self.vels, start=1):
-            for key, val in manifold.tangent_residuals(self.gamma, v).items():
-                out[f"v{i}_{key}"] = val
+        """Drift of the base point ("point") and of each vector ("v1" .. "vk")."""
+        out = {"point": float(manifold.point_residual(self.gamma))}
+        if self.order:
+            rows = manifold.tangent_residual(self.gamma, self.vels)
+            out.update((f"v{i}", float(r)) for i, r in enumerate(rows, start=1))
         return out
 
 

@@ -352,8 +352,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
         state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
         residuals = state.residuals(manifold)
-        worst = max(residuals, key=residuals.get, default=None)
-        if worst is not None and residuals[worst] > _DRIFT_TOL:
+        worst = max(residuals, key=residuals.get)
+        # a NaN point residual comes first and stays the max: it fails too
+        if not residuals[worst] <= _DRIFT_TOL:
             raise ValueError(
                 f"initial state is off the manifold: {worst} residual "
                 f"{residuals[worst]:.3e} exceeds {_DRIFT_TOL:g}"
@@ -413,8 +414,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             break
         state, traj, logs, value, memory = found
         iterations = iteration + 1
-        worst = max(state.residuals(manifold).values(), default=0.0)
-        if worst > _DRIFT_TOL:
+        worst = max(state.residuals(manifold).values())
+        if not worst <= _DRIFT_TOL:
             raise GeometryError(
                 f"parameters drifted off the manifold (residual {worst:.3e})"
             )

@@ -151,14 +151,18 @@ def rodrigues(w):
 def rotation_log(r):
     """Principal rotation vector w with rodrigues(w) == r; batches over leading axes."""
     r = np.asarray(r, dtype=float)
-    theta = np.arccos(np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
     skew = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
                      r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    # |skew| = 2 sin(theta) and tr r - 1 = 2 cos(theta): arctan2 keeps the
+    # angle accurate near a half turn, where arccos of the trace loses half
+    # its digits
+    twice_sin = np.sqrt(np.add.reduce(skew * skew, axis=-1))
+    theta = np.arctan2(twice_sin, np.trace(r, axis1=-2, axis2=-1) - 1.0)
     small = theta < 1e-6                        # the series: theta / sin would cancel
+    flat = theta > np.pi - 1e-6                 # the axis: skew has lost its digits
     scale = np.where(small, 0.5 + theta * theta / 12.0,
-                     theta / (2.0 * np.sin(np.where(small, 1.0, theta))))
+                     theta / np.where(small | flat, 1.0, twice_sin))
     w = scale[..., None] * skew
-    flat = theta > np.pi - 1e-6
     if flat.any():
         # axis from the dominant column of (r + I)/2; sign from the skew part
         b = (r[flat] + _EYE) / 2.0
@@ -328,13 +332,3 @@ class RotationGroup(Manifold):
 
     def project_tangent(self, p, x):
         return np.array(x, dtype=float, copy=True)
-
-    def point_residuals(self, p) -> dict:
-        p = np.asarray(p, dtype=float)
-        return {
-            "orthogonality": float(np.abs(p.T @ p - np.eye(3)).max()),
-            "determinant": abs(float(np.linalg.det(p)) - 1.0),
-        }
-
-    def tangent_residuals(self, p, x) -> dict:
-        return {}

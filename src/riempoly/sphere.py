@@ -84,17 +84,11 @@ class Sphere(Manifold):
 
     def project_point(self, p):
         """p, or each row of a stack, scaled to unit norm."""
-        return p / np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+        return p / np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
 
     def project_tangent(self, p, x):
-        a = np.asarray(np.sum(np.asarray(x) * p, axis=-1))
+        a = np.asarray(np.add.reduce(np.asarray(x) * p, axis=-1))
         return x - a[..., None] * p
-
-    def point_residuals(self, p) -> dict:
-        return {"unit_norm": abs(float(np.sqrt(np.dot(p, p))) - 1.0)}
-
-    def tangent_residuals(self, p, x) -> dict:
-        return {"orthogonal_to_base": abs(float(np.dot(p, x)))}
 
     def log_many(self, points, targets):
         points = np.asarray(points, dtype=float)

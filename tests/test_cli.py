@@ -137,6 +137,25 @@ class TestFitCommand:
                        "--out", str(tmp_path / "o2")) == 1
         assert not (tmp_path / "o2" / "fit.json").exists()
 
+    @pytest.mark.parametrize("name", ["sphere", "so3"])
+    def test_record_off_the_manifold_exits_one(self, name, tmp_path, rng, capsys):
+        # record 3 is a sphere row of norm 1.1, or a rotation with its first
+        # row negated, a reflection: exit 1, naming the record, before any fit
+        space = rp.Sphere(2) if name == "sphere" else rp.RotationGroup()
+        points = np.stack([space.random_point(rng) for _ in range(6)])
+        points[3] = 1.1 * points[3] if name == "sphere" else points[3] * [[-1.0], [1.0], [1.0]]
+        header = ["id", "time"] + [f"{a}{i}" for i in range(1, points[0].size // 3 + 1)
+                                   for a in "xyz"]
+        rows = [",".join(header)] + [
+            ",".join([f"r{i}", str(i)] + [repr(v) for v in p.ravel().tolist()])
+            for i, p in enumerate(points)]
+        path = tmp_path / "off.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run_cli("fit", "--manifold", name, "--input", str(path),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "record 3 (id 'r3') is off" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fit.json").exists()
+
     def test_no_orders_rejected(self, small_kendall_csv, tmp_path):
         code = run_cli("fit", "--orders", ",", "--input", str(small_kendall_csv),
                        "--out", str(tmp_path / "o"))

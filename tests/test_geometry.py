@@ -24,8 +24,8 @@ def isometry_manifold(name):
     return make_manifold(name)
 
 
-def within_tolerance(m, residuals):
-    return all(r <= TOLERANCES[type(m)] for r in residuals.values())
+def within_tolerance(m, residual):
+    return bool(np.all(residual <= TOLERANCES[type(m)]))
 
 
 @pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general"])
@@ -115,8 +115,8 @@ def assert_random_samples_within_tolerance(m, rng):
     # must land within the geometry's tolerance (conftest.TOLERANCES)
     for _ in range(20):
         p = m.random_point(rng)
-        assert within_tolerance(m, m.point_residuals(p))
-        assert within_tolerance(m, m.tangent_residuals(p, m.random_tangent(rng, p)))
+        assert within_tolerance(m, m.point_residual(p))
+        assert within_tolerance(m, m.tangent_residual(p, m.random_tangent(rng, p)))
 
 
 def test_random_samples_within_tolerance_on_kendall_3d(rng):
@@ -150,20 +150,23 @@ def test_distances_are_derived_from_the_log(cls):
         assert derived not in vars(cls)
 
 
-CONTRACT = ("step", "log_many", "curvature", "project_point", "project_tangent",
-            "point_residuals", "tangent_residuals")
+CONTRACT = ("step", "log_many", "curvature", "project_point", "project_tangent")
 
 
 @pytest.mark.parametrize("cls", [rp.Euclidean, rp.Sphere, rp.KendallShapeSpace,
                                  rp.RotationGroup])
 def test_geometries_write_only_the_contract(cls):
-    # the seven required methods are each geometry's own; the ambient metric
-    # and random sampling come from the base class, and only the rotation
-    # group's left-invariant metric replaces the ambient inner product
+    # the five required methods are each geometry's own; the ambient metric,
+    # random sampling and the drift residuals come from the base class, and
+    # only the rotation group's left-invariant metric replaces the ambient
+    # inner product
     for required in CONTRACT:
         assert required in vars(cls)
-    for derived in ("inner", "random_point", "random_tangent"):
+    for derived in ("inner", "random_point", "random_tangent",
+                    "point_residual", "tangent_residual"):
         assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
+    # no geometry writes a residual check of its own
+    assert not [name for name in vars(cls) if "residual" in name]
     # pullback is the contract's one reverse hook: the rolled geometries
     # write the reverse of their roll and flat space its closed form, each
     # beside its own integrate, the others keep the default pair, and no
@@ -206,7 +209,7 @@ class TestPlanarKendallStep:
     def test_stack_horizontal_at_endpoint(self, setup):
         m, _, _, _, q, moved = setup
         for x in moved:
-            assert max(m.tangent_residuals(q, x).values()) < 1e-12
+            assert m.tangent_residual(q, x) < 1e-12
 
     def test_inner_products_preserved(self, setup):
         _, _, _, stack, _, moved = setup
@@ -252,10 +255,10 @@ class TestEuclidean:
 class TestValidatePoint:
     def test_sphere_pass_and_fail(self):
         sphere = rp.Sphere(2)
-        assert within_tolerance(sphere, sphere.point_residuals(np.array([1.0, 0, 0])))
-        bad = sphere.point_residuals(np.array([1.1, 0, 0]))
+        assert within_tolerance(sphere, sphere.point_residual(np.array([1.0, 0, 0])))
+        bad = sphere.point_residual(np.array([1.1, 0, 0]))
         assert not within_tolerance(sphere, bad)
-        assert bad["unit_norm"] == pytest.approx(0.1, abs=1e-12)
+        assert bad == pytest.approx(0.1, abs=1e-12)
 
     def test_kendall_centering_violation(self):
         space = rp.KendallShapeSpace(3, 2)
@@ -263,25 +266,48 @@ class TestValidatePoint:
         pts = pts / np.linalg.norm(pts)
         pts[:, 0] += 1e-3
         pts = pts / np.linalg.norm(pts)
-        residuals = space.point_residuals(pts.reshape(-1))
-        assert not within_tolerance(space, residuals)
-        assert residuals["centered"] > TOLERANCES[type(space)]
+        residual = space.point_residual(pts.reshape(-1))
+        assert not within_tolerance(space, residual)
+        assert residual > TOLERANCES[type(space)]
 
     def test_rotation_diagnostics(self, rng):
         group = rp.RotationGroup()
         r = group.random_point(rng)
-        assert within_tolerance(group, group.point_residuals(r))
-        assert not within_tolerance(group, group.point_residuals(1.01 * r))
+        assert within_tolerance(group, group.point_residual(r))
+        assert not within_tolerance(group, group.point_residual(1.01 * r))
+        # a reflection keeps R^T R = I but lies a whole flip from the rotations
+        assert group.point_residual(np.diag([-1.0, 1.0, 1.0]) @ r) >= 1.0
+
+    @pytest.mark.parametrize("name", ["sphere", "kendall", "so3"])
+    def test_residuals_batch_over_leading_axes(self, name, rng):
+        # a stack reads the residual of each of its rows
+        m = make_manifold(name)
+        p = m.random_point(rng)
+        points = np.stack([m.random_point(rng) * 1.01 ** i for i in range(4)])
+        rows = 0.1 * rng.standard_normal((3,) + m.tangent_shape)
+        assert np.allclose(m.point_residual(points),
+                           [m.point_residual(q) for q in points], rtol=1e-12, atol=1e-15)
+        assert np.allclose(m.tangent_residual(p, rows),
+                           [m.tangent_residual(p, x) for x in rows], rtol=1e-12, atol=1e-15)
 
 
 class TestTangentVector:
     def test_sphere_tangency_residual(self):
         sphere = rp.Sphere(2)
         base = np.array([1.0, 0, 0])
-        good = sphere.tangent_residuals(base, np.array([0.0, 1.0, 0.0]))
-        assert good["orthogonal_to_base"] < 1e-9
-        bad = sphere.tangent_residuals(base, np.array([0.5, 1.0, 0.0]))
-        assert bad["orthogonal_to_base"] == pytest.approx(0.5)
+        good = sphere.tangent_residual(base, np.array([0.0, 1.0, 0.0]))
+        assert good < 1e-9
+        bad = sphere.tangent_residual(base, np.array([0.5, 1.0, 0.0]))
+        assert bad == pytest.approx(0.5)
+
+    def test_vertical_vector_on_planar_shape_space(self, rng):
+        # turning every landmark by 90 degrees is a rotation of the shape:
+        # wholly vertical, so the residual is the vector's own norm
+        space = rp.KendallShapeSpace(8, 2)
+        p = space.random_point(rng)
+        vertical = 0.3 * (p.reshape(8, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]])).reshape(-1)
+        assert space.tangent_residual(p, vertical) == pytest.approx(
+            np.linalg.norm(vertical), rel=1e-12)
 
 
 class TestShootingLog:

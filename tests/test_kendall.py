@@ -206,7 +206,7 @@ class TestExp:
         v = unit_tangent(space, rng, p, 0.8)
         for t in (0.25, 0.5, 1.0):
             q = space.exp(p, t * v)
-            assert max(space.point_residuals(q).values()) < 1e-10
+            assert space.point_residual(q) < 1e-10
 
     def test_speed_constant(self, space, rng):
         p = random_preshape(space, rng)
@@ -237,8 +237,7 @@ class TestLog:
     def test_result_is_horizontal(self, space, rng):
         p, q = random_preshape(space, rng), random_preshape(space, rng)
         v = space.log(p, q)
-        res = space.tangent_residuals(p, v)
-        assert max(res.values()) < 1e-8
+        assert space.tangent_residual(p, v) < 1e-8
 
     def test_matches_shooting_oracle(self, space, rng):
         # shooting the exponential certifies the alignment-based log
@@ -310,8 +309,7 @@ class TestTransportHorizontality:
             frac = i / n_checks
             q = space.exp(p, frac * v)
             xt = space.transport(p, frac * v, x)
-            res = space.tangent_residuals(q, xt)
-            assert max(res.values()) < 1e-8
+            assert space.tangent_residual(q, xt) < 1e-8
 
     def test_transport_norm_exactly_restored(self, space, rng):
         p = random_preshape(space, rng)
