@@ -54,9 +54,11 @@ class Manifold:
     node's vectors from the step loop's record; a geometry whose integrate
     rolls overrides integrate and pullback with roll, whose record is its
     set-up, and its exact reverse, unroll, and flat space overrides both
-    with its closed form.  The default step loop and recursion serve SO(3),
-    shape space of d >= 3 dimensions and any geometry that writes only the
-    five methods above.
+    with its closed form.  SO(3) runs the step loop in its algebra and
+    reuses the recursion's node walk with the transports its integrate
+    records.  The default step loop and recursion serve only shape space
+    of d >= 3 dimensions and any geometry that writes only the five
+    methods above.
     """
 
     name: str = "manifold"
@@ -86,7 +88,8 @@ class Manifold:
         builds none of it again.  This default takes one step per node and
         records the vectors of every node, (len(times), k, *tangent_shape),
         and every step's flat_flow matrix; geometries whose step is a
-        rotation override it with roll, whose record is its set-up.
+        rotation override it with roll, whose record is its set-up, and
+        SO(3) runs this loop in its algebra.
         """
         stack = np.asarray(stack, dtype=float)
         flats = flat_flow(np.diff(times), len(stack))
@@ -160,18 +163,30 @@ class Manifold:
         read from the end of nodes, so memory stays flat in the step count.
         Geometries whose integrate rolls override this with unroll.
         """
-        vels, flats = traj.flow
+        vels = traj.flow[0]
+
+        def carry(n, h, lam):
+            moved = self.transport(traj.points[n], -h * vels[n, 0], lam)
+            return np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
+
+        return self._walk_back(traj, nodes, cotangents, carry)
+
+    def _walk_back(self, traj, nodes, cotangents, carry):
+        """The default recursion's node walk; carry(n, h, lam) takes lam to node n - 1.
+
+        traj.flow starts with the step loop's vectors and flat_flow matrices.
+        """
+        vels, flats = traj.flow[:2]
         lam = np.zeros((vels.shape[1] + 1,) + self.tangent_shape)
         j = len(nodes) - 1
         for n in range(len(traj) - 1, 0, -1):
-            gamma, v, h = traj.points[n], vels[n], traj.times[n] - traj.times[n - 1]
-            lam[0] += h * np.sum(self.curvature(gamma, v, lam[1:], v[0]), axis=0)
+            v, h = vels[n], traj.times[n] - traj.times[n - 1]
+            lam[0] += h * np.sum(self.curvature(traj.points[n], v, lam[1:], v[0]), axis=0)
             if j >= 0 and nodes[j] == n:
                 lam[0] += cotangents[j]
                 j -= 1
             lam[1:] = flats[n - 1].T @ lam
-            moved = self.transport(gamma, -h * v[0], lam)
-            lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
+            lam = carry(n, h, lam)
         if j >= 0:
             lam[0] += cotangents[j]
         return lam

@@ -9,7 +9,8 @@ Taylor increment inside the current tangent space, and one geodesic step
 along the flat chord moves the base point and carries them by parallel
 transport.  The scheme is exact in flat space and second order elsewhere;
 the densest spacing is the accuracy knob.  The whole pass is one
-Manifold.integrate call: by default one Manifold.step per node, in flat
+Manifold.integrate call: by default one Manifold.step per node, on SO(3)
+the same steps in the algebra with the rotations composed once, in flat
 space the flat polynomial itself, and on the sphere and planar shape space,
 where every step is a rotation, one batched closed form (geometry.roll): in
 the frame that moves with the curve the vectors form a flat polynomial, and
@@ -85,9 +86,10 @@ class Trajectory:
 
     flow is the record Manifold.integrate returned for the geometry's own
     pullback: from the step loop, every node's vectors, (n_nodes, order,
-    *tangent_shape), and every step's flat_flow matrix; on a rolled pass
-    the roll's set-up, which the reverse reads instead of rebuilding; in
-    flat space the monomial table.  It is None at order zero only.
+    *tangent_shape), and every step's flat_flow matrix; on SO(3) those
+    two and every step's transport back as a (3, 3) matrix; on a rolled
+    pass the roll's set-up, which the reverse reads instead of rebuilding;
+    in flat space the monomial table.  It is None at order zero only.
     """
 
     times: np.ndarray            # (n_nodes,), increasing

@@ -9,19 +9,22 @@ Every rate comes from one Levi-Civita connection of left-invariant fields
 (``connection``): the geodesic velocity, parallel transport and the
 curvature operator.  In the algebra the connection is a fixed bilinear form
 and the curvature a fixed trilinear one, so MetricSpec builds both tensors
-once per metric and every call is one contraction with one of them.  The
-fit's gradient is the base class's recursion, which takes one curvature
-and one transport per node.  Under a general metric one midpoint flow
-(``RotationGroup._flow``) integrates the velocity and any stack of
-transported fields together and serves ``step``, ``transport`` and the
-log; only ``step`` and the log compose the rotation from its substeps,
-since no rate depends on it.  For A = I step and transport are closed
-forms: the endpoint is the exact rotation exponential, and transport
-rotates a field by rodrigues(-w/2).  The log of each pair, in ``log_many``, is the principal
-rotation vector, shot onto the metric's geodesic under a general metric.
-The shooting runs every pair in lockstep, so the flow, ``rotation_log``,
-``_compose`` and ``project_point`` all batch over a leading pair axis, and a
-row's result does not depend on the rows beside it.
+once per metric and every call is one contraction with one of them.
+Under a general metric one midpoint flow (``RotationGroup._flow``)
+integrates the velocity and any stack of transported fields together and
+serves ``step``, ``transport``, ``integrate`` and the log; no rate depends
+on the rotation, so only the endpoints are composed from the substeps'
+turns.  For A = I step and transport are closed forms: the endpoint is the
+exact rotation exponential, and transport rotates a field by
+rodrigues(-w/2).  A forward pass is the base class's step loop run in the
+algebra, with every node's rotation composed from one running product of
+all the turns.  The fit's gradient is the base class's recursion, one
+curvature per node, with each node's transport read from the pass's
+record as a 3x3 matrix.  The log of each pair, in ``log_many``, is the
+principal rotation vector, shot onto the metric's geodesic under a general
+metric.  The shooting runs every pair in lockstep, so the flow,
+``rotation_log``, ``_compose`` and ``project_point`` all batch over a
+leading pair axis, and a row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, ShootingError
+from .geometry import CutLocusError, Manifold, ShootingError, _running_products, flat_flow
 
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
@@ -206,10 +209,10 @@ class RotationGroup(Manifold):
         holds still once it has taken them.  Returns the transported fields,
         shaped like stack, and each substep's turns, the step times the
         midpoint velocity, zero for a row that holds still.  No rate reads
-        the rotation, so the flow never forms it: ``_compose`` builds the
-        endpoint from the turns for the callers that need it.  The velocity
-        is parallel along its own geodesic, so it rides as row 0 of the one
-        array f whose rows all obey f' = -nabla_w f.
+        the rotation, so the flow never forms it: ``_compose``, or
+        integrate's running product, builds the rotations from the turns.
+        The velocity is parallel along its own geodesic, so it rides as row
+        0 of the one array f whose rows all obey f' = -nabla_w f.
         """
         w = np.asarray(v, dtype=float)
         stack = np.asarray(stack, dtype=float)
@@ -234,25 +237,73 @@ class RotationGroup(Manifold):
             f = f - h * _along(mid, self.metric)
         return f[..., 1:, :].reshape(stack.shape), turns
 
-    def step(self, p, v, stack):
-        """Endpoint and transported stack: closed forms when A = I, else one flow."""
-        w = np.asarray(v, dtype=float)
+    def _advance(self, w, stack):
+        """The stack carried along one velocity w, and w's turns: none when w is zero.
+
+        Closed forms when A = I, whose one turn is w itself, else one flow.
+        """
         if np.dot(w, w) == 0.0:
-            return p, np.array(stack, dtype=float, copy=True)
+            return np.array(stack, dtype=float, copy=True), []
         if self.metric.is_identity:
-            return self.project_point(_compose(p, [w])), self.transport(p, w, stack)
-        moved, turns = self._flow(w, stack)
-        return self.project_point(_compose(p, turns)), moved
+            return self.transport(None, w, stack), [w]
+        return self._flow(w, stack)
+
+    def step(self, p, v, stack):
+        """Endpoint and transported stack; the endpoint composes the turns."""
+        moved, turns = self._advance(np.asarray(v, dtype=float), stack)
+        return (self.project_point(_compose(p, turns)) if turns else p), moved
+
+    def integrate(self, p, stack, times):
+        """The step loop's flow in the algebra, where no rate reads the rotation.
+
+        Every step applies its flat_flow matrix and carries the vectors
+        along its chord (``_advance``), as step does, but forms no rotation:
+        the turns of all the steps take one batched rodrigues and one
+        running product, each node takes the product of the turns up to it,
+        and all the nodes take one project_point.  A node before the first
+        turn is p itself.  The record is the step loop's, the vectors of
+        every node and the matrix of every step, plus back: back[n - 1] is
+        the transport from node n along -h v_{n,1} as a matrix on the rows,
+        what the default recursion applies to its multipliers there, from
+        one batched transport of the basis.
+        """
+        stack = np.asarray(stack, dtype=float)
+        flats = flat_flow(np.diff(times), len(stack))
+        vels = np.empty((len(times),) + stack.shape)
+        vels[0] = stack
+        turns, counts = [], np.zeros(len(times), dtype=int)
+        for n, flat in enumerate(flats, start=1):
+            moved = flat @ stack
+            stack, taken = self._advance(moved[0], moved[1:])
+            turns += taken
+            vels[n], counts[n] = stack, len(turns)
+        points = np.repeat(np.asarray(p, dtype=float)[None], len(times), axis=0)
+        if turns:
+            turned = counts > 0
+            prefix = _running_products(rodrigues(np.array(turns)))
+            points[turned] = self.project_point(points[0] @ prefix[counts[turned] - 1])
+        back = np.broadcast_to(_EYE, (len(flats), 3, 3))
+        if len(flats):                          # a single node: no step, no batch
+            back = self.transport(None, -np.diff(times)[:, None] * vels[1:, 0], back)
+        return points, (vels, flats, back)
+
+    def pullback(self, traj, nodes, cotangents):
+        """The default recursion, each node's transport read from the record's back."""
+        back = traj.flow[2]
+        return self._walk_back(traj, nodes, cotangents, lambda n, h, lam: lam @ back[n - 1])
 
     def transport(self, p, direction, x):
         """Transport along exp(p, s*direction) that never forms the rotation.
 
         For A = I a parallel field obeys x' = -cross(w, x)/2 with w constant,
-        so the transport is the exact rotation rodrigues(-w/2) of x.
+        so the transport is the exact rotation rodrigues(-w/2) of x.  As in
+        the flow, x carries the direction's leading axes first.
         """
-        if self.metric.is_identity:
-            return np.asarray(x, dtype=float) @ rodrigues(np.multiply(direction, -0.5)).T
-        return self._flow(direction, x)[0]
+        if not self.metric.is_identity:
+            return self._flow(direction, x)[0]
+        turn = np.swapaxes(rodrigues(np.multiply(direction, -0.5)), -1, -2)
+        x = np.asarray(x, dtype=float)
+        return (x.reshape(turn.shape[:-2] + (-1, 3)) @ turn).reshape(x.shape)
 
     def log_many(self, points, targets):
         """Each pair's log: the principal rotation vector, shot to the metric's geodesic."""

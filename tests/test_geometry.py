@@ -167,13 +167,13 @@ def test_geometries_write_only_the_contract(cls):
         assert (derived in vars(cls)) == (cls is rp.RotationGroup and derived == "inner")
     # no geometry writes a residual check of its own
     assert not [name for name in vars(cls) if "residual" in name]
-    # pullback is the contract's one reverse hook: the rolled geometries
-    # write the reverse of their roll and flat space its closed form, each
-    # beside its own integrate, the others keep the default pair, and no
-    # geometry writes a hook of its own for it, such as per-node matrices;
-    # the only public methods beyond the base class's are shape space's
-    closed_form = cls in (rp.Euclidean, rp.Sphere, rp.KendallShapeSpace)
-    assert ("pullback" in vars(cls)) == ("integrate" in vars(cls)) == closed_form
+    # pullback is the contract's one reverse hook, written beside its own
+    # integrate: the rolled geometries write the reverse of their roll, flat
+    # space its closed form, and the rotation group the default recursion
+    # over the transports its integrate records; no geometry writes a hook
+    # of its own for it; the only public methods beyond the base class's
+    # are shape space's
+    assert "pullback" in vars(cls) and "integrate" in vars(cls)
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
     assert own <= {"from_landmarks", "horizontal_project", "stepped_transport"}
 

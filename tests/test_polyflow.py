@@ -296,12 +296,17 @@ class TestFlowRecord:
         if name in ("sphere", "kendall", "kendall_8_2"):
             # the roll's set-up, no node's vectors
             assert len(flow) == 7
+            return
+        # the step loop's vectors of every node and matrix of every step; the
+        # rotation group adds every step's transport back, as a matrix
+        if name in ("so3", "so3_general"):
+            node_vels, flats, back = flow
+            assert back.shape == (10, 3, 3)
         else:
-            # the step loop's vectors of every node and matrix of every step
             node_vels, flats = flow
-            assert node_vels.shape == (11, 2) + space.tangent_shape
-            assert np.array_equal(node_vels[0], vels)
-            assert flats.shape == (10, 3, 2)
+        assert node_vels.shape == (11, 2) + space.tangent_shape
+        assert np.array_equal(node_vels[0], vels)
+        assert flats.shape == (10, 3, 2)
 
     def test_trajectory_keeps_times_points_and_record(self, rng):
         fields = [f.name for f in dataclasses.fields(rp.Trajectory)]

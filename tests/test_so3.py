@@ -1,5 +1,7 @@
 """Rotation-group geometry: algebra operators, integrators, curvature."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly import so3
-from riempoly.geometry import CutLocusError, ShootingError
+from riempoly.geometry import CutLocusError, Manifold, ShootingError
 from conftest import (
     injectivity_radius,
     integrate_geodesic,
@@ -509,7 +511,88 @@ class TestBatchedKernels:
         assert np.abs(np.linalg.det(stacked) - 1.0).max() < 1e-12
 
 
+class TestAlgebraFlow:
+    """The rotation group's own integrate and pullback run in the algebra.
+
+    They are the step loop's and the default recursion's math, with the
+    rotations composed once per pass and each node's transport read from
+    the record."""
+
+    METRICS = pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+                                      ids=["identity", "inertia"])
+
+    @pytest.mark.parametrize("case", ["random", "zero_v1", "zero", "tiny"])
+    @METRICS
+    def test_matches_step_loop_and_default_recursion(self, matrix, case, rng):
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        grids = (rp.time_grid(1.0, 1), rp.time_grid(1.0, 7, [0.3141]),
+                 rp.time_grid(1.0, 200))
+        for k in (1, 2, 3):
+            for times in grids:
+                p = group.random_point(rng)
+                vels = np.array([unit_tangent(group, rng, p) for _ in range(k)])
+                if case == "zero_v1":
+                    vels[0] = 0.0
+                elif case == "zero":
+                    vels[:] = 0.0
+                elif case == "tiny":
+                    vels *= 1e-10
+                where = f"order {k}, {len(times) - 1} steps"
+                ref_points, ref_flow = Manifold.integrate(group, p, vels, times)
+                points, flow = group.integrate(p, vels, times)
+                # the step loop's vectors and matrices, bit for bit
+                assert len(flow) == 3
+                assert np.array_equal(flow[0], ref_flow[0]), where
+                assert np.array_equal(flow[1], ref_flow[1]), where
+                assert np.array_equal(points[0], p)
+                assert np.abs(points - ref_points).max() <= 1e-13, where
+                if case == "zero":
+                    assert np.array_equal(points, np.repeat(p[None], len(times), axis=0))
+                nodes = np.arange(0, len(times), 3)
+                cotangents = rng.standard_normal((len(nodes), 3))
+                expected = Manifold.pullback(
+                    group, rp.Trajectory(times, ref_points, ref_flow), nodes, cotangents)
+                got = group.pullback(rp.Trajectory(times, points, flow), nodes, cotangents)
+                assert got.shape == expected.shape == (k + 1, 3)
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), where
+
+    @METRICS
+    def test_pass_takes_no_step_and_one_projection(self, matrix, rng, monkeypatch):
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        p = group.random_point(rng)
+        state = rp.PolynomialState(p, [unit_tangent(group, rng, p) for _ in range(3)])
+        nodes = np.arange(0, 51, 5)
+        cotangents = rng.standard_normal((len(nodes), 3))
+        calls = Counter()
+        for name in ("step", "project_point"):
+            def counted(*args, _name=name, _fn=getattr(rp.RotationGroup, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(rp.RotationGroup, name, counted)
+        traj = rp.integrate_polynomial(group, state, rp.time_grid(1.0, 50))
+        group.pullback(traj, nodes, cotangents)
+        assert calls == Counter(project_point=1)
+        # the counter works: the default integrate steps node by node
+        Manifold.integrate(group, p, state.vels, rp.time_grid(1.0, 50))
+        assert calls["step"] == 50
+
+
 class TestTransport:
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+                             ids=["identity", "inertia"])
+    def test_transport_takes_a_stack_of_directions(self, matrix, rng):
+        # the fields of row b ride along direction b, as in one call per row
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        p = group.random_point(rng)
+        directions = 0.3 * rng.standard_normal((4, 3))
+        for shape in ((4, 3), (4, 2, 3)):
+            x = rng.standard_normal(shape)
+            moved = group.transport(p, directions, x)
+            assert moved.shape == shape
+            for b in range(4):
+                alone = group.transport(p, directions[b], x[b])
+                assert np.abs(moved[b] - alone).max() <= 1e-15, (shape, b)
+
     def test_transport_reversibility(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric, max_step=1e-4)
         p = group.random_point(rng)
