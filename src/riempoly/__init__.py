@@ -20,10 +20,7 @@ from .geometry import (
 from .kendall import (
     KendallShapeSpace,
     LandmarkConfig,
-    procrustes_align,
-    shape_distance,
     to_preshape,
-    vertical_basis,
 )
 from .landmarks import LandmarkFileRecord, LandmarkFormatError, parse_landmarks
 from .polyflow import (
@@ -44,7 +41,6 @@ from .regress import (
     frechet_mean,
     frechet_variance,
     integrate_adjoint,
-    objective_sse,
     r_squared,
 )
 from .so3 import MetricSpec, RotationGroup
@@ -60,10 +56,7 @@ __all__ = [
     "ShootingError",
     "KendallShapeSpace",
     "LandmarkConfig",
-    "procrustes_align",
-    "shape_distance",
     "to_preshape",
-    "vertical_basis",
     "LandmarkFileRecord",
     "LandmarkFormatError",
     "parse_landmarks",
@@ -82,7 +75,6 @@ __all__ = [
     "frechet_mean",
     "frechet_variance",
     "integrate_adjoint",
-    "objective_sse",
     "r_squared",
     "MetricSpec",
     "RotationGroup",

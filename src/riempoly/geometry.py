@@ -181,7 +181,7 @@ class Manifold:
         j = len(nodes) - 1
         for n in range(len(traj) - 1, 0, -1):
             v, h = vels[n], traj.times[n] - traj.times[n - 1]
-            lam[0] += h * np.sum(self.curvature(traj.points[n], v, lam[1:], v[0]), axis=0)
+            lam[0] += h * np.add.reduce(self.curvature(traj.points[n], v, lam[1:], v[0]))
             if j >= 0 and nodes[j] == n:
                 lam[0] += cotangents[j]
                 j -= 1
@@ -195,7 +195,7 @@ class Manifold:
         """Metric inner product of tangents x, y at p: the ambient dot product."""
         if np.ndim(x) == 1 and np.ndim(y) == 1:
             return float(np.dot(x, y))
-        return np.sum(np.asarray(x) * y, axis=-1)
+        return np.add.reduce(np.asarray(x) * y, axis=-1)
 
     def norm(self, p, x) -> float:
         return float(np.sqrt(max(self.inner(p, x, x), 0.0)))
@@ -330,23 +330,25 @@ def _rolling(p, stack, times):
     chord coefficients c_i(n) = (t_{n+1}^i - t_n^i) / i! (times counted
     from the first node), the unit direction e of p and, for every step,
     the turn's unit direction u (zero where the chord is), the chord's
-    length |m_n| and the frames F_0 = I, F_n = T_0 ... T_{n-1}.
+    length |m_n| with its cos and sin, and the frames F_0 = I,
+    F_n = T_0 ... T_{n-1}.
     """
     basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
-    size = basis.shape[1]                       # min(ambient size, len(stack) + 1)
-    chords = np.diff(monomials(times - times[0], len(stack)), axis=1)[1:]
+    eye = np.eye(basis.shape[1])                # min(ambient size, len(stack) + 1)
+    mono = monomials(times - times[0], len(stack))
+    chords = mono[1:, 1:] - mono[1:, :-1]
     # the turn of step n: plane {e, u} at the angle |m_n|, with the chord
     # m_n = sum_i c_i(n) b_i(0) in body-frame coordinates
     e = coef[:, 0] / abs(coef[0, 0])
     w = chords.T @ coef[:, 1:].T
-    speed = np.sqrt(np.sum((w * w.conj()).real, axis=-1))
+    speed = np.sqrt(np.add.reduce((w * w.conj()).real, axis=-1))
     u = w / np.where(speed > 0.0, speed, 1.0)[:, None]
-    theta = speed[:, None, None]
+    cos, sin = np.cos(speed), np.sin(speed)
     plane = np.multiply.outer(e, e.conj()) + u[:, :, None] * u.conj()[:, None, :]
     spin = u[:, :, None] * e.conj() - e[:, None] * u.conj()[:, None, :]
-    turns = np.eye(size) + (np.cos(theta) - 1.0) * plane + np.sin(theta) * spin
-    frames = np.concatenate([np.eye(size)[None], _running_products(turns)])
-    return basis, coef, chords, e, u, speed, frames
+    turns = eye + (cos - 1.0)[:, None, None] * plane + sin[:, None, None] * spin
+    frames = np.concatenate([eye[None], _running_products(turns)])
+    return basis, coef, chords, e, u, speed, cos, sin, frames
 
 
 def roll(p, stack, times, settle):
@@ -373,10 +375,12 @@ def roll(p, stack, times, settle):
     takes instead of rebuilding it.  No node's vectors are formed.
     """
     flow = _rolling(p, stack, times)
-    basis, coef, _, _, _, speed, frames = flow
-    moved = np.concatenate([[False], np.logical_or.accumulate(speed > 0.0)])
-    points = np.repeat(p[None], len(times), axis=0)
-    points[moved] = settle((frames[moved] @ coef[:, 0]) @ basis.T)
+    basis, coef, _, _, _, speed, _, _, frames = flow
+    turned = (speed > 0.0).nonzero()[0]         # the nodes after the first turn move
+    moved = turned[0] + 1 if len(turned) else len(times)
+    points = np.empty((len(times),) + p.shape, p.dtype)
+    points[:moved] = p
+    points[moved:] = settle((frames[moved:] @ coef[:, 0]) @ basis.T)
     return points, flow
 
 
@@ -401,19 +405,19 @@ def unroll(p, flow, nodes, cotangents):
     (x_n^H p) G_n - (G_n^H p) x_n.  Returns the (k + 1, len(p)) gradient,
     base point first; no recursion, nothing of size D x D.
     """
-    basis, coef, chords, e, u, speed, frames = flow
+    basis, coef, chords, e, u, speed, cos, sin, frames = flow
     turning = speed > 0.0
     safe = np.where(turning, speed, 1.0)
-    cos_over = np.where(turning, (np.cos(speed) - 1.0) / safe, 0.0)[:, None]
-    sin_over = np.where(turning, np.sin(speed) / safe, 1.0)[:, None]
+    cos_over = np.where(turning, (cos - 1.0) / safe, 0.0)[:, None]
+    sin_over = np.where(turning, sin / safe, 1.0)[:, None]
 
     xi = frames[nodes] @ coef[:, 0]             # the nodes' points in the span
     inside = cotangents @ basis.conj()
     # M_m, m < steps: reverse cumulative sums of g_n x_n^H between turns
     outer = np.zeros(frames.shape, frames.dtype)
     outer[nodes] = inside[:, :, None] * xi.conj()[:, None, :]
-    rest = np.cumsum(outer[:0:-1], axis=0)[::-1]
-    m = np.swapaxes(frames[:-1].conj(), -1, -2) @ rest @ frames[1:]
+    rest = np.add.accumulate(outer[:0:-1])[::-1]
+    m = frames[:-1].conj().swapaxes(-1, -2) @ rest @ frames[1:]
 
     # T = I + (cos - 1)(e e^H + u u^H) + sin (u e^H - e u^H) at the angle
     # |m|, so the gradient at the chord m is kappa u + (h - Re<u, h> u) / |m|
@@ -421,10 +425,10 @@ def unroll(p, flow, nodes, cotangents):
     # kappa = cos Re(<u, M e> - <e, M u>) - sin Re(<e, M e> + <u, M u>)
     me, mu = m @ e, (m @ u[:, :, None])[..., 0]
     he, hu = (e.conj() @ m).conj(), (u.conj()[:, None] @ m)[:, 0].conj()
-    kappa = (np.cos(speed) * (np.sum(u.conj() * me, axis=-1) - mu @ e.conj()).real
-             - np.sin(speed) * (np.sum(u.conj() * mu, axis=-1) + me @ e.conj()).real)
+    kappa = (cos * (np.add.reduce(u.conj() * me, axis=-1) - mu @ e.conj()).real
+             - sin * (np.add.reduce(u.conj() * mu, axis=-1) + me @ e.conj()).real)
     grad_w = cos_over * (mu + hu) + sin_over * (me - he)
-    grad_w += (kappa - np.sum(u.conj() * grad_w, axis=-1).real)[:, None] * u
+    grad_w += (kappa - np.add.reduce(u.conj() * grad_w, axis=-1).real)[:, None] * u
     rows = chords @ grad_w
     rows = (rows - (rows @ e.conj())[:, None] * e) @ basis.T
 
@@ -433,7 +437,7 @@ def unroll(p, flow, nodes, cotangents):
         outside = cotangents - inside @ basis.T
         r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
         prefix = np.zeros((len(chords), len(frames), len(e)), r.dtype)
-        np.cumsum(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
+        np.add.accumulate(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
         rows += np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes]) @ outside
 
     points = xi @ basis.T

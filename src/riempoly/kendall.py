@@ -84,24 +84,12 @@ def _preshapes(stack):
         raise ValueError("m*d must be at least 3")
     centroids = stack.mean(axis=1)
     centered = stack - centroids[:, None]
-    scales = np.sqrt(np.sum(centered * centered, axis=(1, 2)))
+    scales = np.sqrt(np.add.reduce(centered * centered, axis=(1, 2)))
     degenerate = scales < 1e-14
     if degenerate.any():
         raise ValueError(f"record {np.argmax(degenerate)} is a degenerate configuration: "
                          "all landmarks coincide")
     return centered / scales[:, None, None], centroids, scales
-
-
-def procrustes_align(target, base):
-    """Rotate target (m x d rows) to minimize Frobenius distance to base.
-
-    Reflections are excluded (see _optimal_rotations).
-    """
-    t = np.asarray(target, dtype=float)
-    b = np.asarray(base, dtype=float)
-    if t.shape != b.shape:
-        raise ValueError("configurations must share m and d")
-    return _align_many(t[None], b[None])[0]
 
 
 def _optimal_rotations(targets, bases):
@@ -134,15 +122,6 @@ def _align_many(targets, bases):
     return targets @ np.swapaxes(_optimal_rotations(targets, bases), -1, -2)
 
 
-def vertical_basis(points):
-    """Orthonormal basis (rows, flattened) of the rotation-orbit directions.
-
-    Spanning vectors come from the elementary skew generators applied to the
-    configuration; near-degenerate directions are dropped.
-    """
-    return _vertical_bases(np.asarray(points, dtype=float)[None])[0]
-
-
 def _vertical_bases(points_batch):
     """(n, m, d) batch -> (n, n_gen, m*d) orthonormal-or-zero vertical frames."""
     n, m, d = points_batch.shape
@@ -155,9 +134,9 @@ def _vertical_bases(points_batch):
     # modified Gram-Schmidt with drop threshold; dropped rows become zero
     for i in range(len(pairs)):
         for j in range(i):
-            coef = np.sum(gens[:, i] * gens[:, j], axis=-1, keepdims=True)
+            coef = np.add.reduce(gens[:, i] * gens[:, j], axis=-1, keepdims=True)
             gens[:, i] -= coef * gens[:, j]
-        norm = np.sqrt(np.sum(gens[:, i] ** 2, axis=-1, keepdims=True))
+        norm = np.sqrt(np.add.reduce(gens[:, i] ** 2, axis=-1, keepdims=True))
         keep = norm > _BASIS_DROP
         gens[:, i] = np.where(keep, gens[:, i] / np.where(keep, norm, 1.0), 0.0)
     return gens
@@ -255,7 +234,7 @@ class KendallShapeSpace(Manifold):
         ju = u @ self._jt
         shift = (c - 1.0) * np.array([u, ju]) - s * rows[-2:]
         # per-row sums, so a row moves the same whatever the stack size
-        a, b = np.sum(stack * u, axis=-1), np.sum(stack * ju, axis=-1)
+        a, b = np.add.reduce(stack * u, axis=-1), np.add.reduce(stack * ju, axis=-1)
         return end, stack + np.multiply.outer(a, shift[0]) + np.multiply.outer(b, shift[1])
 
     def integrate(self, p, stack, times):
@@ -298,12 +277,12 @@ class KendallShapeSpace(Manifold):
         gamma = np.array(p, dtype=float)
         w = np.array(direction, dtype=float) / n
         out = x.reshape(-1, x.shape[-1])
-        before = np.sqrt(np.sum(out * out, axis=-1))
+        before = np.sqrt(np.add.reduce(out * out, axis=-1))
         for _ in range(n):
             end, moved = self._sphere.step(gamma, w, np.concatenate([out, w[None]]))
             gamma = self.project_point(end)
             moved = self._project_out(moved, self._normal_rows(gamma))
-            after = np.sqrt(np.sum(moved[:-1] * moved[:-1], axis=-1))
+            after = np.sqrt(np.add.reduce(moved[:-1] * moved[:-1], axis=-1))
             ratio = np.where(after > 1e-300, before / np.maximum(after, 1e-300), 1.0)
             out, w = moved[:-1] * ratio[:, None], moved[-1]
         return out.reshape(x.shape)
@@ -372,7 +351,7 @@ class KendallShapeSpace(Manifold):
 
     def project_point(self, p):
         flat = self._project_out(p, self._centering)
-        return flat / np.sqrt(np.sum(flat * flat, axis=-1, keepdims=True))
+        return flat / np.sqrt(np.add.reduce(flat * flat, axis=-1, keepdims=True))
 
     def project_tangent(self, p, x):
         return self.horizontal_project(p, x)
@@ -388,20 +367,11 @@ class KendallShapeSpace(Manifold):
         targets = np.asarray(targets, dtype=float)
         aligned = _align_many(self._mat(targets), self._mat(points))
         aligned = aligned.reshape(targets.shape)
-        c = np.sum(points * aligned, axis=-1)
-        if np.any(c <= 1e-12):
+        c = np.add.reduce(points * aligned, axis=-1)
+        if (c <= 1e-12).any():
             raise CutLocusError("shapes are (nearly) maximally remote")
         logs = self._sphere.log_many(points, aligned)
         frames = self._vertical_frame(points)
-        coef = np.sum(frames * logs[:, None], axis=-1)
-        return logs - np.sum(coef[..., None] * frames, axis=-2)
+        coef = np.add.reduce(frames * logs[:, None], axis=-1)
+        return logs - np.add.reduce(coef[..., None] * frames, axis=-2)
 
-
-def shape_distance(p_config, q_config) -> float:
-    """Quotient distance between two landmark configurations of any scale."""
-    p = to_preshape(np.asarray(p_config))
-    q = to_preshape(np.asarray(q_config))
-    if (p.m, p.d) != (q.m, q.d):
-        raise ValueError("configurations must share m and d")
-    space = KendallShapeSpace(p.m, p.d)
-    return space.dist(p.flat(), q.flat())

@@ -105,9 +105,9 @@ class Trajectory:
         A time that is not a node of the grid, bit for bit, raises ValueError.
         """
         t = np.asarray(t, dtype=float)
-        idx = np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
+        idx = np.minimum(self.times.searchsorted(t), len(self.times) - 1)
         missing = self.times[idx] != t
-        if np.any(missing):
+        if missing.any():
             raise ValueError(f"time {np.atleast_1d(t)[np.atleast_1d(missing)][0]} "
                              "is not a node of the grid")
         return idx if t.ndim else int(idx)
@@ -117,11 +117,13 @@ def integrate_polynomial(manifold: Manifold, state: PolynomialState,
                          times) -> Trajectory:
     """Integrate an order-k curve over the nodes times, the state at the first.
 
-    times must be increasing; time_grid builds one that holds given times.
+    times must be finite and increasing; time_grid builds one that holds
+    given times.  A strictly increasing grid between finite ends is finite.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not len(times) or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be a non-empty increasing grid")
+    if (times.ndim != 1 or not len(times) or not (times[1:] > times[:-1]).all()
+            or not (-np.inf < times[0] and times[-1] < np.inf)):
+        raise ValueError("times must be a non-empty, finite, increasing grid")
     k = state.order
     if k:
         points, flow = manifold.integrate(

@@ -172,7 +172,8 @@ def _residuals(manifold: Manifold, bases, targets):
     the one definition of the objective and of the Frechet variance.
     """
     logs = manifold.log_many(bases, targets)
-    return logs, float(np.mean(manifold.inner(bases, logs, logs)))
+    squares = manifold.inner(bases, logs, logs)
+    return logs, float(np.add.reduce(squares, axis=None) / squares.size)
 
 
 def _objective(manifold: Manifold, observed, data: TimedDataset):
@@ -181,16 +182,6 @@ def _objective(manifold: Manifold, observed, data: TimedDataset):
         return _residuals(manifold, observed, data.points)
     except GeometryError as exc:
         raise GeometryError(f"objective failed on an observation: {exc}") from exc
-
-
-def objective_sse(manifold: Manifold, traj: Trajectory, data: TimedDataset) -> float:
-    """Mean squared geodesic distance from the curve to the observations.
-
-    Each squared distance is the squared metric norm of the residual log
-    log_{gamma(t_j)} y_j at the observation's node; every observation time
-    must be a node of traj.
-    """
-    return _objective(manifold, traj.points[traj.node_index(data.times)], data)[1]
 
 
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
@@ -213,7 +204,7 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     if traj.flow is None:
         return _constant_gradient(manifold, traj.points[0], data.times, logs, 0)
     nodes = traj.node_index(data.times)
-    starts = np.flatnonzero(np.diff(nodes, prepend=-1))     # each node's first row
+    starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]  # run starts
     cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / data.size)
     return manifold.pullback(traj, nodes[starts], cotangents)
 
@@ -253,8 +244,8 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
     points = np.asarray(points, dtype=float)
 
     def evaluate(mean):
-        logs, value = _residuals(manifold, np.broadcast_to(mean, points.shape), points)
-        grad = logs.mean(axis=0)
+        logs, value = _residuals(manifold, mean[None].repeat(len(points), axis=0), points)
+        grad = np.add.reduce(logs) / len(logs)
         return mean, logs, value, grad, manifold.norm(mean, grad)
 
     current = evaluate(np.array(points[0], dtype=float))
@@ -531,12 +522,12 @@ def _design_metric(times, order):
 
 def _along_stack(matrix, stack):
     """Apply a (k+1) x (k+1) matrix to the stack axis of (k+1, *tangent)."""
-    return np.tensordot(matrix, stack, axes=1)
+    return (matrix @ stack.reshape(len(stack), -1)).reshape(stack.shape)
 
 
 def _stack_inner(manifold, gamma, a, b) -> float:
     """Metric inner product of two stacks of tangents at gamma."""
-    return float(np.sum(manifold.inner(gamma, a, b)))
+    return float(np.add.reduce(manifold.inner(gamma, a, b), axis=None))
 
 
 def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration,

@@ -86,7 +86,7 @@ class MetricSpec:
         object.__setattr__(self, "riemann", riemann.reshape(3, 27))
 
     def inner(self, x, y):
-        return np.sum((np.asarray(x) @ self.matrix) * y, axis=-1)
+        return np.add.reduce((np.asarray(x) @ self.matrix) * y, axis=-1)
 
 
 def _cross(x, y):
@@ -172,7 +172,7 @@ def rotation_log(r):
         diag = np.diagonal(b, axis1=-2, axis2=-1)
         rows, i = np.arange(len(b)), np.argmax(diag, axis=-1)
         axis = b[rows, :, i] / np.sqrt(np.maximum(diag[rows, i], 1e-300))[:, None]
-        sign = np.where(np.sum(axis * skew[flat], axis=-1) < 0, -1.0, 1.0)
+        sign = np.where(np.add.reduce(axis * skew[flat], axis=-1) < 0, -1.0, 1.0)
         w[flat] = (sign * theta[flat])[:, None] * axis
     return w
 

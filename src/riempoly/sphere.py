@@ -55,7 +55,7 @@ class Sphere(Manifold):
         if theta < 1e-14:
             return end, stack.copy()
         u = v / theta
-        a = np.sum(stack * u, axis=-1)        # per row, whatever the stack size
+        a = np.add.reduce(stack * u, axis=-1)     # per row, whatever the stack size
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
     def integrate(self, p, stack, times):
@@ -74,8 +74,8 @@ class Sphere(Manifold):
         under which inner(R(X,Y)Y, X) is the positive sectional curvature and
         the reverse-pass multiplier fields oscillate instead of blowing up.
         """
-        xz = np.asarray(np.sum(np.asarray(x) * z, axis=-1))
-        yz = np.asarray(np.sum(np.asarray(y) * z, axis=-1))
+        xz = np.asarray(np.add.reduce(np.asarray(x) * z, axis=-1))
+        yz = np.asarray(np.add.reduce(np.asarray(y) * z, axis=-1))
         return yz[..., None] * x - xz[..., None] * y
 
     def pullback(self, traj, nodes, cotangents):
@@ -93,19 +93,19 @@ class Sphere(Manifold):
     def log_many(self, points, targets):
         points = np.asarray(points, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        c = np.sum(points * targets, axis=-1)
-        if np.any(c <= -1.0 + _ANTIPODAL_MARGIN):
+        c = np.add.reduce(points * targets, axis=-1)
+        if (c <= -1.0 + _ANTIPODAL_MARGIN).any():
             bad = int(np.argmin(c))
             raise CutLocusError(
                 f"log undefined for (nearly) antipodal points at batch index {bad}: "
                 f"p.q = {np.ravel(c)[bad]:.12f}"
             )
         w = targets - c[..., None] * points
-        wn = np.sqrt(np.sum(w * w, axis=-1))
+        wn = np.sqrt(np.add.reduce(w * w, axis=-1))
         # chord-based angle is uniformly accurate, unlike arccos near 0
         chord = targets - points
         theta = 2.0 * np.arcsin(
-            np.minimum(0.5 * np.sqrt(np.sum(chord * chord, axis=-1)), 1.0)
+            np.minimum(0.5 * np.sqrt(np.add.reduce(chord * chord, axis=-1)), 1.0)
         )
         scale = np.where(wn < _TINY_ANGLE, 1.0, theta / np.where(wn == 0.0, 1.0, wn))
         return scale[..., None] * w

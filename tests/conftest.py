@@ -8,7 +8,8 @@ from hypothesis import settings
 
 import riempoly as rp
 from riempoly import so3
-from riempoly.regress import integrate_adjoint, objective_sse
+from riempoly.kendall import _align_many, _vertical_bases
+from riempoly.regress import _objective, integrate_adjoint
 
 # deterministic examples and no per-example deadline: the suite must give
 # the same verdict on every run, however loaded the machine
@@ -37,6 +38,36 @@ def make_manifold(name):
 
 
 MANIFOLD_NAMES = ["euclidean", "sphere", "so3", "kendall"]
+
+
+def objective_sse(manifold, traj, data):
+    """The fit's objective on traj: the mean squared norm of the residual logs.
+
+    Each observation is logged from its node, so every observation time must
+    be a node of traj.
+    """
+    return _objective(manifold, traj.points[traj.node_index(data.times)], data)[1]
+
+
+def procrustes_align(target, base):
+    """target (m x d rows) rotated, never reflected, onto base: the fit's alignment."""
+    t, b = np.asarray(target, dtype=float), np.asarray(base, dtype=float)
+    if t.shape != b.shape:
+        raise ValueError("configurations must share m and d")
+    return _align_many(t[None], b[None])[0]
+
+
+def vertical_basis(points):
+    """Orthonormal rows (flattened) spanning the rotation orbit at an (m, d) shape."""
+    return _vertical_bases(np.asarray(points, dtype=float)[None])[0]
+
+
+def shape_distance(p_config, q_config):
+    """Quotient distance between two landmark configurations of any scale."""
+    p, q = rp.to_preshape(p_config), rp.to_preshape(q_config)
+    if (p.m, p.d) != (q.m, q.d):
+        raise ValueError("configurations must share m and d")
+    return rp.KendallShapeSpace(p.m, p.d).dist(p.flat(), q.flat())
 
 
 def injectivity_radius(manifold, p):

@@ -11,7 +11,7 @@ import riempoly.cli
 import riempoly.regress
 from riempoly.cli import build_dataset, emit_plot_data, main
 from riempoly.landmarks import parse_landmarks
-from conftest import unit_tangent
+from conftest import procrustes_align, unit_tangent
 
 
 @pytest.fixture
@@ -452,7 +452,7 @@ class TestPlotAlignment:
             assert space.dist(raw, aligned) < 1e-9
             # all observations are aligned at once, with the bits of aligning
             # each alone onto the fitted curve at its own time
-            alone = rp.procrustes_align(raw.reshape(4, 2), anchor.reshape(4, 2))
+            alone = procrustes_align(raw.reshape(4, 2), anchor.reshape(4, 2))
             assert np.array_equal(aligned, alone.reshape(-1))
 
         # the residual profile is unchanged when every input is rotated

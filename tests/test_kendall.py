@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 import riempoly as rp
 from riempoly.geometry import CutLocusError, ShootingError, shooting_log
-from riempoly.kendall import (
-    _optimal_rotations,
-    _preshapes,
+from riempoly.kendall import _optimal_rotations, _preshapes, to_preshape
+from conftest import (
+    adjoint_vs_fd,
+    kabsch_rotations,
     procrustes_align,
     shape_distance,
-    to_preshape,
+    unit_tangent,
     vertical_basis,
 )
-from conftest import adjoint_vs_fd, kabsch_rotations, unit_tangent
 
 
 def rotation2(theta):

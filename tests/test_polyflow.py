@@ -232,7 +232,12 @@ class TestRolledFlow:
                 # the step loop records every node's vectors; the roll records
                 # its set-up and forms no node's vectors
                 assert loop_vels.shape == (steps + 1,) + vels.shape
-                assert isinstance(flow, tuple) and len(flow) == 7
+                assert isinstance(flow, tuple) and len(flow) == 9
+                # the record keeps each turn's cos and sin for the reverse,
+                # the bits of taking them from its chord lengths again
+                speed, cos, sin = flow[5:8]
+                assert np.array_equal(cos, np.cos(speed))
+                assert np.array_equal(sin, np.sin(speed))
                 where = f"order {k}, {steps} steps"
                 assert points.shape == ref_points.shape
                 assert np.abs(points - ref_points).max() <= 1e-12, where
@@ -294,8 +299,14 @@ class TestFlowRecord:
             return
         assert isinstance(flow, tuple)
         if name in ("sphere", "kendall", "kendall_8_2"):
-            # the roll's set-up, no node's vectors
-            assert len(flow) == 7
+            # the roll's set-up, no node's vectors: basis, coordinates,
+            # chords, e, u, chord lengths with their cos and sin, frames
+            assert len(flow) == 9
+            basis, coef, chords, e, u, speed, cos, sin, frames = flow
+            assert speed.shape == cos.shape == sin.shape == (10,)
+            assert np.array_equal(cos, np.cos(speed))
+            assert np.array_equal(sin, np.sin(speed))
+            assert frames.shape[0] == 11
             return
         # the step loop's vectors of every node and matrix of every step; the
         # rotation group adds every step's transport back, as a matrix
@@ -401,10 +412,17 @@ class TestTrajectoryAndSampling:
 
     def test_bad_arguments(self):
         line = rp.Euclidean(1)
-        state = rp.PolynomialState(np.zeros(1), (np.ones(1),))
-        for bad in ([], [0.0, 0.5, 0.5], [1.0, 0.0], [[0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                rp.integrate_polynomial(line, state, np.array(bad))
+        sphere = rp.Sphere(2)
+        # a rolled pass reads a NaN turn as no turn and would put every
+        # node at the base point, so a grid that is not finite must not
+        # reach it
+        states = {line: rp.PolynomialState(np.zeros(1), (np.ones(1),)),
+                  sphere: rp.PolynomialState([0.0, 0.0, 1.0], ([1.0, 0.0, 0.0],))}
+        for bad in ([], [0.0, 0.5, 0.5], [1.0, 0.0], [[0.0, 1.0]],
+                    [0.0, np.nan, 1.0], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+            for space, state in states.items():
+                with pytest.raises(ValueError):
+                    rp.integrate_polynomial(space, state, np.array(bad))
 
 
 class TestCollinearityDiagnostic:

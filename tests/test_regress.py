@@ -25,6 +25,7 @@ from conftest import (
     adjoint_vs_fd,
     log_log_slope,
     make_manifold,
+    objective_sse,
     random_fit_problem,
     residual_logs,
     rolled_gradient_reference,
@@ -86,7 +87,7 @@ class TestObjective:
         state, traj, _ = random_fit_problem(sphere, 2, rng, steps=200, times=times)
         pts = np.stack([traj.points[traj.node_index(t)] for t in times])
         data = rp.TimedDataset(sphere, times, pts)
-        assert rp.objective_sse(sphere, traj, data) < 1e-28
+        assert objective_sse(sphere, traj, data) < 1e-28
 
     def test_single_observation_squared_distance(self, rng):
         sphere = rp.Sphere(2)
@@ -96,7 +97,7 @@ class TestObjective:
         theta = 0.7
         y = sphere.exp(p, unit_tangent(sphere, rng, p, theta))
         data = rp.TimedDataset(sphere, np.array([0.4]), y[None])
-        assert rp.objective_sse(sphere, traj, data) == pytest.approx(theta**2, abs=1e-12)
+        assert objective_sse(sphere, traj, data) == pytest.approx(theta**2, abs=1e-12)
 
     def test_flat_space_matches_classical_residual(self, rng):
         line = rp.Euclidean(1)
@@ -108,7 +109,7 @@ class TestObjective:
         # the curve meets every observation at its own time
         fitted = -0.3 + 0.8 * t
         classical = float(np.mean((fitted - y) ** 2))
-        assert rp.objective_sse(line, traj, data) == pytest.approx(classical, abs=1e-14)
+        assert objective_sse(line, traj, data) == pytest.approx(classical, abs=1e-14)
 
 
 class TestAdjoint:
@@ -456,8 +457,8 @@ class TestConstantStart:
                          for f in (res.trajectory.flow, fresh.flow))
         assert len(got) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        assert rp.objective_sse(m, res.trajectory, internal) == pytest.approx(res.sse,
-                                                                              rel=1e-12)
+        assert objective_sse(m, res.trajectory, internal) == pytest.approx(res.sse,
+                                                                           rel=1e-12)
 
 
 class TestFrechetMean:
@@ -917,7 +918,7 @@ class TestFitPolynomial:
         assert np.array_equal(res.trajectory.points, fresh.points)
         assert len(res.trajectory.flow) == len(fresh.flow)
         assert all(np.array_equal(a, b) for a, b in zip(res.trajectory.flow, fresh.flow))
-        assert rp.objective_sse(sphere, res.trajectory, internal) == res.sse
+        assert objective_sse(sphere, res.trajectory, internal) == res.sse
         assert res.objective_trace[-1] == res.sse
 
     def test_time_rescaling_reported(self, rng):
