@@ -87,7 +87,7 @@ def deformation_modes(space, base_flat):
     bend = np.stack([0.3 * pts[:, 1] ** 2, 0.45 * pts[:, 0] ** 2], axis=1)
     modes = []
     for field in (elongate, flatten, bend):
-        v = space.horizontal_project(base_flat, field.reshape(-1))
+        v = space.project_tangent(base_flat, field.reshape(-1))
         for u in modes:
             v = v - np.dot(v, u) * u
         modes.append(v / np.sqrt(v @ v))
@@ -112,14 +112,14 @@ def make_records():
 
     records = []
     for rat in range(N_RATS):
-        offset = space.horizontal_project(
+        offset = space.project_tangent(
             base, rng.standard_normal(16) * SUBJECT_SD
         )
         for j, age in enumerate(AGES):
-            noise = space.horizontal_project(
+            noise = space.project_tangent(
                 base, rng.standard_normal(16) * NOISE_SD
             )
-            y = space.exp(base, space.horizontal_project(
+            y = space.exp(base, space.project_tangent(
                 base, trend[j] + offset + noise
             ))
             # raw digitizer-like units; shape analysis removes size and origin

@@ -21,10 +21,13 @@ a closed form as well: the step is a unitary rotation of the landmarks read
 as a complex m-vector, and a whole forward pass rolls in one batched closed
 form, whose exact reverse gives the fit's gradient with no curvature and no
 D x D matrix.  For d >= 3 alignment takes an SVD, and transport has no
-closed form; it takes sphere steps and re-projects onto the horizontal
-subspace after every substep.  The curvature is exact for every d: the
-horizontal sphere curvature plus O'Neill's A-tensor terms of the
-submersion; the d >= 3 gradient, the default recursion, couples through it.
+closed form; it integrates the horizontal lift's linear ODE along the step's
+great circle by RK4, fourth order in a fixed substep (Guigui, Maignant,
+Trouve & Pennec 2021, "Parallel transport on Kendall shape spaces").  The
+curvature is exact for every d: the horizontal sphere curvature plus
+O'Neill's A-tensor terms of the submersion, whose Sylvester solve the d >= 3
+transport shares; the d >= 3 gradient, the default recursion, couples
+through the curvature.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .sphere import Sphere
 
 # Gram-Schmidt drop threshold for degenerate (e.g. collinear) configurations.
 _BASIS_DROP = 1e-10
+# largest RK4 substep, in radians of the great circle, of the d >= 3 transport
+_SUBSTEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,30 @@ def _align_many(targets, bases):
     return targets @ np.swapaxes(_optimal_rotations(targets, bases), -1, -2)
 
 
+def _sylvester_basis(pm):
+    """The eigenbasis q of M = pm^T pm and the weights -1/(mu_i + mu_j).
+
+    Batches over leading axes.  Eigenvalue sums below _BASIS_DROP belong to
+    rotations that fix a degenerate shape (no vertical direction), so their
+    weights are zero.
+    """
+    mu, q = np.linalg.eigh(np.swapaxes(pm, -1, -2) @ pm)
+    sums = mu[..., :, None] + mu[..., None, :]
+    return q, np.where(sums > _BASIS_DROP, -1.0 / np.maximum(sums, _BASIS_DROP), 0.0)
+
+
+def _vertical_skew(q, inv, a, b):
+    """The skew S with M S + S M = -(a^T b - b^T a), from _sylvester_basis of M.
+
+    In the eigenbasis of M the equation is diagonal, S'_ij = -C'_ij /
+    (mu_i + mu_j).  With a and b tangent at the preshape p, p S is the
+    vertical part of the submersion's A-tensor, A_a b (see _oneill).
+    """
+    c = np.swapaxes(a, -1, -2) @ b
+    qt = np.swapaxes(q, -1, -2)
+    return q @ (inv * (qt @ (c - np.swapaxes(c, -1, -2)) @ q)) @ qt
+
+
 def _vertical_bases(points_batch):
     """(n, m, d) batch -> (n, n_gen, m*d) orthonormal-or-zero vertical frames."""
     n, m, d = points_batch.shape
@@ -147,16 +176,16 @@ class KendallShapeSpace(Manifold):
 
     Points are flat vectors of length m*d.  All tangent vectors are kept in
     the horizontal subspace; the similarity group is quotiented out by
-    Procrustes alignment wherever two shapes meet (log, dist).  max_step is
-    the substep of the d >= 3 transport; every other map is exact.
+    Procrustes alignment wherever two shapes meet (log, dist).  Every map is
+    exact but the d >= 3 transport, which is fourth order in its RK4 substep
+    of at most _SUBSTEP radians.
     """
 
-    def __init__(self, m: int, d: int, max_step: float = 5e-3):
+    def __init__(self, m: int, d: int):
         if m * d < 3 or m < 2 or d < 2:
             raise ValueError("need m >= 2 landmarks in dimension d >= 2 with m*d >= 3")
         self.m = m
         self.d = d
-        self.max_step = max_step
         self.point_shape = (m * d,)
         self.tangent_shape = (m * d,)
         self.name = f"kendall({m},{d})"
@@ -196,13 +225,6 @@ class KendallShapeSpace(Manifold):
         x = np.asarray(x, dtype=float)
         return x - (x @ rows.T) @ rows
 
-    def horizontal_project(self, p, x):
-        """Remove centering, sphere-normal, and vertical components of x.
-
-        Accepts stacked x with a single base point p.
-        """
-        return self._project_out(x, self._normal_rows(np.asarray(p, dtype=float)))
-
     # -- contract ------------------------------------------------------------
 
     def step(self, p, v, stack):
@@ -215,7 +237,7 @@ class KendallShapeSpace(Manifold):
         components of each row turn with the geodesic, into
         cos(theta) u - sin(theta) p and cos(theta) Ju - sin(theta) Jp, because
         J is parallel, and the rest of the row stays fixed.  For d >= 3 the
-        stack goes through stepped_transport.
+        stack is carried along the same great circle by _lift's RK4.
         """
         p = np.asarray(p, dtype=float)
         stack = np.asarray(stack, dtype=float)
@@ -230,7 +252,7 @@ class KendallShapeSpace(Manifold):
         end = end - (end @ self._centering.T) @ self._centering
         end = end / math.sqrt((end * end).sum())
         if self.d != 2:
-            return end, self.stepped_transport(p, h, stack)
+            return end, self._lift(p, u, theta, stack)
         ju = u @ self._jt
         shift = (c - 1.0) * np.array([u, ju]) - s * rows[-2:]
         # per-row sums, so a row moves the same whatever the stack size
@@ -257,35 +279,38 @@ class KendallShapeSpace(Manifold):
         )
         return points.view(float), flow
 
-    def stepped_transport(self, p, direction, x):
-        """Transport by sphere substeps of at most max_step, for any d.
+    def _lift(self, p, u, theta, stack):
+        """Transport of the stack along cos(t) p + sin(t) u, t in [0, theta], by RK4.
 
-        Each substep is one sphere step that carries x and the direction
-        together, followed by a horizontal re-projection at the new point.
-        Norms are restored after each projection since exact transport is an
-        isometry; the remaining error is in direction and is first order in
-        max_step.  This is the d >= 3 transport and the reference for the
-        d = 2 closed form.  With the curvature exact, this step error adds
-        to the first-order mismatch of the d >= 3 gradient, the default
-        recursion.  Accepts stacked x; an empty stack returns at once.
+        A parallel field's horizontal lift X along the horizontal great
+        circle gamma solves the linear ODE X' = -<gamma', X> gamma +
+        gamma S(gamma', X), the sphere's transport plus the A-tensor term
+        (_vertical_skew at M = gamma^T gamma; Guigui, Maignant, Trouve &
+        Pennec 2021, "Parallel transport on Kendall shape spaces").  Classical
+        RK4 with ceil(theta / _SUBSTEP) equal substeps, fourth order in the
+        substep, with one batched d x d eigh over every distinct stage time.
+        Any d; the step takes it for d >= 3.  An empty stack does no work.
         """
-        x = np.asarray(x, dtype=float)
-        speed = float(np.sqrt(np.dot(direction, direction)))
-        if speed == 0.0 or x.size == 0:
-            return x.copy()
-        n = max(1, int(np.ceil(speed / self.max_step)))
-        gamma = np.array(p, dtype=float)
-        w = np.array(direction, dtype=float) / n
-        out = x.reshape(-1, x.shape[-1])
-        before = np.sqrt(np.add.reduce(out * out, axis=-1))
-        for _ in range(n):
-            end, moved = self._sphere.step(gamma, w, np.concatenate([out, w[None]]))
-            gamma = self.project_point(end)
-            moved = self._project_out(moved, self._normal_rows(gamma))
-            after = np.sqrt(np.add.reduce(moved[:-1] * moved[:-1], axis=-1))
-            ratio = np.where(after > 1e-300, before / np.maximum(after, 1e-300), 1.0)
-            out, w = moved[:-1] * ratio[:, None], moved[-1]
-        return out.reshape(x.shape)
+        if stack.size == 0:
+            return stack.copy()
+        # every distinct stage time, half a substep apart
+        t, half = np.linspace(0.0, theta, 2 * math.ceil(theta / _SUBSTEP) + 1, retstep=True)
+        gammas = self._mat(np.cos(t)[:, None] * p + np.sin(t)[:, None] * u)
+        speeds = self._mat(np.cos(t)[:, None] * u - np.sin(t)[:, None] * p)
+        q, inv = _sylvester_basis(gammas)
+
+        def rate(i, x):
+            along = np.add.reduce(x * speeds[i], axis=(-2, -1))[:, None, None]
+            return gammas[i] @ _vertical_skew(q[i], inv[i], speeds[i], x) - along * gammas[i]
+
+        x = stack.reshape(-1, self.m, self.d)
+        for i in range(0, len(t) - 1, 2):
+            k1 = rate(i, x)
+            k2 = rate(i + 1, x + half * k1)
+            k3 = rate(i + 1, x + half * k2)
+            k4 = rate(i + 2, x + 2.0 * half * k3)
+            x = x + half / 3.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        return x.reshape(stack.shape)
 
     def curvature(self, p, x, y, z):
         """Curvature R(x, y)z of shape space for horizontal x, y, z at p.
@@ -303,7 +328,7 @@ class KendallShapeSpace(Manifold):
         """
         p = np.asarray(p, dtype=float)
         x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-        return self.horizontal_project(
+        return self.project_tangent(
             p, self._sphere.curvature(p, x, y, z) + self._oneill(p, x, y, z)
         )
 
@@ -314,7 +339,7 @@ class KendallShapeSpace(Manifold):
         landmarks read as complex m-vectors.  d >= 3 keeps the default
         recursion, first order in the spacing, which reads every node's
         vectors from the step loop's record and carries the multipliers
-        themselves node by node with the stepped transport (see Manifold).
+        themselves node by node with the RK4 transport (see Manifold).
         Order k >= 1.
         """
         if self.d != 2:
@@ -328,25 +353,13 @@ class KendallShapeSpace(Manifold):
 
         With p and tangents as m x d matrices, the vertical vectors at p are
         p S for skew S, and A_X Y = p S(X,Y), where S solves the Sylvester
-        equation M S + S M = -(X^T Y - Y^T X) with M = p^T p; then
-        A_Z (p S) = H(Z S).  In the eigenbasis of M the equation is
-        diagonal, S'_ij = -C'_ij / (mu_i + mu_j).  Eigenvalue sums below
-        _BASIS_DROP belong to rotations that fix a degenerate shape (no
-        vertical direction), so those entries are set to zero.
+        equation M S + S M = -(X^T Y - Y^T X) with M = p^T p (_vertical_skew);
+        then A_Z (p S) = H(Z S).
         """
-        pm = self._mat(p)
-        mu, q = np.linalg.eigh(pm.T @ pm)
-        sums = mu[:, None] + mu[None, :]
-        keep = sums > _BASIS_DROP
-        inv = np.where(keep, -1.0 / np.where(keep, sums, 1.0), 0.0)
-
-        def skew(a, b):
-            c = np.swapaxes(a, -1, -2) @ b
-            c = q.T @ (c - np.swapaxes(c, -1, -2)) @ q
-            return q @ (inv * c) @ q.T
-
+        q, inv = _sylvester_basis(self._mat(p))
         xm, ym, zm = self._mat(x), self._mat(y), self._mat(z)
-        terms = 2.0 * zm @ skew(xm, ym) - xm @ skew(ym, zm) - ym @ skew(zm, xm)
+        terms = (2.0 * zm @ _vertical_skew(q, inv, xm, ym)
+                 - xm @ _vertical_skew(q, inv, ym, zm) - ym @ _vertical_skew(q, inv, zm, xm))
         return terms.reshape(np.broadcast_shapes(x.shape, y.shape, z.shape))
 
     def project_point(self, p):
@@ -354,7 +367,11 @@ class KendallShapeSpace(Manifold):
         return flat / np.sqrt(np.add.reduce(flat * flat, axis=-1, keepdims=True))
 
     def project_tangent(self, p, x):
-        return self.horizontal_project(p, x)
+        """Remove centering, sphere-normal and vertical components of x.
+
+        Accepts stacked x with a single base point p.
+        """
+        return self._project_out(x, self._normal_rows(np.asarray(p, dtype=float)))
 
     def log_many(self, points, targets):
         """Exact quotient log via alignment, batched over matching rows.

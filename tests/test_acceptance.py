@@ -169,7 +169,7 @@ def test_criterion_5_geometry_suite():
 
     for m in (rp.Sphere(2), rp.Euclidean(3),
               rp.RotationGroup(max_step=1e-4),
-              rp.KendallShapeSpace(3, 2, max_step=1e-5)):
+              rp.KendallShapeSpace(3, 2)):
         p = m.random_point(rng)
         d = unit_tangent(m, rng, p, 0.15)
         x = unit_tangent(m, rng, p)

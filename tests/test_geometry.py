@@ -28,7 +28,7 @@ def within_tolerance(m, residual):
     return bool(np.all(residual <= TOLERANCES[type(m)]))
 
 
-@pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general"])
+@pytest.mark.parametrize("name", MANIFOLD_NAMES + ["so3_general", "kendall_3d"])
 class TestContract:
     def test_exp_of_zero_is_identity(self, name, rng):
         m = make_manifold(name)
@@ -107,22 +107,14 @@ class TestContract:
             assert abs(lhs - rhs) < 1e-8
 
     def test_random_point_residuals_within_tolerance(self, name, rng):
-        assert_random_samples_within_tolerance(make_manifold(name), rng)
-
-
-def assert_random_samples_within_tolerance(m, rng):
-    # the base class samples by projecting Gaussian draws; both projections
-    # must land within the geometry's tolerance (conftest.TOLERANCES)
-    for _ in range(20):
-        p = m.random_point(rng)
-        assert within_tolerance(m, m.point_residual(p))
-        assert within_tolerance(m, m.tangent_residual(p, m.random_tangent(rng, p)))
-
-
-def test_random_samples_within_tolerance_on_kendall_3d(rng):
-    # the d >= 3 shape space stays out of TestContract: its stepped transport
-    # is an isometry only to first order in max_step
-    assert_random_samples_within_tolerance(make_manifold("kendall_3d"), rng)
+        # the base class samples by projecting Gaussian draws; both
+        # projections must land within the geometry's tolerance
+        # (conftest.TOLERANCES)
+        m = make_manifold(name)
+        for _ in range(20):
+            p = m.random_point(rng)
+            assert within_tolerance(m, m.point_residual(p))
+            assert within_tolerance(m, m.tangent_residual(p, m.random_tangent(rng, p)))
 
 
 def tangent_stack(m, rng, p, count=3):
@@ -175,7 +167,7 @@ def test_geometries_write_only_the_contract(cls):
     # are shape space's
     assert "pullback" in vars(cls) and "integrate" in vars(cls)
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
-    assert own <= {"from_landmarks", "horizontal_project", "stepped_transport"}
+    assert own <= {"from_landmarks"}
 
 
 @pytest.mark.parametrize("m", [rp.Sphere(2), rp.Sphere(15), rp.KendallShapeSpace(8, 2)],
