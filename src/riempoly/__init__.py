@@ -39,7 +39,6 @@ from .regress import (
     fit_orders,
     fit_polynomial,
     frechet_mean,
-    frechet_variance,
     integrate_adjoint,
     r_squared,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "fit_orders",
     "fit_polynomial",
     "frechet_mean",
-    "frechet_variance",
     "integrate_adjoint",
     "r_squared",
     "MetricSpec",

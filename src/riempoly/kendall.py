@@ -25,9 +25,12 @@ closed form; it integrates the horizontal lift's linear ODE along the step's
 great circle by RK4, fourth order in a fixed substep (Guigui, Maignant,
 Trouve & Pennec 2021, "Parallel transport on Kendall shape spaces").  The
 curvature is exact for every d: the horizontal sphere curvature plus
-O'Neill's A-tensor terms of the submersion, whose Sylvester solve the d >= 3
-transport shares; the d >= 3 gradient, the default recursion, couples
-through the curvature.
+O'Neill's A-tensor terms of the submersion; the d >= 3 gradient, the default
+recursion, couples through the curvature.  For d >= 3 the vertical space at
+p is {p S : S skew}, and one Sylvester solve, M S + S M = C with M = p^T p,
+in the eigenbasis of M, serves the curvature, the transport and the
+horizontal projections of step, project_tangent and log_many; for d = 2 the
+vertical space is the line of Jp.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 from .geometry import CutLocusError, Manifold, roll, unroll
 from .sphere import Sphere
 
-# Gram-Schmidt drop threshold for degenerate (e.g. collinear) configurations.
+# eigenvalue sums of M = p^T p below this belong to rotations that (nearly)
+# fix a degenerate, e.g. collinear, shape: no vertical direction
 _BASIS_DROP = 1e-10
 # largest RK4 substep, in radians of the great circle, of the d >= 3 transport
 _SUBSTEP = 0.05
@@ -144,31 +148,13 @@ def _vertical_skew(q, inv, a, b):
 
     In the eigenbasis of M the equation is diagonal, S'_ij = -C'_ij /
     (mu_i + mu_j).  With a and b tangent at the preshape p, p S is the
-    vertical part of the submersion's A-tensor, A_a b (see _oneill).
+    vertical part of the submersion's A-tensor, A_a b (see _oneill); with a
+    any vector and b = p, p S is the vertical part of a (see
+    KendallShapeSpace._vertical).
     """
     c = np.swapaxes(a, -1, -2) @ b
     qt = np.swapaxes(q, -1, -2)
     return q @ (inv * (qt @ (c - np.swapaxes(c, -1, -2)) @ q)) @ qt
-
-
-def _vertical_bases(points_batch):
-    """(n, m, d) batch -> (n, n_gen, m*d) orthonormal-or-zero vertical frames."""
-    n, m, d = points_batch.shape
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    gens = np.zeros((n, len(pairs), m, d))
-    for idx, (a, b) in enumerate(pairs):
-        gens[:, idx, :, a] = points_batch[:, :, b]
-        gens[:, idx, :, b] = -points_batch[:, :, a]
-    gens = gens.reshape(n, len(pairs), m * d)
-    # modified Gram-Schmidt with drop threshold; dropped rows become zero
-    for i in range(len(pairs)):
-        for j in range(i):
-            coef = np.add.reduce(gens[:, i] * gens[:, j], axis=-1, keepdims=True)
-            gens[:, i] -= coef * gens[:, j]
-        norm = np.sqrt(np.add.reduce(gens[:, i] ** 2, axis=-1, keepdims=True))
-        keep = norm > _BASIS_DROP
-        gens[:, i] = np.where(keep, gens[:, i] / np.where(keep, norm, 1.0), 0.0)
-    return gens
 
 
 class KendallShapeSpace(Manifold):
@@ -176,9 +162,10 @@ class KendallShapeSpace(Manifold):
 
     Points are flat vectors of length m*d.  All tangent vectors are kept in
     the horizontal subspace; the similarity group is quotiented out by
-    Procrustes alignment wherever two shapes meet (log, dist).  Every map is
-    exact but the d >= 3 transport, which is fourth order in its RK4 substep
-    of at most _SUBSTEP radians.
+    Procrustes alignment wherever two shapes meet (log, dist); the vertical
+    part of a vector comes from _vertical, Jp for d = 2 and one Sylvester
+    solve for d >= 3.  Every map is exact but the d >= 3 transport, which is
+    fourth order in its RK4 substep of at most _SUBSTEP radians.
     """
 
     def __init__(self, m: int, d: int):
@@ -204,21 +191,29 @@ class KendallShapeSpace(Manifold):
     def from_landmarks(self, raw) -> np.ndarray:
         return to_preshape(raw).flat()
 
-    def _vertical_frame(self, p):
-        """Orthonormal vertical frame (rows) at a preshape point or a stack."""
-        if self.d == 2:
-            # the single rotation generator of a unit preshape is itself unit
-            return (p @ self._jt)[..., None, :]
-        frames = _vertical_bases(self._mat(p).reshape(-1, self.m, self.d))
-        return frames.reshape(np.shape(p)[:-1] + frames.shape[1:])
-
     def _normal_rows(self, p):
-        """Orthonormal rows spanning everything but the horizontal space at p.
+        """Orthonormal rows spanning the translations and p, and Jp when d = 2.
 
-        The centering rows, p itself and the vertical frame at p are mutually
-        orthogonal, so one matrix product projects them all out.
+        They are mutually orthogonal, so one matrix product projects them all
+        out; for d = 2, Jp spans the whole vertical space at p.
         """
-        return np.concatenate([self._centering, p[None], self._vertical_frame(p)])
+        if self.d == 2:
+            return np.concatenate([self._centering, p[None], (p @ self._jt)[None]])
+        return np.concatenate([self._centering, p[None]])
+
+    def _vertical(self, p, x):
+        """The vertical part of x at p, batched over matching leading axes.
+
+        For d = 2 it is <x, Jp> Jp.  For d >= 3 it is p S, where the skew S
+        solves M S + S M = p^T x - x^T p with M = p^T p (_vertical_skew):
+        that S minimizes |x - p S| over skew S, so p S is the orthogonal
+        projection of x onto the rotation orbit's tangent space {p S}.
+        """
+        if self.d == 2:
+            jp = p @ self._jt
+            return jp * np.add.reduce(jp * x, axis=-1, keepdims=True)
+        pm = self._mat(p)
+        return (pm @ _vertical_skew(*_sylvester_basis(pm), self._mat(x), pm)).reshape(np.shape(x))
 
     @staticmethod
     def _project_out(x, rows):
@@ -241,8 +236,7 @@ class KendallShapeSpace(Manifold):
         """
         p = np.asarray(p, dtype=float)
         stack = np.asarray(stack, dtype=float)
-        rows = self._normal_rows(p)             # ends with p, and Jp when d = 2
-        h = v - (v @ rows.T) @ rows
+        h = self.project_tangent(p, v)
         theta = math.sqrt(h @ h)
         if theta == 0.0:
             return p, stack.copy()
@@ -254,7 +248,7 @@ class KendallShapeSpace(Manifold):
         if self.d != 2:
             return end, self._lift(p, u, theta, stack)
         ju = u @ self._jt
-        shift = (c - 1.0) * np.array([u, ju]) - s * rows[-2:]
+        shift = (c - 1.0) * np.array([u, ju]) - s * np.array([p, p @ self._jt])
         # per-row sums, so a row moves the same whatever the stack size
         a, b = np.add.reduce(stack * u, axis=-1), np.add.reduce(stack * ju, axis=-1)
         return end, stack + np.multiply.outer(a, shift[0]) + np.multiply.outer(b, shift[1])
@@ -371,7 +365,9 @@ class KendallShapeSpace(Manifold):
 
         Accepts stacked x with a single base point p.
         """
-        return self._project_out(x, self._normal_rows(np.asarray(p, dtype=float)))
+        p = np.asarray(p, dtype=float)
+        h = self._project_out(x, self._normal_rows(p))
+        return h if self.d == 2 else h - self._vertical(p, h)
 
     def log_many(self, points, targets):
         """Exact quotient log via alignment, batched over matching rows.
@@ -388,7 +384,5 @@ class KendallShapeSpace(Manifold):
         if (c <= 1e-12).any():
             raise CutLocusError("shapes are (nearly) maximally remote")
         logs = self._sphere.log_many(points, aligned)
-        frames = self._vertical_frame(points)
-        coef = np.add.reduce(frames * logs[:, None], axis=-1)
-        return logs - np.add.reduce(coef[..., None] * frames, axis=-2)
+        return logs - self._vertical(points, logs)
 

@@ -282,14 +282,6 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
     return _frechet_mean_and_variance(manifold, points, tol, max_iter)[0]
 
 
-def frechet_variance(manifold: Manifold, points, mean=None) -> float:
-    """Mean squared distance from points to their Frechet mean (or to mean)."""
-    points = np.asarray(points, dtype=float)
-    if mean is None:
-        return _frechet_mean_and_variance(manifold, points)[1]
-    return _residuals(manifold, np.broadcast_to(mean, points.shape), points)[1]
-
-
 def r_squared(sse: float, variance: float) -> float:
     """Determination coefficient 1 - SSE/variance."""
     if variance <= 0.0:

@@ -44,6 +44,8 @@ _PREV = np.array([2, 0, 1])
 _EYE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 _HATS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
                   [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+# largest midpoint substep of the general-metric flow, in the norm of the velocity
+_MAX_STEP = 5e-3
 
 
 def hat(x):
@@ -193,9 +195,8 @@ def _compose(p, turns):
 class RotationGroup(Manifold):
     """SO(3) under a left-invariant metric; see the module docstring."""
 
-    def __init__(self, metric: MetricSpec | None = None, max_step: float = 5e-3):
+    def __init__(self, metric: MetricSpec | None = None):
         self.metric = metric if metric is not None else MetricSpec(np.eye(3))
-        self.max_step = max_step
         self.point_shape = (3, 3)
         self.tangent_shape = (3,)
         self.name = "so3" if self.metric.is_identity else "so3(A)"
@@ -205,7 +206,7 @@ class RotationGroup(Manifold):
 
         v is one velocity or a stack of them, and stack carries v's leading
         axes first: the fields of row b ride along v[b].  Row b takes
-        ceil(|v[b]| / max_step) equal substeps, none when v[b] is zero, and
+        ceil(|v[b]| / _MAX_STEP) equal substeps, none when v[b] is zero, and
         holds still once it has taken them.  Returns the transported fields,
         shaped like stack, and each substep's turns, the step times the
         midpoint velocity, zero for a row that holds still.  No rate reads
@@ -220,7 +221,7 @@ class RotationGroup(Manifold):
         # substep counts as Python numbers, so that a one-velocity call costs
         # what scalar bookkeeping does, and a count every row shares keeps h
         # a float
-        counts = [math.ceil(math.sqrt(a * a + b * b + c * c) / self.max_step)
+        counts = [math.ceil(math.sqrt(a * a + b * b + c * c) / _MAX_STEP)
                   for a, b, c in w.reshape(-1, 3).tolist()]
         most = max(counts, default=0)
         if min(counts, default=0) == most:

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 import riempoly as rp
 from riempoly import so3
-from riempoly.kendall import _align_many, _vertical_bases
+from riempoly.kendall import _align_many
 from riempoly.regress import _objective, integrate_adjoint
 
 # deterministic examples and no per-example deadline: the suite must give
@@ -58,8 +58,22 @@ def procrustes_align(target, base):
 
 
 def vertical_basis(points):
-    """Orthonormal rows (flattened) spanning the rotation orbit at an (m, d) shape."""
-    return _vertical_bases(np.asarray(points, dtype=float)[None])[0]
+    """Orthonormal rows (flattened) spanning the rotation orbit at an (m, d) shape.
+
+    The rows of an SVD of the d(d-1)/2 rotation generators, x -> x (E_ab -
+    E_ba), that belong to singular values above 1e-10; a generator that fixes
+    a degenerate shape adds no row.
+    """
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    gens = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            skew = np.zeros((d, d))
+            skew[a, b], skew[b, a] = 1.0, -1.0
+            gens.append((points @ skew).reshape(-1))
+    _, sing, rows = np.linalg.svd(np.array(gens), full_matrices=False)
+    return rows[sing > 1e-10]
 
 
 def shape_distance(p_config, q_config):

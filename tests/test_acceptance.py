@@ -168,7 +168,7 @@ def test_criterion_5_geometry_suite():
             curvature_worst = max(curvature_worst, anti, pairing)
 
     for m in (rp.Sphere(2), rp.Euclidean(3),
-              rp.RotationGroup(max_step=1e-4),
+              rp.RotationGroup(),
               rp.KendallShapeSpace(3, 2)):
         p = m.random_point(rng)
         d = unit_tangent(m, rng, p, 0.15)

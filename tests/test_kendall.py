@@ -113,37 +113,82 @@ class TestVerticalBasis:
             assert np.abs(b.reshape(5, 2).mean(axis=0)).max() < 1e-12
 
 
+def projection_cases(rng):
+    """(space, preshape, orbit dimension) for 5 landmarks in four configurations.
+
+    Random planar and 3-D shapes, and two degenerate 3-D ones: an exactly
+    collinear shape, whose orbit loses the rotation about its line, and a
+    planar shape in 3-D, whose orbit keeps all three rotations.
+    """
+    planar, solid = rp.KendallShapeSpace(5, 2), rp.KendallShapeSpace(5, 3)
+    flat = rng.standard_normal((5, 3))
+    flat[:, 2] = 0.0
+    line = np.stack([np.linspace(-1.0, 1.0, 5), np.zeros(5), np.zeros(5)], axis=1)
+    return [(planar, random_preshape(planar, rng), 1),
+            (solid, random_preshape(solid, rng), 3),
+            (solid, solid.from_landmarks(line), 2),
+            (solid, solid.from_landmarks(flat), 3)]
+
+
 class TestHorizontalProjection:
-    def test_kills_vertical(self, space, rng):
-        p = random_preshape(space, rng)
-        basis = vertical_basis(p.reshape(space.m, space.d))
-        for b in basis:
-            assert np.abs(space.project_tangent(p, b)).max() < 1e-9
-
-    def test_idempotent(self, space, rng):
-        p = random_preshape(space, rng)
-        x = rng.standard_normal(space.m * space.d)
-        once = space.project_tangent(p, x)
-        twice = space.project_tangent(p, once)
-        assert np.abs(twice - once).max() < 1e-12
-
-    def test_output_orthogonal_to_vertical(self, space, rng):
-        p = random_preshape(space, rng)
-        basis = vertical_basis(p.reshape(space.m, space.d))
-        for _ in range(5):
-            x = rng.standard_normal(space.m * space.d)
-            h = space.project_tangent(p, x)
+    def test_kills_vertical(self, rng):
+        for space, p, rank in projection_cases(rng):
+            basis = vertical_basis(p.reshape(space.m, space.d))
+            assert len(basis) == rank
             for b in basis:
-                assert abs(np.dot(h, b)) < 1e-9
+                assert np.abs(space.project_tangent(p, b)).max() < 1e-9
 
-    def test_is_orthogonal_projection(self, space, rng):
-        p = random_preshape(space, rng)
-        x = rng.standard_normal(space.m * space.d)
-        # make x a preshape tangent first so removed part is purely vertical
-        x = x - x.reshape(space.m, 2).mean(axis=0)[None, :].repeat(space.m, 0).reshape(-1)
-        x = x - np.dot(x, p) * p
-        h = space.project_tangent(p, x)
-        assert abs(np.dot(x - h, h)) < 1e-10
+    def test_idempotent(self, rng):
+        for space, p, _ in projection_cases(rng):
+            x = rng.standard_normal(space.m * space.d)
+            once = space.project_tangent(p, x)
+            twice = space.project_tangent(p, once)
+            assert np.abs(twice - once).max() < 1e-12
+
+    def test_output_orthogonal_to_vertical(self, rng):
+        for space, p, _ in projection_cases(rng):
+            basis = vertical_basis(p.reshape(space.m, space.d))
+            for _ in range(5):
+                x = rng.standard_normal(space.m * space.d)
+                h = space.project_tangent(p, x)
+                for b in basis:
+                    assert abs(np.dot(h, b)) < 1e-9
+
+    def test_is_orthogonal_projection(self, rng):
+        for space, p, _ in projection_cases(rng):
+            x = rng.standard_normal((space.m, space.d))
+            # make x a preshape tangent first so removed part is purely vertical
+            x = (x - x.mean(axis=0)).reshape(-1)
+            x = x - np.dot(x, p) * p
+            h = space.project_tangent(p, x)
+            assert abs(np.dot(x - h, h)) < 1e-10
+            # and the removed part lies in the oracle's vertical span
+            basis = vertical_basis(p.reshape(space.m, space.d))
+            assert np.abs((x - h) - ((x - h) @ basis.T) @ basis).max() < 1e-12
+
+    def test_nearly_collinear_rotation_is_dropped(self, rng):
+        # a 4-landmark line in 3-D perturbed by 1e-7: the rotation about the
+        # line moves the shape by ~1e-7, so its eigenvalue sum in M = p^T p
+        # is ~1e-14, below _BASIS_DROP.  The projection drops it, as the
+        # curvature and the transport do, and keeps the two others; the
+        # oracle's rank cut (1e-10 on the generator's norm) still resolves it
+        space = rp.KendallShapeSpace(4, 3)
+        line = np.stack([np.linspace(-1.0, 1.0, 4), np.zeros(4), np.zeros(4)], axis=1)
+        p = space.from_landmarks(line + 1e-7 * rng.standard_normal((4, 3)))
+        pm = p.reshape(4, 3)
+        basis = vertical_basis(pm)
+        assert len(basis) == 3
+        kept = np.linalg.svd(np.stack([space.project_tangent(p, b) for b in basis]),
+                             compute_uv=False)
+        assert abs(kept[0] - 1.0) < 1e-12 and kept[1:].max() < 1e-12
+        # the direction that survives is the rotation the Sylvester weights drop
+        q, inv = kendall._sylvester_basis(pm)
+        assert inv[0, 1] == 0.0 and inv[0, 2] != 0.0 and inv[1, 2] != 0.0
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        w = (pm @ q @ skew @ q.T).reshape(-1)
+        w /= np.linalg.norm(w)
+        assert np.abs(space.project_tangent(p, w) - w).max() < 1e-12
 
 
 class TestProcrustes:

@@ -1,5 +1,6 @@
 """Landmark file parsing, serialization, and error reporting."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from riempoly.landmarks import (
     write_landmarks_csv,
 )
 
-RAT_FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data"
-               / "rat_calvaria_synthetic.csv")
+ROOT = Path(__file__).resolve().parents[1]
+RAT_FIXTURE = ROOT / "src" / "riempoly" / "data" / "rat_calvaria_synthetic.csv"
 
 
 def write(tmp_path, name, text):
@@ -213,3 +214,17 @@ class TestBundledFixture:
         path = tmp_path / "back.csv"
         write_landmarks_csv(parse_landmarks(RAT_FIXTURE), path)
         assert path.read_bytes() == RAT_FIXTURE.read_bytes()
+
+    def test_regenerated_by_its_script(self):
+        # scripts/make_rat_fixture.py rebuilds the file's ids and times
+        # exactly and its landmarks in all but the last bits (relative gaps
+        # up to ~4e-15): the file's provenance, checked without rewriting it
+        spec = importlib.util.spec_from_file_location(
+            "make_rat_fixture", ROOT / "scripts" / "make_rat_fixture.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        made, committed = script.make_records(), parse_landmarks(RAT_FIXTURE)
+        assert [(r.id, r.time) for r in made] == [(r.id, r.time) for r in committed]
+        a = np.array([r.landmarks for r in made])
+        b = np.array([r.landmarks for r in committed])
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))

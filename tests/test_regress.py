@@ -810,7 +810,7 @@ class TestFitPolynomial:
 
     def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
         # the mean and variance depend on the points alone: one computation
-        # serves every order, with the bits of the public functions
+        # serves every order, with the bits of a fresh computation
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
         calls = {"frechet": 0}
@@ -825,8 +825,7 @@ class TestFitPolynomial:
         results = rp.fit_orders(sphere, data, (0, 1, 2),
                                 rp.FitConfig(order=0, steps=50, max_iters=50))
         assert calls["frechet"] == 1
-        mean = rp.frechet_mean(sphere, data.points)
-        variance = rp.frechet_variance(sphere, data.points, mean=mean)
+        variance = stats(sphere, data.points)[1]
         assert results[1].frechet_variance == variance
         assert results[2].frechet_variance == variance
 

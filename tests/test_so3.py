@@ -278,12 +278,13 @@ class TestGeodesicIntegrator:
             w = w + h * geodesic_rate(w_mid, inertia_metric)
         assert abs(inertia_metric.inner(w, w) - e0) < 1e-6
 
-    def test_manifold_exp_self_convergence(self, inertia_metric, rng):
+    def test_manifold_exp_self_convergence(self, inertia_metric, rng, monkeypatch):
         w = np.array([1.0, 1.0, 1.0])
-        fine = rp.RotationGroup(inertia_metric, max_step=2e-5)
-        ref = fine.exp(np.eye(3), w)
+        group = rp.RotationGroup(inertia_metric)
+        monkeypatch.setattr(so3, "_MAX_STEP", 2e-5)
+        ref = group.exp(np.eye(3), w)
         for max_step in (1e-2, 1e-3):
-            group = rp.RotationGroup(inertia_metric, max_step=max_step)
+            monkeypatch.setattr(so3, "_MAX_STEP", max_step)
             err = np.abs(group.exp(np.eye(3), w) - ref).max()
             assert err < 10.0 * max_step ** 2 + 1e-10
 
@@ -333,8 +334,9 @@ class TestLogMap:
         v = v / np.linalg.norm(v) * 1.2
         assert np.abs(group.log(p, group.exp(p, v)) - v).max() < 1e-10
 
-    def test_general_metric_shooting(self, inertia_metric, rng):
-        group = rp.RotationGroup(inertia_metric, max_step=1e-3)
+    def test_general_metric_shooting(self, inertia_metric, rng, monkeypatch):
+        monkeypatch.setattr(so3, "_MAX_STEP", 1e-3)
+        group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 0.6)
         assert np.abs(group.log(p, group.exp(p, v)) - v).max() < 1e-7
@@ -593,8 +595,9 @@ class TestTransport:
                 alone = group.transport(p, directions[b], x[b])
                 assert np.abs(moved[b] - alone).max() <= 1e-15, (shape, b)
 
-    def test_transport_reversibility(self, inertia_metric, rng):
-        group = rp.RotationGroup(inertia_metric, max_step=1e-4)
+    def test_transport_reversibility(self, inertia_metric, rng, monkeypatch):
+        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
+        group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 0.8)
         x = rng.standard_normal(3)
@@ -603,8 +606,9 @@ class TestTransport:
         back = group.transport(q, -v_end, group.transport(p, v, x))
         assert np.abs(back - x).max() < 1e-5
 
-    def test_norm_preserved_along_geodesic(self, inertia_metric, rng):
-        group = rp.RotationGroup(inertia_metric, max_step=1e-4)
+    def test_norm_preserved_along_geodesic(self, inertia_metric, rng, monkeypatch):
+        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
+        group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 1.0)
         x = rng.standard_normal(3)
@@ -646,7 +650,7 @@ class TestTransport:
         errs = [np.abs(run - closed).max() for run in runs]
         # the oracle's first-order error shrinks onto the closed form, and
         # its Richardson extrapolation meets it to second order (~2e-8); the
-        # stepped midpoint flow at the default max_step misses by ~1.4e-6
+        # stepped midpoint flow at the default _MAX_STEP misses by ~1.4e-6
         assert 0.95 <= log_log_slope(dts, errs) <= 1.05
         assert np.abs(2.0 * runs[2] - runs[1] - closed).max() < 1e-7
 
@@ -676,13 +680,14 @@ class TestCurvature:
             expected = 0.25 * np.cross(z, np.cross(x, y))
             assert np.abs(got - expected).max() < 1e-12
 
-    def test_holonomy_oracle_general_metric(self, inertia_metric, rng):
+    def test_holonomy_oracle_general_metric(self, inertia_metric, rng, monkeypatch):
         """Loop transport around a small geodesic parallelogram.
 
         Riding x, then the transported y, then back, picks up
         s^2 R(x, y) on the transported vector, up to O(s^3) closure terms.
         """
-        group = rp.RotationGroup(inertia_metric, max_step=2e-5)
+        monkeypatch.setattr(so3, "_MAX_STEP", 2e-5)
+        group = rp.RotationGroup(inertia_metric)
         s = 1e-4
         p = group.random_point(rng)
         x, y, z = (rng.standard_normal(3) for _ in range(3))
