@@ -259,7 +259,8 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
                 samples, plot_data):
     """Fit polynomial trends to a timed landmark dataset."""
     try:
-        order_list = tuple(int(tok) for tok in orders.split(",") if tok.strip())
+        # each distinct order once, in the order given
+        order_list = tuple(dict.fromkeys(int(tok) for tok in orders.split(",") if tok.strip()))
         if not order_list:
             raise ValueError("need at least one order")
         config = FitConfig(order=0, steps=steps, max_iters=max_iters, tol=tol)

@@ -467,45 +467,44 @@ def _running_products(mats):
     return out
 
 
-def shooting_log(manifold, p, q, initial, *, endpoint_gap, tol=1e-9, max_iter=200):
-    """Iterative log map: shoot the exponential, pull the endpoint gap back.
+def shooting_log(shoot, v, *, name, tol=1e-9, max_iter=200):
+    """Iterative log map of a batch of pairs: shoot the exponential in lockstep.
 
-    Repeatedly takes one geodesic step from p with velocity v, which yields
-    the endpoint and the velocity there, measures the remaining gap to q as
-    a tangent vector at the endpoint, parallel transports that gap back
-    along the reversed geodesic, and adds it to v.  Transport differs from
-    the inverse differential of the exponential by a term of order curvature
-    times squared length, so full shots shrink the error by about that
-    factor each; the step is halved whenever a shot fails to reduce it.
-
-    endpoint_gap(end, q) must return a tangent at end pointing toward q and
-    only needs to be first-order accurate; the fixed point is exact.  Its
-    errors, such as a CutLocusError, propagate.
+    v holds one initial velocity per pair.  shoot(rows, vel) shoots the
+    pairs rows, an index array or a slice, from their base points with the
+    velocities vel, and returns two things per pair: the endpoint gap, a
+    tangent at the endpoint toward the pair's target, pulled back to the
+    base point, and that gap's metric norm.  Pulling the gap back by
+    parallel transport along the reversed geodesic, or by the inverse of
+    the shot's own transport, differs from the inverse differential of exp
+    by a term of order curvature times squared length, so full shots
+    shrink the gap by about that factor each; the fixed point, a zero gap,
+    is exact.  Each pair adds its pulled gap times its own step, 1 at first
+    and halved whenever a shot fails to lower its gap, and leaves the batch
+    once the gap is at most tol.  A pair gives up after max_iter shots or
+    once its step falls below 1e-12; a NaN gap stays open.  The shot's own
+    errors, such as a CutLocusError, propagate.  Returns the velocities; a
+    pair left above tol raises ShootingError, which names the pair left
+    farthest, of name's batch, and carries its residual.
     """
-    def miss(vec):
-        end, moved = manifold.step(p, vec, vec[None])
-        gap = endpoint_gap(end, q)
-        return end, moved[0], gap, manifold.norm(end, gap)
-
-    v = manifold.project_tangent(p, np.array(initial, dtype=float))
-    end, v_end, gap, err = miss(v)
-    step = 1.0
+    v = np.array(v, dtype=float)
+    pulled, err = shoot(slice(None), v)
+    step = np.ones(len(v))
+    live = np.flatnonzero(~(err <= tol))        # a NaN gap stays open
     for _ in range(max_iter):
-        if err <= tol:
-            return v
-        # ride the reversed geodesic to bring the endpoint gap back to p
-        pulled = manifold.transport(end, -v_end, gap)
-        trial = manifold.project_tangent(p, v + step * pulled)
-        t_end, t_v_end, t_gap, t_err = miss(trial)
-        if t_err < err:
-            v, end, v_end, gap, err = trial, t_end, t_v_end, t_gap, t_err
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    if err <= tol:
+        if not live.size:
+            break
+        trial = v[live] + step[live, None] * pulled[live]
+        t_pulled, t_err = shoot(live, trial)
+        better = t_err < err[live]
+        won = live[better]
+        v[won], pulled[won], err[won] = trial[better], t_pulled[better], t_err[better]
+        step[live[~better]] *= 0.5
+        live = live[~(err[live] <= tol) & (step[live] >= 1e-12)]
+    worst = int(np.argmax(err))
+    if err[worst] <= tol:
         return v
     raise ShootingError(
-        f"log map did not reach tolerance {tol:g} on {manifold.name}: "
-        f"residual {err:.3e}", residual=err,
+        f"log map did not reach tolerance {tol:g} on {name}: pair {worst} "
+        f"of {len(v)} left at residual {err[worst]:.3e}", residual=float(err[worst]),
     )

@@ -238,7 +238,9 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
     variance is within _TIE_ULPS units in the last place of the current one
     is accepted only if it lowers the gradient norm.  A candidate at the cut
     locus of an observation is rejected like one that does not descend.
-    A final gradient norm above tol warns; above max(tol, 1e-6) it raises.
+    The iteration starts at the first observation from which every log is
+    defined; if none is, the last one's CutLocusError propagates.  A final
+    gradient norm above tol warns; above max(tol, 1e-6) it raises.
     Returns (mean, variance, logs), the logs' rows matching points.
     """
     points = np.asarray(points, dtype=float)
@@ -248,7 +250,15 @@ def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
         grad = np.add.reduce(logs) / len(logs)
         return mean, logs, value, grad, manifold.norm(mean, grad)
 
-    current = evaluate(np.array(points[0], dtype=float))
+    # the first observation whose logs to all the others are defined
+    for start in points[:-1]:
+        try:
+            current = evaluate(np.array(start, dtype=float))
+            break
+        except CutLocusError:
+            pass
+    else:
+        current = evaluate(np.array(points[-1], dtype=float))
     step = 1.0
     for _ in range(max_iter):
         mean, _, value, grad, grad_norm = current
@@ -446,12 +456,12 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     only improve with the order; where the padded curve passes the previous
     curve's observed points bit for bit, it starts from the previous logs
     and SSE without a log of its own.  Every order reuses the dataset's one
-    Frechet mean and variance.
+    Frechet mean and variance; a repeated order is fitted once.
     """
     results = {}
     previous = None
     frechet = _frechet_mean_and_variance(manifold, data.points)
-    for k in sorted(orders):
+    for k in sorted(set(orders)):
         initial = None
         if previous is not None and previous.params.order < k:
             pad = np.zeros((k - previous.params.order,) + manifold.tangent_shape)

@@ -22,9 +22,10 @@ all the turns.  The fit's gradient is the base class's recursion, one
 curvature per node, with each node's transport read from the pass's
 record as a 3x3 matrix.  The log of each pair, in ``log_many``, is the
 principal rotation vector, shot onto the metric's geodesic under a general
-metric.  The shooting runs every pair in lockstep, so the flow,
-``rotation_log``, ``_compose`` and ``project_point`` all batch over a
-leading pair axis, and a row's result does not depend on the rows beside it.
+metric by ``geometry.shooting_log``, the lockstep loop that shoots every
+pair at once.  So the flow, ``rotation_log``, ``_compose`` and
+``project_point`` all batch over a leading pair axis, and a row's result
+does not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, ShootingError, _running_products, flat_flow
+from .geometry import CutLocusError, Manifold, _running_products, flat_flow, shooting_log
 
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
@@ -322,19 +323,13 @@ class RotationGroup(Manifold):
         return rel if self.metric.is_identity else self._shoot(points, targets, rel)
 
     def _shoot(self, points, targets, v):
-        """The logs under a general metric: every pair shot in lockstep.
+        """The logs under a general metric: geometry.shooting_log's lockstep loop.
 
         A shot from p with velocity v is one flow of v and the basis
         e_1..e_3, whose rows E are then the transports of the basis.  Its
         endpoint gap, rotation_log(end^T q), is tangent at the end, and the
         inverse of the shot's own transport pulls it back to p as gap E^-1.
-        Transport differs from the inverse differential of exp by a term of
-        order curvature times squared length, so full shots shrink the gap
-        by about that factor each; the fixed point, a zero gap, is exact.
-        Each pair adds its pulled gap times its own step, 1 at first and
-        halved whenever a shot fails to reduce the gap's metric norm, and
-        leaves the batch once that norm is at most 1e-10.  A pair gives up
-        after 200 shots or once its step falls below 1e-12.
+        A pair leaves the batch once the gap's metric norm is at most 1e-10.
         """
         def shot(rows, vel):
             frame, turns = self._flow(vel, np.broadcast_to(_EYE, vel.shape + (3,)))
@@ -343,27 +338,7 @@ class RotationGroup(Manifold):
             pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
             return pulled, np.sqrt(self.metric.inner(gap, gap))
 
-        v = v.copy()
-        pulled, err = shot(slice(None), v)
-        step = np.ones(len(v))
-        live = np.flatnonzero(~(err <= 1e-10))     # a NaN gap stays open
-        for _ in range(200):
-            if not live.size:
-                break
-            trial = v[live] + step[live, None] * pulled[live]
-            t_pulled, t_err = shot(live, trial)
-            better = t_err < err[live]
-            won = live[better]
-            v[won], pulled[won], err[won] = trial[better], t_pulled[better], t_err[better]
-            step[live[~better]] *= 0.5
-            live = live[~(err[live] <= 1e-10) & (step[live] >= 1e-12)]
-        worst = int(np.argmax(err))
-        if err[worst] <= 1e-10:
-            return v
-        raise ShootingError(
-            f"log map did not reach tolerance 1e-10 on {self.name}: pair {worst} "
-            f"of {len(v)} left at residual {err[worst]:.3e}", residual=float(err[worst]),
-        )
+        return shooting_log(shot, v, name=self.name, tol=1e-10)
 
     def curvature(self, p, x, y, z):
         return curvature(x, y, z, self.metric)

@@ -76,6 +76,31 @@ def vertical_basis(points):
     return rows[sing > 1e-10]
 
 
+def contract_shot(manifold, p, q, endpoint_gap):
+    """A shot for geometry.shooting_log from the manifold contract alone.
+
+    p and q stack one pair per row.  Shooting pair r with velocity v takes
+    one step from p[r], which yields the endpoint and the velocity there,
+    measures the gap endpoint_gap(end, q[r]), a tangent at the end toward
+    q[r], and transports it back along the reversed geodesic onto the
+    tangent space at p[r].  endpoint_gap only needs to be first-order
+    accurate; the fixed point is exact.  Returns the pulled gaps and the
+    gaps' metric norms.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+
+    def shot(rows, vel):
+        pulled, norms = [], []
+        for base, target, v in zip(p[rows], q[rows], vel):
+            end, moved = manifold.step(base, v, v[None])
+            gap = endpoint_gap(end, target)
+            pulled.append(manifold.project_tangent(base, manifold.transport(end, -moved[0], gap)))
+            norms.append(manifold.norm(end, gap))
+        return np.array(pulled), np.array(norms)
+
+    return shot
+
+
 def shape_distance(p_config, q_config):
     """Quotient distance between two landmark configurations of any scale."""
     p, q = rp.to_preshape(p_config), rp.to_preshape(q_config)

@@ -81,6 +81,25 @@ class TestFitCommand:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_repeated_order_written_once(self, small_kendall_csv, tmp_path):
+        # --orders 1,1 fits order 1 once and reports it as --orders 1 does
+        fits = []
+        for name, orders in (("once", "1"), ("twice", "1,1")):
+            out = tmp_path / name
+            code = run_cli(
+                "fit", "--manifold", "kendall", "--orders", orders,
+                "--input", str(small_kendall_csv), "--out", str(out),
+                "--steps", "60", "--max-iters", "200", "--tol", "1e-5",
+            )
+            assert code == 0
+            payload = json.loads((out / "fit.json").read_text())
+            assert payload["orders"] == [1]
+            del payload["fits"]["1"]["elapsed_seconds"]
+            fits.append(payload["fits"])
+        assert fits[0] == fits[1]
+        for name in ("curves.csv", "residuals.csv"):
+            assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "twice" / name).read_bytes()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         code = run_cli("fit", "--input", str(tmp_path / "nope.csv"),
                        "--out", str(tmp_path / "o"))

@@ -5,9 +5,11 @@ import pytest
 
 import riempoly as rp
 from riempoly import so3
+from riempoly.geometry import ShootingError, shooting_log
 from conftest import (
     MANIFOLD_NAMES,
     TOLERANCES,
+    contract_shot,
     injectivity_radius,
     make_manifold,
     tangent_basis,
@@ -302,44 +304,40 @@ class TestTangentVector:
 
 
 class TestShootingLog:
-    def test_reaches_target_on_sphere(self, rng):
-        from riempoly.geometry import shooting_log
+    """The lockstep loop on one pair, shot through the manifold contract."""
 
+    def test_reaches_target_on_sphere(self, rng):
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
         v = unit_tangent(sphere, rng, p, 0.8)
         q = sphere.exp(p, v)
-        got = shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, endpoint_gap=sphere.log)
+        got = shooting_log(contract_shot(sphere, p[None], q[None], sphere.log),
+                           np.zeros((1, 3)), name=sphere.name, tol=1e-10)[0]
         assert sphere.norm(p, got - v) < 1e-8
 
     def test_reports_residual_on_failure(self, rng):
-        from riempoly.geometry import ShootingError, shooting_log
-
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
         q = sphere.exp(p, unit_tangent(sphere, rng, p, 0.8))
         # no shot allowed: the residual is the first gap, the whole distance
         with pytest.raises(ShootingError) as err:
-            shooting_log(sphere, p, q, np.zeros(3), tol=1e-10, max_iter=0,
-                         endpoint_gap=sphere.log)
+            shooting_log(contract_shot(sphere, p[None], q[None], sphere.log),
+                         np.zeros((1, 3)), name=sphere.name, tol=1e-10, max_iter=0)
         assert err.value.residual == pytest.approx(0.8, rel=1e-12)
 
     def test_antipodal_target_raises_cut_locus(self, rng):
         # the gap's own failure propagates: the log toward the antipode is
         # undefined
-        from riempoly.geometry import shooting_log
-
         sphere = rp.Sphere(2)
         p = sphere.random_point(rng)
         with pytest.raises(rp.CutLocusError):
-            shooting_log(sphere, p, -p, np.zeros(3), endpoint_gap=sphere.log)
+            shooting_log(contract_shot(sphere, p[None], -p[None], sphere.log),
+                         np.zeros((1, 3)), name=sphere.name)
 
     def test_halves_the_step_until_it_gives_up(self, monkeypatch):
         # a fixed unit endpoint gap, tangent at p, is one no shot lowers: the
         # step halves 40 times, to 2^-40 < 1e-12, and the error carries the
         # gap's unit length
-        from riempoly.geometry import ShootingError, shooting_log
-
         sphere = rp.Sphere(2)
         shots = []
         original = rp.Sphere.step
@@ -351,20 +349,21 @@ class TestShootingLog:
         monkeypatch.setattr(rp.Sphere, "step", counted)
         p = np.array([1.0, 0.0, 0.0])
         q = np.array([np.cos(2.5), np.sin(2.5), 0.0])
+        shot = contract_shot(sphere, p[None], q[None],
+                             lambda end, target: np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ShootingError) as err:
-            shooting_log(sphere, p, q, np.zeros(3),
-                         endpoint_gap=lambda end, target: np.array([0.0, 0.0, 1.0]))
+            shooting_log(shot, np.zeros((1, 3)), name=sphere.name)
         assert err.value.residual == 1.0
-        # the first shot, then a transport and a shot per halved step
-        assert len(shots) == 1 + 2 * 40
+        # 41 shots, the first and one per halved step, each a step and a
+        # transport back, which is a step too
+        assert len(shots) == 2 * (1 + 40)
 
     def test_last_allowed_shot_within_tolerance_returns(self):
         # max_iter=1: the one shot lands within tol, and the check after the
         # loop returns it
-        from riempoly.geometry import shooting_log
-
         sphere = rp.Sphere(2)
         p = np.array([1.0, 0.0, 0.0])
         q = np.array([np.cos(1e-4), np.sin(1e-4), 0.0])
-        got = shooting_log(sphere, p, q, np.zeros(3), max_iter=1, endpoint_gap=sphere.log)
+        got = shooting_log(contract_shot(sphere, p[None], q[None], sphere.log),
+                           np.zeros((1, 3)), name=sphere.name, max_iter=1)[0]
         assert np.abs(got - np.array([0.0, 1e-4, 0.0])).max() < 1e-9

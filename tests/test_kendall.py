@@ -11,6 +11,7 @@ from riempoly.geometry import CutLocusError, ShootingError, shooting_log
 from riempoly.kendall import _optimal_rotations, _preshapes, to_preshape
 from conftest import (
     adjoint_vs_fd,
+    contract_shot,
     kabsch_rotations,
     procrustes_align,
     shape_distance,
@@ -289,15 +290,17 @@ class TestLog:
         # shooting the exponential certifies the alignment-based log
         for _ in range(3):
             p, q = random_preshape(space, rng), random_preshape(space, rng)
-            got = shooting_log(space, p, q, np.zeros(space.m * space.d),
-                               tol=1e-12, endpoint_gap=space.log)
+            got = shooting_log(contract_shot(space, p[None], q[None], space.log),
+                               np.zeros((1, space.m * space.d)), name=space.name,
+                               tol=1e-12)[0]
             assert np.abs(got - space.log(p, q)).max() < 1e-9
 
     def test_nonconvergence_reports_residual(self, space, rng):
         p, q = random_preshape(space, rng), random_preshape(space, rng)
         with pytest.raises(ShootingError) as err:
-            shooting_log(space, p, q, np.zeros(space.m * space.d), tol=1e-16,
-                         max_iter=1, endpoint_gap=space.log)
+            shooting_log(contract_shot(space, p[None], q[None], space.log),
+                         np.zeros((1, space.m * space.d)), name=space.name, tol=1e-16,
+                         max_iter=1)
         assert err.value.residual >= 0
 
     def test_remote_shapes_rejected(self):

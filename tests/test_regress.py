@@ -515,6 +515,25 @@ class TestFrechetMean:
         assert np.array_equal(bases[1], sphere.exp(pts[0], grad))
         assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * grad))
 
+    def test_starts_past_an_antipodal_first_observation(self):
+        # e1 first, -e1 second: no log from e1 reaches -e1, so the iteration
+        # starts at the first observation whose logs are all defined, and
+        # both orders find one mean; a fit, which sorts by time, does too
+        sphere = rp.Sphere(2)
+        near = np.array([0.0, 0.0, 1.0]) + 0.3 * np.random.default_rng(0).standard_normal((30, 3))
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        pts = np.concatenate([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], near])
+        with pytest.raises(CutLocusError):
+            sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts)
+        mean = rp.frechet_mean(sphere, pts)
+        assert np.abs(mean - rp.frechet_mean(sphere, pts[::-1])).max() < 1e-8
+        data = rp.TimedDataset(sphere, np.linspace(0.0, 1.0, len(pts)), pts)
+        results = rp.fit_orders(sphere, data, (0, 1), rp.FitConfig(order=0, steps=50))
+        assert all(r.converged for r in results.values())
+        # e1 and -e1 alone: no start qualifies
+        with pytest.raises(CutLocusError):
+            rp.frechet_mean(sphere, pts[:2])
+
     def test_missed_tolerance_warns(self, rng):
         sphere = rp.Sphere(2)
         pts = np.stack([sphere.random_point(rng) for _ in range(3)])
@@ -828,6 +847,22 @@ class TestFitPolynomial:
         variance = stats(sphere, data.points)[1]
         assert results[1].frechet_variance == variance
         assert results[2].frechet_variance == variance
+
+    def test_repeated_order_is_fitted_once(self, rng, monkeypatch):
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
+        calls = Counter()
+        fit = riempoly.regress.fit_polynomial
+
+        def counting_fit(*args, **kwargs):
+            calls[args[2].order] += 1
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(riempoly.regress, "fit_polynomial", counting_fit)
+        results = rp.fit_orders(sphere, data, (1, 1),
+                                rp.FitConfig(order=0, steps=50, max_iters=50))
+        assert list(results) == [1]
+        assert calls == {1: 1}
 
     def test_padded_order_starts_from_the_lower_logs(self, monkeypatch):
         # on the rat fit the padded curve meets the observed nodes at the

@@ -360,6 +360,27 @@ class TestLogMap:
             assert group.norm(end, so3.rotation_log(end.T @ q)) <= 1e-10
             assert np.abs(u - v).max() < 1e-8
 
+    def test_general_metric_logs_run_through_shooting_log(self, inertia_metric,
+                                                          monkeypatch):
+        # the lockstep loop is geometry.shooting_log: one general-metric
+        # log_many is one call of it, for the whole batch, and the closed
+        # form of A = I never calls it
+        calls = []
+        loop = so3.shooting_log
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(so3, "shooting_log", counted)
+        gen = np.random.default_rng(5)
+        for group, expected in ((rp.RotationGroup(), 0), (rp.RotationGroup(inertia_metric), 1)):
+            points = np.stack([group.random_point(gen) for _ in range(4)])
+            targets = np.stack([group.exp(p, unit_tangent(group, gen, p, 0.5)) for p in points])
+            calls.clear()
+            group.log_many(points, targets)
+            assert len(calls) == expected
+
     def test_general_metric_log_needs_few_flows(self, inertia_metric, monkeypatch):
         # full shots converge in a handful of flows on nearby pairs; half
         # shots needed ~47
