@@ -55,10 +55,10 @@ class Manifold:
     rolls overrides integrate and pullback with roll, whose record is its
     set-up, and its exact reverse, unroll, and flat space overrides both
     with its closed form.  SO(3) runs the step loop in its algebra and
-    reuses the recursion's node walk with the transports its integrate
-    records.  The default step loop and recursion serve only shape space
-    of d >= 3 dimensions and any geometry that writes only the five
-    methods above.
+    applies the recursion's node maps as batched running products, each
+    built from the transport its integrate records.  The default step loop and
+    recursion serve only shape space of d >= 3 dimensions and any geometry
+    that writes only the five methods above.
     """
 
     name: str = "manifold"
@@ -163,19 +163,6 @@ class Manifold:
         read from the end of nodes, so memory stays flat in the step count.
         Geometries whose integrate rolls override this with unroll.
         """
-        vels = traj.flow[0]
-
-        def carry(n, h, lam):
-            moved = self.transport(traj.points[n], -h * vels[n, 0], lam)
-            return np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
-
-        return self._walk_back(traj, nodes, cotangents, carry)
-
-    def _walk_back(self, traj, nodes, cotangents, carry):
-        """The default recursion's node walk; carry(n, h, lam) takes lam to node n - 1.
-
-        traj.flow starts with the step loop's vectors and flat_flow matrices.
-        """
         vels, flats = traj.flow[:2]
         lam = np.zeros((vels.shape[1] + 1,) + self.tangent_shape)
         j = len(nodes) - 1
@@ -186,7 +173,8 @@ class Manifold:
                 lam[0] += cotangents[j]
                 j -= 1
             lam[1:] = flats[n - 1].T @ lam
-            lam = carry(n, h, lam)
+            moved = self.transport(traj.points[n], -h * v[0], lam)
+            lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
         if j >= 0:
             lam[0] += cotangents[j]
         return lam

@@ -201,19 +201,21 @@ class KendallShapeSpace(Manifold):
             return np.concatenate([self._centering, p[None], (p @ self._jt)[None]])
         return np.concatenate([self._centering, p[None]])
 
-    def _vertical(self, p, x):
+    def _vertical(self, p, x, basis=None):
         """The vertical part of x at p, batched over matching leading axes.
 
         For d = 2 it is <x, Jp> Jp.  For d >= 3 it is p S, where the skew S
         solves M S + S M = p^T x - x^T p with M = p^T p (_vertical_skew):
         that S minimizes |x - p S| over skew S, so p S is the orthogonal
         projection of x onto the rotation orbit's tangent space {p S}.
+        basis is _sylvester_basis of M when the caller has it.
         """
         if self.d == 2:
             jp = p @ self._jt
             return jp * np.add.reduce(jp * x, axis=-1, keepdims=True)
         pm = self._mat(p)
-        return (pm @ _vertical_skew(*_sylvester_basis(pm), self._mat(x), pm)).reshape(np.shape(x))
+        q, inv = _sylvester_basis(pm) if basis is None else basis
+        return (pm @ _vertical_skew(q, inv, self._mat(x), pm)).reshape(np.shape(x))
 
     @staticmethod
     def _project_out(x, rows):
@@ -318,12 +320,13 @@ class KendallShapeSpace(Manifold):
         1 + 3<JX,Y>^2, in [1, 4].  For d >= 3 the sectional curvature is at
         least 1, and the fit's gradient couples through it; on d = 2 the
         gradient reverses the roll and takes none.  Batches over leading
-        axes.
+        axes.  One Sylvester basis at p serves the A-terms and H.
         """
         p = np.asarray(p, dtype=float)
         x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+        basis = _sylvester_basis(self._mat(p))
         return self.project_tangent(
-            p, self._sphere.curvature(p, x, y, z) + self._oneill(p, x, y, z)
+            p, self._sphere.curvature(p, x, y, z) + self._oneill(basis, x, y, z), basis
         )
 
     def pullback(self, traj, nodes, cotangents):
@@ -342,15 +345,15 @@ class KendallShapeSpace(Manifold):
                          for a in (traj.points[0], cotangents))
         return unroll(p, traj.flow, nodes, cotangents).view(float)
 
-    def _oneill(self, p, x, y, z):
+    def _oneill(self, basis, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.
 
         With p and tangents as m x d matrices, the vertical vectors at p are
         p S for skew S, and A_X Y = p S(X,Y), where S solves the Sylvester
         equation M S + S M = -(X^T Y - Y^T X) with M = p^T p (_vertical_skew);
-        then A_Z (p S) = H(Z S).
+        then A_Z (p S) = H(Z S).  basis is _sylvester_basis of M.
         """
-        q, inv = _sylvester_basis(self._mat(p))
+        q, inv = basis
         xm, ym, zm = self._mat(x), self._mat(y), self._mat(z)
         terms = (2.0 * zm @ _vertical_skew(q, inv, xm, ym)
                  - xm @ _vertical_skew(q, inv, ym, zm) - ym @ _vertical_skew(q, inv, zm, xm))
@@ -360,14 +363,15 @@ class KendallShapeSpace(Manifold):
         flat = self._project_out(p, self._centering)
         return flat / np.sqrt(np.add.reduce(flat * flat, axis=-1, keepdims=True))
 
-    def project_tangent(self, p, x):
+    def project_tangent(self, p, x, basis=None):
         """Remove centering, sphere-normal and vertical components of x.
 
-        Accepts stacked x with a single base point p.
+        Accepts stacked x with a single base point p; basis is
+        _sylvester_basis at p when the caller has it (see _vertical).
         """
         p = np.asarray(p, dtype=float)
         h = self._project_out(x, self._normal_rows(p))
-        return h if self.d == 2 else h - self._vertical(p, h)
+        return h if self.d == 2 else h - self._vertical(p, h, basis)
 
     def log_many(self, points, targets):
         """Exact quotient log via alignment, batched over matching rows.

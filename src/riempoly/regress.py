@@ -23,7 +23,8 @@ the spacing: multipliers start at zero at the final time, pick up a jump
 from every observation they pass, couple to the state through the
 curvature operator, and are carried back by parallel transport, node by
 node, arriving at t = 0 carrying the gradients; on SO(3) each node's
-transport is a matrix recorded by the forward pass.
+transport is a matrix recorded by the forward pass, and the node maps are
+applied as batched running products.
 
 A start with zero vectors, as from the mean or padded from order zero, is
 the constant curve, flat to first order (Jupp & Kent 1987): its gradient is

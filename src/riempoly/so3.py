@@ -20,10 +20,12 @@ rodrigues(-w/2).  A forward pass is the base class's step loop run in the
 algebra, with every node's rotation composed from one running product of
 all the turns.  The fit's gradient is the base class's recursion, one
 curvature per node, with each node's transport read from the pass's
-record as a 3x3 matrix.  The log of each pair, in ``log_many``, is the
-principal rotation vector, shot onto the metric's geodesic under a general
-metric by ``geometry.shooting_log``, the lockstep loop that shoots every
-pair at once.  So the flow, ``rotation_log``, ``_compose`` and
+record as a 3x3 matrix, and its node maps applied as batched running
+products.  The log of each pair, in ``log_many``, is the principal
+rotation vector; under a general metric ``geometry.shooting_log``, the
+lockstep loop that shoots every pair at once, starts from its
+second-order inverse through the connection and shoots it onto the
+metric's geodesic.  So the flow, ``rotation_log``, ``_compose`` and
 ``project_point`` all batch over a leading pair axis, and a row's result
 does not depend on the rows beside it.
 """
@@ -47,6 +49,9 @@ _HATS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
                   [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
 # largest midpoint substep of the general-metric flow, in the norm of the velocity
 _MAX_STEP = 5e-3
+# bytes of the reverse pass's node maps built at once; its peak memory is a few
+# times this, whatever the step count
+_BLOCK_BYTES = 1 << 13
 
 
 def hat(x):
@@ -187,7 +192,8 @@ def _compose(p, turns):
     axis: row b of every turn acts on p[b].  The rotations of all the turns
     come from one batched rodrigues, and a zero turn is I bit for bit, so a
     row that takes fewer turns than the others holds still.  Left
-    unprojected: its callers take the polar factor of the product.
+    unprojected: the product of exact turns is a rotation to within
+    rounding, and step takes its polar factor.
     """
     p = np.asarray(p, dtype=float)
     return functools.reduce(np.matmul, rodrigues(np.reshape(turns, (-1,) + p.shape[:-1])), p)
@@ -290,9 +296,58 @@ class RotationGroup(Manifold):
         return points, (vels, flats, back)
 
     def pullback(self, traj, nodes, cotangents):
-        """The default recursion, each node's transport read from the record's back."""
-        back = traj.flow[2]
-        return self._walk_back(traj, nodes, cotangents, lambda n, h, lam: lam @ back[n - 1])
+        """The default recursion as batched running products of its node maps.
+
+        The recursion takes the multipliers lam from node n to node n - 1
+        by a linear map A_n of the (k + 1) x 3 array (``_node_maps``),
+        after adding the cotangent G_n to row 0.  So the gradient is sum_n
+        A_1 ... A_n (G_n in row 0), plus G_0.  The maps up to the last
+        observed node are taken in blocks of at most _BLOCK_BYTES, so memory
+        stays flat in the step count: one _running_products per block, each
+        product carried on from the blocks before it.
+        """
+        k = traj.flow[0].shape[1]
+        size = 3 * (k + 1)
+        block = max(1, _BLOCK_BYTES // (8 * size * size))
+        lam, carry = np.zeros((size, 1)), np.eye(size)
+        for start in range(0, nodes[-1], block):
+            stop = min(start + block, nodes[-1])
+            prefix = carry @ _running_products(self._node_maps(traj, start, stop))
+            inside = (nodes > start) & (nodes <= stop)
+            lam += np.add.reduce(prefix[nodes[inside] - start - 1, :, :3]
+                                 @ cotangents[inside][..., None], axis=0)
+            carry = prefix[-1]
+        lam = lam.reshape(k + 1, 3)
+        if nodes[0] == 0:
+            lam[0] += cotangents[0]
+        return lam
+
+    def _node_maps(self, traj, start, stop):
+        """The recursion's maps A_n, start < n <= stop, as 3(k + 1)-square matrices.
+
+        A_n acts on the multipliers flattened row by row: the curvature
+        coupling lam[0] += h sum_i R(v_{n,i}, lam[i], v_{n,1}), then
+        flats[n - 1]^T on the row axis, then the recorded transport
+        back[n - 1] on the vector axis.  The coupling is the identity but
+        for row 0's blocks, and the row and vector maps each take one
+        product on their own axis.
+        """
+        vels, flats, back = traj.flow
+        count, k = stop - start, vels.shape[1]
+        size = 3 * (k + 1)
+        times = traj.times[start:stop + 1]
+        h = (times[1:] - times[:-1])[:, None, None, None]
+        # R(v_i, e_b, v_1)[a] at every node, as [node, i, b, a]
+        v = vels[start + 1:stop + 1]
+        coupled = curvature(v[:, :, None], _EYE, v[:, :1, None], self.metric)
+        maps = np.zeros((count, size, size))
+        maps.reshape(count, -1)[:, ::size + 1] = 1.0
+        maps[:, :3, 3:] = (h * coupled.transpose(0, 3, 1, 2)).reshape(count, 3, 3 * k)
+        rows = np.zeros((count, k + 1, k + 1))
+        rows[:, 0, 0] = 1.0
+        rows[:, 1:] = flats[start:stop].transpose(0, 2, 1)
+        maps = (rows @ maps.reshape(count, k + 1, 3 * size)).reshape(count, k + 1, 3, size)
+        return (back[start:stop].transpose(0, 2, 1)[:, None] @ maps).reshape(count, size, size)
 
     def transport(self, p, direction, x):
         """Transport along exp(p, s*direction) that never forms the rotation.
@@ -308,7 +363,13 @@ class RotationGroup(Manifold):
         return (x.reshape(turn.shape[:-2] + (-1, 3)) @ turn).reshape(x.shape)
 
     def log_many(self, points, targets):
-        """Each pair's log: the principal rotation vector, shot to the metric's geodesic."""
+        """Each pair's log: the principal rotation vector, shot to the metric's geodesic.
+
+        Under a general metric the geodesic with velocity v ends at the
+        principal rotation vector r = v - nabla_v v / 2 + O(|v|^3) (the
+        Magnus expansion), so the shots start from r + nabla_r r / 2, whose
+        first gap is third order in |r|.
+        """
         points = np.asarray(points, dtype=float)
         targets = np.asarray(targets, dtype=float)
         rel = rotation_log(np.swapaxes(points, -1, -2) @ targets)
@@ -320,7 +381,9 @@ class RotationGroup(Manifold):
                 f"log undefined for (nearly) antipodal rotations at batch index {bad}: "
                 f"angle {np.ravel(angle)[bad]:.12f} rad"
             )
-        return rel if self.metric.is_identity else self._shoot(points, targets, rel)
+        if self.metric.is_identity:
+            return rel
+        return self._shoot(points, targets, rel + 0.5 * connection(rel, rel, self.metric))
 
     def _shoot(self, points, targets, v):
         """The logs under a general metric: geometry.shooting_log's lockstep loop.
@@ -329,11 +392,14 @@ class RotationGroup(Manifold):
         e_1..e_3, whose rows E are then the transports of the basis.  Its
         endpoint gap, rotation_log(end^T q), is tangent at the end, and the
         inverse of the shot's own transport pulls it back to p as gap E^-1.
-        A pair leaves the batch once the gap's metric norm is at most 1e-10.
+        The endpoint, only ever read by rotation_log, is the product of
+        exact turns, orthogonal to within rounding, so it takes no polar
+        factor.  A pair leaves the batch once the gap's metric norm is at
+        most 1e-10.
         """
         def shot(rows, vel):
             frame, turns = self._flow(vel, np.broadcast_to(_EYE, vel.shape + (3,)))
-            end = self.project_point(_compose(points[rows], turns))
+            end = _compose(points[rows], turns)
             gap = rotation_log(np.swapaxes(end, -1, -2) @ targets[rows])
             pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
             return pulled, np.sqrt(self.metric.inner(gap, gap))

@@ -471,6 +471,24 @@ class TestONeillCurvature:
         assert np.all(np.isfinite(out))
         assert np.abs(out + space.curvature(p, y, x, z)).max() < 1e-10
 
+    def test_one_sylvester_basis_per_call_in_3d(self, rng, monkeypatch):
+        # the A-terms and the horizontal projection share one eigenbasis at p
+        space = rp.KendallShapeSpace(5, 3)
+        p = random_preshape(space, rng)
+        x, y, z = (unit_tangent(space, rng, p) for _ in range(3))
+        expected = space.curvature(p, x, y, z)
+        calls = []
+        basis = kendall._sylvester_basis
+
+        def counted(pm):
+            calls.append(1)
+            return basis(pm)
+
+        monkeypatch.setattr(kendall, "_sylvester_basis", counted)
+        got = space.curvature(p, x, y, z)
+        assert len(calls) == 1
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_adjoint_matches_finite_differences_in_3d(self, k):
         # what remains on d = 3 is the default recursion's first-order

@@ -256,8 +256,9 @@ class TestAdjoint:
 
     def test_memory_is_flat_in_the_step_count(self, rng, monkeypatch):
         # the default pullback carries k + 1 multiplier rows node by node and
-        # reads each cotangent as it passes, so twenty times the nodes leave
-        # the pass's peak allocation where it was, far below 64 KiB; flat
+        # reads each cotangent as it passes, and SO(3)'s builds its node maps
+        # in blocks of at most so3._BLOCK_BYTES, so twenty times the nodes
+        # leave the pass's peak allocation where it was, below 64 KiB; flat
         # space has its closed form, so it is called as the base class's
         monkeypatch.setattr(rp.Euclidean, "integrate", rp.Manifold.integrate)
         monkeypatch.setattr(rp.Euclidean, "pullback", rp.Manifold.pullback)
