@@ -293,7 +293,7 @@ def flat_pullback(phi, cotangents):
     vectors move node n by sum_i phi_i(t_n) dv_i to first order on every
     geometry, so this is also the gradient at a constant curve.
     """
-    return np.tensordot(phi, cotangents, axes=1)
+    return (phi @ cotangents.reshape(len(cotangents), -1)).reshape((-1,) + cotangents.shape[1:])
 
 
 def flat_flow(spans, order):

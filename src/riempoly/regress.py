@@ -30,13 +30,22 @@ A start with zero vectors, as from the mean or padded from order zero, is
 the constant curve, flat to first order (Jupp & Kent 1987): its gradient is
 the time design times the residual logs, row i the tangent part of -(2/N)
 sum_j phi_i(t_j) log_j, and it takes neither a forward nor a reverse pass.
+At order zero every curve is constant, and that closed form is the whole
+gradient: -2 times the mean of the logs.
 
-A descent loop with a monotone backtracking line search moves every
-candidate with one Manifold.step: the base point along the geodesic, and
-the incremented vectors, the gradient and the direction by parallel
-transport to the new point.  The gradient and the vectors are single arrays
-with the order on the first axis: (k+1, *tangent_shape) and
-(k, *tangent_shape).
+There is one descent loop.  The order-zero fit is the Frechet mean of the
+data (its objective is the mean squared distance), and its SSE is the
+Frechet variance; every fit makes it first, under its own FitConfig, so
+R^2 = 1 - SSE_k / SSE_0 compares two fits at the same tolerance, and
+frechet_mean is the same fit at gradient tol 2 * tol.  The loop moves
+every line-search candidate with one Manifold.step: the base point along
+the geodesic, and the incremented vectors, the gradient and the direction
+by parallel transport to the new point.  A candidate is accepted when it
+lowers the objective by more than a few units in the last place; near the
+optimum the objective cannot resolve a decrease, and a candidate within
+that band is accepted if it lowers the gradient norm instead.  The
+gradient and the vectors are single arrays with the order on the first
+axis: (k+1, *tangent_shape) and (k, *tangent_shape).
 
 Descent is preconditioned with the normal-equation metric of the time
 design.  With phi_i(t) = t^i / i!, the flat curve's monomial basis, the
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +86,7 @@ from .polyflow import (
 _MAX_ORDER = 6          # guard against runaway stiffness
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
+_TIE_ULPS = 4           # objectives this close are told apart by the gradient norm
 
 
 class ZeroVarianceError(ValueError):
@@ -203,94 +214,45 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory,
     first, then one row per vector.
     """
     if traj.flow is None:
-        return _constant_gradient(manifold, traj.points[0], data.times, logs, 0)
+        return _constant_gradient(manifold, traj.points[0], monomials(data.times, 0), logs)
     nodes = traj.node_index(data.times)
     starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]  # run starts
     cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / data.size)
     return manifold.pullback(traj, nodes[starts], cotangents)
 
 
-def _constant_gradient(manifold: Manifold, p, times, logs, order: int) -> np.ndarray:
+def _constant_gradient(manifold: Manifold, p, phi, logs) -> np.ndarray:
     """The gradient at the constant curve at p, whose residual logs are logs.
 
-    Row i is the tangent part of -(2/N) sum_j phi_i(t_j) log_j (flat_pullback).
+    phi is the time design, monomials at the observation times t_j; row i
+    is the tangent part of -(2/N) sum_j phi_i(t_j) log_j (flat_pullback).
     """
     return manifold.project_tangent(
-        p, flat_pullback(monomials(times, order), (-2.0 / len(times)) * logs))
-
-
-_TIE_ULPS = 4           # variances this close are told apart by the gradient
-
-
-def _mean_step_accepted(value, grad_norm, cand_value, cand_grad_norm) -> bool:
-    """A lower variance wins; within _TIE_ULPS ulps, a lower gradient norm."""
-    gap = cand_value - value
-    if abs(gap) <= _TIE_ULPS * np.spacing(value):
-        return cand_grad_norm < grad_norm
-    return gap < 0.0
-
-
-def _frechet_mean_and_variance(manifold, points, tol=1e-9, max_iter=200):
-    """Frechet mean, the mean squared distance to it, and the logs there.
-
-    Every candidate is one log_many call: its logs give the variance that
-    scores it and, once accepted, the next gradient, their mean.  Near the
-    optimum the variance stops resolving a decrease, so a candidate whose
-    variance is within _TIE_ULPS units in the last place of the current one
-    is accepted only if it lowers the gradient norm.  A candidate at the cut
-    locus of an observation is rejected like one that does not descend.
-    The iteration starts at the first observation from which every log is
-    defined; if none is, the last one's CutLocusError propagates.  A final
-    gradient norm above tol warns; above max(tol, 1e-6) it raises.
-    Returns (mean, variance, logs), the logs' rows matching points.
-    """
-    points = np.asarray(points, dtype=float)
-
-    def evaluate(mean):
-        logs, value = _residuals(manifold, mean[None].repeat(len(points), axis=0), points)
-        grad = np.add.reduce(logs) / len(logs)
-        return mean, logs, value, grad, manifold.norm(mean, grad)
-
-    # the first observation whose logs to all the others are defined
-    for start in points[:-1]:
-        try:
-            current = evaluate(np.array(start, dtype=float))
-            break
-        except CutLocusError:
-            pass
-    else:
-        current = evaluate(np.array(points[-1], dtype=float))
-    step = 1.0
-    for _ in range(max_iter):
-        mean, _, value, grad, grad_norm = current
-        if grad_norm <= tol:
-            break
-        while step >= 1e-12:
-            try:
-                candidate = evaluate(manifold.exp(mean, step * grad))
-            except CutLocusError:
-                candidate = None
-            if candidate is not None and _mean_step_accepted(
-                    value, grad_norm, candidate[2], candidate[4]):
-                current = candidate
-                step = min(1.0, step * 2.0)
-                break
-            step *= 0.5
-        else:
-            break
-    mean, logs, value, _, grad_norm = current
-    if grad_norm > max(tol, 1e-6):
-        raise GeometryError("mean iteration did not converge")
-    if grad_norm > tol:
-        warnings.warn(f"Frechet mean stopped at gradient norm {grad_norm:.3g}, "
-                      f"above its tol {tol:g}", RuntimeWarning, stacklevel=3)
-    return mean, value, logs
+        p, flat_pullback(phi, (-2.0 / len(logs)) * logs))
 
 
 def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
                  max_iter: int = 200) -> np.ndarray:
-    """Minimizer of the mean squared distance, by gradient fixed-point steps."""
-    return _frechet_mean_and_variance(manifold, points, tol, max_iter)[0]
+    """Minimizer of the mean squared distance: the order-zero fit of the points.
+
+    The fit's gradient is -2 times the mean of the logs at the current
+    point, so it runs at gradient tol 2 * tol, for at most max_iter
+    iterations, from the first point whose logs are all defined; if none
+    is, the last one's CutLocusError propagates.  A mean log at the
+    returned point whose norm is above tol warns; above max(tol, 1e-6) it
+    raises GeometryError.
+    """
+    internal, _, _, grid, nodes = _plan(
+        TimedDataset(manifold, np.zeros(len(points)), points), 1)
+    mean = _order_zero(manifold, internal, grid, nodes,
+                       FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol))
+    mean_log = manifold.norm(mean.state.gamma, np.add.reduce(mean.logs) / len(mean.logs))
+    if mean_log > max(tol, 1e-6):
+        raise GeometryError("mean iteration did not converge")
+    if mean_log > tol:
+        warnings.warn(f"Frechet mean stopped at gradient norm {mean_log:.3g}, "
+                      f"above its tol {tol:g}", RuntimeWarning, stacklevel=2)
+    return mean.state.gamma
 
 
 def r_squared(sse: float, variance: float) -> float:
@@ -302,27 +264,68 @@ def r_squared(sse: float, variance: float) -> float:
     return 1.0 - sse / variance
 
 
+def _plan(data: TimedDataset, steps: int):
+    """The data on [0, 1] with its offset and scale, the fit's grid and each time's node.
+
+    Data of one time take the grid [0, 1] of one step.
+    """
+    internal, t0, span = data.rescaled()
+    grid = time_grid(1.0, 1 if internal.times[-1] == 0.0 else steps, internal.times)
+    return internal, t0, span, grid, np.searchsorted(grid, internal.times)
+
+
+# Where one descent stopped: its state, the state's pass (None for a constant
+# start never moved), logs and objective, and the record; trace holds the
+# starting objective and then one value per accepted iteration.
+_Descent = namedtuple("_Descent", "state traj logs value stop_reason grad_norm trace")
+
+
+def _order_zero(manifold, internal, grid, nodes, config) -> _Descent:
+    """The order-zero fit, whose point is the Frechet mean and whose SSE the variance.
+
+    It starts at the first observation whose logs to all the others are
+    defined; if none is, the last one's CutLocusError propagates.
+    """
+    points = internal.points
+    for i, start in enumerate(points):
+        try:
+            logs, value = _residuals(manifold, np.broadcast_to(start, points.shape), points)
+            break
+        except CutLocusError:
+            if i == len(points) - 1:
+                raise
+    state = PolynomialState(start, np.zeros((0,) + manifold.tangent_shape))
+    return _descend(manifold, internal, grid, nodes, config, state, None, logs, value)
+
+
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
                    initial: PolynomialState | None = None, *,
-                   _frechet=None, _previous=None) -> FitResult:
+                   _zero=None, _previous=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
-    Starts from the mean of the data with zero vectors unless an explicit
-    initial state (in internal [0, 1] time units) is supplied; the mean's
-    logs and variance are then the starting curve's residual logs and
-    objective.  A start with zero vectors takes no pass (see the module).
-    An initial state more than 1e-6 off the manifold (its point or its
-    vectors' tangency) raises ValueError.  Accepted iterations strictly
-    decrease the objective; a candidate at the cut locus of an
-    observation counts as rejected.  Parameters that drift more than 1e-6
-    off the manifold raise GeometryError.  The result keeps the trajectory
-    of the accepted parameters, the one its SSE was measured on, and its
-    residual logs, so reports take no log of their own.
-    ``_frechet`` and ``_previous`` are private to ``fit_orders``: the data's
-    Frechet mean, variance and logs, computed once for all orders, and the
-    lower order's result that ``initial`` pads.  When the padded curve meets
-    the observed nodes at the lower optimum's points bit for bit, that
-    result's logs and SSE are the starting logs and objective.
+    Every call first makes the order-zero fit under config, from the first
+    observation whose logs are all defined: its point is the data's Frechet
+    mean and its SSE the Frechet variance, so R^2 = 1 - SSE_k / SSE_0 with
+    both fits at the same tolerance.  At order zero without an initial
+    state, that fit is the result.  Otherwise the descent starts from the
+    initial state (in internal [0, 1] time units) or from the mean with
+    zero vectors, whose residual logs and objective are the order-zero
+    fit's.  A start with zero vectors takes no pass (see the module).  An
+    initial state more than 1e-6 off the manifold (its point or its
+    vectors' tangency) raises ValueError.  An accepted iteration lowers the
+    objective, or moves within _TIE_ULPS units in the last place of it to
+    a lower gradient norm (see _line_search); a candidate at the cut locus
+    of an observation counts as rejected.  Parameters that drift more than
+    1e-6 off the manifold raise GeometryError.  The result is converged
+    when its descent and the order-zero fit both reached the tolerance;
+    stop_reason is its own descent's.  It keeps the trajectory of the
+    accepted parameters, the one its SSE was measured on, and its residual
+    logs, so reports take no log of their own.
+    ``_zero`` and ``_previous`` are private to ``fit_orders``: the order-zero
+    fit, made once for all orders, and the lower order's result that
+    ``initial`` pads.  When the padded curve meets the observed nodes at the
+    lower optimum's points bit for bit, that result's logs and SSE are the
+    starting logs and objective.
     """
     started = time.perf_counter()
     k = config.order
@@ -331,19 +334,14 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"only {data.size} observations for order {k}: fit is underdetermined",
             stacklevel=2,
         )
-    internal, t0, span = data.rescaled()
-    one_time = internal.times[-1] == 0.0
-    if one_time and k > 0:
+    internal, t0, span, grid, nodes = _plan(data, config.steps)
+    if internal.times[-1] == 0.0 and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
-
-    grid = time_grid(1.0, 1 if one_time else config.steps, internal.times)
-    if _frechet is None:
-        _frechet = _frechet_mean_and_variance(manifold, internal.points)
-    variance_mean, variance, mean_logs = _frechet
+    zero = _zero if _zero is not None else _order_zero(manifold, internal, grid, nodes, config)
 
     shape = (k,) + manifold.tangent_shape
     if initial is None:
-        state = PolynomialState(variance_mean, np.zeros(shape))
+        state = PolynomialState(zero.state.gamma, np.zeros(shape))
     elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
         state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
         residuals = state.residuals(manifold)
@@ -360,67 +358,26 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"on {manifold.name} needs {shape}"
         )
 
-    # the constant start is its base point at every node and takes no pass;
-    # it is integrated for the result only if no step is accepted
-    traj = integrate_polynomial(manifold, state, grid) if state.vels.any() else None
-    nodes = np.searchsorted(grid, internal.times)       # every time is a node
-    observed = (np.broadcast_to(state.gamma, internal.points.shape) if traj is None
-                else traj.points[nodes])
-    if initial is None:
-        # the constant curve at the mean: its residual logs and objective
-        # are the mean's logs and variance
-        logs, value = mean_logs, variance
-    elif (_previous is not None and observed.tobytes()
-            == _previous.trajectory.points[nodes].tobytes()):
-        logs, value = _previous.logs, _previous.sse
+    if initial is None and k == 0:
+        fit = zero
     else:
-        logs, value = _objective(manifold, observed, internal)
-
-    def evaluate(s: PolynomialState):
-        """Integrate a candidate; its residual logs and objective in one log_many."""
-        traj = integrate_polynomial(manifold, s, grid)
-        return (traj,) + _residuals(manifold, traj.points[nodes], internal.points)
-
-    gram, precond = _design_metric(internal.times, k)
-    trace = [value]
-    eta = 1.0
-    stop_reason = "max_iters"
-    grad_norm = np.inf
-    memory = None
-    iterations = 0
-
-    for iteration in range(config.max_iters):
-        grad = (_constant_gradient(manifold, state.gamma, internal.times, logs, k)
-                if traj is None else integrate_adjoint(manifold, traj, internal, logs))
-        grad_norm = float(np.sqrt(_stack_inner(manifold, state.gamma, grad, grad)))
-        if grad_norm <= config.tol:
-            stop_reason = "tolerance"
-            break
-
-        if memory is not None:
-            eta = _barzilai_borwein(manifold, state.gamma, grad, *memory,
-                                    eta, iteration, gram, precond)
-        # P is positive definite, so -P g is always a descent direction
-        direction = -_along_stack(precond, grad)
-        found = _line_search(manifold, state, grad, direction, eta, value,
-                             evaluate)
-        if found is None:
-            stop_reason = "line_search"
-            break
-        state, traj, logs, value, memory = found
-        iterations = iteration + 1
-        worst = max(state.residuals(manifold).values())
-        if not worst <= _DRIFT_TOL:
-            raise GeometryError(
-                f"parameters drifted off the manifold (residual {worst:.3e})"
-            )
-        trace.append(value)
-
-    if traj is None:
-        traj = integrate_polynomial(manifold, state, grid)
-    if k == 0:
-        # the order-zero fit is itself the variance-defining mean
-        variance = value
+        # the constant start is its base point at every node and takes no
+        # pass; it is integrated for the result only if no step is accepted
+        traj = integrate_polynomial(manifold, state, grid) if state.vels.any() else None
+        observed = (np.broadcast_to(state.gamma, internal.points.shape) if traj is None
+                    else traj.points[nodes])
+        if initial is None:
+            # the constant curve at the mean: the order-zero fit's logs and SSE
+            logs, value = zero.logs, zero.value
+        elif (_previous is not None and observed.tobytes()
+                == _previous.trajectory.points[nodes].tobytes()):
+            logs, value = _previous.logs, _previous.sse
+        else:
+            logs, value = _objective(manifold, observed, internal)
+        fit = _descend(manifold, internal, grid, nodes, config, state, traj, logs,
+                       value)
+    state = fit.state
+    traj = fit.traj if fit.traj is not None else integrate_polynomial(manifold, state, grid)
 
     # scalar powers: numpy's array power can differ from them in the last bit
     powers = np.array([span ** i for i in range(1, k + 1)])
@@ -434,15 +391,15 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         params=state,
         params_original=PolynomialState(state.gamma, vels_original),
         trajectory=traj,
-        logs=logs,
-        sse=value,
-        frechet_variance=variance,
-        r_squared=r_squared(value, variance),
-        iterations=iterations,
-        converged=stop_reason == "tolerance",
-        grad_norm=grad_norm,
-        stop_reason=stop_reason,
-        objective_trace=trace,
+        logs=fit.logs,
+        sse=fit.value,
+        frechet_variance=zero.value,
+        r_squared=r_squared(fit.value, zero.value),
+        iterations=len(fit.trace) - 1,
+        converged=fit.stop_reason == zero.stop_reason == "tolerance",
+        grad_norm=fit.grad_norm,
+        stop_reason=fit.stop_reason,
+        objective_trace=fit.trace,
         collinearity=collinearity,
         time_offset=t0,
         time_scale=span,
@@ -453,15 +410,20 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
 def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig) -> dict:
     """Fit several orders, each seeded from the previous result.
 
-    The previous optimum is padded with zero vectors, so the objective can
-    only improve with the order; where the padded curve passes the previous
-    curve's observed points bit for bit, it starts from the previous logs
-    and SSE without a log of its own.  Every order reuses the dataset's one
-    Frechet mean and variance; a repeated order is fitted once.
+    The order-zero fit comes first, under config, and is returned only if
+    order 0 was requested; it gives every order its Frechet variance and
+    seeds the lowest requested order above zero.  Its descent runs before
+    the fit_polynomial calls, so the order-zero result's elapsed time does
+    not include it.  The previous optimum is padded with zero vectors, so
+    the objective can only improve with the order; where the padded curve
+    passes the previous curve's observed points bit for bit, it starts from
+    the previous logs and SSE without a log of its own.  A repeated order
+    is fitted once.
     """
+    internal, _, _, grid, nodes = _plan(data, config.steps)
+    zero = _order_zero(manifold, internal, grid, nodes, config)
     results = {}
     previous = None
-    frechet = _frechet_mean_and_variance(manifold, data.points)
     for k in sorted(set(orders)):
         initial = None
         if previous is not None and previous.params.order < k:
@@ -469,41 +431,110 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, replace(config, order=k),
-                                    initial=initial, _frechet=frechet, _previous=previous)
+                                    initial=initial, _zero=zero, _previous=previous)
         previous = results[k]
     return results
 
 
-def _line_search(manifold, state, grad, direction, eta, value, evaluate):
-    """Halve the step from eta until the objective strictly decreases.
+def _descend(manifold, internal, grid, nodes, config, state, traj, logs,
+             value) -> _Descent:
+    """Preconditioned BB descent from state, whose pass, logs and objective are given.
+
+    traj is None for a constant start, which takes no pass.  The time
+    design's monomials and metric are built once; at order zero and at a
+    constant start the gradient is the closed form, elsewhere one
+    integrate_adjoint pass.
+    """
+    k = state.order
+    phi = monomials(internal.times, k)
+    gram, precond = _design_metric(internal.times, k)
+
+    def evaluate(s: PolynomialState):
+        """Integrate a candidate; its residual logs and objective in one log_many."""
+        traj = integrate_polynomial(manifold, s, grid)
+        return (traj,) + _residuals(manifold, traj.points[nodes], internal.points)
+
+    def gradient(s: PolynomialState, traj, logs):
+        if traj is None or not k:           # the constant curve: no pass
+            return _constant_gradient(manifold, s.gamma, phi, logs)
+        return integrate_adjoint(manifold, traj, internal, logs)
+
+    trace = [value]
+    eta = 1.0
+    stop_reason = "max_iters"
+    grad = memory = None
+    for iteration in range(config.max_iters):
+        if grad is None:
+            grad = gradient(state, traj, logs)
+        grad_norm = _stack_norm(manifold, state.gamma, grad)
+        if grad_norm <= config.tol:
+            stop_reason = "tolerance"
+            break
+
+        if memory is not None:
+            eta = _barzilai_borwein(manifold, state.gamma, grad, *memory,
+                                    eta, iteration, gram, precond)
+        # P is positive definite, so -P g is always a descent direction
+        direction = -_along_stack(precond, grad)
+        found = _line_search(manifold, state, grad, grad_norm, direction, eta, value,
+                             evaluate, gradient)
+        if found is None:
+            stop_reason = "line_search"
+            break
+        state, traj, logs, value, memory, grad = found
+        worst = np.max(manifold.tangent_residual(state.gamma, state.vels),
+                       initial=manifold.point_residual(state.gamma))
+        if not worst <= _DRIFT_TOL:
+            raise GeometryError(
+                f"parameters drifted off the manifold (residual {worst:.3e})"
+            )
+        trace.append(value)
+    return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
+
+
+def _line_search(manifold, state, grad, grad_norm, direction, eta, value, evaluate,
+                 gradient):
+    """Halve the step from eta until a candidate beats the current objective.
 
     A candidate with step e is one Manifold.step along e * direction[0] that
     carries the rows [vels + e * direction[1:], grad, direction] to the new
-    base point.  A candidate at the cut locus of an observation, where its
-    residual log is undefined, is rejected like one that does not descend.
-    Returns (state, trajectory, logs, objective, memory), where memory
-    is the Barzilai-Borwein pair (grad, e * direction) at the accepted point,
-    or None once the predicted decrease e <g, P g> falls below the rounding
-    unit of the objective, np.spacing(value): a smaller decrease cannot be
-    told from rounding.
+    base point.  It wins if its objective is below value by more than
+    _TIE_ULPS units in the last place of value.  Near the optimum the
+    objective stops resolving a decrease, so a candidate within that band,
+    a tie, wins if its gradient norm is below grad_norm: the objective
+    trace can rise by at most _TIE_ULPS ulps, and only on an accepted tie.
+    A candidate at the cut locus of an observation, where its residual log
+    is undefined, is rejected like one that does not descend.  The first
+    step, eta, is always tried; after it the search gives up once the
+    predicted decrease e <g, P g> falls below the rounding unit of the
+    objective, np.spacing(value), and returns None.  Otherwise it returns
+    (state, trajectory, logs, objective, memory, gradient), where memory is
+    the Barzilai-Borwein pair (grad, e * direction) at the accepted point
+    and gradient is a tie's, taken to compare it, or None.
     """
     k = state.order
     e = eta
     slope = -_stack_inner(manifold, state.gamma, grad, direction)   # <g, P g>
-    while e * slope >= np.spacing(value):
+    tie = _TIE_ULPS * np.spacing(value)
+    while True:
         rows = np.concatenate([state.vels + e * direction[1:], grad, direction])
         gamma, moved = manifold.step(state.gamma, e * direction[0], rows)
         moved = np.asarray(manifold.project_tangent(gamma, moved), dtype=float)
         candidate = PolynomialState(gamma, moved[:k])
+        memory = (moved[k:2 * k + 1], e * moved[2 * k + 1:])
         try:
             traj, logs, val = evaluate(candidate)
         except CutLocusError:
             val = np.inf                    # rejected: the step shrinks
-        if val < value:
-            return (candidate, traj, logs, val,
-                    (moved[k:2 * k + 1], e * moved[2 * k + 1:]))
+        if val < value - tie:
+            return candidate, traj, logs, val, memory, None
+        if abs(val - value) <= tie:
+            cand_grad = gradient(candidate, traj, logs)
+            if _stack_norm(manifold, gamma, cand_grad) < grad_norm:
+                return candidate, traj, logs, val, memory, cand_grad
         e *= _SHRINK
-    return None
+        if not e * slope >= np.spacing(value):
+            return None
 
 
 def _design_metric(times, order):
@@ -531,6 +562,11 @@ def _along_stack(matrix, stack):
 def _stack_inner(manifold, gamma, a, b) -> float:
     """Metric inner product of two stacks of tangents at gamma."""
     return float(np.add.reduce(manifold.inner(gamma, a, b), axis=None))
+
+
+def _stack_norm(manifold, gamma, a) -> float:
+    """Metric norm of a stack of tangents at gamma."""
+    return float(np.sqrt(_stack_inner(manifold, gamma, a, a)))
 
 
 def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration,

@@ -13,7 +13,7 @@ import riempoly.cli
 import riempoly.geometry
 import riempoly.regress
 import riempoly as rp
-from riempoly.geometry import CutLocusError
+from riempoly.geometry import CutLocusError, monomials
 from riempoly.regress import (
     ZeroVarianceError,
     _constant_gradient,
@@ -397,7 +397,7 @@ class TestConstantStart:
                                                times=times, vectors=lambda v: 0.0 * v)
             logs = residual_logs(m, traj, data)
             expected = integrate_adjoint(m, traj, data, logs)
-            got = _constant_gradient(m, traj.points[0], data.times, logs, k)
+            got = _constant_gradient(m, traj.points[0], monomials(data.times, k), logs)
             assert got.shape == expected.shape == (k + 1,) + m.tangent_shape
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -495,9 +495,27 @@ class TestFrechetMean:
         with pytest.raises(rp.GeometryError, match="mean iteration did not converge"):
             rp.frechet_mean(sphere, pts, max_iter=1)
 
+    def test_judges_the_point_it_returns(self, rng):
+        # a mean that reaches its tolerance on its last allowed iteration
+        # neither warns nor raises: the rule reads the returned point's logs
+        sphere = rp.Sphere(2)
+        pts = np.stack([sphere.random_point(rng) for _ in range(5)])
+        pts = np.stack([p if p[0] > 0 else -p for p in pts])
+        internal, _, _, grid, nodes = riempoly.regress._plan(
+            rp.TimedDataset(sphere, np.zeros(5), pts), 1)
+        free = riempoly.regress._order_zero(sphere, internal, grid, nodes,
+                                            rp.FitConfig(order=0, tol=2e-9))
+        assert free.stop_reason == "tolerance" and len(free.trace) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = rp.frechet_mean(sphere, pts, max_iter=len(free.trace) - 1)
+        assert np.array_equal(mean, free.state.gamma)
+
     def test_candidate_at_the_cut_locus_is_rejected(self, rng):
         # the first candidate's log raises CutLocusError: it is rejected like
-        # one that does not descend, the step halves, and the mean is found
+        # one that does not descend, the step halves, and the mean is found.
+        # The candidates are the order-zero fit's steps along e * direction,
+        # direction = -P g, at e = 1 and 1/2
         bases = []
 
         class Guarded(rp.Sphere):
@@ -512,9 +530,12 @@ class TestFrechetMean:
         pts = np.stack([p if p[0] > 0 else -p for p in pts])
         mean = rp.frechet_mean(Guarded(2), pts, tol=1e-11)
         assert np.abs(mean - rp.frechet_mean(sphere, pts, tol=1e-11)).max() < 1e-9
-        grad = sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts).mean(axis=0)
-        assert np.array_equal(bases[1], sphere.exp(pts[0], grad))
-        assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * grad))
+        logs = sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts)
+        grad = _constant_gradient(sphere, pts[0], monomials(np.zeros(3), 0), logs)
+        _, precond = _design_metric(np.zeros(3), 0)
+        direction = -(precond @ grad)[0]
+        assert np.array_equal(bases[1], sphere.exp(pts[0], direction))
+        assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * direction))
 
     def test_starts_past_an_antipodal_first_observation(self):
         # e1 first, -e1 second: no log from e1 reaches -e1, so the iteration
@@ -560,6 +581,55 @@ class TestFrechetMean:
         assert calls["log_many"] <= 12
         logs = log_many(sphere, np.broadcast_to(mean, pts.shape), pts)
         assert np.linalg.norm(logs.mean(axis=0)) <= 1e-9
+
+
+class TestLineSearch:
+    """The one line search, called directly on the plane with a patched objective."""
+
+    def _search(self, cand_value, cand_grad_scale, grad_scale=1.0):
+        plane = rp.Euclidean(2)
+        state = rp.PolynomialState(np.zeros(2), np.zeros((1, 2)))
+        grad = grad_scale * np.ones((2, 2))
+        evaluated = []
+
+        def evaluate(s):
+            evaluated.append(s)
+            return None, None, cand_value
+
+        def gradient(s, traj, logs):
+            return cand_grad_scale * grad
+
+        found = riempoly.regress._line_search(
+            plane, state, grad, float(np.linalg.norm(grad)), -grad, 1.0, 1.0,
+            evaluate, gradient)
+        return found, evaluated, grad
+
+    def test_tie_with_a_lower_gradient_wins(self):
+        found, evaluated, grad = self._search(1.0 + 4 * np.spacing(1.0), 0.5)
+        assert found is not None and len(evaluated) == 1
+        # the tie's gradient is kept for the next iteration
+        assert np.array_equal(found[5], 0.5 * grad)
+        assert found[3] == 1.0 + 4 * np.spacing(1.0)
+
+    def test_tie_with_a_higher_gradient_loses(self):
+        found, evaluated, _ = self._search(1.0 - np.spacing(1.0), 2.0)
+        assert found is None and len(evaluated) > 1
+
+    def test_beyond_the_tie_band_is_rejected(self):
+        found, evaluated, _ = self._search(1.0 + 5 * np.spacing(1.0), 0.5)
+        assert found is None and len(evaluated) > 1
+
+    def test_clear_decrease_takes_no_gradient(self):
+        found, evaluated, _ = self._search(1.0 - 5 * np.spacing(1.0), 2.0)
+        assert found is not None and found[5] is None and len(evaluated) == 1
+
+    def test_first_step_tried_below_rounding(self):
+        # the predicted decrease eta <g, P g> = 4e-40 is far below the
+        # rounding unit of the objective, yet the first step is tried
+        found, evaluated, _ = self._search(0.5, 2.0, grad_scale=1e-20)
+        assert found is not None and len(evaluated) == 1
+        found, evaluated, _ = self._search(2.0, 2.0, grad_scale=1e-20)
+        assert found is None and len(evaluated) == 1
 
 
 class TestRSquared:
@@ -682,9 +752,8 @@ class TestFitPolynomial:
                     active.pop()
             return wrapper
 
-        # the Frechet mean's candidates reach step through exp, like a pass
-        for name in ("integrate_polynomial", "integrate_adjoint",
-                     "_frechet_mean_and_variance"):
+        # the order-zero fit's candidates are line-search candidates too
+        for name in ("integrate_polynomial", "integrate_adjoint"):
             monkeypatch.setattr(riempoly.regress, name,
                                 counted(name, getattr(riempoly.regress, name)))
         monkeypatch.setattr(rp.Sphere, "step", counted("step", rp.Sphere.step))
@@ -829,25 +898,55 @@ class TestFitPolynomial:
         assert results[3].sse <= results[2].sse + 1e-9
 
     def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
-        # the mean and variance depend on the points alone: one computation
-        # serves every order, with the bits of a fresh computation
+        # the variance is the order-zero fit's SSE: one order-zero fit
+        # serves every order, bit for bit
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
-        calls = {"frechet": 0}
-        stats = riempoly.regress._frechet_mean_and_variance
+        calls = {"order_zero": 0}
+        order_zero = riempoly.regress._order_zero
 
-        def counting_stats(*args, **kwargs):
-            calls["frechet"] += 1
-            return stats(*args, **kwargs)
+        def counting_order_zero(*args, **kwargs):
+            calls["order_zero"] += 1
+            return order_zero(*args, **kwargs)
 
-        monkeypatch.setattr(riempoly.regress, "_frechet_mean_and_variance",
-                            counting_stats)
+        monkeypatch.setattr(riempoly.regress, "_order_zero", counting_order_zero)
         results = rp.fit_orders(sphere, data, (0, 1, 2),
                                 rp.FitConfig(order=0, steps=50, max_iters=50))
-        assert calls["frechet"] == 1
-        variance = stats(sphere, data.points)[1]
-        assert results[1].frechet_variance == variance
-        assert results[2].frechet_variance == variance
+        assert calls["order_zero"] == 1
+        for k in (0, 1, 2):
+            assert results[k].frechet_variance == results[0].sse
+        assert results[0].r_squared == 0.0
+
+    def test_single_fit_has_the_variance_of_fit_orders(self, rng):
+        # a lone fit makes the same order-zero fit under the same config
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=50)
+        cfg = rp.FitConfig(order=2, steps=50, tol=1e-5)
+        results = rp.fit_orders(sphere, data, (1, 2), cfg)
+        alone = rp.fit_polynomial(sphere, data, cfg)
+        zero = rp.fit_polynomial(sphere, data, replace(cfg, order=0))
+        for variance in (alone.frechet_variance, zero.sse):
+            assert (np.float64(variance).tobytes()
+                    == np.float64(results[2].frechet_variance).tobytes())
+
+    def test_unconverged_order_zero_fit_is_reported(self, rng, monkeypatch):
+        # an order's convergence needs its order-zero fit's; the stop
+        # reason stays the order's own
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
+        order_zero = riempoly.regress._order_zero
+
+        def one_iteration(manifold, internal, grid, nodes, config):
+            return order_zero(manifold, internal, grid, nodes,
+                              replace(config, max_iters=1))
+
+        monkeypatch.setattr(riempoly.regress, "_order_zero", one_iteration)
+        cfg = rp.FitConfig(order=1, steps=50)
+        for res in (rp.fit_polynomial(sphere, data, cfg),
+                    *rp.fit_orders(sphere, data, (0, 1), cfg).values()):
+            assert res.stop_reason == ("max_iters" if res.params.order == 0
+                                       else "tolerance")
+            assert not res.converged
 
     def test_repeated_order_is_fitted_once(self, rng, monkeypatch):
         sphere = rp.Sphere(2)
@@ -868,7 +967,7 @@ class TestFitPolynomial:
     def test_padded_order_starts_from_the_lower_logs(self, monkeypatch):
         # on the rat fit the padded curve meets the observed nodes at the
         # lower optimum's points bit for bit, so orders 1 and 2 take no log
-        # of their own at the start: 14 log_many calls, not 16, and every
+        # of their own at the start: 12 log_many calls, not 14, and every
         # result as when each order logs its padded start
         from pathlib import Path
 
@@ -885,10 +984,11 @@ class TestFitPolynomial:
 
         monkeypatch.setattr(rp.KendallShapeSpace, "log_many", counting)
         results = rp.fit_orders(space, data, (0, 1, 2), config)
-        assert calls["log_many"] == 14
+        assert calls["log_many"] == 12
 
         calls.clear()
-        frechet = riempoly.regress._frechet_mean_and_variance(space, data.points)
+        internal, _, _, grid, nodes = riempoly.regress._plan(data, config.steps)
+        zero = riempoly.regress._order_zero(space, internal, grid, nodes, config)
         previous = None
         for k in (0, 1, 2):
             initial = None
@@ -897,7 +997,7 @@ class TestFitPolynomial:
                 initial = rp.PolynomialState(previous.params.gamma,
                                              np.concatenate([previous.params.vels, pad]))
             previous = rp.fit_polynomial(space, data, replace(config, order=k),
-                                         initial=initial, _frechet=frechet)
+                                         initial=initial, _zero=zero)
             got = results[k]
             for a, b in [(got.params.gamma, previous.params.gamma),
                          (got.params.vels, previous.params.vels),
@@ -907,7 +1007,7 @@ class TestFitPolynomial:
             assert (got.sse, got.iterations, got.objective_trace, got.grad_norm) == \
                 (previous.sse, previous.iterations, previous.objective_trace,
                  previous.grad_norm)
-        assert calls["log_many"] == 16
+        assert calls["log_many"] == 14
 
     def test_underdetermined_warns(self, rng):
         sphere = rp.Sphere(2)
