@@ -443,7 +443,8 @@ def _descend(manifold, internal, grid, nodes, config, state, traj, logs,
     traj is None for a constant start, which takes no pass.  The time
     design's monomials and metric are built once; at order zero and at a
     constant start the gradient is the closed form, elsewhere one
-    integrate_adjoint pass.
+    integrate_adjoint pass.  The gradient norm it reports is the returned
+    state's, so a descent stopped at max_iters takes one more gradient.
     """
     k = state.order
     phi = monomials(internal.times, k)
@@ -489,6 +490,11 @@ def _descend(manifold, internal, grid, nodes, config, state, traj, logs,
                 f"parameters drifted off the manifold (residual {worst:.3e})"
             )
         trace.append(value)
+    else:
+        # stopped at the cap: the norm is the returned state's, not its predecessor's
+        if grad is None:
+            grad = gradient(state, traj, logs)
+        grad_norm = _stack_norm(manifold, state.gamma, grad)
     return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
 
 

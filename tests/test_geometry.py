@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import riempoly as rp
-from riempoly import so3
 from riempoly.geometry import ShootingError, shooting_log
 from conftest import (
     MANIFOLD_NAMES,
@@ -15,14 +14,6 @@ from conftest import (
     tangent_basis,
     unit_tangent,
 )
-
-
-def isometry_manifold(name, monkeypatch):
-    # the general metric's transport drift scales with the substep; only this
-    # bound needs fine steps
-    if name == "so3_general":
-        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
-    return make_manifold(name)
 
 
 def within_tolerance(m, residual):
@@ -63,23 +54,19 @@ class TestContract:
             w = m.log(p, m.exp(p, v))
             assert m.norm(p, w - v) < 1e-6
 
-    def test_dist_symmetric(self, name, rng, monkeypatch):
+    def test_dist_symmetric(self, name, rng):
         # the shooting-based distance is symmetric only to the accuracy of
-        # the integrated exponential, so the general metric needs fine steps
-        if name == "so3_general":
-            monkeypatch.setattr(so3, "_MAX_STEP", 5e-5)
-            m = make_manifold(name)
-            scale = 0.08
-        else:
-            m = make_manifold(name)
-            scale = 0.3 * min(injectivity_radius(m, m.random_point(rng)), 1.0)
+        # the integrated exponential, which the general metric's fourth-order
+        # flow keeps below the bound
+        m = make_manifold(name)
+        scale = 0.3 * min(injectivity_radius(m, m.random_point(rng)), 1.0)
         p = m.random_point(rng)
         v = unit_tangent(m, rng, p, scale)
         q = m.exp(p, v)
         assert abs(m.dist(p, q) - m.dist(q, p)) < 1e-9
 
-    def test_transport_isometry(self, name, rng, monkeypatch):
-        m = isometry_manifold(name, monkeypatch)
+    def test_transport_isometry(self, name, rng):
+        m = make_manifold(name)
         p = m.random_point(rng)
         direction = unit_tangent(m, rng, p, 0.15)
         x = unit_tangent(m, rng, p)

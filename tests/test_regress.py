@@ -1033,6 +1033,19 @@ class TestFitPolynomial:
         assert res.iterations <= 1
         assert len(res.objective_trace) >= 1
 
+    def test_capped_fit_reports_its_own_gradient_norm(self):
+        # a fit stopped at max_iters reports the gradient norm of the point
+        # it returns, not that of the point before its last accepted step
+        sphere = rp.Sphere(2)
+        gen = np.random.default_rng(3)
+        points = np.stack([sphere.random_point(gen) for _ in range(10)])
+        data = rp.TimedDataset(sphere, np.zeros(10), points)
+        res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=0, max_iters=2))
+        assert res.stop_reason == "max_iters" and res.iterations == 2
+        logs = sphere.log_many(np.broadcast_to(res.params.gamma, points.shape), points)
+        own = 2.0 * sphere.norm(res.params.gamma, np.add.reduce(logs) / len(points))
+        assert res.grad_norm == pytest.approx(own, rel=1e-9)
+
     @pytest.mark.parametrize("max_iters,tol,reason", [
         (200, 1e-6, "tolerance"),
         (2, 1e-16, "max_iters"),

@@ -1,5 +1,6 @@
 """Rotation-group geometry: algebra operators, integrators, curvature."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -278,15 +279,84 @@ class TestGeodesicIntegrator:
             w = w + h * geodesic_rate(w_mid, inertia_metric)
         assert abs(inertia_metric.inner(w, w) - e0) < 1e-6
 
-    def test_manifold_exp_self_convergence(self, inertia_metric, rng, monkeypatch):
-        w = np.array([1.0, 1.0, 1.0])
+    def test_manifold_exp_self_convergence(self, inertia_metric, monkeypatch):
+        # a chord beyond _MAX_STEP takes Runge-Kutta substeps with the
+        # fourth-order Magnus turn: every halving of the substep divides the
+        # errors of the endpoint and of the carried fields by about 16.  The
+        # chord, just under 1.2, takes 4, 8, ..., 64 substeps
         group = rp.RotationGroup(inertia_metric)
-        monkeypatch.setattr(so3, "_MAX_STEP", 2e-5)
-        ref = group.exp(np.eye(3), w)
-        for max_step in (1e-2, 1e-3):
-            monkeypatch.setattr(so3, "_MAX_STEP", max_step)
-            err = np.abs(group.exp(np.eye(3), w) - ref).max()
-            assert err < 10.0 * max_step ** 2 + 1e-10
+        gen = np.random.default_rng(12)
+        p = group.random_point(gen)
+        w = 1.19 * np.ones(3) / np.sqrt(3.0)
+        fields = gen.standard_normal((2, 3))
+        monkeypatch.setattr(so3, "_RK4_STEP", 0.3 / 128)
+        ref_end, ref_fields = group.step(p, w, fields)
+        end_errs, field_errs = [], []
+        for count in (4, 8, 16, 32, 64):
+            monkeypatch.setattr(so3, "_RK4_STEP", 1.2 / count)
+            assert len(group._flow(so3._stacked(w, fields))[1]) == count
+            end, moved = group.step(p, w, fields)
+            end_errs.append(np.abs(end - ref_end).max())
+            field_errs.append(np.abs(moved - ref_fields).max())
+        for errs in (end_errs, field_errs):
+            assert min(a / b for a, b in zip(errs, errs[1:])) >= 14.0, errs
+
+    def test_short_chord_takes_one_midpoint_substep(self, inertia_metric, rng):
+        # a chord up to _MAX_STEP takes one midpoint substep, bit for bit
+        group = rp.RotationGroup(inertia_metric)
+        for length in (1e-7, 1e-4, 1e-3, 0.999 * so3._MAX_STEP):
+            p = group.random_point(rng)
+            v = rng.standard_normal(3)
+            v *= length / np.linalg.norm(v)
+            fields = rng.standard_normal((3, 3))
+            end, moved = group.step(p, v, fields)
+            ref_end, ref_moved = midpoint_substeps(group, p, v, fields)
+            assert np.array_equal(end, ref_end), length
+            assert np.array_equal(moved, ref_moved), length
+
+    @pytest.mark.parametrize("diagonal", [(1.0, 2.0, 3.0), (1.0, 1.0, 10.0)])
+    def test_no_worse_than_midpoint_substeps(self, diagonal, monkeypatch):
+        # 20 seeded directions at metric lengths 0.006 to 1.2: against a fine
+        # Runge-Kutta reference, the flow's endpoint and carried fields err
+        # no more than midpoint substeps of at most _MAX_STEP (worst ratio
+        # 0.66 under diag(1, 1, 10), 0.03 under diag(1, 2, 3))
+        group = rp.RotationGroup(so3.MetricSpec(np.diag(diagonal)))
+        gen = np.random.default_rng(33)
+        for _ in range(20):
+            p = group.random_point(gen)
+            u = unit_tangent(group, gen, p)
+            fields = gen.standard_normal((2, 3))
+            for length in (0.006, 0.05, 0.3, 1.2):
+                v = length * u
+                end, moved = group.step(p, v, fields)
+                mid_end, mid_moved = midpoint_substeps(group, p, v, fields)
+                with monkeypatch.context() as fine:
+                    fine.setattr(so3, "_MAX_STEP", 0.0)
+                    fine.setattr(so3, "_RK4_STEP", 2.5e-3)
+                    ref_end, ref_moved = group.step(p, v, fields)
+                where = (diagonal, length)
+                assert (np.abs(end - ref_end).max()
+                        <= np.abs(mid_end - ref_end).max()), where
+                assert (np.abs(moved - ref_moved).max()
+                        <= np.abs(mid_moved - ref_moved).max()), where
+
+
+def midpoint_substeps(group, p, v, fields):
+    """The general-metric step in ceil(|v| / _MAX_STEP) midpoint substeps.
+
+    The flow's midpoint arithmetic, operation for operation, on every chord:
+    each substep's turn is h times the midpoint velocity, and the endpoint
+    composes the turns and takes the polar factor.  Returns the endpoint and
+    the carried fields.
+    """
+    f = np.concatenate([v[None], fields])
+    h = 1.0 / math.ceil(math.sqrt(float(v @ v)) / so3._MAX_STEP)
+    turns = []
+    for _ in range(round(1.0 / h)):
+        mid = f - 0.5 * h * so3._along(f, group.metric)
+        turns.append((h * mid[:1])[0])
+        f = f - h * so3._along(mid, group.metric)
+    return group.project_point(so3._compose(p, turns)), f[1:]
 
 
 def turn_rotation(w):
@@ -334,8 +404,7 @@ class TestLogMap:
         v = v / np.linalg.norm(v) * 1.2
         assert np.abs(group.log(p, group.exp(p, v)) - v).max() < 1e-10
 
-    def test_general_metric_shooting(self, inertia_metric, rng, monkeypatch):
-        monkeypatch.setattr(so3, "_MAX_STEP", 1e-3)
+    def test_general_metric_shooting(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 0.6)
@@ -381,13 +450,12 @@ class TestLogMap:
             group.log_many(points, targets)
             assert len(calls) == expected
 
-    def test_second_order_start_leaves_a_third_order_gap(self, inertia_metric, monkeypatch):
+    def test_second_order_start_leaves_a_third_order_gap(self, inertia_metric):
         # the geodesic with velocity v ends at r = v - nabla_v v / 2 + O(|v|^3),
         # so the start r + nabla_r r / 2 misses the target by O(|r|^3) and r
-        # itself by O(|r|^2).  Fine substeps keep the substep count from
-        # jumping between the start and v, which moves the default flow's
-        # third-order term (slope 2.5 on one of five directions)
-        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
+        # itself by O(|r|^2).  The chords take the fourth-order flow, whose
+        # error stays far below the gaps even where the substep count
+        # differs between the start and v
         group = rp.RotationGroup(inertia_metric)
         radii = [0.0125, 0.025, 0.05, 0.1]
         gen = np.random.default_rng(4)
@@ -408,13 +476,16 @@ class TestLogMap:
     def test_general_metric_log_needs_few_flows(self, inertia_metric, monkeypatch):
         # full shots from the second-order start take 2.8 flows per pair on
         # nearby pairs; from the principal vector they took 3.0, and half
-        # shots ~47
-        calls = {"flow": 0}
+        # shots ~47.  Each 0.05 shot is one Runge-Kutta substep: one turn per
+        # flow
+        calls = {"flow": 0, "turn": 0}
         flow = rp.RotationGroup._flow
 
         def counting_flow(self, *args):
+            moved, turns = flow(self, *args)
             calls["flow"] += 1
-            return flow(self, *args)
+            calls["turn"] += len(turns)
+            return moved, turns
 
         group = rp.RotationGroup(inertia_metric)
         gen = np.random.default_rng(50)
@@ -426,6 +497,7 @@ class TestLogMap:
         for p, q in pairs:
             group.log(p, q)
         assert calls["flow"] <= 28
+        assert calls["turn"] <= calls["flow"]
 
     def test_antipodal_rotation_rejected(self):
         from riempoly.geometry import CutLocusError
@@ -493,8 +565,8 @@ class TestLogErrors:
             first.append(group.norm(end, so3.rotation_log(end.T @ q)))
         flow = rp.RotationGroup._flow
 
-        def reversed_flow(self, v, stack):
-            moved, turns = flow(self, v, stack)
+        def reversed_flow(self, f):
+            moved, turns = flow(self, f)
             return -moved, turns
 
         monkeypatch.setattr(rp.RotationGroup, "_flow", reversed_flow)
@@ -521,20 +593,21 @@ class TestBatchedKernels:
             assert np.abs(log - group.log(p, q)).max() <= 1e-14
 
     def test_flow_rows_take_their_own_substeps(self, inertia_metric, rng):
-        # speeds of 0, 1, 3 and 40 substeps: each row moves as it does alone,
-        # and a row that is done holds still, its turns zero
+        # no substep, one midpoint substep, and 1, 3 and 4 Runge-Kutta
+        # substeps: each row moves as it does alone, and a row that is done
+        # holds still, its turns zero
         group = rp.RotationGroup(inertia_metric)
-        speeds = np.array([0.0, 4e-3, 0.012, 0.2])
-        v = rng.standard_normal((4, 3))
+        speeds = np.array([0.0, 4e-3, 0.012, 0.12, 0.2])
+        v = rng.standard_normal((5, 3))
         v *= (speeds / np.linalg.norm(v, axis=1))[:, None]
-        stack = rng.standard_normal((4, 2, 3))
-        moved, turns = group._flow(v, stack)
-        assert len(turns) == 40
-        points = np.stack([group.random_point(rng) for _ in range(4)])
+        stack = rng.standard_normal((5, 2, 3))
+        moved, turns = group._flow(so3._stacked(v, stack))
+        assert len(turns) == 4
+        points = np.stack([group.random_point(rng) for _ in range(5)])
         ends = so3._compose(points, turns)
-        for b in range(4):
-            alone, own = group._flow(v[b], stack[b])
-            assert len(own) == [0, 1, 3, 40][b]
+        for b in range(5):
+            alone, own = group._flow(so3._stacked(v[b], stack[b]))
+            assert len(own) == [0, 1, 1, 3, 4][b]
             assert np.abs(moved[b] - alone).max() <= 1e-15
             assert np.abs(ends[b] - so3._compose(points[b], own)).max() <= 1e-15
             assert not np.any(np.stack(turns)[len(own):, b])
@@ -647,8 +720,7 @@ class TestTransport:
                 alone = group.transport(p, directions[b], x[b])
                 assert np.abs(moved[b] - alone).max() <= 1e-15, (shape, b)
 
-    def test_transport_reversibility(self, inertia_metric, rng, monkeypatch):
-        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
+    def test_transport_reversibility(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 0.8)
@@ -658,8 +730,7 @@ class TestTransport:
         back = group.transport(q, -v_end, group.transport(p, v, x))
         assert np.abs(back - x).max() < 1e-5
 
-    def test_norm_preserved_along_geodesic(self, inertia_metric, rng, monkeypatch):
-        monkeypatch.setattr(so3, "_MAX_STEP", 1e-4)
+    def test_norm_preserved_along_geodesic(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric)
         p = group.random_point(rng)
         v = unit_tangent(group, rng, p, 1.0)
@@ -702,7 +773,7 @@ class TestTransport:
         errs = [np.abs(run - closed).max() for run in runs]
         # the oracle's first-order error shrinks onto the closed form, and
         # its Richardson extrapolation meets it to second order (~2e-8); the
-        # stepped midpoint flow at the default _MAX_STEP misses by ~1.4e-6
+        # general metric's stepped flow, run on A = I, misses by ~4e-9
         assert 0.95 <= log_log_slope(dts, errs) <= 1.05
         assert np.abs(2.0 * runs[2] - runs[1] - closed).max() < 1e-7
 
@@ -738,6 +809,8 @@ class TestCurvature:
         Riding x, then the transported y, then back, picks up
         s^2 R(x, y) on the transported vector, up to O(s^3) closure terms.
         """
+        # every leg, though far shorter than _MAX_STEP, takes a Runge-Kutta
+        # substep, so that the flow's error stays far below s^3
         monkeypatch.setattr(so3, "_MAX_STEP", 2e-5)
         group = rp.RotationGroup(inertia_metric)
         s = 1e-4
