@@ -162,6 +162,104 @@ class TestTps:
         with pytest.raises(LandmarkFormatError, match=":1:"):
             parse_landmarks(path)
 
+    # Each case's text and what the reader returns: its records as (id, time,
+    # landmarks), time None where the file gives none, or its error as
+    # (line, message), line None where the message names no line.
+    CASES = {
+        "key line inside the coordinates": (
+            "LM=3\n0 0\nID=a\n1 1\n2 2\n",
+            (1, "block declares LM=3 but has 1 coordinate lines")),
+        "LM line inside the coordinates": (
+            "LM=3\n0 0\n1 1\nLM=2\n0 0\n1 1\n",
+            (1, "block declares LM=3 but has 2 coordinate lines")),
+        "coordinates end with the file": (
+            "LM=3\n0 0\n1 1\n",
+            (1, "block declares LM=3 but has 2 coordinate lines")),
+        "extra row after a full block": (
+            "LM=2\n0 0\n1 1\n2 2\nID=a\n",
+            (4, "expected 'LM=' block, got '2 2'")),
+        "extra row after the attributes": (
+            "LM=2\n0 0\n1 1\nID=a\nAGE=3\n2 2\n",
+            (6, "expected 'LM=' block, got '2 2'")),
+        "text among the attributes": (
+            "LM=1\n0 0\nID=a\nhello\n",
+            (4, "expected 'LM=' block, got 'hello'")),
+        "key line before the first block": (
+            "ID=a\nLM=2\n0 0\n1 1\n",
+            (1, "expected 'LM=' block, got 'ID=a'")),
+        "bad AGE value": (
+            "LM=2\n0 0\n1 1\nID=a\nAGE=old\n",
+            (5, "bad AGE value")),
+        "empty TIME value": (
+            "LM=1\n0 0\nTIME=\n",
+            (3, "bad TIME value")),
+        "bad coordinates": (
+            "LM=2\n0 zero\n1 1\n",
+            (2, "bad coordinates (could not convert string to float: 'zero')")),
+        "bad landmark count": (
+            "LM=two\n0 0\n",
+            (1, "bad landmark count 'LM=two'")),
+        "LM=0": (
+            "LM=0\nID=a\n",
+            (1, "ragged coordinate rows")),
+        "LM=-1": (
+            "LM=-1\n0 0\n",
+            (1, "block declares LM=-1 but has 0 coordinate lines")),
+        "blank lines anywhere": (
+            "\n  \nLM=2\n\n0 0\n \n1 1\n\nID=a\n\nAGE=3\n\n\nLM=2\n2 2\n\n3 3\n\n",
+            [("a", 3.0, [[0, 0], [1, 1]]), ("1", None, [[2, 2], [3, 3]])]),
+        "blank lines count in line numbers": (
+            "\nLM=3\n\n0 0\n\n1 1\nID=a\n",
+            (2, "block declares LM=3 but has 2 coordinate lines")),
+        "AGE then TIME": (
+            "LM=1\n0 0\nAGE=3\nTIME=4\nLM=1\n1 1\nTIME=5\nAGE=6\n",
+            [("0", 4.0, [[0, 0]]), ("1", 6.0, [[1, 1]])]),
+        "repeated ID": (
+            "LM=1\n0 0\nID=a\nID=b\n",
+            [("b", None, [[0, 0]])]),
+        "block without an ID": (
+            "LM=1\n0 0\nID=a\nLM=1\n1 1\nAGE=2\nLM=1\n2 2\nID=c\n",
+            [("a", None, [[0, 0]]), ("1", 2.0, [[1, 1]]), ("c", None, [[2, 2]])]),
+        "other keys ignored": (
+            "LM=1\n0 0\nIMAGE=x.jpg\nSCALE=0.1\nID=\n",
+            [("", None, [[0, 0]])]),
+        "lower-case keys": (
+            "lm=1\n5 6\nid=x\nage=2\n",
+            [("x", 2.0, [[5, 6]])]),
+        "padded keys and values": (
+            "  LM = 2 \n 0   0 \n1\t1\n ID = a b \n AGE =  7 \n",
+            [("a b", 7.0, [[0, 0], [1, 1]])]),
+        "rows of four numbers": (
+            "LM=2\n0 0 0 1\n1 1 0 0\nID=w\nAGE=1\n",
+            [("w", 1.0, [[0, 0, 0, 1], [1, 1, 0, 0]])]),
+        "empty file": ("", (None, "no records")),
+        "blank file": ("\n \n", (None, "no records")),
+        "ragged rows": (
+            "LM=2\n0 0\n1 1 1\nID=a\n",
+            (1, "ragged coordinate rows")),
+        "block with more landmarks": (
+            "LM=2\n0 0\n1 1\nID=a\nLM=3\n0 0\n1 1\n2 2\nID=b\n",
+            (5, "block shape (3, 2) differs from (2, 2)")),
+        "block of another dimension": (
+            "LM=2\n0 0\n1 1\nLM=2\n0 0 0\n1 1 1\n",
+            (4, "block shape (2, 3) differs from (2, 2)")),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reader_table(self, tmp_path, case):
+        text, want = self.CASES[case]
+        path = write(tmp_path, "case.tps", text)
+        if isinstance(want, tuple):
+            line, message = want
+            where = f"{path}:{line}:" if line is not None else f"{path}:"
+            with pytest.raises(LandmarkFormatError) as info:
+                parse_landmarks(path)
+            assert str(info.value) == f"{where} {message}"
+        else:
+            got = [(r.id, None if np.isnan(r.time) else r.time, r.landmarks.tolist())
+                   for r in parse_landmarks(path)]
+            assert got == want
+
 
 class TestCsvLines:
     def test_matches_repr_of_every_float(self):
