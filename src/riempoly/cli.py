@@ -1,9 +1,12 @@
 """Command-line front end: dataset ingestion, fitting, and report files.
 
-The input is parsed once into one array, and every Kendall record is
-standardized in one batched call.  Each report is one float table written
-by landmarks.csv_lines: Python's shortest round-trip repr, formatted once
-per distinct value, so the files re-parse to the same doubles.
+The input is parsed once, its records are stacked once into one array, and
+every Kendall record is standardized in one batched call.  run_regression
+writes every report in one pass: each order's curve is sampled once, into
+curves.csv and, for the highest converged order, plot_data.csv.  Every CSV
+file is one float table written by landmarks.write_table: Python's shortest
+round-trip repr, formatted once per distinct value, so the files re-parse to
+the same doubles.
 
 Exit codes: 0 on success, 1 on usage or file errors, 2 when any requested
 fit stopped before reaching its convergence tolerance.
@@ -23,9 +26,9 @@ from .kendall import KendallShapeSpace, _align_many, _preshapes
 from .landmarks import (
     LandmarkFileRecord,
     LandmarkFormatError,
-    csv_lines,
     parse_landmarks,
     write_landmarks_csv,
+    write_table,
 )
 from .polyflow import PolynomialState, integrate_polynomial, sample_curve, time_grid
 from .regress import FitConfig, FitResult, TimedDataset, fit_orders
@@ -43,14 +46,13 @@ def build_dataset(manifold_name: str, records: list):
     times = np.array([r.time for r in records], dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("records carry non-finite times (missing AGE in TPS input?)")
+    stack = np.stack([r.landmarks for r in records])
 
     if manifold_name == "kendall":
         manifold = KendallShapeSpace(m, d)
-        points = _preshapes(np.stack([r.landmarks for r in records]))[0]
-        points = points.reshape(len(records), -1)
+        stack = _preshapes(stack)[0]
     elif manifold_name == "euclidean":
         manifold = Euclidean(m * d)
-        points = np.stack([r.landmarks.reshape(-1) for r in records])
     elif manifold_name == "sphere":
         manifold = Sphere(m * d - 1)
     elif manifold_name == "so3":
@@ -59,10 +61,9 @@ def build_dataset(manifold_name: str, records: list):
         manifold = RotationGroup(MetricSpec(np.eye(3)))
     else:
         raise ValueError(f"unknown manifold {manifold_name!r}")
+    points = stack.reshape((len(records),) + manifold.point_shape)
     if manifold_name in ("sphere", "so3"):
         # records must lie on the manifold to 1e-6; project_point cleans them
-        points = np.reshape([r.landmarks for r in records],
-                            (len(records),) + manifold.point_shape)
         drift = manifold.point_residual(points)
         i = int(np.argmax(~(drift <= 1e-6)))    # the first record off it, or 0
         if not drift[i] <= 1e-6:
@@ -71,7 +72,7 @@ def build_dataset(manifold_name: str, records: list):
         points = manifold.project_point(points)
 
     data = TimedDataset(manifold, times, points)
-    ids = [r.id for r in np.array(records, dtype=object)[np.argsort(times, kind="stable")]]
+    ids = [records[i].id for i in np.argsort(times, kind="stable")]
     return manifold, data, ids
 
 
@@ -106,21 +107,14 @@ def _fit_payload(result: FitResult, steps: int) -> dict:
     }
 
 
-def _curve_rows(result: FitResult, samples: int):
-    """The fit's own curve sampled in original time units."""
-    s_values = np.linspace(0.0, 1.0, samples)
-    points = sample_curve(result.trajectory, s_values)
-    times = result.time_offset + result.time_scale * s_values
-    return times, points
-
-
 def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
-                   config: FitConfig, samples: int):
+                   config: FitConfig, samples: int, plot_data: bool):
     """Fit every requested order and write the report files.
 
-    config gives the grid and the stopping rule of every order.  Returns
-    (results, data, exit_code): data is the dataset that was fitted, and
-    exit code 2 flags any non-converged fit.
+    config gives the grid and the stopping rule of every order.  Each
+    order's curve is sampled once, into curves.csv and, for the highest
+    converged order, plot_data.csv.  Returns (results, exit_code): exit
+    code 2 flags any non-converged fit.
     """
     records = parse_landmarks(input_path)
     manifold, data, ids = build_dataset(manifold_name, records)
@@ -149,85 +143,65 @@ def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    _write_curves(outdir / "curves.csv", manifold, results, samples)
-    _write_residuals(outdir / "residuals.csv", manifold, results, data, ids)
+    fitted = sorted(results)
+    coords = [f"c{i + 1}" for i in range(int(np.prod(manifold.point_shape)))]
+    curves = {k: curve_table(results[k], samples) for k in fitted}
+    write_table(outdir / "curves.csv", ["order", "time"] + coords,
+                [str(k) for k in fitted for _ in range(samples)],
+                np.concatenate([curves[k] for k in fitted]))
 
-    code = 0 if all(r.converged for r in results.values()) else 2
-    return results, data, code
+    # each observation's distance to its fitted curve: its residual log's norm
+    anchors = {k: observed_points(results[k], data) for k in fitted}
+    squares = [manifold.inner(anchors[k], results[k].logs, results[k].logs) for k in fitted]
+    write_table(outdir / "residuals.csv", ["order", "id", "time", "distance"],
+                [f"{k},{rec_id}" for k in fitted for rec_id in ids],
+                np.column_stack([np.tile(data.times, len(fitted)),
+                                 np.sqrt(np.maximum(np.concatenate(squares), 0.0))]))
+
+    converged = [k for k in fitted if results[k].converged]
+    if plot_data and converged:
+        best = converged[-1]
+        write_table(outdir / "plot_data.csv", ["kind", "time"] + coords,
+                    ["curve"] * samples + ["observations"] * data.size,
+                    np.concatenate([curves[best], scatter_table(data, anchors[best])]))
+
+    code = 0 if len(converged) == len(fitted) else 2
+    return results, code
 
 
-def _coord_header(dim: int) -> list:
-    return [f"c{i + 1}" for i in range(dim)]
+def curve_table(result: FitResult, samples: int) -> np.ndarray:
+    """The fit's own curve at samples times: one row of time and coordinates each.
+
+    The times span the data in original units; the points are the
+    trajectory's nodes nearest them.
+    """
+    s_values = np.linspace(0.0, 1.0, samples)
+    return _table(result.time_offset + result.time_scale * s_values,
+                  sample_curve(result.trajectory, s_values))
 
 
-def _write_curves(path, manifold, results: dict, samples: int) -> None:
-    """Every order's sampled curve, formatted as one table."""
-    dim = int(np.prod(manifold.point_shape))
-    orders = sorted(results)
-    table = np.concatenate([_table(*_curve_rows(results[k], samples)) for k in orders])
-    rows = [",".join(["order", "time"] + _coord_header(dim))]
-    rows += csv_lines([str(k) for k in orders for _ in range(samples)], table)
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def _observed_points(result: FitResult, data: TimedDataset) -> np.ndarray:
+def observed_points(result: FitResult, data: TimedDataset) -> np.ndarray:
     """The fitted curve at each observation's own node."""
     traj = result.trajectory
     return traj.points[traj.node_index((data.times - result.time_offset) / result.time_scale)]
 
 
-def _write_residuals(path, manifold, results: dict, data: TimedDataset, ids) -> None:
-    """Each observation's distance to its fitted curve: its residual log's norm."""
-    orders = sorted(results)
-    dists = []
-    for k in orders:
-        points, logs = _observed_points(results[k], data), results[k].logs
-        dists.append(np.sqrt(np.maximum(manifold.inner(points, logs, logs), 0.0)))
-    # one row per observation and order, distances in shape/metric units
-    table = np.column_stack([np.tile(data.times, len(orders)), np.concatenate(dists)])
-    rows = ["order,id,time,distance"]
-    rows += csv_lines([f"{k},{rec_id}" for k in orders for rec_id in ids], table)
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+def scatter_table(data: TimedDataset, anchors) -> np.ndarray:
+    """The observations as plotted: one row of time and coordinates each.
 
-
-def emit_plot_data(manifold, result: FitResult, data: TimedDataset,
-                   samples: int) -> dict:
-    """Plot-ready bundle: fitted polylines plus the observation scatter.
-
-    Each of the two tables is a float array, one row per point: its time,
-    then its coordinates; the time column doubles as the age-color key.
-    Shape-space observations are rotated for display onto the fitted curve
-    at their own nodes (the fit itself never pre-aligns).
+    Shape-space observations are rotated for display onto their anchors,
+    the fitted curve at their own nodes (the fit itself never pre-aligns).
     """
-    if not result.converged:
-        raise ValueError("refusing to plot a non-converged fit")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    times, points = _curve_rows(result, samples)
-    obs_points = data.points
+    points, manifold = data.points, data.manifold
     if isinstance(manifold, KendallShapeSpace):
         shape = (data.size, manifold.m, manifold.d)
-        targets = data.points.reshape(shape)
-        obs_points = _align_many(targets, _observed_points(result, data).reshape(shape))
-    dim = int(np.prod(manifold.point_shape))
-    return {
-        "header": ["kind", "time"] + _coord_header(dim),
-        "curve": _table(times, points),
-        "observations": _table(data.times, obs_points),
-    }
+        points = _align_many(points.reshape(shape), anchors.reshape(shape))
+    return _table(data.times, points)
 
 
 def _table(times, points) -> np.ndarray:
     """One row per point: its time, then its coordinates."""
     return np.column_stack([times, np.reshape(points, (len(times), -1))])
-
-
-def write_plot_bundle(path, bundle: dict) -> None:
-    kinds = ("curve", "observations")
-    prefixes = [kind for kind in kinds for _ in range(len(bundle[kind]))]
-    rows = [",".join(bundle["header"])]
-    rows += csv_lines(prefixes, np.concatenate([bundle[kind] for kind in kinds]))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 # -- click wiring -------------------------------------------------------------
@@ -264,8 +238,8 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
         if not order_list:
             raise ValueError("need at least one order")
         config = FitConfig(order=0, steps=steps, max_iters=max_iters, tol=tol)
-        results, data, code = run_regression(manifold, order_list, input_path,
-                                             output_dir, config, samples)
+        results, code = run_regression(manifold, order_list, input_path,
+                                       output_dir, config, samples, plot_data)
     except (ValueError, OSError, LandmarkFormatError, GeometryError) as exc:
         raise click.ClickException(str(exc))
 
@@ -274,13 +248,6 @@ def fit_command(manifold, orders, input_path, output_dir, steps, max_iters, tol,
             f"order {k}: r_squared={result.r_squared:.4f} sse={result.sse:.6g} "
             f"iterations={result.iterations} converged={result.converged}"
         )
-    if plot_data:
-        best = max(
-            (k for k, r in results.items() if r.converged), default=None
-        )
-        if best is not None:
-            bundle = emit_plot_data(data.manifold, results[best], data, samples)
-            write_plot_bundle(Path(output_dir) / "plot_data.csv", bundle)
     return code
 
 
@@ -349,9 +316,9 @@ def simulate_command(manifold, order, output_path, steps):
                 base, sphere.project_tangent(base, np.array(seed_vels[:k])))
             traj = integrate_polynomial(sphere, state, time_grid(1.0, steps))
             tables.append(_table(traj.times, traj.points))
-        prefixes = [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))]
-        rows = ["order,time,x,y,z"] + csv_lines(prefixes, np.concatenate(tables))
-        Path(output_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_table(output_path, ["order", "time", "x", "y", "z"],
+                    [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))],
+                    np.concatenate(tables))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote curves of orders 1..{order} to {output_path}")

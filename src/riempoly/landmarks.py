@@ -2,15 +2,21 @@
 
 CSV is the canonical interchange format: a header row
 ``id,time,x1,y1,...,xm,ym`` (a ``z`` column per landmark for 3-D data)
-followed by one record per row.  TPS files are import only; blocks start with
-``LM=m``, carry m whitespace-separated coordinate lines and end with
+followed by one record per row, so it carries 2-D and 3-D landmarks only.
+TPS files are read, not written; blocks start with ``LM=m`` (m >= 1), carry
+m whitespace-separated coordinate lines of any one width and end with
 key=value attribute lines (``ID=``, and ``AGE=`` or ``TIME=`` for the time).
 
 A CSV file is read into one float array: each line's field count is checked
 and its cells converted with Python's float, then one finiteness check runs
-over the whole table, and every record takes its row from it.  An error
-names the first bad line in file order, whatever its fault; blank lines are
-skipped but counted.  Writers format their floats with csv_lines.
+over the whole table, and every record takes its row from it; an error
+names the first bad line in file order, whatever its fault.  A TPS file is
+read in one pass over its lines with at most one open block.  Its
+coordinates close at their m-th row, where their width and shape are
+checked; a key line or the end of the file before that row is a count error.
+These three errors name the block's LM line, and every other TPS error its
+own line.  Blank lines are skipped but counted.  Every CSV file is written
+by write_table, whose floats csv_lines formats.
 """
 
 from __future__ import annotations
@@ -121,88 +127,60 @@ def _parse_tps(path) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
-    records = []
-    i = 0
-    n = len(lines)
-    expected_shape = None
-    while i < n:
-        line = lines[i].strip()
-        if not line:
-            i += 1
+    # blocks holds [landmarks, id, time] per closed block; rows is the open
+    # block's coordinate rows, from its LM line until its m-th row
+    blocks, rows, shape = [], None, None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
             continue
-        match = _TPS_KEY.match(line)
-        if not match or match.group(1).upper() != "LM":
-            raise LandmarkFormatError(f"{path}:{i + 1}: expected 'LM=' block, got {line!r}")
-        try:
-            m = int(match.group(2))
-        except ValueError:
-            raise LandmarkFormatError(f"{path}:{i + 1}: bad landmark count {line!r}")
-        start = i + 1
-        rows = []
-        i = start
-        while i < n and len(rows) < m:
-            text = lines[i].strip()
-            if _TPS_KEY.match(text) and not _looks_numeric(text):
-                break
-            if text:
-                try:
-                    rows.append([float(tok) for tok in text.split()])
-                except ValueError as exc:
-                    raise LandmarkFormatError(f"{path}:{i + 1}: bad coordinates ({exc})")
-            i += 1
-        if len(rows) != m:
-            raise LandmarkFormatError(
-                f"{path}:{start}: block declares LM={m} but has {len(rows)} coordinate lines"
-            )
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise LandmarkFormatError(f"{path}:{start}: ragged coordinate rows")
-        landmarks = np.array(rows, dtype=float)
-        if expected_shape is None:
-            expected_shape = landmarks.shape
-        elif landmarks.shape != expected_shape:
-            raise LandmarkFormatError(
-                f"{path}:{start}: block shape {landmarks.shape} differs from "
-                f"{expected_shape}"
-            )
-
-        rec_id = None
-        time = None
-        while i < n:
-            text = lines[i].strip()
-            if not text:
-                i += 1
-                continue
-            match = _TPS_KEY.match(text)
-            if not match or match.group(1).upper() == "LM":
-                break
-            key = match.group(1).upper()
+        match = _TPS_KEY.match(text)
+        if rows is not None and not match:
+            try:
+                rows.append([float(tok) for tok in text.split()])
+            except ValueError as exc:
+                raise LandmarkFormatError(f"{path}:{lineno}: bad coordinates ({exc})")
+            if len(rows) == m:
+                if len({len(row) for row in rows}) != 1:
+                    raise LandmarkFormatError(f"{path}:{start}: ragged coordinate rows")
+                landmarks = np.array(rows, dtype=float)
+                shape = shape or landmarks.shape
+                if landmarks.shape != shape:
+                    raise LandmarkFormatError(
+                        f"{path}:{start}: block shape {landmarks.shape} differs from {shape}")
+                blocks.append([landmarks, None, np.nan])
+                rows = None
+            continue
+        if rows is not None:
+            break
+        key = match.group(1).upper() if match else None
+        if key == "LM":
+            try:
+                m = int(match.group(2))
+            except ValueError:
+                m = 0
+            if m < 1:
+                raise LandmarkFormatError(f"{path}:{lineno}: bad landmark count {text!r}")
+            start, rows = lineno, []
+        elif key and blocks:
             if key == "ID":
-                rec_id = match.group(2)
+                blocks[-1][1] = match.group(2)
             elif key in ("AGE", "TIME"):
                 try:
-                    time = float(match.group(2))
+                    blocks[-1][2] = float(match.group(2))
                 except ValueError:
-                    raise LandmarkFormatError(f"{path}:{i + 1}: bad {key} value")
-            i += 1
-        records.append(
-            LandmarkFileRecord(
-                id=rec_id if rec_id is not None else str(len(records)),
-                time=time if time is not None else np.nan,
-                landmarks=landmarks,
-            )
-        )
-    if not records:
+                    raise LandmarkFormatError(f"{path}:{lineno}: bad {key} value")
+        else:
+            raise LandmarkFormatError(f"{path}:{lineno}: expected 'LM=' block, got {text!r}")
+    if rows is not None:
+        # a key line, or the end of the file, came before the m-th row
+        raise LandmarkFormatError(
+            f"{path}:{start}: block declares LM={m} but has {len(rows)} coordinate lines")
+    if not blocks:
         raise LandmarkFormatError(f"{path}: no records")
-    return records
-
-
-def _looks_numeric(text: str) -> bool:
-    try:
-        [float(tok) for tok in text.split()]
-        return True
-    except ValueError:
-        return False
+    return [LandmarkFileRecord(id=str(i) if rec_id is None else rec_id, time=time,
+                               landmarks=landmarks)
+            for i, (landmarks, rec_id, time) in enumerate(blocks)]
 
 
 def write_landmarks_csv(records, path) -> None:
@@ -210,13 +188,19 @@ def write_landmarks_csv(records, path) -> None:
     if not records:
         raise ValueError("nothing to write")
     m, d = records[0].m, records[0].d
-    axes = "xyz"[:d]
-    header = ["id", "time"] + [f"{axes[j]}{i + 1}" for i in range(m) for j in range(d)]
+    if d not in (2, 3):
+        raise ValueError(f"the CSV layout carries 2-D or 3-D landmarks, not {d}-D")
     if any((rec.m, rec.d) != (m, d) for rec in records):
         raise ValueError("records disagree on landmark count or dimension")
+    header = ["id", "time"] + [f"{axis}{i + 1}" for i in range(m) for axis in "xyz"[:d]]
     landmarks = np.reshape([rec.landmarks for rec in records], (len(records), -1))
-    table = np.column_stack([[rec.time for rec in records], landmarks])
-    rows = [",".join(header)] + csv_lines([rec.id for rec in records], table)
+    write_table(path, header, [rec.id for rec in records],
+                np.column_stack([[rec.time for rec in records], landmarks]))
+
+
+def write_table(path, header, prefixes, table) -> None:
+    """Write a CSV file: the header's names, then csv_lines(prefixes, table)."""
+    rows = [",".join(header)] + csv_lines(prefixes, table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -9,7 +9,7 @@ import pytest
 import riempoly as rp
 import riempoly.cli
 import riempoly.regress
-from riempoly.cli import build_dataset, emit_plot_data, main
+from riempoly.cli import build_dataset, curve_table, main, observed_points, scatter_table
 from riempoly.landmarks import parse_landmarks
 from conftest import procrustes_align, unit_tangent
 
@@ -110,6 +110,39 @@ class TestFitCommand:
         bad.write_text("id,time,x1,y1\nr1,nan,0,0\n", encoding="utf-8")
         code = run_cli("fit", "--input", str(bad), "--out", str(tmp_path / "o"))
         assert code == 1
+
+    def test_plot_data_is_the_top_converged_curve(self, small_kendall_csv, tmp_path):
+        # plot_data.csv's curve is curves.csv's lines of the highest converged
+        # order, after their first field, and its scatter is every observation
+        out = tmp_path / "o"
+        assert run_cli(
+            "fit", "--manifold", "kendall", "--orders", "0,1",
+            "--input", str(small_kendall_csv), "--out", str(out),
+            "--steps", "60", "--max-iters", "300", "--tol", "1e-5", "--samples", "7",
+        ) == 0
+        curves = (out / "curves.csv").read_text().splitlines()[1:]
+        plot = (out / "plot_data.csv").read_text().splitlines()
+        assert plot[0] == "kind,time," + ",".join(f"c{i}" for i in range(1, 9))
+        assert [line.split(",", 1)[1] for line in plot[1:8]] == \
+            [line.split(",", 1)[1] for line in curves if line.startswith("1,")]
+        assert all(line.startswith("curve,") for line in plot[1:8])
+        assert all(line.startswith("observations,") for line in plot[8:])
+        assert len(plot) == 1 + 7 + 10
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--no-plot-data"], 0),
+        (["--max-iters", "1", "--tol", "1e-15"], 2),
+    ])
+    def test_no_plot_data_unless_asked_and_converged(self, small_kendall_csv, tmp_path,
+                                                     flags, want):
+        # --no-plot-data writes none; nor does a run where no order converged
+        out = tmp_path / "o"
+        assert run_cli(
+            "fit", "--manifold", "kendall", "--orders", "0,1",
+            "--input", str(small_kendall_csv), "--out", str(out), "--steps", "60", *flags,
+        ) == want
+        assert (out / "curves.csv").exists() and (out / "residuals.csv").exists()
+        assert not (out / "plot_data.csv").exists()
 
     def test_nonconvergence_exits_two(self, small_kendall_csv, tmp_path):
         code = run_cli(
@@ -298,6 +331,22 @@ class TestConvertTps:
                        "--ages", "7,14") == 0
         assert [r.time for r in parse_landmarks(out)] == [7.0, 14.0]
 
+    @pytest.mark.parametrize("row", ["0 0 0 1", "0"])
+    def test_rows_the_csv_layout_cannot_carry(self, tmp_path, capsys, row):
+        # landmarks of 4 or 1 numbers: exit 1 naming the dimension, no file,
+        # while fit still takes the TPS file itself
+        d = len(row.split())
+        tps = tmp_path / "in.tps"
+        tps.write_text("".join(f"LM=2\n{row}\n{' '.join([str(i)] * d)}\nID=r{i}\nAGE={i}\n"
+                               for i in range(1, 4)), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run_cli("convert-tps", "--input", str(tps), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"2-D or 3-D landmarks, not {d}-D" in err and "Traceback" not in err
+        assert not out.exists()
+        assert run_cli("fit", "--manifold", "euclidean", "--orders", "0,1", "--steps", "10",
+                       "--input", str(tps), "--out", str(tmp_path / "o")) == 0
+
     def test_missing_age_without_flag_fails(self, tmp_path):
         tps = tmp_path / "in.tps"
         tps.write_text("LM=2\n0 0\n1 1\nID=a\n", encoding="utf-8")
@@ -329,11 +378,11 @@ class TestPlotBundle:
         res = rp.fit_polynomial(
             manifold, data, rp.FitConfig(order=1, steps=60, max_iters=200, tol=1e-5)
         )
-        bundle = emit_plot_data(manifold, res, data, samples=2)
-        assert len(bundle["curve"]) == 2
-        assert bundle["curve"][0][0] == 0.0
-        assert bundle["curve"][1][0] == 1.0
-        assert len(bundle["observations"]) == data.size
+        curve = curve_table(res, 2)
+        assert len(curve) == 2
+        assert curve[0][0] == 0.0
+        assert curve[1][0] == 1.0
+        assert len(scatter_table(data, observed_points(res, data))) == data.size
 
     def test_order_zero_curve_is_constant(self, small_kendall_csv):
         records = parse_landmarks(small_kendall_csv)
@@ -341,18 +390,8 @@ class TestPlotBundle:
         res = rp.fit_polynomial(
             manifold, data, rp.FitConfig(order=0, steps=60, tol=1e-8)
         )
-        bundle = emit_plot_data(manifold, res, data, samples=5)
-        rows = np.array(bundle["curve"])
+        rows = curve_table(res, 5)
         assert np.ptp(rows[:, 1:], axis=0).max() < 1e-12
-
-    def test_nonconverged_fit_rejected(self, small_kendall_csv):
-        records = parse_landmarks(small_kendall_csv)
-        manifold, data, _ = build_dataset("kendall", records)
-        res = rp.fit_polynomial(
-            manifold, data, rp.FitConfig(order=1, steps=60, max_iters=1, tol=1e-16)
-        )
-        with pytest.raises(ValueError):
-            emit_plot_data(manifold, res, data, samples=3)
 
 
 class TestBuildDataset:
@@ -454,7 +493,7 @@ class TestPlotAlignment:
                 manifold, data,
                 rp.FitConfig(order=1, steps=60, max_iters=200, tol=1e-5),
             )
-            return emit_plot_data(manifold, res, data, samples=9), data, res
+            return {"observations": scatter_table(data, observed_points(res, data))}, data, res
 
         def anchors(res, times):
             # the fitted curve at each observation's own node

@@ -199,12 +199,13 @@ class TestTps:
         "bad landmark count": (
             "LM=two\n0 0\n",
             (1, "bad landmark count 'LM=two'")),
+        # a count below 1 is a bad count at its line
         "LM=0": (
             "LM=0\nID=a\n",
-            (1, "ragged coordinate rows")),
+            (1, "bad landmark count 'LM=0'")),
         "LM=-1": (
             "LM=-1\n0 0\n",
-            (1, "block declares LM=-1 but has 0 coordinate lines")),
+            (1, "bad landmark count 'LM=-1'")),
         "blank lines anywhere": (
             "\n  \nLM=2\n\n0 0\n \n1 1\n\nID=a\n\nAGE=3\n\n\nLM=2\n2 2\n\n3 3\n\n",
             [("a", 3.0, [[0, 0], [1, 1]]), ("1", None, [[2, 2], [3, 3]])]),
@@ -296,6 +297,16 @@ class TestWriter:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             write_landmarks_csv([], "/tmp/never.csv")
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_rejects_dimensions_the_layout_cannot_name(self, tmp_path, d):
+        # the columns name x, y and z only: 1-D would read back as a bad
+        # header and 4-D has no fourth axis
+        records = [LandmarkFileRecord("a", 0.0, np.zeros((3, d)))]
+        path = tmp_path / "never.csv"
+        with pytest.raises(ValueError, match=f"2-D or 3-D landmarks, not {d}-D"):
+            write_landmarks_csv(records, path)
+        assert not path.exists()
 
 
 class TestBundledFixture:
