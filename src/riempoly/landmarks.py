@@ -135,7 +135,9 @@ def _parse_tps(path) -> list:
         if not text:
             continue
         match = _TPS_KEY.match(text)
-        if rows is not None and not match:
+        if rows is not None:
+            if match:
+                break    # a key line before the m-th row: the count error below
             try:
                 rows.append([float(tok) for tok in text.split()])
             except ValueError as exc:
@@ -151,8 +153,6 @@ def _parse_tps(path) -> list:
                 blocks.append([landmarks, None, np.nan])
                 rows = None
             continue
-        if rows is not None:
-            break
         key = match.group(1).upper() if match else None
         if key == "LM":
             try:
@@ -173,7 +173,6 @@ def _parse_tps(path) -> list:
         else:
             raise LandmarkFormatError(f"{path}:{lineno}: expected 'LM=' block, got {text!r}")
     if rows is not None:
-        # a key line, or the end of the file, came before the m-th row
         raise LandmarkFormatError(
             f"{path}:{start}: block declares LM={m} but has {len(rows)} coordinate lines")
     if not blocks:

@@ -132,7 +132,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("flags, want", [
         (["--no-plot-data"], 0),
         (["--max-iters", "1", "--tol", "1e-15"], 2),
-    ])
+    ], ids=["no-plot-data", "no-order-converged"])
     def test_no_plot_data_unless_asked_and_converged(self, small_kendall_csv, tmp_path,
                                                      flags, want):
         # --no-plot-data writes none; nor does a run where no order converged
@@ -331,7 +331,7 @@ class TestConvertTps:
                        "--ages", "7,14") == 0
         assert [r.time for r in parse_landmarks(out)] == [7.0, 14.0]
 
-    @pytest.mark.parametrize("row", ["0 0 0 1", "0"])
+    @pytest.mark.parametrize("row", ["0 0 0 1", "0"], ids=["4-D", "1-D"])
     def test_rows_the_csv_layout_cannot_carry(self, tmp_path, capsys, row):
         # landmarks of 4 or 1 numbers: exit 1 naming the dimension, no file,
         # while fit still takes the TPS file itself
