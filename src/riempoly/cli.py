@@ -4,9 +4,10 @@ The input is parsed once, its records are stacked once into one array, and
 every Kendall record is standardized in one batched call.  run_regression
 writes every report in one pass: each order's curve is sampled once, into
 curves.csv and, for the highest converged order, plot_data.csv.  Every CSV
-file is one float table written by landmarks.write_table: Python's shortest
-round-trip repr, formatted once per distinct value, so the files re-parse to
-the same doubles.
+file is one float table written by landmarks.write_table in Python's
+shortest round-trip repr, so the files re-parse to the same doubles; the
+report's three tables go to one write_table call, which formats each
+distinct value once for all of them.
 
 Exit codes: 0 on success, 1 on usage or file errors, 2 when any requested
 fit stopped before reaching its convergence tolerance.
@@ -146,24 +147,25 @@ def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
     fitted = sorted(results)
     coords = [f"c{i + 1}" for i in range(int(np.prod(manifold.point_shape)))]
     curves = {k: curve_table(results[k], samples) for k in fitted}
-    write_table(outdir / "curves.csv", ["order", "time"] + coords,
-                [str(k) for k in fitted for _ in range(samples)],
-                np.concatenate([curves[k] for k in fitted]))
-
     # each observation's distance to its fitted curve: its residual log's norm
     anchors = {k: observed_points(results[k], data) for k in fitted}
     squares = [manifold.inner(anchors[k], results[k].logs, results[k].logs) for k in fitted]
-    write_table(outdir / "residuals.csv", ["order", "id", "time", "distance"],
-                [f"{k},{rec_id}" for k in fitted for rec_id in ids],
-                np.column_stack([np.tile(data.times, len(fitted)),
-                                 np.sqrt(np.maximum(np.concatenate(squares), 0.0))]))
-
+    files = [
+        (outdir / "curves.csv", ["order", "time"] + coords,
+         [str(k) for k in fitted for _ in range(samples)],
+         np.concatenate([curves[k] for k in fitted])),
+        (outdir / "residuals.csv", ["order", "id", "time", "distance"],
+         [f"{k},{rec_id}" for k in fitted for rec_id in ids],
+         np.column_stack([np.tile(data.times, len(fitted)),
+                          np.sqrt(np.maximum(np.concatenate(squares), 0.0))])),
+    ]
     converged = [k for k in fitted if results[k].converged]
     if plot_data and converged:
         best = converged[-1]
-        write_table(outdir / "plot_data.csv", ["kind", "time"] + coords,
-                    ["curve"] * samples + ["observations"] * data.size,
-                    np.concatenate([curves[best], scatter_table(data, anchors[best])]))
+        files.append((outdir / "plot_data.csv", ["kind", "time"] + coords,
+                      ["curve"] * samples + ["observations"] * data.size,
+                      np.concatenate([curves[best], scatter_table(data, anchors[best])])))
+    write_table(*files)
 
     code = 0 if len(converged) == len(fitted) else 2
     return results, code
@@ -316,9 +318,9 @@ def simulate_command(manifold, order, output_path, steps):
                 base, sphere.project_tangent(base, np.array(seed_vels[:k])))
             traj = integrate_polynomial(sphere, state, time_grid(1.0, steps))
             tables.append(_table(traj.times, traj.points))
-        write_table(output_path, ["order", "time", "x", "y", "z"],
-                    [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))],
-                    np.concatenate(tables))
+        write_table((output_path, ["order", "time", "x", "y", "z"],
+                     [str(k) for k, table in enumerate(tables, 1) for _ in range(len(table))],
+                     np.concatenate(tables)))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote curves of orders 1..{order} to {output_path}")

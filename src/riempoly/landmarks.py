@@ -6,6 +6,8 @@ followed by one record per row, so it carries 2-D and 3-D landmarks only.
 TPS files are read, not written; blocks start with ``LM=m`` (m >= 1), carry
 m whitespace-separated coordinate lines of any one width and end with
 key=value attribute lines (``ID=``, and ``AGE=`` or ``TIME=`` for the time).
+An ID holds no comma, which a CSV field cannot carry, and a given AGE or
+TIME is finite; a block without either has no time.
 
 A CSV file is read into one float array: each line's field count is checked
 and its cells converted with Python's float, then one finiteness check runs
@@ -16,11 +18,13 @@ coordinates close at their m-th row, where their width and shape are
 checked; a key line or the end of the file before that row is a count error.
 These three errors name the block's LM line, and every other TPS error its
 own line.  Blank lines are skipped but counted.  Every CSV file is written
-by write_table, whose floats csv_lines formats.
+by write_table, and the files of one call share their float text: csv_lines
+formats each distinct value once across all of them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -163,13 +167,21 @@ def _parse_tps(path) -> list:
                 raise LandmarkFormatError(f"{path}:{lineno}: bad landmark count {text!r}")
             start, rows = lineno, []
         elif key and blocks:
+            value = match.group(2)
             if key == "ID":
-                blocks[-1][1] = match.group(2)
+                if "," in value:
+                    raise LandmarkFormatError(
+                        f"{path}:{lineno}: ID {value!r} holds a comma, "
+                        "which the CSV layout cannot carry")
+                blocks[-1][1] = value
             elif key in ("AGE", "TIME"):
                 try:
-                    blocks[-1][2] = float(match.group(2))
+                    time = float(value)
                 except ValueError:
+                    time = math.nan
+                if not math.isfinite(time):
                     raise LandmarkFormatError(f"{path}:{lineno}: bad {key} value")
+                blocks[-1][2] = time
         else:
             raise LandmarkFormatError(f"{path}:{lineno}: expected 'LM=' block, got {text!r}")
     if rows is not None:
@@ -191,29 +203,44 @@ def write_landmarks_csv(records, path) -> None:
         raise ValueError(f"the CSV layout carries 2-D or 3-D landmarks, not {d}-D")
     if any((rec.m, rec.d) != (m, d) for rec in records):
         raise ValueError("records disagree on landmark count or dimension")
+    for rec in records:
+        if "," in rec.id:
+            raise ValueError(f"id {rec.id!r} holds a comma, which the CSV layout cannot carry")
     header = ["id", "time"] + [f"{axis}{i + 1}" for i in range(m) for axis in "xyz"[:d]]
     landmarks = np.reshape([rec.landmarks for rec in records], (len(records), -1))
-    write_table(path, header, [rec.id for rec in records],
-                np.column_stack([[rec.time for rec in records], landmarks]))
+    write_table((path, header, [rec.id for rec in records],
+                 np.column_stack([[rec.time for rec in records], landmarks])))
 
 
-def write_table(path, header, prefixes, table) -> None:
-    """Write a CSV file: the header's names, then csv_lines(prefixes, table)."""
-    rows = [",".join(header)] + csv_lines(prefixes, table)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+def write_table(*files) -> None:
+    """Write CSV files, each given as (path, header, prefixes, table).
 
-
-def csv_lines(prefixes, table) -> list:
-    """One CSV line per row of a float table, each after its row's prefix.
-
-    Floats are written as repr, Python's shortest round-trip form, so the
-    text re-parses to the same doubles.  repr runs once per distinct bit
-    pattern of the table (-0.0 and 0.0 stay apart), and the values are read
-    through one tolist, not one numpy scalar at a time.
+    A file is its header's names, then csv_lines(prefixes, table).  The
+    files of one call share their float text: a value is formatted once for
+    all of them.
     """
-    table = np.ascontiguousarray(table, dtype=float)
-    distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    cells = text[where.reshape(table.shape)].tolist()
-    return [f"{prefix},{','.join(row)}" for prefix, row in zip(prefixes, cells)]
+    texts = csv_lines(*[(prefixes, table) for _, _, prefixes, table in files])
+    for (path, header, _, _), lines in zip(files, texts):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([",".join(header)] + lines) + "\n")
+
+
+def csv_lines(*tables) -> list:
+    """CSV lines for each (prefixes, table): one per row, after its row's prefix.
+
+    Returns one list of lines per table.  Floats are written as repr,
+    Python's shortest round-trip form, so the text re-parses to the same
+    doubles.  repr runs once per distinct bit pattern of all the tables
+    (-0.0 and 0.0 stay apart), and the values are read through one tolist,
+    not one numpy scalar at a time.
+    """
+    arrays = [np.ascontiguousarray(table, dtype=float) for _, table in tables]
+    flat = np.concatenate([array.ravel() for array in arrays])
+    distinct, where = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[where]
+    out, start = [], 0
+    for (prefixes, _), array in zip(tables, arrays):
+        cells = text[start:start + array.size].reshape(array.shape).tolist()
+        start += array.size
+        out.append([f"{prefix},{','.join(row)}" for prefix, row in zip(prefixes, cells)])
+    return out

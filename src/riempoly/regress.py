@@ -300,7 +300,7 @@ def _order_zero(manifold, internal, grid, nodes, config) -> _Descent:
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
                    initial: PolynomialState | None = None, *,
-                   _zero=None, _previous=None) -> FitResult:
+                   _planned=None, _zero=None, _previous=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
     Every call first makes the order-zero fit under config, from the first
@@ -321,11 +321,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     stop_reason is its own descent's.  It keeps the trajectory of the
     accepted parameters, the one its SSE was measured on, and its residual
     logs, so reports take no log of their own.
-    ``_zero`` and ``_previous`` are private to ``fit_orders``: the order-zero
-    fit, made once for all orders, and the lower order's result that
-    ``initial`` pads.  When the padded curve meets the observed nodes at the
-    lower optimum's points bit for bit, that result's logs and SSE are the
-    starting logs and objective.
+    ``_planned``, ``_zero`` and ``_previous`` are private to ``fit_orders``:
+    the data's ``_plan`` and the order-zero fit, both made once for all
+    orders, and the lower order's result that ``initial`` pads.  When the
+    padded curve meets the observed nodes at the lower optimum's points bit
+    for bit, that result's logs and SSE are the starting logs and objective.
     """
     started = time.perf_counter()
     k = config.order
@@ -334,7 +334,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"only {data.size} observations for order {k}: fit is underdetermined",
             stacklevel=2,
         )
-    internal, t0, span, grid, nodes = _plan(data, config.steps)
+    internal, t0, span, grid, nodes = _planned or _plan(data, config.steps)
     if internal.times[-1] == 0.0 and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
     zero = _zero if _zero is not None else _order_zero(manifold, internal, grid, nodes, config)
@@ -420,7 +420,8 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     the previous logs and SSE without a log of its own.  A repeated order
     is fitted once.
     """
-    internal, _, _, grid, nodes = _plan(data, config.steps)
+    planned = _plan(data, config.steps)
+    internal, _, _, grid, nodes = planned
     zero = _order_zero(manifold, internal, grid, nodes, config)
     results = {}
     previous = None
@@ -431,7 +432,8 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, replace(config, order=k),
-                                    initial=initial, _zero=zero, _previous=previous)
+                                    initial=initial, _planned=planned, _zero=zero,
+                                    _previous=previous)
         previous = results[k]
     return results
 

@@ -12,6 +12,7 @@ from riempoly.landmarks import (
     csv_lines,
     parse_landmarks,
     write_landmarks_csv,
+    write_table,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,6 +194,23 @@ class TestTps:
         "empty TIME value": (
             "LM=1\n0 0\nTIME=\n",
             (3, "bad TIME value")),
+        # float reads these, but a time must be finite
+        "AGE=nan": (
+            "LM=1\n0 0\nID=a\nAGE=nan\n",
+            (4, "bad AGE value")),
+        "AGE=inf": (
+            "LM=1\n0 0\nAGE=inf\n",
+            (3, "bad AGE value")),
+        "TIME=NaN after a good AGE": (
+            "LM=1\n0 0\nAGE=3\nTIME=NaN\n",
+            (4, "bad TIME value")),
+        "TIME=-Infinity": (
+            "LM=1\n0 0\nTIME=-Infinity\n",
+            (3, "bad TIME value")),
+        # every CSV file that carries ids would read the comma as a field break
+        "ID with a comma": (
+            "LM=1\n0 0\nAGE=1\nID=a,b\n",
+            (4, "ID 'a,b' holds a comma, which the CSV layout cannot carry")),
         "bad coordinates": (
             "LM=2\n0 zero\n1 1\n",
             (2, "bad coordinates (could not convert string to float: 'zero')")),
@@ -271,7 +289,7 @@ class TestCsvLines:
             [0.0, -0.0, 1e16, 1e-05, 0.1 + 0.2],
             [1e-4, 1e15, 123456789.125, -5e-324, 0.1 + 0.2],
         ])
-        got = csv_lines(["a", "b,c", ""], table)
+        [got] = csv_lines((["a", "b,c", ""], table))
         want = [prefix + "," + ",".join(repr(float(v)) for v in row)
                 for prefix, row in zip(["a", "b,c", ""], table)]
         assert got == want
@@ -280,9 +298,28 @@ class TestCsvLines:
     def test_random_table_re_parses_to_the_same_doubles(self, rng):
         table = rng.standard_normal((20, 6)) * 10.0 ** rng.integers(-30, 30, (20, 6))
         table[::3] = table[0]
-        lines = csv_lines(["p"] * 20, table)
+        [lines] = csv_lines((["p"] * 20, table))
         back = np.array([[float(c) for c in line.split(",")[1:]] for line in lines])
         assert back.tobytes() == table.tobytes()
+
+    def test_files_of_one_call_share_values_and_keep_their_bytes(self, tmp_path, rng):
+        # tables that share values, both zeros, the least subnormal and the
+        # non-finite ones: one call writes what one call per file writes
+        shared = np.concatenate([[-0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1 + 0.2],
+                                 rng.standard_normal(2)])
+        files = []
+        for name, rows, cols in (("a", 2, 5), ("b", 5, 2), ("c", 10, 1)):
+            table = rng.permutation(np.append(shared, rng.standard_normal())).reshape(rows, cols)
+            files.append((name, ["id"] + [f"v{j}" for j in range(cols)],
+                          [f"{name}{i}" for i in range(rows)], table))
+        write_table(*[(tmp_path / f"{name}-shared.csv", *rest) for name, *rest in files])
+        for name, header, prefixes, table in files:
+            write_table((tmp_path / f"{name}-alone.csv", header, prefixes, table))
+            data = (tmp_path / f"{name}-shared.csv").read_bytes()
+            assert data == (tmp_path / f"{name}-alone.csv").read_bytes()
+            assert data.decode().splitlines()[1:] == [
+                prefix + "," + ",".join(repr(float(v)) for v in row)
+                for prefix, row in zip(prefixes, table)]
 
 
 class TestWriter:
@@ -293,6 +330,14 @@ class TestWriter:
         ]
         with pytest.raises(ValueError):
             write_landmarks_csv(records, "/tmp/never.csv")
+
+    def test_rejects_an_id_with_a_comma(self, tmp_path):
+        records = [LandmarkFileRecord("a", 0.0, np.zeros((3, 2))),
+                   LandmarkFileRecord("b,c", 1.0, np.zeros((3, 2)))]
+        path = tmp_path / "never.csv"
+        with pytest.raises(ValueError, match="'b,c' holds a comma"):
+            write_landmarks_csv(records, path)
+        assert not path.exists()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -899,21 +899,20 @@ class TestFitPolynomial:
 
     def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
         # the variance is the order-zero fit's SSE: one order-zero fit
-        # serves every order, bit for bit
+        # serves every order, bit for bit, and so does one plan of the data
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
-        calls = {"order_zero": 0}
-        order_zero = riempoly.regress._order_zero
+        calls = Counter()
+        for name in ("_order_zero", "_plan"):
+            def counting(*args, _name=name, _call=getattr(riempoly.regress, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
 
-        def counting_order_zero(*args, **kwargs):
-            calls["order_zero"] += 1
-            return order_zero(*args, **kwargs)
-
-        monkeypatch.setattr(riempoly.regress, "_order_zero", counting_order_zero)
-        results = rp.fit_orders(sphere, data, (0, 1, 2),
+            monkeypatch.setattr(riempoly.regress, name, counting)
+        results = rp.fit_orders(sphere, data, (0, 1, 2, 3),
                                 rp.FitConfig(order=0, steps=50, max_iters=50))
-        assert calls["order_zero"] == 1
-        for k in (0, 1, 2):
+        assert calls == {"_order_zero": 1, "_plan": 1}
+        for k in (0, 1, 2, 3):
             assert results[k].frechet_variance == results[0].sse
         assert results[0].r_squared == 0.0
 
