@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time as _time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -25,7 +26,6 @@ import numpy as np
 from .geometry import Euclidean, GeometryError
 from .kendall import KendallShapeSpace, _align_many, _preshapes
 from .landmarks import (
-    LandmarkFileRecord,
     LandmarkFormatError,
     parse_landmarks,
     write_landmarks_csv,
@@ -266,16 +266,11 @@ def convert_tps_command(input_path, output_path, ages):
         records = parse_landmarks(input_path, fmt="tps")
         if ages is not None:
             cycle = [float(tok) for tok in ages.split(",") if tok.strip()]
-            if not cycle:
-                raise ValueError("--ages is empty")
-            records = [
-                LandmarkFileRecord(
-                    id=rec.id,
-                    time=cycle[i % len(cycle)] if not np.isfinite(rec.time) else rec.time,
-                    landmarks=rec.landmarks,
-                )
-                for i, rec in enumerate(records)
-            ]
+            if not cycle or not np.isfinite(cycle).all():
+                raise ValueError(f"--ages needs finite times, got {ages!r}")
+            records = [rec if np.isfinite(rec.time)
+                       else replace(rec, time=cycle[i % len(cycle)])
+                       for i, rec in enumerate(records)]
         bad = [i for i, rec in enumerate(records) if not np.isfinite(rec.time)]
         if bad:
             raise ValueError(

@@ -217,30 +217,31 @@ def write_table(*files) -> None:
 
     A file is its header's names, then csv_lines(prefixes, table).  The
     files of one call share their float text: a value is formatted once for
-    all of them.
+    all of them.  Each file is written as soon as its lines are made.
     """
     texts = csv_lines(*[(prefixes, table) for _, _, prefixes, table in files])
     for (path, header, _, _), lines in zip(files, texts):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([",".join(header)] + lines) + "\n")
+            fh.writelines(line + "\n" for line in [",".join(header)] + lines)
 
 
-def csv_lines(*tables) -> list:
+def csv_lines(*tables):
     """CSV lines for each (prefixes, table): one per row, after its row's prefix.
 
-    Returns one list of lines per table.  Floats are written as repr,
-    Python's shortest round-trip form, so the text re-parses to the same
-    doubles.  repr runs once per distinct bit pattern of all the tables
-    (-0.0 and 0.0 stay apart), and the values are read through one tolist,
-    not one numpy scalar at a time.
+    Yields one list of lines per table, each made when it is asked for.
+    Floats are written as repr, Python's shortest round-trip form, so the
+    text re-parses to the same doubles.  repr runs once per distinct bit
+    pattern of all the tables (-0.0 and 0.0 stay apart), and the values are
+    read through one tolist, not one numpy scalar at a time.
     """
     arrays = [np.ascontiguousarray(table, dtype=float) for _, table in tables]
-    flat = np.concatenate([array.ravel() for array in arrays])
-    distinct, where = np.unique(flat.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[where]
-    out, start = [], 0
+    # unnamed, the concatenated copy is freed before the lines are made
+    distinct, where = np.unique(
+        np.concatenate([array.ravel() for array in arrays]).view(np.uint64),
+        return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    start = 0
     for (prefixes, _), array in zip(tables, arrays):
-        cells = text[start:start + array.size].reshape(array.shape).tolist()
+        cells = text[where[start:start + array.size]].reshape(array.shape).tolist()
         start += array.size
-        out.append([f"{prefix},{','.join(row)}" for prefix, row in zip(prefixes, cells)])
-    return out
+        yield [f"{prefix},{','.join(row)}" for prefix, row in zip(prefixes, cells)]

@@ -2,11 +2,11 @@
 
 The fit computes one thing per candidate curve: the residual logs
 log_{gamma(t_j)} y_j, one batched Manifold.log_many call over the
-observations at their own nodes: the fit's time grid, built once per fit
-(polyflow.time_grid), holds every observation time as a node.  The
-objective is their mean squared metric norm, and the accepted candidate's
-logs give the gradient and the reported distances, so no (node,
-observation) pair is logged twice.
+observations at their own nodes: the fits' time grid (polyflow.time_grid)
+holds every observation time as a node.  The objective is their mean
+squared metric norm, and the accepted candidate's logs give the gradient
+and the reported distances, so no (node, observation) pair is logged
+twice.
 
 The objective is differentiated by one Manifold.pullback call: the
 gradient of the objective at every observed node, -(2/N) times the logs
@@ -35,17 +35,17 @@ gradient: -2 times the mean of the logs.
 
 There is one descent loop.  The order-zero fit is the Frechet mean of the
 data (its objective is the mean squared distance), and its SSE is the
-Frechet variance; every fit makes it first, under its own FitConfig, so
-R^2 = 1 - SSE_k / SSE_0 compares two fits at the same tolerance, and
-frechet_mean is the same fit at gradient tol 2 * tol.  The loop moves
-every line-search candidate with one Manifold.step: the base point along
-the geodesic, and the incremented vectors, the gradient and the direction
-by parallel transport to the new point.  A candidate is accepted when it
-lowers the objective by more than a few units in the last place; near the
-optimum the objective cannot resolve a decrease, and a candidate within
-that band is accepted if it lowers the gradient norm instead.  The
-gradient and the vectors are single arrays with the order on the first
-axis: (k+1, *tangent_shape) and (k, *tangent_shape).
+Frechet variance; it comes first, once per plan (below), under the fit's
+FitConfig, so R^2 = 1 - SSE_k / SSE_0 compares two fits at the same
+tolerance, and frechet_mean is the same fit at gradient tol 2 * tol.  The
+loop moves every line-search candidate with one Manifold.step: the base
+point along the geodesic, and the incremented vectors, the gradient and
+the direction by parallel transport to the new point.  A candidate is
+accepted when it lowers the objective by more than a few units in the last
+place; near the optimum the objective cannot resolve a decrease, and a
+candidate within that band is accepted if it lowers the gradient norm
+instead.  The gradient and the vectors are single arrays with the order on
+the first axis: (k+1, *tangent_shape) and (k, *tangent_shape).
 
 Descent is preconditioned with the normal-equation metric of the time
 design.  With phi_i(t) = t^i / i!, the flat curve's monomial basis, the
@@ -59,10 +59,16 @@ fewer distinct times than k+1, G is singular and P keeps the identity on
 its null space.  The stopping test stays on the unpreconditioned metric
 norm of the gradient.
 
-Each observation's node is found once per fit on its grid, which holds
-every observation time bit for bit; the time axis is affinely rescaled to
-[0, 1] internally and every reported quantity carries the mapping back to
-original units.
+A plan (_Plan) holds what the fits of one (data, steps) share: the data
+with its time axis affinely rescaled to [0, 1], the grid, which holds
+every observation time bit for bit, each observation's node on it, the
+order-zero fit, and where the last descent on it ended.  The orders of one
+fit_orders call share one plan; fit_polynomial and frechet_mean called
+alone build their own.  One rule picks a descent's starting logs: a start
+whose curve meets the observed nodes at that end's points bit for bit, as
+the mean with zero vectors and a lower optimum padded with zero vectors
+do, takes its logs and objective; any other takes one log_many.  Every
+reported quantity carries the time mapping back to original units.
 """
 
 from __future__ import annotations
@@ -188,14 +194,6 @@ def _residuals(manifold: Manifold, bases, targets):
     return logs, float(np.add.reduce(squares, axis=None) / squares.size)
 
 
-def _objective(manifold: Manifold, observed, data: TimedDataset):
-    """Residual logs from the curve's observed points, a failed log reported as such."""
-    try:
-        return _residuals(manifold, observed, data.points)
-    except GeometryError as exc:
-        raise GeometryError(f"objective failed on an observation: {exc}") from exc
-
-
 def integrate_adjoint(manifold: Manifold, traj: Trajectory,
                       data: TimedDataset, logs) -> np.ndarray:
     """The objective's gradient at traj's initial conditions.
@@ -242,10 +240,8 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
     returned point whose norm is above tol warns; above max(tol, 1e-6) it
     raises GeometryError.
     """
-    internal, _, _, grid, nodes = _plan(
-        TimedDataset(manifold, np.zeros(len(points)), points), 1)
-    mean = _order_zero(manifold, internal, grid, nodes,
-                       FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol))
+    mean = _Plan(manifold, TimedDataset(manifold, np.zeros(len(points)), points),
+                 1).order_zero(FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol))
     mean_log = manifold.norm(mean.state.gamma, np.add.reduce(mean.logs) / len(mean.logs))
     if mean_log > max(tol, 1e-6):
         raise GeometryError("mean iteration did not converge")
@@ -264,68 +260,100 @@ def r_squared(sse: float, variance: float) -> float:
     return 1.0 - sse / variance
 
 
-def _plan(data: TimedDataset, steps: int):
-    """The data on [0, 1] with its offset and scale, the fit's grid and each time's node.
-
-    Data of one time take the grid [0, 1] of one step.
-    """
-    internal, t0, span = data.rescaled()
-    grid = time_grid(1.0, 1 if internal.times[-1] == 0.0 else steps, internal.times)
-    return internal, t0, span, grid, np.searchsorted(grid, internal.times)
-
-
 # Where one descent stopped: its state, the state's pass (None for a constant
 # start never moved), logs and objective, and the record; trace holds the
 # starting objective and then one value per accepted iteration.
 _Descent = namedtuple("_Descent", "state traj logs value stop_reason grad_norm trace")
 
 
-def _order_zero(manifold, internal, grid, nodes, config) -> _Descent:
-    """The order-zero fit, whose point is the Frechet mean and whose SSE the variance.
+class _Plan:
+    """One dataset made ready for its fits, built once per (data, steps).
 
-    It starts at the first observation whose logs to all the others are
-    defined; if none is, the last one's CutLocusError propagates.
+    It holds the data on [0, 1] with the offset and scale of the original
+    times, the fits' grid (data of one time take the grid [0, 1] of one
+    step) and each observation's node on it, the order-zero fit, made once
+    under the first config that asks for it, and the end of the last
+    descent run on it: its observed points, bit for bit, with their logs
+    and objective.  A start whose curve meets the nodes at those points
+    takes them as its own and no log: the constant start at the mean and
+    the lower optimum padded with zero vectors.
     """
-    points = internal.points
-    for i, start in enumerate(points):
+
+    def __init__(self, manifold: Manifold, data: TimedDataset, steps: int):
+        self.manifold = manifold
+        self.data, self.offset, self.scale = data.rescaled()
+        times = self.data.times
+        self.grid = time_grid(1.0, 1 if times[-1] == 0.0 else steps, times)
+        self.nodes = np.searchsorted(self.grid, times)
+        self.end = None                  # (observed bytes, logs, objective)
+        self._zero = None
+
+    def observed(self, state: PolynomialState, traj) -> np.ndarray:
+        """The curve's points at the observation nodes; traj None is the constant curve."""
+        if traj is None:
+            return np.broadcast_to(state.gamma, self.data.points.shape)
+        return traj.points[self.nodes]
+
+    def residuals(self, state: PolynomialState, traj):
+        """A start's residual logs and objective: the last descent's end if it meets it.
+
+        Otherwise one log_many, a failed log reported as such.
+        """
+        observed = self.observed(state, traj)
+        if self.end is not None and self.end[0] == observed.tobytes():
+            return self.end[1:]
         try:
-            logs, value = _residuals(manifold, np.broadcast_to(start, points.shape), points)
-            break
-        except CutLocusError:
-            if i == len(points) - 1:
-                raise
-    state = PolynomialState(start, np.zeros((0,) + manifold.tangent_shape))
-    return _descend(manifold, internal, grid, nodes, config, state, None, logs, value)
+            return _residuals(self.manifold, observed, self.data.points)
+        except GeometryError as exc:
+            raise GeometryError(f"objective failed on an observation: {exc}") from exc
+
+    def order_zero(self, config: FitConfig) -> _Descent:
+        """The order-zero fit, whose point is the Frechet mean and whose SSE the variance.
+
+        It starts at the first observation whose logs to all the others are
+        defined; if none is, the last one's CutLocusError propagates.
+        """
+        if self._zero is None:
+            points = self.data.points
+            for i, start in enumerate(points):
+                try:
+                    logs, value = _residuals(self.manifold,
+                                             np.broadcast_to(start, points.shape), points)
+                    break
+                except CutLocusError:
+                    if i == len(points) - 1:
+                        raise
+            state = PolynomialState(start, np.zeros((0,) + self.manifold.tangent_shape))
+            self._zero = _descend(self, config, state, None, logs, value)
+        return self._zero
 
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
-                   initial: PolynomialState | None = None, *,
-                   _planned=None, _zero=None, _previous=None) -> FitResult:
+                   initial: PolynomialState | None = None, *, _plan=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
     Every call first makes the order-zero fit under config, from the first
-    observation whose logs are all defined: its point is the data's Frechet
-    mean and its SSE the Frechet variance, so R^2 = 1 - SSE_k / SSE_0 with
-    both fits at the same tolerance.  At order zero without an initial
-    state, that fit is the result.  Otherwise the descent starts from the
-    initial state (in internal [0, 1] time units) or from the mean with
-    zero vectors, whose residual logs and objective are the order-zero
-    fit's.  A start with zero vectors takes no pass (see the module).  An
-    initial state more than 1e-6 off the manifold (its point or its
-    vectors' tangency) raises ValueError.  An accepted iteration lowers the
-    objective, or moves within _TIE_ULPS units in the last place of it to
-    a lower gradient norm (see _line_search); a candidate at the cut locus
-    of an observation counts as rejected.  Parameters that drift more than
-    1e-6 off the manifold raise GeometryError.  The result is converged
-    when its descent and the order-zero fit both reached the tolerance;
-    stop_reason is its own descent's.  It keeps the trajectory of the
-    accepted parameters, the one its SSE was measured on, and its residual
-    logs, so reports take no log of their own.
-    ``_planned``, ``_zero`` and ``_previous`` are private to ``fit_orders``:
-    the data's ``_plan`` and the order-zero fit, both made once for all
-    orders, and the lower order's result that ``initial`` pads.  When the
-    padded curve meets the observed nodes at the lower optimum's points bit
-    for bit, that result's logs and SSE are the starting logs and objective.
+    observation whose logs are all defined, once per plan of the data: its
+    point is the data's Frechet mean and its SSE the Frechet variance, so
+    R^2 = 1 - SSE_k / SSE_0 with both fits at the same tolerance.  At order
+    zero without an initial state, that fit is the result.  Otherwise the descent
+    starts from the initial state (in internal [0, 1] time units) or from the
+    mean with zero vectors.  A start with zero vectors takes no pass (see the
+    module), and a start that meets the observed nodes at the points where the
+    last descent on the data's plan ended, bit for bit, takes that descent's
+    logs and objective and no log (see _Plan): the mean with zero vectors, or
+    a lower optimum padded with zero vectors.  An initial state more than 1e-6
+    off the manifold (its point or its vectors' tangency) raises ValueError.
+    An accepted iteration lowers the objective, or moves within _TIE_ULPS
+    units in the last place of it to a lower gradient norm (see _line_search);
+    a candidate at the cut locus of an observation counts as rejected.
+    Parameters that drift more than 1e-6 off the manifold raise GeometryError.
+    The result is converged when its descent and the order-zero fit both
+    reached the tolerance; stop_reason is its own descent's.  It keeps the
+    trajectory of the accepted parameters, the one its SSE was measured on,
+    and its residual logs, so reports take no log of their own.  ``_plan`` is
+    private to ``fit_orders``, which makes one plan of the data for all its
+    orders.
     """
     started = time.perf_counter()
     k = config.order
@@ -334,10 +362,10 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
             f"only {data.size} observations for order {k}: fit is underdetermined",
             stacklevel=2,
         )
-    internal, t0, span, grid, nodes = _planned or _plan(data, config.steps)
-    if internal.times[-1] == 0.0 and k > 0:
+    plan = _plan or _Plan(manifold, data, config.steps)
+    if plan.data.times[-1] == 0.0 and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
-    zero = _zero if _zero is not None else _order_zero(manifold, internal, grid, nodes, config)
+    zero = plan.order_zero(config)
 
     shape = (k,) + manifold.tangent_shape
     if initial is None:
@@ -363,24 +391,14 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     else:
         # the constant start is its base point at every node and takes no
         # pass; it is integrated for the result only if no step is accepted
-        traj = integrate_polynomial(manifold, state, grid) if state.vels.any() else None
-        observed = (np.broadcast_to(state.gamma, internal.points.shape) if traj is None
-                    else traj.points[nodes])
-        if initial is None:
-            # the constant curve at the mean: the order-zero fit's logs and SSE
-            logs, value = zero.logs, zero.value
-        elif (_previous is not None and observed.tobytes()
-                == _previous.trajectory.points[nodes].tobytes()):
-            logs, value = _previous.logs, _previous.sse
-        else:
-            logs, value = _objective(manifold, observed, internal)
-        fit = _descend(manifold, internal, grid, nodes, config, state, traj, logs,
-                       value)
+        traj = integrate_polynomial(manifold, state, plan.grid) if state.vels.any() else None
+        fit = _descend(plan, config, state, traj, *plan.residuals(state, traj))
     state = fit.state
-    traj = fit.traj if fit.traj is not None else integrate_polynomial(manifold, state, grid)
+    traj = (fit.traj if fit.traj is not None
+            else integrate_polynomial(manifold, state, plan.grid))
 
     # scalar powers: numpy's array power can differ from them in the last bit
-    powers = np.array([span ** i for i in range(1, k + 1)])
+    powers = np.array([plan.scale ** i for i in range(1, k + 1)])
     vels_original = state.vels / powers.reshape((k,) + (1,) * (state.vels.ndim - 1))
     collinearity = None
     if k >= 2 and manifold.norm(state.gamma, state.vels[0]) > 0:
@@ -401,8 +419,8 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         stop_reason=fit.stop_reason,
         objective_trace=fit.trace,
         collinearity=collinearity,
-        time_offset=t0,
-        time_scale=span,
+        time_offset=plan.offset,
+        time_scale=plan.scale,
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -414,48 +432,47 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
     order 0 was requested; it gives every order its Frechet variance and
     seeds the lowest requested order above zero.  Its descent runs before
     the fit_polynomial calls, so the order-zero result's elapsed time does
-    not include it.  The previous optimum is padded with zero vectors, so
-    the objective can only improve with the order; where the padded curve
-    passes the previous curve's observed points bit for bit, it starts from
-    the previous logs and SSE without a log of its own.  A repeated order
-    is fitted once.
+    not include it.  Every order shares one plan of the data (_Plan).  The
+    previous optimum is padded with zero vectors, so the objective can only
+    improve with the order; where the padded curve passes the previous
+    curve's observed points bit for bit, it starts from the previous logs
+    and SSE without a log of its own.  A repeated order is fitted once.
     """
-    planned = _plan(data, config.steps)
-    internal, _, _, grid, nodes = planned
-    zero = _order_zero(manifold, internal, grid, nodes, config)
+    plan = _Plan(manifold, data, config.steps)
+    plan.order_zero(config)
     results = {}
     previous = None
     for k in sorted(set(orders)):
         initial = None
-        if previous is not None and previous.params.order < k:
+        if previous is not None:
             pad = np.zeros((k - previous.params.order,) + manifold.tangent_shape)
             initial = PolynomialState(previous.params.gamma,
                                       np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, replace(config, order=k),
-                                    initial=initial, _planned=planned, _zero=zero,
-                                    _previous=previous)
+                                    initial=initial, _plan=plan)
         previous = results[k]
     return results
 
 
-def _descend(manifold, internal, grid, nodes, config, state, traj, logs,
-             value) -> _Descent:
-    """Preconditioned BB descent from state, whose pass, logs and objective are given.
+def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
+    """Preconditioned BB descent on plan's data from state with its pass, logs and objective.
 
     traj is None for a constant start, which takes no pass.  The time
     design's monomials and metric are built once; at order zero and at a
     constant start the gradient is the closed form, elsewhere one
     integrate_adjoint pass.  The gradient norm it reports is the returned
     state's, so a descent stopped at max_iters takes one more gradient.
+    Where it stopped is recorded as the plan's end.
     """
+    manifold, internal = plan.manifold, plan.data
     k = state.order
     phi = monomials(internal.times, k)
     gram, precond = _design_metric(internal.times, k)
 
     def evaluate(s: PolynomialState):
         """Integrate a candidate; its residual logs and objective in one log_many."""
-        traj = integrate_polynomial(manifold, s, grid)
-        return (traj,) + _residuals(manifold, traj.points[nodes], internal.points)
+        traj = integrate_polynomial(manifold, s, plan.grid)
+        return (traj,) + _residuals(manifold, traj.points[plan.nodes], internal.points)
 
     def gradient(s: PolynomialState, traj, logs):
         if traj is None or not k:           # the constant curve: no pass
@@ -497,6 +514,7 @@ def _descend(manifold, internal, grid, nodes, config, state, traj, logs,
         if grad is None:
             grad = gradient(state, traj, logs)
         grad_norm = _stack_norm(manifold, state.gamma, grad)
+    plan.end = (plan.observed(state, traj).tobytes(), logs, value)
     return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
 
 

@@ -9,7 +9,7 @@ from hypothesis import settings
 import riempoly as rp
 from riempoly import so3
 from riempoly.kendall import _align_many
-from riempoly.regress import _objective, integrate_adjoint
+from riempoly.regress import _residuals, integrate_adjoint
 
 # deterministic examples and no per-example deadline: the suite must give
 # the same verdict on every run, however loaded the machine
@@ -46,7 +46,7 @@ def objective_sse(manifold, traj, data):
     Each observation is logged from its node, so every observation time must
     be a node of traj.
     """
-    return _objective(manifold, traj.points[traj.node_index(data.times)], data)[1]
+    return _residuals(manifold, traj.points[traj.node_index(data.times)], data.points)[1]
 
 
 def procrustes_align(target, base):

@@ -347,6 +347,19 @@ class TestConvertTps:
         assert run_cli("fit", "--manifold", "euclidean", "--orders", "0,1", "--steps", "10",
                        "--input", str(tps), "--out", str(tmp_path / "o")) == 0
 
+    @pytest.mark.parametrize("ages", ["nan", "1,inf"])
+    def test_non_finite_ages_named(self, tmp_path, capsys, ages):
+        # a record without AGE must not take a non-finite time, and the
+        # message names the --ages value, not a missing attribute
+        tps = tmp_path / "in.tps"
+        tps.write_text("LM=2\n0 0\n1 1\nID=a\nLM=2\n1 0\n0 1\nID=b\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run_cli("convert-tps", "--input", str(tps), "--out", str(out),
+                       "--ages", ages) == 1
+        err = capsys.readouterr().err
+        assert f"--ages needs finite times, got '{ages}'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_age_without_flag_fails(self, tmp_path):
         tps = tmp_path / "in.tps"
         tps.write_text("LM=2\n0 0\n1 1\nID=a\n", encoding="utf-8")

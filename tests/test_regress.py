@@ -501,10 +501,8 @@ class TestFrechetMean:
         sphere = rp.Sphere(2)
         pts = np.stack([sphere.random_point(rng) for _ in range(5)])
         pts = np.stack([p if p[0] > 0 else -p for p in pts])
-        internal, _, _, grid, nodes = riempoly.regress._plan(
-            rp.TimedDataset(sphere, np.zeros(5), pts), 1)
-        free = riempoly.regress._order_zero(sphere, internal, grid, nodes,
-                                            rp.FitConfig(order=0, tol=2e-9))
+        plan = riempoly.regress._Plan(sphere, rp.TimedDataset(sphere, np.zeros(5), pts), 1)
+        free = plan.order_zero(rp.FitConfig(order=0, tol=2e-9))
         assert free.stop_reason == "tolerance" and len(free.trace) > 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -899,19 +897,26 @@ class TestFitPolynomial:
 
     def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
         # the variance is the order-zero fit's SSE: one order-zero fit
-        # serves every order, bit for bit, and so does one plan of the data
+        # serves every order, bit for bit, and so does one plan of the data;
+        # each order builds its design metric once, in its one descent
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
         calls = Counter()
-        for name in ("_order_zero", "_plan"):
-            def counting(*args, _name=name, _call=getattr(riempoly.regress, name), **kwargs):
-                calls[_name] += 1
-                return _call(*args, **kwargs)
+        plan, design_metric = riempoly.regress._Plan, riempoly.regress._design_metric
 
-            monkeypatch.setattr(riempoly.regress, name, counting)
+        def counting_plan(*args):
+            calls["_Plan"] += 1
+            return plan(*args)
+
+        def counting_metric(times, order):
+            calls["_design_metric", order] += 1
+            return design_metric(times, order)
+
+        monkeypatch.setattr(riempoly.regress, "_Plan", counting_plan)
+        monkeypatch.setattr(riempoly.regress, "_design_metric", counting_metric)
         results = rp.fit_orders(sphere, data, (0, 1, 2, 3),
                                 rp.FitConfig(order=0, steps=50, max_iters=50))
-        assert calls == {"_order_zero": 1, "_plan": 1}
+        assert calls == {"_Plan": 1, **{("_design_metric", k): 1 for k in range(4)}}
         for k in (0, 1, 2, 3):
             assert results[k].frechet_variance == results[0].sse
         assert results[0].r_squared == 0.0
@@ -933,13 +938,12 @@ class TestFitPolynomial:
         # reason stays the order's own
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
-        order_zero = riempoly.regress._order_zero
+        order_zero = riempoly.regress._Plan.order_zero
 
-        def one_iteration(manifold, internal, grid, nodes, config):
-            return order_zero(manifold, internal, grid, nodes,
-                              replace(config, max_iters=1))
+        def one_iteration(plan, config):
+            return order_zero(plan, replace(config, max_iters=1))
 
-        monkeypatch.setattr(riempoly.regress, "_order_zero", one_iteration)
+        monkeypatch.setattr(riempoly.regress._Plan, "order_zero", one_iteration)
         cfg = rp.FitConfig(order=1, steps=50)
         for res in (rp.fit_polynomial(sphere, data, cfg),
                     *rp.fit_orders(sphere, data, (0, 1), cfg).values()):
@@ -967,7 +971,8 @@ class TestFitPolynomial:
         # on the rat fit the padded curve meets the observed nodes at the
         # lower optimum's points bit for bit, so orders 1 and 2 take no log
         # of their own at the start: 12 log_many calls, not 14, and every
-        # result as when each order logs its padded start
+        # result as when each order logs its padded start (the plan's
+        # record of the last descent's end cleared before each order)
         from pathlib import Path
 
         path = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
@@ -986,8 +991,8 @@ class TestFitPolynomial:
         assert calls["log_many"] == 12
 
         calls.clear()
-        internal, _, _, grid, nodes = riempoly.regress._plan(data, config.steps)
-        zero = riempoly.regress._order_zero(space, internal, grid, nodes, config)
+        plan = riempoly.regress._Plan(space, data, config.steps)
+        plan.order_zero(config)
         previous = None
         for k in (0, 1, 2):
             initial = None
@@ -995,8 +1000,9 @@ class TestFitPolynomial:
                 pad = np.zeros((1,) + space.tangent_shape)
                 initial = rp.PolynomialState(previous.params.gamma,
                                              np.concatenate([previous.params.vels, pad]))
+            plan.end = None
             previous = rp.fit_polynomial(space, data, replace(config, order=k),
-                                         initial=initial, _zero=zero)
+                                         initial=initial, _plan=plan)
             got = results[k]
             for a, b in [(got.params.gamma, previous.params.gamma),
                          (got.params.vels, previous.params.vels),
