@@ -49,16 +49,16 @@ class Manifold:
     integrate is pullback, the gradient at the initial conditions from
     cotangents at the nodes, and the contract's one reverse hook, for
     orders k >= 1.  Its default discretizes the continuous adjoint, first
-    order in the spacing, as one recursion on the multipliers through
-    curvature, transport and project_tangent, node by node, reading every
-    node's vectors from the step loop's record; a geometry whose integrate
-    rolls overrides integrate and pullback with roll, whose record is its
-    set-up, and its exact reverse, unroll, and flat space overrides both
-    with its closed form.  SO(3) runs the step loop in its algebra and
-    applies the recursion's node maps as batched running products, each
-    built from the transport its integrate records.  The default step loop and
-    recursion serve only shape space of d >= 3 dimensions and any geometry
-    that writes only the five methods above.
+    order in the spacing and exact in flat space, as one recursion on the
+    multipliers through curvature, transport and project_tangent, node by
+    node, reading every node's vectors and every step's matrix from the
+    step loop's record.  A geometry whose integrate rolls overrides
+    integrate and pullback with roll, whose record is its set-up, and its
+    exact reverse, unroll.  SO(3) runs the step loop in its algebra, with
+    the same record, and applies the recursion's node maps as batched
+    running products.  The default step loop and recursion serve flat
+    space, shape space of d >= 3 dimensions and any geometry that writes
+    only the five methods above.
     """
 
     name: str = "manifold"
@@ -87,9 +87,10 @@ class Manifold:
         exactly what the geometry's own pullback reads, so that the reverse
         builds none of it again.  This default takes one step per node and
         records the vectors of every node, (len(times), k, *tangent_shape),
-        and every step's flat_flow matrix; geometries whose step is a
-        rotation override it with roll, whose record is its set-up, and
-        SO(3) runs this loop in its algebra.
+        and every step's flat_flow matrix.  In flat space each step is that
+        exact move.  Geometries whose step is a rotation override it with
+        roll, whose record is its set-up, and SO(3) runs this loop in its
+        algebra and returns the same record.
         """
         stack = np.asarray(stack, dtype=float)
         flats = flat_flow(np.diff(times), len(stack))
@@ -163,7 +164,7 @@ class Manifold:
         read from the end of nodes, so memory stays flat in the step count.
         Geometries whose integrate rolls override this with unroll.
         """
-        vels, flats = traj.flow[:2]
+        vels, flats = traj.flow
         lam = np.zeros((vels.shape[1] + 1,) + self.tangent_shape)
         j = len(nodes) - 1
         for n in range(len(traj) - 1, 0, -1):
@@ -225,7 +226,12 @@ class Manifold:
 
 
 class Euclidean(Manifold):
-    """Flat space R^n.  Exact closed forms; used as the correctness oracle."""
+    """Flat space R^n, the correctness oracle.
+
+    It writes only the five contract methods: the default integrate's steps
+    are then the flat polynomial's exact moves, and the default pullback is
+    their exact transpose, so both are exact here.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -245,15 +251,6 @@ class Euclidean(Manifold):
     def step(self, p, v, stack):
         self._check(p, v, stack)
         return p + v, np.array(stack, dtype=float, copy=True)
-
-    def integrate(self, p, stack, times):
-        """p + sum_i phi_i(t_n) v_i at every node; the record is the table phi."""
-        phi = monomials(times - times[0], len(stack))
-        return phi.T @ np.concatenate([np.asarray(p, dtype=float)[None], stack]), phi
-
-    def pullback(self, traj, nodes, cotangents):
-        """The exact gradient: the record's columns at the nodes times the cotangents."""
-        return flat_pullback(traj.flow[:, nodes], cotangents)
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
@@ -287,11 +284,12 @@ def monomials(times, order):
 
 
 def flat_pullback(phi, cotangents):
-    """Row i is sum_n phi_i(t_n) G_n: the gradient of sum_n <G_n, x_n> in flat space.
+    """Row i is sum_n phi_i(t_n) G_n: the gradient of sum_n <G_n, x_n> at a constant curve.
 
     phi is monomials at the cotangents' times.  Vectors dv added to zero
     vectors move node n by sum_i phi_i(t_n) dv_i to first order on every
-    geometry, so this is also the gradient at a constant curve.
+    geometry, so the fit takes this closed form, and no reverse pass, at
+    any start with zero vectors.
     """
     return (phi @ cotangents.reshape(len(cotangents), -1)).reshape((-1,) + cotangents.shape[1:])
 

@@ -9,10 +9,10 @@ Taylor increment inside the current tangent space, and one geodesic step
 along the flat chord moves the base point and carries them by parallel
 transport.  The scheme is exact in flat space and second order elsewhere;
 the densest spacing is the accuracy knob.  The whole pass is one
-Manifold.integrate call: by default one Manifold.step per node, on SO(3)
-the same steps in the algebra with the rotations composed once, in flat
-space the flat polynomial itself, and on the sphere and planar shape space,
-where every step is a rotation, one batched closed form (geometry.roll): in
+Manifold.integrate call: by default one Manifold.step per node, which flat
+space runs, on SO(3) the same steps in the algebra with the rotations
+composed once, and on the sphere and planar shape space, where every step
+is a rotation, one batched closed form (geometry.roll): in
 the frame that moves with the curve the vectors form a flat polynomial, and
 the curve is that polynomial rolled onto the manifold (Jupp & Kent 1987,
 "Fitting smooth paths to spherical data").
@@ -20,9 +20,9 @@ the curve is that polynomial rolled onto the manifold (Jupp & Kent 1987,
 The k vectors travel as one (k, *tangent_shape) array in PolynomialState.  A
 Trajectory keeps the nodes' times and points and the pass's flow record,
 exactly what the geometry's own reverse reads: every node's vectors and
-every step's matrix from the step loop, the set-up from the roll, the
-monomial table in flat space, and nothing at order zero, the constant
-curve, which takes no reverse pass.
+every step's matrix from the step loop, in flat space, on SO(3) and on
+shape space of d >= 3, the set-up from the roll, and nothing at order
+zero, the constant curve, which takes no reverse pass.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ class Trajectory:
     """Record of an integrated curve on its time grid.
 
     flow is the record Manifold.integrate returned for the geometry's own
-    pullback: from the step loop, every node's vectors, (n_nodes, order,
-    *tangent_shape), and every step's flat_flow matrix; on SO(3) those
-    two and every step's transport back as a (3, 3) matrix; on a rolled
-    pass the roll's set-up, which the reverse reads instead of rebuilding;
-    in flat space the monomial table.  It is None at order zero only.
+    pullback: from the step loop, which SO(3) runs in its algebra, every
+    node's vectors, (n_nodes, order, *tangent_shape), and every step's
+    flat_flow matrix; on a rolled pass the roll's set-up, which the
+    reverse reads instead of rebuilding.  It is None at order zero only.
     """
 
     times: np.ndarray            # (n_nodes,), increasing

@@ -16,15 +16,14 @@ The data are sorted by time, so each node's logs are one run of rows and
 one reduceat sums them.  On the sphere and planar shape space, whose
 forward pass rolls, the pullback is the exact reverse of the roll
 (geometry.unroll), a cumulative sum rather than a recursion, so the
-gradient is that of the discrete objective the descent minimizes; flat
-space has its closed form.  Elsewhere it is the default, the continuous
-adjoint system discretized backward along the fitted curve, first order in
-the spacing: multipliers start at zero at the final time, pick up a jump
+gradient is that of the discrete objective the descent minimizes.
+Elsewhere it is the default, the continuous adjoint system discretized
+backward along the fitted curve, first order in the spacing and exact in
+flat space: multipliers start at zero at the final time, pick up a jump
 from every observation they pass, couple to the state through the
 curvature operator, and are carried back by parallel transport, node by
-node, arriving at t = 0 carrying the gradients; on SO(3) each node's
-transport is a matrix recorded by the forward pass, and the node maps are
-applied as batched running products.
+node, arriving at t = 0 carrying the gradients; on SO(3) the node maps are
+built and applied in blocks as batched running products.
 
 A start with zero vectors, as from the mean or padded from order zero, is
 the constant curve, flat to first order (Jupp & Kent 1987): its gradient is
@@ -194,28 +193,37 @@ def _residuals(manifold: Manifold, bases, targets):
     return logs, float(np.add.reduce(squares, axis=None) / squares.size)
 
 
-def integrate_adjoint(manifold: Manifold, traj: Trajectory,
-                      data: TimedDataset, logs) -> np.ndarray:
+def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs) -> np.ndarray:
     """The objective's gradient at traj's initial conditions.
 
     logs holds the residual logs log_{gamma(t_j)} y_j of traj, one row per
-    observation at its node, as the objective computed them, so
-    the pass itself takes no log.  The objective's gradient at the point of
-    an observed node is -(2/N) times the sum of the logs observed there;
-    Manifold.pullback carries those cotangents back to the initial
-    conditions.  The data are sorted by time, so each node's logs are one
-    run of rows, summed by one reduceat.  At order zero, the one trajectory
-    without a flow record, the gradient is the tangent part of the logs'
-    sum (_constant_gradient), with no reverse pass.  The fit takes that
-    closed form at any start with zero vectors, and this pass for every
-    later gradient.  Returns the (k+1, *tangent_shape) gradient: base point
+    observation, as the objective computed them, so the pass itself takes
+    no log, and nodes holds each observation's node index on traj, in
+    non-decreasing order (traj.node_index of the sorted times; a fit's plan
+    holds them).  Anything else raises ValueError.  The objective's
+    gradient at the point of an observed node is -(2/N) times the sum of
+    the logs observed there; Manifold.pullback carries those cotangents
+    back to the initial conditions.  Each node's logs are one run of rows,
+    summed by one reduceat.  At order zero, the one trajectory without a
+    flow record, the gradient is the tangent part of the logs' sum
+    (_constant_gradient), with no reverse pass.  The fit takes that closed
+    form at any start with zero vectors, and this pass for every later
+    gradient.  Returns the (k+1, *tangent_shape) gradient: base point
     first, then one row per vector.
     """
+    nodes = np.asarray(nodes)
+    if nodes.shape != (len(logs),) or nodes.dtype.kind not in "iu":
+        raise ValueError(f"need one integer node index per row of logs, got "
+                         f"{nodes.dtype} nodes of shape {nodes.shape} for {len(logs)} rows")
+    if (nodes[1:] < nodes[:-1]).any():
+        raise ValueError("nodes must be in non-decreasing order")
+    if len(nodes) and not (0 <= nodes[0] and nodes[-1] < len(traj)):
+        raise ValueError(f"nodes must index the {len(traj)} nodes of traj, "
+                         f"got {nodes[0]} .. {nodes[-1]}")
     if traj.flow is None:
-        return _constant_gradient(manifold, traj.points[0], monomials(data.times, 0), logs)
-    nodes = traj.node_index(data.times)
+        return _constant_gradient(manifold, traj.points[0], np.ones((1, len(logs))), logs)
     starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]  # run starts
-    cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / data.size)
+    cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / len(logs))
     return manifold.pullback(traj, nodes[starts], cotangents)
 
 
@@ -343,7 +351,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     last descent on the data's plan ended, bit for bit, takes that descent's
     logs and objective and no log (see _Plan): the mean with zero vectors, or
     a lower optimum padded with zero vectors.  An initial state more than 1e-6
-    off the manifold (its point or its vectors' tangency) raises ValueError.
+    off the manifold (its point or its vectors' tangency) raises ValueError
+    naming the worst part, a NaN the worst of all, and fewer distinct
+    observation times than k + 1 warn that the fit is underdetermined.
     An accepted iteration lowers the objective, or moves within _TIE_ULPS
     units in the last place of it to a lower gradient norm (see _line_search);
     a candidate at the cut locus of an observation counts as rejected.
@@ -357,14 +367,13 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     """
     started = time.perf_counter()
     k = config.order
-    if data.size < k + 1:
-        warnings.warn(
-            f"only {data.size} observations for order {k}: fit is underdetermined",
-            stacklevel=2,
-        )
     plan = _plan or _Plan(manifold, data, config.steps)
     if plan.data.times[-1] == 0.0 and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
+    distinct = len(np.unique(plan.data.times))
+    if distinct < k + 1:
+        warnings.warn(f"only {distinct} distinct observation times for order {k}: "
+                      "fit is underdetermined", stacklevel=2)
     zero = plan.order_zero(config)
 
     shape = (k,) + manifold.tangent_shape
@@ -372,14 +381,10 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         state = PolynomialState(zero.state.gamma, np.zeros(shape))
     elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
         state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
-        residuals = state.residuals(manifold)
-        worst = max(residuals, key=residuals.get)
-        # a NaN point residual comes first and stays the max: it fails too
-        if not residuals[worst] <= _DRIFT_TOL:
-            raise ValueError(
-                f"initial state is off the manifold: {worst} residual "
-                f"{residuals[worst]:.3e} exceeds {_DRIFT_TOL:g}"
-            )
+        worst, residual = _drift(manifold, state)
+        if not residual <= _DRIFT_TOL:
+            raise ValueError(f"initial state is off the manifold: {worst} residual "
+                             f"{residual:.3e} exceeds {_DRIFT_TOL:g}")
     else:
         raise ValueError(
             f"initial vectors have shape {initial.vels.shape}; order {k} "
@@ -460,9 +465,9 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     traj is None for a constant start, which takes no pass.  The time
     design's monomials and metric are built once; at order zero and at a
     constant start the gradient is the closed form, elsewhere one
-    integrate_adjoint pass.  The gradient norm it reports is the returned
-    state's, so a descent stopped at max_iters takes one more gradient.
-    Where it stopped is recorded as the plan's end.
+    integrate_adjoint pass over the plan's nodes.  The gradient norm it
+    reports is the returned state's, so a descent stopped at max_iters
+    takes one more gradient.  Where it stopped is recorded as the plan's end.
     """
     manifold, internal = plan.manifold, plan.data
     k = state.order
@@ -477,7 +482,7 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     def gradient(s: PolynomialState, traj, logs):
         if traj is None or not k:           # the constant curve: no pass
             return _constant_gradient(manifold, s.gamma, phi, logs)
-        return integrate_adjoint(manifold, traj, internal, logs)
+        return integrate_adjoint(manifold, traj, plan.nodes, logs)
 
     trace = [value]
     eta = 1.0
@@ -502,12 +507,10 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
             stop_reason = "line_search"
             break
         state, traj, logs, value, memory, grad = found
-        worst = np.max(manifold.tangent_residual(state.gamma, state.vels),
-                       initial=manifold.point_residual(state.gamma))
-        if not worst <= _DRIFT_TOL:
-            raise GeometryError(
-                f"parameters drifted off the manifold (residual {worst:.3e})"
-            )
+        worst, residual = _drift(manifold, state)
+        if not residual <= _DRIFT_TOL:
+            raise GeometryError(f"parameters drifted off the manifold: {worst} residual "
+                                f"{residual:.3e} exceeds {_DRIFT_TOL:g}")
         trace.append(value)
     else:
         # stopped at the cap: the norm is the returned state's, not its predecessor's
@@ -516,6 +519,17 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
         grad_norm = _stack_norm(manifold, state.gamma, grad)
     plan.end = (plan.observed(state, traj).tobytes(), logs, value)
     return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
+
+
+def _drift(manifold: Manifold, state: PolynomialState):
+    """The part of state farthest off the manifold, "point" or "v1" .. "vk", and its residual.
+
+    A NaN residual counts as the farthest, wherever it comes.
+    """
+    residuals = state.residuals(manifold)
+    worst = max(residuals, key=lambda part: np.inf if np.isnan(residuals[part])
+                else residuals[part])
+    return worst, residuals[worst]
 
 
 def _line_search(manifold, state, grad, grad_norm, direction, eta, value, evaluate,

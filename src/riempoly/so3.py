@@ -20,14 +20,14 @@ fourth-order Magnus step.  For A = I the flow is a closed form: the
 endpoint is the exact rotation exponential, and transport rotates a field
 by rodrigues(-w/2).  A forward pass is the base class's step loop run in the
 algebra, with every node's rotation composed from one running product of
-all the turns.  The fit's gradient is the base class's recursion, one
-curvature per node, with each node's transport read from the pass's
-record as a 3x3 matrix, and its node maps applied as batched running
-products.  The log of each pair, in ``log_many``, is the principal
-rotation vector; under a general metric ``geometry.shooting_log``, the
-lockstep loop that shoots every pair at once, starts from its
-second-order inverse through the connection and shoots it onto the
-metric's geodesic.  So the flow, ``rotation_log``, ``_compose`` and
+all the turns, and keeps the step loop's record.  The fit's gradient is the
+base class's recursion, one curvature per node, with its node maps built
+and applied in blocks as batched running products: each block's
+transports, as 3x3 matrices, take one flow of the basis.  The log of each
+pair, in ``log_many``, is the principal rotation vector; under a general
+metric ``geometry.shooting_log``, the lockstep loop that shoots every pair
+at once, starts from its second-order inverse through the connection and
+shoots it onto the metric's geodesic.  So the flow, ``rotation_log``, ``_compose`` and
 ``project_point`` all batch over a leading pair axis, and a row's result
 does not depend on the rows beside it.
 """
@@ -319,11 +319,8 @@ class RotationGroup(Manifold):
         steps take one batched rodrigues and one running product, each node
         takes the product of the turns up to it, and all the nodes take one
         project_point.  A node before the first turn is p itself.  The
-        record is the step loop's, the vectors of every node and the matrix
-        of every step, plus back: back[n - 1] is the transport from node n
-        along -h v_{n,1} as a matrix on the rows, what the default recursion
-        applies to its multipliers there, from one batched transport of the
-        basis.
+        record is the step loop's, bit for bit: the vectors of every node
+        and the matrix of every step.
         """
         stack = np.asarray(stack, dtype=float)
         flats = flat_flow(np.diff(times), len(stack))
@@ -339,10 +336,7 @@ class RotationGroup(Manifold):
             turned = counts > 0
             prefix = _running_products(rodrigues(np.array(turns)))
             points[turned] = self.project_point(points[0] @ prefix[counts[turned] - 1])
-        back = np.broadcast_to(_EYE, (len(flats), 3, 3))
-        if len(flats):                          # a single node: no step, no batch
-            back = self.transport(None, -np.diff(times)[:, None] * vels[1:, 0], back)
-        return points, (vels, flats, back)
+        return points, (vels, flats)
 
     def pullback(self, traj, nodes, cotangents):
         """The default recursion as batched running products of its node maps.
@@ -351,9 +345,9 @@ class RotationGroup(Manifold):
         by a linear map A_n of the (k + 1) x 3 array (``_node_maps``),
         after adding the cotangent G_n to row 0.  So the gradient is sum_n
         A_1 ... A_n (G_n in row 0), plus G_0.  The maps up to the last
-        observed node are taken in blocks of at most _BLOCK_BYTES, so memory
-        stays flat in the step count: one _running_products per block, each
-        product carried on from the blocks before it.
+        observed node are built and taken in blocks of at most _BLOCK_BYTES,
+        so memory stays flat in the step count: one _running_products per
+        block, each product carried on from the blocks before it.
         """
         k = traj.flow[0].shape[1]
         size = 3 * (k + 1)
@@ -376,18 +370,20 @@ class RotationGroup(Manifold):
 
         A_n acts on the multipliers flattened row by row: the curvature
         coupling lam[0] += h sum_i R(v_{n,i}, lam[i], v_{n,1}), then
-        flats[n - 1]^T on the row axis, then the recorded transport
-        back[n - 1] on the vector axis.  The coupling is the identity but
+        flats[n - 1]^T on the row axis, then the transport from node n along
+        -h v_{n,1} on the vector axis, as a matrix: the block's transports of
+        the basis take one batched call.  The coupling is the identity but
         for row 0's blocks, and the row and vector maps each take one
         product on their own axis.
         """
-        vels, flats, back = traj.flow
+        vels, flats = traj.flow
         count, k = stop - start, vels.shape[1]
         size = 3 * (k + 1)
         times = traj.times[start:stop + 1]
         h = (times[1:] - times[:-1])[:, None, None, None]
-        # R(v_i, e_b, v_1)[a] at every node, as [node, i, b, a]
         v = vels[start + 1:stop + 1]
+        back = self.transport(None, -h[:, 0, 0] * v[:, 0], np.broadcast_to(_EYE, (count, 3, 3)))
+        # R(v_i, e_b, v_1)[a] at every node, as [node, i, b, a]
         coupled = curvature(v[:, :, None], _EYE, v[:, :1, None], self.metric)
         maps = np.zeros((count, size, size))
         maps.reshape(count, -1)[:, ::size + 1] = 1.0
@@ -396,7 +392,7 @@ class RotationGroup(Manifold):
         rows[:, 0, 0] = 1.0
         rows[:, 1:] = flats[start:stop].transpose(0, 2, 1)
         maps = (rows @ maps.reshape(count, k + 1, 3 * size)).reshape(count, k + 1, 3, size)
-        return (back[start:stop].transpose(0, 2, 1)[:, None] @ maps).reshape(count, size, size)
+        return (back.transpose(0, 2, 1)[:, None] @ maps).reshape(count, size, size)
 
     def transport(self, p, direction, x):
         """Transport along exp(p, s*direction): the flow's fields, never the rotation.

@@ -271,7 +271,8 @@ def adjoint_vs_fd(manifold, k, rng, scale=0.1, steps=1000,
     state, traj, data = random_fit_problem(manifold, k, rng, scale=scale,
                                            steps=steps, times=times,
                                            vectors=vectors)
-    grads = integrate_adjoint(manifold, traj, data, residual_logs(manifold, traj, data))
+    nodes = traj.node_index(data.times)
+    grads = integrate_adjoint(manifold, traj, nodes, residual_logs(manifold, traj, data))
     fd, basis = fd_gradient(manifold, data, state, traj.times)
     adj = np.array([
         [manifold.inner(state.gamma, g, b) for b in basis]

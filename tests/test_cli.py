@@ -440,6 +440,17 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="record 1 is a degenerate"):
             build_dataset("kendall", records)
 
+    @pytest.mark.parametrize("manifold, count, fault", [
+        ("kendall", 0, "no records"),
+        ("torus", 2, "unknown manifold 'torus'"),
+    ], ids=["no_records", "unknown_manifold"])
+    def test_dataset_guards(self, manifold, count, fault):
+        from riempoly.landmarks import LandmarkFileRecord
+
+        records = [LandmarkFileRecord(str(i), float(i), np.eye(2)) for i in range(count)]
+        with pytest.raises(ValueError, match=fault):
+            build_dataset(manifold, records)
+
     def test_so3_requires_nine_coordinates(self, rng):
         from riempoly.landmarks import LandmarkFileRecord
 

@@ -148,14 +148,27 @@ def test_geometries_write_only_the_contract(cls):
     # no geometry writes a residual check of its own
     assert not [name for name in vars(cls) if "residual" in name]
     # pullback is the contract's one reverse hook, written beside its own
-    # integrate: the rolled geometries write the reverse of their roll, flat
-    # space its closed form, and the rotation group the default recursion
-    # over the transports its integrate records; no geometry writes a hook
-    # of its own for it; the only public methods beyond the base class's
-    # are shape space's
-    assert "pullback" in vars(cls) and "integrate" in vars(cls)
+    # integrate: the rolled geometries write the reverse of their roll and
+    # the rotation group the default recursion as batched node maps; flat
+    # space writes neither, and the default step loop and recursion are
+    # exact there; no geometry writes a hook of its own for them; the only
+    # public methods beyond the base class's are shape space's
+    assert ("pullback" in vars(cls)) == ("integrate" in vars(cls)) == (cls is not rp.Euclidean)
+    if cls is rp.Euclidean:
+        assert {name for name, value in vars(cls).items()
+                if callable(value)} == {"__init__", "_check", *CONTRACT}
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
     assert own <= {"from_landmarks"}
+
+
+@pytest.mark.parametrize("make, fault", [
+    (lambda: rp.Sphere(0), "sphere dimension must be >= 1"),
+    (lambda: rp.Euclidean(0), "dimension must be positive"),
+    (lambda: rp.KendallShapeSpace(1, 3), "need m >= 2 landmarks"),
+], ids=["sphere", "euclidean", "kendall"])
+def test_degenerate_dimensions_rejected(make, fault):
+    with pytest.raises(ValueError, match=fault):
+        make()
 
 
 @pytest.mark.parametrize("m", [rp.Sphere(2), rp.Sphere(15), rp.KendallShapeSpace(8, 2)],

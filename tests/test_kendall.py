@@ -56,6 +56,13 @@ class TestPreshape:
         with pytest.raises(ValueError):
             to_preshape(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("shape, fault", [((1, 2), "at least two landmarks"),
+                                              ((2, 1), "m\\*d must be at least 3")],
+                             ids=["one_landmark", "two_numbers"])
+    def test_too_small_rejected(self, rng, shape, fault):
+        with pytest.raises(ValueError, match=fault):
+            to_preshape(rng.standard_normal(shape))
+
     @pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (8, 2), (17, 2), (100, 2),
                                       (2, 3), (5, 3), (64, 3)])
     def test_stack_matches_one_at_a_time(self, rng, m, d):

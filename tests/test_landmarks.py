@@ -109,6 +109,22 @@ class TestCsv:
         with pytest.raises(LandmarkFormatError, match=f":{line}: {fault}"):
             parse_landmarks(path)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("", ":1: empty file"),
+        ("id,time\nr1,1.0\n", ":1: no coordinate columns"),
+        ("id,time,x1,y1,z1,x2\nr1,1.0,0,0,0,0\n", ":1: inconsistent coordinate columns"),
+        ("id,time,x1,y1\n\n", ": no records"),
+    ], ids=["empty", "no_coordinates", "partial_landmark", "no_rows"])
+    def test_header_faults_are_named(self, tmp_path, text, fault):
+        path = write(tmp_path, "bad.csv", text)
+        with pytest.raises(LandmarkFormatError, match=fault):
+            parse_landmarks(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = write(tmp_path, "one.csv", "id,time,x1,y1\nr1,1.0,0,0\n")
+        with pytest.raises(ValueError, match="unknown landmark format 'xml'"):
+            parse_landmarks(path, fmt="xml")
+
     def test_padded_cells_parse_as_before(self, tmp_path):
         path = write(tmp_path, "pad.csv",
                      "id,time,x1,y1\n r1 , 7.5 ,\t-0.25 , 1e-3\t\n\nr2,8,2,3\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import riempoly as rp
-from riempoly.geometry import Manifold, monomials
+from riempoly.geometry import Manifold, flat_flow, monomials
 from conftest import log_log_slope, make_manifold, node_state, unit_tangent
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -297,10 +297,6 @@ class TestFlowRecord:
         assert len(out) == 2
         points, flow = out
         assert points.shape == (11,) + space.point_shape
-        if name == "euclidean":
-            # the closed form's monomial table, phi_i(t_n)
-            assert np.array_equal(flow, monomials(grid, 2))
-            return
         assert isinstance(flow, tuple)
         if name in ("sphere", "kendall", "kendall_8_2"):
             # the roll's set-up, no node's vectors: basis, coordinates,
@@ -312,16 +308,19 @@ class TestFlowRecord:
             assert np.array_equal(sin, np.sin(speed))
             assert frames.shape[0] == 11
             return
-        # the step loop's vectors of every node and matrix of every step; the
-        # rotation group adds every step's transport back, as a matrix
-        if name in ("so3", "so3_general"):
-            node_vels, flats, back = flow
-            assert back.shape == (10, 3, 3)
-        else:
-            node_vels, flats = flow
+        # every stepped pass keeps the step loop's record, the vectors of
+        # every node and the matrix of every step, and nothing else: flat
+        # space runs the loop itself, and SO(3) runs it in its algebra
+        # (TestAlgebraFlow compares it with the loop bit for bit)
+        node_vels, flats = flow
         assert node_vels.shape == (11, 2) + space.tangent_shape
         assert np.array_equal(node_vels[0], vels)
-        assert flats.shape == (10, 3, 2)
+        assert np.array_equal(flats, flat_flow(np.diff(grid), 2))
+        if name == "euclidean":
+            # each step is the flat polynomial's exact move: the points are
+            # p + sum_i phi_i(t_n) v_i to within rounding
+            exact = monomials(grid, 2).T @ np.concatenate([p[None], vels])
+            assert np.abs(points - exact).max() <= 1e-14
 
     def test_trajectory_keeps_times_points_and_record(self, rng):
         fields = [f.name for f in dataclasses.fields(rp.Trajectory)]

@@ -119,7 +119,8 @@ class TestAdjoint:
         state, traj, _ = random_fit_problem(sphere, 2, rng, steps=500, times=times)
         pts = np.stack([traj.points[traj.node_index(t)] for t in times])
         data = rp.TimedDataset(sphere, times, pts)
-        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
+        nodes = traj.node_index(data.times)
+        grads = integrate_adjoint(sphere, traj, nodes, residual_logs(sphere, traj, data))
         assert max(np.abs(g).max() for g in grads) < 1e-8
 
     def test_order_zero_reduces_to_mean_of_logs(self, rng):
@@ -131,7 +132,8 @@ class TestAdjoint:
             sphere.exp(p, unit_tangent(sphere, rng, p, 0.4)) for _ in range(5)
         ])
         data = rp.TimedDataset(sphere, np.linspace(0, 1, 5), pts)
-        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
+        nodes = traj.node_index(data.times)
+        grads = integrate_adjoint(sphere, traj, nodes, residual_logs(sphere, traj, data))
         logs = sphere.log_many(np.broadcast_to(p, pts.shape), pts)
         expected = -(2.0 / 5.0) * logs.sum(axis=0)
         assert np.abs(grads[0] - expected).max() < 1e-12
@@ -175,7 +177,8 @@ class TestAdjoint:
     def test_gradients_are_tangent(self, rng):
         sphere = rp.Sphere(2)
         state, traj, data = random_fit_problem(sphere, 2, rng, steps=300)
-        grads = integrate_adjoint(sphere, traj, data, residual_logs(sphere, traj, data))
+        nodes = traj.node_index(data.times)
+        grads = integrate_adjoint(sphere, traj, nodes, residual_logs(sphere, traj, data))
         for g in grads:
             assert abs(np.dot(g, state.gamma)) < 1e-10
 
@@ -195,7 +198,8 @@ class TestAdjoint:
             _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
                                                times=times)
             expected = adjoint_reference(m, traj, data)
-            got = integrate_adjoint(m, traj, data, residual_logs(m, traj, data))
+            nodes = traj.node_index(data.times)
+            got = integrate_adjoint(m, traj, nodes, residual_logs(m, traj, data))
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -214,7 +218,8 @@ class TestAdjoint:
         _, traj, data = random_fit_problem(m, 0, rng, scale=0.4, steps=70)
         assert traj.flow is None
         logs = residual_logs(m, traj, data)
-        got = integrate_adjoint(m, traj, data, logs)
+        nodes = traj.node_index(data.times)
+        got = integrate_adjoint(m, traj, nodes, logs)
         expected = m.project_tangent(traj.points[0],
                                      np.sum(logs, axis=0) * (-2.0 / data.size))
         assert got.shape == (1,) + m.tangent_shape
@@ -234,7 +239,8 @@ class TestAdjoint:
                 state, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=30,
                                                        times=times, vectors=vectors)
                 expected = rolled_gradient_reference(m, state, traj, data)
-                got = integrate_adjoint(m, traj, data, residual_logs(m, traj, data))
+                nodes = traj.node_index(data.times)
+                got = integrate_adjoint(m, traj, nodes, residual_logs(m, traj, data))
                 assert got.shape == expected.shape
                 assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -251,17 +257,36 @@ class TestAdjoint:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
-        integrate_adjoint(manifold, traj, data, logs)
+        nodes = traj.node_index(data.times)
+        integrate_adjoint(manifold, traj, nodes, logs)
         assert sum(calls.values()) == 0
 
-    def test_memory_is_flat_in_the_step_count(self, rng, monkeypatch):
-        # the default pullback carries k + 1 multiplier rows node by node and
-        # reads each cotangent as it passes, and SO(3)'s builds its node maps
-        # in blocks of at most so3._BLOCK_BYTES, so twenty times the nodes
-        # leave the pass's peak allocation where it was, below 64 KiB; flat
-        # space has its closed form, so it is called as the base class's
-        monkeypatch.setattr(rp.Euclidean, "integrate", rp.Manifold.integrate)
-        monkeypatch.setattr(rp.Euclidean, "pullback", rp.Manifold.pullback)
+    @pytest.mark.parametrize("bad, fault", [
+        (lambda nodes: nodes[::-1], "non-decreasing order"),
+        (lambda nodes: nodes + 1000, r"nodes must index the \d+ nodes of traj"),
+        (lambda nodes: nodes - 1, r"nodes must index the \d+ nodes of traj"),
+        (lambda nodes: nodes[1:], "one integer node index per row of logs"),
+        (lambda nodes: nodes.astype(float), "one integer node index per row of logs"),
+    ], ids=["unsorted", "past_the_end", "negative", "too_few", "not_integer"])
+    def test_nodes_are_checked(self, bad, fault, rng):
+        # nodes come from the caller: one node of traj per row of logs, in
+        # order, or ValueError names the condition that failed
+        sphere = rp.Sphere(2)
+        _, traj, data = random_fit_problem(sphere, 1, rng, steps=70,
+                                           times=(0.0, 0.0, 0.33, 0.71, 1.0))
+        nodes = traj.node_index(data.times)
+        logs = residual_logs(sphere, traj, data)
+        integrate_adjoint(sphere, traj, nodes, logs)
+        with pytest.raises(ValueError, match=fault):
+            integrate_adjoint(sphere, traj, bad(nodes), logs)
+
+    def test_memory_is_flat_in_the_step_count(self, rng):
+        # the default pullback, which flat space runs, carries k + 1
+        # multiplier rows node by node and reads each cotangent as it
+        # passes, and SO(3)'s builds its node maps, transports included, in
+        # blocks of at most so3._BLOCK_BYTES, so twenty times the nodes
+        # leave the pass's peak allocation where it was, below 64 KiB
+        assert "pullback" not in vars(rp.Euclidean)
         for space in (rp.Euclidean(16), make_manifold("so3_general")):
             state, _, data = random_fit_problem(space, 3, rng, scale=0.3, steps=200,
                                                 times=tuple(np.linspace(0.0, 1.0, 24)))
@@ -269,10 +294,11 @@ class TestAdjoint:
                 traj = rp.integrate_polynomial(space, state,
                                                rp.time_grid(1.0, steps, data.times))
                 logs = residual_logs(space, traj, data)
-                integrate_adjoint(space, traj, data, logs)  # one-time set-up untraced
+                nodes = traj.node_index(data.times)
+                integrate_adjoint(space, traj, nodes, logs)  # one-time set-up untraced
                 tracemalloc.start()
                 try:
-                    integrate_adjoint(space, traj, data, logs)
+                    integrate_adjoint(space, traj, nodes, logs)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -288,10 +314,11 @@ class TestAdjoint:
         grid = rp.time_grid(1.0, 4000, data.times)
         traj = rp.integrate_polynomial(space, state, grid)
         logs = residual_logs(space, traj, data)
-        integrate_adjoint(space, traj, data, logs)      # one-time set-up untraced
+        nodes = traj.node_index(data.times)
+        integrate_adjoint(space, traj, nodes, logs)      # one-time set-up untraced
         peaks = []
         for run in (lambda: rp.integrate_polynomial(space, state, grid),
-                    lambda: integrate_adjoint(space, traj, data, logs)):
+                    lambda: integrate_adjoint(space, traj, nodes, logs)):
             tracemalloc.start()
             try:
                 run()
@@ -396,7 +423,8 @@ class TestConstantStart:
             _, traj, data = random_fit_problem(m, k, rng, scale=0.4, steps=70,
                                                times=times, vectors=lambda v: 0.0 * v)
             logs = residual_logs(m, traj, data)
-            expected = integrate_adjoint(m, traj, data, logs)
+            nodes = traj.node_index(data.times)
+            expected = integrate_adjoint(m, traj, nodes, logs)
             got = _constant_gradient(m, traj.points[0], monomials(data.times, k), logs)
             assert got.shape == expected.shape == (k + 1,) + m.tangent_shape
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -1027,6 +1055,18 @@ class TestFitPolynomial:
             assert np.all(np.isfinite(v))
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
+    def test_underdetermined_counts_distinct_times(self, rng):
+        # ten observations, but at two times: the time design has rank 2 < 3
+        sphere = rp.Sphere(2)
+        p = sphere.random_point(rng)
+        ends = (p, sphere.exp(p, unit_tangent(sphere, rng, p, 0.3)))
+        points = np.stack([sphere.exp(q, unit_tangent(sphere, rng, q, 0.05))
+                           for q in ends for _ in range(5)])
+        data = rp.TimedDataset(sphere, np.repeat([0.0, 1.0], 5), points)
+        with pytest.warns(UserWarning, match="only 2 distinct observation times "
+                                             "for order 2: fit is underdetermined"):
+            rp.fit_polynomial(sphere, data, rp.FitConfig(order=2, steps=50, max_iters=5))
+
     def test_nonconverged_result_returned(self, rng):
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
@@ -1106,6 +1146,12 @@ class TestFitPolynomial:
         with pytest.raises(ValueError):
             rp.FitConfig(order=7)
 
+    @pytest.mark.parametrize("field, value", [("steps", 0), ("max_iters", 0),
+                                              ("tol", 0.0), ("tol", -1e-6)])
+    def test_steps_iterations_and_tol_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match="steps, max_iters and tol must be positive"):
+            rp.FitConfig(order=1, **{field: value})
+
     def test_quotient_invariance_of_fit(self, rng):
         # rotating, scaling and translating every configuration leaves the
         # fitted quality untouched
@@ -1179,7 +1225,8 @@ class TestConfigAndInputGuards:
 
         space = Drifting(2)
         _, _, data = random_fit_problem(space, 1, rng, scale=0.5, steps=50)
-        with pytest.raises(rp.GeometryError, match="drifted off the manifold"):
+        with pytest.raises(rp.GeometryError, match=r"drifted off the manifold: point "
+                                                   r"residual 1\.000e-05 exceeds 1e-06"):
             rp.fit_polynomial(space, data, rp.FitConfig(order=1, steps=50))
 
     def test_initial_state_order_mismatch(self, rng):
@@ -1209,6 +1256,13 @@ class TestConfigAndInputGuards:
             rp.fit_polynomial(space, data, config, initial=bad)
         bad = rp.PolynomialState(1.01 * state.gamma, state.vels)
         with pytest.raises(ValueError, match=r"point residual 1\.000e-02"):
+            rp.fit_polynomial(space, data, config, initial=bad)
+        # a NaN residual is the worst, wherever it comes
+        vels = state.vels.copy()
+        vels[1] = 0.0
+        vels[1, 0] = np.nan
+        bad = rp.PolynomialState(state.gamma, vels)
+        with pytest.raises(ValueError, match=r"v2 residual nan exceeds 1e-06"):
             rp.fit_polynomial(space, data, config, initial=bad)
         rp.fit_polynomial(space, data, config, initial=state)
 

@@ -81,6 +81,10 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             so3.MetricSpec(np.diag([1.0, -1.0, 1.0]))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="metric matrix must be 3x3"):
+            so3.MetricSpec(np.eye(2))
+
 
 class TestAdTranspose:
     def test_identity_metric_basis(self, identity_metric):
@@ -638,8 +642,9 @@ class TestAlgebraFlow:
     """The rotation group's own integrate and pullback run in the algebra.
 
     They are the step loop's and the default recursion's math, with the
-    rotations composed once per pass, each node's transport read from the
-    record, and the node maps applied as batched running products."""
+    rotations composed once per pass, the step loop's record kept as it
+    is, and the node maps, each block's transports from one batched call,
+    applied as batched running products."""
 
     METRICS = pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
                                       ids=["identity", "inertia"])
@@ -663,10 +668,11 @@ class TestAlgebraFlow:
                 where = f"order {k}, {len(times) - 1} steps"
                 ref_points, ref_flow = Manifold.integrate(group, p, vels, times)
                 points, flow = group.integrate(p, vels, times)
-                # the step loop's vectors and matrices, bit for bit
-                assert len(flow) == 3
-                assert np.array_equal(flow[0], ref_flow[0]), where
-                assert np.array_equal(flow[1], ref_flow[1]), where
+                # the step loop's whole record, its vectors and matrices, bit
+                # for bit, and nothing beside it
+                assert len(flow) == len(ref_flow) == 2
+                for got_part, ref_part in zip(flow, ref_flow):
+                    assert np.array_equal(got_part, ref_part), where
                 assert np.array_equal(points[0], p)
                 assert np.abs(points - ref_points).max() <= 1e-13, where
                 if case == "zero":
