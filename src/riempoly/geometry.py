@@ -249,8 +249,13 @@ class Euclidean(Manifold):
                 )
 
     def step(self, p, v, stack):
-        self._check(p, v, stack)
-        return p + v, np.array(stack, dtype=float, copy=True)
+        moved = np.array(stack, dtype=float)
+        # the loops hand step arrays of its own shape, which three attribute
+        # reads pass; anything else, a list or a batch included, takes _check
+        if not (getattr(p, "shape", None) == getattr(v, "shape", None) == self.point_shape
+                == moved.shape[-1:]):
+            self._check(p, v, stack)
+        return p + v, moved
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)

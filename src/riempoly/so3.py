@@ -18,18 +18,20 @@ chord of at most ``_MAX_STEP`` takes one midpoint substep, and a longer one
 classical Runge-Kutta substeps of at most ``_RK4_STEP``, each turning by a
 fourth-order Magnus step.  For A = I the flow is a closed form: the
 endpoint is the exact rotation exponential, and transport rotates a field
-by rodrigues(-w/2).  A forward pass is the base class's step loop run in the
-algebra, with every node's rotation composed from one running product of
-all the turns, and keeps the step loop's record.  The fit's gradient is the
-base class's recursion, one curvature per node, with its node maps built
-and applied in blocks as batched running products: each block's
-transports, as 3x3 matrices, take one flow of the basis.  The log of each
-pair, in ``log_many``, is the principal rotation vector; under a general
-metric ``geometry.shooting_log``, the lockstep loop that shoots every pair
-at once, starts from its second-order inverse through the connection and
-shoots it onto the metric's geodesic.  So the flow, ``rotation_log``, ``_compose`` and
-``project_point`` all batch over a leading pair axis, and a row's result
-does not depend on the rows beside it.
+by rodrigues(-w/2).  A velocity that is not finite raises ValueError.  A
+forward pass is the base class's step loop run in the algebra, with every
+node's rotation composed from one running product of all the turns, and
+keeps the step loop's record.  Only step takes a polar factor: a product of
+exact turns, a node's or a shot's endpoint, is a rotation to rounding.  The
+fit's gradient is the base class's recursion, one curvature per node, with
+its node maps built and applied in blocks as batched running products: each
+block's transports, as 3x3 matrices, take one flow of the basis.  The log
+of each pair, in ``log_many``, is the principal rotation vector; under a
+general metric ``geometry.shooting_log``, the lockstep loop that shoots
+every pair at once, starts from its second-order inverse through the
+connection and shoots it onto the metric's geodesic.  So the flow,
+``rotation_log``, ``_compose`` and ``project_point`` all batch over a
+leading pair axis, and a row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ _PREV = np.array([2, 0, 1])
 _EYE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 _HATS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
                   [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+# rotation_log's entries of a flattened r: r21, r02, r10, then r12, r20, r01,
+# then the diagonal
+_LOG_ENTRIES = np.array([7, 2, 3, 5, 6, 1, 0, 4, 8])
 # longest chord of the general-metric flow, in the norm of the velocity, taken
 # as one midpoint substep; a longer one takes Runge-Kutta substeps
 _MAX_STEP = 5e-3
@@ -167,15 +172,20 @@ def rodrigues(w):
 
 
 def rotation_log(r):
-    """Principal rotation vector w with rodrigues(w) == r; batches over leading axes."""
+    """Principal rotation vector w with rodrigues(w) == r; batches over leading axes.
+
+    The skew part and the trace come from one gather of r's nine entries.
+    """
     r = np.asarray(r, dtype=float)
-    skew = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
-                     r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    entries = r.reshape(r.shape[:-2] + (9,))[..., _LOG_ENTRIES]
+    # the gather comes out column-major; the logs leave row-major, as products
+    # of them downstream (the fit's phi @ logs) round by layout
+    skew = np.subtract(entries[..., :3], entries[..., 3:6], order="C")
     # |skew| = 2 sin(theta) and tr r - 1 = 2 cos(theta): arctan2 keeps the
     # angle accurate near a half turn, where arccos of the trace loses half
     # its digits
     twice_sin = np.sqrt(np.add.reduce(skew * skew, axis=-1))
-    theta = np.arctan2(twice_sin, np.trace(r, axis1=-2, axis2=-1) - 1.0)
+    theta = np.arctan2(twice_sin, np.add.reduce(entries[..., 6:], axis=-1) - 1.0)
     small = theta < 1e-6                        # the series: theta / sin would cancel
     flat = theta > np.pi - 1e-6                 # the axis: skew has lost its digits
     scale = np.where(small, 0.5 + theta * theta / 12.0,
@@ -200,10 +210,22 @@ def _compose(p, turns):
     come from one batched rodrigues, and a zero turn is I bit for bit, so a
     row that takes fewer turns than the others holds still.  Left
     unprojected: the product of exact turns is a rotation to within
-    rounding, and step takes its polar factor.
+    rounding: step takes its polar factor, and the shots read it as it is.
     """
     p = np.asarray(p, dtype=float)
     return functools.reduce(np.matmul, rodrigues(np.reshape(turns, (-1,) + p.shape[:-1])), p)
+
+
+def _framed(v):
+    """The flow's one array for v and the basis: each velocity of v as row 0, then I.
+
+    One flow of it carries e_1..e_3 along v, so its fields are the rows of
+    the transport's matrix.
+    """
+    f = np.empty(v.shape[:-1] + (4, 3))
+    f[..., 0, :] = v
+    f[..., 1:, :] = _EYE
+    return f
 
 
 def _stacked(v, stack):
@@ -232,25 +254,32 @@ class RotationGroup(Manifold):
         rows after it the fields that ride along it, all obeying
         f' = -nabla_w f (the velocity is parallel along its own geodesic).
         Returns the carried fields, f's rows after row 0, and the turns the
-        endpoint composes: none when every velocity is zero.  For A = I,
-        where w is constant and a field obeys x' = -cross(w, x)/2, the one
-        turn is w itself and a field turns by rodrigues(-w/2).  Under a
-        general metric each row picks its scheme from its own chord |w|: up
-        to _MAX_STEP one midpoint substep (``_midpoint``), beyond it
-        ceil(|w| / _RK4_STEP) classical Runge-Kutta substeps (``_rk4``).  A
-        batch that mixes the two runs each on its own rows, and a row that
-        has taken its turns holds still, its later turns zero.  No rate
-        reads the rotation, so the flow never forms it: ``_compose``, or
-        integrate's running product, builds the rotations from the turns.
+        endpoint composes: none when every velocity is zero.  Every chord
+        |w| is read once, as a Python float: their sum is the all-zero test,
+        and one that is not finite raises ValueError before either metric's
+        branch.  For A = I, where w is constant and a field obeys
+        x' = -cross(w, x)/2, the one turn is w itself and a field turns by
+        rodrigues(-w/2).  Under a general metric each row picks its scheme
+        from its own chord |w|: up to _MAX_STEP one midpoint substep
+        (``_midpoint``), beyond it ceil(|w| / _RK4_STEP) classical
+        Runge-Kutta substeps (``_rk4``).  A batch that mixes the two runs
+        each on its own rows, and a row that has taken its turns holds
+        still, its later turns zero.  No rate reads the rotation, so the
+        flow never forms it: ``_compose``, or integrate's running product,
+        builds the rotations from the turns.
         """
         w = f[..., 0, :]
-        if not w.any():
+        # chords as Python numbers, so that a one-velocity call costs what
+        # scalar bookkeeping does; their sum is zero only when every one is
+        speeds = [math.sqrt(a * a + b * b + c * c) for a, b, c in w.reshape(-1, 3).tolist()]
+        total = sum(speeds)
+        if not math.isfinite(total):
+            row = next(i for i, s in enumerate(speeds) if not math.isfinite(s))
+            raise ValueError(f"velocity is not finite: row {row} has chord length {speeds[row]}")
+        if not total:
             return f[..., 1:, :].copy(), []
         if self.metric.is_identity:
             return f[..., 1:, :] @ np.swapaxes(rodrigues(-0.5 * w), -1, -2), [w]
-        # chords as Python numbers, so that a one-velocity call costs what
-        # scalar bookkeeping does
-        speeds = [math.sqrt(a * a + b * b + c * c) for a, b, c in w.reshape(-1, 3).tolist()]
         near = [s <= _MAX_STEP for s in speeds]
         if all(near):
             return self._midpoint(f)
@@ -316,11 +345,12 @@ class RotationGroup(Manifold):
         Every step is one ``_flow`` of its flat_flow matrix times the
         vectors, whose row 0 is the chord: the kernel step runs, with no
         dispatch around it.  It forms no rotation: the turns of all the
-        steps take one batched rodrigues and one running product, each node
-        takes the product of the turns up to it, and all the nodes take one
-        project_point.  A node before the first turn is p itself.  The
-        record is the step loop's, bit for bit: the vectors of every node
-        and the matrix of every step.
+        steps take one batched rodrigues and one running product, and each
+        node is p times the product of the turns up to it, with no polar
+        factor: a running product of exact turns is a rotation to rounding
+        (a few 1e-13 off over 4,000 steps).  A node before the first
+        turn is p itself.  The record is the step loop's, bit for bit: the
+        vectors of every node and the matrix of every step.
         """
         stack = np.asarray(stack, dtype=float)
         flats = flat_flow(np.diff(times), len(stack))
@@ -335,7 +365,7 @@ class RotationGroup(Manifold):
         if turns:
             turned = counts > 0
             prefix = _running_products(rodrigues(np.array(turns)))
-            points[turned] = self.project_point(points[0] @ prefix[counts[turned] - 1])
+            points[turned] = points[0] @ prefix[counts[turned] - 1]
         return points, (vels, flats)
 
     def pullback(self, traj, nodes, cotangents):
@@ -382,7 +412,7 @@ class RotationGroup(Manifold):
         times = traj.times[start:stop + 1]
         h = (times[1:] - times[:-1])[:, None, None, None]
         v = vels[start + 1:stop + 1]
-        back = self.transport(None, -h[:, 0, 0] * v[:, 0], np.broadcast_to(_EYE, (count, 3, 3)))
+        back = self._flow(_framed(-h[:, 0, 0] * v[:, 0]))[0]
         # R(v_i, e_b, v_1)[a] at every node, as [node, i, b, a]
         coupled = curvature(v[:, :, None], _EYE, v[:, :1, None], self.metric)
         maps = np.zeros((count, size, size))
@@ -428,16 +458,16 @@ class RotationGroup(Manifold):
         """The logs under a general metric: geometry.shooting_log's lockstep loop.
 
         A shot from p with velocity v is one flow of v and the basis
-        e_1..e_3, whose rows E are then the transports of the basis.  Its
-        endpoint gap, rotation_log(end^T q), is tangent at the end, and the
-        inverse of the shot's own transport pulls it back to p as gap E^-1.
-        The endpoint, only ever read by rotation_log, is the product of
-        exact turns, orthogonal to within rounding, so it takes no polar
-        factor.  A pair leaves the batch once the gap's metric norm is at
-        most 1e-10.
+        e_1..e_3 (``_framed``), whose rows E are then the transports of the
+        basis.  Its endpoint gap, rotation_log(end^T q), is tangent at the
+        end, and the inverse of the shot's own transport pulls it back to p
+        as gap E^-1.  The endpoint, only ever read by rotation_log, is the
+        product of exact turns, orthogonal to within rounding, so it takes no
+        polar factor, as integrate's nodes take none.  A pair leaves the
+        batch once the gap's metric norm is at most 1e-10.
         """
         def shot(rows, vel):
-            frame, turns = self._flow(_stacked(vel, np.broadcast_to(_EYE, vel.shape + (3,))))
+            frame, turns = self._flow(_framed(vel))
             end = _compose(points[rows], turns)
             gap = rotation_log(np.swapaxes(end, -1, -2) @ targets[rows])
             pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]

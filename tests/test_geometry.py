@@ -1,5 +1,7 @@
 """Contract tests every geometry must satisfy, plus flat-space exactness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,22 @@ class TestEuclidean:
         m = rp.Euclidean(2)
         with pytest.raises(ValueError):
             m.exp(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("view, got", [
+        ("exp", "(3,)"), ("exp_broadcast", "(1,)"), ("transport", "(2, 3)"),
+        ("step", "(2, 15)"), ("log", "(1, 3)"),
+    ])
+    def test_wrong_trailing_dimension_is_named(self, view, got):
+        # step trusts arrays of the right shape and checks anything else, so
+        # every view names the shape, a v that would broadcast included
+        m, p = rp.Euclidean(16), np.zeros(16)
+        run = {"exp": lambda: m.exp(p, np.zeros(3)),
+               "exp_broadcast": lambda: m.exp(p, np.zeros(1)),
+               "transport": lambda: m.transport(p, p, np.zeros((2, 3))),
+               "step": lambda: m.step(p, p, np.zeros((2, 15))),
+               "log": lambda: m.log(p, np.zeros(3))}[view]
+        with pytest.raises(ValueError, match=re.escape(f"expected trailing dimension 16, got {got}")):
+            run()
 
     def test_dist_is_euclidean_norm(self, rng):
         m = rp.Euclidean(2)

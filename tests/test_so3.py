@@ -580,6 +580,23 @@ class TestLogErrors:
         assert caught.value.residual == pytest.approx(first[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("view", ["exp", "transport", "step"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+                         ids=["identity", "inertia"])
+def test_non_finite_velocity_is_named(matrix, bad, view):
+    # the flow reads every chord before either metric's branch, so a NaN or
+    # infinite velocity fails with one message on both metrics, not deep in
+    # a substep count or an SVD, and never returns NaN
+    group = rp.RotationGroup(so3.MetricSpec(matrix))
+    v = np.array([bad, 0.0, 0.0])
+    run = {"exp": lambda: group.exp(np.eye(3), v),
+           "transport": lambda: group.transport(np.eye(3), v, E2),
+           "step": lambda: group.step(np.eye(3), v, np.stack([E2, E3]))}[view]
+    with pytest.raises(ValueError, match="velocity is not finite: row 0 has chord length"):
+        run()
+
+
 class TestBatchedKernels:
     """The log shoots every pair at once: each kernel batches over a leading
     pair axis, and a row's result does not depend on the batch around it."""
@@ -690,7 +707,9 @@ class TestAlgebraFlow:
                     assert gap <= 1e-13 * np.abs(expected).max(), (where, nodes)
 
     @METRICS
-    def test_pass_takes_no_step_and_one_projection(self, matrix, rng, monkeypatch):
+    def test_pass_takes_no_step_and_no_projection(self, matrix, rng, monkeypatch):
+        # the nodes are products of exact turns, rotations to rounding, so a
+        # forward and a reverse pass take no polar factor at all
         group = rp.RotationGroup(so3.MetricSpec(matrix))
         p = group.random_point(rng)
         state = rp.PolynomialState(p, [unit_tangent(group, rng, p) for _ in range(3)])
@@ -704,10 +723,29 @@ class TestAlgebraFlow:
             monkeypatch.setattr(rp.RotationGroup, name, counted)
         traj = rp.integrate_polynomial(group, state, rp.time_grid(1.0, 50))
         group.pullback(traj, nodes, cotangents)
-        assert calls == Counter(project_point=1)
-        # the counter works: the default integrate steps node by node
+        assert calls == Counter()
+        # the counters work: the default integrate steps node by node, and
+        # each step takes its endpoint's polar factor
         Manifold.integrate(group, p, state.vels, rp.time_grid(1.0, 50))
-        assert calls["step"] == 50
+        assert calls == Counter(step=50, project_point=50)
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0]),
+                                        np.diag([1.0, 1.0, 10.0])],
+                             ids=["identity", "inertia", "anisotropic"])
+    def test_nodes_are_rotations(self, matrix, rng):
+        # no node takes a polar factor: a running product of exact turns
+        # stays orthogonal with determinant 1 to rounding, however many
+        # steps it takes
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        for k in (1, 2, 3):
+            for steps in (7, 200, 4000):
+                p = group.random_point(rng)
+                vels = 3.0 * rng.standard_normal((k, 3))
+                points, _ = group.integrate(p, vels, rp.time_grid(1.0, steps))
+                gram = np.swapaxes(points, -1, -2) @ points
+                where = f"order {k}, {steps} steps"
+                assert np.abs(gram - np.eye(3)).max() <= 1e-12, where
+                assert np.abs(np.linalg.det(points) - 1.0).max() <= 1e-12, where
 
 
 class TestTransport:
