@@ -288,17 +288,6 @@ def monomials(times, order):
     return phi
 
 
-def flat_pullback(phi, cotangents):
-    """Row i is sum_n phi_i(t_n) G_n: the gradient of sum_n <G_n, x_n> at a constant curve.
-
-    phi is monomials at the cotangents' times.  Vectors dv added to zero
-    vectors move node n by sum_i phi_i(t_n) dv_i to first order on every
-    geometry, so the fit takes this closed form, and no reverse pass, at
-    any start with zero vectors.
-    """
-    return (phi @ cotangents.reshape(len(cotangents), -1)).reshape((-1,) + cotangents.shape[1:])
-
-
 def flat_flow(spans, order):
     """The flat polynomial's exact move over steps of the given lengths.
 

@@ -11,19 +11,20 @@ Shapes inherit their geometry through a Riemannian submersion from the
 preshape sphere, and horizontal geodesics of a submersion are great circles.
 So one step, for every d, moves along the great circle of the horizontal
 part of the velocity, and the log map is the horizontal sphere log toward
-the Procrustes-aligned target.  For planar shapes (d = 2, complex projective
-space) the Procrustes rotation is the phase of w = sum_j conj(p_j) q_j, the
-landmarks read as complex numbers (Kendall 1984, "Shape manifolds,
-Procrustean metrics, and complex projective spaces"; Dryden & Mardia,
-"Statistical Shape Analysis", ch. 4), and the complex structure J, which
-turns every landmark by 90 degrees, is parallel, so the step's transport has
-a closed form as well: the step is a unitary rotation of the landmarks read
-as a complex m-vector, and a whole forward pass rolls in one batched closed
-form, whose exact reverse gives the fit's gradient with no curvature and no
-D x D matrix.  For d >= 3 alignment takes an SVD, and transport has no
-closed form; it integrates the horizontal lift's linear ODE along the step's
-great circle by RK4, fourth order in a fixed substep (Guigui, Maignant,
-Trouve & Pennec 2021, "Parallel transport on Kendall shape spaces").  The
+the Procrustes-aligned target.  Planar shapes (d = 2) form complex
+projective space (Kendall 1984, "Shape manifolds, Procrustean metrics, and
+complex projective spaces"; Dryden & Mardia, "Statistical Shape Analysis",
+ch. 4), and compute in that form: with the landmarks read as a complex
+m-vector (_complex), the complex structure J, which turns every landmark by
+90 degrees, is multiplication by i and parallel, so the step is the
+sphere's own great-circle step on the complex vectors, a unitary rotation;
+a whole forward pass rolls in one batched closed form, whose exact reverse
+gives the fit's gradient with no curvature and no D x D matrix; and the
+Procrustes rotation is one phase, that of w = sum_j conj(p_j) q_j.  For
+d >= 3 alignment takes an SVD, and transport has no closed form; it
+integrates the horizontal lift's linear ODE along the step's great circle
+by RK4, fourth order in a fixed substep (Guigui, Maignant, Trouve & Pennec
+2021, "Parallel transport on Kendall shape spaces").  The
 curvature is exact for every d: the horizontal sphere curvature plus
 O'Neill's A-tensor terms of the submersion; the d >= 3 gradient, the default
 recursion, couples through the curvature.  For d >= 3 the vertical space at
@@ -101,25 +102,22 @@ def _preshapes(stack):
     return centered / scales[:, None, None], centroids, scales
 
 
-def _optimal_rotations(targets, bases):
-    """Batched rotations R in SO(d), acting on landmark rows as x -> R x,
-    that align each (m, d) target onto its base.
+def _complex(a):
+    """A planar flat vector, or a stack of them, with its landmarks read as complex numbers.
 
-    For d = 2, with the landmarks of base and target read as complex numbers
-    p_j and q_j, the target turns by minus the phase of w = sum_j conj(p_j)
-    q_j: cos and sin are Re w / |w| and -Im w / |w| (Kendall 1984; Dryden &
-    Mardia, ch. 4).  Where w = 0 the shapes are maximally remote, every
-    rotation is optimal, and the identity is returned.  For d >= 3 it is the
-    Kabsch rotation from the SVD of B^T T, with a sign on the smallest
-    singular value that excludes reflections.
+    A view of the same memory, copied only when a is not contiguous floats.
+    """
+    return np.ascontiguousarray(a, dtype=float).view(complex)
+
+
+def _optimal_rotations(targets, bases):
+    """Batched Kabsch rotations R in SO(d), d >= 3, acting on landmark rows
+    as x -> R x, that align each (m, d) target onto its base.
+
+    The SVD of B^T T, with a sign on the smallest singular value that
+    excludes reflections.
     """
     m = np.swapaxes(bases, -1, -2) @ targets
-    if targets.shape[-1] == 2:
-        cos, sin = m[:, 0, 0] + m[:, 1, 1], m[:, 1, 0] - m[:, 0, 1]
-        norm = np.hypot(cos, sin)
-        cos, norm = np.where(norm > 0.0, cos, 1.0), np.where(norm > 0.0, norm, 1.0)
-        rots = np.stack([cos, -sin, sin, cos], axis=-1) / norm[:, None]
-        return rots.reshape(-1, 2, 2)
     u, _, vt = np.linalg.svd(m)
     signs = np.ones(m.shape[:2])
     signs[:, -1] = np.sign(np.linalg.det(u @ vt))
@@ -127,8 +125,22 @@ def _optimal_rotations(targets, bases):
 
 
 def _align_many(targets, bases):
-    """Each (m, d) target rotated onto its base."""
-    return targets @ np.swapaxes(_optimal_rotations(targets, bases), -1, -2)
+    """Each (m, d) target rotated onto its base.
+
+    For d = 2, with the landmarks of base and target read as complex numbers
+    p_j and q_j, the target turns by minus the phase of w = sum_j conj(p_j)
+    q_j: it becomes q conj(w) / |w| (Kendall 1984; Dryden & Mardia, ch. 4).
+    Where w = 0 the shapes are maximally remote, every rotation is optimal,
+    and the target is returned unchanged.  For d >= 3 it takes the Kabsch
+    rotation (_optimal_rotations).
+    """
+    if targets.shape[-1] != 2:
+        return targets @ np.swapaxes(_optimal_rotations(targets, bases), -1, -2)
+    q, p = _complex(targets)[..., 0], _complex(bases)[..., 0]
+    w = np.add.reduce(p.conj() * q, axis=-1, keepdims=True)
+    norm = np.abs(w)
+    w, norm = np.where(norm > 0.0, w, 1.0), np.where(norm > 0.0, norm, 1.0)
+    return (q * (w.conj() / norm)).view(float).reshape(targets.shape)
 
 
 def _sylvester_basis(pm):
@@ -163,9 +175,11 @@ class KendallShapeSpace(Manifold):
     Points are flat vectors of length m*d.  All tangent vectors are kept in
     the horizontal subspace; the similarity group is quotiented out by
     Procrustes alignment wherever two shapes meet (log, dist); the vertical
-    part of a vector comes from _vertical, Jp for d = 2 and one Sylvester
-    solve for d >= 3.  Every map is exact but the d >= 3 transport, which is
-    fourth order in its RK4 substep of at most _SUBSTEP radians.
+    part of a vector comes from _vertical, along Jp for d = 2 and one
+    Sylvester solve for d >= 3.  For d = 2 the step, the roll and its
+    reverse take the landmarks as complex m-vectors, with J x = i x.  Every
+    map is exact but the d >= 3 transport, which is fourth order in its RK4
+    substep of at most _SUBSTEP radians.
     """
 
     def __init__(self, m: int, d: int):
@@ -179,9 +193,6 @@ class KendallShapeSpace(Manifold):
         self._sphere = Sphere(m * d - 1)
         # orthonormal rows spanning the translations of the configuration
         self._centering = np.tile(np.eye(d), (1, m)) / np.sqrt(m)
-        if d == 2:
-            # x @ self._jt turns every landmark of x by 90 degrees: J x
-            self._jt = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     # -- shape helpers -------------------------------------------------------
 
@@ -198,7 +209,7 @@ class KendallShapeSpace(Manifold):
         out; for d = 2, Jp spans the whole vertical space at p.
         """
         if self.d == 2:
-            return np.concatenate([self._centering, p[None], (p @ self._jt)[None]])
+            return np.concatenate([self._centering, p[None], (1j * _complex(p)).view(float)[None]])
         return np.concatenate([self._centering, p[None]])
 
     def _vertical(self, p, x, basis=None):
@@ -211,7 +222,7 @@ class KendallShapeSpace(Manifold):
         basis is _sylvester_basis of M when the caller has it.
         """
         if self.d == 2:
-            jp = p @ self._jt
+            jp = (1j * _complex(p)).view(float)
             return jp * np.add.reduce(jp * x, axis=-1, keepdims=True)
         pm = self._mat(p)
         q, inv = _sylvester_basis(pm) if basis is None else basis
@@ -230,11 +241,11 @@ class KendallShapeSpace(Manifold):
         With h the horizontal part of v, theta its norm and u its direction,
         the endpoint is cos(theta) p + sin(theta) u, re-projected: horizontal
         great circles are the shape-space geodesics, so this is exact for
-        every d.  For d = 2, with J the landmark rotation, the u and Ju
-        components of each row turn with the geodesic, into
-        cos(theta) u - sin(theta) p and cos(theta) Ju - sin(theta) Jp, because
-        J is parallel, and the rest of the row stays fixed.  For d >= 3 the
-        stack is carried along the same great circle by _lift's RK4.
+        every d.  For d = 2 the step is the sphere's, on the landmarks read
+        as complex m-vectors: J is multiplication by i and parallel, so each
+        row's complex coefficient along u turns with the geodesic, and the
+        rest of the row stays fixed.  For d >= 3 the stack is carried along
+        the same great circle by _lift's RK4.
         """
         p = np.asarray(p, dtype=float)
         stack = np.asarray(stack, dtype=float)
@@ -242,18 +253,15 @@ class KendallShapeSpace(Manifold):
         theta = math.sqrt(h @ h)
         if theta == 0.0:
             return p, stack.copy()
+        if self.d == 2:
+            end, moved = self._sphere.step(_complex(p), _complex(h), _complex(stack))
+            return self.project_point(end.view(float)), moved.view(float)
         c, s = math.cos(theta), math.sin(theta)
         u = h / theta
         end = c * p + s * u
         end = end - (end @ self._centering.T) @ self._centering
         end = end / math.sqrt((end * end).sum())
-        if self.d != 2:
-            return end, self._lift(p, u, theta, stack)
-        ju = u @ self._jt
-        shift = (c - 1.0) * np.array([u, ju]) - s * np.array([p, p @ self._jt])
-        # per-row sums, so a row moves the same whatever the stack size
-        a, b = np.add.reduce(stack * u, axis=-1), np.add.reduce(stack * ju, axis=-1)
-        return end, stack + np.multiply.outer(a, shift[0]) + np.multiply.outer(b, shift[1])
+        return end, self._lift(p, u, theta, stack)
 
     def integrate(self, p, stack, times):
         """The forward flow; for d = 2 in one closed form (see geometry.roll).
@@ -268,11 +276,8 @@ class KendallShapeSpace(Manifold):
         """
         if self.d != 2:
             return super().integrate(p, stack, times)
-        points, flow = roll(
-            np.ascontiguousarray(p, dtype=float).view(complex),
-            np.ascontiguousarray(stack, dtype=float).view(complex),
-            times, lambda z: self.project_point(z.view(float)).view(complex),
-        )
+        points, flow = roll(_complex(p), _complex(stack), times,
+                            lambda z: self.project_point(z.view(float)).view(complex))
         return points.view(float), flow
 
     def _lift(self, p, u, theta, stack):
@@ -341,9 +346,8 @@ class KendallShapeSpace(Manifold):
         """
         if self.d != 2:
             return super().pullback(traj, nodes, cotangents)
-        p, cotangents = (np.ascontiguousarray(a).view(complex)
-                         for a in (traj.points[0], cotangents))
-        return unroll(p, traj.flow, nodes, cotangents).view(float)
+        return unroll(_complex(traj.points[0]), traj.flow, nodes,
+                      _complex(cotangents)).view(float)
 
     def _oneill(self, basis, x, y, z):
         """The A-terms of curvature, 2 Z S(X,Y) - X S(Y,Z) - Y S(Z,X), any d.

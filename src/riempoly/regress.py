@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CutLocusError, GeometryError, Manifold, flat_pullback, monomials
+from .geometry import CutLocusError, GeometryError, Manifold, monomials
 from .polyflow import (
     PolynomialState,
     Trajectory,
@@ -231,10 +231,13 @@ def _constant_gradient(manifold: Manifold, p, phi, logs) -> np.ndarray:
     """The gradient at the constant curve at p, whose residual logs are logs.
 
     phi is the time design, monomials at the observation times t_j; row i
-    is the tangent part of -(2/N) sum_j phi_i(t_j) log_j (flat_pullback).
+    is the tangent part of -(2/N) sum_j phi_i(t_j) log_j.  Vectors dv added
+    to zero vectors move the curve at t_j by sum_i phi_i(t_j) dv_i to first
+    order on every geometry, so this closed form needs no reverse pass.
     """
-    return manifold.project_tangent(
-        p, flat_pullback(phi, (-2.0 / len(logs)) * logs))
+    cotangents = (-2.0 / len(logs)) * logs
+    rows = phi @ cotangents.reshape(len(logs), -1)
+    return manifold.project_tangent(p, rows.reshape((-1,) + logs.shape[1:]))
 
 
 def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
@@ -463,16 +466,16 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     """Preconditioned BB descent on plan's data from state with its pass, logs and objective.
 
     traj is None for a constant start, which takes no pass.  The time
-    design's monomials and metric are built once; at order zero and at a
-    constant start the gradient is the closed form, elsewhere one
-    integrate_adjoint pass over the plan's nodes.  The gradient norm it
-    reports is the returned state's, so a descent stopped at max_iters
-    takes one more gradient.  Where it stopped is recorded as the plan's end.
+    design's monomials and metric are built once, by one _design_metric;
+    at order zero and at a constant start the gradient is the closed form,
+    elsewhere one integrate_adjoint pass over the plan's nodes.  The
+    gradient norm it reports is the returned state's, so a descent stopped
+    at max_iters takes one more gradient.  Where it stopped is recorded as
+    the plan's end.
     """
     manifold, internal = plan.manifold, plan.data
     k = state.order
-    phi = monomials(internal.times, k)
-    gram, precond = _design_metric(internal.times, k)
+    phi, gram, precond = _design_metric(internal.times, k)
 
     def evaluate(s: PolynomialState):
         """Integrate a candidate; its residual logs and objective in one log_many."""
@@ -578,12 +581,12 @@ def _line_search(manifold, state, grad, grad_norm, direction, eta, value, evalua
 
 
 def _design_metric(times, order):
-    """Normal-equation metric G of the time design and its preconditioner P.
+    """The time design phi, its normal-equation metric G and preconditioner P.
 
-    G = (2/N) sum_j phi(t_j) phi(t_j)^T with phi_i(t) = t^i / i! at the
-    observation times, so G has rank min(k+1, number of distinct times).
-    P inverts G on its range and is the identity on the null space: pinv(G)
-    plus the projector onto ker G.
+    phi is monomials at the observation times, phi_i(t) = t^i / i!, and
+    G = (2/N) sum_j phi(t_j) phi(t_j)^T, so G has rank min(k+1, number of
+    distinct times).  P inverts G on its range and is the identity on the
+    null space: pinv(G) plus the projector onto ker G.
     """
     phi = monomials(times, order)
     gram = (2.0 / len(times)) * phi @ phi.T
@@ -591,7 +594,7 @@ def _design_metric(times, order):
     vals, vecs = np.linalg.eigh(gram)             # ascending
     scale = np.ones(order + 1)
     scale[order + 1 - rank:] = 1.0 / vals[order + 1 - rank:]
-    return gram, (vecs * scale) @ vecs.T
+    return phi, gram, (vecs * scale) @ vecs.T
 
 
 def _along_stack(matrix, stack):

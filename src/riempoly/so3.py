@@ -11,11 +11,11 @@ curvature operator.  In the algebra the connection is a fixed bilinear form
 and the curvature a fixed trilinear one, so MetricSpec builds both tensors
 once per metric and every call is one contraction with one of them.
 One flow kernel (``RotationGroup._flow``) carries the velocity and any
-stack of transported fields together and serves ``step``, ``transport``,
-``integrate`` and the log; no rate depends on the rotation, so only the
-endpoints are composed from the substeps' turns.  Under a general metric a
-chord of at most ``_MAX_STEP`` takes one midpoint substep, and a longer one
-classical Runge-Kutta substeps of at most ``_RK4_STEP``, each turning by a
+stack of transported fields together and serves ``step``, ``integrate``
+and the log; no rate depends on the rotation, so only the endpoints are
+composed from the substeps' turns.  Under a general metric a chord of at
+most ``_MAX_STEP`` takes one midpoint substep, and a longer one classical
+Runge-Kutta substeps of at most ``_RK4_STEP``, each turning by a
 fourth-order Magnus step.  For A = I the flow is a closed form: the
 endpoint is the exact rotation exponential, and transport rotates a field
 by rodrigues(-w/2).  A velocity that is not finite raises ValueError.  A
@@ -423,13 +423,6 @@ class RotationGroup(Manifold):
         rows[:, 1:] = flats[start:stop].transpose(0, 2, 1)
         maps = (rows @ maps.reshape(count, k + 1, 3 * size)).reshape(count, k + 1, 3, size)
         return (back.transpose(0, 2, 1)[:, None] @ maps).reshape(count, size, size)
-
-    def transport(self, p, direction, x):
-        """Transport along exp(p, s*direction): the flow's fields, never the rotation.
-
-        As in the flow, x carries the direction's leading axes first.
-        """
-        return self._flow(_stacked(direction, x))[0].reshape(np.shape(x))
 
     def log_many(self, points, targets):
         """Each pair's log: the principal rotation vector, shot to the metric's geodesic.

@@ -43,19 +43,23 @@ class Sphere(Manifold):
         cos(theta) p + sin(theta) u, renormalized.  Transport turns the u
         component of each row into cos(theta) u - sin(theta) p, the parallel
         direction at the endpoint, and leaves the rest of the row untouched.
+        p, v and the rows are real, or complex with v and the rows Hermitian
+        orthogonal to p: then the norms are Hermitian, a row's u component
+        is its complex coefficient sum_j conj(u_j) x_j, and the step is the
+        unitary turn of the complex plane {p, u} that planar shape space
+        takes (see kendall).
         """
-        p = np.asarray(p, dtype=float)
-        stack = np.asarray(stack, dtype=float)
-        theta = math.sqrt(np.dot(v, v))
+        p, stack = np.asarray(p), np.asarray(stack)
+        theta = math.sqrt(np.dot(v.conj(), v).real)
         if theta == 0.0:
             return p, stack.copy()
         c, s = math.cos(theta), math.sin(theta)
         end = c * p + (s / theta) * v
-        end = end / math.sqrt(np.dot(end, end))
+        end = end / math.sqrt(np.dot(end.conj(), end).real)
         if theta < 1e-14:
             return end, stack.copy()
         u = v / theta
-        a = np.add.reduce(stack * u, axis=-1)     # per row, whatever the stack size
+        a = np.add.reduce(stack * u.conj(), axis=-1)   # per row, whatever the stack size
         return end, stack + np.multiply.outer(a, c * u - s * p - u)
 
     def integrate(self, p, stack, times):

@@ -161,6 +161,9 @@ def test_geometries_write_only_the_contract(cls):
                 if callable(value)} == {"__init__", "_check", *CONTRACT}
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
     assert own <= {"from_landmarks"}
+    # the geodesic is written once, in step, and the log once, in log_many:
+    # no geometry writes a view of either
+    assert not {"exp", "transport", "log", "dist", "dist_many"} & set(vars(cls))
 
 
 @pytest.mark.parametrize("make, fault", [

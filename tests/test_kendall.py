@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import riempoly as rp
 from riempoly import kendall
 from riempoly.geometry import CutLocusError, ShootingError, shooting_log
-from riempoly.kendall import _optimal_rotations, _preshapes, to_preshape
+from riempoly.kendall import _align_many, _optimal_rotations, _preshapes, to_preshape
 from conftest import (
     adjoint_vs_fd,
     contract_shot,
@@ -23,6 +23,11 @@ from conftest import (
 def rotation2(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def planar_j(m):
+    """J in real form: x @ planar_j(m) turns every landmark of x by 90 degrees."""
+    return np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @pytest.fixture
@@ -410,17 +415,23 @@ class TestLiftTransport:
 class TestPlanarClosedForms:
     @pytest.mark.parametrize("d", [2, 3])
     def test_rotations_match_kabsch_oracle(self, d, rng):
+        # planar targets turn by one complex phase, d >= 3 by the Kabsch SVD
         bases = rng.standard_normal((500, 8, d))
         targets = rng.standard_normal((500, 8, d))
-        rots = _optimal_rotations(targets, bases)
-        assert np.abs(rots - kabsch_rotations(targets, bases)).max() < 1e-13
-        assert np.abs(np.linalg.det(rots) - 1.0).max() < 1e-14
+        oracle = kabsch_rotations(targets, bases)
+        aligned = _align_many(targets, bases)
+        assert np.abs(aligned - targets @ np.swapaxes(oracle, 1, 2)).max() < 1e-13
+        if d > 2:
+            rots = _optimal_rotations(targets, bases)
+            assert np.abs(rots - oracle).max() < 1e-13
+            assert np.abs(np.linalg.det(rots) - 1.0).max() < 1e-14
 
     def test_remote_shapes_get_the_identity(self):
-        # w = sum conj(p_j) q_j is exactly zero: every rotation is optimal
+        # w = sum conj(p_j) q_j is exactly zero: every rotation is optimal,
+        # and the target comes back bit for bit
         base = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         target = base[[2, 3, 0, 1]]
-        assert np.array_equal(_optimal_rotations(target[None], base[None])[0], np.eye(2))
+        assert _align_many(target[None], base[None])[0].tobytes() == target.tobytes()
         space = rp.KendallShapeSpace(4, 2)
         with pytest.raises(CutLocusError):
             space.log(space.from_landmarks(base), space.from_landmarks(target))
@@ -458,7 +469,7 @@ class TestPlanarClosedForms:
         h = space.project_tangent(p, v)
         theta = np.linalg.norm(h)
         u = h / theta
-        ju, jp = u @ space._jt, p @ space._jt
+        ju, jp = u @ planar_j(8), p @ planar_j(8)
         c, s = np.cos(theta), np.sin(theta)
         assert np.abs(end - space.project_point(c * p + s * u)).max() < 1e-15
         turned = (stack + np.outer(stack @ u, (c - 1.0) * u - s * p)
@@ -549,7 +560,7 @@ class TestCurvatureProperties:
         y = y / np.linalg.norm(y)
         sectional = float(np.dot(space.curvature(p, x, y, y), x))
         if d == 2:
-            jx_y = float(np.dot(x @ space._jt, y))
+            jx_y = float(np.dot(x @ planar_j(m), y))
             assert sectional == pytest.approx(1.0 + 3.0 * jx_y ** 2, abs=1e-10)
             assert 1.0 - 1e-10 <= sectional <= 4.0 + 1e-10
         else:

@@ -59,22 +59,23 @@ def polyfit_data(k, rng):
 class TestDesignMetric:
     def test_full_rank_inverse(self):
         times = np.array([0.0, 0.0651, 0.2, 0.385, 0.6, 1.0])
-        gram, precond = _design_metric(times, 3)
+        _, gram, precond = _design_metric(times, 3)
         assert np.abs(precond @ gram - np.eye(4)).max() < 1e-9
 
     def test_matches_monomial_design(self):
         # phi_i(t) = t^i / i!: the flat curve's basis at the observation
         # times themselves, which the curve meets exactly
         times = np.array([0.0, 0.1337, 0.5, 1.0])
-        gram, _ = _design_metric(times, 3)
+        design, gram, _ = _design_metric(times, 3)
         phi = np.array([[t ** i / math.factorial(i) for t in times]
                         for i in range(4)])
+        assert np.abs(design - phi).max() < 1e-15
         assert np.abs(gram - 0.5 * phi @ phi.T).max() < 1e-15
 
     def test_rank_deficient_design(self):
         # two distinct times for three blocks: pinv on the range, identity
         # on the null space
-        gram, precond = _design_metric(np.array([0.0, 1.0, 1.0]), 2)
+        _, gram, precond = _design_metric(np.array([0.0, 1.0, 1.0]), 2)
         pinv = np.linalg.pinv(gram)
         expected = pinv + np.eye(3) - gram @ pinv
         assert np.abs(precond - expected).max() < 1e-9
@@ -558,7 +559,7 @@ class TestFrechetMean:
         assert np.abs(mean - rp.frechet_mean(sphere, pts, tol=1e-11)).max() < 1e-9
         logs = sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts)
         grad = _constant_gradient(sphere, pts[0], monomials(np.zeros(3), 0), logs)
-        _, precond = _design_metric(np.zeros(3), 0)
+        _, _, precond = _design_metric(np.zeros(3), 0)
         direction = -(precond @ grad)[0]
         assert np.array_equal(bases[1], sphere.exp(pts[0], direction))
         assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * direction))
@@ -926,11 +927,13 @@ class TestFitPolynomial:
     def test_orders_share_one_frechet_mean(self, rng, monkeypatch):
         # the variance is the order-zero fit's SSE: one order-zero fit
         # serves every order, bit for bit, and so does one plan of the data;
-        # each order builds its design metric once, in its one descent
+        # each order builds its time design and metric once, in its one
+        # descent
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
         calls = Counter()
         plan, design_metric = riempoly.regress._Plan, riempoly.regress._design_metric
+        monomials = riempoly.regress.monomials
 
         def counting_plan(*args):
             calls["_Plan"] += 1
@@ -940,11 +943,17 @@ class TestFitPolynomial:
             calls["_design_metric", order] += 1
             return design_metric(times, order)
 
+        def counting_monomials(times, order):
+            calls["monomials", order] += 1
+            return monomials(times, order)
+
         monkeypatch.setattr(riempoly.regress, "_Plan", counting_plan)
         monkeypatch.setattr(riempoly.regress, "_design_metric", counting_metric)
+        monkeypatch.setattr(riempoly.regress, "monomials", counting_monomials)
         results = rp.fit_orders(sphere, data, (0, 1, 2, 3),
                                 rp.FitConfig(order=0, steps=50, max_iters=50))
-        assert calls == {"_Plan": 1, **{("_design_metric", k): 1 for k in range(4)}}
+        assert calls == {"_Plan": 1, **{("_design_metric", k): 1 for k in range(4)},
+                         **{("monomials", k): 1 for k in range(4)}}
         for k in (0, 1, 2, 3):
             assert results[k].frechet_variance == results[0].sse
         assert results[0].r_squared == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import riempoly as rp
-from riempoly.geometry import CutLocusError
+from riempoly.geometry import CutLocusError, roll
 from conftest import unit_tangent
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -147,3 +147,26 @@ class TestTransport:
         batched = sphere.transport(p, d, xs)
         for i in range(4):
             assert np.abs(batched[i] - sphere.transport(p, d, xs[i])).max() < 1e-15
+
+
+class TestComplexStep:
+    def test_matches_one_rolled_step_and_stays_tangent(self, rng):
+        # on unit complex m-vectors the step is the unitary turn of the
+        # complex plane {p, v}, as planar shape space takes it: one step of
+        # roll, with Hermitian norms, and rows Hermitian orthogonal to p stay
+        # Hermitian orthogonal to the endpoint
+        m = 6
+        sphere = rp.Sphere(2 * m - 1)
+
+        def settle(z):
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+        for scale in (0.1, 0.7, 2.5):
+            z = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+            p = settle(z[0])
+            tangents = z[1:] - np.outer(z[1:] @ p.conj(), p)
+            v = scale * settle(tangents[0])
+            end, moved = sphere.step(p, v, tangents)
+            points, _ = roll(p, v[None], np.array([0.0, 1.0]), settle)
+            assert np.abs(end - points[1]).max() < 1e-14, scale
+            assert np.abs(moved @ end.conj()).max() < 1e-14, scale
