@@ -8,7 +8,12 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+# How many grids' chord tables the rolled passes keep (_chords).
+_CHORD_TABLES = 16
 
 
 class GeometryError(Exception):
@@ -301,6 +306,19 @@ def flat_flow(spans, order):
     return np.where(power >= 0, taylor[:, np.maximum(power, 0)], 0.0)
 
 
+@functools.lru_cache(maxsize=_CHORD_TABLES)
+def _chords(grid, order):
+    """The chord coefficients c_i(n) of a grid, given as its bytes, at one order.
+
+    A descent's grid and order never change, so its candidates share one
+    read-only table; the memo keeps the _CHORD_TABLES most recent.
+    """
+    times = np.frombuffer(grid)
+    chords = np.diff(monomials(times - times[0], order)[1:], axis=1)
+    chords.flags.writeable = False
+    return chords
+
+
 def _rolling(p, stack, times):
     """What roll and unroll share: the span's basis, the chords, turns and frames.
 
@@ -308,27 +326,52 @@ def _rolling(p, stack, times):
     unroll reads and never writes.  Returns the orthonormal basis of
     span{p, stack} (a QR), the coordinates of p and of the rows in it, the
     chord coefficients c_i(n) = (t_{n+1}^i - t_n^i) / i! (times counted
-    from the first node), the unit direction e of p and, for every step,
-    the turn's unit direction u (zero where the chord is), the chord's
-    length |m_n| with its cos and sin, and the frames F_0 = I,
-    F_n = T_0 ... T_{n-1}.
+    from the first node; one read-only table per grid and order, _chords),
+    the unit direction e of p and, for every step, the turn's unit
+    direction u (zero where the chord is), the chord's length |m_n| with
+    its cos and sin, and the frames F_0 = I, F_n = T_0 ... T_{n-1}.  The
+    frames are real: a complex span keeps them in their real form
+    [[Re F, -Im F], [Im F, Re F]] from end to end, where numpy's batched
+    product is several times faster than on complex matrices.
+
+    Each turn is built from its blocks.  The QR's R is upper triangular
+    with a real diagonal (LAPACK's Householder QR), so e = e0 e_1 with
+    e0 = +-1, and a chord has no e_1 coordinate, the rows being tangent at
+    p, but rounding, which u drops.  The turn of the plane {e, u} by |m_n|
+    is then T = [[cos, -sin e0 u^H], [sin e0 u, I + (cos - 1) u u^H]].
     """
     basis, coef = np.linalg.qr(np.concatenate([p[None], stack]).T)
-    eye = np.eye(basis.shape[1])                # min(ambient size, len(stack) + 1)
-    mono = monomials(times - times[0], len(stack))
-    chords = mono[1:, 1:] - mono[1:, :-1]
+    chords = _chords(np.asarray(times, dtype=float).tobytes(), len(stack))
     # the turn of step n: plane {e, u} at the angle |m_n|, with the chord
     # m_n = sum_i c_i(n) b_i(0) in body-frame coordinates
     e = coef[:, 0] / abs(coef[0, 0])
     w = chords.T @ coef[:, 1:].T
+    w[:, 0] = 0.0
     speed = np.sqrt(np.add.reduce((w * w.conj()).real, axis=-1))
     u = w / np.where(speed > 0.0, speed, 1.0)[:, None]
     cos, sin = np.cos(speed), np.sin(speed)
-    plane = np.multiply.outer(e, e.conj()) + u[:, :, None] * u.conj()[:, None, :]
-    spin = u[:, :, None] * e.conj() - e[:, None] * u.conj()[:, None, :]
-    turns = eye + (cos - 1.0)[:, None, None] * plane + sin[:, None, None] * spin
-    frames = np.concatenate([eye[None], _running_products(turns)])
+    tail = u[:, 1:]
+    turns = np.empty((len(u), len(e), len(e)), coef.dtype)
+    turns[:, 0, 0] = cos
+    turns[:, 1:, 0] = (e[0].real * sin)[:, None] * tail
+    turns[:, 0, 1:] = -turns[:, 1:, 0].conj()
+    turns[:, 1:, 1:] = (np.eye(len(e) - 1)
+                        + (cos - 1.0)[:, None, None] * tail[:, :, None] * tail[:, None].conj())
+    turns = _real_form(turns)
+    frames = np.concatenate([np.eye(turns.shape[-1])[None], _running_products(turns)])
     return basis, coef, chords, e, u, speed, cos, sin, frames
+
+
+def _real_form(a):
+    """A complex matrix (last two axes) as [[Re a, -Im a], [Im a, Re a]]; a real one as is."""
+    return (np.concatenate([np.concatenate([a.real, -a.imag], axis=-1),
+                            np.concatenate([a.imag, a.real], axis=-1)], axis=-2)
+            if np.iscomplexobj(a) else a)
+
+
+def _span_vector(x, basis):
+    """Vectors of basis's span from their real form [Re x, Im x] (a column of _real_form)."""
+    return x[..., :basis.shape[1]] + 1j * x[..., basis.shape[1]:] if np.iscomplexobj(basis) else x
 
 
 def roll(p, stack, times, settle):
@@ -349,10 +392,12 @@ def roll(p, stack, times, settle):
 
     p and the k >= 1 rows of stack are real or complex, the rows tangent at
     p, and times the increasing grid of nodes.  settle maps a batch of raw
-    points back onto the manifold.  Nodes before the first nonzero turn are
-    p itself, bit for bit.  Returns the points of every node and the flow
-    record, as Manifold.integrate does: the set-up (_rolling) that unroll
-    takes instead of rebuilding it.  No node's vectors are formed.
+    points back onto the manifold.  Node n is R_00 times column 0 of its
+    frame, read back from the real form on a complex span; nodes before
+    the first nonzero turn are p itself, bit for bit.  Returns the points
+    of every node and the flow record, as Manifold.integrate does: the
+    set-up (_rolling) that unroll takes instead of rebuilding it.  No
+    node's vectors are formed.
     """
     flow = _rolling(p, stack, times)
     basis, coef, _, _, _, speed, _, _, frames = flow
@@ -360,7 +405,7 @@ def roll(p, stack, times, settle):
     moved = turned[0] + 1 if len(turned) else len(times)
     points = np.empty((len(times),) + p.shape, p.dtype)
     points[:moved] = p
-    points[moved:] = settle((frames[moved:] @ coef[:, 0]) @ basis.T)
+    points[moved:] = settle((coef[0, 0] * _span_vector(frames[moved:, :, 0], basis)) @ basis.T)
     return points, flow
 
 
@@ -368,22 +413,27 @@ def unroll(p, flow, nodes, cotangents):
     """The reverse of roll: the exact gradient of sum_n <G_n, x_n>.
 
     p is the base point and flow roll's record of the pass.  nodes are
-    distinct node indices, cotangents the gradients G_n of the objective at
-    those nodes' points x_n, real or complex like p.
+    distinct node indices in increasing order, cotangents the gradients G_n
+    of the objective at those nodes' points x_n, real or complex like p.
     Node n is x_n = F_n p in the basis of roll, so the objective's derivative
     with respect to turn m is M_m = F_m^H S_{m+1} F_{m+1}, with S_n the
     reverse cumulative sum of g_n x_n^H (g the cotangents' part in the
-    span).  The turn's closed form takes M_m to the chord m_m, and the
-    chord coefficients c take that to the vectors.  A vector's part outside
-    the span turns the out-of-span part of x_n only, by sum_{m<n} c(m)
-    <x_n, F_{m+1} r_m> with r_m = ((cos - 1) u + sin e) / |m_m| (e where
-    the chord is zero): prefix sums of vectors of the span's size, paired
-    with the cotangents outside the span, taken only when the span is
-    narrower than the ambient space.  The base point moves along exp
-    with the vectors carried by transport, which is the rotation X = d p^H
-    - p d^H of the whole flow, so its row is the tangent part of sum_n
-    (x_n^H p) G_n - (G_n^H p) x_n.  Returns the (k + 1, len(p)) gradient,
-    base point first; no recursion, nothing of size D x D.
+    span).  S changes only at the given nodes, so it is summed there, in
+    real form like the frames, and read at each step's end; M is then two
+    real batched products, in real form too, where M^H is the transpose.
+    The turn's closed form takes M_m to the chord m_m, and the chord
+    coefficients c take that to the vectors; with e = e0 e_1, M e, M^H e
+    and <e, M e> are a column, a row and an entry of M.  A vector's part
+    outside the span turns the out-of-span part of x_n only, by
+    sum_{m<n} c(m) <x_n, F_{m+1} r_m> with r_m = ((cos - 1) u + sin e) /
+    |m_m| (e where the chord is zero): prefix sums of vectors of the span's
+    size, from the real-form frames, paired with the cotangents outside
+    the span, taken only when the span is narrower than the ambient space.
+    The base point moves along exp with the vectors carried by transport,
+    which is the rotation X = d p^H - p d^H of the whole flow, so its row
+    is the tangent part of sum_n (x_n^H p) G_n - (G_n^H p) x_n.  Returns
+    the (k + 1, len(p)) gradient, base point first; no recursion, nothing
+    of size D x D, and no complex matrix product.
     """
     basis, coef, chords, e, u, speed, cos, sin, frames = flow
     turning = speed > 0.0
@@ -391,34 +441,37 @@ def unroll(p, flow, nodes, cotangents):
     cos_over = np.where(turning, (cos - 1.0) / safe, 0.0)[:, None]
     sin_over = np.where(turning, sin / safe, 1.0)[:, None]
 
-    xi = frames[nodes] @ coef[:, 0]             # the nodes' points in the span
+    xi = coef[0, 0] * _span_vector(frames[nodes, :, 0], basis)    # the nodes' points in the span
     inside = cotangents @ basis.conj()
-    # M_m, m < steps: reverse cumulative sums of g_n x_n^H between turns
-    outer = np.zeros(frames.shape, frames.dtype)
-    outer[nodes] = inside[:, :, None] * xi.conj()[:, None, :]
-    rest = np.add.accumulate(outer[:0:-1])[::-1]
-    m = frames[:-1].conj().swapaxes(-1, -2) @ rest @ frames[1:]
+    # M_m, m < steps: reverse cumulative sums of g_n x_n^H between turns,
+    # summed over the nodes and read at each step's end
+    outer = _real_form(inside[:, :, None] * xi.conj()[:, None, :])
+    rest = np.add.accumulate(np.concatenate([outer, np.zeros_like(outer[:1])])[::-1])[::-1]
+    rest = rest[np.searchsorted(nodes, np.arange(1, len(frames)))]
+    m = frames[:-1].swapaxes(-1, -2) @ rest @ frames[1:]
 
     # T = I + (cos - 1)(e e^H + u u^H) + sin (u e^H - e u^H) at the angle
     # |m|, so the gradient at the chord m is kappa u + (h - Re<u, h> u) / |m|
     # with h = (cos - 1)(M + M^H) u + sin (M - M^H) e and
-    # kappa = cos Re(<u, M e> - <e, M u>) - sin Re(<e, M e> + <u, M u>)
-    me, mu = m @ e, (m @ u[:, :, None])[..., 0]
-    he, hu = (e.conj() @ m).conj(), (u.conj()[:, None] @ m)[:, 0].conj()
-    kappa = (cos * (np.add.reduce(u.conj() * me, axis=-1) - mu @ e.conj()).real
-             - sin * (np.add.reduce(u.conj() * mu, axis=-1) + me @ e.conj()).real)
-    grad_w = cos_over * (mu + hu) + sin_over * (me - he)
-    grad_w += (kappa - np.add.reduce(u.conj() * grad_w, axis=-1).real)[:, None] * u
-    rows = chords @ grad_w
-    rows = (rows - (rows @ e.conj())[:, None] * e) @ basis.T
+    # kappa = cos Re<u, (M - M^H) e> - sin Re(<e, M e> + <u, M u>): in real
+    # form Re<a, b> is the dot product, M^H is M^T, and with e = e0 e_1,
+    # e0 = +-1, M e, M^H e and <e, M e> are a column, a row and an entry of M
+    e0, ur = e[0].real, _real_form(u[:, :, None])[..., 0]
+    skew = e0 * (m[:, :, 0] - m[:, 0])
+    mu = np.einsum("nij,nj->ni", m, ur)
+    kappa = (cos * np.einsum("ni,ni->n", ur, skew)
+             - sin * (m[:, 0, 0] + np.einsum("ni,ni->n", ur, mu)))
+    grad_w = cos_over * (mu + np.einsum("nji,nj->ni", m, ur)) + sin_over * skew
+    grad_w += (kappa - np.einsum("ni,ni->n", ur, grad_w))[:, None] * ur
+    rows = _span_vector(chords @ grad_w, basis)[:, 1:] @ basis[:, 1:].T
 
     if basis.shape[1] < len(p):
         # out of the span: prefix sums sum_{m<n} c_j(m) F_{m+1} r_m at the nodes
         outside = cotangents - inside @ basis.T
-        r = (frames[1:] @ (cos_over * u + sin_over * e)[:, :, None])[..., 0]
-        prefix = np.zeros((len(chords), len(frames), len(e)), r.dtype)
+        r = np.einsum("nij,nj->ni", frames[1:], cos_over * ur) + (sin_over * e0) * frames[1:, :, 0]
+        prefix = np.zeros((len(chords), len(frames), r.shape[-1]))
         np.add.accumulate(chords[:, :, None] * r, axis=1, out=prefix[:, 1:])
-        rows += np.einsum("nr,jnr->jn", xi.conj(), prefix[:, nodes]) @ outside
+        rows += np.einsum("nr,jnr->jn", xi.conj(), _span_vector(prefix[:, nodes], basis)) @ outside
 
     points = xi @ basis.T
     base = (points.conj() @ p) @ cotangents - (cotangents.conj() @ p) @ points
@@ -429,16 +482,10 @@ def unroll(p, flow, nodes, cotangents):
 def _running_products(mats):
     """mats[0] @ ... @ mats[n] for every n, in log depth.
 
-    Complex matrices are multiplied in their real form [[A, -B], [B, A]],
-    which numpy's batched product handles several times faster.
+    mats are real; a complex span's turns come in their real form
+    (_real_form), which numpy's batched product handles several times
+    faster than complex matrices.
     """
-    if np.iscomplexobj(mats):
-        size = mats.shape[-1]
-        a, b = mats.real, mats.imag
-        real = _running_products(np.concatenate([
-            np.concatenate([a, -b], axis=-1), np.concatenate([b, a], axis=-1),
-        ], axis=-2))
-        return real[:, :size, :size] + 1j * real[:, size:, :size]
     out = mats.copy()
     span = 1
     while span < len(out):

@@ -268,10 +268,11 @@ class KendallShapeSpace(Manifold):
 
         Read as a complex m-vector, with J multiplication by i, the planar
         step turns the complex plane {p, u} by theta, so the flow rolls with
-        complex frames; the points are re-centered and normalized in one
-        project_point call.  The stack is taken as horizontal at p, as every
-        fitted state's is.  Returns the points and roll's complex set-up
-        as the flow record, for pullback; no node's vectors are formed.
+        complex turns, kept in real form; the points are re-centered and
+        normalized in one project_point call.  The stack is taken as
+        horizontal at p, as every fitted state's is.  Returns the points and
+        roll's set-up as the flow record, for pullback; no node's vectors
+        are formed.
         d >= 3 takes one step per node and records every node's vectors.
         """
         if self.d != 2:

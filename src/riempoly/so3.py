@@ -334,7 +334,17 @@ class RotationGroup(Manifold):
         return f[..., 1:, :], turns
 
     def step(self, p, v, stack):
-        """Endpoint and transported stack; the endpoint composes the flow's turns."""
+        """Endpoint and transported stack; the endpoint composes the flow's turns.
+
+        v carries p's leading axes, one velocity per point, and one point
+        broadcasts against a batch of velocities: each row steps from it.
+        Other leading axes raise, where the turns of every row would
+        compose into one rotation.
+        """
+        if np.shape(p)[:-2] != np.shape(v)[:-1]:
+            if np.ndim(p) != 2:
+                raise ValueError(f"velocities {np.shape(v)} do not match points {np.shape(p)}")
+            p = np.broadcast_to(p, np.shape(v)[:-1] + (3, 3)).copy()
         moved, turns = self._flow(_stacked(v, stack))
         end = self.project_point(_compose(p, turns)) if turns else p
         return end, moved.reshape(np.shape(stack))

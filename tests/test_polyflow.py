@@ -282,6 +282,21 @@ class TestRolledFlow:
             assert point <= 1e-15, n
             assert tangent <= 1e-12, n
 
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)], ids=str)
+    def test_real_frames_stay_orthogonal_over_long_flows(self, space, rng):
+        # the frames are real, a complex span's in its real form, and their
+        # running product stays orthogonal over the long grid
+        p = space.random_point(rng)
+        vels = [unit_tangent(space, rng, p, scale) for scale in (0.8, 0.9, 1.1)]
+        traj = rp.integrate_polynomial(space, rp.PolynomialState(p, vels),
+                                       rp.time_grid(1.0, 20000))
+        basis, frames = traj.flow[0], traj.flow[-1]
+        size = basis.shape[1] * (2 if np.iscomplexobj(basis) else 1)
+        assert frames.dtype == float and frames.shape == (20001, size, size)
+        for n in range(0, 20001, 1000):
+            gap = np.abs(frames[n].T @ frames[n] - np.eye(size)).max()
+            assert gap <= 1e-12, (n, gap)
+
 
 class TestFlowRecord:
     """integrate returns the points and exactly what its pullback reads."""
@@ -300,13 +315,21 @@ class TestFlowRecord:
         assert isinstance(flow, tuple)
         if name in ("sphere", "kendall", "kendall_8_2"):
             # the roll's set-up, no node's vectors: basis, coordinates,
-            # chords, e, u, chord lengths with their cos and sin, frames
+            # chords, e, u, chord lengths with their cos and sin, and the
+            # frames, real: planar shape space's complex span keeps them in
+            # their real form [[Re F, -Im F], [Im F, Re F]], twice the size
             assert len(flow) == 9
             basis, coef, chords, e, u, speed, cos, sin, frames = flow
             assert speed.shape == cos.shape == sin.shape == (10,)
             assert np.array_equal(cos, np.cos(speed))
             assert np.array_equal(sin, np.sin(speed))
             assert frames.shape[0] == 11
+            size = 2 * len(e) if name.startswith("kendall") else len(e)
+            assert frames.dtype == float and frames.shape[1:] == (size, size)
+            # e = e0 e_1: the QR's R is upper triangular with a real
+            # diagonal, so e0 = +-1, and no chord has an e_1 coordinate
+            assert abs(e[0]) == 1.0 and e[0].imag == 0.0 and not e[1:].any()
+            assert not u[:, 0].any()
             return
         # every stepped pass keeps the step loop's record, the vectors of
         # every node and the matrix of every step, and nothing else: flat

@@ -356,6 +356,36 @@ class TestAdjoint:
         assert len(passes) >= res.iterations and len(builds) == len(passes)
         assert all(state.vels.any() for state in passes)
 
+    @pytest.mark.parametrize("space", [rp.Sphere(2), rp.KendallShapeSpace(8, 2)],
+                             ids=["sphere", "kendall_8_2"])
+    def test_chord_table_is_built_once_per_grid_and_order(self, space, rng):
+        # a descent's grid and order never change, so its candidates share
+        # one read-only chord table instead of building one each
+        chords = riempoly.geometry._chords
+        _, _, data = random_fit_problem(space, 2, rng, scale=0.5, steps=50)
+        chords.cache_clear()
+        res = rp.fit_polynomial(space, data, rp.FitConfig(order=2, steps=50))
+        info = chords.cache_info()
+        # one lookup per roll, every candidate's pass a roll
+        assert res.iterations > 1 and info.hits + info.misses >= res.iterations
+        assert info.misses == 1, info
+        # the memo is keyed by the grid's bytes and the order: two grids of
+        # equal length, or one grid at two orders, get separate tables
+        grid = rp.time_grid(1.0, 10)
+        table = chords(grid.tobytes(), 2)
+        assert chords(grid.copy().tobytes(), 2) is table
+        assert not np.array_equal(chords((2.0 * grid).tobytes(), 2), table)
+        assert chords(grid.tobytes(), 3).shape == (3, 10)
+        assert chords.cache_info().misses == 4
+        expected = monomials(grid, 2)
+        assert np.array_equal(table, expected[1:, 1:] - expected[1:, :-1])
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        # and the memo stays bounded
+        for n in range(2 * riempoly.geometry._CHORD_TABLES):
+            chords(rp.time_grid(1.0 + n, 10).tobytes(), 2)
+        assert chords.cache_info().currsize == riempoly.geometry._CHORD_TABLES
+
     @pytest.mark.parametrize("name", ROLLED)
     def test_pullback_leaves_the_flow_record_as_built(self, name, rng):
         # the set-up is shared by every reverse pass of a trajectory: two

@@ -1,6 +1,7 @@
 """Rotation-group geometry: algebra operators, integrators, curvature."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -763,6 +764,26 @@ class TestTransport:
             for b in range(4):
                 alone = group.transport(p, directions[b], x[b])
                 assert np.abs(moved[b] - alone).max() <= 1e-15, (shape, b)
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+                             ids=["identity", "inertia"])
+    def test_velocities_carry_the_points_leading_axes(self, matrix, rng):
+        # one point broadcasts against a batch of velocities, each row
+        # stepping from it; other leading axes would compose every row's
+        # turns into one rotation, so they raise and name both shapes
+        group = rp.RotationGroup(so3.MetricSpec(matrix))
+        p = group.random_point(rng)
+        v = 0.3 * rng.standard_normal((4, 3))
+        ends = group.exp(p, v)
+        assert ends.shape == (4, 3, 3)
+        for b in range(4):
+            assert np.array_equal(ends[b], group.exp(p, v[b])), b
+        for points in (np.stack([p, p]), p[None]):
+            message = f"velocities (4, 3) do not match points {points.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                group.exp(points, v)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                group.transport(points, v, v)
 
     def test_transport_reversibility(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric)
