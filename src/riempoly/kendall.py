@@ -19,8 +19,9 @@ m-vector (_complex), the complex structure J, which turns every landmark by
 90 degrees, is multiplication by i and parallel, so the step is the
 sphere's own great-circle step on the complex vectors, a unitary rotation;
 a whole forward pass rolls in one batched closed form, whose exact reverse
-gives the fit's gradient with no curvature and no D x D matrix; and the
-Procrustes rotation is one phase, that of w = sum_j conj(p_j) q_j.  For
+gives the fit's gradient with no curvature and no D x D matrix; the
+Procrustes rotation is one phase, that of w = sum_j conj(p_j) q_j; and the
+log is one complex closed form from w, horizontal as it stands.  For
 d >= 3 alignment takes an SVD, and transport has no closed form; it
 integrates the horizontal lift's linear ODE along the step's great circle
 by RK4, fourth order in a fixed substep (Guigui, Maignant, Trouve & Pennec
@@ -31,7 +32,8 @@ recursion, couples through the curvature.  For d >= 3 the vertical space at
 p is {p S : S skew}, and one Sylvester solve, M S + S M = C with M = p^T p,
 in the eigenbasis of M, serves the curvature, the transport and the
 horizontal projections of step, project_tangent and log_many; for d = 2 the
-vertical space is the line of Jp.
+vertical space is the line of Jp, which project_tangent removes with the
+normal rows.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CutLocusError, Manifold, roll, unroll
-from .sphere import Sphere
+from .sphere import _TINY_ANGLE, Sphere
 
 # eigenvalue sums of M = p^T p below this belong to rotations that (nearly)
 # fix a degenerate, e.g. collinear, shape: no vertical direction
@@ -175,11 +177,11 @@ class KendallShapeSpace(Manifold):
     Points are flat vectors of length m*d.  All tangent vectors are kept in
     the horizontal subspace; the similarity group is quotiented out by
     Procrustes alignment wherever two shapes meet (log, dist); the vertical
-    part of a vector comes from _vertical, along Jp for d = 2 and one
+    part of a vector is along Jp for d = 2 and comes from _vertical's one
     Sylvester solve for d >= 3.  For d = 2 the step, the roll and its
-    reverse take the landmarks as complex m-vectors, with J x = i x.  Every
-    map is exact but the d >= 3 transport, which is fourth order in its RK4
-    substep of at most _SUBSTEP radians.
+    reverse and the log take the landmarks as complex m-vectors, with
+    J x = i x.  Every map is exact but the d >= 3 transport, which is fourth
+    order in its RK4 substep of at most _SUBSTEP radians.
     """
 
     def __init__(self, m: int, d: int):
@@ -213,17 +215,15 @@ class KendallShapeSpace(Manifold):
         return np.concatenate([self._centering, p[None]])
 
     def _vertical(self, p, x, basis=None):
-        """The vertical part of x at p, batched over matching leading axes.
+        """The vertical part of x at p for d >= 3, batched over matching leading axes.
 
-        For d = 2 it is <x, Jp> Jp.  For d >= 3 it is p S, where the skew S
-        solves M S + S M = p^T x - x^T p with M = p^T p (_vertical_skew):
-        that S minimizes |x - p S| over skew S, so p S is the orthogonal
-        projection of x onto the rotation orbit's tangent space {p S}.
-        basis is _sylvester_basis of M when the caller has it.
+        It is p S, where the skew S solves M S + S M = p^T x - x^T p with
+        M = p^T p (_vertical_skew): that S minimizes |x - p S| over skew S,
+        so p S is the orthogonal projection of x onto the rotation orbit's
+        tangent space {p S}.  basis is _sylvester_basis of M when the caller
+        has it.  For d = 2 no caller needs it: the vertical line of Jp is
+        one of _normal_rows, and the planar log is horizontal as it is.
         """
-        if self.d == 2:
-            jp = (1j * _complex(p)).view(float)
-            return jp * np.add.reduce(jp * x, axis=-1, keepdims=True)
         pm = self._mat(p)
         q, inv = _sylvester_basis(pm) if basis is None else basis
         return (pm @ _vertical_skew(q, inv, self._mat(x), pm)).reshape(np.shape(x))
@@ -383,15 +383,32 @@ class KendallShapeSpace(Manifold):
 
         Aligning the target to the base point makes the connecting sphere
         geodesic horizontal, so the horizontal projection of the sphere log
-        is the shape-space log.
+        is the shape-space log.  For d = 2 that is one complex closed form,
+        with no alignment helper and no vertical correction: with z and q the
+        landmarks read as complex m-vectors and w = sum_j conj(z_j) q_j, the
+        aligned target is q conj(w) / |w|, whose real inner product with z
+        is c = |w|, and its sphere log is u = aligned - c z scaled to the
+        chord's angle.  u is horizontal in exact arithmetic, as <u, iz> =
+        Im(sum_j conj(z_j) u_j) = Im(c - c |z|^2) = 0.
         """
         points = np.asarray(points, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        aligned = _align_many(self._mat(targets), self._mat(points))
-        aligned = aligned.reshape(targets.shape)
-        c = np.add.reduce(points * aligned, axis=-1)
+        if self.d == 2:
+            z, q = _complex(points), _complex(targets)
+            w = np.add.reduce(z.conj() * q, axis=-1, keepdims=True)
+            c = np.abs(w)
+        else:
+            aligned = _align_many(self._mat(targets), self._mat(points)).reshape(targets.shape)
+            c = np.add.reduce(points * aligned, axis=-1)
         if (c <= 1e-12).any():
             raise CutLocusError("shapes are (nearly) maximally remote")
-        logs = self._sphere.log_many(points, aligned)
-        return logs - self._vertical(points, logs)
-
+        if self.d != 2:
+            logs = self._sphere.log_many(points, aligned)
+            return logs - self._vertical(points, logs)
+        aligned = q * (w.conj() / c)
+        u, chord = (aligned - c * z).view(float), (aligned - z).view(float)
+        # the chord's angle, uniformly accurate, and the scale of the sphere's log
+        theta = 2.0 * np.arcsin(np.minimum(
+            0.5 * np.sqrt(np.add.reduce(chord * chord, axis=-1, keepdims=True)), 1.0))
+        un = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
+        return np.divide(theta, un, out=np.ones(un.shape), where=un >= _TINY_ANGLE) * u

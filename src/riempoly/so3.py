@@ -28,8 +28,9 @@ its node maps built and applied in blocks as batched running products: each
 block's transports, as 3x3 matrices, take one flow of the basis.  The log
 of each pair, in ``log_many``, is the principal rotation vector; under a
 general metric ``geometry.shooting_log``, the lockstep loop that shoots
-every pair at once, starts from its second-order inverse through the
-connection and shoots it onto the metric's geodesic.  So the flow,
+every pair at once, starts from its inverse through the connection, to
+third order up to one radian and to second order beyond, and shoots it onto
+the metric's geodesic; a pair at a zero angle takes no shot.  So the flow,
 ``rotation_log``, ``_compose`` and ``project_point`` all batch over a
 leading pair axis, and a row's result does not depend on the rows beside it.
 """
@@ -61,6 +62,11 @@ _MAX_STEP = 5e-3
 # in metric units erred at most 0.64x the midpoint rule at _MAX_STEP under
 # diag(1, 1, 10), where 0.1 erred up to 8.3x and 0.15 up to 67x
 _RK4_STEP = 0.05
+# largest principal angle, in radians, whose shot starts from the log's cubic
+# inverse; beyond it the start stops at the second order.  Under diag(1, 1, 10)
+# a pair at 1.97 rad converges from the second-order start (first gap 1.23)
+# and fails from the cubic one (first gap 4.06)
+_CUBIC_START_ANGLE = 1.0
 # bytes of the reverse pass's node maps built at once; its peak memory is a few
 # times this, whatever the step count
 _BLOCK_BYTES = 1 << 13
@@ -438,9 +444,15 @@ class RotationGroup(Manifold):
         """Each pair's log: the principal rotation vector, shot to the metric's geodesic.
 
         Under a general metric the geodesic with velocity v ends at the
-        principal rotation vector r = v - nabla_v v / 2 + O(|v|^3) (the
-        Magnus expansion), so the shots start from r + nabla_r r / 2, whose
-        first gap is third order in |r|.
+        principal rotation vector r, and the Magnus expansion inverts to
+        v = r + g / 2 + (nabla_g r + nabla_r g + cross(r, g)) / 12 + O(|r|^4)
+        with g = nabla_r r (Iserles, Munthe-Kaas, Norsett & Zanna 2000,
+        "Lie-group methods").  So a pair with |r| at most
+        _CUBIC_START_ANGLE starts its shots there, with a first gap of
+        fourth order in |r|; a farther pair starts from r + g / 2, whose gap
+        is third order, as the cubic term overshoots under strong
+        anisotropy.  A pair whose principal angle is zero has the exact log
+        zero and takes no shot; the other pairs shoot as a batch without it.
         """
         points = np.asarray(points, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -455,7 +467,17 @@ class RotationGroup(Manifold):
             )
         if self.metric.is_identity:
             return rel
-        return self._shoot(points, targets, rel + 0.5 * connection(rel, rel, self.metric))
+        logs = np.zeros(rel.shape)
+        moving = angle > 0.0                    # a zero angle's log is zero: no shot
+        if not moving.any():
+            return logs
+        r = rel[moving]
+        g = connection(r, r, self.metric)
+        third = connection(g, r, self.metric) + connection(r, g, self.metric) + _cross(r, g)
+        near = angle[moving, None] <= _CUBIC_START_ANGLE
+        start = r + 0.5 * g + np.where(near, third / 12.0, 0.0)
+        logs[moving] = self._shoot(points[moving], targets[moving], start)
+        return logs
 
     def _shoot(self, points, targets, v):
         """The logs under a general metric: geometry.shooting_log's lockstep loop.

@@ -325,7 +325,7 @@ class TestLog:
         mirrored = tri * np.array([1.0, -1.0])
         p = space.from_landmarks(tri)
         q = space.from_landmarks(mirrored)
-        with pytest.raises(CutLocusError):
+        with pytest.raises(CutLocusError, match=r"^shapes are \(nearly\) maximally remote$"):
             space.log(p, q)
 
 
@@ -433,7 +433,7 @@ class TestPlanarClosedForms:
         target = base[[2, 3, 0, 1]]
         assert _align_many(target[None], base[None])[0].tobytes() == target.tobytes()
         space = rp.KendallShapeSpace(4, 2)
-        with pytest.raises(CutLocusError):
+        with pytest.raises(CutLocusError, match=r"^shapes are \(nearly\) maximally remote$"):
             space.log(space.from_landmarks(base), space.from_landmarks(target))
 
     def test_log_matches_aligned_sphere_log(self, rng):
@@ -446,6 +446,33 @@ class TestPlanarClosedForms:
         logs = sphere.log_many(p, aligned)
         oracle = np.stack([space.project_tangent(a, b) for a, b in zip(p, logs)])
         assert np.abs(space.log_many(p, q) - oracle).max() < 1e-14
+
+    def test_log_matches_procrustes_sphere_log_oracle(self):
+        # 200 pairs out to 1e-3 below the cut locus at pi / 2, each target
+        # turned by a random phase: the complex closed form agrees with the
+        # sphere log toward the Procrustes-aligned target to a few ulps
+        space, sphere = rp.KendallShapeSpace(8, 2), rp.Sphere(15)
+        gen = np.random.default_rng(17)
+        dists = np.linspace(0.01, np.pi / 2 - 1e-3, 200)
+        p = np.stack([space.random_point(gen) for _ in dists])
+        v = np.stack([unit_tangent(space, gen, a, d) for a, d in zip(p, dists)])
+        q = np.stack([space.exp(a, b) for a, b in zip(p, v)])
+        q = (q.view(complex) * np.exp(1j * gen.uniform(-np.pi, np.pi, (len(q), 1)))).view(float)
+        aligned = np.stack([procrustes_align(b.reshape(8, 2), a.reshape(8, 2)).reshape(-1)
+                            for a, b in zip(p, q)])
+        logs = space.log_many(p, q)
+        assert np.abs(logs - sphere.log_many(p, aligned)).max() <= 4 * np.finfo(float).eps
+        assert np.abs(logs - v).max() < 1e-13
+
+    def test_logs_are_centered_and_horizontal(self, rng):
+        # with no vertical correction, <log, Jp> and the landmark sums are
+        # zero to rounding
+        space = rp.KendallShapeSpace(8, 2)
+        p = np.stack([random_preshape(space, rng) for _ in range(100)])
+        q = np.stack([random_preshape(space, rng) for _ in range(100)])
+        logs = space.log_many(p, q)
+        assert np.abs(np.add.reduce(logs * (p @ planar_j(8)), axis=-1)).max() <= 1e-15
+        assert np.abs(logs.reshape(-1, 8, 2).sum(axis=1)).max() <= 2e-15
 
     def test_alignment_takes_no_svd(self, rng, monkeypatch):
         def refuse(*args, **kwargs):

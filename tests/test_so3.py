@@ -478,11 +478,34 @@ class TestLogMap:
             assert log_log_slope(radii, principal) < 2.2
             assert log_log_slope(radii, second) >= 2.8
 
+    def test_cubic_start_leaves_a_fourth_order_gap(self, inertia_metric):
+        # the Magnus inverse through the cubic term, the start of every shot
+        # within _CUBIC_START_ANGLE, misses the target by O(|r|^4).  The
+        # radii stop where the flow's own error, below 1.5e-10 up to 0.05
+        # and 1.5e-9 at 0.2, stays far below the gaps (2.5e-10 at 0.025)
+        group = rp.RotationGroup(inertia_metric)
+        radii = [0.025, 0.05, 0.1, 0.2]
+        gen = np.random.default_rng(4)
+        for _ in range(3):
+            p = group.random_point(gen)
+            u = unit_tangent(group, gen, p)
+            gaps = []
+            for r in radii:
+                q = group.exp(p, r * u)
+                rel = so3.rotation_log(p.T @ q)
+                g = so3.connection(rel, rel, inertia_metric)
+                start = rel + 0.5 * g + (so3.connection(g, rel, inertia_metric)
+                                         + so3.connection(rel, g, inertia_metric)
+                                         + np.cross(rel, g)) / 12.0
+                end = group.exp(p, start)
+                gaps.append(group.norm(end, so3.rotation_log(end.T @ q)))
+            assert log_log_slope(radii, gaps) >= 3.8
+
     def test_general_metric_log_needs_few_flows(self, inertia_metric, monkeypatch):
-        # full shots from the second-order start take 2.8 flows per pair on
-        # nearby pairs; from the principal vector they took 3.0, and half
-        # shots ~47.  Each 0.05 shot is one Runge-Kutta substep: one turn per
-        # flow
+        # full shots from the cubic start take 2.0 flows per pair on nearby
+        # pairs: the start and one correction.  From the second-order start
+        # they took 2.8, from the principal vector 3.0, and half shots ~47.
+        # Each 0.05 shot is one Runge-Kutta substep: one turn per flow
         calls = {"flow": 0, "turn": 0}
         flow = rp.RotationGroup._flow
 
@@ -501,8 +524,58 @@ class TestLogMap:
         monkeypatch.setattr(rp.RotationGroup, "_flow", counting_flow)
         for p, q in pairs:
             group.log(p, q)
-        assert calls["flow"] <= 28
+        assert calls["flow"] <= 20
         assert calls["turn"] <= calls["flow"]
+
+    def test_zero_angle_rows_take_no_shot(self, inertia_metric, monkeypatch):
+        # a pair at a zero principal angle logs to an exact zero and leaves
+        # the batch before the first shot: the other rows come out bit for
+        # bit as from a batch without it, and a batch of such pairs shoots
+        # nothing
+        group = rp.RotationGroup(inertia_metric)
+        gen = np.random.default_rng(31)
+        points = np.stack([group.random_point(gen) for _ in range(5)])
+        targets = np.stack([group.exp(p, unit_tangent(group, gen, p, 0.3)) for p in points])
+        targets[[1, 3]] = points[[1, 3]]
+        widths = []
+        loop = so3.shooting_log
+
+        def counted(shot, v, **kwargs):
+            def wrapped(rows, vel):
+                widths.append(len(vel))
+                return shot(rows, vel)
+            return loop(wrapped, v, **kwargs)
+
+        monkeypatch.setattr(so3, "shooting_log", counted)
+        logs = group.log_many(points, targets)
+        assert widths[0] == 3
+        assert logs[[1, 3]].tobytes() == np.zeros((2, 3)).tobytes()
+        keep = [0, 2, 4]
+        assert logs[keep].tobytes() == group.log_many(points[keep], targets[keep]).tobytes()
+        widths.clear()
+        assert not group.log_many(points[[1, 3]], targets[[1, 3]]).any()
+        assert widths == []
+
+    def test_anisotropic_sweep_keeps_its_converging_pairs(self):
+        # strong anisotropy, diag(1, 1, 10), at metric radius 1.0 and 2.0,
+        # each from a fresh generator: every pair that converged from the
+        # second-order start still converges.  Pair 17 at 2.0 (|r| = 1.97)
+        # fails from the cubic start, so it keeps the second-order one
+        # beyond _CUBIC_START_ANGLE
+        group = rp.RotationGroup(so3.MetricSpec(np.diag([1.0, 1.0, 10.0])))
+        expected = {1.0: set(range(20)) - {6}, 2.0: {0, 2, 3, 5, 9, 14, 15, 17}}
+        for radius, converging in expected.items():
+            gen = np.random.default_rng(2007)
+            pairs = []
+            for _ in range(20):
+                p = group.random_point(gen)
+                pairs.append((p, group.exp(p, unit_tangent(group, gen, p, radius))))
+            for i in sorted(converging):
+                p, q = pairs[i]
+                try:
+                    group.log(p, q)
+                except ShootingError as exc:
+                    pytest.fail(f"pair {i} at radius {radius}: {exc}")
 
     def test_antipodal_rotation_rejected(self):
         from riempoly.geometry import CutLocusError
@@ -561,12 +634,16 @@ class TestLogErrors:
         points = np.stack([group.random_point(rng) for _ in range(3)])
         targets = np.stack([group.exp(p, unit_tangent(group, rng, p, r))
                             for p, r in zip(points, (0.2, 0.6, 0.4))])
-        # each pair's first residual: the endpoint of the second-order start
-        # from its principal rotation vector r, r + nabla_r r / 2
+        # each pair's first residual: the endpoint of the cubic start from
+        # its principal rotation vector r, with g = nabla_r r, r + g / 2 +
+        # (nabla_g r + nabla_r g + cross(r, g)) / 12
         first = []
         for p, q in zip(points, targets):
             r = so3.rotation_log(p.T @ q)
-            end = group.exp(p, r + 0.5 * so3.connection(r, r, inertia_metric))
+            g = so3.connection(r, r, inertia_metric)
+            end = group.exp(p, r + 0.5 * g + (so3.connection(g, r, inertia_metric)
+                                              + so3.connection(r, g, inertia_metric)
+                                              + np.cross(r, g)) / 12.0)
             first.append(group.norm(end, so3.rotation_log(end.T @ q)))
         flow = rp.RotationGroup._flow
 
