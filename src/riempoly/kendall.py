@@ -21,11 +21,11 @@ sphere's own great-circle step on the complex vectors, a unitary rotation;
 a whole forward pass rolls in one batched closed form, whose exact reverse
 gives the fit's gradient with no curvature and no D x D matrix; the
 Procrustes rotation is one phase, that of w = sum_j conj(p_j) q_j; and the
-log is one complex closed form from w, horizontal as it stands.  For
-d >= 3 alignment takes an SVD, and transport has no closed form; it
-integrates the horizontal lift's linear ODE along the step's great circle
-by RK4, fourth order in a fixed substep (Guigui, Maignant, Trouve & Pennec
-2021, "Parallel transport on Kendall shape spaces").  The
+sphere log toward the target turned by that phase is horizontal as it
+stands.  For d >= 3 alignment takes an SVD, and transport has no closed
+form; it integrates the horizontal lift's linear ODE along the step's
+great circle by RK4, fourth order in a fixed substep (Guigui, Maignant,
+Trouve & Pennec 2021, "Parallel transport on Kendall shape spaces").  The
 curvature is exact for every d: the horizontal sphere curvature plus
 O'Neill's A-tensor terms of the submersion; the d >= 3 gradient, the default
 recursion, couples through the curvature.  For d >= 3 the vertical space at
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CutLocusError, Manifold, roll, unroll
-from .sphere import _TINY_ANGLE, Sphere
+from .sphere import Sphere
 
 # eigenvalue sums of M = p^T p below this belong to rotations that (nearly)
 # fix a degenerate, e.g. collinear, shape: no vertical direction
@@ -383,12 +383,11 @@ class KendallShapeSpace(Manifold):
 
         Aligning the target to the base point makes the connecting sphere
         geodesic horizontal, so the horizontal projection of the sphere log
-        is the shape-space log.  For d = 2 that is one complex closed form,
-        with no alignment helper and no vertical correction: with z and q the
-        landmarks read as complex m-vectors and w = sum_j conj(z_j) q_j, the
-        aligned target is q conj(w) / |w|, whose real inner product with z
-        is c = |w|, and its sphere log is u = aligned - c z scaled to the
-        chord's angle.  u is horizontal in exact arithmetic, as <u, iz> =
+        is the shape-space log.  For d = 2, with z and q the landmarks read
+        as complex m-vectors and w = sum_j conj(z_j) q_j, the aligned target
+        q conj(w) / |w| is formed in place, with no alignment helper; its
+        real inner product with z is c = |w|, and the sphere log toward it,
+        along u = aligned - c z, needs no vertical correction: <u, iz> =
         Im(sum_j conj(z_j) u_j) = Im(c - c |z|^2) = 0.
         """
         points = np.asarray(points, dtype=float)
@@ -402,13 +401,7 @@ class KendallShapeSpace(Manifold):
             c = np.add.reduce(points * aligned, axis=-1)
         if (c <= 1e-12).any():
             raise CutLocusError("shapes are (nearly) maximally remote")
-        if self.d != 2:
-            logs = self._sphere.log_many(points, aligned)
-            return logs - self._vertical(points, logs)
-        aligned = q * (w.conj() / c)
-        u, chord = (aligned - c * z).view(float), (aligned - z).view(float)
-        # the chord's angle, uniformly accurate, and the scale of the sphere's log
-        theta = 2.0 * np.arcsin(np.minimum(
-            0.5 * np.sqrt(np.add.reduce(chord * chord, axis=-1, keepdims=True)), 1.0))
-        un = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
-        return np.divide(theta, un, out=np.ones(un.shape), where=un >= _TINY_ANGLE) * u
+        if self.d == 2:
+            return self._sphere.log_many(points, (q * (w.conj() / c)).view(float))
+        logs = self._sphere.log_many(points, aligned)
+        return logs - self._vertical(points, logs)

@@ -437,6 +437,11 @@ class TestPlanarClosedForms:
             space.log(space.from_landmarks(base), space.from_landmarks(target))
 
     def test_log_matches_aligned_sphere_log(self, rng):
+        # the planar log is the sphere log toward the Procrustes-aligned
+        # target: on random preshapes, against the Kabsch oracle's
+        # horizontal projection, and on 200 pairs out to 1e-3 below the cut
+        # locus at pi / 2, each target turned by a random phase, against the
+        # sphere log toward procrustes_align's target, to a few ulps
         space = rp.KendallShapeSpace(8, 2)
         sphere = rp.Sphere(15)
         p = np.stack([random_preshape(space, rng) for _ in range(50)])
@@ -446,18 +451,11 @@ class TestPlanarClosedForms:
         logs = sphere.log_many(p, aligned)
         oracle = np.stack([space.project_tangent(a, b) for a, b in zip(p, logs)])
         assert np.abs(space.log_many(p, q) - oracle).max() < 1e-14
-
-    def test_log_matches_procrustes_sphere_log_oracle(self):
-        # 200 pairs out to 1e-3 below the cut locus at pi / 2, each target
-        # turned by a random phase: the complex closed form agrees with the
-        # sphere log toward the Procrustes-aligned target to a few ulps
-        space, sphere = rp.KendallShapeSpace(8, 2), rp.Sphere(15)
-        gen = np.random.default_rng(17)
         dists = np.linspace(0.01, np.pi / 2 - 1e-3, 200)
-        p = np.stack([space.random_point(gen) for _ in dists])
-        v = np.stack([unit_tangent(space, gen, a, d) for a, d in zip(p, dists)])
+        p = np.stack([space.random_point(rng) for _ in dists])
+        v = np.stack([unit_tangent(space, rng, a, d) for a, d in zip(p, dists)])
         q = np.stack([space.exp(a, b) for a, b in zip(p, v)])
-        q = (q.view(complex) * np.exp(1j * gen.uniform(-np.pi, np.pi, (len(q), 1)))).view(float)
+        q = (q.view(complex) * np.exp(1j * rng.uniform(-np.pi, np.pi, (len(q), 1)))).view(float)
         aligned = np.stack([procrustes_align(b.reshape(8, 2), a.reshape(8, 2)).reshape(-1)
                             for a, b in zip(p, q)])
         logs = space.log_many(p, q)

@@ -527,11 +527,11 @@ class TestLogMap:
         assert calls["flow"] <= 20
         assert calls["turn"] <= calls["flow"]
 
-    def test_zero_angle_rows_take_no_shot(self, inertia_metric, monkeypatch):
-        # a pair at a zero principal angle logs to an exact zero and leaves
-        # the batch before the first shot: the other rows come out bit for
-        # bit as from a batch without it, and a batch of such pairs shoots
-        # nothing
+    def test_zero_angle_rows_leave_after_the_first_shot(self, inertia_metric, monkeypatch):
+        # a pair at a zero principal angle starts from zero, and its first
+        # shot's gap is exactly zero: it logs to an exact zero, takes no
+        # later shot, and the other rows come out bit for bit as from a
+        # batch without it
         group = rp.RotationGroup(inertia_metric)
         gen = np.random.default_rng(31)
         points = np.stack([group.random_point(gen) for _ in range(5)])
@@ -548,13 +548,13 @@ class TestLogMap:
 
         monkeypatch.setattr(so3, "shooting_log", counted)
         logs = group.log_many(points, targets)
-        assert widths[0] == 3
+        assert widths[0] == 5 and max(widths[1:]) == 3
         assert logs[[1, 3]].tobytes() == np.zeros((2, 3)).tobytes()
         keep = [0, 2, 4]
         assert logs[keep].tobytes() == group.log_many(points[keep], targets[keep]).tobytes()
         widths.clear()
-        assert not group.log_many(points[[1, 3]], targets[[1, 3]]).any()
-        assert widths == []
+        assert group.log_many(points[[1, 3]], targets[[1, 3]]).tobytes() == np.zeros((2, 3)).tobytes()
+        assert widths == [2]
 
     def test_anisotropic_sweep_keeps_its_converging_pairs(self):
         # strong anisotropy, diag(1, 1, 10), at metric radius 1.0 and 2.0,
@@ -629,7 +629,9 @@ class TestLogErrors:
     def test_shooting_error_names_the_worst_pair(self, inertia_metric, rng, monkeypatch):
         # a flow whose transported basis points the wrong way never reduces a
         # gap, so every pair halves its step until it gives up; the error
-        # names the pair left farthest from its target and keeps its residual
+        # names the pair left farthest from its target and keeps its residual.
+        # A pair at a zero angle put in front converges on the first shot,
+        # and the error still counts it in the batch
         group = rp.RotationGroup(inertia_metric)
         points = np.stack([group.random_point(rng) for _ in range(3)])
         targets = np.stack([group.exp(p, unit_tangent(group, rng, p, r))
@@ -652,9 +654,14 @@ class TestLogErrors:
             return -moved, turns
 
         monkeypatch.setattr(rp.RotationGroup, "_flow", reversed_flow)
+        assert int(np.argmax(first)) == 1
         with pytest.raises(ShootingError, match="pair 1 of 3") as caught:
             group.log_many(points, targets)
-        assert int(np.argmax(first)) == 1
+        assert caught.value.residual == pytest.approx(first[1], rel=1e-12)
+        still = group.random_point(rng)
+        with pytest.raises(ShootingError, match="pair 2 of 4") as caught:
+            group.log_many(np.concatenate([still[None], points]),
+                           np.concatenate([still[None], targets]))
         assert caught.value.residual == pytest.approx(first[1], rel=1e-12)
 
 
