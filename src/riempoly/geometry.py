@@ -35,17 +35,24 @@ class ShootingError(GeometryError):
 class Manifold:
     """Abstract contract every geometry implements.
 
-    Points and tangents are plain ndarrays.  Tangent-valued operations accept
-    stacked inputs: any leading axes broadcast, the trailing axes are one
-    tangent vector.  A geometry writes five methods: its geodesic once, in
-    step, its log once, in log_many, its curvature and the two projections.
-    exp, transport, log, dist_many and dist are derived from step and
-    log_many here; inner is the ambient dot product unless the geometry has
-    another metric; random points and tangents project a Gaussian draw, and
-    the residuals measure drift as the distance to the two projections.  The
-    fit takes no distance: its objective is the mean squared metric norm of
-    the residual logs, which also give its gradient and the reported
-    distances.
+    Points and tangents are plain ndarrays.  A geometry writes five methods:
+    its geodesic once, in step, its log once, in log_many, its curvature and
+    the two projections.  exp, transport, log, dist_many and dist are
+    derived from step and log_many here; inner is the ambient dot product
+    unless the geometry has another metric; random points and tangents
+    project a Gaussian draw, and the residuals measure drift as the distance
+    to the two projections.  The fit takes no distance: its objective is the
+    mean squared metric norm of the residual logs, which also give its
+    gradient and the reported distances.
+
+    One call-shape rule serves every geometry, and it lives here.  step is
+    the one-point kernel: p of point_shape, v of tangent_shape and a stack
+    of fields, each of tangent_shape.  exp and transport take v with
+    leading axes L; p is one point or carries L, and x carries L first and
+    then its fields.  They apply step row by row, so each row equals its own
+    call bit for bit, and any other shape raises one ValueError that names
+    every shape.  log_many takes matching rows, or one point against a
+    batch, with no check of its own.
 
     integrate returns the point of every node of a time grid and a flow
     record, exactly what the geometry's own pullback reads.  Each step of
@@ -74,9 +81,12 @@ class Manifold:
         """One geodesic step: the endpoint exp(p, v) and stack transported there.
 
         The one routine in which a geometry writes its geodesic; exp and
-        transport are views of it.  The endpoint lies on the manifold and is
-        p itself when v is zero.  It is the node-by-node kernel of the
-        default integrate and the descent's move of one line-search candidate.
+        transport are its batched views.  It takes one point p, one velocity
+        v and a stack of fields at p, (..., *tangent_shape), all ndarrays:
+        the only shapes any caller passes, so a geometry need not check
+        them.  The endpoint lies on the manifold and is p itself when v is
+        zero.  It is the node-by-node kernel of the default integrate and
+        pullback and the descent's move of one line-search candidate.
         """
         raise NotImplementedError
 
@@ -97,7 +107,7 @@ class Manifold:
         roll, whose record is its set-up, and SO(3) runs this loop in its
         algebra and returns the same record.
         """
-        stack = np.asarray(stack, dtype=float)
+        p, stack = np.asarray(p, dtype=float), np.asarray(stack, dtype=float)
         flats = flat_flow(np.diff(times), len(stack))
         points = np.empty((len(times),) + self.point_shape)
         vels = np.empty((len(times),) + stack.shape)
@@ -109,15 +119,45 @@ class Manifold:
         return points, (vels, flats)
 
     def exp(self, p, v):
-        """Point reached at time 1 along the geodesic from p with velocity v."""
-        return self.step(p, v, np.empty((0,) + self.tangent_shape))[0]
+        """Point reached at time 1 along the geodesic from p with velocity v.
+
+        v may carry leading axes L, with p one point or one per row of L.
+        """
+        return self._rows(p, v, np.empty(np.shape(v)[:-1] + (0,) + self.tangent_shape))[0]
 
     def transport(self, p, direction, x):
-        """Parallel transport of x along the geodesic s -> exp(p, s*direction), s in [0,1]."""
-        return self.step(p, direction, x)[1]
+        """Parallel transport of x along the geodesic s -> exp(p, s*direction), s in [0,1].
+
+        direction may carry leading axes L, with p one point or one per row
+        of L, and x carries L first: the fields of row b ride along
+        direction b.
+        """
+        return self._rows(p, direction, x)[1]
+
+    def _rows(self, p, v, x):
+        """step on each row of v's leading axes L: the views' one call-shape rule.
+
+        p is one point or carries L, and x carries L and then its fields.
+        A row's result is its own step call's, bit for bit; any other shape
+        raises the rule's one ValueError, which names every shape.
+        """
+        p, v, x = (np.asarray(a, dtype=float) for a in (p, v, x))
+        lead, point, tangent = v.shape[:-1], self.point_shape, self.tangent_shape
+        if (v.shape[-1:] != tangent or x.shape[:len(lead)] != lead
+                or x.shape[len(lead):][-1:] != tangent or p.shape not in (point, lead + point)):
+            raise ValueError(f"{self.name} steps points {point} or L + that, velocities L + "
+                             f"{tangent} and fields L + (...) + that; got points {p.shape}, "
+                             f"velocities {v.shape} and fields {x.shape}")
+        rows = [self.step(p if p.shape == point else p[i], v[i], x[i]) for i in np.ndindex(lead)]
+        return (np.reshape([end for end, _ in rows], lead + point),
+                np.reshape([moved for _, moved in rows], x.shape))
 
     def log_many(self, points, targets):
-        """log(p, q) of each matching row pair."""
+        """log(p, q) of each matching row pair, or of one point p against each q.
+
+        The base class adds no shape check, which would cost the fit's every
+        objective: other shapes raise numpy's ValueError.
+        """
         raise NotImplementedError
 
     def dist_many(self, points, targets):
@@ -179,7 +219,7 @@ class Manifold:
                 lam[0] += cotangents[j]
                 j -= 1
             lam[1:] = flats[n - 1].T @ lam
-            moved = self.transport(traj.points[n], -h * v[0], lam)
+            moved = self.step(traj.points[n], -h * v[0], lam)[1]
             lam = np.asarray(self.project_tangent(traj.points[n - 1], moved), dtype=float)
         if j >= 0:
             lam[0] += cotangents[j]
@@ -235,7 +275,9 @@ class Euclidean(Manifold):
 
     It writes only the five contract methods: the default integrate's steps
     are then the flat polynomial's exact moves, and the default pullback is
-    their exact transpose, so both are exact here.
+    their exact transpose, so both are exact here.  p + v would broadcast a
+    wrong shape, so step keeps one condition, and a call it does not pass
+    takes the views' rule; log_many names a wrong trailing dimension.
     """
 
     def __init__(self, dim: int):
@@ -246,21 +288,14 @@ class Euclidean(Manifold):
         self.tangent_shape = (dim,)
         self.name = f"euclidean({dim})"
 
-    def _check(self, *arrays):
-        for a in arrays:
-            if np.shape(a)[-1] != self.dim:
-                raise ValueError(
-                    f"expected trailing dimension {self.dim}, got {np.shape(a)}"
-                )
-
     def step(self, p, v, stack):
         moved = np.array(stack, dtype=float)
-        # the loops hand step arrays of its own shape, which three attribute
-        # reads pass; anything else, a list or a batch included, takes _check
-        if not (getattr(p, "shape", None) == getattr(v, "shape", None) == self.point_shape
-                == moved.shape[-1:]):
-            self._check(p, v, stack)
-        return p + v, moved
+        # arrays of the kernel's shapes step here; any other call takes the
+        # views' rule, which steps each row back here or raises its message
+        if (getattr(p, "shape", None) == getattr(v, "shape", None) == moved.shape[-1:]
+                == self.point_shape):
+            return p + v, moved
+        return self._rows(p, v, stack)
 
     def curvature(self, p, x, y, z):
         return np.zeros(np.broadcast(x, y, z).shape)
@@ -272,7 +307,9 @@ class Euclidean(Manifold):
         return np.asarray(x, dtype=float)
 
     def log_many(self, points, targets):
-        self._check(points, targets)
+        if not np.shape(points)[-1:] == np.shape(targets)[-1:] == self.point_shape:
+            raise ValueError(f"expected trailing dimension {self.dim}, "
+                             f"got {np.shape(points)} and {np.shape(targets)}")
         return np.asarray(targets) - np.asarray(points)
 
 
@@ -509,7 +546,9 @@ def shooting_log(shoot, v, *, name, tol=1e-9, max_iter=200):
     is exact.  Each pair adds its pulled gap times its own step, 1 at first
     and halved whenever a shot fails to lower its gap, and leaves the batch
     once the gap is at most tol.  A pair gives up after max_iter shots or
-    once its step falls below 1e-12; a NaN gap stays open.  The shot's own
+    once its step falls below 1e-12, and at once if its first gap is NaN,
+    which no shot can lower: it stays open, and the shot's velocity is
+    never moved along a NaN pull.  The shot's own
     errors, such as a CutLocusError, propagate.  Returns the velocities; a
     pair left above tol raises ShootingError, which names the pair left
     farthest, of name's batch, and carries its residual.
@@ -517,7 +556,7 @@ def shooting_log(shoot, v, *, name, tol=1e-9, max_iter=200):
     v = np.array(v, dtype=float)
     pulled, err = shoot(slice(None), v)
     step = np.ones(len(v))
-    live = np.flatnonzero(~(err <= tol))        # a NaN gap stays open
+    live = np.flatnonzero(err > tol)            # a NaN gap gives up at once
     for _ in range(max_iter):
         if not live.size:
             break

@@ -247,8 +247,6 @@ class KendallShapeSpace(Manifold):
         rest of the row stays fixed.  For d >= 3 the stack is carried along
         the same great circle by _lift's RK4.
         """
-        p = np.asarray(p, dtype=float)
-        stack = np.asarray(stack, dtype=float)
         h = self.project_tangent(p, v)
         theta = math.sqrt(h @ h)
         if theta == 0.0:
@@ -258,10 +256,7 @@ class KendallShapeSpace(Manifold):
             return self.project_point(end.view(float)), moved.view(float)
         c, s = math.cos(theta), math.sin(theta)
         u = h / theta
-        end = c * p + s * u
-        end = end - (end @ self._centering.T) @ self._centering
-        end = end / math.sqrt((end * end).sum())
-        return end, self._lift(p, u, theta, stack)
+        return self.project_point(c * p + s * u), self._lift(p, u, theta, stack)
 
     def integrate(self, p, stack, times):
         """The forward flow; for d = 2 in one closed form (see geometry.roll).
@@ -390,8 +385,7 @@ class KendallShapeSpace(Manifold):
         along u = aligned - c z, needs no vertical correction: <u, iz> =
         Im(sum_j conj(z_j) u_j) = Im(c - c |z|^2) = 0.
         """
-        points = np.asarray(points, dtype=float)
-        targets = np.asarray(targets, dtype=float)
+        points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
         if self.d == 2:
             z, q = _complex(points), _complex(targets)
             w = np.add.reduce(z.conj() * q, axis=-1, keepdims=True)

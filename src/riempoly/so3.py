@@ -21,8 +21,11 @@ endpoint is the exact rotation exponential, and transport rotates a field
 by rodrigues(-w/2).  A velocity that is not finite raises ValueError.  A
 forward pass is the base class's step loop run in the algebra, with every
 node's rotation composed from one running product of all the turns, and
-keeps the step loop's record.  Only step takes a polar factor: a product of
-exact turns, a node's or a shot's endpoint, is a rotation to rounding.  The
+keeps the step loop's record.  step is the one-point kernel, which
+Manifold's exp and transport apply row by row, and only step takes a polar
+factor: a product of exact turns, a node's or a shot's endpoint, is a
+rotation to rounding.  Where a stiff metric's flow overflows, that factor
+fails, and step raises GeometryError naming the velocity.  The
 fit's gradient is the base class's recursion, one curvature per node, with
 its node maps built and applied in blocks as batched running products: each
 block's transports, as 3x3 matrices, take one flow of the basis.  The log
@@ -32,7 +35,8 @@ every pair at once, starts from its inverse through the connection, to
 third order up to one radian and to second order beyond, and shoots it onto
 the metric's geodesic.  So the flow, ``rotation_log``, ``_compose`` and
 ``project_point`` all batch over a leading pair axis, and a row's result
-does not depend on the rows beside it.
+does not depend on the rows beside it.  A shot whose frame is singular
+leaves its own pair open, with a NaN gap, and the others go on.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutLocusError, Manifold, _running_products, flat_flow, shooting_log
+from .geometry import (CutLocusError, GeometryError, Manifold, _running_products, flat_flow,
+                       shooting_log)
 
 # component rolls: cross(x, y)[i] = x[i+1] y[i+2] - x[i+2] y[i+1], indices mod 3
 _NEXT = np.array([1, 2, 0])
@@ -241,16 +246,6 @@ def _framed(v):
     return f
 
 
-def _stacked(v, stack):
-    """The flow's one array: each velocity of v as row 0, the fields of stack after it.
-
-    stack carries v's leading axes first: the fields of row b ride along v[b].
-    """
-    w = np.asarray(v, dtype=float)
-    fields = np.reshape(np.asarray(stack, dtype=float), w.shape[:-1] + (-1, 3))
-    return np.concatenate([w[..., None, :], fields], axis=-2)
-
-
 class RotationGroup(Manifold):
     """SO(3) under a left-invariant metric; see the module docstring."""
 
@@ -347,19 +342,19 @@ class RotationGroup(Manifold):
         return f[..., 1:, :], turns
 
     def step(self, p, v, stack):
-        """Endpoint and transported stack; the endpoint composes the flow's turns.
+        """Endpoint and transported stack: one point p, one velocity v, the fields of stack.
 
-        v carries p's leading axes, one velocity per point, and one point
-        broadcasts against a batch of velocities: each row steps from it.
-        Other leading axes raise, where the turns of every row would
-        compose into one rotation.
+        The velocity and the fields take one flow, and the endpoint is the
+        polar factor of p times the flow's turns.  Where the flow has
+        overflowed, as an RK4 substep too long for a stiff metric lets it,
+        that factor fails, and GeometryError names the velocity.  Batches
+        take the base class's exp and transport, one step per row.
         """
-        if np.shape(p)[:-2] != np.shape(v)[:-1]:
-            if np.ndim(p) != 2:
-                raise ValueError(f"velocities {np.shape(v)} do not match points {np.shape(p)}")
-            p = np.broadcast_to(p, np.shape(v)[:-1] + (3, 3)).copy()
-        moved, turns = self._flow(_stacked(v, stack))
-        end = self.project_point(_compose(p, turns)) if turns else p
+        moved, turns = self._flow(np.concatenate([v[None], np.reshape(stack, (-1, 3))]))
+        try:
+            end = self.project_point(_compose(p, turns)) if turns else p
+        except np.linalg.LinAlgError:
+            raise GeometryError(f"{self.name} flow overflowed at velocity {v.tolist()}") from None
         return end, moved.reshape(np.shape(stack))
 
     def integrate(self, p, stack, times):
@@ -460,9 +455,9 @@ class RotationGroup(Manifold):
         is third order, as the cubic term overshoots under strong
         anisotropy.  A pair whose principal angle is zero starts from zero,
         its first shot's gap is exactly zero, and it leaves the batch then.
+        One point against a batch of targets is broadcast for the shots.
         """
-        points = np.asarray(points, dtype=float)
-        targets = np.asarray(targets, dtype=float)
+        points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
         rel = rotation_log(np.swapaxes(points, -1, -2) @ targets)
         angle = np.sqrt(np.add.reduce(rel * rel, axis=-1))
         far = angle > np.pi - 1e-9
@@ -477,6 +472,7 @@ class RotationGroup(Manifold):
         g = connection(rel, rel, self.metric)
         third = connection(g, rel, self.metric) + connection(rel, g, self.metric) + _cross(rel, g)
         near = angle[..., None] <= _CUBIC_START_ANGLE
+        points = np.broadcast_to(points, targets.shape) if points.ndim == 2 else points
         return self._shoot(points, targets, rel + 0.5 * g + np.where(near, third / 12.0, 0.0))
 
     def _shoot(self, points, targets, v):
@@ -489,13 +485,20 @@ class RotationGroup(Manifold):
         as gap E^-1.  The endpoint, only ever read by rotation_log, is the
         product of exact turns, orthogonal to within rounding, so it takes no
         polar factor, as integrate's nodes take none.  A pair leaves the
-        batch once the gap's metric norm is at most 1e-10.
+        batch once the gap's metric norm is at most 1e-10.  A pair whose
+        frame is singular, as an overflowed flow's can be, takes a NaN gap,
+        so it stays open and the others go on.
         """
         def shot(rows, vel):
             frame, turns = self._flow(_framed(vel))
             end = _compose(points[rows], turns)
             gap = rotation_log(np.swapaxes(end, -1, -2) @ targets[rows])
-            pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
+            try:
+                pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
+            except np.linalg.LinAlgError:       # a singular frame's pair takes a NaN gap
+                singular = ~(np.abs(np.linalg.det(frame)) > 0.0)
+                frame[singular], gap[singular] = _EYE, np.nan
+                pulled = np.linalg.solve(np.swapaxes(frame, -1, -2), gap[..., None])[..., 0]
             return pulled, np.sqrt(self.metric.inner(gap, gap))
 
         return shooting_log(shot, v, name=self.name, tol=1e-10)

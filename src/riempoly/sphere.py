@@ -49,7 +49,6 @@ class Sphere(Manifold):
         unitary turn of the complex plane {p, u} that planar shape space
         takes (see kendall).
         """
-        p, stack = np.asarray(p), np.asarray(stack)
         theta = math.sqrt(np.dot(v.conj(), v).real)
         if theta == 0.0:
             return p, stack.copy()
@@ -95,8 +94,7 @@ class Sphere(Manifold):
         return x - a[..., None] * p
 
     def log_many(self, points, targets):
-        points = np.asarray(points, dtype=float)
-        targets = np.asarray(targets, dtype=float)
+        points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
         c = np.add.reduce(points * targets, axis=-1)
         if (c <= -1.0 + _ANTIPODAL_MARGIN).any():
             bad = int(np.argmin(c))

@@ -158,12 +158,83 @@ def test_geometries_write_only_the_contract(cls):
     assert ("pullback" in vars(cls)) == ("integrate" in vars(cls)) == (cls is not rp.Euclidean)
     if cls is rp.Euclidean:
         assert {name for name, value in vars(cls).items()
-                if callable(value)} == {"__init__", "_check", *CONTRACT}
+                if callable(value)} == {"__init__", *CONTRACT}
     own = {name for name in vars(cls) if not name.startswith("_")} - set(dir(rp.Manifold))
     assert own <= {"from_landmarks"}
     # the geodesic is written once, in step, and the log once, in log_many:
     # no geometry writes a view of either
     assert not {"exp", "transport", "log", "dist", "dist_many"} & set(vars(cls))
+
+
+CALL_SHAPE_GEOMETRIES = {
+    "euclidean": lambda: rp.Euclidean(3),
+    "sphere": lambda: rp.Sphere(2),
+    "kendall_4_2": lambda: rp.KendallShapeSpace(4, 2),
+    "kendall_4_3": lambda: rp.KendallShapeSpace(4, 3),
+    "so3": lambda: rp.RotationGroup(),
+    "so3_general": lambda: rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0]))),
+}
+
+
+@pytest.mark.parametrize("shape", ["one", "rows", "one_point", "mismatch"])
+@pytest.mark.parametrize("name", list(CALL_SHAPE_GEOMETRIES))
+def test_call_shape_rule(name, shape, rng):
+    # one rule for every geometry: exp and transport step each row of v's
+    # leading axes, from one point or from the row's own, with x's fields
+    # after the same axes; log_many and dist_many take matching rows or one
+    # point against a batch.  Every batched row is its own call, bit for
+    # bit, and any other shape raises ValueError
+    m = CALL_SHAPE_GEOMETRIES[name]()
+    points = np.stack([m.random_point(rng) for _ in range(4)])
+    v = np.stack([unit_tangent(m, rng, p, 0.5) for p in points])
+    x = np.stack([[m.random_tangent(rng, p) for _ in range(2)] for p in points])
+    targets = np.stack([m.step(p, w, x[0, :0])[0] for p, w in zip(points, v)])
+
+    def logs(p, q):
+        return m.log_many(p, q), m.dist_many(p, q)
+
+    if shape == "one":
+        p, w, fields = points[0], v[0], x[0]
+        end, moved = m.step(p, w, fields)
+        assert np.array_equal(m.exp(p, w), end)
+        assert np.array_equal(m.transport(p, w, fields), moved)
+        assert np.array_equal(m.transport(p, w, fields[0]), moved[0])
+        log, dist = logs(p[None], targets[:1])
+        assert np.array_equal(log[0], m.log(p, targets[0]))
+        assert dist[0] == m.dist(p, targets[0])
+    elif shape == "mismatch":
+        # points or velocities that do not fit, which exp rejects too, then
+        # fields that do not; a velocity of one coordinate would broadcast
+        for p, w, fields, exp_too in ((points[:2], v, x, True), (points[:1], v, x, True),
+                                      (points, v[..., :-1], x, True),
+                                      (points[0], v[0, :1], x[0], True),
+                                      (points[0], v, x[:3], False),
+                                      (points[0], v[0], x[0, 0, :-1], False)):
+            got = f"got points {p.shape}, velocities {w.shape} and fields "
+            with pytest.raises(ValueError, match=re.escape(got + str(fields.shape))):
+                m.transport(p, w, fields)
+            if exp_too:
+                with pytest.raises(ValueError, match=re.escape(got)):
+                    m.exp(p, w)
+        for view in (m.log_many, m.dist_many):
+            with pytest.raises(ValueError):
+                view(points[:2], targets)
+    else:
+        base = points if shape == "rows" else points[0]
+        own = points if shape == "rows" else [base] * 4
+        ends, moved, batched = m.exp(base, v), m.transport(base, v, x), logs(base, targets)
+        assert ends.shape == points.shape and moved.shape == x.shape
+        for b in range(4):
+            assert np.array_equal(ends[b], m.exp(own[b], v[b])), b
+            assert np.array_equal(moved[b], m.transport(own[b], v[b], x[b])), b
+            for whole, row in zip(batched, logs(own[b][None], targets[b:b + 1])):
+                assert np.array_equal(whole[b], row[0]), b
+        # two leading axes are four rows
+        grid = base.reshape((2, 2) + m.point_shape) if shape == "rows" else base
+        assert np.array_equal(m.exp(grid, v.reshape(2, 2, -1)),
+                              ends.reshape((2, 2) + m.point_shape))
+        assert np.array_equal(m.transport(grid, v.reshape(2, 2, -1), x.reshape(2, 2, 2, -1)),
+                              moved.reshape(2, 2, 2, -1))
 
 
 @pytest.mark.parametrize("make, fault", [
@@ -249,15 +320,17 @@ class TestEuclidean:
         ("step", "(2, 15)"), ("log", "(1, 3)"),
     ])
     def test_wrong_trailing_dimension_is_named(self, view, got):
-        # step trusts arrays of the right shape and checks anything else, so
-        # every view names the shape, a v that would broadcast included
+        # p + v would broadcast a v of one coordinate, so step itself raises
+        # the call-shape rule's message, as the views do, and log_many names
+        # the trailing dimension
         m, p = rp.Euclidean(16), np.zeros(16)
-        run = {"exp": lambda: m.exp(p, np.zeros(3)),
-               "exp_broadcast": lambda: m.exp(p, np.zeros(1)),
-               "transport": lambda: m.transport(p, p, np.zeros((2, 3))),
-               "step": lambda: m.step(p, p, np.zeros((2, 15))),
-               "log": lambda: m.log(p, np.zeros(3))}[view]
-        with pytest.raises(ValueError, match=re.escape(f"expected trailing dimension 16, got {got}")):
+        run, named = {"exp": (lambda: m.exp(p, np.zeros(3)), "velocities"),
+                      "exp_broadcast": (lambda: m.exp(p, np.zeros(1)), "velocities"),
+                      "transport": (lambda: m.transport(p, p, np.zeros((2, 3))), "fields"),
+                      "step": (lambda: m.step(p, p, np.zeros((2, 15))), "fields"),
+                      "log": (lambda: m.log(p, np.zeros(3)), "expected trailing dimension 16, "
+                              "got (1, 16) and")}[view]
+        with pytest.raises(ValueError, match=re.escape(f"{named} {got}")):
             run()
 
     def test_dist_is_euclidean_norm(self, rng):

@@ -1,7 +1,6 @@
 """Rotation-group geometry: algebra operators, integrators, curvature."""
 
 import math
-import re
 from collections import Counter
 
 import numpy as np
@@ -299,7 +298,7 @@ class TestGeodesicIntegrator:
         end_errs, field_errs = [], []
         for count in (4, 8, 16, 32, 64):
             monkeypatch.setattr(so3, "_RK4_STEP", 1.2 / count)
-            assert len(group._flow(so3._stacked(w, fields))[1]) == count
+            assert len(group._flow(np.concatenate([w[None], fields]))[1]) == count
             end, moved = group.step(p, w, fields)
             end_errs.append(np.abs(end - ref_end).max())
             field_errs.append(np.abs(moved - ref_fields).max())
@@ -682,6 +681,57 @@ def test_non_finite_velocity_is_named(matrix, bad, view):
         run()
 
 
+# under diag(1, 1, 100) this velocity's flow overflows: its metric norm is
+# 5.25 over 11 Runge-Kutta substeps sized by its length 0.538
+STIFF = np.diag([1.0, 1.0, 100.0])
+OVERFLOWING = np.array([-0.10222663231249447, 0.05971759781265043, -0.5248664927784734])
+
+
+def test_overflowed_step_raises_geometry_error():
+    # the endpoint's polar factor fails on the overflowed turns; the step
+    # names the velocity instead of letting numpy's SVD error out
+    group = rp.RotationGroup(so3.MetricSpec(STIFF))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(rp.GeometryError, match=r"velocity \[-0\.1022"):
+            group.exp(np.eye(3), OVERFLOWING)
+
+
+@pytest.mark.parametrize("fault", ["overflow", "singular"])
+def test_failed_shot_leaves_only_its_own_pair_open(fault, monkeypatch):
+    # pair 1's shot overflows, or its frame is singular: it takes a NaN gap
+    # and gives up at once, pairs 0 and 2 converge, and the error names pair 1
+    group = rp.RotationGroup(so3.MetricSpec(STIFF))
+    near = np.array([[0.1, 0.05, 0.02], [0.05, 0.02, 0.1], [0.02, 0.1, 0.05]])
+    targets = so3.rodrigues(near)
+    start = near.copy()
+    if fault == "overflow":
+        start[1] = OVERFLOWING
+    else:
+        flow = rp.RotationGroup._flow
+
+        def singular(self, f):
+            fields, turns = flow(self, f)
+            if len(f) == 3:                     # a shot of all three pairs
+                fields[1] = 0.0
+            return fields, turns
+
+        monkeypatch.setattr(rp.RotationGroup, "_flow", singular)
+    shots = []
+    original = so3.shooting_log
+
+    def counted(shot, v, **kwargs):
+        return original(lambda rows, vel: shots.append(rows) or shot(rows, vel), v, **kwargs)
+
+    monkeypatch.setattr(so3, "shooting_log", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShootingError, match="pair 1 of 3") as caught:
+            group._shoot(np.stack([np.eye(3)] * 3), targets, start)
+    assert np.isnan(caught.value.residual)
+    # after the first shot, of all three, only pairs 0 and 2 are shot again
+    assert shots[0] == slice(None) and len(shots) > 1
+    assert all(set(rows.tolist()) <= {0, 2} for rows in shots[1:])
+
+
 class TestBatchedKernels:
     """The log shoots every pair at once: each kernel batches over a leading
     pair axis, and a row's result does not depend on the batch around it."""
@@ -707,12 +757,13 @@ class TestBatchedKernels:
         v = rng.standard_normal((5, 3))
         v *= (speeds / np.linalg.norm(v, axis=1))[:, None]
         stack = rng.standard_normal((5, 2, 3))
-        moved, turns = group._flow(so3._stacked(v, stack))
+        flows = np.concatenate([v[:, None], stack], axis=1)   # each velocity, then its fields
+        moved, turns = group._flow(flows)
         assert len(turns) == 4
         points = np.stack([group.random_point(rng) for _ in range(5)])
         ends = so3._compose(points, turns)
         for b in range(5):
-            alone, own = group._flow(so3._stacked(v[b], stack[b]))
+            alone, own = group._flow(flows[b])
             assert len(own) == [0, 1, 1, 3, 4][b]
             assert np.abs(moved[b] - alone).max() <= 1e-15
             assert np.abs(ends[b] - so3._compose(points[b], own)).max() <= 1e-15
@@ -848,26 +899,6 @@ class TestTransport:
             for b in range(4):
                 alone = group.transport(p, directions[b], x[b])
                 assert np.abs(moved[b] - alone).max() <= 1e-15, (shape, b)
-
-    @pytest.mark.parametrize("matrix", [np.eye(3), np.diag([1.0, 2.0, 3.0])],
-                             ids=["identity", "inertia"])
-    def test_velocities_carry_the_points_leading_axes(self, matrix, rng):
-        # one point broadcasts against a batch of velocities, each row
-        # stepping from it; other leading axes would compose every row's
-        # turns into one rotation, so they raise and name both shapes
-        group = rp.RotationGroup(so3.MetricSpec(matrix))
-        p = group.random_point(rng)
-        v = 0.3 * rng.standard_normal((4, 3))
-        ends = group.exp(p, v)
-        assert ends.shape == (4, 3, 3)
-        for b in range(4):
-            assert np.array_equal(ends[b], group.exp(p, v[b])), b
-        for points in (np.stack([p, p]), p[None]):
-            message = f"velocities (4, 3) do not match points {points.shape}"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                group.exp(points, v)
-            with pytest.raises(ValueError, match=re.escape(message)):
-                group.transport(points, v, v)
 
     def test_transport_reversibility(self, inertia_metric, rng):
         group = rp.RotationGroup(inertia_metric)
