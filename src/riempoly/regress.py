@@ -38,25 +38,25 @@ Frechet variance; it comes first, once per plan (below), under the fit's
 FitConfig, so R^2 = 1 - SSE_k / SSE_0 compares two fits at the same
 tolerance, and frechet_mean is the same fit at gradient tol 2 * tol.  The
 loop moves every line-search candidate with one Manifold.step: the base
-point along the geodesic, and the incremented vectors, the gradient and
-the direction by parallel transport to the new point.  A candidate is
+point along the geodesic, and the incremented vectors, the gradient, the
+direction and the quasi-Newton pairs by parallel transport.  A candidate is
 accepted when it lowers the objective by more than a few units in the last
 place; near the optimum the objective cannot resolve a decrease, and a
 candidate within that band is accepted if it lowers the gradient norm
 instead.  The gradient and the vectors are single arrays with the order on
 the first axis: (k+1, *tangent_shape) and (k, *tangent_shape).
 
-Descent is preconditioned with the normal-equation metric of the time
-design.  With phi_i(t) = t^i / i!, the flat curve's monomial basis, the
-objective in flat space is a quadratic with Hessian G (x) I, G = (2/N)
-sum_j phi(t_j) phi(t_j)^T over the observation times t_j.  Every
-iteration moves along -P g, with P = G^-1 acting on the stack axis of the
-gradient, so the first (unit) step is exact in flat space and the badly
-scaled t^i/i! blocks are balanced on a curved one.  Later step lengths are
-Barzilai-Borwein steps measured in the same metric.  When the design has
-fewer distinct times than k+1, G is singular and P keeps the identity on
-its null space.  The stopping test stays on the unpreconditioned metric
-norm of the gradient.
+Descent is L-BFGS (Liu & Nocedal 1989) in the normal-equation metric of
+the time design.  With phi_i(t) = t^i / i!, the flat curve's monomial
+basis, the objective in flat space is a quadratic with Hessian G (x) I,
+G = (2/N) sum_j phi(t_j) phi(t_j)^T over the observation times t_j.  The
+initial inverse Hessian is P = G^-1 on the stack axis, so the first unit
+step, along -P g, is exact in flat space.  The last _MEMORY pairs (s, y)
+ride along by parallel transport, an isometry, with the 1/<s, y> of their
+making (Ring & Wirth 2012); a pair with <s, y> <= 0 is dropped.  When the
+design has fewer distinct times than k+1, G is singular and P keeps the
+identity on its null space.  The stopping test stays on the
+unpreconditioned metric norm of the gradient.
 
 A plan (_Plan) holds what the fits of one (data, steps) share: the data
 with its time axis affinely rescaled to [0, 1], the grid, which holds
@@ -92,6 +92,7 @@ _MAX_ORDER = 6          # guard against runaway stiffness
 _SHRINK = 0.5           # backtracking factor of the line search
 _DRIFT_TOL = 1e-6       # largest constraint residual of accepted parameters
 _TIE_ULPS = 4           # objectives this close are told apart by the gradient norm
+_MEMORY = 3             # (s, y) pairs of the L-BFGS inverse Hessian
 
 
 class ZeroVarianceError(ValueError):
@@ -143,8 +144,8 @@ class TimedDataset:
 class FitConfig:
     """One regression run: curve order, integration grid and stopping rule.
 
-    The descent itself has no knobs: it is preconditioned Barzilai-Borwein
-    with a unit first step and halving backtracking.
+    The descent itself has no knobs: it is L-BFGS from the design metric
+    with halving backtracking from a unit step.
     """
 
     order: int
@@ -347,24 +348,21 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     observation whose logs are all defined, once per plan of the data: its
     point is the data's Frechet mean and its SSE the Frechet variance, so
     R^2 = 1 - SSE_k / SSE_0 with both fits at the same tolerance.  At order
-    zero without an initial state, that fit is the result.  Otherwise the descent
-    starts from the initial state (in internal [0, 1] time units) or from the
-    mean with zero vectors.  A start with zero vectors takes no pass (see the
-    module), and a start that meets the observed nodes at the points where the
-    last descent on the data's plan ended, bit for bit, takes that descent's
-    logs and objective and no log (see _Plan): the mean with zero vectors, or
-    a lower optimum padded with zero vectors.  An initial state more than 1e-6
-    off the manifold (its point or its vectors' tangency) raises ValueError
+    zero without an initial state, that fit is the result.  Otherwise the
+    descent starts from the initial state (in internal [0, 1] time units) or
+    from the mean with zero vectors.  A start with zero vectors takes no pass
+    (see the module), and one that meets the observed nodes at the points
+    where the plan's last descent ended, bit for bit, takes its logs and
+    objective and no log (see _Plan).  An initial state more than 1e-6 off
+    the manifold (its point or its vectors' tangency) raises ValueError
     naming the worst part, a NaN the worst of all, and fewer distinct
     observation times than k + 1 warn that the fit is underdetermined.
-    An accepted iteration lowers the objective, or moves within _TIE_ULPS
-    units in the last place of it to a lower gradient norm (see _line_search);
-    a candidate at the cut locus of an observation counts as rejected.
-    Parameters that drift more than 1e-6 off the manifold raise GeometryError.
-    The result is converged when its descent and the order-zero fit both
-    reached the tolerance; stop_reason is its own descent's.  It keeps the
-    trajectory of the accepted parameters, the one its SSE was measured on,
-    and its residual logs, so reports take no log of their own.  ``_plan`` is
+    Candidates are accepted as _line_search says.  Parameters that drift
+    more than 1e-6 off the manifold raise GeometryError.  The result is
+    converged when its descent and the order-zero fit both reached the
+    tolerance; stop_reason is its own descent's.  It keeps the trajectory of
+    the accepted parameters, the one its SSE was measured on, and its
+    residual logs, so reports take no log of their own.  ``_plan`` is
     private to ``fit_orders``, which makes one plan of the data for all its
     orders.
     """
@@ -463,7 +461,7 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
 
 
 def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
-    """Preconditioned BB descent on plan's data from state with its pass, logs and objective.
+    """L-BFGS descent on plan's data from state with its pass, logs and objective.
 
     traj is None for a constant start, which takes no pass.  The time
     design's monomials and metric are built once, by one _design_metric;
@@ -475,7 +473,7 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     """
     manifold, internal = plan.manifold, plan.data
     k = state.order
-    phi, gram, precond = _design_metric(internal.times, k)
+    phi, _, precond = _design_metric(internal.times, k)
 
     def evaluate(s: PolynomialState):
         """Integrate a candidate; its residual logs and objective in one log_many."""
@@ -488,10 +486,10 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
         return integrate_adjoint(manifold, traj, plan.nodes, logs)
 
     trace = [value]
-    eta = 1.0
     stop_reason = "max_iters"
-    grad = memory = None
-    for iteration in range(config.max_iters):
+    grad = carried = None
+    pairs, rho = np.zeros((0, k + 1) + manifold.tangent_shape), []  # (s, y) rows, 1/<s, y>
+    for _ in range(config.max_iters):
         if grad is None:
             grad = gradient(state, traj, logs)
         grad_norm = _stack_norm(manifold, state.gamma, grad)
@@ -499,17 +497,20 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
             stop_reason = "tolerance"
             break
 
-        if memory is not None:
-            eta = _barzilai_borwein(manifold, state.gamma, grad, *memory,
-                                    eta, iteration, gram, precond)
-        # P is positive definite, so -P g is always a descent direction
-        direction = -_along_stack(precond, grad)
-        found = _line_search(manifold, state, grad, grad_norm, direction, eta, value,
+        if carried is not None:
+            s, y = carried[1], grad - carried[0]
+            pairs = carried[2:]
+            sy = _stack_inner(manifold, state.gamma, s, y)
+            if sy > 0:
+                pairs = np.concatenate([pairs, [s, y]])[-2 * _MEMORY:]
+                rho = (rho + [1.0 / sy])[-_MEMORY:]
+        direction = _lbfgs_direction(manifold, state.gamma, grad, pairs, rho, precond)
+        found = _line_search(manifold, state, grad, grad_norm, direction, pairs, value,
                              evaluate, gradient)
         if found is None:
             stop_reason = "line_search"
             break
-        state, traj, logs, value, memory, grad = found
+        state, traj, logs, value, carried, grad = found
         worst, residual = _drift(manifold, state)
         if not residual <= _DRIFT_TOL:
             raise GeometryError(f"parameters drifted off the manifold: {worst} residual "
@@ -535,46 +536,46 @@ def _drift(manifold: Manifold, state: PolynomialState):
     return worst, residuals[worst]
 
 
-def _line_search(manifold, state, grad, grad_norm, direction, eta, value, evaluate,
+def _line_search(manifold, state, grad, grad_norm, direction, pairs, value, evaluate,
                  gradient):
-    """Halve the step from eta until a candidate beats the current objective.
+    """Halve the step from 1 until a candidate beats the current objective.
 
     A candidate with step e is one Manifold.step along e * direction[0] that
-    carries the rows [vels + e * direction[1:], grad, direction] to the new
-    base point.  It wins if its objective is below value by more than
-    _TIE_ULPS units in the last place of value.  Near the optimum the
+    carries the rows [vels + e * direction[1:], grad, direction, pairs] to
+    the new base point.  It wins if its objective is below value by more
+    than _TIE_ULPS units in the last place of value.  Near the optimum the
     objective stops resolving a decrease, so a candidate within that band,
     a tie, wins if its gradient norm is below grad_norm: the objective
     trace can rise by at most _TIE_ULPS ulps, and only on an accepted tie.
     A candidate at the cut locus of an observation, where its residual log
-    is undefined, is rejected like one that does not descend.  The first
-    step, eta, is always tried; after it the search gives up once the
-    predicted decrease e <g, P g> falls below the rounding unit of the
-    objective, np.spacing(value), and returns None.  Otherwise it returns
-    (state, trajectory, logs, objective, memory, gradient), where memory is
-    the Barzilai-Borwein pair (grad, e * direction) at the accepted point
-    and gradient is a tie's, taken to compare it, or None.
+    is undefined, is rejected like one that does not descend.  After the
+    unit step the search gives up once the predicted decrease -e <g,
+    direction> falls below np.spacing(value), and returns None; otherwise
+    (state, trajectory, logs, objective, carried, gradient): carried holds
+    the moved [grad, e * direction, pairs], gradient is a tie's or None.
     """
     k = state.order
-    e = eta
-    slope = -_stack_inner(manifold, state.gamma, grad, direction)   # <g, P g>
+    e = 1.0
+    slope = -_stack_inner(manifold, state.gamma, grad, direction)
     tie = _TIE_ULPS * np.spacing(value)
     while True:
-        rows = np.concatenate([state.vels + e * direction[1:], grad, direction])
+        rows = np.concatenate([state.vels + e * direction[1:], grad, direction,
+                               pairs.reshape((-1,) + grad.shape[1:])])
         gamma, moved = manifold.step(state.gamma, e * direction[0], rows)
         moved = np.asarray(manifold.project_tangent(gamma, moved), dtype=float)
         candidate = PolynomialState(gamma, moved[:k])
-        memory = (moved[k:2 * k + 1], e * moved[2 * k + 1:])
+        carried = moved[k:].reshape((-1,) + grad.shape)
+        carried[1] *= e
         try:
             traj, logs, val = evaluate(candidate)
         except CutLocusError:
             val = np.inf                    # rejected: the step shrinks
         if val < value - tie:
-            return candidate, traj, logs, val, memory, None
+            return candidate, traj, logs, val, carried, None
         if abs(val - value) <= tie:
             cand_grad = gradient(candidate, traj, logs)
             if _stack_norm(manifold, gamma, cand_grad) < grad_norm:
-                return candidate, traj, logs, val, memory, cand_grad
+                return candidate, traj, logs, val, carried, cand_grad
         e *= _SHRINK
         if not e * slope >= np.spacing(value):
             return None
@@ -612,16 +613,17 @@ def _stack_norm(manifold, gamma, a) -> float:
     return float(np.sqrt(_stack_inner(manifold, gamma, a, a)))
 
 
-def _barzilai_borwein(manifold, gamma, grad, prev_grad, prev_move, eta, iteration,
-                      gram, precond):
-    """Alternating BB steps in the design metric: <s,Gs>/<s,y>, <s,y>/<y,Py>."""
-    s = prev_move
-    y = grad - prev_grad
-    sy = _stack_inner(manifold, gamma, s, y)
-    if sy <= 0:
-        return eta
-    if iteration % 2:
-        yy = _stack_inner(manifold, gamma, y, _along_stack(precond, y))
-        return sy / yy if yy > 0 else eta
-    ss = _stack_inner(manifold, gamma, s, _along_stack(gram, s))
-    return ss / sy
+def _lbfgs_direction(manifold, gamma, grad, pairs, rho, precond):
+    """-H g by the two-loop recursion over the (s, y) pairs, oldest first, from H = P.
+
+    Every 1/<s, y> kept is positive, so H is positive definite.
+    """
+    s, y = pairs[::2], pairs[1::2]
+    alpha = [0.0] * len(rho)
+    for i in reversed(range(len(rho))):
+        alpha[i] = rho[i] * _stack_inner(manifold, gamma, s[i], grad)
+        grad = grad - alpha[i] * y[i]
+    d = _along_stack(precond, grad)
+    for i in range(len(rho)):
+        d = d + (alpha[i] - rho[i] * _stack_inner(manifold, gamma, y[i], d)) * s[i]
+    return -d

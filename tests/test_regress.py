@@ -657,8 +657,8 @@ class TestLineSearch:
             return cand_grad_scale * grad
 
         found = riempoly.regress._line_search(
-            plane, state, grad, float(np.linalg.norm(grad)), -grad, 1.0, 1.0,
-            evaluate, gradient)
+            plane, state, grad, float(np.linalg.norm(grad)), -grad, np.zeros((0, 2, 2)),
+            1.0, evaluate, gradient)
         return found, evaluated, grad
 
     def test_tie_with_a_lower_gradient_wins(self):
@@ -681,12 +681,114 @@ class TestLineSearch:
         assert found is not None and found[5] is None and len(evaluated) == 1
 
     def test_first_step_tried_below_rounding(self):
-        # the predicted decrease eta <g, P g> = 4e-40 is far below the
-        # rounding unit of the objective, yet the first step is tried
+        # the predicted decrease of the unit step, -<g, d> = 4e-40, is far
+        # below the rounding unit of the objective, yet that step is tried
         found, evaluated, _ = self._search(0.5, 2.0, grad_scale=1e-20)
         assert found is not None and len(evaluated) == 1
         found, evaluated, _ = self._search(2.0, 2.0, grad_scale=1e-20)
         assert found is None and len(evaluated) == 1
+
+
+def record_searches(monkeypatch):
+    """Wrap the line search; each call's (state, grad, direction, pairs, result)."""
+    calls = []
+    line_search = riempoly.regress._line_search
+
+    def recording(manifold, state, grad, grad_norm, direction, pairs, *rest):
+        found = line_search(manifold, state, grad, grad_norm, direction, pairs, *rest)
+        calls.append((state, grad, direction, pairs, found))
+        return found
+
+    monkeypatch.setattr(riempoly.regress, "_line_search", recording)
+    return calls
+
+
+def stack_dot(manifold, gamma, a, b):
+    return float(np.sum(manifold.inner(gamma, a, b)))
+
+
+def two_loop(manifold, gamma, grad, pairs, precond):
+    """-H g for the inverse BFGS updates of P by pairs [(s, y), ...], oldest first."""
+    q, alphas = grad, []
+    for s, y in reversed(pairs):
+        alphas.append(stack_dot(manifold, gamma, s, q) / stack_dot(manifold, gamma, s, y))
+        q = q - alphas[-1] * y
+    r = np.tensordot(precond, q, 1)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        r = r + (a - stack_dot(manifold, gamma, y, r) / stack_dot(manifold, gamma, s, y)) * s
+    return -r
+
+
+class TestQuasiNewton:
+    """L-BFGS directions from the pairs carried by each candidate's one step."""
+
+    @pytest.mark.parametrize("space, k, seed, scale", [
+        (rp.Sphere(2), 3, 1, 1.0),
+        (rp.KendallShapeSpace(4, 2), 2, 0, 0.5),
+        (rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0]))), 2, 2, 1.0),
+    ], ids=["sphere", "kendall_4_2", "so3_general"])
+    def test_directions_match_a_transported_two_loop(self, space, k, seed, scale,
+                                                     monkeypatch):
+        # the reference moves its pairs, the last gradient and the last step
+        # with Manifold.transport along each accepted step, recomputes every
+        # 1/<s, y> at the point where it is used, and keeps the last 3 pairs
+        _, _, data = random_fit_problem(space, k, np.random.default_rng(seed), scale=scale,
+                                        obs_scale_factor=1.0, steps=50,
+                                        times=np.linspace(0.0, 1.0, 8))
+        calls = record_searches(monkeypatch)
+        res = rp.fit_polynomial(space, data, rp.FitConfig(order=k, steps=50, max_iters=50))
+        assert res.converged and res.iterations >= 5
+        precond = _design_metric(data.times, k)[2]
+        pairs, moved, most = [], None, 0
+        for state, grad, direction, _, found in [c for c in calls if c[0].order == k]:
+            gamma = state.gamma
+            if moved is not None:
+                s, y = moved[1], grad - moved[0]
+                if stack_dot(space, gamma, s, y) > 0:
+                    pairs = (pairs + [(s, y)])[-3:]
+            most = max(most, len(pairs))
+            expected = two_loop(space, gamma, grad, pairs, precond)
+            assert np.abs(direction - expected).max() <= 1e-12
+            if found is None:
+                break
+            # the accepted step is a power of two and transport an isometry
+            step = found[4][1]
+            e = 2.0 ** round(0.5 * np.log2(stack_dot(space, found[0].gamma, step, step)
+                                           / stack_dot(space, gamma, direction, direction)))
+            v = e * direction[0]
+            moved = (space.transport(gamma, v, grad), space.transport(gamma, v, e * direction))
+            pairs = [(space.transport(gamma, v, s), space.transport(gamma, v, y))
+                     for s, y in pairs]
+        assert most == 3
+
+    @pytest.mark.parametrize("k, seed", [(0, 2), (1, 7)])
+    def test_pairs_without_curvature_are_dropped(self, k, seed, monkeypatch):
+        # 12 points up to 2.5 rad from a pole: the objective is not convex
+        # there, and some steps end with <s, y> <= 0.  Such a pair is not
+        # stored, a pair with <s, y> > 0 is, and every direction descends
+        sphere = rp.Sphere(2)
+        rng = np.random.default_rng(seed)
+        angle, turn = 2.5 * np.sqrt(rng.uniform(size=12)), rng.uniform(0.0, 2 * np.pi, 12)
+        points = np.stack([np.sin(angle) * np.cos(turn), np.sin(angle) * np.sin(turn),
+                           np.cos(angle)], axis=1)
+        data = rp.TimedDataset(sphere, np.linspace(0.0, 1.0, 12), points)
+        calls = record_searches(monkeypatch)
+        res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=k, steps=22, tol=1e-8))
+        assert res.converged
+        calls = [c for c in calls if c[0].order == k]
+        dropped = 0
+        for (_, _, _, _, found), (state, grad, direction, pairs, _) in zip(calls, calls[1:]):
+            carried = found[4]
+            s, y = carried[1], grad - carried[0]
+            if stack_dot(sphere, state.gamma, s, y) > 0:
+                kept = np.concatenate([carried[2:], [s, y]])[-6:]
+            else:
+                dropped += 1
+                kept = carried[2:]
+            assert np.array_equal(pairs, kept)
+        assert dropped >= 1
+        for state, grad, direction, _, _ in calls:
+            assert stack_dot(sphere, state.gamma, grad, direction) < 0
 
 
 class TestRSquared:
@@ -791,8 +893,8 @@ class TestFitPolynomial:
 
     def test_one_step_per_candidate(self, rng, monkeypatch):
         # outside the forward and reverse passes, a line-search candidate is
-        # one Manifold.step, which also carries the Barzilai-Borwein memory;
-        # no transport runs on its own
+        # one Manifold.step, which also carries the L-BFGS pairs; no
+        # transport runs on its own
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=50)
         outside = Counter()
@@ -893,6 +995,19 @@ class TestFitPolynomial:
         for i in range(16):
             data = rp.TimedDataset(sphere, *sphere_cubic_points(i, 9901))
             assert rp.fit_polynomial(sphere, data, cfg).stop_reason == "tolerance", i
+
+    def test_sphere_cubic_design_takes_few_iterations(self):
+        # quasi-Newton descent: the 16 fits take 86 iterations in all; the
+        # design-metric Barzilai-Borwein steps it replaced took 135
+        sphere = rp.Sphere(2)
+        cfg = rp.FitConfig(order=3, steps=50, tol=1e-6)
+        total = 0
+        for i in range(16):
+            data = rp.TimedDataset(sphere, *sphere_cubic_points(i, 9901))
+            res = rp.fit_polynomial(sphere, data, cfg)
+            assert res.converged, i
+            total += res.iterations
+        assert total <= 100
 
     @pytest.mark.parametrize("steps", [11, 55, 220])
     def test_widely_spread_sphere_data_converge(self, steps):
@@ -1037,7 +1152,7 @@ class TestFitPolynomial:
     def test_padded_order_starts_from_the_lower_logs(self, monkeypatch):
         # on the rat fit the padded curve meets the observed nodes at the
         # lower optimum's points bit for bit, so orders 1 and 2 take no log
-        # of their own at the start: 12 log_many calls, not 14, and every
+        # of their own at the start: two log_many calls fewer, and every
         # result as when each order logs its padded start (the plan's
         # record of the last descent's end cleared before each order)
         from pathlib import Path
@@ -1055,7 +1170,7 @@ class TestFitPolynomial:
 
         monkeypatch.setattr(rp.KendallShapeSpace, "log_many", counting)
         results = rp.fit_orders(space, data, (0, 1, 2), config)
-        assert calls["log_many"] == 12
+        reused = calls["log_many"]
 
         calls.clear()
         plan = riempoly.regress._Plan(space, data, config.steps)
@@ -1079,7 +1194,7 @@ class TestFitPolynomial:
             assert (got.sse, got.iterations, got.objective_trace, got.grad_norm) == \
                 (previous.sse, previous.iterations, previous.objective_trace,
                  previous.grad_norm)
-        assert calls["log_many"] == 14
+        assert calls["log_many"] == reused + 2
 
     def test_underdetermined_warns(self, rng):
         sphere = rp.Sphere(2)
