@@ -58,16 +58,16 @@ design has fewer distinct times than k+1, G is singular and P keeps the
 identity on its null space.  The stopping test stays on the
 unpreconditioned metric norm of the gradient.
 
-A plan (_Plan) holds what the fits of one (data, steps) share: the data
-with its time axis affinely rescaled to [0, 1], the grid, which holds
-every observation time bit for bit, each observation's node on it, the
-order-zero fit, and where the last descent on it ended.  The orders of one
-fit_orders call share one plan; fit_polynomial and frechet_mean called
-alone build their own.  One rule picks a descent's starting logs: a start
-whose curve meets the observed nodes at that end's points bit for bit, as
-the mean with zero vectors and a lower optimum padded with zero vectors
-do, takes its logs and objective; any other takes one log_many.  Every
-reported quantity carries the time mapping back to original units.
+A plan (_Plan) holds what the fits of one (data, config) share, and is
+read-only once built: the data with its time axis affinely rescaled to
+[0, 1], the grid, which holds every observation time bit for bit, each
+observation's node on it, and the order-zero fit, run when the plan is
+built.  The orders of one fit_orders call share one plan; fit_polynomial
+and frechet_mean called alone build their own.  One rule picks a
+descent's start: no initial state is the mean with zero vectors, whose
+curve is the order-zero fit's, so it takes that fit's logs and objective
+and no log; a supplied initial state takes one log_many.  Every reported
+quantity carries the time mapping back to original units.
 """
 
 from __future__ import annotations
@@ -156,8 +156,11 @@ class FitConfig:
     def __post_init__(self):
         if not (0 <= self.order <= _MAX_ORDER):
             raise ValueError(f"order must be between 0 and {_MAX_ORDER}")
-        if min(self.steps, self.max_iters) < 1 or self.tol <= 0:
-            raise ValueError("steps, max_iters and tol must be positive")
+        for name, least in (("steps", 1), ("max_iters", 1), ("tol", 0)):
+            value = getattr(self, name)
+            if not (value > 0 and least <= value < np.inf):     # False for NaN
+                raise ValueError(f"steps, max_iters and tol must be positive and finite, "
+                                 f"got {name}={value}")
 
 
 @dataclass
@@ -250,10 +253,11 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
     iterations, from the first point whose logs are all defined; if none
     is, the last one's CutLocusError propagates.  A mean log at the
     returned point whose norm is above tol warns; above max(tol, 1e-6) it
-    raises GeometryError.
+    raises GeometryError.  A tol or max_iter that FitConfig refuses, such
+    as a NaN, raises ValueError.
     """
     mean = _Plan(manifold, TimedDataset(manifold, np.zeros(len(points)), points),
-                 1).order_zero(FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol))
+                 FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol)).zero
     mean_log = manifold.norm(mean.state.gamma, np.add.reduce(mean.logs) / len(mean.logs))
     if mean_log > max(tol, 1e-6):
         raise GeometryError("mean iteration did not converge")
@@ -279,126 +283,96 @@ _Descent = namedtuple("_Descent", "state traj logs value stop_reason grad_norm t
 
 
 class _Plan:
-    """One dataset made ready for its fits, built once per (data, steps).
+    """One dataset made ready for its fits under config; read-only once built.
 
     It holds the data on [0, 1] with the offset and scale of the original
     times, the fits' grid (data of one time take the grid [0, 1] of one
-    step) and each observation's node on it, the order-zero fit, made once
-    under the first config that asks for it, and the end of the last
-    descent run on it: its observed points, bit for bit, with their logs
-    and objective.  A start whose curve meets the nodes at those points
-    takes them as its own and no log: the constant start at the mean and
-    the lower optimum padded with zero vectors.
+    step), each observation's node on it, and zero, the order-zero fit
+    under config, whose point is the Frechet mean and whose SSE the
+    variance.  That fit starts at the first observation whose logs to all
+    the others are defined; if none is, the last one's CutLocusError
+    propagates.
     """
 
-    def __init__(self, manifold: Manifold, data: TimedDataset, steps: int):
+    def __init__(self, manifold: Manifold, data: TimedDataset, config: FitConfig):
         self.manifold = manifold
         self.data, self.offset, self.scale = data.rescaled()
-        times = self.data.times
-        self.grid = time_grid(1.0, 1 if times[-1] == 0.0 else steps, times)
+        times, points = self.data.times, self.data.points
+        self.grid = time_grid(1.0, 1 if times[-1] == 0.0 else config.steps, times)
         self.nodes = np.searchsorted(self.grid, times)
-        self.end = None                  # (observed bytes, logs, objective)
-        self._zero = None
-
-    def observed(self, state: PolynomialState, traj) -> np.ndarray:
-        """The curve's points at the observation nodes; traj None is the constant curve."""
-        if traj is None:
-            return np.broadcast_to(state.gamma, self.data.points.shape)
-        return traj.points[self.nodes]
-
-    def residuals(self, state: PolynomialState, traj):
-        """A start's residual logs and objective: the last descent's end if it meets it.
-
-        Otherwise one log_many, a failed log reported as such.
-        """
-        observed = self.observed(state, traj)
-        if self.end is not None and self.end[0] == observed.tobytes():
-            return self.end[1:]
-        try:
-            return _residuals(self.manifold, observed, self.data.points)
-        except GeometryError as exc:
-            raise GeometryError(f"objective failed on an observation: {exc}") from exc
-
-    def order_zero(self, config: FitConfig) -> _Descent:
-        """The order-zero fit, whose point is the Frechet mean and whose SSE the variance.
-
-        It starts at the first observation whose logs to all the others are
-        defined; if none is, the last one's CutLocusError propagates.
-        """
-        if self._zero is None:
-            points = self.data.points
-            for i, start in enumerate(points):
-                try:
-                    logs, value = _residuals(self.manifold,
-                                             np.broadcast_to(start, points.shape), points)
-                    break
-                except CutLocusError:
-                    if i == len(points) - 1:
-                        raise
-            state = PolynomialState(start, np.zeros((0,) + self.manifold.tangent_shape))
-            self._zero = _descend(self, config, state, None, logs, value)
-        return self._zero
+        for i, start in enumerate(points):
+            try:
+                logs, value = _residuals(manifold, np.broadcast_to(start, points.shape), points)
+                break
+            except CutLocusError:
+                if i == len(points) - 1:
+                    raise
+        state = PolynomialState(start, np.zeros((0,) + manifold.tangent_shape))
+        self.zero = _descend(self, config, state, None, logs, value)
 
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
                    initial: PolynomialState | None = None, *, _plan=None) -> FitResult:
     """Estimate initial conditions of an order-k curve by descent.
 
-    Every call first makes the order-zero fit under config, from the first
-    observation whose logs are all defined, once per plan of the data: its
-    point is the data's Frechet mean and its SSE the Frechet variance, so
+    The plan of the data (_Plan) holds the order-zero fit under config,
+    from the first observation whose logs are all defined: its point is the
+    data's Frechet mean and its SSE the Frechet variance, so
     R^2 = 1 - SSE_k / SSE_0 with both fits at the same tolerance.  At order
-    zero without an initial state, that fit is the result.  Otherwise the
-    descent starts from the initial state (in internal [0, 1] time units) or
-    from the mean with zero vectors.  A start with zero vectors takes no pass
-    (see the module), and one that meets the observed nodes at the points
-    where the plan's last descent ended, bit for bit, takes its logs and
-    objective and no log (see _Plan).  An initial state more than 1e-6 off
-    the manifold (its point or its vectors' tangency) raises ValueError
-    naming the worst part, a NaN the worst of all, and fewer distinct
-    observation times than k + 1 warn that the fit is underdetermined.
-    Candidates are accepted as _line_search says.  Parameters that drift
-    more than 1e-6 off the manifold raise GeometryError.  The result is
-    converged when its descent and the order-zero fit both reached the
-    tolerance; stop_reason is its own descent's.  It keeps the trajectory of
-    the accepted parameters, the one its SSE was measured on, and its
-    residual logs, so reports take no log of their own.  ``_plan`` is
-    private to ``fit_orders``, which makes one plan of the data for all its
-    orders.
+    zero without an initial state, that fit is the result.  Otherwise,
+    without an initial state the descent starts from the mean with zero
+    vectors, the order-zero fit's curve, and takes that fit's logs and SSE
+    with no log and no pass.  An initial state (in internal [0, 1] time
+    units) takes one log_many, and is integrated only if it has nonzero
+    vectors: a start with zero vectors takes no pass (see the module).  An
+    initial state more than 1e-6 off the manifold (its point or its
+    vectors' tangency) raises ValueError naming the worst part, a NaN the
+    worst of all, and fewer distinct observation times than k + 1 warn
+    that the fit is underdetermined.  Candidates are accepted as
+    _line_search says.  Parameters that drift more than 1e-6 off the
+    manifold raise GeometryError.  The result is converged when its descent
+    and the order-zero fit both reached the tolerance; stop_reason is its
+    own descent's.  It keeps the trajectory of the accepted parameters, the
+    one its SSE was measured on, and its residual logs, so reports take no
+    log of their own.  ``_plan`` is private to ``fit_orders``, which makes
+    one plan of the data for all its orders and only reads it.
     """
     started = time.perf_counter()
     k = config.order
-    plan = _plan or _Plan(manifold, data, config.steps)
+    plan = _plan or _Plan(manifold, data, config)
     if plan.data.times[-1] == 0.0 and k > 0:
         raise ValueError("all observations share one time; only order 0 is defined")
     distinct = len(np.unique(plan.data.times))
     if distinct < k + 1:
         warnings.warn(f"only {distinct} distinct observation times for order {k}: "
                       "fit is underdetermined", stacklevel=2)
-    zero = plan.order_zero(config)
+    zero = plan.zero
 
     shape = (k,) + manifold.tangent_shape
     if initial is None:
         state = PolynomialState(zero.state.gamma, np.zeros(shape))
+        fit = zero if k == 0 else _descend(plan, config, state, None, zero.logs, zero.value)
     elif initial.vels.shape == shape or (k == 0 and initial.vels.size == 0):
         state = PolynomialState(initial.gamma, initial.vels.reshape(shape))
         worst, residual = _drift(manifold, state)
         if not residual <= _DRIFT_TOL:
             raise ValueError(f"initial state is off the manifold: {worst} residual "
                              f"{residual:.3e} exceeds {_DRIFT_TOL:g}")
+        # the constant start is its base point at every node and takes no
+        # pass; it is integrated for the result only if no step is accepted
+        traj = integrate_polynomial(manifold, state, plan.grid) if state.vels.any() else None
+        observed = (np.broadcast_to(state.gamma, plan.data.points.shape) if traj is None
+                    else traj.points[plan.nodes])
+        try:
+            logs, value = _residuals(manifold, observed, plan.data.points)
+        except GeometryError as exc:
+            raise GeometryError(f"objective failed on an observation: {exc}") from exc
+        fit = _descend(plan, config, state, traj, logs, value)
     else:
         raise ValueError(
             f"initial vectors have shape {initial.vels.shape}; order {k} "
             f"on {manifold.name} needs {shape}"
         )
-
-    if initial is None and k == 0:
-        fit = zero
-    else:
-        # the constant start is its base point at every node and takes no
-        # pass; it is integrated for the result only if no step is accepted
-        traj = integrate_polynomial(manifold, state, plan.grid) if state.vels.any() else None
-        fit = _descend(plan, config, state, traj, *plan.residuals(state, traj))
     state = fit.state
     traj = (fit.traj if fit.traj is not None
             else integrate_polynomial(manifold, state, plan.grid))
@@ -434,18 +408,16 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
 def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig) -> dict:
     """Fit several orders, each seeded from the previous result.
 
-    The order-zero fit comes first, under config, and is returned only if
-    order 0 was requested; it gives every order its Frechet variance and
-    seeds the lowest requested order above zero.  Its descent runs before
-    the fit_polynomial calls, so the order-zero result's elapsed time does
-    not include it.  Every order shares one plan of the data (_Plan).  The
-    previous optimum is padded with zero vectors, so the objective can only
-    improve with the order; where the padded curve passes the previous
-    curve's observed points bit for bit, it starts from the previous logs
-    and SSE without a log of its own.  A repeated order is fitted once.
+    Every order shares one plan of the data (_Plan), built first: its
+    order-zero fit under config gives every order its Frechet variance, is
+    the order-zero result if order 0 was requested, and is not part of
+    that result's elapsed time.  The lowest requested order above zero
+    starts from the mean with zero vectors (initial None), the order-zero
+    optimum padded.  Each higher one starts from the previous optimum
+    padded with zero vectors, so the objective can only improve with the
+    order; that start takes one log_many.  A repeated order is fitted once.
     """
-    plan = _Plan(manifold, data, config.steps)
-    plan.order_zero(config)
+    plan = _Plan(manifold, data, config)
     results = {}
     previous = None
     for k in sorted(set(orders)):
@@ -456,7 +428,7 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
                                       np.concatenate([previous.params.vels, pad]))
         results[k] = fit_polynomial(manifold, data, replace(config, order=k),
                                     initial=initial, _plan=plan)
-        previous = results[k]
+        previous = results[k] if k else None    # order zero's padding is the mean start
     return results
 
 
@@ -468,8 +440,7 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     at order zero and at a constant start the gradient is the closed form,
     elsewhere one integrate_adjoint pass over the plan's nodes.  The
     gradient norm it reports is the returned state's, so a descent stopped
-    at max_iters takes one more gradient.  Where it stopped is recorded as
-    the plan's end.
+    at max_iters takes one more gradient.  The plan is only read.
     """
     manifold, internal = plan.manifold, plan.data
     k = state.order
@@ -521,7 +492,6 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
         if grad is None:
             grad = gradient(state, traj, logs)
         grad_norm = _stack_norm(manifold, state.gamma, grad)
-    plan.end = (plan.observed(state, traj).tobytes(), logs, value)
     return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
 
 

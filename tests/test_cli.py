@@ -155,6 +155,17 @@ class TestFitCommand:
         payload = json.loads((tmp_path / "o" / "fit.json").read_text())
         assert payload["fits"]["1"]["stop_reason"] == "max_iters"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_named(self, small_kendall_csv, tmp_path, capsys, tol):
+        # exit 1 naming the value before any fit, not a run to the line
+        # search with "tol": NaN in fit.json
+        out = tmp_path / "o"
+        assert run_cli("fit", "--input", str(small_kendall_csv), "--out", str(out),
+                       "--tol", tol) == 1
+        err = capsys.readouterr().err
+        assert f"got tol={tol}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_euclidean_manifold_accepted(self, small_kendall_csv, tmp_path):
         code = run_cli(
             "fit", "--manifold", "euclidean", "--orders", "1",

@@ -1,6 +1,7 @@
 """Estimation machinery: objective, reverse pass, descent, statistics."""
 
 import math
+import pickle
 import tracemalloc
 import warnings
 from collections import Counter
@@ -9,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import riempoly.cli
 import riempoly.geometry
 import riempoly.regress
 import riempoly as rp
@@ -554,14 +554,20 @@ class TestFrechetMean:
         with pytest.raises(rp.GeometryError, match="mean iteration did not converge"):
             rp.frechet_mean(sphere, pts, max_iter=1)
 
+    def test_non_finite_tol_rejected(self, rng):
+        sphere = rp.Sphere(2)
+        pts = np.stack([sphere.random_point(rng) for _ in range(3)])
+        with pytest.raises(ValueError, match="got tol=nan"):
+            rp.frechet_mean(sphere, pts, tol=math.nan)
+
     def test_judges_the_point_it_returns(self, rng):
         # a mean that reaches its tolerance on its last allowed iteration
         # neither warns nor raises: the rule reads the returned point's logs
         sphere = rp.Sphere(2)
         pts = np.stack([sphere.random_point(rng) for _ in range(5)])
         pts = np.stack([p if p[0] > 0 else -p for p in pts])
-        plan = riempoly.regress._Plan(sphere, rp.TimedDataset(sphere, np.zeros(5), pts), 1)
-        free = plan.order_zero(rp.FitConfig(order=0, tol=2e-9))
+        free = riempoly.regress._Plan(sphere, rp.TimedDataset(sphere, np.zeros(5), pts),
+                                      rp.FitConfig(order=0, tol=2e-9)).zero
         assert free.stop_reason == "tolerance" and len(free.trace) > 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1120,12 +1126,12 @@ class TestFitPolynomial:
         # reason stays the order's own
         sphere = rp.Sphere(2)
         _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
-        order_zero = riempoly.regress._Plan.order_zero
+        build = riempoly.regress._Plan.__init__
 
-        def one_iteration(plan, config):
-            return order_zero(plan, replace(config, max_iters=1))
+        def one_iteration(plan, manifold, data, config):
+            build(plan, manifold, data, replace(config, max_iters=1))
 
-        monkeypatch.setattr(riempoly.regress._Plan, "order_zero", one_iteration)
+        monkeypatch.setattr(riempoly.regress._Plan, "__init__", one_iteration)
         cfg = rp.FitConfig(order=1, steps=50)
         for res in (rp.fit_polynomial(sphere, data, cfg),
                     *rp.fit_orders(sphere, data, (0, 1), cfg).values()):
@@ -1149,52 +1155,46 @@ class TestFitPolynomial:
         assert list(results) == [1]
         assert calls == {1: 1}
 
-    def test_padded_order_starts_from_the_lower_logs(self, monkeypatch):
-        # on the rat fit the padded curve meets the observed nodes at the
-        # lower optimum's points bit for bit, so orders 1 and 2 take no log
-        # of their own at the start: two log_many calls fewer, and every
-        # result as when each order logs its padded start (the plan's
-        # record of the last descent's end cleared before each order)
-        from pathlib import Path
+    def test_the_plan_is_read_only(self, rng, monkeypatch):
+        # no fit writes into the plan it shares: after fit_orders, and after
+        # a further fit on the same plan, every attribute is the object the
+        # plan was built with, with the same bytes.  A mean start at order
+        # >= 1 takes the order-zero fit's logs: no log_many of its own, whose
+        # bases would all be the mean
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 2, rng, scale=0.5, steps=50)
+        config = rp.FitConfig(order=0, steps=50, tol=1e-5)
+        plans, built, bases = [], [], []
+        plan_class, log_many = riempoly.regress._Plan, rp.Sphere.log_many
 
-        path = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
-            / "rat_calvaria_synthetic.csv"
-        space, data, _ = riempoly.cli.build_dataset("kendall", rp.parse_landmarks(path))
-        config = rp.FitConfig(order=0, steps=200, tol=2e-6)
-        calls = Counter()
-        log_many = rp.KendallShapeSpace.log_many
+        def contents(plan):
+            return {name: (value, pickle.dumps(value)) for name, value in vars(plan).items()}
 
-        def counting(self, points, targets):
-            calls["log_many"] += 1
+        def keeping_plan(*args):
+            plans.append(plan_class(*args))
+            built.append(contents(plans[-1]))
+            return plans[-1]
+
+        def assert_unchanged(plan):
+            after = contents(plan)
+            assert after.keys() == built[0].keys()
+            for name, (value, dump) in after.items():
+                assert value is built[0][name][0] and dump == built[0][name][1], name
+
+        def keeping_bases(self, points, targets):
+            if plans:                       # after the plan's order-zero fit
+                bases.append(np.array(points))
             return log_many(self, points, targets)
 
-        monkeypatch.setattr(rp.KendallShapeSpace, "log_many", counting)
-        results = rp.fit_orders(space, data, (0, 1, 2), config)
-        reused = calls["log_many"]
-
-        calls.clear()
-        plan = riempoly.regress._Plan(space, data, config.steps)
-        plan.order_zero(config)
-        previous = None
-        for k in (0, 1, 2):
-            initial = None
-            if previous is not None:
-                pad = np.zeros((1,) + space.tangent_shape)
-                initial = rp.PolynomialState(previous.params.gamma,
-                                             np.concatenate([previous.params.vels, pad]))
-            plan.end = None
-            previous = rp.fit_polynomial(space, data, replace(config, order=k),
-                                         initial=initial, _plan=plan)
-            got = results[k]
-            for a, b in [(got.params.gamma, previous.params.gamma),
-                         (got.params.vels, previous.params.vels),
-                         (got.logs, previous.logs),
-                         (got.trajectory.points, previous.trajectory.points)]:
-                assert a.tobytes() == b.tobytes()
-            assert (got.sse, got.iterations, got.objective_trace, got.grad_norm) == \
-                (previous.sse, previous.iterations, previous.objective_trace,
-                 previous.grad_norm)
-        assert calls["log_many"] == reused + 2
+        monkeypatch.setattr(riempoly.regress, "_Plan", keeping_plan)
+        monkeypatch.setattr(rp.Sphere, "log_many", keeping_bases)
+        rp.fit_orders(sphere, data, (0, 1, 2), config)
+        plan, = plans
+        assert_unchanged(plan)
+        rp.fit_polynomial(sphere, data, replace(config, order=2), _plan=plan)
+        assert_unchanged(plan)
+        mean = plan.zero.state.gamma
+        assert bases and not any((b == mean).all() for b in bases)
 
     def test_underdetermined_warns(self, rng):
         sphere = rp.Sphere(2)
@@ -1300,8 +1300,11 @@ class TestFitPolynomial:
         with pytest.raises(ValueError):
             rp.FitConfig(order=7)
 
-    @pytest.mark.parametrize("field, value", [("steps", 0), ("max_iters", 0),
-                                              ("tol", 0.0), ("tol", -1e-6)])
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("max_iters", 0), ("tol", 0.0), ("tol", -1e-6),
+        ("steps", math.nan), ("max_iters", math.nan), ("tol", math.nan),
+        ("steps", math.inf), ("max_iters", math.inf), ("tol", math.inf), ("tol", -math.inf),
+    ])
     def test_steps_iterations_and_tol_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match="steps, max_iters and tol must be positive"):
             rp.FitConfig(order=1, **{field: value})
