@@ -76,6 +76,7 @@ import time
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -161,6 +162,10 @@ class FitConfig:
             if not (value > 0 and least <= value < np.inf):     # False for NaN
                 raise ValueError(f"steps, max_iters and tol must be positive and finite, "
                                  f"got {name}={value}")
+        for name in ("order", "steps", "max_iters"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"order, steps and max_iters must be integers, "
+                                 f"got {name}={getattr(self, name)!r}")
 
 
 @dataclass

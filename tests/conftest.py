@@ -1,6 +1,11 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,99 @@ from riempoly.regress import _residuals, integrate_adjoint
 # the same verdict on every run, however loaded the machine
 settings.register_profile("riempoly", derandomize=True, deadline=None)
 settings.load_profile("riempoly")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RAT_FIXTURE = SRC / "riempoly" / "data" / "rat_calvaria_synthetic.csv"
+
+Child = namedtuple("Child", "code stderr files")
+
+
+def run_riempoly(workdir, seed, *argv, code=None):
+    """Run `python -m riempoly *argv`, or `python -c code *argv`, in a fresh process.
+
+    The child imports the package from src/, with nothing installed, treats
+    warnings as errors, as the suite does, and hashes under
+    PYTHONHASHSEED=seed: the rolled passes memoize their chord tables by the
+    grid's bytes, and no output may depend on where a hash puts them.  It
+    runs in workdir, a new directory, so relative output paths land there.
+    Returns the exit code, stderr, and the bytes of every file it wrote, by
+    path relative to workdir.
+    """
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONWARNINGS="error",
+               PYTHONHASHSEED=str(seed))
+    head = ["-c", code] if code else ["-m", "riempoly"]
+    proc = subprocess.run([sys.executable, *head, *map(str, argv)], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=600)
+    files = {path.relative_to(workdir).as_posix(): path.read_bytes()
+             for path in sorted(workdir.rglob("*")) if path.is_file()}
+    return Child(proc.returncode, proc.stderr, files)
+
+
+def sphere_cubic_csv():
+    """16 records of a cubic on S^2 (speeds 1, 1.5 and 2) with 0.05-rad noise."""
+    rng = np.random.default_rng(2012)
+    p = rng.standard_normal(3)
+    p /= np.linalg.norm(p)
+    v = rng.standard_normal((3, 3))
+    v -= np.outer(v @ p, p)
+    v *= (np.array([1.0, 1.5, 2.0]) / np.linalg.norm(v, axis=1))[:, None]
+    lines = ["id,time,x1,y1,z1"]
+    for n in range(16):
+        t = n / 15
+        w = t * v[0] + t * t / 2 * v[1] + t ** 3 / 6 * v[2]
+        a = np.linalg.norm(w)
+        x = np.cos(a) * p + np.sinc(a / np.pi) * w
+        e = rng.standard_normal(3)
+        e -= (e @ x) * x
+        y = np.cos(0.05) * x + np.sin(0.05) * e / np.linalg.norm(e)
+        lines.append(f"s{n:02d},{n}," + ",".join(map(repr, (y / np.linalg.norm(y)).tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def rotation_curve_csv():
+    """12 records of a smooth rotation curve with 0.05-rad noise."""
+    def turn(w):
+        t = np.linalg.norm(w)
+        if t == 0.0:
+            return np.eye(3)
+        a, b, c = w / t
+        k = np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]])
+        return np.eye(3) + np.sin(t) * k + (1.0 - np.cos(t)) * (k @ k)
+
+    rng = np.random.default_rng(2012)
+    start = turn(rng.standard_normal(3))
+    w1, w2 = 0.03 * rng.standard_normal(3), 0.003 * rng.standard_normal(3)
+    lines = ["id,time," + ",".join(f"{a}{i}" for i in (1, 2, 3) for a in "xyz")]
+    for n in range(12):
+        e = rng.standard_normal(3)
+        r = start @ turn(n * w1 + n * n * w2) @ turn(0.05 * e / np.linalg.norm(e))
+        lines.append(f"r{n:02d},{n}," + ",".join(map(repr, r.ravel().tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def shapes_3d_csv():
+    """10 records of 5 landmarks in 3-D on a smooth curve with 0.02 noise."""
+    rng = np.random.default_rng(2012)
+    base, d1, d2 = rng.standard_normal((3, 5, 3))
+    lines = ["id,time," + ",".join(f"{a}{i}" for i in range(1, 6) for a in "xyz")]
+    for n in range(10):
+        x = base + n * 0.05 * d1 + n * n * 0.005 * d2 + 0.02 * rng.standard_normal((5, 3))
+        lines.append(f"s{n:02d},{n}," + ",".join(map(repr, x.ravel().tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def small_tps():
+    """A TPS file of 8 blocks of 4 planar landmarks on a noisy trend."""
+    rng = np.random.default_rng(2012)
+    base, trend = rng.standard_normal((2, 4, 2))
+    lines = []
+    for n in range(8):
+        lines.append("LM=4")
+        for row in base + n * 0.05 * trend + 0.02 * rng.standard_normal((4, 2)):
+            lines.append(" ".join(map(repr, row.tolist())))
+        lines += [f"ID=t{n}", f"AGE={7 * (n + 1)}"]
+    return "\n".join(lines) + "\n"
 
 
 def make_manifold(name):

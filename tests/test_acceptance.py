@@ -8,7 +8,6 @@ and calibrated fit quality as the classical archive; see data/README.md.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from riempoly.cli import build_dataset
 from riempoly.landmarks import parse_landmarks
 from conftest import (
     MANIFOLD_NAMES,
+    RAT_FIXTURE,
     adjoint_vs_fd,
     injectivity_radius,
     integrate_geodesic,
@@ -26,9 +26,6 @@ from conftest import (
     make_manifold,
     unit_tangent,
 )
-
-RAT_FIXTURE = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
-    / "rat_calvaria_synthetic.csv"
 
 REFERENCE_R2 = {1: 0.79, 2: 0.85, 3: 0.87}
 R2_TOLERANCE = 0.03

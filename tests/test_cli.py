@@ -1,7 +1,6 @@
 """Command-line workflow: conversion, fitting, outputs, exit codes."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import riempoly.cli
 import riempoly.regress
 from riempoly.cli import build_dataset, curve_table, main, observed_points, scatter_table
 from riempoly.landmarks import parse_landmarks
-from conftest import procrustes_align, unit_tangent
+from conftest import RAT_FIXTURE, procrustes_align, unit_tangent
 
 
 @pytest.fixture
@@ -62,24 +61,6 @@ class TestFitCommand:
         assert residuals[0] == "order,id,time,distance"
         assert len(residuals) == 1 + 2 * 10
         assert (out / "plot_data.csv").exists()
-
-    def test_deterministic_reruns(self, small_kendall_csv, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            code = run_cli(
-                "fit", "--manifold", "kendall", "--orders", "1",
-                "--input", str(small_kendall_csv), "--out", str(out),
-                "--steps", "60", "--max-iters", "200", "--tol", "1e-5",
-            )
-            assert code == 0
-            payload = json.loads((out / "fit.json").read_text())
-            del payload["elapsed_seconds"]
-            for fit in payload["fits"].values():
-                del fit["elapsed_seconds"]
-            del payload["input"]
-            outs.append(json.dumps(payload, sort_keys=True))
-        assert outs[0] == outs[1]
 
     def test_repeated_order_written_once(self, small_kendall_csv, tmp_path):
         # --orders 1,1 fits order 1 once and reports it as --orders 1 does
@@ -166,14 +147,6 @@ class TestFitCommand:
         assert f"got tol={tol}" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_euclidean_manifold_accepted(self, small_kendall_csv, tmp_path):
-        code = run_cli(
-            "fit", "--manifold", "euclidean", "--orders", "1",
-            "--input", str(small_kendall_csv), "--out", str(tmp_path / "o"),
-            "--steps", "50", "--max-iters", "400", "--tol", "1e-8",
-        )
-        assert code == 0
-
     def test_sphere_fit_from_unit_vectors(self, tmp_path, rng):
         # one landmark with x1,y1,z1 columns is a point of S^2
         sphere = rp.Sphere(2)
@@ -216,7 +189,7 @@ class TestFitCommand:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         assert run_cli("fit", "--manifold", name, "--input", str(path),
                        "--out", str(tmp_path / "o")) == 1
-        assert "record 3 (id 'r3') is off" in capsys.readouterr().err
+        assert f"record 3 (id 'r3') is off {space.name}:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fit.json").exists()
 
     def test_no_orders_rejected(self, small_kendall_csv, tmp_path):
@@ -269,10 +242,6 @@ class TestFitCommand:
             ) == 0
             r2[name] = json.loads((out / "fit.json").read_text())["fits"]["1"]["r_squared"]
         assert r2["orig"] == pytest.approx(r2["moved"], abs=1e-6)
-
-
-RAT_FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data"
-               / "rat_calvaria_synthetic.csv")
 
 
 class TestReportsReuseTheFit:

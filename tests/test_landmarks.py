@@ -14,9 +14,9 @@ from riempoly.landmarks import (
     write_landmarks_csv,
     write_table,
 )
+from conftest import RAT_FIXTURE
 
 ROOT = Path(__file__).resolve().parents[1]
-RAT_FIXTURE = ROOT / "src" / "riempoly" / "data" / "rat_calvaria_synthetic.csv"
 
 
 def write(tmp_path, name, text):

@@ -21,6 +21,7 @@ from riempoly.regress import (
     integrate_adjoint,
 )
 from conftest import (
+    RAT_FIXTURE,
     adjoint_reference,
     adjoint_vs_fd,
     log_log_slope,
@@ -559,6 +560,8 @@ class TestFrechetMean:
         pts = np.stack([sphere.random_point(rng) for _ in range(3)])
         with pytest.raises(ValueError, match="got tol=nan"):
             rp.frechet_mean(sphere, pts, tol=math.nan)
+        with pytest.raises(ValueError, match="got max_iters=2.5"):
+            rp.frechet_mean(sphere, pts, max_iter=2.5)
 
     def test_judges_the_point_it_returns(self, rng):
         # a mean that reaches its tolerance on its last allowed iteration
@@ -1309,6 +1312,14 @@ class TestFitPolynomial:
         with pytest.raises(ValueError, match="steps, max_iters and tol must be positive"):
             rp.FitConfig(order=1, **{field: value})
 
+    @pytest.mark.parametrize("field", ["order", "steps", "max_iters"])
+    def test_counts_must_be_integers(self, field):
+        # a float count is refused naming its field, before any fit; numpy
+        # integers pass
+        with pytest.raises(ValueError, match=f"must be integers, got {field}=2.5"):
+            rp.FitConfig(**{"order": 1, field: 2.5})
+        rp.FitConfig(**{"order": 1, field: np.int64(2)})
+
     def test_quotient_invariance_of_fit(self, rng):
         # rotating, scaling and translating every configuration leaves the
         # fitted quality untouched
@@ -1466,11 +1477,7 @@ class TestDiscretization:
         # chord: against a 2,860-step fit, the order-2 and order-3 vectors
         # at 20, 50 and 200 steps converge as h^2, lie within 1e-4 already
         # at 20 steps, and the SSE agrees to 1e-6
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "src" / "riempoly" / "data" \
-            / "rat_calvaria_synthetic.csv"
-        space, data, _ = riempoly.cli.build_dataset("kendall", rp.parse_landmarks(path))
+        space, data, _ = riempoly.cli.build_dataset("kendall", rp.parse_landmarks(RAT_FIXTURE))
         steps = (20, 50, 200)
         fits = {s: rp.fit_orders(space, data, (0, 1, 2, 3),
                                  rp.FitConfig(order=0, steps=s, tol=1e-9))
