@@ -13,7 +13,9 @@ gradient of the objective at every observed node, -(2/N) times the logs
 observed there, is carried back to the initial conditions over the whole
 pass, the reverse of the one Manifold.integrate call of the forward pass.
 The data are sorted by time, so each node's logs are one run of rows and
-one reduceat sums them.  On the sphere and planar shape space, whose
+one reduceat sums them; a fit's plan finds those runs once, and its
+descent hands them to integrate_adjoint, which then neither checks the
+nodes nor finds the runs again.  On the sphere and planar shape space, whose
 forward pass rolls, the pullback is the exact reverse of the roll
 (geometry.unroll), a cumulative sum rather than a recursion, so the
 gradient is that of the discrete objective the descent minimizes.
@@ -30,7 +32,9 @@ the constant curve, flat to first order (Jupp & Kent 1987): its gradient is
 the time design times the residual logs, row i the tangent part of -(2/N)
 sum_j phi_i(t_j) log_j, and it takes neither a forward nor a reverse pass.
 At order zero every curve is constant, and that closed form is the whole
-gradient: -2 times the mean of the logs.
+gradient: -2 times the mean of the logs.  So an order-zero candidate is
+its point alone: its logs are taken at that point, with no pass and no
+gather of rows, and only the order-zero result is integrated, once.
 
 There is one descent loop.  The order-zero fit is the Frechet mean of the
 data (its objective is the mean squared distance), and its SSE is the
@@ -62,12 +66,16 @@ A plan (_Plan) holds what the fits of one (data, config) share, and is
 read-only once built: the data with its time axis affinely rescaled to
 [0, 1], the grid, which holds every observation time bit for bit, each
 observation's node on it, and the order-zero fit, run when the plan is
-built.  The orders of one fit_orders call share one plan; fit_polynomial
-and frechet_mean called alone build their own.  One rule picks a
-descent's start: no initial state is the mean with zero vectors, whose
-curve is the order-zero fit's, so it takes that fit's logs and objective
-and no log; a supplied initial state takes one log_many.  Every reported
-quantity carries the time mapping back to original units.
+built, with each node's run of observation rows.  The order-zero fit
+starts at the middle observation of the time-sorted data, then works
+outward to the first whose logs to all the others are defined: the
+middle of a curve's data lies nearer its mean than either end.  The orders
+of one fit_orders call share one plan; fit_polynomial and frechet_mean
+called alone build their own.  One rule picks a descent's start: no
+initial state is the mean with zero vectors, whose curve is the order-zero
+fit's, so it takes that fit's logs and objective and no log; a supplied
+initial state takes one log_many.  Every reported quantity carries the
+time mapping back to original units.
 """
 
 from __future__ import annotations
@@ -202,7 +210,8 @@ def _residuals(manifold: Manifold, bases, targets):
     return logs, float(np.add.reduce(squares, axis=None) / squares.size)
 
 
-def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs) -> np.ndarray:
+def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs, *,
+                      _runs=None) -> np.ndarray:
     """The objective's gradient at traj's initial conditions.
 
     logs holds the residual logs log_{gamma(t_j)} y_j of traj, one row per
@@ -218,22 +227,33 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs) -> np.n
     (_constant_gradient), with no reverse pass.  The fit takes that closed
     form at any start with zero vectors, and this pass for every later
     gradient.  Returns the (k+1, *tangent_shape) gradient: base point
-    first, then one row per vector.
+    first, then one row per vector.  ``_runs`` is private to the descent:
+    its plan's runs of nodes (_node_runs), found once when the plan was
+    built from nodes valid by construction, so a pass neither checks the
+    nodes nor finds the runs again.
     """
-    nodes = np.asarray(nodes)
-    if nodes.shape != (len(logs),) or nodes.dtype.kind not in "iu":
-        raise ValueError(f"need one integer node index per row of logs, got "
-                         f"{nodes.dtype} nodes of shape {nodes.shape} for {len(logs)} rows")
-    if (nodes[1:] < nodes[:-1]).any():
-        raise ValueError("nodes must be in non-decreasing order")
-    if len(nodes) and not (0 <= nodes[0] and nodes[-1] < len(traj)):
-        raise ValueError(f"nodes must index the {len(traj)} nodes of traj, "
-                         f"got {nodes[0]} .. {nodes[-1]}")
-    if traj.flow is None:
-        return _constant_gradient(manifold, traj.points[0], np.ones((1, len(logs))), logs)
-    starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]  # run starts
+    if _runs is None:
+        nodes = np.asarray(nodes)
+        if nodes.shape != (len(logs),) or nodes.dtype.kind not in "iu":
+            raise ValueError(f"need one integer node index per row of logs, got "
+                             f"{nodes.dtype} nodes of shape {nodes.shape} for {len(logs)} rows")
+        if (nodes[1:] < nodes[:-1]).any():
+            raise ValueError("nodes must be in non-decreasing order")
+        if len(nodes) and not (0 <= nodes[0] and nodes[-1] < len(traj)):
+            raise ValueError(f"nodes must index the {len(traj)} nodes of traj, "
+                             f"got {nodes[0]} .. {nodes[-1]}")
+        if traj.flow is None:
+            return _constant_gradient(manifold, traj.points[0], np.ones((1, len(logs))), logs)
+        _runs = _node_runs(nodes)
+    starts, run_nodes = _runs
     cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / len(logs))
-    return manifold.pullback(traj, nodes[starts], cotangents)
+    return manifold.pullback(traj, run_nodes, cotangents)
+
+
+def _node_runs(nodes):
+    """The runs of equal entries of sorted node indices: each run's first row and node."""
+    starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]
+    return starts, nodes[starts]
 
 
 def _constant_gradient(manifold: Manifold, p, phi, logs) -> np.ndarray:
@@ -255,12 +275,20 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
 
     The fit's gradient is -2 times the mean of the logs at the current
     point, so it runs at gradient tol 2 * tol, for at most max_iter
-    iterations, from the first point whose logs are all defined; if none
-    is, the last one's CutLocusError propagates.  A mean log at the
-    returned point whose norm is above tol warns; above max(tol, 1e-6) it
-    raises GeometryError.  A tol or max_iter that FitConfig refuses, such
-    as a NaN, raises ValueError.
+    iterations.  It starts at the middle point of points, as given, or at
+    the nearest to it whose logs to all the others are defined, the lower
+    index first; if none is, the last one's CutLocusError propagates.  The
+    descent never integrates a curve: each candidate takes its logs at its
+    own point.  A mean log at the returned point whose norm is above tol
+    warns; above max(tol, 1e-6) it raises GeometryError.  A max_iter that is
+    not a positive integer, or a tol that is not positive or whose double is
+    not finite, a NaN among them, raises ValueError naming the argument and
+    the value given.
     """
+    if not (isinstance(max_iter, Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be a positive integer, got max_iter={max_iter!r}")
+    if not 0.0 < 2.0 * tol < np.inf:                   # False for NaN
+        raise ValueError(f"tol must be positive and 2 * tol finite, got tol={tol!r}")
     mean = _Plan(manifold, TimedDataset(manifold, np.zeros(len(points)), points),
                  FitConfig(order=0, max_iters=max_iter, tol=2.0 * tol)).zero
     mean_log = manifold.norm(mean.state.gamma, np.add.reduce(mean.logs) / len(mean.logs))
@@ -281,9 +309,9 @@ def r_squared(sse: float, variance: float) -> float:
     return 1.0 - sse / variance
 
 
-# Where one descent stopped: its state, the state's pass (None for a constant
-# start never moved), logs and objective, and the record; trace holds the
-# starting objective and then one value per accepted iteration.
+# Where one descent stopped: its state, the state's pass (None at order zero
+# and for a constant start never moved), logs and objective, and the record;
+# trace holds the starting objective and then one value per accepted iteration.
 _Descent = namedtuple("_Descent", "state traj logs value stop_reason grad_norm trace")
 
 
@@ -292,11 +320,14 @@ class _Plan:
 
     It holds the data on [0, 1] with the offset and scale of the original
     times, the fits' grid (data of one time take the grid [0, 1] of one
-    step), each observation's node on it, and zero, the order-zero fit
-    under config, whose point is the Frechet mean and whose SSE the
-    variance.  That fit starts at the first observation whose logs to all
-    the others are defined; if none is, the last one's CutLocusError
-    propagates.
+    step), each observation's node on it, runs, each node's run of
+    observation rows (_node_runs), which the descent hands to
+    integrate_adjoint, and zero, the order-zero fit under config, whose
+    point is the Frechet mean and whose SSE the variance.  That fit starts
+    at the middle observation, then works outward, the lower of two at one
+    distance first, and takes the first whose logs to all the others are
+    defined; if none is, the last one's CutLocusError propagates.  Its
+    descent integrates no curve, so zero.traj is None.
     """
 
     def __init__(self, manifold: Manifold, data: TimedDataset, config: FitConfig):
@@ -305,12 +336,17 @@ class _Plan:
         times, points = self.data.times, self.data.points
         self.grid = time_grid(1.0, 1 if times[-1] == 0.0 else config.steps, times)
         self.nodes = np.searchsorted(self.grid, times)
-        for i, start in enumerate(points):
+        self.runs = _node_runs(self.nodes)
+        # the middle observation first, then outward, the lower of two at one distance first
+        outward = np.argsort(np.abs(2 * np.arange(len(points)) - (len(points) - 1)),
+                             kind="stable")
+        for i in outward:
+            start = points[i]
             try:
                 logs, value = _residuals(manifold, np.broadcast_to(start, points.shape), points)
                 break
             except CutLocusError:
-                if i == len(points) - 1:
+                if i == outward[-1]:
                     raise
         state = PolynomialState(start, np.zeros((0,) + manifold.tangent_shape))
         self.zero = _descend(self, config, state, None, logs, value)
@@ -321,10 +357,12 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     """Estimate initial conditions of an order-k curve by descent.
 
     The plan of the data (_Plan) holds the order-zero fit under config,
-    from the first observation whose logs are all defined: its point is the
-    data's Frechet mean and its SSE the Frechet variance, so
-    R^2 = 1 - SSE_k / SSE_0 with both fits at the same tolerance.  At order
-    zero without an initial state, that fit is the result.  Otherwise,
+    from the middle observation, or the nearest outward whose logs are all
+    defined: its point is the data's Frechet mean and its SSE the Frechet
+    variance, so R^2 = 1 - SSE_k / SSE_0 with both fits at the same
+    tolerance.  At order zero without an initial state, that fit is the
+    result, and its curve, which no order-zero candidate needed, is
+    integrated once for the result.  Otherwise,
     without an initial state the descent starts from the mean with zero
     vectors, the order-zero fit's curve, and takes that fit's logs and SSE
     with no log and no pass.  An initial state (in internal [0, 1] time
@@ -340,7 +378,9 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     own descent's.  It keeps the trajectory of the accepted parameters, the
     one its SSE was measured on, and its residual logs, so reports take no
     log of their own.  ``_plan`` is private to ``fit_orders``, which makes
-    one plan of the data for all its orders and only reads it.
+    one plan of the data for all its orders and only reads it.  Every
+    gradient of the descent hands the plan's runs of nodes to
+    integrate_adjoint (its private ``_runs``).
     """
     started = time.perf_counter()
     k = config.order
@@ -440,10 +480,11 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
 def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     """L-BFGS descent on plan's data from state with its pass, logs and objective.
 
-    traj is None for a constant start, which takes no pass.  The time
+    traj is None for a constant start, which takes no pass, and for every
+    order-zero candidate, whose logs are taken at its point.  The time
     design's monomials and metric are built once, by one _design_metric;
     at order zero and at a constant start the gradient is the closed form,
-    elsewhere one integrate_adjoint pass over the plan's nodes.  The
+    elsewhere one integrate_adjoint pass over the plan's runs of nodes.  The
     gradient norm it reports is the returned state's, so a descent stopped
     at max_iters takes one more gradient.  The plan is only read.
     """
@@ -452,14 +493,21 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     phi, _, precond = _design_metric(internal.times, k)
 
     def evaluate(s: PolynomialState):
-        """Integrate a candidate; its residual logs and objective in one log_many."""
+        """A candidate's pass, residual logs and objective, in one log_many.
+
+        At order zero the curve is the candidate's point at every node: its
+        logs are taken there, with no pass (None) and no gather of rows.
+        """
+        if not k:
+            bases = np.broadcast_to(s.gamma, internal.points.shape)
+            return (None,) + _residuals(manifold, bases, internal.points)
         traj = integrate_polynomial(manifold, s, plan.grid)
         return (traj,) + _residuals(manifold, traj.points[plan.nodes], internal.points)
 
     def gradient(s: PolynomialState, traj, logs):
-        if traj is None or not k:           # the constant curve: no pass
+        if traj is None:                    # the constant curve: no pass
             return _constant_gradient(manifold, s.gamma, phi, logs)
-        return integrate_adjoint(manifold, traj, plan.nodes, logs)
+        return integrate_adjoint(manifold, traj, plan.nodes, logs, _runs=plan.runs)
 
     trace = [value]
     stop_reason = "max_iters"

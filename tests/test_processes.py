@@ -109,7 +109,7 @@ def test_a_second_hash_seed_writes_the_same_bytes(run, name):
 
 def test_every_order_reports_the_order_zero_variance(run):
     # one descent: every order's variance is the order-zero fit's SSE, and
-    # order 0 descends from the first observation to R^2 = 0
+    # order 0 descends from the middle observation to R^2 = 0
     [child] = run((0,), *COMMANDS["rat-kendall"])
     fits = fits_of(child)
     assert list(fits) == ["0", "1", "2", "3"]

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import riempoly.cli
 import riempoly.geometry
 import riempoly.regress
 import riempoly as rp
@@ -281,6 +282,24 @@ class TestAdjoint:
         integrate_adjoint(sphere, traj, nodes, logs)
         with pytest.raises(ValueError, match=fault):
             integrate_adjoint(sphere, traj, bad(nodes), logs)
+
+    @pytest.mark.parametrize("space", [
+        rp.Euclidean(3), rp.Sphere(2), rp.KendallShapeSpace(8, 2), rp.KendallShapeSpace(5, 3),
+        rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0]))),
+    ], ids=["euclidean_3", "sphere", "kendall_8_2", "kendall_5_3", "so3_general"])
+    def test_plan_runs_give_the_public_gradient(self, space, rng):
+        # the descent hands its plan's runs of nodes to the pass; the
+        # gradient is the one a caller gets from the nodes alone, bit for bit
+        for times in ((0.0, 0.33, 0.71, 1.0), (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)):
+            for k in (1, 2):
+                state, _, data = random_fit_problem(space, k, rng, scale=0.4, steps=30,
+                                                    times=times)
+                plan = riempoly.regress._Plan(space, data, rp.FitConfig(order=k, steps=30))
+                traj = rp.integrate_polynomial(space, state, plan.grid)
+                logs = space.log_many(traj.points[plan.nodes], plan.data.points)
+                expected = integrate_adjoint(space, traj, plan.nodes, logs)
+                got = integrate_adjoint(space, traj, plan.nodes, logs, _runs=plan.runs)
+                assert np.array_equal(got, expected), (times, k)
 
     def test_memory_is_flat_in_the_step_count(self, rng):
         # the default pullback, which flat space runs, carries k + 1
@@ -556,11 +575,16 @@ class TestFrechetMean:
             rp.frechet_mean(sphere, pts, max_iter=1)
 
     def test_non_finite_tol_rejected(self, rng):
+        # each refusal names the argument and the value the caller gave, not
+        # the FitConfig field or the gradient tolerance 2 * tol it runs at
         sphere = rp.Sphere(2)
         pts = np.stack([sphere.random_point(rng) for _ in range(3)])
         with pytest.raises(ValueError, match="got tol=nan"):
             rp.frechet_mean(sphere, pts, tol=math.nan)
-        with pytest.raises(ValueError, match="got max_iters=2.5"):
+        with pytest.raises(ValueError, match=r"^tol must be positive .*, got tol=-1\.0$"):
+            rp.frechet_mean(sphere, pts, tol=-1.0)
+        with pytest.raises(ValueError, match=r"^max_iter must be a positive integer, "
+                                             r"got max_iter=2\.5$"):
             rp.frechet_mean(sphere, pts, max_iter=2.5)
 
     def test_judges_the_point_it_returns(self, rng):
@@ -580,8 +604,8 @@ class TestFrechetMean:
     def test_candidate_at_the_cut_locus_is_rejected(self, rng):
         # the first candidate's log raises CutLocusError: it is rejected like
         # one that does not descend, the step halves, and the mean is found.
-        # The candidates are the order-zero fit's steps along e * direction,
-        # direction = -P g, at e = 1 and 1/2
+        # The candidates are the order-zero fit's steps from its start, the
+        # middle point, along e * direction, direction = -P g, at e = 1 and 1/2
         bases = []
 
         class Guarded(rp.Sphere):
@@ -596,31 +620,44 @@ class TestFrechetMean:
         pts = np.stack([p if p[0] > 0 else -p for p in pts])
         mean = rp.frechet_mean(Guarded(2), pts, tol=1e-11)
         assert np.abs(mean - rp.frechet_mean(sphere, pts, tol=1e-11)).max() < 1e-9
-        logs = sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts)
-        grad = _constant_gradient(sphere, pts[0], monomials(np.zeros(3), 0), logs)
+        start = pts[1]
+        assert np.array_equal(bases[0], start)
+        logs = sphere.log_many(np.broadcast_to(start, pts.shape), pts)
+        grad = _constant_gradient(sphere, start, monomials(np.zeros(3), 0), logs)
         _, _, precond = _design_metric(np.zeros(3), 0)
         direction = -(precond @ grad)[0]
-        assert np.array_equal(bases[1], sphere.exp(pts[0], direction))
-        assert np.array_equal(bases[2], sphere.exp(pts[0], 0.5 * direction))
+        assert np.array_equal(bases[1], sphere.exp(start, direction))
+        assert np.array_equal(bases[2], sphere.exp(start, 0.5 * direction))
 
-    def test_starts_past_an_antipodal_first_observation(self):
-        # e1 first, -e1 second: no log from e1 reaches -e1, so the iteration
-        # starts at the first observation whose logs are all defined, and
-        # both orders find one mean; a fit, which sorts by time, does too
+    def test_starts_past_an_antipodal_middle_pair(self):
+        # e1 and -e1 are the middle two of 32 points: no log from either
+        # reaches the other, so the iteration starts at the nearest
+        # observation outward whose logs are all defined, and both orders
+        # find one mean; a fit, which sorts by time, does too
         sphere = rp.Sphere(2)
         near = np.array([0.0, 0.0, 1.0]) + 0.3 * np.random.default_rng(0).standard_normal((30, 3))
         near /= np.linalg.norm(near, axis=1, keepdims=True)
-        pts = np.concatenate([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], near])
-        with pytest.raises(CutLocusError):
-            sphere.log_many(np.broadcast_to(pts[0], pts.shape), pts)
-        mean = rp.frechet_mean(sphere, pts)
+        pts = np.concatenate([near[:15], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], near[15:]])
+        starts = []
+        log_many = rp.Sphere.log_many
+
+        class Recording(rp.Sphere):
+            def log_many(self, points, targets):
+                starts.append(np.array(points[0]))
+                return log_many(self, points, targets)
+
+        for middle in (15, 16):
+            with pytest.raises(CutLocusError):
+                sphere.log_many(np.broadcast_to(pts[middle], pts.shape), pts)
+        mean = rp.frechet_mean(Recording(2), pts)
+        assert [s.tolist() for s in starts[:3]] == [pts[i].tolist() for i in (15, 16, 14)]
         assert np.abs(mean - rp.frechet_mean(sphere, pts[::-1])).max() < 1e-8
         data = rp.TimedDataset(sphere, np.linspace(0.0, 1.0, len(pts)), pts)
         results = rp.fit_orders(sphere, data, (0, 1), rp.FitConfig(order=0, steps=50))
         assert all(r.converged for r in results.values())
         # e1 and -e1 alone: no start qualifies
         with pytest.raises(CutLocusError):
-            rp.frechet_mean(sphere, pts[:2])
+            rp.frechet_mean(sphere, pts[15:17])
 
     def test_missed_tolerance_warns(self, rng):
         sphere = rp.Sphere(2)
@@ -774,12 +811,14 @@ class TestQuasiNewton:
     def test_pairs_without_curvature_are_dropped(self, k, seed, monkeypatch):
         # 12 points up to 2.5 rad from a pole: the objective is not convex
         # there, and some steps end with <s, y> <= 0.  Such a pair is not
-        # stored, a pair with <s, y> > 0 is, and every direction descends
+        # stored, a pair with <s, y> > 0 is, and every direction descends.
+        # The roll puts the first point drawn in the middle, index 5, where
+        # the order-zero fit starts
         sphere = rp.Sphere(2)
         rng = np.random.default_rng(seed)
         angle, turn = 2.5 * np.sqrt(rng.uniform(size=12)), rng.uniform(0.0, 2 * np.pi, 12)
-        points = np.stack([np.sin(angle) * np.cos(turn), np.sin(angle) * np.sin(turn),
-                           np.cos(angle)], axis=1)
+        points = np.roll(np.stack([np.sin(angle) * np.cos(turn), np.sin(angle) * np.sin(turn),
+                                   np.cos(angle)], axis=1), 5, axis=0)
         data = rp.TimedDataset(sphere, np.linspace(0.0, 1.0, 12), points)
         calls = record_searches(monkeypatch)
         res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=k, steps=22, tol=1e-8))
@@ -912,7 +951,7 @@ class TestFitPolynomial:
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 if not active:
-                    outside[name] += 1
+                    outside[name, planning] += 1
                 active.append(name)
                 try:
                     return fn(*args, **kwargs)
@@ -920,7 +959,20 @@ class TestFitPolynomial:
                     active.pop()
             return wrapper
 
-        # the order-zero fit's candidates are line-search candidates too
+        # the order-zero fit, run while the plan is built, has line-search
+        # candidates too
+        planning = False
+        plan_class = riempoly.regress._Plan
+
+        def flagged_plan(*args):
+            nonlocal planning
+            planning = True
+            try:
+                return plan_class(*args)
+            finally:
+                planning = False
+
+        monkeypatch.setattr(riempoly.regress, "_Plan", flagged_plan)
         for name in ("integrate_polynomial", "integrate_adjoint"):
             monkeypatch.setattr(riempoly.regress, name,
                                 counted(name, getattr(riempoly.regress, name)))
@@ -929,9 +981,13 @@ class TestFitPolynomial:
                             counted("transport", rp.Sphere.transport))
         res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=2, steps=50))
         assert res.converged and res.iterations > 1
-        # every candidate is integrated once, and the constant start not at all
-        assert outside["step"] == outside["integrate_polynomial"]
-        assert outside["transport"] == 0
+        # every order-2 candidate is integrated once, and the constant start
+        # not at all; an order-zero candidate takes its logs at its own point
+        # and is not integrated
+        assert outside["step", False] == outside["integrate_polynomial", False]
+        assert outside["step", True] >= 1
+        assert outside["integrate_polynomial", True] == outside["integrate_adjoint", True] == 0
+        assert outside["transport", False] == outside["transport", True] == 0
 
     @pytest.mark.parametrize("case", ["so3_general", "sphere"])
     def test_each_pair_is_logged_once(self, case, rng, monkeypatch):
@@ -1017,6 +1073,47 @@ class TestFitPolynomial:
             assert res.converged, i
             total += res.iterations
         assert total <= 100
+
+    def test_sphere_cubic_means_take_few_iterations(self):
+        # the order-zero fit starts at the middle observation: the 16 means
+        # take 36 iterations in all at tol 2e-4 and 50 at 1e-6, against 42
+        # and 52 from the first observation, one end of the curve
+        sphere = rp.Sphere(2)
+        for tol, most in ((2e-4, 36), (1e-6, 50)):
+            total = 0
+            for i in range(16):
+                data = rp.TimedDataset(sphere, *sphere_cubic_points(i, 9901))
+                res = rp.fit_polynomial(sphere, data, rp.FitConfig(order=0, steps=50, tol=tol))
+                assert res.converged, (tol, i)
+                total += res.iterations
+            assert total <= most, tol
+
+    def test_order_zero_integrates_only_its_result(self, rng, monkeypatch):
+        # an order-zero candidate takes its logs at its own point: the mean
+        # integrates no curve, and an order-zero fit integrates its result
+        # once, the curve a fresh integration gives, bit for bit
+        sphere = rp.Sphere(2)
+        _, _, data = random_fit_problem(sphere, 1, rng, scale=0.5, steps=50)
+        integrated = []
+        integrate = riempoly.regress.integrate_polynomial
+
+        def recording(manifold, state, times):
+            integrated.append(state)
+            return integrate(manifold, state, times)
+
+        monkeypatch.setattr(riempoly.regress, "integrate_polynomial", recording)
+        rp.frechet_mean(sphere, data.points)
+        assert integrated == []
+        cfg = rp.FitConfig(order=0, steps=50)
+        res = rp.fit_polynomial(sphere, data, cfg)
+        assert res.converged and res.iterations >= 1
+        assert len(integrated) == 1 and integrated[0] is res.params
+        internal, _, _ = data.rescaled()
+        fresh = rp.integrate_polynomial(sphere, res.params,
+                                        rp.time_grid(1.0, cfg.steps, internal.times))
+        assert np.array_equal(res.trajectory.times, fresh.times)
+        assert np.array_equal(res.trajectory.points, fresh.points)
+        assert res.trajectory.flow is fresh.flow is None
 
     @pytest.mark.parametrize("steps", [11, 55, 220])
     def test_widely_spread_sphere_data_converge(self, steps):
