@@ -148,8 +148,8 @@ def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
     coords = [f"c{i + 1}" for i in range(int(np.prod(manifold.point_shape)))]
     curves = {k: curve_table(results[k], samples) for k in fitted}
     # each observation's distance to its fitted curve: its residual log's norm
-    anchors = {k: observed_points(results[k], data) for k in fitted}
-    squares = [manifold.inner(anchors[k], results[k].logs, results[k].logs) for k in fitted]
+    squares = [manifold.inner(results[k].observed, results[k].logs, results[k].logs)
+               for k in fitted]
     files = [
         (outdir / "curves.csv", ["order", "time"] + coords,
          [str(k) for k in fitted for _ in range(samples)],
@@ -164,7 +164,8 @@ def run_regression(manifold_name: str, orders: tuple, input_path, output_dir,
         best = converged[-1]
         files.append((outdir / "plot_data.csv", ["kind", "time"] + coords,
                       ["curve"] * samples + ["observations"] * data.size,
-                      np.concatenate([curves[best], scatter_table(data, anchors[best])])))
+                      np.concatenate([curves[best],
+                                      scatter_table(data, results[best].observed)])))
     write_table(*files)
 
     code = 0 if len(converged) == len(fitted) else 2
@@ -180,12 +181,6 @@ def curve_table(result: FitResult, samples: int) -> np.ndarray:
     s_values = np.linspace(0.0, 1.0, samples)
     return _table(result.time_offset + result.time_scale * s_values,
                   sample_curve(result.trajectory, s_values))
-
-
-def observed_points(result: FitResult, data: TimedDataset) -> np.ndarray:
-    """The fitted curve at each observation's own node."""
-    traj = result.trajectory
-    return traj.points[traj.node_index((data.times - result.time_offset) / result.time_scale)]
 
 
 def scatter_table(data: TimedDataset, anchors) -> np.ndarray:

@@ -13,9 +13,7 @@ gradient of the objective at every observed node, -(2/N) times the logs
 observed there, is carried back to the initial conditions over the whole
 pass, the reverse of the one Manifold.integrate call of the forward pass.
 The data are sorted by time, so each node's logs are one run of rows and
-one reduceat sums them; a fit's plan finds those runs once, and its
-descent hands them to integrate_adjoint, which then neither checks the
-nodes nor finds the runs again.  On the sphere and planar shape space, whose
+one reduceat sums them.  On the sphere and planar shape space, whose
 forward pass rolls, the pullback is the exact reverse of the roll
 (geometry.unroll), a cumulative sum rather than a recursion, so the
 gradient is that of the discrete objective the descent minimizes.
@@ -27,14 +25,17 @@ curvature operator, and are carried back by parallel transport, node by
 node, arriving at t = 0 carrying the gradients; on SO(3) the node maps are
 built and applied in blocks as batched running products.
 
-A start with zero vectors, as from the mean or padded from order zero, is
-the constant curve, flat to first order (Jupp & Kent 1987): its gradient is
-the time design times the residual logs, row i the tangent part of -(2/N)
-sum_j phi_i(t_j) log_j, and it takes neither a forward nor a reverse pass.
-At order zero every curve is constant, and that closed form is the whole
-gradient: -2 times the mean of the logs.  So an order-zero candidate is
-its point alone: its logs are taken at that point, with no pass and no
-gather of rows, and only the order-zero result is integrated, once.
+A state with zero vectors, as a start from the mean or padded from order
+zero, is the constant curve, flat to first order (Jupp & Kent 1987): its
+gradient is the time design times the residual logs, row i the tangent
+part of -(2/N) sum_j phi_i(t_j) log_j, and it takes neither a forward nor
+a reverse pass.  At order zero every curve is constant, and that closed
+form is the whole gradient: -2 times the mean of the logs.  One rule
+observes every start and candidate (_Plan.observe): a state with zero
+vectors, every order-zero one among them, is its point alone, its logs
+taken at that point with no pass and no gather of rows; any other state
+is integrated once.  A result without a pass is integrated once, at the
+end.
 
 There is one descent loop.  The order-zero fit is the Frechet mean of the
 data (its objective is the mean squared distance), and its SSE is the
@@ -60,22 +61,23 @@ ride along by parallel transport, an isometry, with the 1/<s, y> of their
 making (Ring & Wirth 2012); a pair with <s, y> <= 0 is dropped.  When the
 design has fewer distinct times than k+1, G is singular and P keeps the
 identity on its null space.  The stopping test stays on the
-unpreconditioned metric norm of the gradient.
+unpreconditioned metric norm of the gradient, and is made on every state
+the descent holds, the one its last permitted iteration reached included.
 
 A plan (_Plan) holds what the fits of one (data, config) share, and is
 read-only once built: the data with its time axis affinely rescaled to
 [0, 1], the grid, which holds every observation time bit for bit, each
 observation's node on it, and the order-zero fit, run when the plan is
-built, with each node's run of observation rows.  The order-zero fit
-starts at the middle observation of the time-sorted data, then works
-outward to the first whose logs to all the others are defined: the
-middle of a curve's data lies nearer its mean than either end.  The orders
-of one fit_orders call share one plan; fit_polynomial and frechet_mean
-called alone build their own.  One rule picks a descent's start: no
-initial state is the mean with zero vectors, whose curve is the order-zero
-fit's, so it takes that fit's logs and objective and no log; a supplied
-initial state takes one log_many.  Every reported quantity carries the
-time mapping back to original units.
+built.  The order-zero fit starts at the middle observation of the
+time-sorted data, then works outward to the first whose logs to all the
+others are defined: the middle of a curve's data lies nearer its mean than
+either end.  The orders of one fit_orders call share one plan;
+fit_polynomial and frechet_mean called alone build their own.  One rule
+picks a descent's start: no initial state is the mean with zero vectors,
+whose curve is the order-zero fit's, so it takes that fit's logs and
+objective and no log; a supplied initial state is observed as a candidate
+is.  Every reported quantity carries the time mapping back to original
+units.
 """
 
 from __future__ import annotations
@@ -171,9 +173,10 @@ class FitConfig:
                 raise ValueError(f"steps, max_iters and tol must be positive and finite, "
                                  f"got {name}={value}")
         for name in ("order", "steps", "max_iters"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"order, steps and max_iters must be integers, "
-                                 f"got {name}={getattr(self, name)!r}")
+                                 f"got {name}={value!r}")
 
 
 @dataclass
@@ -184,7 +187,8 @@ class FitResult:
     params: PolynomialState              # internal time units on [0, 1]
     params_original: PolynomialState     # velocities per original time unit
     trajectory: Trajectory               # params integrated over [0, 1]; gives sse
-    logs: np.ndarray                     # its residual logs, one row per observation
+    observed: np.ndarray                 # its point at each observation's node
+    logs: np.ndarray                     # the residual logs there, one row per observation
     sse: float
     frechet_variance: float
     r_squared: float
@@ -210,8 +214,7 @@ def _residuals(manifold: Manifold, bases, targets):
     return logs, float(np.add.reduce(squares, axis=None) / squares.size)
 
 
-def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs, *,
-                      _runs=None) -> np.ndarray:
+def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs) -> np.ndarray:
     """The objective's gradient at traj's initial conditions.
 
     logs holds the residual logs log_{gamma(t_j)} y_j of traj, one row per
@@ -225,35 +228,24 @@ def integrate_adjoint(manifold: Manifold, traj: Trajectory, nodes, logs, *,
     summed by one reduceat.  At order zero, the one trajectory without a
     flow record, the gradient is the tangent part of the logs' sum
     (_constant_gradient), with no reverse pass.  The fit takes that closed
-    form at any start with zero vectors, and this pass for every later
+    form at any state with zero vectors, and this pass for every other
     gradient.  Returns the (k+1, *tangent_shape) gradient: base point
-    first, then one row per vector.  ``_runs`` is private to the descent:
-    its plan's runs of nodes (_node_runs), found once when the plan was
-    built from nodes valid by construction, so a pass neither checks the
-    nodes nor finds the runs again.
+    first, then one row per vector.
     """
-    if _runs is None:
-        nodes = np.asarray(nodes)
-        if nodes.shape != (len(logs),) or nodes.dtype.kind not in "iu":
-            raise ValueError(f"need one integer node index per row of logs, got "
-                             f"{nodes.dtype} nodes of shape {nodes.shape} for {len(logs)} rows")
-        if (nodes[1:] < nodes[:-1]).any():
-            raise ValueError("nodes must be in non-decreasing order")
-        if len(nodes) and not (0 <= nodes[0] and nodes[-1] < len(traj)):
-            raise ValueError(f"nodes must index the {len(traj)} nodes of traj, "
-                             f"got {nodes[0]} .. {nodes[-1]}")
-        if traj.flow is None:
-            return _constant_gradient(manifold, traj.points[0], np.ones((1, len(logs))), logs)
-        _runs = _node_runs(nodes)
-    starts, run_nodes = _runs
-    cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / len(logs))
-    return manifold.pullback(traj, run_nodes, cotangents)
-
-
-def _node_runs(nodes):
-    """The runs of equal entries of sorted node indices: each run's first row and node."""
+    nodes = np.asarray(nodes)
+    if nodes.shape != (len(logs),) or nodes.dtype.kind not in "iu":
+        raise ValueError(f"need one integer node index per row of logs, got "
+                         f"{nodes.dtype} nodes of shape {nodes.shape} for {len(logs)} rows")
+    if (nodes[1:] < nodes[:-1]).any():
+        raise ValueError("nodes must be in non-decreasing order")
+    if len(nodes) and not (0 <= nodes[0] and nodes[-1] < len(traj)):
+        raise ValueError(f"nodes must index the {len(traj)} nodes of traj, "
+                         f"got {nodes[0]} .. {nodes[-1]}")
+    if traj.flow is None:
+        return _constant_gradient(manifold, traj.points[0], np.ones((1, len(logs))), logs)
     starts = np.concatenate(([True], nodes[1:] != nodes[:-1])).nonzero()[0]
-    return starts, nodes[starts]
+    cotangents = np.add.reduceat(logs, starts, axis=0) * (-2.0 / len(logs))
+    return manifold.pullback(traj, nodes[starts], cotangents)
 
 
 def _constant_gradient(manifold: Manifold, p, phi, logs) -> np.ndarray:
@@ -281,11 +273,11 @@ def frechet_mean(manifold: Manifold, points, tol: float = 1e-9,
     descent never integrates a curve: each candidate takes its logs at its
     own point.  A mean log at the returned point whose norm is above tol
     warns; above max(tol, 1e-6) it raises GeometryError.  A max_iter that is
-    not a positive integer, or a tol that is not positive or whose double is
-    not finite, a NaN among them, raises ValueError naming the argument and
-    the value given.
+    not a positive integer (a bool is not one), or a tol that is not
+    positive or whose double is not finite, a NaN among them, raises
+    ValueError naming the argument and the value given.
     """
-    if not (isinstance(max_iter, Integral) and max_iter >= 1):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, Integral) and max_iter >= 1):
         raise ValueError(f"max_iter must be a positive integer, got max_iter={max_iter!r}")
     if not 0.0 < 2.0 * tol < np.inf:                   # False for NaN
         raise ValueError(f"tol must be positive and 2 * tol finite, got tol={tol!r}")
@@ -309,9 +301,10 @@ def r_squared(sse: float, variance: float) -> float:
     return 1.0 - sse / variance
 
 
-# Where one descent stopped: its state, the state's pass (None at order zero
-# and for a constant start never moved), logs and objective, and the record;
-# trace holds the starting objective and then one value per accepted iteration.
+# Where one descent stopped: its state, the state's pass (None for a state
+# with zero vectors, as plan.observe takes it), logs and objective, and the
+# record; trace holds the starting objective and then one value per accepted
+# iteration.
 _Descent = namedtuple("_Descent", "state traj logs value stop_reason grad_norm trace")
 
 
@@ -320,14 +313,13 @@ class _Plan:
 
     It holds the data on [0, 1] with the offset and scale of the original
     times, the fits' grid (data of one time take the grid [0, 1] of one
-    step), each observation's node on it, runs, each node's run of
-    observation rows (_node_runs), which the descent hands to
-    integrate_adjoint, and zero, the order-zero fit under config, whose
-    point is the Frechet mean and whose SSE the variance.  That fit starts
-    at the middle observation, then works outward, the lower of two at one
-    distance first, and takes the first whose logs to all the others are
-    defined; if none is, the last one's CutLocusError propagates.  Its
-    descent integrates no curve, so zero.traj is None.
+    step), each observation's node on it, and zero, the order-zero fit
+    under config, whose point is the Frechet mean and whose SSE the
+    variance.  That fit starts at the middle observation, then works
+    outward, the lower of two at one distance first, and takes the first
+    whose logs to all the others are defined; if none is, the last one's
+    CutLocusError propagates.  Its descent integrates no curve, so
+    zero.traj is None.
     """
 
     def __init__(self, manifold: Manifold, data: TimedDataset, config: FitConfig):
@@ -336,20 +328,32 @@ class _Plan:
         times, points = self.data.times, self.data.points
         self.grid = time_grid(1.0, 1 if times[-1] == 0.0 else config.steps, times)
         self.nodes = np.searchsorted(self.grid, times)
-        self.runs = _node_runs(self.nodes)
         # the middle observation first, then outward, the lower of two at one distance first
         outward = np.argsort(np.abs(2 * np.arange(len(points)) - (len(points) - 1)),
                              kind="stable")
         for i in outward:
-            start = points[i]
+            state = PolynomialState(points[i], np.zeros((0,) + manifold.tangent_shape))
             try:
-                logs, value = _residuals(manifold, np.broadcast_to(start, points.shape), points)
+                observed = self.observe(state)
                 break
             except CutLocusError:
                 if i == outward[-1]:
                     raise
-        state = PolynomialState(start, np.zeros((0,) + manifold.tangent_shape))
-        self.zero = _descend(self, config, state, None, logs, value)
+        self.zero = _descend(self, config, state, *observed)
+
+    def observe(self, state: PolynomialState):
+        """The state's pass, residual logs and objective, in one log_many.
+
+        A state whose vectors are all zero, every order-zero state among
+        them, is its base point at every node: its logs are taken there,
+        with no pass (None) and no gather of rows.
+        """
+        points = self.data.points
+        if not np.count_nonzero(state.vels):
+            return (None,) + _residuals(self.manifold, np.broadcast_to(state.gamma, points.shape),
+                                        points)
+        traj = integrate_polynomial(self.manifold, state, self.grid)
+        return (traj,) + _residuals(self.manifold, traj.points[self.nodes], points)
 
 
 def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
@@ -366,21 +370,20 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
     without an initial state the descent starts from the mean with zero
     vectors, the order-zero fit's curve, and takes that fit's logs and SSE
     with no log and no pass.  An initial state (in internal [0, 1] time
-    units) takes one log_many, and is integrated only if it has nonzero
-    vectors: a start with zero vectors takes no pass (see the module).  An
-    initial state more than 1e-6 off the manifold (its point or its
-    vectors' tangency) raises ValueError naming the worst part, a NaN the
-    worst of all, and fewer distinct observation times than k + 1 warn
-    that the fit is underdetermined.  Candidates are accepted as
-    _line_search says.  Parameters that drift more than 1e-6 off the
-    manifold raise GeometryError.  The result is converged when its descent
+    units) is observed as every candidate is (_Plan.observe): one log_many,
+    and a pass only if it has nonzero vectors.  An initial state more than
+    1e-6 off the manifold (its point or its vectors' tangency) raises
+    ValueError naming the worst part, a NaN the worst of all, and fewer
+    distinct observation times than k + 1 warn that the fit is
+    underdetermined.  Candidates are accepted as _line_search says.
+    Parameters that drift more than 1e-6 off the manifold raise
+    GeometryError.  The result is converged when its descent
     and the order-zero fit both reached the tolerance; stop_reason is its
     own descent's.  It keeps the trajectory of the accepted parameters, the
-    one its SSE was measured on, and its residual logs, so reports take no
-    log of their own.  ``_plan`` is private to ``fit_orders``, which makes
-    one plan of the data for all its orders and only reads it.  Every
-    gradient of the descent hands the plan's runs of nodes to
-    integrate_adjoint (its private ``_runs``).
+    one its SSE was measured on, its point at each observation's node and
+    the residual logs there, so reports take no log of their own.
+    ``_plan`` is private to ``fit_orders``, which makes one plan of the data
+    for all its orders and only reads it.
     """
     started = time.perf_counter()
     k = config.order
@@ -403,16 +406,11 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         if not residual <= _DRIFT_TOL:
             raise ValueError(f"initial state is off the manifold: {worst} residual "
                              f"{residual:.3e} exceeds {_DRIFT_TOL:g}")
-        # the constant start is its base point at every node and takes no
-        # pass; it is integrated for the result only if no step is accepted
-        traj = integrate_polynomial(manifold, state, plan.grid) if state.vels.any() else None
-        observed = (np.broadcast_to(state.gamma, plan.data.points.shape) if traj is None
-                    else traj.points[plan.nodes])
         try:
-            logs, value = _residuals(manifold, observed, plan.data.points)
+            observed = plan.observe(state)
         except GeometryError as exc:
             raise GeometryError(f"objective failed on an observation: {exc}") from exc
-        fit = _descend(plan, config, state, traj, logs, value)
+        fit = _descend(plan, config, state, *observed)
     else:
         raise ValueError(
             f"initial vectors have shape {initial.vels.shape}; order {k} "
@@ -434,6 +432,7 @@ def fit_polynomial(manifold: Manifold, data: TimedDataset, config: FitConfig,
         params=state,
         params_original=PolynomialState(state.gamma, vels_original),
         trajectory=traj,
+        observed=traj.points[plan.nodes],
         logs=fit.logs,
         sse=fit.value,
         frechet_variance=zero.value,
@@ -480,45 +479,36 @@ def fit_orders(manifold: Manifold, data: TimedDataset, orders, config: FitConfig
 def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
     """L-BFGS descent on plan's data from state with its pass, logs and objective.
 
-    traj is None for a constant start, which takes no pass, and for every
-    order-zero candidate, whose logs are taken at its point.  The time
-    design's monomials and metric are built once, by one _design_metric;
-    at order zero and at a constant start the gradient is the closed form,
-    elsewhere one integrate_adjoint pass over the plan's runs of nodes.  The
-    gradient norm it reports is the returned state's, so a descent stopped
-    at max_iters takes one more gradient.  The plan is only read.
+    Every candidate is observed by plan.observe, so traj is None for a state
+    with zero vectors, every order-zero one among them.  The time design's
+    monomials and metric are built once, by one _design_metric; a state
+    without a pass takes the closed-form gradient, any other one
+    integrate_adjoint pass.  The tolerance is tested on every state the
+    loop holds, the one reached by the last permitted iteration included,
+    so the gradient norm reported is the returned state's.  The plan is
+    only read.
     """
-    manifold, internal = plan.manifold, plan.data
+    manifold = plan.manifold
     k = state.order
-    phi, _, precond = _design_metric(internal.times, k)
-
-    def evaluate(s: PolynomialState):
-        """A candidate's pass, residual logs and objective, in one log_many.
-
-        At order zero the curve is the candidate's point at every node: its
-        logs are taken there, with no pass (None) and no gather of rows.
-        """
-        if not k:
-            bases = np.broadcast_to(s.gamma, internal.points.shape)
-            return (None,) + _residuals(manifold, bases, internal.points)
-        traj = integrate_polynomial(manifold, s, plan.grid)
-        return (traj,) + _residuals(manifold, traj.points[plan.nodes], internal.points)
+    phi, _, precond = _design_metric(plan.data.times, k)
 
     def gradient(s: PolynomialState, traj, logs):
         if traj is None:                    # the constant curve: no pass
             return _constant_gradient(manifold, s.gamma, phi, logs)
-        return integrate_adjoint(manifold, traj, plan.nodes, logs, _runs=plan.runs)
+        return integrate_adjoint(manifold, traj, plan.nodes, logs)
 
     trace = [value]
     stop_reason = "max_iters"
     grad = carried = None
     pairs, rho = np.zeros((0, k + 1) + manifold.tangent_shape), []  # (s, y) rows, 1/<s, y>
-    for _ in range(config.max_iters):
+    for iteration in range(config.max_iters + 1):
         if grad is None:
             grad = gradient(state, traj, logs)
         grad_norm = _stack_norm(manifold, state.gamma, grad)
         if grad_norm <= config.tol:
             stop_reason = "tolerance"
+            break
+        if iteration == config.max_iters:
             break
 
         if carried is not None:
@@ -530,7 +520,7 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
                 rho = (rho + [1.0 / sy])[-_MEMORY:]
         direction = _lbfgs_direction(manifold, state.gamma, grad, pairs, rho, precond)
         found = _line_search(manifold, state, grad, grad_norm, direction, pairs, value,
-                             evaluate, gradient)
+                             plan.observe, gradient)
         if found is None:
             stop_reason = "line_search"
             break
@@ -540,11 +530,6 @@ def _descend(plan: _Plan, config, state, traj, logs, value) -> _Descent:
             raise GeometryError(f"parameters drifted off the manifold: {worst} residual "
                                 f"{residual:.3e} exceeds {_DRIFT_TOL:g}")
         trace.append(value)
-    else:
-        # stopped at the cap: the norm is the returned state's, not its predecessor's
-        if grad is None:
-            grad = gradient(state, traj, logs)
-        grad_norm = _stack_norm(manifold, state.gamma, grad)
     return _Descent(state, traj, logs, value, stop_reason, grad_norm, trace)
 
 

@@ -8,7 +8,7 @@ import pytest
 import riempoly as rp
 import riempoly.cli
 import riempoly.regress
-from riempoly.cli import build_dataset, curve_table, main, observed_points, scatter_table
+from riempoly.cli import build_dataset, curve_table, main, scatter_table
 from riempoly.landmarks import parse_landmarks
 from conftest import RAT_FIXTURE, procrustes_align, unit_tangent
 
@@ -375,7 +375,7 @@ class TestPlotBundle:
         assert len(curve) == 2
         assert curve[0][0] == 0.0
         assert curve[1][0] == 1.0
-        assert len(scatter_table(data, observed_points(res, data))) == data.size
+        assert len(scatter_table(data, res.observed)) == data.size
 
     def test_order_zero_curve_is_constant(self, small_kendall_csv):
         records = parse_landmarks(small_kendall_csv)
@@ -497,7 +497,7 @@ class TestPlotAlignment:
                 manifold, data,
                 rp.FitConfig(order=1, steps=60, max_iters=200, tol=1e-5),
             )
-            return {"observations": scatter_table(data, observed_points(res, data))}, data, res
+            return {"observations": scatter_table(data, res.observed)}, data, res
 
         def anchors(res, times):
             # the fitted curve at each observation's own node

@@ -144,13 +144,17 @@ def test_flat_fits_land_in_one_iteration(run):
     # every observation time is a node and every step is the flat
     # polynomial's exact move, so 5 steps fit the curve of 50 steps; the
     # default recursion is its exact transpose, so with an exact gradient the
-    # preconditioned unit step lands on the least-squares optimum
+    # preconditioned unit step lands on the least-squares optimum; a fit
+    # capped at that one iteration is converged there too
     [coarse], [fine] = (run((0,), *fit(RAT_FIXTURE, "euclidean", "0,1,2,3", steps))
                         for steps in (5, 50))
-    coarse, fine = fits_of(coarse), fits_of(fine)
-    assert list(coarse) == list(fine) == ["0", "1", "2", "3"]
+    [capped] = run((0,), *fit(RAT_FIXTURE, "euclidean", "0,1,2,3"), "--max-iters", "1")
+    coarse, fine, capped = fits_of(coarse), fits_of(fine), fits_of(capped)
+    assert list(coarse) == list(fine) == list(capped) == ["0", "1", "2", "3"]
     for k in fine:
-        assert all(f[k]["converged"] and f[k]["iterations"] == 1 for f in (coarse, fine)), k
+        assert all(f[k]["converged"] and f[k]["iterations"] == 1
+                   for f in (coarse, fine, capped)), k
+        assert capped[k]["stop_reason"] == "tolerance", k
         a, b = (np.concatenate([[f[k]["params_original_units"]["gamma"]],
                                 f[k]["params_original_units"]["vels"]], axis=None)
                 for f in (coarse, fine))

@@ -283,24 +283,6 @@ class TestAdjoint:
         with pytest.raises(ValueError, match=fault):
             integrate_adjoint(sphere, traj, bad(nodes), logs)
 
-    @pytest.mark.parametrize("space", [
-        rp.Euclidean(3), rp.Sphere(2), rp.KendallShapeSpace(8, 2), rp.KendallShapeSpace(5, 3),
-        rp.RotationGroup(rp.MetricSpec(np.diag([1.0, 2.0, 3.0]))),
-    ], ids=["euclidean_3", "sphere", "kendall_8_2", "kendall_5_3", "so3_general"])
-    def test_plan_runs_give_the_public_gradient(self, space, rng):
-        # the descent hands its plan's runs of nodes to the pass; the
-        # gradient is the one a caller gets from the nodes alone, bit for bit
-        for times in ((0.0, 0.33, 0.71, 1.0), (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0)):
-            for k in (1, 2):
-                state, _, data = random_fit_problem(space, k, rng, scale=0.4, steps=30,
-                                                    times=times)
-                plan = riempoly.regress._Plan(space, data, rp.FitConfig(order=k, steps=30))
-                traj = rp.integrate_polynomial(space, state, plan.grid)
-                logs = space.log_many(traj.points[plan.nodes], plan.data.points)
-                expected = integrate_adjoint(space, traj, plan.nodes, logs)
-                got = integrate_adjoint(space, traj, plan.nodes, logs, _runs=plan.runs)
-                assert np.array_equal(got, expected), (times, k)
-
     def test_memory_is_flat_in_the_step_count(self, rng):
         # the default pullback, which flat space runs, carries k + 1
         # multiplier rows node by node and reads each cotangent as it
@@ -586,6 +568,10 @@ class TestFrechetMean:
         with pytest.raises(ValueError, match=r"^max_iter must be a positive integer, "
                                              r"got max_iter=2\.5$"):
             rp.frechet_mean(sphere, pts, max_iter=2.5)
+        # a bool is not a count, though bool is an Integral
+        with pytest.raises(ValueError, match=r"^max_iter must be a positive integer, "
+                                             r"got max_iter=True$"):
+            rp.frechet_mean(sphere, pts, max_iter=True)
 
     def test_judges_the_point_it_returns(self, rng):
         # a mean that reaches its tolerance on its last allowed iteration
@@ -1332,6 +1318,15 @@ class TestFitPolynomial:
         assert res.iterations <= 1
         assert len(res.objective_trace) >= 1
 
+    def test_fit_within_tol_after_its_last_permitted_iteration_converges(self, rng):
+        # the stopping test reads every state the descent holds: in flat
+        # space the first preconditioned unit step lands on the optimum, so
+        # a fit capped at one iteration ends within tol, and says so
+        space = rp.Euclidean(3)
+        _, _, data = random_fit_problem(space, 1, rng, steps=50)
+        res = rp.fit_polynomial(space, data, rp.FitConfig(order=1, steps=50, max_iters=1))
+        assert (res.converged, res.stop_reason, res.iterations) == (True, "tolerance", 1)
+
     def test_capped_fit_reports_its_own_gradient_norm(self):
         # a fit stopped at max_iters reports the gradient norm of the point
         # it returns, not that of the point before its last accepted step
@@ -1363,6 +1358,7 @@ class TestFitPolynomial:
         fresh = rp.integrate_polynomial(sphere, res.params, grid)
         assert np.array_equal(res.trajectory.times, grid)
         assert np.array_equal(res.trajectory.points, fresh.points)
+        assert np.array_equal(res.observed, fresh.points[fresh.node_index(internal.times)])
         assert len(res.trajectory.flow) == len(fresh.flow)
         assert all(np.array_equal(a, b) for a, b in zip(res.trajectory.flow, fresh.flow))
         assert objective_sse(sphere, res.trajectory, internal) == res.sse
@@ -1411,10 +1407,11 @@ class TestFitPolynomial:
 
     @pytest.mark.parametrize("field", ["order", "steps", "max_iters"])
     def test_counts_must_be_integers(self, field):
-        # a float count is refused naming its field, before any fit; numpy
-        # integers pass
-        with pytest.raises(ValueError, match=f"must be integers, got {field}=2.5"):
-            rp.FitConfig(**{"order": 1, field: 2.5})
+        # a float or bool count is refused naming its field, before any fit;
+        # numpy integers pass
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"must be integers, got {field}={value}$"):
+                rp.FitConfig(**{"order": 1, field: value})
         rp.FitConfig(**{"order": 1, field: np.int64(2)})
 
     def test_quotient_invariance_of_fit(self, rng):
